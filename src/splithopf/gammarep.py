@@ -84,16 +84,17 @@ class GammaFamily:
 
     sign is defined by {gamma^a, gamma^b} = sign * 2 eta^{ab}.  weight, when
     present, is the matrix making weight @ gamma^a hermitian (sigma^3, k, K).
+    The matrices keep their sparse cells (see RMatrix.cache_sparse).
     """
 
     def __init__(self, name, gammas, metric, sign, ring, unit, weight=None):
         self.name = name
-        self.gammas = tuple(gammas)
+        self.gammas = tuple(g.cache_sparse() for g in gammas)
         self.metric = metric
         self.sign = sign
         self.ring = ring
         self.unit = unit  # j or i as a ring element
-        self.weight = weight
+        self.weight = weight.cache_sparse() if weight is not None else None
         self.dim = self.gammas[0].rows
 
     def gamma(self, a):
@@ -236,7 +237,7 @@ def build_generators(name):
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             s = commutator(gammas[a - 1], gammas[b - 1]).scale(-unit).scale(quarter)
-            out[(a, b)] = s
+            out[(a, b)] = s.cache_sparse()
     return {"ring": ring, "sigmas": out, "unit": unit, "family": name}
 
 
@@ -295,7 +296,7 @@ def build_weyl_generators(realization, bar=False):
         ring = RING_COMPLEX
     else:
         raise ValueError(realization)
-    return {"ring": ring, "sigmas": out}
+    return {"ring": ring, "sigmas": {k: m.cache_sparse() for k, m in out.items()}}
 
 
 def weyl_generator(realization, m, n, bar=False):
@@ -374,8 +375,8 @@ class ChargeConjugation:
                  generator_rule, lowered):
         self.family_name = family_name
         self.label = label
-        self.matrix = matrix
-        self.matrix_inv = matrix_inv
+        self.matrix = matrix.cache_sparse()
+        self.matrix_inv = matrix_inv.cache_sparse()
         self.vector_rule = vector_rule        # C gamma C^-1 = rule * conj(gamma)
         self.generator_rule = generator_rule  # C sigma C^-1 = rule * conj(sigma)
         self.lowered = lowered                # rules stated on lowered indices

@@ -16,11 +16,12 @@ of the closed connection plus the commutator term -u^-1 A wedge A, which is
 """
 
 from fractions import Fraction
+import functools
 import math
 import random
 
 from .splitnum import SplitComplex, OrdinaryComplex
-from .ringmat import RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX, commutator
+from .ringmat import RMatrix, RING_SPLIT, commutator, lincomb, worst_of
 from . import gammarep
 from .hopfmaps import (
     BasePoint, Section, case_info, section_linear_part, sample_base_point,
@@ -31,7 +32,7 @@ __all__ = [
     "tangent_basis", "connection_closed", "connection_contraction",
     "connection_numeric", "connection_residual",
     "curvature_closed", "curvature_contraction", "curvature_numeric",
-    "curvature_residual", "transition", "gluing_check", "covariance_check",
+    "curvature_residual", "transition", "gluing_check",
     "lightcone_probe", "curvature_radial", "span_residual", "field_components",
 ]
 
@@ -42,22 +43,35 @@ DEFAULT_H = 1e-5
 # ---------------------------------------------------------------------------
 # per-case static data
 
+@functools.lru_cache(maxsize=None)
 def _case_gauge(level, realization):
-    """(unit u, weight W, undecorate D, fiber ring) for -u s^dag W ds."""
-    case = case_info(level, realization)
-    dim = case.spinor_dim
+    """(unit u, weight W, undecorate D) for -u s^dag W ds, in the ring of the
+    sections (W and D lifted to the complex ring at (3, II))."""
     if realization == "I":
-        u = SplitComplex(0, 1)
-        w = RMatrix.identity(dim, RING_SPLIT)
-        return u, w, None
+        dim = case_info(level, realization).spinor_dim
+        return SplitComplex(0, 1), RMatrix.identity(dim, RING_SPLIT).cache_sparse(), None
+    i = OrdinaryComplex(0, 1)
     if level == 1:
-        return OrdinaryComplex(0, 1), gammarep.pauli(3), None
+        return i, gammarep.pauli(3).cache_sparse(), None
     if level == 2:
         k = gammarep.build_family("so32_II").weight
-        return OrdinaryComplex(0, 1), k, gammarep.pauli(3)
-    K = gammarep.build_family("so54_II").weight
-    sig3 = gammarep.sigma3_block(4)  # the 8-dim fiber weight diag(1_4, -1_4)
-    return OrdinaryComplex(0, 1), K, sig3
+        return i, k, gammarep.pauli(3).cache_sparse()
+    K = gammarep.to_complex(gammarep.build_family("so54_II").weight)
+    sig3 = gammarep.to_complex(gammarep.sigma3_block(4))  # fiber weight diag(1_4, -1_4)
+    return i, K.cache_sparse(), sig3.cache_sparse()
+
+
+@functools.lru_cache(maxsize=None)
+def _level2_algebra(realization, bar):
+    """('t Hooft table, generator triple) of the second map: split Pauli
+    matrices for I, the tau triple for II."""
+    gen = gammarep.split_pauli if realization == "I" else gammarep.tau
+    return (gammarep.build_thooft(realization, bar),
+            tuple(gen(i).cache_sparse() for i in (1, 2, 3)))
+
+
+def _inverse(n):
+    return 1 / n if isinstance(n, float) else Fraction(1, 1) / n
 
 
 def _eps_lowered(metric3):
@@ -136,104 +150,37 @@ def connection_closed(point, patch=None):
             out[i] = sign * acc / (2 * n)
         return out
 
+    inv_n = _inverse(n)
+    bar = patch == "lower"
+    out = {}
     if lvl == 2:
-        bar = patch == "lower"
-        if real == "I":
-            tab = gammarep.build_thooft("I", bar)
-            basis = [gammarep.split_pauli(i) for i in (1, 2, 3)]
-            ring = RING_SPLIT
-            pref = Fraction(-1, 2)
-        else:
-            tab = gammarep.build_thooft("II", bar)
-            basis = [gammarep.tau(i) for i in (1, 2, 3)]
-            ring = RING_COMPLEX
-            pref = Fraction(1, 2)
-        out = {}
+        # A_m = pref/n sum_{n', i} eta_{m n' i} x_n' basis_i
+        tab, basis = _level2_algebra(real, bar)
+        pref = (Fraction(-1, 2) if real == "I" else Fraction(1, 2)) * inv_n
         for m in range(1, 5):
-            acc = RMatrix.zeros(2, 2, ring)
-            for nn in range(1, 5):
-                for i in (1, 2, 3):
-                    v = tab.get((m, nn, i), 0)
-                    if v:
-                        acc = acc + basis[i - 1].scale(v * x[nn - 1])
-            out[m] = acc.scale(pref).scale(1 / n if isinstance(n, float) else Fraction(1, 1) / n)
-        out[5] = RMatrix.zeros(2, 2, ring)
+            coeffs = [sum(tab.get((m, nn, i), 0) * x[nn - 1] for nn in range(1, 5)) * pref
+                      for i in (1, 2, 3)]
+            out[m] = lincomb(coeffs, basis)
+        out[5] = RMatrix.zeros(2, 2, basis[0].ring)
         return out
 
-    # level 3
-    bar = patch == "lower"
+    # level 3: A_m = (1/n) sum_{n' != m} sigma_{m n'} x_n', sigma_{n' m} = -sigma_{m n'}
     gens = gammarep.build_weyl_generators(real, bar)["sigmas"]
-    ring = gens[(1, 2)].ring
-    inv_n = 1 / n if isinstance(n, float) else Fraction(1, 1) / n
-    out = {}
     for m in range(1, 9):
-        acc = RMatrix.zeros(8, 8, ring)
-        for nn in range(1, 9):
-            if nn == m:
-                continue
-            g = gens[(m, nn)] if m < nn else -gens[(nn, m)]
-            acc = acc + g.scale(x[nn - 1])
-        out[m] = acc.scale(inv_n)
-    out[9] = RMatrix.zeros(8, 8, ring)
+        others = [nn for nn in range(1, 9) if nn != m]
+        out[m] = lincomb([(x[nn - 1] if m < nn else -x[nn - 1]) * inv_n for nn in others],
+                         [gens[(min(m, nn), max(m, nn))] for nn in others])
+    out[9] = RMatrix.zeros(8, 8, gens[(1, 2)].ring)
     return out
 
 
 def connection_contraction(point, t, patch=None, closed=None):
-    """sum_a A_a t^a for a tangent direction t, from the closed form."""
-    if closed is None:
-        return _contract_direct(point, t, patch)
-    comps = closed
-    first = comps[1]
-    if isinstance(first, RMatrix):
-        acc = RMatrix.zeros(first.rows, first.cols, first.ring)
-        for a, m in comps.items():
-            if t[a - 1]:
-                acc = acc + m.scale(t[a - 1])
-        return acc
+    """sum_a A_a t^a for a tangent direction t, contracting the closed
+    components (connection_closed(point, patch) unless given)."""
+    comps = closed if closed is not None else connection_closed(point, patch)
+    if isinstance(comps[1], RMatrix):
+        return lincomb([t[a - 1] for a in comps], comps.values())
     return sum(v * t[a - 1] for a, v in comps.items())
-
-
-def _contract_direct(point, t, patch=None):
-    """A(t) without assembling all components (fast path for derivatives)."""
-    patch = patch or point.patch
-    lvl, real = point.level, point.realization
-    x = point.coords
-    s = 1 if patch == "upper" else -1
-    n = 1 + s * x[-1]
-    if n < EPS_PATCH:
-        raise PatchError(patch, n)
-    if lvl == 1:
-        comps = connection_closed(point, patch)
-        return sum(v * t[a - 1] for a, v in comps.items())
-    if lvl == 2:
-        bar = patch == "lower"
-        if real == "I":
-            tab = gammarep.build_thooft("I", bar)
-            basis = [gammarep.split_pauli(i) for i in (1, 2, 3)]
-            pref = -0.5 / n
-        else:
-            tab = gammarep.build_thooft("II", bar)
-            basis = [gammarep.tau(i) for i in (1, 2, 3)]
-            pref = 0.5 / n
-        coef = [0.0, 0.0, 0.0]
-        for (m, nn, i), v in tab.items():
-            coef[i - 1] += v * t[m - 1] * x[nn - 1]
-        acc = RMatrix.zeros(2, 2, basis[0].ring)
-        for c, b in zip(coef, basis):
-            if c:
-                acc = acc + b.scale(c * pref)
-        return acc
-    bar = patch == "lower"
-    gens = gammarep.build_weyl_generators(real, bar)["sigmas"]
-    ring = gens[(1, 2)].ring
-    acc = RMatrix.zeros(8, 8, ring)
-    inv_n = 1.0 / n if isinstance(n, float) else Fraction(1, 1) / n
-    for m in range(1, 9):
-        for nn in range(m + 1, 9):
-            c = (t[m - 1] * x[nn - 1] - t[nn - 1] * x[m - 1]) * inv_n
-            if c:
-                acc = acc + gens[(m, nn)].scale(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +213,6 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
     w0, n0 = section_linear_part(point, patch)
     lift = gammarep.to_complex if (lvl, real) == (3, "II") else (lambda m: m)
     w0 = lift(w0)
-    W = lift(W)
-    if D is not None:
-        D = lift(D)
     col = None
     if section == "spinor":
         if fiber is None:
@@ -320,22 +264,23 @@ def _value_dev(a, b):
     if isinstance(d, RMatrix):
         return d.max_abs()
     comps = (d.re, d.im) if hasattr(d, "re") else (d,)
-    return max(abs(float(c)) for c in comps)
+    return worst_of(abs(float(c)) for c in comps)
 
 
 def connection_residual(point, patch=None, h=DEFAULT_H, mode="fd"):
-    """Max deviation between the closed form and the section derivative."""
+    """Max deviation between the closed form and the section derivative
+    (NaN if any deviation is NaN)."""
     patch = patch or point.patch
     tangents = tangent_basis(point)
     closed = connection_closed(point, patch)
     numeric = connection_numeric(point, patch, h=h, mode=mode, tangents=tangents)
-    worst = 0.0
+    devs = []
     for t, num in zip(tangents, numeric):
         cl = connection_contraction(point, t, patch, closed=closed)
         if isinstance(num, RMatrix) and not isinstance(cl, RMatrix):
             cl = RMatrix([[cl]], num.ring)
-        worst = max(worst, _value_dev(num, cl))
-    return worst
+        devs.append(_value_dev(num, cl))
+    return worst_of(devs)
 
 
 # ---------------------------------------------------------------------------
@@ -385,124 +330,40 @@ def curvature_closed(point, patch=None):
 
     comps = connection_closed(point, patch)
     c = _comm_unit(real)
-    inv_n = 1 / n if isinstance(n, float) else Fraction(1, 1) / n
+    inv_n = _inverse(n)
+    bar = patch == "lower"
     out = {}
     if lvl == 2:
-        bar = patch == "lower"
-        if real == "I":
-            tab = gammarep.build_thooft("I", bar)
-            basis = [gammarep.split_pauli(i) for i in (1, 2, 3)]
-            alg = 1
-        else:
-            tab = gammarep.build_thooft("II", bar)
-            basis = [gammarep.tau(i) for i in (1, 2, 3)]
-            alg = -1
-        ring = basis[0].ring
+        # algebraic part (+-1/n) sum_i eta_{m n' i} basis_i
+        tab, basis = _level2_algebra(real, bar)
+        alg = (1 if real == "I" else -1) * inv_n
         for m in range(1, 5):
             for nn in range(m + 1, 5):
-                acc = RMatrix.zeros(2, 2, ring)
-                for i in (1, 2, 3):
-                    v = tab.get((m, nn, i), 0)
-                    if v:
-                        acc = acc + basis[i - 1].scale(v)
-                term = acc.scale(alg).scale(inv_n)
+                term = lincomb([tab.get((m, nn, i), 0) * alg for i in (1, 2, 3)], basis)
                 out[(m, nn)] = term + commutator(comps[m], comps[nn]).scale(c)
-            out[(m, 5)] = comps[m].scale(inv_n).scale(s)
+            out[(m, 5)] = lincomb([inv_n * s], [comps[m]])
         return out
 
-    bar = patch == "lower"
+    # level 3: algebraic part -2 sigma_{m n'} / n
     gens = gammarep.build_weyl_generators(real, bar)["sigmas"]
-    alg = -2
     for m in range(1, 9):
         for nn in range(m + 1, 9):
-            term = gens[(m, nn)].scale(alg).scale(inv_n)
+            term = lincomb([-2 * inv_n], [gens[(m, nn)]])
             out[(m, nn)] = term + commutator(comps[m], comps[nn]).scale(c)
-        out[(m, 9)] = comps[m].scale(inv_n).scale(s)
+        out[(m, 9)] = lincomb([inv_n * s], [comps[m]])
     return out
 
 
 def curvature_contraction(point, t, v, patch=None, closed=None):
-    """F(t, v) = sum_{a<b} F_ab (t^a v^b - t^b v^a).
-
-    With closed=None the contraction is assembled directly: the algebraic
-    generator part is contracted first and the commutator term collapses to
-    a single [A(t), A(v)] by bilinearity.
-    """
-    if closed is None:
-        return _curvature_contract_direct(point, t, v, patch)
-    comps = closed
-    first = next(iter(comps.values()))
-    if isinstance(first, RMatrix):
-        acc = RMatrix.zeros(first.rows, first.cols, first.ring)
-        for (a, b), m in comps.items():
-            w = t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1]
-            if w:
-                acc = acc + m.scale(w)
-        return acc
+    """F(t, v) = sum_{a<b} F_ab (t^a v^b - t^b v^a), contracting the closed
+    components (curvature_closed(point, patch) unless given)."""
+    comps = closed if closed is not None else curvature_closed(point, patch)
+    weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in comps]
+    if isinstance(next(iter(comps.values())), RMatrix):
+        return lincomb(weights, comps.values())
     acc = 0.0
-    for (a, b), m in comps.items():
-        acc += m * (t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1])
-    return acc
-
-
-def _curvature_contract_direct(point, t, v, patch=None):
-    patch = patch or point.patch
-    lvl, real = point.level, point.realization
-    if lvl == 1:
-        return curvature_contraction(point, t, v, patch,
-                                     closed=curvature_closed(point, patch))
-    x = point.coords
-    s = 1 if patch == "upper" else -1
-    n = 1 + s * x[-1]
-    if n < EPS_PATCH:
-        raise PatchError(patch, n)
-    inv_n = 1.0 / n if isinstance(n, float) else Fraction(1, 1) / n
-    c = _comm_unit(real)
-    bar = patch == "lower"
-    dim = len(x)
-    # F_{m,last} components enter through the tangent weights as well
-    w_last = [t[m - 1] * v[dim - 1] - t[dim - 1] * v[m - 1] for m in range(1, dim)]
-
-    if lvl == 2:
-        if real == "I":
-            tab = gammarep.build_thooft("I", bar)
-            basis = [gammarep.split_pauli(i) for i in (1, 2, 3)]
-            alg = 1
-        else:
-            tab = gammarep.build_thooft("II", bar)
-            basis = [gammarep.tau(i) for i in (1, 2, 3)]
-            alg = -1
-        coef = [0.0, 0.0, 0.0]
-        for (m, nn, i), val in tab.items():
-            coef[i - 1] += val * t[m - 1] * v[nn - 1]
-        acc = RMatrix.zeros(2, 2, basis[0].ring)
-        for cf, b in zip(coef, basis):
-            if cf:
-                acc = acc + b.scale(cf * alg * inv_n)
-        a_t = _contract_direct(point, t, patch)
-        a_v = _contract_direct(point, v, patch)
-        acc = acc + commutator(a_t, a_v).scale(c)
-        if any(w_last):
-            a_w = _contract_direct(point, tuple(w_last) + (0.0,), patch)
-            acc = acc + a_w.scale(inv_n * s)
-        return acc
-
-    gens = gammarep.build_weyl_generators(real, bar)["sigmas"]
-    ring = gens[(1, 2)].ring
-    acc = RMatrix.zeros(8, 8, ring)
-    alg = -2
-    for m in range(1, 9):
-        for nn in range(m + 1, 9):
-            w = t[m - 1] * v[nn - 1] - t[nn - 1] * v[m - 1]
-            if w:
-                acc = acc + gens[(m, nn)].scale(w * alg * inv_n)
-    a_t = _contract_direct(point, t, patch)
-    a_v = _contract_direct(point, v, patch)
-    acc = acc + commutator(a_t, a_v).scale(c)
-    if any(w_last):
-        # sum_m w_m A_m s/n collapses to one contraction by linearity
-        a_w = _contract_direct(point, tuple(w_last) + (0.0,), patch)
-        acc = acc + a_w.scale(inv_n * s)
+    for w, m in zip(weights, comps.values()):
+        acc += m * w
     return acc
 
 
@@ -511,8 +372,8 @@ def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
     exact commutator term; comparable with curvature_contraction."""
     patch = patch or point.patch
 
-    def contract(pt, vec):
-        return connection_contraction(pt, vec, patch)
+    def contract(pt, vec, closed=None):
+        return connection_contraction(pt, vec, patch, closed=closed)
 
     a_tp = contract(_shift(point, t, h), v)
     a_tm = contract(_shift(point, t, -h), v)
@@ -520,26 +381,28 @@ def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
     a_vm = contract(_shift(point, v, -h), t)
     if isinstance(a_tp, RMatrix):
         da = (a_tp - a_tm).scale(1.0 / (2 * h)) - (a_vp - a_vm).scale(1.0 / (2 * h))
-        at = contract(point, t)
-        av = contract(point, v)
+        here = connection_closed(point, patch)
+        at = contract(point, t, here)
+        av = contract(point, v, here)
         return da + commutator(at, av).scale(_comm_unit(point.realization))
     da = (a_tp - a_tm) / (2 * h) - (a_vp - a_vm) / (2 * h)
     return da
 
 
 def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
-    """Max deviation closed-vs-numeric over random tangent pairs."""
+    """Max deviation closed-vs-numeric over random tangent pairs (NaN if any
+    deviation is NaN)."""
     rng = rng or random.Random(0)
     tangents = tangent_basis(point)
     closed = curvature_closed(point, patch)
-    worst = 0.0
+    devs = []
     for _ in range(pairs):
         t = rng.choice(tangents)
         v = rng.choice(tangents)
         cl = curvature_contraction(point, t, v, patch, closed=closed)
         nu = curvature_numeric(point, t, v, patch, h=h)
-        worst = max(worst, _value_dev(nu, cl))
-    return worst
+        devs.append(_value_dev(nu, cl))
+    return worst_of(devs)
 
 
 # ---------------------------------------------------------------------------
@@ -622,26 +485,21 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     (3, II); scalar conjugation at level 1).  Curvature: F' = g^dag F g with
     the same decoration; at level 1 the field strength is patch-independent.
     dg is evaluated by central finite differences.
-    Returns {"connection": r1, "curvature": r2}.
+    Returns {"connection": r1, "curvature": r2}, each the worst residual
+    (NaN if any residual is NaN).
     """
     lvl, real = point.level, point.realization
     tangents = tangent_basis(point)
     g = _transition_value(point, point.coords)
     upper = connection_closed(point, "upper")
     lower = connection_closed(point, "lower")
-    u = SplitComplex(0, 1) if real == "I" else OrdinaryComplex(0, 1)
-    if real == "I" or lvl == 1:
-        decor = None
-    elif lvl == 2:
-        decor = gammarep.pauli(3)
-    else:
-        decor = gammarep.to_complex(gammarep.sigma3_block(4))
+    u, _, decor = _case_gauge(lvl, real)
 
     if lvl > 1:
         gd = g.dagger()
         gd_decor = gd @ decor if decor is not None else gd
 
-    worst_conn = 0.0
+    conn_devs = []
     for t in tangents:
         coords_p = [c + h * ti for c, ti in zip(point.coords, t)]
         coords_m = [c - h * ti for c, ti in zip(point.coords, t)]
@@ -657,26 +515,25 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
             rhs = gd_decor @ a_up @ g - (gd_decor @ dg).scale(u)
             lhs = a_lo if decor is None else decor @ a_lo
             dev = _value_dev(lhs, rhs)
-        worst_conn = max(worst_conn, dev)
+        conn_devs.append(dev)
 
-    worst_curv = 0.0
     rng = rng or random.Random(1234)
-    for _ in range(pairs):
-        t = rng.choice(tangents)
-        v = rng.choice(tangents)
-        fu = curvature_contraction(point, t, v, "upper")
-        fl = curvature_contraction(point, t, v, "lower")
+    drawn = [(rng.choice(tangents), rng.choice(tangents)) for _ in range(pairs)]
+
+    def contractions(patch):
+        # one patch at a time: only one set of closed components is alive
+        closed = curvature_closed(point, patch)
+        return [curvature_contraction(point, t, v, patch, closed=closed) for t, v in drawn]
+
+    curv_devs = []
+    for fu, fl in zip(contractions("upper"), contractions("lower")):
         if lvl == 1:
-            worst_curv = max(worst_curv, abs(float(fu - fl)))
+            curv_devs.append(abs(float(fu - fl)))
         else:
             lhs = fl if decor is None else decor @ fl
             rhs = gd_decor @ fu @ g
-            worst_curv = max(worst_curv, _value_dev(lhs, rhs))
-    return {"connection": worst_conn, "curvature": worst_curv}
-
-
-def covariance_check(point, h=DEFAULT_H):
-    return gluing_check(point, h)
+            curv_devs.append(_value_dev(lhs, rhs))
+    return {"connection": worst_of(conn_devs), "curvature": worst_of(curv_devs)}
 
 
 # ---------------------------------------------------------------------------
@@ -729,30 +586,45 @@ def _flat_real(m):
     return out
 
 
-def _lstsq(basis_vecs, target):
+def _gram_elimination(basis_vecs):
+    """Gauss-Jordan elimination with partial pivoting of the Gram matrix of
+    the basis vectors, recorded as the row operations applied (one
+    (col, pivot row, [(row, factor), ...]) per eliminated column) and the
+    resulting diagonal, so that many right-hand sides reuse one factoring."""
     k = len(basis_vecs)
     gram = [[sum(a * b for a, b in zip(basis_vecs[i], basis_vecs[j])) for j in range(k)]
             for i in range(k)]
-    rhs = [sum(a * b for a, b in zip(basis_vecs[i], target)) for i in range(k)]
-    # gaussian elimination with partial pivoting
+    steps = []
     for col in range(k):
         piv = max(range(col, k), key=lambda r: abs(gram[r][col]))
         if abs(gram[piv][col]) < 1e-14:
             continue
         gram[col], gram[piv] = gram[piv], gram[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
         inv = 1.0 / gram[col][col]
+        factors = []
         for r in range(k):
             if r == col:
                 continue
             f = gram[r][col] * inv
             gram[r] = [x - f * y for x, y in zip(gram[r], gram[col])]
+            factors.append((r, f))
+        steps.append((col, piv, factors))
+    return steps, [gram[i][i] for i in range(k)]
+
+
+def _lstsq(basis_vecs, elimination, target):
+    """Largest residual component of the least-squares fit of target."""
+    steps, diag = elimination
+    rhs = [sum(a * b for a, b in zip(v, target)) for v in basis_vecs]
+    for col, piv, factors in steps:
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        for r, f in factors:
             rhs[r] = rhs[r] - f * rhs[col]
-    coef = [rhs[i] / gram[i][i] if abs(gram[i][i]) > 1e-14 else 0.0 for i in range(k)]
+    coef = [r / d if abs(d) > 1e-14 else 0.0 for r, d in zip(rhs, diag)]
     resid = list(target)
     for c, v in zip(coef, basis_vecs):
         resid = [r - c * b for r, b in zip(resid, v)]
-    return max(abs(r) for r in resid)
+    return worst_of(abs(r) for r in resid)
 
 
 def span_residual(point, patch=None):
@@ -764,18 +636,14 @@ def span_residual(point, patch=None):
     if lvl == 1:
         return 0.0
     if lvl == 2:
-        basis = [gammarep.split_pauli(i) for i in (1, 2, 3)] if real == "I" \
-            else [gammarep.tau(i) for i in (1, 2, 3)]
+        basis = _level2_algebra(real, False)[1]
     else:
         gens = gammarep.build_weyl_generators(real, patch == "lower")["sigmas"]
         basis = [gens[(a, b)] for a in range(1, 9) for b in range(a + 1, 9)]
     bvecs = [_flat_real(b) for b in basis]
-    worst = 0.0
-    for a, m in comps.items():
-        if not isinstance(m, RMatrix) or m.is_zero():
-            continue
-        worst = max(worst, _lstsq(bvecs, _flat_real(m)))
-    return worst
+    elimination = _gram_elimination(bvecs)
+    return worst_of(_lstsq(bvecs, elimination, _flat_real(m)) for m in comps.values()
+                    if isinstance(m, RMatrix) and not m.is_zero())
 
 
 # ---------------------------------------------------------------------------

@@ -109,15 +109,23 @@ def case_info(level, realization):
         raise ValueError("no such map: level %r realization %r" % (level, realization))
 
 
+_WEIGHT_CACHE = {}
+
+
 def _weight_matrix(level, realization):
-    if realization == "I":
-        case = CASES[(level, "I")]
-        return RMatrix.identity(case.spinor_dim, case.ring)
-    if level == 1:
-        return gammarep.pauli(3)
-    if level == 2:
-        return gammarep.build_family("so32_II").weight
-    return gammarep.build_family("so54_II").weight
+    key = (level, realization)
+    if key not in _WEIGHT_CACHE:
+        if realization == "I":
+            case = CASES[key]
+            w = RMatrix.identity(case.spinor_dim, case.ring)
+        elif level == 1:
+            w = gammarep.pauli(3)
+        elif level == 2:
+            w = gammarep.build_family("so32_II").weight
+        else:
+            w = gammarep.build_family("so54_II").weight
+        _WEIGHT_CACHE[key] = w.cache_sparse()
+    return _WEIGHT_CACHE[key]
 
 
 _PROJ_CACHE = {}
@@ -146,8 +154,8 @@ def _projection_matrices(level, realization):
         mats = [fam.weight @ fam.gamma(a) for a in range(1, 10)]
     else:
         raise ValueError(key)
-    _PROJ_CACHE[key] = mats
-    return mats
+    _PROJ_CACHE[key] = [m.cache_sparse() for m in mats]
+    return _PROJ_CACHE[key]
 
 
 def majorana_matrix():

@@ -1,20 +1,26 @@
-"""Dense matrices over an involutive scalar ring.
+"""Matrices over an involutive scalar ring.
 
 The substrate for every gamma-matrix and spinor computation: small matrices
 (at most 16x16) over the reals, ordinary complex numbers, split-complex
 numbers or a Grassmann algebra.  Each matrix carries a ring descriptor that
 supplies the entry involution, so adjoints never mix conjugation modes
 mid-expression.  Values are immutable.
+
+Storage is dense; the products (``@``, ``matvec``) and linear combinations
+(``lincomb``) walk the nonzero cells only.  Over the split-complex and
+complex rings they compute on the re/im components of the entries, in the
+operation order of the entries' own arithmetic, so float results are
+bit-identical to it and Fraction entries stay exact; over the reals and
+Grassmann algebras they use the entries' own arithmetic.
 """
 
-from fractions import Fraction
 import numbers
 
 from .splitnum import SplitComplex, OrdinaryComplex
 
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
-    "MetricForm", "RMatrix",
+    "MetricForm", "RMatrix", "lincomb", "worst_of",
     "matmul", "dagger", "weighted_adjoint", "commutator", "anticommutator", "kron",
 ]
 
@@ -139,19 +145,39 @@ class RMatrix:
     entries; callers in that mode should use conj() directly.
     """
 
-    __slots__ = ("rows", "cols", "entries", "ring")
+    __slots__ = ("rows", "cols", "entries", "ring", "_cells")
 
     def __init__(self, entries, ring):
-        entries = tuple(tuple(ring.promote(x) for x in row) for row in entries)
+        self._fill(tuple(tuple(ring.promote(x) for x in row) for row in entries), ring)
+
+    @classmethod
+    def _of(cls, entries, ring):
+        """Build from rows whose values are already elements of the ring."""
+        m = object.__new__(cls)
+        m._fill(tuple(map(tuple, entries)), ring)
+        return m
+
+    def _fill(self, entries, ring):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", len(entries[0]) if entries else 0)
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_cells", None)
         if any(len(r) != self.cols for r in entries):
             raise ValueError("ragged rows")
 
     def __setattr__(self, *a):
         raise AttributeError("immutable value")
+
+    def cache_sparse(self):
+        """Keep the nonzero cells for the sparse kernels and return self.
+
+        Meant for long-lived matrices (gammas, generators, weights);
+        per-point matrices find their cells on each use instead.
+        """
+        if self._cells is None:
+            object.__setattr__(self, "_cells", _find_cells(self))
+        return self
 
     # ---- constructors -----------------------------------------------------
 
@@ -205,24 +231,24 @@ class RMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return RMatrix([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.entries, other.entries)], self.ring)
+        return RMatrix._of([[a + b for a, b in zip(ra, rb)]
+                            for ra, rb in zip(self.entries, other.entries)], self.ring)
 
     def __sub__(self, other):
         self._check(other)
-        return RMatrix([[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.entries, other.entries)], self.ring)
+        return RMatrix._of([[a - b for a, b in zip(ra, rb)]
+                            for ra, rb in zip(self.entries, other.entries)], self.ring)
 
     def __neg__(self):
-        return RMatrix([[-a for a in row] for row in self.entries], self.ring)
+        return RMatrix._of([[-a for a in row] for row in self.entries], self.ring)
 
     def scale(self, c):
         c = self.ring.promote(c)
-        return RMatrix([[c * a for a in row] for row in self.entries], self.ring)
+        return RMatrix._of([[c * a for a in row] for row in self.entries], self.ring)
 
     def scale_right(self, c):
         c = self.ring.promote(c)
-        return RMatrix([[a * c for a in row] for row in self.entries], self.ring)
+        return RMatrix._of([[a * c for a in row] for row in self.entries], self.ring)
 
     def __mul__(self, c):
         return self.scale_right(c)
@@ -231,51 +257,75 @@ class RMatrix:
         return self.scale(c)
 
     def __matmul__(self, other):
+        """Row-sparse product (Gustavson order): row i of the result
+        accumulates A[i, k] * B[k, :] over the nonzero A[i, k] in increasing
+        k, so each cell sums its terms in the order of the dense triple loop."""
         if not isinstance(other, RMatrix):
             return NotImplemented
-        if self.ring != other.ring:
-            raise TypeError("ring mismatch: %s vs %s" % (self.ring, other.ring))
+        ring = self.ring
+        if ring != other.ring:
+            raise TypeError("ring mismatch: %s vs %s" % (ring, other.ring))
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        zero = self.ring.zero
-        bt = list(zip(*other.entries))
+        n = other.cols
+        a_cells, b_cells = _cells(self), _cells(other)
+        cls = _binarion(ring)
         out = []
-        for arow in self.entries:
-            nz = [(k, a) for k, a in enumerate(arow) if not _is_zero(a)]
-            line = []
-            for bcol in bt:
-                acc = zero
-                for k, a in nz:
-                    b = bcol[k]
-                    if _is_zero(b):
-                        continue
-                    acc = acc + a * b
-                line.append(acc)
-            out.append(line)
-        return RMatrix(out, self.ring)
+        if cls:
+            u2 = cls.UNIT_SQ
+            for arow in a_cells:
+                re, im = [0] * n, [0] * n
+                for k, ar, ai in arow:
+                    t = u2 * ai
+                    for j, br, bi in b_cells[k]:
+                        re[j] = re[j] + (ar * br + t * bi)
+                        im[j] = im[j] + (ar * bi + ai * br)
+                out.append([cls(r, i) for r, i in zip(re, im)])
+        else:
+            for arow in a_cells:
+                line = [ring.zero] * n
+                for k, a in arow:
+                    for j, b in b_cells[k]:
+                        line[j] = line[j] + a * b
+                out.append(line)
+        return RMatrix._of(out, ring)
 
     def matvec(self, vec):
         """Apply to a column vector given as a sequence; returns a list."""
-        zero = self.ring.zero
+        ring = self.ring
+        cells = _cells(self)
+        cls = _binarion(ring)
+        if cls and all(type(v) is cls for v in vec):
+            u2 = cls.UNIT_SQ
+            vr = [v.re for v in vec]
+            vi = [v.im for v in vec]
+            out = []
+            for row in cells:
+                re = im = 0
+                for k, ar, ai in row:
+                    br, bi = vr[k], vi[k]
+                    re = re + (ar * br + u2 * ai * bi)
+                    im = im + (ar * bi + ai * br)
+                out.append(cls(re, im))
+            return out
         out = []
-        for arow in self.entries:
-            acc = zero
-            for a, v in zip(arow, vec):
-                if _is_zero(a):
-                    continue
-                acc = acc + a * v
+        for row, ents in zip(cells, self.entries):
+            acc = ring.zero
+            for cell in row:
+                k = cell[0]
+                acc = acc + ents[k] * vec[k]
             out.append(acc)
         return out
 
     # ---- involutions ------------------------------------------------------
 
     def transpose(self):
-        return RMatrix(list(zip(*self.entries)), self.ring)
+        return RMatrix._of(list(zip(*self.entries)), self.ring)
 
     def conj(self):
         c = self.ring.conj
-        return RMatrix([[c(a) for a in row] for row in self.entries], self.ring)
+        return RMatrix._of([[c(a) for a in row] for row in self.entries], self.ring)
 
     def dagger(self):
         return self.conj().transpose()
@@ -301,13 +351,10 @@ class RMatrix:
         return all(_is_zero(a) for row in self.entries for a in row)
 
     def max_abs(self):
-        """Largest absolute value over all real components of all entries."""
-        worst = 0.0
-        for row in self.entries:
-            for a in row:
-                for c in _components(a):
-                    worst = max(worst, abs(float(c)))
-        return worst
+        """Largest absolute value over all real components of all entries
+        (NaN if any component is NaN)."""
+        return worst_of(abs(float(c)) for row in self.entries for a in row
+                        for c in _components(a))
 
     def map_entries(self, fn, ring=None):
         return RMatrix([[fn(a) for a in row] for row in self.entries], ring or self.ring)
@@ -331,6 +378,78 @@ class RMatrix:
             raise TypeError("ring mismatch: %s vs %s" % (self.ring, other.ring))
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+
+
+def _binarion(ring):
+    """SplitComplex or OrdinaryComplex for the rings whose entries the kernels
+    handle by components, None for the others."""
+    cls = type(ring.zero)
+    return cls if cls in (SplitComplex, OrdinaryComplex) else None
+
+
+def _find_cells(m):
+    """Nonzero cells of each row, in column order: (j, re, im) over a
+    binarion ring, (j, value) otherwise."""
+    if _binarion(m.ring):
+        return tuple(tuple((j, a.re, a.im) for j, a in enumerate(row)
+                           if not (a.re == 0 and a.im == 0))
+                     for row in m.entries)
+    return tuple(tuple((j, a) for j, a in enumerate(row) if not _is_zero(a))
+                 for row in m.entries)
+
+
+def _cells(m):
+    cells = m._cells
+    return cells if cells is not None else _find_cells(m)
+
+
+def lincomb(coeffs, basis):
+    """sum_k coeffs[k] * basis[k] for real coefficients.
+
+    Works over the nonzero cells of each basis matrix and skips zero
+    coefficients; rational coefficients and entries give an exact result.
+    """
+    coeffs, basis = tuple(coeffs), tuple(basis)
+    if not basis or len(coeffs) != len(basis):
+        raise ValueError("lincomb needs one coefficient per basis matrix, and a basis")
+    first = basis[0]
+    for m in basis[1:]:
+        first._check(m)
+    ring, rows, cols = first.ring, first.rows, first.cols
+    cls = _binarion(ring)
+    if cls:
+        re = [[0] * cols for _ in range(rows)]
+        im = [[0] * cols for _ in range(rows)]
+        for c, m in zip(coeffs, basis):
+            if not c:
+                continue
+            for r, s, row in zip(re, im, _cells(m)):
+                for j, br, bi in row:
+                    r[j] = r[j] + c * br
+                    s[j] = s[j] + c * bi
+        return RMatrix._of([[cls(a, b) for a, b in zip(r, s)] for r, s in zip(re, im)],
+                           ring)
+    out = [[ring.zero] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, basis):
+        if not c:
+            continue
+        c = ring.promote(c)
+        for line, row in zip(out, _cells(m)):
+            for j, a in row:
+                line[j] = line[j] + c * a
+    return RMatrix._of(out, ring)
+
+
+def worst_of(values):
+    """The largest of the values (0.0 if there are none), or NaN as soon as
+    one of them is NaN; max() would keep whichever operand came first."""
+    worst = 0.0
+    for v in values:
+        if v != v:
+            return v
+        if v > worst:
+            worst = v
+    return worst
 
 
 def _components(a):
@@ -378,14 +497,3 @@ def kron(a, b):
                     line.append(av * bv)
             out.append(line)
     return RMatrix(out, a.ring)
-
-
-def to_fraction_matrix(m):
-    """Exact copy with all real components coerced to Fraction (for diagnostics)."""
-    def f(a):
-        if isinstance(a, SplitComplex):
-            return SplitComplex(Fraction(a.re), Fraction(a.im))
-        if isinstance(a, OrdinaryComplex):
-            return OrdinaryComplex(Fraction(a.re), Fraction(a.im))
-        return Fraction(a)
-    return m.map_entries(f)

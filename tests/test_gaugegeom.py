@@ -9,6 +9,7 @@ import pytest
 from splithopf.splitnum import SplitComplex
 from splithopf.hopfmaps import BasePoint, sample_base_point
 from splithopf import gaugegeom as gg
+from splithopf import gammarep
 from tests.test_hopfmaps import random_fiber, ALL_CASES
 
 PANELS = [(l, r, p) for (l, r) in ALL_CASES for p in ("upper", "lower")]
@@ -89,6 +90,10 @@ def test_curvature_closed_vs_numeric(lvl, real, patch):
     assert worst < 1e-5
 
 
+def _dev(x):
+    return abs(float(x)) if not hasattr(x, "max_abs") else x.max_abs()
+
+
 def test_curvature_antisymmetry():
     rng = random.Random(17)
     for (lvl, real) in ALL_CASES:
@@ -98,8 +103,75 @@ def test_curvature_antisymmetry():
         t, v = tangents[0], tangents[-1]
         a = gg.curvature_contraction(pt, t, v, closed=f)
         b = gg.curvature_contraction(pt, v, t, closed=f)
-        dev = a + b
-        assert (abs(float(dev)) if not hasattr(dev, "max_abs") else dev.max_abs()) < 1e-12
+        assert _dev(a + b) < 1e-12
+        assert a == gg.curvature_contraction(pt, t, v)
+        # the connection contraction is linear in the direction
+        conn = gg.connection_closed(pt)
+        at = gg.connection_contraction(pt, t, closed=conn)
+        av = gg.connection_contraction(pt, v, closed=conn)
+        tv = [x - 2 * y for x, y in zip(t, v)]
+        assert _dev(gg.connection_contraction(pt, tv, closed=conn) - (at - 2 * av)) < 1e-12
+        assert at == gg.connection_contraction(pt, t)
+
+
+# rational points on each hyperboloid of levels 2 and 3, with a rational
+# tangent direction that moves the last coordinate
+RATIONAL_POINTS = [
+    (2, "I", (F(1, 2), F(1, 2), F(1, 3), F(1, 3), F(1)), (1, 0, 0, 0, F(1, 2))),
+    (2, "II", (F(1, 2), F(1, 3), F(1, 2), F(1, 3), F(1)), (0, 2, 0, 0, F(2, 3))),
+    (3, "I", (F(1, 2), F(1, 2), F(1, 3), F(1, 3), F(1, 5), F(1, 5), F(1, 7), F(1, 7), F(1)),
+     (1, 0, 0, 0, 0, 0, 0, 0, F(-1, 2))),
+    (3, "II", (F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1)),
+     (0, 0, 0, 0, 1, 0, 0, 0, F(-1, 2))),
+]
+
+
+def _components(m):
+    return [c for row in m.entries for x in row for c in (x.re, x.im)]
+
+
+@pytest.mark.parametrize("lvl,real,coords,t", RATIONAL_POINTS)
+def test_connection_exact_on_rational_input(lvl, real, coords, t):
+    pt = BasePoint(lvl, real, coords, "upper")
+    assert pt.constraint_residual() == 0
+    assert pt.metric.inner(coords, t) == 0
+    closed = gg.connection_closed(pt)
+    for m in closed.values():
+        assert all(isinstance(c, (int, F)) for c in _components(m))
+    num = gg.connection_numeric(pt, mode="analytic", tangents=[t])[0]
+    assert all(isinstance(c, (int, F)) for c in _components(num))
+    assert not num.is_zero()
+    cl = gg.connection_contraction(pt, t, closed=closed)
+    assert num == (cl if lvl == 2 or real == "I" else gammarep.to_complex(cl))
+
+
+# ---------------------------------------------------------------------------
+# non-finite input never passes a check
+
+def _nan_point(lvl, real, overlap=False):
+    pt = sample_base_point(lvl, real, rng=random.Random(3), overlap=overlap)
+    coords = list(pt.coords)
+    coords[0] = float("nan")
+    return BasePoint(lvl, real, coords, pt.patch)
+
+
+def test_value_dev_propagates_nan():
+    nan = float("nan")
+    assert math.isnan(gg._value_dev(SplitComplex(1.0, nan), 0))
+    assert math.isnan(gg._value_dev(SplitComplex(nan, 1.0), 0))
+
+
+def test_connection_residual_nan_point():
+    assert math.isnan(gg.connection_residual(_nan_point(2, "I")))
+
+
+def test_curvature_residual_nan_point():
+    assert math.isnan(gg.curvature_residual(_nan_point(2, "I"), pairs=2))
+
+
+def test_gluing_check_nan_point():
+    res = gg.gluing_check(_nan_point(2, "II", overlap=True))
+    assert math.isnan(res["connection"]) and math.isnan(res["curvature"])
 
 
 def test_majorana_vanishing_spinor_section():

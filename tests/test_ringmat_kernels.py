@@ -1,0 +1,198 @@
+"""The sparse ringmat kernels against a dense reference.
+
+The reference visits every cell with ring-element arithmetic, skipping zero
+factors, which is the definition the kernels implement: ``@`` and
+``matvec`` sum each cell's products in increasing k, ``lincomb`` sums the
+real multiples basis matrix by basis matrix.  Float results must agree bit
+for bit (sign of zero included), rational results exactly and with the
+same types.
+"""
+
+from fractions import Fraction as F
+import math
+import random
+
+import pytest
+
+from splithopf.splitnum import SplitComplex, OrdinaryComplex
+from splithopf.ringmat import (
+    RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX, grassmann_ring, lincomb,
+)
+from splithopf.superhopf import STANDARD, GrassmannElement
+
+
+def _nonzero(x):
+    return not (x.is_zero() if hasattr(x, "is_zero") else x == 0)
+
+
+def ref_matmul(a, b):
+    out = []
+    for i in range(a.rows):
+        line = []
+        for j in range(b.cols):
+            acc = a.ring.zero
+            for k in range(a.cols):
+                x, y = a.entries[i][k], b.entries[k][j]
+                if _nonzero(x) and _nonzero(y):
+                    acc = acc + x * y
+            line.append(acc)
+        out.append(line)
+    return out
+
+
+def ref_matvec(a, vec):
+    out = []
+    for row in a.entries:
+        acc = a.ring.zero
+        for x, v in zip(row, vec):
+            if _nonzero(x):
+                acc = acc + x * v
+        out.append(acc)
+    return out
+
+
+def ref_lincomb(coeffs, basis):
+    ring = basis[0].ring
+    out = [[ring.zero] * basis[0].cols for _ in range(basis[0].rows)]
+    for c, m in zip(coeffs, basis):
+        if not c:
+            continue
+        for i, row in enumerate(m.entries):
+            for j, x in enumerate(row):
+                if _nonzero(x):
+                    if ring is RING_SPLIT or ring is RING_COMPLEX:
+                        term = type(x)(c * x.re, c * x.im)
+                    else:
+                        term = ring.promote(c) * x
+                    out[i][j] = out[i][j] + term
+    return out
+
+
+def bits(x):
+    """Value key that tells apart floats by bit pattern and numbers by type."""
+    if isinstance(x, (SplitComplex, OrdinaryComplex)):
+        return (type(x).__name__, bits(x.re), bits(x.im))
+    if isinstance(x, float):
+        return ("float", x.hex())
+    return (type(x).__name__, x)
+
+
+def assert_same(got, want):
+    rows = got.entries if isinstance(got, RMatrix) else [got]
+    want = want if isinstance(got, RMatrix) else [want]
+    assert [[bits(x) for x in r] for r in rows] == [[bits(x) for x in r] for r in want]
+
+
+def _float(rng):
+    r = rng.random()
+    if r < 0.35:
+        return 0.0
+    if r < 0.45:
+        return -0.0
+    return rng.choice((-1, 1)) * rng.uniform(0.1, 3.0)
+
+
+def _rational(rng):
+    if rng.random() < 0.4:
+        return 0
+    return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def rand_matrix(rng, ring, rows, cols, draw):
+    if ring is RING_REAL:
+        return RMatrix([[draw(rng) for _ in range(cols)] for _ in range(rows)], ring)
+    cls = SplitComplex if ring is RING_SPLIT else OrdinaryComplex
+    return RMatrix([[cls(draw(rng), draw(rng)) for _ in range(cols)] for _ in range(rows)],
+                   ring)
+
+
+CASES = [(ring, draw) for ring in (RING_REAL, RING_SPLIT, RING_COMPLEX)
+         for draw in (_float, _rational)]
+IDS = ["%s-%s" % (ring.name, draw.__name__.strip("_")) for ring, draw in CASES]
+
+
+@pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
+def test_matmul_matches_dense_reference(ring, draw):
+    rng = random.Random(11)
+    for shape in ((1, 1, 1), (2, 3, 2), (4, 4, 4), (8, 8, 8), (3, 5, 1)):
+        n, k, m = shape
+        a = rand_matrix(rng, ring, n, k, draw)
+        b = rand_matrix(rng, ring, k, m, draw)
+        assert_same(a @ b, ref_matmul(a, b))
+        # cached cells give the same product as cells found on the fly
+        assert_same(a.cache_sparse() @ b.cache_sparse(), ref_matmul(a, b))
+
+
+@pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
+def test_matvec_matches_dense_reference(ring, draw):
+    rng = random.Random(12)
+    for n, k in ((1, 1), (3, 2), (8, 8), (16, 16)):
+        a = rand_matrix(rng, ring, n, k, draw)
+        vec = list(rand_matrix(rng, ring, 1, k, draw).entries[0])
+        assert_same(RMatrix([a.matvec(vec)], ring), [ref_matvec(a, vec)])
+    if ring is RING_SPLIT:
+        # real numbers in a split-complex vector take the ring-element path
+        vec = [draw(rng) for _ in range(k)]
+        assert_same(RMatrix([a.matvec(vec)], ring), [ref_matvec(a, vec)])
+
+
+@pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
+def test_lincomb_matches_dense_reference(ring, draw):
+    rng = random.Random(13)
+    for n, count in ((2, 3), (8, 28), (16, 5)):
+        basis = [rand_matrix(rng, ring, n, n, draw) for _ in range(count)]
+        coeffs = [draw(rng) for _ in basis]
+        assert_same(lincomb(coeffs, basis), ref_lincomb(coeffs, basis))
+
+
+def test_lincomb_exact_and_linear():
+    rng = random.Random(14)
+    basis = [rand_matrix(rng, RING_SPLIT, 4, 4, _rational) for _ in range(6)]
+    coeffs = [F(rng.randint(-7, 7), rng.randint(1, 5)) for _ in basis]
+    got = lincomb(coeffs, basis)
+    want = basis[0].scale(coeffs[0])
+    for c, m in zip(coeffs[1:], basis[1:]):
+        want = want + m.scale(c)
+    assert got == want
+    assert all(not isinstance(c, float) for row in got.entries for x in row
+               for c in (x.re, x.im))
+    assert lincomb([0, 0], basis[:2]) == RMatrix.zeros(4, 4, RING_SPLIT)
+    with pytest.raises(ValueError):
+        lincomb([1, 1], [basis[0], RMatrix.zeros(2, 2, RING_SPLIT)])
+    with pytest.raises(ValueError):
+        lincomb([1], basis[:2])
+    with pytest.raises(ValueError):
+        lincomb([], [])
+    with pytest.raises(TypeError):
+        lincomb([1, 1], [basis[0], RMatrix.zeros(4, 4, RING_COMPLEX)])
+
+
+def test_grassmann_ring_takes_the_generic_path():
+    ring = grassmann_ring(STANDARD)
+    rng = random.Random(15)
+    g = [GrassmannElement.generator(k, STANDARD) for k in range(3)]
+
+    def elem():
+        x = GrassmannElement.scalar(_rational(rng), STANDARD)
+        for gk in g:
+            x = x + gk * _rational(rng)
+        return x
+
+    def mat(n, m):
+        return RMatrix([[elem() for _ in range(m)] for _ in range(n)], ring)
+
+    a, b = mat(3, 3), mat(3, 2)
+    assert a @ b == RMatrix(ref_matmul(a, b), ring)
+    vec = [elem() for _ in range(3)]
+    assert a.matvec(vec) == ref_matvec(a, vec)
+    basis = [mat(3, 3) for _ in range(4)]
+    coeffs = [F(1, 2), 0, -3, F(2, 7)]
+    assert lincomb(coeffs, basis) == RMatrix(ref_lincomb(coeffs, basis), ring)
+
+
+def test_max_abs_propagates_nan():
+    nan = float("nan")
+    assert math.isnan(RMatrix([[nan, 1.0]], RING_REAL).max_abs())
+    assert math.isnan(RMatrix([[1.0, nan]], RING_REAL).max_abs())
+    assert math.isnan(RMatrix([[SplitComplex(2.0, nan)]], RING_SPLIT).max_abs())
+    assert RMatrix([[-3.0, 1.0]], RING_REAL).max_abs() == 3.0
