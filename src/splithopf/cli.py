@@ -26,7 +26,10 @@ def _fmt_float(x):
 
 
 def _emit(data, out):
-    text = json.dumps(data, indent=2, default=_fmt_float)
+    try:
+        text = json.dumps(data, indent=2, default=_fmt_float, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result holds a non-finite number; nothing written")
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -43,6 +46,23 @@ def _seed(args):
 
 # ---------------------------------------------------------------------------
 # spinor / point JSON codecs
+
+def _finite(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise UsageError("non-finite number %s" % text)
+    return x
+
+
+def _load_json(text, what):
+    """Parse a JSON argument whose numbers must all be finite."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except json.JSONDecodeError as e:
+        raise UsageError("%s: invalid JSON (%s)" % (what, e))
+    except UsageError as e:
+        raise UsageError("%s: %s" % (what, e))
+
 
 def _decode_scalar(v, ring):
     if isinstance(v, list):
@@ -122,10 +142,7 @@ def cmd_verify(args):
 
 
 def _parse_point(args):
-    try:
-        coords = json.loads(args.point)
-    except json.JSONDecodeError as e:
-        raise UsageError("point: invalid JSON (%s)" % e)
+    coords = _load_json(args.point, "point")
     if not isinstance(coords, list) or not all(isinstance(c, (int, float)) for c in coords):
         raise UsageError("point: expected a JSON array of numbers")
     return coords
@@ -137,18 +154,11 @@ class UsageError(Exception):
 
 def cmd_project(args):
     if args.level == 0:
-        try:
-            coords = json.loads(args.spinor)
-            y = hopfmaps.level0_project(tuple(coords))
-        except json.JSONDecodeError as e:
-            raise UsageError("spinor: invalid JSON (%s)" % e)
+        y = hopfmaps.level0_project(tuple(_load_json(args.spinor, "spinor")))
         _emit({"schema": SCHEMA, "level": 0, "coords": [_fmt_float(c) for c in y]},
               args.out)
         return 0
-    try:
-        payload = json.loads(args.spinor)
-    except json.JSONDecodeError as e:
-        raise UsageError("spinor: invalid JSON (%s)" % e)
+    payload = _load_json(args.spinor, "spinor")
     sp = decode_spinor(payload, args.level, args.realization)
     pt = hopfmaps.project(sp)
     _emit({"schema": SCHEMA, "level": pt.level, "realization": pt.realization,
@@ -168,7 +178,7 @@ def cmd_invert(args):
     fiber = None
     if args.fiber:
         ring = _spinor_ring(1 if args.level == 2 else args.level, args.realization)
-        raw = json.loads(args.fiber)
+        raw = _load_json(args.fiber, "fiber")
         if args.level == 1:
             fiber = _decode_scalar(raw, _spinor_ring(1, args.realization))
         elif args.level == 2:
@@ -196,9 +206,14 @@ def _parse_grid(spec):
         try:
             name, rng = part.split("=")
             lo, hi, steps = rng.split(":")
-            axes[int(name.lstrip("x"))] = (float(lo), float(hi), int(steps))
+            axis, lo, hi, steps = int(name.lstrip("x")), float(lo), float(hi), int(steps)
         except ValueError:
             raise UsageError("grid: expected xI=min:max:steps[,...], got %r" % part)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UsageError("grid: bounds must be finite, got %r" % part)
+        if steps < 1:
+            raise UsageError("grid: steps must be at least 1, got %r" % part)
+        axes[axis] = (lo, hi, steps)
     if not axes:
         raise UsageError("grid: empty specification")
     return axes

@@ -490,11 +490,13 @@ def conjugation_check(name):
         gens = build_generators(name)
         sig = gens["sigmas"]
         fam_eta = fam.metric
+        if c.ring == gens["ring"]:
+            cm, cminv = c, cinv
+        else:
+            cm, cminv = to_complex(c).cache_sparse(), to_complex(cinv).cache_sparse()
         bad = []
         for (a, b), s in sig.items():
             m = s.scale(fam_eta.eta(a) * fam_eta.eta(b)) if cc.lowered else s
-            cm = c if c.ring == m.ring else to_complex(c)
-            cminv = cinv if cinv.ring == m.ring else to_complex(cinv)
             if cm @ m @ cminv != m.conj().scale(cc.generator_rule):
                 bad.append("(%d,%d)" % (a, b))
         out.append(("conj-%s-generator" % name, not bad,

@@ -195,8 +195,7 @@ class Spinor:
 
     def norm(self):
         case = case_info(self.level, self.realization)
-        w = case.weight()
-        return _bilinear(self.comps, w, case.ring)
+        return case.weight().form(self.comps)
 
     def scaled_by_unit_phase(self, phase):
         """Multiply by a fiber phase (same-ring scalar with qform 1)."""
@@ -245,19 +244,6 @@ class BasePoint:
             self.level, self.realization, self.coords, self.patch)
 
 
-def _conj(c):
-    return c.conj() if hasattr(c, "conj") else c
-
-
-def _bilinear(comps, mat, ring):
-    """<comps, mat comps> with the ring involution on the left."""
-    mv = mat.matvec(list(comps))
-    acc = ring.zero
-    for c, v in zip(comps, mv):
-        acc = acc + _conj(c) * v
-    return acc
-
-
 def _scalar_value(x, where):
     """Extract the real value of a ring scalar, asserting a tiny imaginary part."""
     if isinstance(x, (SplitComplex, OrdinaryComplex)):
@@ -293,7 +279,7 @@ def project(spinor, tol=1e-9):
         denom = n  # dividing by the measured norm kills first-order error
     coords = []
     for mat in case.projection_matrices():
-        v = _scalar_value(_bilinear(spinor.comps, mat, case.ring), "projection")
+        v = _scalar_value(mat.form(spinor.comps), "projection")
         coords.append(v / denom)
     point = BasePoint(spinor.level, spinor.realization, coords)
     res = point.constraint_residual()
@@ -493,7 +479,7 @@ def _check_fiber(case, point, fiber):
     if len(comps) != 8:
         raise ValueError("level-3 fiber needs 8 components")
     if real == "I":
-        w = _bilinear(comps, RMatrix.identity(8, RING_SPLIT), RING_SPLIT)
+        w = RMatrix.identity(8, RING_SPLIT).form(comps)
         _require_one(_scalar_value(w, "fiber norm"), "fiber must satisfy conj-norm 1")
         d = gammarep.charge_conjugation("so43_I").matrix
         dc = d.matvec([c.conj() for c in comps])
@@ -501,14 +487,14 @@ def _check_fiber(case, point, fiber):
             raise ValueError("level-3 fiber must satisfy the reality condition Phi = d conj(Phi)")
     else:
         sig3 = gammarep.sigma3_block(4)
-        w = _scalar_value(_bilinear(comps, sig3, RING_REAL), "fiber norm")
+        w = _scalar_value(sig3.form(comps), "fiber norm")
         _require_one(w, "fiber must have Sigma3-norm 1")
     return [[c] for c in comps]
 
 
 def _require_one(v, msg):
     if isinstance(v, float):
-        if abs(v - 1.0) > 1e-9:
+        if not (abs(v - 1.0) <= 1e-9):
             raise NormalizationError(v, msg + " (got %r)" % v)
     elif v != 1:
         raise NormalizationError(v, msg + " (got %r)" % (v,))
@@ -542,7 +528,7 @@ def invert(point, fiber=None, patch=None, exact=False):
     patch = patch or point.patch
     res = point.constraint_residual()
     if isinstance(res, float):
-        if abs(res) > 1e-9:
+        if not (abs(res) <= 1e-9):
             raise ConstraintError("point is off the hyperboloid: residual %r" % res)
     elif res != 0:
         raise ConstraintError("point is off the hyperboloid: residual %r" % (res,))
@@ -587,7 +573,7 @@ def level0_project(pair):
     x1, x2 = pair
     res = x1 * x1 - x2 * x2 + 1
     if isinstance(res, float):
-        if abs(res) > 1e-9:
+        if not (abs(res) <= 1e-9):
             raise ConstraintError("not on the hyperbola: %r" % res)
     elif res != 0:
         raise ConstraintError("not on the hyperbola: %r" % (res,))
@@ -599,7 +585,7 @@ def level0_invert(pair, patch="upper"):
     y1, y2 = pair
     res = y1 * y1 - y2 * y2 + 1
     if isinstance(res, float):
-        if abs(res) > 1e-9:
+        if not (abs(res) <= 1e-9):
             raise ConstraintError("not on the hyperbola: %r" % res)
     elif res != 0:
         raise ConstraintError("not on the hyperbola: %r" % (res,))
@@ -752,7 +738,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             j = SplitComplex(0, 1)
             pc = charge_conjugate_spinor(psi.comps)
             phi = [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
-            n = _scalar_value(_bilinear(phi, RMatrix.identity(8, RING_SPLIT), RING_SPLIT), "norm")
+            n = _scalar_value(RMatrix.identity(8, RING_SPLIT).form(phi), "norm")
             if abs(n - 1) > 1e-9:
                 ok = False
                 detail = "Phi norm %r" % n

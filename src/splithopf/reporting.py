@@ -5,10 +5,12 @@ returns CheckReport rows; the CLI serializes them as JSON.  Identical seeds
 give identical reports (wall time excluded via the no_timestamp flag).
 """
 
+import math
 import random
 import time
 
 from . import splitnum, gammarep, hopfmaps, gaugegeom, superhopf
+from .ringmat import worst_of
 
 __all__ = ["CheckReport", "VerifyReport", "run_suite", "SUITES"]
 
@@ -31,7 +33,9 @@ class CheckReport:
         if self.description:
             out["detail"] = self.description
         if self.residual is not None:
-            out["residual"] = float(self.residual)
+            r = float(self.residual)
+            # JSON has no NaN or infinity; a non-finite residual is written by name
+            out["residual"] = r if math.isfinite(r) else repr(r)
         if self.tolerance is not None:
             out["tolerance"] = float(self.tolerance)
         return out
@@ -132,11 +136,11 @@ def hopf_suite(seed=0, samples=120):
     checks = []
     rng = random.Random(seed)
     for (lvl, real) in ((1, "I"), (1, "II"), (2, "I"), (2, "II"), (3, "I"), (3, "II")):
-        worst = 0.0
+        devs = []
         for _ in range(samples):
-            sp = hopfmaps.sample_normalized(lvl, real, rng=rng)
-            pt = hopfmaps.project(sp)
-            worst = max(worst, abs(pt.constraint_residual()))
+            pt = hopfmaps.project(hopfmaps.sample_normalized(lvl, real, rng=rng))
+            devs.append(abs(pt.constraint_residual()))
+        worst = worst_of(devs)
         checks.append(CheckReport("constraint-%d-%s-float" % (lvl, real), worst < 1e-12,
                                   identity="eta_ab x^a x^b = target",
                                   residual=worst, tolerance=1e-12))
@@ -148,12 +152,13 @@ def hopf_suite(seed=0, samples=120):
         checks.append(CheckReport("constraint-%d-%s-exact" % (lvl, real), exact_ok,
                                   identity="exact rational constraint"))
         for patch in ("upper", "lower"):
-            worst = 0.0
+            devs = []
             for _ in range(max(10, samples // 6)):
                 pt = hopfmaps.sample_base_point(lvl, real, patch=patch, rng=rng)
                 fib = _random_fiber(lvl, real, rng)
                 back = hopfmaps.project(hopfmaps.invert(pt, fiber=fib, patch=patch))
-                worst = max(worst, max(abs(a - b) for a, b in zip(back.coords, pt.coords)))
+                devs += [abs(a - b) for a, b in zip(back.coords, pt.coords)]
+            worst = worst_of(devs)
             checks.append(CheckReport("roundtrip-%d-%s-%s" % (lvl, real, patch),
                                       worst < 1e-12, identity="project(invert(x)) = x",
                                       residual=worst, tolerance=1e-12))
@@ -209,12 +214,12 @@ def gauge_suite(seed=0, points=12):
     rng = random.Random(seed)
     for (lvl, real) in ((1, "I"), (1, "II"), (2, "I"), (2, "II"), (3, "I"), (3, "II")):
         for patch in ("upper", "lower"):
-            worst_c = worst_f = 0.0
+            conn, curv = [], []
             for _ in range(points):
                 pt = hopfmaps.sample_base_point(lvl, real, patch=patch, rng=rng)
-                worst_c = max(worst_c, gaugegeom.connection_residual(pt, patch))
-                worst_f = max(worst_f, gaugegeom.curvature_residual(pt, patch, pairs=2,
-                                                                    rng=rng))
+                conn.append(gaugegeom.connection_residual(pt, patch))
+                curv.append(gaugegeom.curvature_residual(pt, patch, pairs=2, rng=rng))
+            worst_c, worst_f = worst_of(conn), worst_of(curv)
             checks.append(CheckReport("connection-oracle-%d-%s-%s" % (lvl, real, patch),
                                       worst_c < 1e-6, residual=worst_c, tolerance=1e-6,
                                       identity="closed A = -u s^dag W ds (finite differences)"))
@@ -222,13 +227,14 @@ def gauge_suite(seed=0, points=12):
                                       worst_f < 1e-5, residual=worst_f, tolerance=1e-5,
                                       identity="closed F = dA - u^-1 [A, A]"))
     for (lvl, real) in ((1, "I"), (2, "I"), (2, "II"), (3, "I"), (3, "II")):
-        worst_u = worst_g = worst_cov = 0.0
+        unit, glue, cov = [], [], []
         for _ in range(points):
             pt = hopfmaps.sample_base_point(lvl, real, rng=rng, overlap=True)
-            worst_u = max(worst_u, gaugegeom.transition(pt).unitarity_residual())
+            unit.append(gaugegeom.transition(pt).unitarity_residual())
             res = gaugegeom.gluing_check(pt, rng=rng)
-            worst_g = max(worst_g, res["connection"])
-            worst_cov = max(worst_cov, res["curvature"])
+            glue.append(res["connection"])
+            cov.append(res["curvature"])
+        worst_u, worst_g, worst_cov = worst_of(unit), worst_of(glue), worst_of(cov)
         checks.append(CheckReport("transition-unitarity-%d-%s" % (lvl, real),
                                   worst_u < 1e-12, residual=worst_u, tolerance=1e-12,
                                   identity="conj-contract of g"))
@@ -238,14 +244,14 @@ def gauge_suite(seed=0, points=12):
         checks.append(CheckReport("gluing-curvature-%d-%s" % (lvl, real),
                                   worst_cov < 1e-6, residual=worst_cov, tolerance=1e-6,
                                   identity="F' = g^dag F g"))
-    worst = 0.0
+    devs = []
     for _ in range(points):
         pt = hopfmaps.sample_base_point(3, "I", rng=rng)
         fib = _random_fiber(3, "I", rng)
         vals = gaugegeom.connection_numeric(pt, mode="analytic", section="spinor",
                                             fiber=fib)
-        for v in vals:
-            worst = max(worst, abs(float(v.re)), abs(float(v.im)))
+        devs += [abs(float(c)) for v in vals for c in (v.re, v.im)]
+    worst = worst_of(devs)
     checks.append(CheckReport("majorana-vanishing-3-I", worst < 1e-12,
                               residual=worst, tolerance=1e-12,
                               identity="-u Psi^dag d Psi = 0 on the reality-constrained section"))

@@ -6,12 +6,14 @@ numbers or a Grassmann algebra.  Each matrix carries a ring descriptor that
 supplies the entry involution, so adjoints never mix conjugation modes
 mid-expression.  Values are immutable.
 
-Storage is dense; the products (``@``, ``matvec``) and linear combinations
-(``lincomb``) walk the nonzero cells only.  Over the split-complex and
-complex rings they compute on the re/im components of the entries, in the
-operation order of the entries' own arithmetic, so float results are
-bit-identical to it and Fraction entries stay exact; over the reals and
-Grassmann algebras they use the entries' own arithmetic.
+Storage is dense; the products (``@``, ``matvec``), the Hermitian form
+(``form``), linear combinations (``lincomb``) and the elementwise ops
+(``scale``, ``scale_right``, negation, ``conj``) walk the nonzero cells
+only, and every zero cell of a result is the ring's zero.  Over the
+split-complex and complex rings they compute on the re/im components of the
+entries, in the operation order of the entries' own arithmetic, so float
+values are bit-identical to it and Fraction entries stay exact; over the
+reals and Grassmann algebras they use the entries' own arithmetic.
 """
 
 import numbers
@@ -240,15 +242,30 @@ class RMatrix:
                             for ra, rb in zip(self.entries, other.entries)], self.ring)
 
     def __neg__(self):
-        return RMatrix._of([[-a for a in row] for row in self.entries], self.ring)
+        cls = _binarion(self.ring)
+        if cls:
+            return self._cellwise(lambda ar, ai: cls(-ar, -ai))
+        return self._cellwise(lambda a: -a)
 
     def scale(self, c):
+        """c * M, the scalar on the left."""
         c = self.ring.promote(c)
-        return RMatrix._of([[c * a for a in row] for row in self.entries], self.ring)
+        cls = _binarion(self.ring)
+        if cls:
+            cr, ci = c.re, c.im
+            t = cls.UNIT_SQ * ci
+            return self._cellwise(lambda ar, ai: cls(cr * ar + t * ai, cr * ai + ci * ar))
+        return self._cellwise(lambda a: c * a)
 
     def scale_right(self, c):
+        """M * c, the scalar on the right."""
         c = self.ring.promote(c)
-        return RMatrix._of([[a * c for a in row] for row in self.entries], self.ring)
+        cls = _binarion(self.ring)
+        if cls:
+            cr, ci = c.re, c.im
+            u2 = cls.UNIT_SQ
+            return self._cellwise(lambda ar, ai: cls(ar * cr + u2 * ai * ci, ar * ci + ai * cr))
+        return self._cellwise(lambda a: a * c)
 
     def __mul__(self, c):
         return self.scale_right(c)
@@ -297,18 +314,7 @@ class RMatrix:
         cells = _cells(self)
         cls = _binarion(ring)
         if cls and all(type(v) is cls for v in vec):
-            u2 = cls.UNIT_SQ
-            vr = [v.re for v in vec]
-            vi = [v.im for v in vec]
-            out = []
-            for row in cells:
-                re = im = 0
-                for k, ar, ai in row:
-                    br, bi = vr[k], vi[k]
-                    re = re + (ar * br + u2 * ai * bi)
-                    im = im + (ar * bi + ai * br)
-                out.append(cls(re, im))
-            return out
+            return [cls(re, im) for re, im in _matvec_components(cells, vec, cls.UNIT_SQ)]
         out = []
         for row, ents in zip(cells, self.entries):
             acc = ring.zero
@@ -318,14 +324,37 @@ class RMatrix:
             out.append(acc)
         return out
 
+    def form(self, vec):
+        """sum_i conj(vec_i) (M vec)_i, the ring involution on the left.
+
+        Adds the terms in increasing i from the ring's zero, with the
+        operation order of matvec followed by the entries' own product and
+        sum."""
+        ring = self.ring
+        cls = _binarion(ring)
+        if cls and all(type(v) is cls for v in vec):
+            u2 = cls.UNIT_SQ
+            re = im = 0
+            for v, (mr, mi) in zip(vec, _matvec_components(_cells(self), vec, u2)):
+                cr, ci = v.re, -v.im
+                re = re + (cr * mr + u2 * ci * mi)
+                im = im + (cr * mi + ci * mr)
+            return cls(re, im)
+        acc = ring.zero
+        for c, v in zip(vec, self.matvec(vec)):
+            acc = acc + (c.conj() if hasattr(c, "conj") else c) * v
+        return acc
+
     # ---- involutions ------------------------------------------------------
 
     def transpose(self):
         return RMatrix._of(list(zip(*self.entries)), self.ring)
 
     def conj(self):
-        c = self.ring.conj
-        return RMatrix._of([[c(a) for a in row] for row in self.entries], self.ring)
+        cls = _binarion(self.ring)
+        if cls:
+            return self._cellwise(lambda ar, ai: cls(ar, -ai))
+        return self._cellwise(self.ring.conj)
 
     def dagger(self):
         return self.conj().transpose()
@@ -371,6 +400,21 @@ class RMatrix:
     def __repr__(self):
         return "RMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring.name)
 
+    def _cellwise(self, fn):
+        """fn of each nonzero cell in place, the ring's zero elsewhere; fn
+        takes (re, im) over a binarion ring and the entry otherwise."""
+        ring = self.ring
+        out = [[ring.zero] * self.cols for _ in range(self.rows)]
+        if _binarion(ring):
+            for line, row in zip(out, _cells(self)):
+                for j, ar, ai in row:
+                    line[j] = fn(ar, ai)
+        else:
+            for line, row in zip(out, _cells(self)):
+                for j, a in row:
+                    line[j] = fn(a)
+        return RMatrix._of(out, ring)
+
     def _check(self, other):
         if not isinstance(other, RMatrix):
             raise TypeError("expected RMatrix")
@@ -401,6 +445,22 @@ def _find_cells(m):
 def _cells(m):
     cells = m._cells
     return cells if cells is not None else _find_cells(m)
+
+
+def _matvec_components(cells, vec, u2):
+    """(re, im) of each row of M vec over a binarion ring, summed over the
+    row's cells in column order as the entries' product and sum would."""
+    vr = [v.re for v in vec]
+    vi = [v.im for v in vec]
+    out = []
+    for row in cells:
+        re = im = 0
+        for k, ar, ai in row:
+            br, bi = vr[k], vi[k]
+            re = re + (ar * br + u2 * ai * bi)
+            im = im + (ar * bi + ai * br)
+        out.append((re, im))
+    return out
 
 
 def lincomb(coeffs, basis):

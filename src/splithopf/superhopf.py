@@ -14,7 +14,7 @@ from fractions import Fraction
 import math
 
 from .splitnum import SplitComplex, OrdinaryComplex
-from .ringmat import RMatrix, RING_SPLIT, RING_COMPLEX, commutator, anticommutator
+from .ringmat import RMatrix, RING_SPLIT, RING_COMPLEX, commutator, anticommutator, worst_of
 from . import gammarep
 
 __all__ = [
@@ -296,13 +296,10 @@ class GrassmannElement:
         return hash((self.config.mode, tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
 
     def max_abs(self):
-        worst = 0.0
-        for c in self.coeffs.values():
-            if hasattr(c, "re"):
-                worst = max(worst, abs(float(c.re)), abs(float(c.im)))
-            else:
-                worst = max(worst, abs(float(c)))
-        return worst
+        """Largest absolute value over all real components of all
+        coefficients (NaN if any component is NaN)."""
+        return worst_of(abs(float(x)) for c in self.coeffs.values()
+                        for x in ((c.re, c.im) if hasattr(c, "re") else (c,)))
 
     def __repr__(self):
         if not self.coeffs:
@@ -931,16 +928,16 @@ def super_connection_check(x_body, patch="upper", realization="I", h=1e-6):
     chi = super_invert(xs, ths, patch, realization)
     A_i, A_a = super_connection(xs, ths, patch, realization)
 
-    worst_odd = 0.0
+    odd = []
     dfn = _defining_odd(chi, realization)
     for alpha in (0, 1):
         chain = _g_scalar(0, cfg)
         ds = odd_derivative_right(theta_bilinear(ths), alpha)
         for i in (1, 2, 3):
             chain = chain + (ds * Fraction(-1, 2) * x_body[i - 1]) * A_i[i]
-        worst_odd = max(worst_odd, (dfn[alpha] - (A_a[alpha + 1] + chain)).max_abs())
+        odd.append((dfn[alpha] - (A_a[alpha + 1] + chain)).max_abs())
 
-    worst_even = 0.0
+    even = []
     s = theta_bilinear(ths)
     one = _g_scalar(1, cfg)
     for t in _body_tangents(x_body, realization):
@@ -952,8 +949,8 @@ def super_connection_check(x_body, patch="upper", realization="I", h=1e-6):
         closed = _g_scalar(0, cfg)
         for i in (1, 2, 3):
             closed = closed + (one - s * Fraction(1, 2)) * t[i - 1] * A_i[i]
-        worst_even = max(worst_even, (num - closed).max_abs())
-    return {"odd": worst_odd, "even": worst_even}
+        even.append((num - closed).max_abs())
+    return {"odd": worst_of(odd), "even": worst_of(even)}
 
 
 def super_gluing_check(x_body, h=1e-6):
@@ -978,19 +975,17 @@ def super_gluing_check(x_body, h=1e-6):
     unit_dev = (g.conj() * g - _g_scalar(1, cfg)).max_abs()
     exact_unit = (num.conj() * num - rho2).is_zero()
 
-    sec_dev = 0.0
-    for a, b in zip(chi_lo, tuple(c * g for c in chi_up)):
-        sec_dev = max(sec_dev, (a - b).max_abs())
+    sec_dev = worst_of((a - b).max_abs() for a, b in zip(chi_lo, [c * g for c in chi_up]))
 
-    worst_odd = 0.0
+    odd = []
     up = _defining_odd(chi_up, realization)
     lo = _defining_odd(chi_lo, realization)
     for alpha in (0, 1):
         dg = odd_derivative_right(g, alpha)
         dev = lo[alpha] - up[alpha] + (g.conj() * dg) * u
-        worst_odd = max(worst_odd, dev.max_abs())
+        odd.append(dev.max_abs())
 
-    worst_even = 0.0
+    even = []
     for t in _body_tangents(x_body, realization):
         xp = [float(x) + h * ti for x, ti in zip(x_body, t)]
         xm = [float(x) - h * ti for x, ti in zip(x_body, t)]
@@ -1008,6 +1003,6 @@ def super_gluing_check(x_body, h=1e-6):
         gm = nm_ * rm.invsqrt()
         dg = (gp - gm) * (1.0 / (2.0 * h))
         dev = a_lo - a_up + (g.conj() * dg) * u
-        worst_even = max(worst_even, dev.max_abs())
+        even.append(dev.max_abs())
     return {"unitarity": unit_dev, "unitarity_exact": exact_unit,
-            "section": sec_dev, "odd": worst_odd, "even": worst_even}
+            "section": sec_dev, "odd": worst_of(odd), "even": worst_of(even)}

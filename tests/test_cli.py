@@ -166,3 +166,36 @@ def test_tolerance_override(capsys):
     assert failing and all(c["tolerance"] == 1e-30 for c in failing)
     code, _, err = run(capsys, "verify", "--suite", "algebra", "--tolerance", "bogus")
     assert code == 2
+
+
+def test_non_finite_output_fails(capsys, monkeypatch):
+    import splithopf.cli as cli
+    monkeypatch.setattr(cli, "multiplication_table", lambda name: {"x": float("nan")})
+    code, out, err = run(capsys, "tables", "--algebra", "split-complex")
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("invert", "--level", "1", "--point", "[NaN,0,1]"),
+    ("invert", "--level", "1", "--point", "[0,0,Infinity]"),
+    ("invert", "--level", "1", "--point", "[1e999,0,1]"),
+    ("invert", "--level", "0", "--point", "[-Infinity,1]"),
+    ("project", "--level", "1", "--spinor", "[[NaN,0],[0,0]]"),
+    ("project", "--level", "0", "--spinor", "[0,Infinity]"),
+])
+def test_non_finite_input_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("grid", ["x1=0:1:0", "x1=0:1:-2", "x1=nan:1:3", "x1=0:inf:3"])
+def test_grid_rejects_empty_or_non_finite(capsys, grid):
+    code, out, err = run(capsys, "sample-field", "--level", "1", "--realization", "I",
+                         "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err

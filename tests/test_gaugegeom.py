@@ -305,3 +305,13 @@ def test_field_components_export():
     assert names[0] == "A_1" and "F_12" in names
     assert all(isinstance(v, float) for v in values)
     assert not any(math.isnan(v) for v in values)
+
+
+def test_gauge_suite_fails_on_nan_residual(monkeypatch):
+    from splithopf import reporting
+    monkeypatch.setattr(gg, "connection_residual", lambda pt, patch=None: float("nan"))
+    checks = {c.id: c for c in reporting.gauge_suite(points=1)}
+    check = checks["connection-oracle-2-I-upper"]
+    assert not check.passed and math.isnan(check.residual)
+    assert check.as_dict()["residual"] == "nan"
+    assert checks["curvature-oracle-2-I-upper"].passed

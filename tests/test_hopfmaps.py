@@ -226,3 +226,28 @@ def test_case_info_validation():
         case_info(4, "I")
     with pytest.raises(ValueError):
         case_info(1, "III")
+
+
+def test_invert_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(ConstraintError):
+        invert(BasePoint(1, "I", (nan, 0.0, 1.0)))
+    with pytest.raises(ConstraintError):
+        invert(BasePoint(2, "II", (0.0, 0.0, 0.0, nan, 1.0)))
+    with pytest.raises(ConstraintError):
+        level0_invert((nan, 1.0))
+    with pytest.raises(ConstraintError):
+        level0_project((nan, 1.0))
+    with pytest.raises(NormalizationError):
+        invert(BasePoint(1, "I", (0.0, 0.0, 1.0)), fiber=SplitComplex(nan, 0.0))
+
+
+@pytest.mark.parametrize("lvl,real", ALL_CASES)
+def test_form_matrices_over_case_ring(lvl, real):
+    # norm and project take the Hermitian form over the case's ring, so the
+    # sum starts from that ring's zero
+    case = case_info(lvl, real)
+    assert case.weight().ring == case.ring
+    assert all(m.ring == case.ring for m in case.projection_matrices())
+    sp = sample_normalized(lvl, real, backend="exact", rng=random.Random(4))
+    assert sp.norm() == 1

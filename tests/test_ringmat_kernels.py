@@ -3,8 +3,10 @@
 The reference visits every cell with ring-element arithmetic, skipping zero
 factors, which is the definition the kernels implement: ``@`` and
 ``matvec`` sum each cell's products in increasing k, ``lincomb`` sums the
-real multiples basis matrix by basis matrix.  Float results must agree bit
-for bit (sign of zero included), rational results exactly and with the
+real multiples basis matrix by basis matrix, ``form`` sums conj(v_i) (M v)_i
+in increasing i, and the elementwise ops apply the entry operation to each
+nonzero cell and leave the ring's zero elsewhere.  Float results must agree
+bit for bit (sign of zero included), rational results exactly and with the
 same types.
 """
 
@@ -66,6 +68,17 @@ def ref_lincomb(coeffs, basis):
                         term = ring.promote(c) * x
                     out[i][j] = out[i][j] + term
     return out
+
+
+def ref_cellwise(m, fn):
+    return [[fn(x) if _nonzero(x) else m.ring.zero for x in row] for row in m.entries]
+
+
+def ref_form(m, vec):
+    acc = m.ring.zero
+    for c, v in zip(vec, ref_matvec(m, vec)):
+        acc = acc + (c.conj() if hasattr(c, "conj") else c) * v
+    return acc
 
 
 def bits(x):
@@ -196,3 +209,101 @@ def test_max_abs_propagates_nan():
     assert math.isnan(RMatrix([[1.0, nan]], RING_REAL).max_abs())
     assert math.isnan(RMatrix([[SplitComplex(2.0, nan)]], RING_SPLIT).max_abs())
     assert RMatrix([[-3.0, 1.0]], RING_REAL).max_abs() == 3.0
+
+
+def _coefficients(rng, ring, draw):
+    """A real coefficient, and over a binarion ring also a ring element and
+    a pure unit multiple."""
+    cs = [draw(rng) or draw(rng) or 3]
+    if ring is not RING_REAL:
+        cls = SplitComplex if ring is RING_SPLIT else OrdinaryComplex
+        cs += [cls(draw(rng), draw(rng)), cls(0, draw(rng) or 2)]
+    return cs
+
+
+@pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
+def test_elementwise_ops_match_dense_reference(ring, draw):
+    rng = random.Random(16)
+    for n, m in ((1, 1), (3, 2), (8, 8), (16, 16)):
+        a = rand_matrix(rng, ring, n, m, draw)
+        for c in _coefficients(rng, ring, draw):
+            p = ring.promote(c)
+            assert_same(a.scale(c), ref_cellwise(a, lambda x: p * x))
+            assert_same(a.scale_right(c), ref_cellwise(a, lambda x: x * p))
+            assert_same(c * a, ref_cellwise(a, lambda x: p * x))
+            assert_same(a * c, ref_cellwise(a, lambda x: x * p))
+        assert_same(-a, ref_cellwise(a, lambda x: -x))
+        assert_same(a.conj(), ref_cellwise(a, ring.conj))
+        assert_same(a.dagger(), list(zip(*ref_cellwise(a, ring.conj))))
+        # cached cells give the same result as cells found on the fly
+        c = _coefficients(rng, ring, draw)[-1]
+        p = ring.promote(c)
+        assert_same(a.cache_sparse().scale(c), ref_cellwise(a, lambda x: p * x))
+
+
+@pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
+def test_form_matches_dense_reference(ring, draw):
+    rng = random.Random(17)
+    for n in (1, 2, 4, 8, 16):
+        a = rand_matrix(rng, ring, n, n, draw)
+        vec = list(rand_matrix(rng, ring, 1, n, draw).entries[0])
+        assert_same(RMatrix([[a.form(vec)]], ring), [[ref_form(a, vec)]])
+        assert_same(RMatrix([[a.cache_sparse().form(tuple(vec))]], ring),
+                    [[ref_form(a, vec)]])
+    if ring is not RING_REAL:
+        # real numbers in a binarion vector take the ring-element path
+        vec = [draw(rng) for _ in range(n)]
+        assert_same(RMatrix([[a.form(vec)]], ring), [[ref_form(a, vec)]])
+
+
+def test_rational_elementwise_ops_stay_exact():
+    rng = random.Random(18)
+    a = rand_matrix(rng, RING_SPLIT, 6, 6, _rational)
+    vec = list(rand_matrix(rng, RING_SPLIT, 1, 6, _rational).entries[0])
+    c = SplitComplex(F(2, 3), F(-1, 5))
+    for m in (a.scale(c), a.scale_right(c), -a, a.conj()):
+        for x in (x for row in m.entries for x in row if _nonzero(x)):
+            assert isinstance(x.re, F) or x.re == 0
+            assert isinstance(x.im, F) or x.im == 0
+            assert not isinstance(x.re, float) and not isinstance(x.im, float)
+    n = a.form(vec)
+    assert not isinstance(n.re, float) and not isinstance(n.im, float)
+    assert a.scale(c).scale(SplitComplex(1, 0) / c) == a
+
+
+def test_grassmann_scalar_side_matters():
+    ring = grassmann_ring(STANDARD)
+    rng = random.Random(19)
+    g = [GrassmannElement.generator(k, STANDARD) for k in range(3)]
+
+    def elem():
+        x = GrassmannElement.scalar(_rational(rng), STANDARD)
+        for gk in g:
+            x = x + gk * _rational(rng)
+        return x
+
+    a = RMatrix([[elem() for _ in range(3)] for _ in range(3)], ring)
+    c = g[0] + g[1] * F(1, 2)  # odd, so c x = -x c on the odd part of x
+    left = a.scale(c)
+    right = a.scale_right(c)
+    assert left == RMatrix(ref_cellwise(a, lambda x: c * x), ring)
+    assert right == RMatrix(ref_cellwise(a, lambda x: x * c), ring)
+    assert left != right
+    assert -a == RMatrix(ref_cellwise(a, lambda x: -x), ring)
+    assert a.conj() == RMatrix(ref_cellwise(a, ring.conj), ring)
+    vec = [elem() for _ in range(3)]
+    assert a.form(vec) == ref_form(a, vec)
+
+
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX),
+                         ids=lambda r: r.name)
+def test_nan_coefficient_propagates(ring):
+    nan = float("nan")
+    a = rand_matrix(random.Random(20), ring, 4, 4, _float)
+    assert not a.is_zero()
+    assert math.isnan(a.scale(nan).max_abs())
+    assert math.isnan(a.scale_right(nan).max_abs())
+    if ring is not RING_REAL:
+        cls = SplitComplex if ring is RING_SPLIT else OrdinaryComplex
+        assert math.isnan(a.scale(cls(0, nan)).max_abs())
+        assert math.isnan(a.scale_right(cls(0, nan)).max_abs())

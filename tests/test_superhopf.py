@@ -321,3 +321,19 @@ def test_theta_zero_reduction_bit_identical():
     for k in F_ij:
         assert F_ij[k] == G.scalar(SplitComplex(bosf[k], 0), cfg)
     assert all(v.is_zero() for v in F_ia.values())
+
+
+def test_grassmann_max_abs_propagates_nan():
+    nan = float("nan")
+    assert math.isnan(sh.GrassmannElement({0: nan, 1: 1.0}, sh.PSEUDO).max_abs())
+    assert math.isnan(sh.GrassmannElement({0: 1.0, 1: SplitComplex(2.0, nan)},
+                                          sh.PSEUDO).max_abs())
+    assert sh.GrassmannElement({0: -3.0, 1: 1.0}, sh.PSEUDO).max_abs() == 3.0
+
+
+def test_super_checks_fail_on_nan_deviation(monkeypatch):
+    monkeypatch.setattr(sh.GrassmannElement, "max_abs", lambda self: float("nan"))
+    res = sh.super_connection_check((F(24, 25), F(0), F(7, 25)), "upper", "I")
+    assert math.isnan(res["odd"]) and math.isnan(res["even"])
+    res = sh.super_gluing_check((F(24, 25), F(0), F(7, 25)))
+    assert all(math.isnan(res[k]) for k in ("unitarity", "section", "odd", "even"))
