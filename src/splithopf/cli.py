@@ -19,6 +19,8 @@ from .splitnum import SplitComplex, OrdinaryComplex, multiplication_table
 from . import hopfmaps, gaugegeom, reporting
 
 SCHEMA = 1
+# Largest grid sample-field accepts, in nodes (the product of the steps).
+MAX_GRID_NODES = 100_000
 
 
 def _fmt_float(x):
@@ -216,6 +218,9 @@ def _parse_grid(spec):
         axes[axis] = (lo, hi, steps)
     if not axes:
         raise UsageError("grid: empty specification")
+    nodes = math.prod(steps for _, _, steps in axes.values())
+    if nodes > MAX_GRID_NODES:
+        raise UsageError("grid: %d nodes, more than the %d allowed" % (nodes, MAX_GRID_NODES))
     return axes
 
 

@@ -84,17 +84,16 @@ class GammaFamily:
 
     sign is defined by {gamma^a, gamma^b} = sign * 2 eta^{ab}.  weight, when
     present, is the matrix making weight @ gamma^a hermitian (sigma^3, k, K).
-    The matrices keep their sparse cells (see RMatrix.cache_sparse).
     """
 
     def __init__(self, name, gammas, metric, sign, ring, unit, weight=None):
         self.name = name
-        self.gammas = tuple(g.cache_sparse() for g in gammas)
+        self.gammas = tuple(gammas)
         self.metric = metric
         self.sign = sign
         self.ring = ring
         self.unit = unit  # j or i as a ring element
-        self.weight = weight.cache_sparse() if weight is not None else None
+        self.weight = weight
         self.dim = self.gammas[0].rows
 
     def gamma(self, a):
@@ -236,8 +235,7 @@ def build_generators(name):
     n = len(gammas)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            s = commutator(gammas[a - 1], gammas[b - 1]).scale(-unit).scale(quarter)
-            out[(a, b)] = s.cache_sparse()
+            out[(a, b)] = commutator(gammas[a - 1], gammas[b - 1]).scale(-unit).scale(quarter)
     return {"ring": ring, "sigmas": out, "unit": unit, "family": name}
 
 
@@ -296,7 +294,7 @@ def build_weyl_generators(realization, bar=False):
         ring = RING_COMPLEX
     else:
         raise ValueError(realization)
-    return {"ring": ring, "sigmas": {k: m.cache_sparse() for k, m in out.items()}}
+    return {"ring": ring, "sigmas": out}
 
 
 def weyl_generator(realization, m, n, bar=False):
@@ -375,8 +373,8 @@ class ChargeConjugation:
                  generator_rule, lowered):
         self.family_name = family_name
         self.label = label
-        self.matrix = matrix.cache_sparse()
-        self.matrix_inv = matrix_inv.cache_sparse()
+        self.matrix = matrix
+        self.matrix_inv = matrix_inv
         self.vector_rule = vector_rule        # C gamma C^-1 = rule * conj(gamma)
         self.generator_rule = generator_rule  # C sigma C^-1 = rule * conj(sigma)
         self.lowered = lowered                # rules stated on lowered indices
@@ -493,7 +491,7 @@ def conjugation_check(name):
         if c.ring == gens["ring"]:
             cm, cminv = c, cinv
         else:
-            cm, cminv = to_complex(c).cache_sparse(), to_complex(cinv).cache_sparse()
+            cm, cminv = to_complex(c), to_complex(cinv)
         bad = []
         for (a, b), s in sig.items():
             m = s.scale(fam_eta.eta(a) * fam_eta.eta(b)) if cc.lowered else s

@@ -49,16 +49,16 @@ def _case_gauge(level, realization):
     sections (W and D lifted to the complex ring at (3, II))."""
     if realization == "I":
         dim = case_info(level, realization).spinor_dim
-        return SplitComplex(0, 1), RMatrix.identity(dim, RING_SPLIT).cache_sparse(), None
+        return SplitComplex(0, 1), RMatrix.identity(dim, RING_SPLIT), None
     i = OrdinaryComplex(0, 1)
     if level == 1:
-        return i, gammarep.pauli(3).cache_sparse(), None
+        return i, gammarep.pauli(3), None
     if level == 2:
         k = gammarep.build_family("so32_II").weight
-        return i, k, gammarep.pauli(3).cache_sparse()
+        return i, k, gammarep.pauli(3)
     K = gammarep.to_complex(gammarep.build_family("so54_II").weight)
     sig3 = gammarep.to_complex(gammarep.sigma3_block(4))  # fiber weight diag(1_4, -1_4)
-    return i, K.cache_sparse(), sig3.cache_sparse()
+    return i, K, sig3
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,7 +67,7 @@ def _level2_algebra(realization, bar):
     matrices for I, the tau triple for II."""
     gen = gammarep.split_pauli if realization == "I" else gammarep.tau
     return (gammarep.build_thooft(realization, bar),
-            tuple(gen(i).cache_sparse() for i in (1, 2, 3)))
+            tuple(gen(i) for i in (1, 2, 3)))
 
 
 def _inverse(n):

@@ -124,7 +124,7 @@ def _weight_matrix(level, realization):
             w = gammarep.build_family("so32_II").weight
         else:
             w = gammarep.build_family("so54_II").weight
-        _WEIGHT_CACHE[key] = w.cache_sparse()
+        _WEIGHT_CACHE[key] = w
     return _WEIGHT_CACHE[key]
 
 
@@ -154,7 +154,7 @@ def _projection_matrices(level, realization):
         mats = [fam.weight @ fam.gamma(a) for a in range(1, 10)]
     else:
         raise ValueError(key)
-    _PROJ_CACHE[key] = [m.cache_sparse() for m in mats]
+    _PROJ_CACHE[key] = mats
     return _PROJ_CACHE[key]
 
 
@@ -248,7 +248,7 @@ def _scalar_value(x, where):
     """Extract the real value of a ring scalar, asserting a tiny imaginary part."""
     if isinstance(x, (SplitComplex, OrdinaryComplex)):
         if isinstance(x.im, float) or isinstance(x.re, float):
-            if abs(x.im) > 1e-9 * max(1.0, abs(x.re)):
+            if not (abs(x.im) <= 1e-9 * max(1.0, abs(x.re))):
                 raise ConstraintError("non-real %s in %s: %r" % (type(x).__name__, where, x))
             return x.re
         if x.im != 0:
@@ -274,7 +274,7 @@ def project(spinor, tol=1e-9):
         denom = n
     else:
         sign = 1 if n > 0 else -1
-        if sign not in allowed or abs(n - sign) > tol:
+        if sign not in allowed or not (abs(n - sign) <= tol):
             raise NormalizationError(n)
         denom = n  # dividing by the measured norm kills first-order error
     coords = []
@@ -288,7 +288,7 @@ def project(spinor, tol=1e-9):
             raise ConstraintError("exact projection left the hyperboloid: %r" % (res,))
     else:
         scale = max(1.0, sum(float(c) * float(c) for c in coords))
-        if abs(res) > 1e-10 * scale:
+        if not (abs(res) <= 1e-10 * scale):
             raise ConstraintError("projection left the hyperboloid: %r" % (res,))
     return point
 
@@ -506,7 +506,7 @@ def _close_vec(a, b):
         comps = (d.re, d.im) if hasattr(d, "re") else (d,)
         for c in comps:
             if isinstance(c, float):
-                if abs(c) > 1e-9:
+                if not (abs(c) <= 1e-9):
                     return False
             elif c != 0:
                 return False
@@ -722,7 +722,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             pt = sample_base_point(2, realization, rng=rng)
             psi = invert(pt, fiber=fib)
             n = _scalar_value(psi.norm(), "norm")
-            if abs(n - 1) > 1e-9:
+            if not (abs(n - 1) <= 1e-9):
                 ok = False
                 detail = "norm %r" % n
                 break
@@ -739,7 +739,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             pc = charge_conjugate_spinor(psi.comps)
             phi = [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
             n = _scalar_value(RMatrix.identity(8, RING_SPLIT).form(phi), "norm")
-            if abs(n - 1) > 1e-9:
+            if not (abs(n - 1) <= 1e-9):
                 ok = False
                 detail = "Phi norm %r" % n
                 break
@@ -748,7 +748,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             n2 = _scalar_value(Psi.norm(), "norm")
             B = majorana_matrix()
             mc = [-c for c in B.matvec([c.conj() for c in Psi.comps])]
-            if abs(n2 - 1) > 1e-9 or not _close_vec(mc, Psi.comps):
+            if not (abs(n2 - 1) <= 1e-9) or not _close_vec(mc, Psi.comps):
                 ok = False
                 detail = "level-3 norm %r" % n2
                 break
@@ -765,7 +765,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             pt = sample_base_point(3, "II", rng=rng)
             Psi = invert(pt, fiber=phi)
             n2 = _scalar_value(Psi.norm(), "norm")
-            if abs(n2 - 1) > 1e-9:
+            if not (abs(n2 - 1) <= 1e-9):
                 ok = False
                 detail = "norm %r" % n2
                 break

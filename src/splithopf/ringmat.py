@@ -6,24 +6,30 @@ numbers or a Grassmann algebra.  Each matrix carries a ring descriptor that
 supplies the entry involution, so adjoints never mix conjugation modes
 mid-expression.  Values are immutable.
 
-Storage is dense; the products (``@``, ``matvec``), the Hermitian form
-(``form``), linear combinations (``lincomb``) and the elementwise ops
-(``scale``, ``scale_right``, negation, ``conj``) walk the nonzero cells
-only, and every zero cell of a result is the ring's zero.  Over the
-split-complex and complex rings they compute on the re/im components of the
-entries, in the operation order of the entries' own arithmetic, so float
-values are bit-identical to it and Fraction entries stay exact; over the
-reals and Grassmann algebras they use the entries' own arithmetic.
+Storage is dense.  Every matrix finds its nonzero cells on first use and
+keeps them (there is nothing to switch on), and every kernel walks those
+cells only: the products (``@``, ``matvec``, ``commutator``,
+``anticommutator``), the Hermitian form (``form``), linear combinations
+(``lincomb``), ``+``/``-`` (over the union of the operands' cells) and the
+elementwise ops (``scale``, ``scale_right``, negation, ``conj``).  Every
+zero cell of a result is the ring's zero.  Over the split-complex and
+complex rings the kernels compute on the re/im components of the entries,
+in the operation order of the entries' own arithmetic, so float values are
+bit-identical to it and Fraction entries stay exact; over the reals and
+Grassmann algebras they use the entries' own arithmetic.  ``lincomb`` walks
+a float copy of the cells (kept on the matrix too) for a float coefficient,
+since a float times a Fraction is the float times the Fraction's float.
 """
 
 import numbers
+import operator
 
 from .splitnum import SplitComplex, OrdinaryComplex
 
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
     "MetricForm", "RMatrix", "lincomb", "worst_of",
-    "matmul", "dagger", "weighted_adjoint", "commutator", "anticommutator", "kron",
+    "commutator", "anticommutator", "kron",
 ]
 
 
@@ -147,7 +153,7 @@ class RMatrix:
     entries; callers in that mode should use conj() directly.
     """
 
-    __slots__ = ("rows", "cols", "entries", "ring", "_cells")
+    __slots__ = ("rows", "cols", "entries", "ring", "_cells", "_fcells")
 
     def __init__(self, entries, ring):
         self._fill(tuple(tuple(ring.promote(x) for x in row) for row in entries), ring)
@@ -165,21 +171,12 @@ class RMatrix:
         object.__setattr__(self, "cols", len(entries[0]) if entries else 0)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_cells", None)
+        object.__setattr__(self, "_fcells", None)
         if any(len(r) != self.cols for r in entries):
             raise ValueError("ragged rows")
 
     def __setattr__(self, *a):
         raise AttributeError("immutable value")
-
-    def cache_sparse(self):
-        """Keep the nonzero cells for the sparse kernels and return self.
-
-        Meant for long-lived matrices (gammas, generators, weights);
-        per-point matrices find their cells on each use instead.
-        """
-        if self._cells is None:
-            object.__setattr__(self, "_cells", _find_cells(self))
-        return self
 
     # ---- constructors -----------------------------------------------------
 
@@ -232,14 +229,10 @@ class RMatrix:
     # ---- basic algebra ----------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        return RMatrix._of([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.entries, other.entries)], self.ring)
+        return self._union(other, operator.add, operator.add)
 
     def __sub__(self, other):
-        self._check(other)
-        return RMatrix._of([[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.entries, other.entries)], self.ring)
+        return self._union(other, operator.sub, _add_negated)
 
     def __neg__(self):
         cls = _binarion(self.ring)
@@ -274,39 +267,13 @@ class RMatrix:
         return self.scale(c)
 
     def __matmul__(self, other):
-        """Row-sparse product (Gustavson order): row i of the result
-        accumulates A[i, k] * B[k, :] over the nonzero A[i, k] in increasing
-        k, so each cell sums its terms in the order of the dense triple loop."""
         if not isinstance(other, RMatrix):
             return NotImplemented
-        ring = self.ring
-        if ring != other.ring:
-            raise TypeError("ring mismatch: %s vs %s" % (ring, other.ring))
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch: %dx%d @ %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        n = other.cols
-        a_cells, b_cells = _cells(self), _cells(other)
-        cls = _binarion(ring)
-        out = []
+        rows = _product_rows(self, other)
+        cls = _binarion(self.ring)
         if cls:
-            u2 = cls.UNIT_SQ
-            for arow in a_cells:
-                re, im = [0] * n, [0] * n
-                for k, ar, ai in arow:
-                    t = u2 * ai
-                    for j, br, bi in b_cells[k]:
-                        re[j] = re[j] + (ar * br + t * bi)
-                        im[j] = im[j] + (ar * bi + ai * br)
-                out.append([cls(r, i) for r, i in zip(re, im)])
-        else:
-            for arow in a_cells:
-                line = [ring.zero] * n
-                for k, a in arow:
-                    for j, b in b_cells[k]:
-                        line[j] = line[j] + a * b
-                out.append(line)
-        return RMatrix._of(out, ring)
+            rows = [[cls(r, i) for r, i in zip(re, im)] for re, im in rows]
+        return RMatrix._of(rows, self.ring)
 
     def matvec(self, vec):
         """Apply to a column vector given as a sequence; returns a list."""
@@ -415,6 +382,38 @@ class RMatrix:
                     line[j] = fn(a)
         return RMatrix._of(out, ring)
 
+    def _union(self, other, op, comp_op):
+        """op of the entries on the union of the operands' nonzero cells,
+        the ring's zero elsewhere; over the binarion rings comp_op of their
+        components, which gives the bits of op.  A cell only one operand
+        holds meets the other's stored entry."""
+        self._check(other)
+        zero = self.ring.zero
+        cls = _binarion(self.ring)
+        out = []
+        for ra, rb, ca, cb in zip(self.entries, other.entries, _cells(self), _cells(other)):
+            line = [zero] * self.cols
+            if cls:
+                for j, ar, ai in ca:
+                    y = rb[j]
+                    line[j] = cls(comp_op(ar, y.re), comp_op(ai, y.im))
+                for j, br, bi in cb:
+                    if line[j] is zero:
+                        x = ra[j]
+                        line[j] = cls(comp_op(x.re, br), comp_op(x.im, bi))
+            else:
+                # a cell both hold may be computed twice (when a real sum is
+                # the shared int 0), with the same value
+                for cell in ca:
+                    j = cell[0]
+                    line[j] = op(ra[j], rb[j])
+                for cell in cb:
+                    j = cell[0]
+                    if line[j] is zero:
+                        line[j] = op(ra[j], rb[j])
+            out.append(line)
+        return RMatrix._of(out, self.ring)
+
     def _check(self, other):
         if not isinstance(other, RMatrix):
             raise TypeError("expected RMatrix")
@@ -431,20 +430,81 @@ def _binarion(ring):
     return cls if cls in (SplitComplex, OrdinaryComplex) else None
 
 
-def _find_cells(m):
-    """Nonzero cells of each row, in column order: (j, re, im) over a
-    binarion ring, (j, value) otherwise."""
-    if _binarion(m.ring):
-        return tuple(tuple((j, a.re, a.im) for j, a in enumerate(row)
-                           if not (a.re == 0 and a.im == 0))
-                     for row in m.entries)
-    return tuple(tuple((j, a) for j, a in enumerate(row) if not _is_zero(a))
-                 for row in m.entries)
-
-
 def _cells(m):
+    """Nonzero cells of each row, in column order: (j, re, im) over a
+    binarion ring, (j, value) otherwise.  Found on first use and kept."""
     cells = m._cells
-    return cells if cells is not None else _find_cells(m)
+    if cells is None:
+        if _binarion(m.ring):
+            cells = tuple([tuple([(j, a.re, a.im) for j, a in enumerate(row)
+                                  if not (a.re == 0 and a.im == 0)])
+                           for row in m.entries])
+        elif m.ring == RING_REAL:
+            cells = tuple([tuple([(j, a) for j, a in enumerate(row) if a != 0])
+                           for row in m.entries])
+        else:
+            cells = tuple([tuple([(j, a) for j, a in enumerate(row) if not a.is_zero()])
+                           for row in m.entries])
+        object.__setattr__(m, "_cells", cells)
+    return cells
+
+
+def _add_negated(x, y):
+    """x + (-y), the component op of a binarion difference: x - y would
+    give -0.0 where x is -0.0 and y an exact zero."""
+    return x + (-y)
+
+
+def _float_cells(m):
+    """_cells(m) with float components, over the real and binarion rings
+    (the cells themselves when they hold floats only); found on first use
+    and kept.  A float times a Fraction is the float times float(Fraction),
+    so a float coefficient gives the same bits on either form."""
+    cells = m._fcells
+    if cells is None:
+        cells = _cells(m)
+        if any(type(x) is not float for row in cells for cell in row for x in cell[1:]):
+            cells = tuple(tuple((cell[0],) + tuple(map(float, cell[1:])) for cell in row)
+                          for row in cells)
+        object.__setattr__(m, "_fcells", cells)
+    return cells
+
+
+def _product_rows(a, b):
+    """Rows of a @ b before they become matrix entries: (re, im) lists of
+    component sums over a binarion ring, lists of ring elements otherwise.
+
+    Row-sparse (Gustavson order): row i accumulates A[i, k] * B[k, :] over
+    the nonzero A[i, k] in increasing k, so each cell sums its terms in the
+    order of the dense triple loop.  The component sums start at int 0, so
+    none of them is a negative zero."""
+    ring = a.ring
+    if ring != b.ring:
+        raise TypeError("ring mismatch: %s vs %s" % (ring, b.ring))
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch: %dx%d @ %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    n = b.cols
+    b_cells = _cells(b)
+    cls = _binarion(ring)
+    out = []
+    if cls:
+        u2 = cls.UNIT_SQ
+        for arow in _cells(a):
+            re, im = [0] * n, [0] * n
+            for k, ar, ai in arow:
+                t = u2 * ai
+                for j, br, bi in b_cells[k]:
+                    re[j] = re[j] + (ar * br + t * bi)
+                    im[j] = im[j] + (ar * bi + ai * br)
+            out.append((re, im))
+    else:
+        for arow in _cells(a):
+            line = [ring.zero] * n
+            for k, x in arow:
+                for j, y in b_cells[k]:
+                    line[j] = line[j] + x * y
+            out.append(line)
+    return out
 
 
 def _matvec_components(cells, vec, u2):
@@ -466,8 +526,9 @@ def _matvec_components(cells, vec, u2):
 def lincomb(coeffs, basis):
     """sum_k coeffs[k] * basis[k] for real coefficients.
 
-    Works over the nonzero cells of each basis matrix and skips zero
-    coefficients; rational coefficients and entries give an exact result.
+    Works over the nonzero cells of each basis matrix (their float copy for
+    a float coefficient) and skips zero coefficients; rational coefficients
+    and entries give an exact result.
     """
     coeffs, basis = tuple(coeffs), tuple(basis)
     if not basis or len(coeffs) != len(basis):
@@ -483,18 +544,21 @@ def lincomb(coeffs, basis):
         for c, m in zip(coeffs, basis):
             if not c:
                 continue
-            for r, s, row in zip(re, im, _cells(m)):
+            cells = _float_cells(m) if type(c) is float else _cells(m)
+            for r, s, row in zip(re, im, cells):
                 for j, br, bi in row:
                     r[j] = r[j] + c * br
                     s[j] = s[j] + c * bi
         return RMatrix._of([[cls(a, b) for a, b in zip(r, s)] for r, s in zip(re, im)],
                            ring)
     out = [[ring.zero] * cols for _ in range(rows)]
+    real = ring == RING_REAL
     for c, m in zip(coeffs, basis):
         if not c:
             continue
+        cells = _float_cells(m) if real and type(c) is float else _cells(m)
         c = ring.promote(c)
-        for line, row in zip(out, _cells(m)):
+        for line, row in zip(out, cells):
             for j, a in row:
                 line[j] = line[j] + c * a
     return RMatrix._of(out, ring)
@@ -524,24 +588,28 @@ def _components(a):
     return tuple(comps) if comps else (0,)
 
 
-def matmul(a, b):
-    return a @ b
-
-
-def dagger(m):
-    return m.dagger()
-
-
-def weighted_adjoint(m, g):
-    return m.weighted_adjoint(g)
-
-
 def commutator(a, b):
-    return a @ b - b @ a
+    """a @ b - b @ a."""
+    return _fused(a, b, operator.sub)
 
 
 def anticommutator(a, b):
-    return a @ b + b @ a
+    """a @ b + b @ a."""
+    return _fused(a, b, operator.add)
+
+
+def _fused(a, b, op):
+    """op(a @ b, b @ a).  Over the binarion rings both products stay as
+    component sums and one matrix is built from op of them at every cell,
+    with the bits of the entries' own op on the two products (no sum is
+    -0.0, so x - y is x + (-y) there); the other rings take the two
+    product matrices and op."""
+    cls = _binarion(a.ring)
+    if not cls:
+        return op(a @ b, b @ a)
+    a._check(b)
+    return RMatrix._of([[cls(op(pr, qr), op(pi, qi)) for pr, pi, qr, qi in zip(*p, *q)]
+                        for p, q in zip(_product_rows(a, b), _product_rows(b, a))], a.ring)
 
 
 def kron(a, b):

@@ -554,7 +554,7 @@ def super_project(chi, realization):
     one = _g_scalar(1, chi[0].config)
     if not (n == one):
         dev = (n - one).max_abs()
-        if dev > 1e-9:
+        if not (dev <= 1e-9):
             raise ValueError("super spinor is not normalized (deviation %g)" % dev)
     gen = build_osp_generators(realization)
     if realization == "I":

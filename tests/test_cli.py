@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from splithopf import cli
 from splithopf.cli import main
 
 
@@ -199,3 +200,24 @@ def test_grid_rejects_empty_or_non_finite(capsys, grid):
     assert code == 2
     assert out == ""
     assert "usage error" in err
+
+
+def test_grid_node_cap(capsys, monkeypatch):
+    def walked(*a, **k):
+        raise AssertionError("an over-cap grid was walked")
+
+    monkeypatch.setattr(cli.gaugegeom, "field_components", walked)
+    code, out, err = run(capsys, "sample-field", "--level", "1", "--realization", "I",
+                         "--grid", "x1=-0.5:0.5:1000,x2=-0.5:0.5:1000")
+    assert code == 2
+    assert out == ""
+    assert "more than the %d allowed" % cli.MAX_GRID_NODES in err
+    # the product of the steps is checked while parsing, before any node
+    # list exists; the cap sits far above the benchmark's 256-node grids
+    cap = cli.MAX_GRID_NODES
+    assert cap >= 100 * 256
+    assert cli._parse_grid("x1=0:1:%d" % cap)[1][2] == cap
+    with pytest.raises(cli.UsageError):
+        cli._parse_grid("x1=0:1:%d,x2=0:1:2" % cap)
+    with pytest.raises(cli.UsageError):
+        cli._parse_grid("x1=0:1:%d,x2=0:1:%d" % (10 ** 9, 10 ** 9))

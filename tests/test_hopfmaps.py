@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 import math
 import random
+import sys
 
 import pytest
 
@@ -251,3 +252,63 @@ def test_form_matrices_over_case_ring(lvl, real):
     assert all(m.ring == case.ring for m in case.projection_matrices())
     sp = sample_normalized(lvl, real, backend="exact", rng=random.Random(4))
     assert sp.norm() == 1
+
+
+def test_project_rejects_nan_norm(monkeypatch):
+    nan = float("nan")
+    psi = Spinor(1, "II", (OrdinaryComplex(nan, 0), OrdinaryComplex(0, 0)))
+    with pytest.raises(ValueError):
+        project(psi)
+    # a NaN norm itself, with its sign read as -1 (allowed on the two-leaf map)
+    monkeypatch.setattr(Spinor, "norm", lambda self: nan)
+    with pytest.raises(NormalizationError):
+        project(Spinor(1, "II", (OrdinaryComplex(1.0, 0.0), OrdinaryComplex(0.0, 0.0))))
+
+
+def test_project_rejects_nan_constraint_residual(monkeypatch):
+    monkeypatch.setattr(BasePoint, "constraint_residual", lambda self: float("nan"))
+    with pytest.raises(ConstraintError):
+        project(Spinor(1, "I", (SplitComplex(1.0, 0.0), SplitComplex(0.0, 0.0))))
+
+
+def test_scalar_value_rejects_nan_imaginary_part():
+    from splithopf.hopfmaps import _scalar_value
+    with pytest.raises(ConstraintError):
+        _scalar_value(OrdinaryComplex(1.0, float("nan")), "norm")
+    assert _scalar_value(OrdinaryComplex(1.0, 1e-12), "norm") == 1.0
+
+
+def test_close_vec_rejects_nan():
+    from splithopf.hopfmaps import _close_vec
+    nan = float("nan")
+    assert not _close_vec([SplitComplex(nan, 0.0)], [SplitComplex(0.0, 0.0)])
+    assert not _close_vec([nan], [0.0])
+    assert _close_vec([SplitComplex(1.0, 0.0)], [SplitComplex(1.0, 1e-12)])
+
+
+@pytest.mark.parametrize("lvl,real,call,want", [
+    (2, "I", 1, "norm nan"),
+    (2, "II", 1, "norm nan"),
+    (3, "I", 1, "Phi norm nan"),
+    (3, "I", 2, "level-3 norm nan"),
+    (3, "II", 1, "norm nan"),
+])
+def test_fiber_hierarchy_fails_on_nan_norm(monkeypatch, lvl, real, call, want):
+    """The call-th norm hierarchical_fiber_check reads itself is NaN; its
+    guard must fail."""
+    import splithopf.hopfmaps as hm
+    orig = hm._scalar_value
+    seen = []
+
+    def nan_norm(x, where):
+        v = orig(x, where)
+        if sys._getframe(1).f_code.co_name == "hierarchical_fiber_check":
+            seen.append(v)
+            if len(seen) == call:
+                return float("nan")
+        return v
+
+    monkeypatch.setattr(hm, "_scalar_value", nan_norm)
+    [(cid, ok, detail)] = hierarchical_fiber_check(lvl, real, seed=5, samples=2)
+    assert not ok
+    assert detail == want

@@ -4,10 +4,12 @@ The reference visits every cell with ring-element arithmetic, skipping zero
 factors, which is the definition the kernels implement: ``@`` and
 ``matvec`` sum each cell's products in increasing k, ``lincomb`` sums the
 real multiples basis matrix by basis matrix, ``form`` sums conj(v_i) (M v)_i
-in increasing i, and the elementwise ops apply the entry operation to each
-nonzero cell and leave the ring's zero elsewhere.  Float results must agree
-bit for bit (sign of zero included), rational results exactly and with the
-same types.
+in increasing i, the elementwise ops apply the entry operation to each
+nonzero cell and ``+``/``-`` to each cell either operand holds (``-`` as
+``x + (-y)``), leaving the ring's zero elsewhere, and ``commutator`` /
+``anticommutator`` over the binarion rings take ``-``/``+`` at every cell of
+the two products.  Float results must agree bit for bit (sign of zero
+included), rational results exactly and with the same types.
 """
 
 from fractions import Fraction as F
@@ -19,6 +21,7 @@ import pytest
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
     RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX, grassmann_ring, lincomb,
+    commutator, anticommutator,
 )
 from splithopf.superhopf import STANDARD, GrassmannElement
 
@@ -81,6 +84,23 @@ def ref_form(m, vec):
     return acc
 
 
+def ref_add(a, b, sign):
+    """a + b (sign 1) or a + (-b) (sign -1) on the cells either holds."""
+    out = []
+    for ra, rb in zip(a.entries, b.entries):
+        out.append([(x + y if sign > 0 else x + (-y)) if _nonzero(x) or _nonzero(y)
+                     else a.ring.zero for x, y in zip(ra, rb)])
+    return out
+
+
+def ref_fused(a, b, sign):
+    """a @ b +- b @ a at every cell of the two dense products, as a binarion
+    ring's commutator and anticommutator take it."""
+    p, q = ref_matmul(a, b), ref_matmul(b, a)
+    return [[x + y if sign > 0 else x + (-y) for x, y in zip(rp, rq)]
+            for rp, rq in zip(p, q)]
+
+
 def bits(x):
     """Value key that tells apart floats by bit pattern and numbers by type."""
     if isinstance(x, (SplitComplex, OrdinaryComplex)):
@@ -132,8 +152,8 @@ def test_matmul_matches_dense_reference(ring, draw):
         a = rand_matrix(rng, ring, n, k, draw)
         b = rand_matrix(rng, ring, k, m, draw)
         assert_same(a @ b, ref_matmul(a, b))
-        # cached cells give the same product as cells found on the fly
-        assert_same(a.cache_sparse() @ b.cache_sparse(), ref_matmul(a, b))
+        # the cells kept from the first product give the same second one
+        assert_same(a @ b, ref_matmul(a, b))
 
 
 @pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
@@ -235,10 +255,10 @@ def test_elementwise_ops_match_dense_reference(ring, draw):
         assert_same(-a, ref_cellwise(a, lambda x: -x))
         assert_same(a.conj(), ref_cellwise(a, ring.conj))
         assert_same(a.dagger(), list(zip(*ref_cellwise(a, ring.conj))))
-        # cached cells give the same result as cells found on the fly
+        # the cells kept from the first use give the same second use
         c = _coefficients(rng, ring, draw)[-1]
         p = ring.promote(c)
-        assert_same(a.cache_sparse().scale(c), ref_cellwise(a, lambda x: p * x))
+        assert_same(a.scale(c), ref_cellwise(a, lambda x: p * x))
 
 
 @pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
@@ -248,7 +268,7 @@ def test_form_matches_dense_reference(ring, draw):
         a = rand_matrix(rng, ring, n, n, draw)
         vec = list(rand_matrix(rng, ring, 1, n, draw).entries[0])
         assert_same(RMatrix([[a.form(vec)]], ring), [[ref_form(a, vec)]])
-        assert_same(RMatrix([[a.cache_sparse().form(tuple(vec))]], ring),
+        assert_same(RMatrix([[a.form(tuple(vec))]], ring),
                     [[ref_form(a, vec)]])
     if ring is not RING_REAL:
         # real numbers in a binarion vector take the ring-element path
@@ -307,3 +327,142 @@ def test_nan_coefficient_propagates(ring):
         cls = SplitComplex if ring is RING_SPLIT else OrdinaryComplex
         assert math.isnan(a.scale(cls(0, nan)).max_abs())
         assert math.isnan(a.scale_right(cls(0, nan)).max_abs())
+
+
+def _masked(rng, ring, n, draw, keep):
+    """A random n x n matrix with zero cells (negative zeros in the float
+    case) wherever keep(i, j) is false."""
+    m = rand_matrix(rng, ring, n, n, draw)
+    zero = -0.0 if draw is _float else 0
+    z = zero if ring is RING_REAL else type(ring.zero)(zero, zero)
+    return RMatrix([[x if keep(i, j) else z for j, x in enumerate(row)]
+                    for i, row in enumerate(m.entries)], ring)
+
+
+def _operand_pairs(rng, ring, draw):
+    for n in (1, 3, 8, 16):
+        yield rand_matrix(rng, ring, n, n, draw), rand_matrix(rng, ring, n, n, draw)
+        # disjoint cells: a on the even columns, b on the odd ones
+        yield (_masked(rng, ring, n, draw, lambda i, j: j % 2 == 0),
+               _masked(rng, ring, n, draw, lambda i, j: j % 2 == 1))
+        # overlapping cells, and cells that cancel
+        a = _masked(rng, ring, n, draw, lambda i, j: (i + j) % 3 != 0)
+        yield a, _masked(rng, ring, n, draw, lambda i, j: (i * j) % 2 == 0)
+        yield a, a
+
+
+@pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
+def test_add_sub_match_dense_reference(ring, draw):
+    rng = random.Random(21)
+    for a, b in _operand_pairs(rng, ring, draw):
+        assert_same(a + b, ref_add(a, b, 1))
+        assert_same(a - b, ref_add(a, b, -1))
+        assert_same(b - a, ref_add(b, a, -1))
+
+
+def test_add_sub_signed_zero_components():
+    # -0.0 next to a cell the other operand does not hold: -0.0 + -0.0 is
+    # -0.0, -0.0 + (-(-0.0)) is 0.0, and a stored zero of +0.0 gives 0.0
+    for cls, ring in ((SplitComplex, RING_SPLIT), (OrdinaryComplex, RING_COMPLEX)):
+        a = RMatrix([[cls(-0.0, 1.5), cls(0.0, 0.0), cls(-0.0, -0.0)],
+                     [cls(2.0, -0.0), cls(-0.0, 0.0), cls(0, 0)]], ring)
+        b = RMatrix([[cls(-0.0, -0.0), cls(-0.0, 2.5), cls(1.0, 0.0)],
+                     [cls(0.0, 0.0), cls(0.0, -0.0), cls(-0.0, -3.0)]], ring)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert_same(x + y, ref_add(x, y, 1))
+            assert_same(x - y, ref_add(x, y, -1))
+    a = RMatrix([[-0.0, 1.0, -0.0]], RING_REAL)
+    b = RMatrix([[1.0, -0.0, -0.0]], RING_REAL)
+    assert_same(a + b, ref_add(a, b, 1))
+    assert_same(a - b, ref_add(a, b, -1))
+
+
+@pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
+def test_commutators_match_dense_reference(ring, draw):
+    rng = random.Random(22)
+    for a, b in _operand_pairs(rng, ring, draw):
+        if ring is RING_REAL:
+            want_c = ref_add(RMatrix(ref_matmul(a, b), ring), RMatrix(ref_matmul(b, a), ring), -1)
+            want_a = ref_add(RMatrix(ref_matmul(a, b), ring), RMatrix(ref_matmul(b, a), ring), 1)
+        else:
+            want_c, want_a = ref_fused(a, b, -1), ref_fused(a, b, 1)
+        assert_same(commutator(a, b), want_c)
+        assert_same(anticommutator(a, b), want_a)
+    with pytest.raises(ValueError):
+        commutator(rand_matrix(rng, ring, 2, 3, draw), rand_matrix(rng, ring, 2, 3, draw))
+    with pytest.raises(TypeError):
+        other = RING_COMPLEX if ring is not RING_COMPLEX else RING_SPLIT
+        commutator(RMatrix.zeros(2, 2, ring), RMatrix.zeros(2, 2, other))
+
+
+def test_grassmann_add_sub_commutators():
+    ring = grassmann_ring(STANDARD)
+    rng = random.Random(23)
+    g = [GrassmannElement.generator(k, STANDARD) for k in range(3)]
+
+    def elem():
+        if rng.random() < 0.4:
+            return ring.zero
+        x = GrassmannElement.scalar(_rational(rng), STANDARD)
+        for gk in g:
+            x = x + gk * _rational(rng)
+        return x
+
+    a = RMatrix([[elem() for _ in range(3)] for _ in range(3)], ring)
+    b = RMatrix([[elem() for _ in range(3)] for _ in range(3)], ring)
+    assert a + b == RMatrix(ref_add(a, b, 1), ring)
+    assert a - b == RMatrix(ref_add(a, b, -1), ring)
+    p, q = RMatrix(ref_matmul(a, b), ring), RMatrix(ref_matmul(b, a), ring)
+    assert commutator(a, b) == RMatrix(ref_add(p, q, -1), ring)
+    assert anticommutator(a, b) == RMatrix(ref_add(p, q, 1), ring)
+
+
+def test_rational_add_sub_commutators_stay_exact():
+    rng = random.Random(24)
+    for ring in (RING_REAL, RING_SPLIT, RING_COMPLEX):
+        a = rand_matrix(rng, ring, 6, 6, _rational)
+        b = rand_matrix(rng, ring, 6, 6, _rational)
+        for m in (a + b, a - b, commutator(a, b), anticommutator(a, b)):
+            for x in (x for row in m.entries for x in row):
+                comps = (x.re, x.im) if ring is not RING_REAL else (x,)
+                assert all(type(c) in (int, F) for c in comps)
+        assert (a + b) - b == a
+        assert commutator(a, b) == a @ b - b @ a
+        assert anticommutator(a, b) == a @ b + b @ a
+
+
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX),
+                         ids=lambda r: r.name)
+def test_lincomb_float_coefficients_over_rational_cells(ring):
+    # a float coefficient meets a Fraction cell as float * Fraction would
+    rng = random.Random(25)
+    basis = [rand_matrix(rng, ring, 8, 8, _rational) for _ in range(12)]
+    coeffs = [_float(rng) or 1.25 for _ in basis]
+    assert_same(lincomb(coeffs, basis), ref_lincomb(coeffs, basis))
+    mixed = [c if k % 3 else F(k + 1, 7) for k, c in enumerate(coeffs)]
+    assert_same(lincomb(mixed, basis), ref_lincomb(mixed, basis))
+    exact = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in basis]
+    got = lincomb(exact, basis)
+    assert_same(got, ref_lincomb(exact, basis))
+    comps = [c for row in got.entries for x in row
+             for c in ((x.re, x.im) if ring is not RING_REAL else (x,))]
+    assert all(type(c) in (int, F) for c in comps)
+
+
+@pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
+def test_second_use_gives_the_same_bits(ring, draw):
+    """Cells are kept on a matrix at its first use; the second use of the
+    same matrices gives the same bits as the first."""
+    rng = random.Random(26)
+    a, b = rand_matrix(rng, ring, 8, 8, draw), rand_matrix(rng, ring, 8, 8, draw)
+    vec = list(rand_matrix(rng, ring, 1, 8, draw).entries[0])
+    c = _coefficients(rng, ring, draw)[-1]
+    ops = [lambda: a @ b, lambda: a + b, lambda: a - b, lambda: commutator(a, b),
+           lambda: anticommutator(a, b), lambda: a.scale(c), lambda: -a,
+           lambda: lincomb([1.5, -0.25], [a, b]), lambda: lincomb([F(1, 3), 2], [a, b]),
+           lambda: RMatrix([a.matvec(vec)], ring), lambda: RMatrix([[a.form(vec)]], ring)]
+    assert a._cells is None and b._cells is None
+    first = [op() for op in ops]
+    assert a._cells is not None and b._cells is not None
+    for op, want in zip(ops, first):
+        assert_same(op(), want.entries)

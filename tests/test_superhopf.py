@@ -337,3 +337,12 @@ def test_super_checks_fail_on_nan_deviation(monkeypatch):
     assert math.isnan(res["odd"]) and math.isnan(res["even"])
     res = sh.super_gluing_check((F(24, 25), F(0), F(7, 25)))
     assert all(math.isnan(res[k]) for k in ("unitarity", "section", "odd", "even"))
+
+
+def test_super_project_rejects_nan_spinor():
+    nan = float("nan")
+    cfg = sh.PSEUDO
+    chi = (G.scalar(SplitComplex(nan, 0.0), cfg), G.scalar(SplitComplex(0.0, 0.0), cfg),
+           G({}, cfg))
+    with pytest.raises(ValueError, match="not normalized"):
+        sh.super_project(chi, "I")
