@@ -22,7 +22,7 @@ from .ringmat import (
 __all__ = [
     "GammaFamily", "FAMILY_NAMES", "build_family",
     "clifford_check", "conjugation_check", "hermiticity_check",
-    "build_generators", "build_weyl_generators", "build_thooft",
+    "build_generators", "build_weyl_generators", "build_thooft", "levi_civita",
     "generator_closure_check", "lambda_table_check",
 ]
 
@@ -297,36 +297,18 @@ def build_weyl_generators(realization, bar=False):
     return {"ring": ring, "sigmas": out}
 
 
-def weyl_generator(realization, m, n, bar=False):
-    gens = build_weyl_generators(realization, bar)["sigmas"]
-    if m == n:
-        some = next(iter(gens.values()))
-        return RMatrix.zeros(some.rows, some.cols, some.ring)
-    if m < n:
-        return gens[(m, n)]
-    return -gens[(n, m)]
-
-
 # ---------------------------------------------------------------------------
 # split 't Hooft symbols
 
-def _eps3(i, j, k):
-    perm = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-            (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
-    return perm.get((i, j, k), 0)
-
-
-def _eps4(a, b, c, d):
-    idx = (a, b, c, d)
-    if len(set(idx)) != 4:
+def levi_civita(*idx):
+    """Sign of the permutation idx of (1, ..., n), n = len(idx); 0 when idx
+    is not a permutation of 1..n (a repeated index or one outside 1..n)."""
+    if sorted(idx) != list(range(1, len(idx) + 1)):
         return 0
-    # sign of the permutation taking (1,2,3,4) to idx
-    perm = list(idx)
     sign = 1
-    for i in range(4):
-        for j in range(3, i, -1):
-            if perm[j - 1] > perm[j]:
-                perm[j - 1], perm[j] = perm[j], perm[j - 1]
+    for i, a in enumerate(idx):
+        for b in idx[i + 1:]:
+            if a > b:
                 sign = -sign
     return sign
 
@@ -354,11 +336,10 @@ def build_thooft(variant, bar=False):
         for n in range(1, 5):
             for i in range(1, 4):
                 if variant == "I":
-                    eps = _eps3(m, n, i) if (m <= 3 and n <= 3) else 0
-                    eps_low = eps * (eta4[m - 1] * eta4[n - 1] * eta4[i - 1] if eps else 0)
+                    eps_low = levi_civita(m, n, i) * eta4[m - 1] * eta4[n - 1] * eta4[i - 1]
                     v = eps_low + s * eta(m, i) * eta(n, 4) - s * eta(m, 4) * eta(n, i)
                 else:
-                    eps = _eps4(m, n, i, 4)
+                    eps = levi_civita(m, n, i, 4)
                     v = eps - s * eta(m, i) * eta(n, 4) + s * eta(n, i) * eta(m, 4)
                 if v:
                     tab[(m, n, i)] = v

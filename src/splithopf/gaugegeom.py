@@ -10,9 +10,11 @@ points with the transition functions.
 Sign conventions.  The closed component formulas are fixed by requiring
 exact agreement with the canonical-connection derivative of the inversion
 sections; three-index epsilon symbols therefore carry all indices lowered
-with the relevant metric.  Curvature components are the ambient derivatives
-of the closed connection plus the commutator term -u^-1 A wedge A, which is
--j [A, A] on the split side and +i [A, A] on the complex side.
+with the relevant metric (at level 1 both metrics have determinant -1, so
+the lowered symbol is minus the Levi-Civita symbol).  Curvature components
+are the ambient derivatives of the closed connection plus the commutator
+term -u^-1 A wedge A, which is -j [A, A] on the split side and +i [A, A] on
+the complex side.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ import functools
 import math
 import random
 
-from .splitnum import SplitComplex, OrdinaryComplex
+from .splitnum import SplitComplex, OrdinaryComplex, reciprocal
 from .ringmat import RMatrix, RING_SPLIT, commutator, lincomb, worst_of
 from . import gammarep
 from .hopfmaps import (
@@ -68,26 +70,6 @@ def _level2_algebra(realization, bar):
     gen = gammarep.split_pauli if realization == "I" else gammarep.tau
     return (gammarep.build_thooft(realization, bar),
             tuple(gen(i) for i in (1, 2, 3)))
-
-
-def _inverse(n):
-    return 1 / n if isinstance(n, float) else Fraction(1, 1) / n
-
-
-def _eps_lowered(metric3):
-    """Fully lowered 3-index epsilon for a diagonal 3-metric."""
-    sgn = metric3[0] * metric3[1] * metric3[2]
-
-    def eps(i, j, k):
-        perm = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-                (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
-        return sgn * perm.get((i, j, k), 0)
-
-    return eps
-
-
-_EPS1_I = _eps_lowered((1, -1, 1))
-_EPS1_II = _eps_lowered((1, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +120,18 @@ def connection_closed(point, patch=None):
         raise PatchError(patch, n)
 
     if lvl == 1:
-        eps = _EPS1_I if real == "I" else _EPS1_II
         sign = s if real == "I" else -1
         out = {}
         for i in (1, 2, 3):
             acc = 0 * x[0]
             for j in (1, 2, 3):
-                e = eps(i, j, 3)
+                e = -gammarep.levi_civita(i, j, 3)
                 if e:
                     acc = acc + e * x[j - 1]
             out[i] = sign * acc / (2 * n)
         return out
 
-    inv_n = _inverse(n)
+    inv_n = reciprocal(n)
     bar = patch == "lower"
     out = {}
     if lvl == 2:
@@ -244,9 +225,7 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
             wprime = wp - w0
             ndot = s_pat * t[-1]
             p2 = (Fraction(1, 2) if not isinstance(n0, float) else 0.5) / n0
-            core = (w0.dagger() @ W @ wprime) - \
-                (w0.dagger() @ W @ w0).scale(ndot).scale(
-                    (Fraction(1, 2) if not isinstance(n0, float) else 0.5) / n0)
+            core = (w0.dagger() @ W @ wprime) - (w0.dagger() @ W @ w0).scale(ndot).scale(p2)
             raw = core.scale(p2).scale(-u)
         else:
             raise ValueError(mode)
@@ -312,17 +291,15 @@ def curvature_closed(point, patch=None):
             r2 = x[0] * x[0] - x[1] * x[1] + x[2] * x[2]
             if abs(float(r2)) < EPS_NULL:
                 raise ValueError("curvature undefined within %g of the light cone" % EPS_NULL)
-            eps = _EPS1_I
             sign = -1
         else:
-            eps = _EPS1_II
             sign = 1 if patch == "upper" else -1
         out = {}
         for i in (1, 2, 3):
             for jjj in range(i + 1, 4):
                 acc = 0 * x[0]
                 for k in (1, 2, 3):
-                    e = eps(i, jjj, k)
+                    e = -gammarep.levi_civita(i, jjj, k)
                     if e:
                         acc = acc + e * x[k - 1]
                 out[(i, jjj)] = sign * acc / 2
@@ -330,7 +307,7 @@ def curvature_closed(point, patch=None):
 
     comps = connection_closed(point, patch)
     c = _comm_unit(real)
-    inv_n = _inverse(n)
+    inv_n = reciprocal(n)
     bar = patch == "lower"
     out = {}
     if lvl == 2:
@@ -565,7 +542,7 @@ def curvature_radial(v, eps=EPS_NULL):
         for j in range(i + 1, 4):
             acc = 0.0
             for k in (1, 2, 3):
-                e = _EPS1_I(i, j, k)
+                e = -gammarep.levi_civita(i, j, k)
                 if e:
                     acc += e * float(v[k - 1])
             out[(i, j)] = -acc / (2 * r3)
@@ -592,8 +569,10 @@ def _gram_elimination(basis_vecs):
     (col, pivot row, [(row, factor), ...]) per eliminated column) and the
     resulting diagonal, so that many right-hand sides reuse one factoring."""
     k = len(basis_vecs)
-    gram = [[sum(a * b for a, b in zip(basis_vecs[i], basis_vecs[j])) for j in range(k)]
-            for i in range(k)]
+    gram = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(basis_vecs[i], basis_vecs[j]))
     steps = []
     for col in range(k):
         piv = max(range(col, k), key=lambda r: abs(gram[r][col]))

@@ -459,9 +459,6 @@ class Section:
         """The normalized section w / sqrt(2n) (float prefactor)."""
         return self.w.scale(1.0 / math.sqrt(2.0 * self.n))
 
-    def prefactor_squared(self):
-        return (Fraction(1, 2) if not isinstance(self.n, float) else 0.5) / self.n
-
 
 def _check_fiber(case, point, fiber):
     lvl, real = point.level, point.realization

@@ -164,7 +164,7 @@ def hopf_suite(seed=0, samples=120):
                                       residual=worst, tolerance=1e-12))
     for _ in range(samples):
         t = rng.uniform(-1.5, 1.5)
-        x = (_sinh(t), _cosh(t))
+        x = (math.sinh(t), math.cosh(t))
         y = hopfmaps.level0_project(x)
         ok = abs(y[0] * y[0] - y[1] * y[1] + 1) < 1e-9
         ok = ok and hopfmaps.level0_project((-x[0], -x[1])) == y
@@ -178,18 +178,7 @@ def hopf_suite(seed=0, samples=120):
     return checks
 
 
-def _sinh(t):
-    import math
-    return math.sinh(t)
-
-
-def _cosh(t):
-    import math
-    return math.cosh(t)
-
-
 def _random_fiber(lvl, real, rng):
-    import math
     if lvl == 1:
         t = rng.uniform(-1, 1)
         if real == "I":

@@ -352,17 +352,8 @@ class RMatrix:
         return worst_of(abs(float(c)) for row in self.entries for a in row
                         for c in _components(a))
 
-    def map_entries(self, fn, ring=None):
-        return RMatrix([[fn(a) for a in row] for row in self.entries], ring or self.ring)
-
     def entry(self, i, j):
         return self.entries[i][j]
-
-    def trace(self):
-        acc = self.ring.zero
-        for i in range(min(self.rows, self.cols)):
-            acc = acc + self.entries[i][i]
-        return acc
 
     def __repr__(self):
         return "RMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring.name)

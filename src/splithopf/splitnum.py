@@ -1,10 +1,15 @@
 """Exact arithmetic for the three split algebras.
 
 Split-complex numbers (j^2 = +1), split-quaternions and split-octonions,
-together with their involutions and indefinite quadratic forms.  Components
-may be ints, Fractions or floats; the same classes serve both the exact
-rational backend and the float geometry backend.  All values are immutable,
-so everything here is safe to share between threads.
+together with their involutions and indefinite quadratic forms.  The
+two-component numbers share _Binarion; the split-quaternions and
+split-octonions share _TableAlgebra, which multiplies, conjugates and
+evaluates the quadratic form from one table of basis products per algebra
+(the octonion table is built from the structure constants and checked cell
+by cell against a transcribed one).  Components may be ints, Fractions or
+floats; the same classes serve both the exact rational backend and the
+float geometry backend.  All values are immutable, so everything here is
+safe to share between threads.
 """
 
 from fractions import Fraction
@@ -31,6 +36,11 @@ def _is_scalar(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def reciprocal(x):
+    """1 / x: a float for a float, an exact Fraction otherwise."""
+    return 1 / x if isinstance(x, float) else Fraction(1, 1) / x
+
+
 class _Binarion:
     """Shared implementation for two-component hypercomplex numbers.
 
@@ -49,10 +59,6 @@ class _Binarion:
 
     def __setattr__(self, *a):
         raise AttributeError("immutable value")
-
-    @classmethod
-    def unit(cls):
-        return cls(0, 1)
 
     def __add__(self, other):
         if _is_scalar(other):
@@ -76,7 +82,7 @@ class _Binarion:
         if _is_scalar(other):
             return type(self)(self.re * other, self.im * other)
         if type(other) is not type(self):
-            if isinstance(other, (_Binarion, SplitQuaternion, SplitOctonion)):
+            if isinstance(other, (_Binarion, _TableAlgebra)):
                 raise AlgebraError(
                     "cannot multiply %s by %s" % (type(self).__name__, type(other).__name__)
                 )
@@ -99,7 +105,7 @@ class _Binarion:
             q = other.qform()
             if q == 0:
                 raise ZeroDivisionError("division by a null %s" % type(self).__name__)
-            return self * other.conj() * (1 / q if isinstance(q, float) else Fraction(1, 1) / q)
+            return self * other.conj() * reciprocal(q)
         return NotImplemented
 
     def conj(self):
@@ -143,52 +149,47 @@ class OrdinaryComplex(_Binarion):
 
 
 # ---------------------------------------------------------------------------
-# split-quaternions
+# split-quaternions and split-octonions
 
-# basis products q_i q_j -> (coefficient, basis index), index 0 is the scalar
-# unit.  Generated by q1^2 = q3^2 = 1, q2^2 = -1, q1 q2 = q3, q2 q3 = q1,
-# q3 q1 = -q2 and anticommutativity.
-_QUAT_TAB = {
-    (1, 1): (1, 0), (2, 2): (-1, 0), (3, 3): (1, 0),
-    (1, 2): (1, 3), (2, 1): (-1, 3),
-    (2, 3): (1, 1), (3, 2): (-1, 1),
-    (3, 1): (-1, 2), (1, 3): (1, 2),
-}
+def _product_table(n, imag):
+    """PRODUCTS[i][j] = (sign, k) for e_i e_j = sign e_k over the basis
+    e_0..e_{n-1}; e_0 is the unit and imag maps each pair (i, j) of
+    imaginary indices to its product."""
+    return tuple(tuple(imag[i, j] if i and j else (1, i + j) for j in range(n))
+                 for i in range(n))
 
 
-class SplitQuaternion:
-    """r0 + r1 q1 + r2 q2 + r3 q3 with q1^2 = q3^2 = +1, q2^2 = -1."""
+class _TableAlgebra:
+    """Shared implementation for the split-quaternions and split-octonions.
+
+    Subclasses fix PRODUCTS, the table of basis products; the product, the
+    conjugation and the quadratic form are all read from it.  Mixing the two
+    subclasses in one product is an error; promotion is explicit.
+    """
 
     __slots__ = ("coeffs",)
+    PRODUCTS = ()
 
-    def __init__(self, r0=0, r1=0, r2=0, r3=0):
-        object.__setattr__(self, "coeffs", (r0, r1, r2, r3))
+    @classmethod
+    def _new(cls, coeffs):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "coeffs", tuple(coeffs))
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("immutable value")
 
     @classmethod
     def basis(cls, k):
-        c = [0, 0, 0, 0]
-        c[k] = 1
-        return cls(*c)
-
-    @classmethod
-    def from_split_complex(cls, z, axis=1):
-        # explicit promotion: j maps onto a square-(+1) imaginary unit
-        if axis not in (1, 3):
-            raise ValueError("j must map to a unit of square +1 (axis 1 or 3)")
-        c = [z.re, 0, 0, 0]
-        c[axis] = z.im
-        return cls(*c)
+        return cls._new(1 if i == k else 0 for i in range(len(cls.PRODUCTS)))
 
     def __add__(self, other):
         if _is_scalar(other):
-            a = self.coeffs
-            return SplitQuaternion(a[0] + other, a[1], a[2], a[3])
-        if type(other) is not SplitQuaternion:
+            c = self.coeffs
+            return self._new((c[0] + other,) + c[1:])
+        if type(other) is not type(self):
             return NotImplemented
-        return SplitQuaternion(*[a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._new(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -199,44 +200,46 @@ class SplitQuaternion:
         return (-self) + other
 
     def __neg__(self):
-        return SplitQuaternion(*[-a for a in self.coeffs])
+        return self._new(-a for a in self.coeffs)
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return SplitQuaternion(*[a * other for a in self.coeffs])
-        if type(other) is not SplitQuaternion:
-            if isinstance(other, (_Binarion, SplitOctonion)):
-                raise AlgebraError("cannot multiply SplitQuaternion by %s" % type(other).__name__)
+            return self._new(a * other for a in self.coeffs)
+        if type(other) is not type(self):
+            if isinstance(other, (_Binarion, _TableAlgebra)):
+                raise AlgebraError(
+                    "cannot multiply %s by %s" % (type(self).__name__, type(other).__name__)
+                )
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = [0, 0, 0, 0]
-        out[0] = a[0] * b[0]
-        for k in range(1, 4):
-            out[k] = a[0] * b[k] + a[k] * b[0]
-        for i in range(1, 4):
-            ai = a[i]
+        b = other.coeffs
+        out = [0] * len(b)
+        for ai, row in zip(self.coeffs, self.PRODUCTS):
             if ai == 0:
                 continue
-            for j in range(1, 4):
-                bj = b[j]
+            for bj, (sign, k) in zip(b, row):
                 if bj == 0:
                     continue
-                coef, k = _QUAT_TAB[(i, j)]
-                out[k] = out[k] + coef * ai * bj
-        return SplitQuaternion(*out)
+                p = ai * bj
+                out[k] = out[k] + p if sign > 0 else out[k] - p
+        return self._new(out)
 
     def __rmul__(self, other):
         if _is_scalar(other):
-            return SplitQuaternion(*[other * a for a in self.coeffs])
+            return self._new(other * a for a in self.coeffs)
         return NotImplemented
 
     def conj(self):
-        a = self.coeffs
-        return SplitQuaternion(a[0], -a[1], -a[2], -a[3])
+        c = self.coeffs
+        return self._new((c[0],) + tuple(-x for x in c[1:]))
 
     def qform(self):
-        r0, r1, r2, r3 = self.coeffs
-        return r0 * r0 - r1 * r1 + r2 * r2 - r3 * r3
+        # conj(x) x: each square weighted by minus the square of its unit
+        c = self.coeffs
+        acc = c[0] * c[0]
+        for i in range(1, len(c)):
+            sq = c[i] * c[i]
+            acc = acc - sq if self.PRODUCTS[i][i][0] > 0 else acc + sq
+        return acc
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -244,19 +247,46 @@ class SplitQuaternion:
     def __eq__(self, other):
         if _is_scalar(other):
             return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
-        if type(other) is not SplitQuaternion:
+        if type(other) is not type(self):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("SplitQuaternion", self.coeffs))
+        return hash((type(self).__name__, self.coeffs))
 
     def __repr__(self):
-        return "SplitQuaternion%r" % (self.coeffs,)
+        return "%s%r" % (type(self).__name__, self.coeffs)
 
 
-# ---------------------------------------------------------------------------
-# split-octonions
+# Products q_i q_j -> (sign, k) of the split-quaternion units, k = 0 the
+# scalar unit.  Generated by q1^2 = q3^2 = 1, q2^2 = -1, q1 q2 = q3,
+# q2 q3 = q1, q3 q1 = -q2 and anticommutativity.
+_QUAT_TAB = {
+    (1, 1): (1, 0), (2, 2): (-1, 0), (3, 3): (1, 0),
+    (1, 2): (1, 3), (2, 1): (-1, 3),
+    (2, 3): (1, 1), (3, 2): (-1, 1),
+    (3, 1): (-1, 2), (1, 3): (1, 2),
+}
+
+
+class SplitQuaternion(_TableAlgebra):
+    """r0 + r1 q1 + r2 q2 + r3 q3 with q1^2 = q3^2 = +1, q2^2 = -1."""
+
+    __slots__ = ()
+    PRODUCTS = _product_table(4, _QUAT_TAB)
+
+    def __init__(self, r0=0, r1=0, r2=0, r3=0):
+        object.__setattr__(self, "coeffs", (r0, r1, r2, r3))
+
+    @classmethod
+    def from_split_complex(cls, z, axis=1):
+        # explicit promotion: j maps onto a square-(+1) imaginary unit
+        if axis not in (1, 3):
+            raise ValueError("j must map to a unit of square +1 (axis 1 or 3)")
+        c = [z.re, 0, 0, 0]
+        c[axis] = z.im
+        return cls(*c)
+
 
 # Signature of the imaginary units e1..e7: e_I e_I = -eta_I.
 _ETA7 = (None, 1, 1, 1, -1, -1, -1, -1)
@@ -287,6 +317,11 @@ def _expand_lower():
 
 
 _F_LOWER = _expand_lower()
+# mixed form: raise the last index (diagonal metric)
+_F_MIXED = {key: v * _ETA7[key[2]] for key, v in _F_LOWER.items()}
+_OCT_IMAG = {(i, j): (v, k) for (i, j, k), v in _F_MIXED.items()}
+_OCT_IMAG.update({(i, i): (-_ETA7[i], 0) for i in range(1, 8)})
+_OCT_PRODUCTS = _product_table(8, _OCT_IMAG)
 
 
 class StructureTable:
@@ -294,20 +329,14 @@ class StructureTable:
 
     f(I, J, K) is the coefficient of e_K in the product e_I e_J (the mixed
     form); f_lower(I, J, K) carries the K index lowered with the split
-    signature and is totally antisymmetric.  Products are computed from this
-    table, never re-derived.
+    signature and is totally antisymmetric.  basis_product and f_extended
+    read the product table SplitOctonion multiplies with.
     """
 
     def __init__(self):
         self.eta = _ETA7
         self.lower = dict(_F_LOWER)
-        # mixed form: raise the last index (diagonal metric)
-        self.mixed = {key: v * _ETA7[key[2]] for key, v in _F_LOWER.items()}
-        # product map for distinct imaginary indices: (I, J) -> (coeff, K)
-        prod = {}
-        for (i, j, k), v in self.mixed.items():
-            prod[(i, j)] = (v, k)
-        self.products = prod
+        self.mixed = dict(_F_MIXED)
 
     def f(self, i, j, k):
         return self.mixed.get((i, j, k), 0)
@@ -317,34 +346,22 @@ class StructureTable:
 
     def f_extended(self, a, b, c):
         """Coefficient of e_c in e_a e_b with indices running over 0..7."""
-        if a == 0:
-            return 1 if b == c else 0
-        if b == 0:
-            return 1 if a == c else 0
-        if a == b:
-            return -_ETA7[a] if c == 0 else 0
-        if c == 0:
-            return 0
-        return self.f(a, b, c)
+        sign, k = _OCT_PRODUCTS[a][b]
+        return sign if k == c else 0
 
     def basis_product(self, a, b):
         """e_a e_b as (coefficient, basis index), indices 0..7."""
-        if a == 0:
-            return (1, b)
-        if b == 0:
-            return (1, a)
-        if a == b:
-            return (-_ETA7[a], 0)
-        return self.products[(a, b)]
+        return _OCT_PRODUCTS[a][b]
 
 
 OCTONION_TABLE = StructureTable()
 
 
-class SplitOctonion:
+class SplitOctonion(_TableAlgebra):
     """r0 + sum r_I e_I over the seven split-octonion units (non-associative)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    PRODUCTS = _OCT_PRODUCTS
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -352,107 +369,11 @@ class SplitOctonion:
             raise ValueError("need 8 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable value")
-
-    @classmethod
-    def basis(cls, k):
-        return cls(tuple(1 if i == k else 0 for i in range(8)))
-
     @classmethod
     def from_split_quaternion(cls, h):
         # q1 -> e4, q2 -> e2, q3 -> e6 preserves all products and squares
         r0, r1, r2, r3 = h.coeffs
-        c = [r0, 0, r2, 0, r1, 0, r3, 0]
-        return cls(c)
-
-    def __add__(self, other):
-        if _is_scalar(other):
-            c = list(self.coeffs)
-            c[0] = c[0] + other
-            return SplitOctonion(c)
-        if type(other) is not SplitOctonion:
-            return NotImplemented
-        return SplitOctonion([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return SplitOctonion([-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            return SplitOctonion([a * other for a in self.coeffs])
-        if type(other) is not SplitOctonion:
-            if isinstance(other, (_Binarion, SplitQuaternion)):
-                raise AlgebraError("cannot multiply SplitOctonion by %s" % type(other).__name__)
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = [0] * 8
-        table = OCTONION_TABLE
-        for i in range(8):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(8):
-                bj = b[j]
-                if bj == 0:
-                    continue
-                coef, k = table.basis_product(i, j)
-                out[k] = out[k] + coef * ai * bj
-        return SplitOctonion(out)
-
-    def __rmul__(self, other):
-        if _is_scalar(other):
-            return SplitOctonion([other * a for a in self.coeffs])
-        return NotImplemented
-
-    def conj(self):
-        c = self.coeffs
-        return SplitOctonion((c[0],) + tuple(-x for x in c[1:]))
-
-    def qform(self):
-        c = self.coeffs
-        return sum(c[i] * c[i] for i in range(4)) - sum(c[i] * c[i] for i in range(4, 8))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        if _is_scalar(other):
-            return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
-        if type(other) is not SplitOctonion:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("SplitOctonion", self.coeffs))
-
-    def __repr__(self):
-        return "SplitOctonion%r" % (self.coeffs,)
-
-
-# ---------------------------------------------------------------------------
-# generic operations (free functions mirroring the methods)
-
-def mul(a, b):
-    if type(a) is not type(b):
-        raise AlgebraError("mixed-algebra product: %s * %s" % (type(a).__name__, type(b).__name__))
-    return a * b
-
-
-def conj(a):
-    return a.conj()
-
-
-def qform(a):
-    return a.qform()
+        return cls([r0, 0, r2, 0, r1, 0, r3, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +408,10 @@ def _random_rational(rng, span=6):
 
 
 def random_element(cls, rng, span=6):
-    if cls is SplitComplex or cls is OrdinaryComplex:
+    if issubclass(cls, _Binarion):
         return cls(_random_rational(rng, span), _random_rational(rng, span))
-    if cls is SplitQuaternion:
-        return cls(*[_random_rational(rng, span) for _ in range(4)])
-    if cls is SplitOctonion:
-        return cls([_random_rational(rng, span) for _ in range(8)])
+    if issubclass(cls, _TableAlgebra):
+        return cls._new(_random_rational(rng, span) for _ in range(len(cls.PRODUCTS)))
     raise TypeError(cls)
 
 
@@ -541,43 +460,28 @@ def verify_structure_table(samples=1000, seed=0):
     return results
 
 
-_BASIS_NAMES = {
-    "split-complex": ["1", "j"],
-    "split-quaternion": ["1", "q1", "q2", "q3"],
-    "split-octonion": ["1", "e1", "e2", "e3", "e4", "e5", "e6", "e7"],
+_ALGEBRAS = {
+    "split-complex": (SplitComplex, ["1", "j"]),
+    "split-quaternion": (SplitQuaternion, ["1", "q1", "q2", "q3"]),
+    "split-octonion": (SplitOctonion, ["1", "e1", "e2", "e3", "e4", "e5", "e6", "e7"]),
 }
 
 
 def multiplication_table(algebra):
     """Full multiplication table of one split algebra as JSON-ready data."""
-    if algebra not in _BASIS_NAMES:
+    if algebra not in _ALGEBRAS:
         raise ValueError("unknown algebra %r" % algebra)
-    basis = _BASIS_NAMES[algebra]
-    n = len(basis)
-    if algebra == "split-complex":
+    cls, basis = _ALGEBRAS[algebra]
+    if cls is SplitComplex:
         elems = [SplitComplex(1, 0), SplitComplex(0, 1)]
-
-        def decompose(z):
-            return [(0, z.re), (1, z.im)]
-
-    elif algebra == "split-quaternion":
-        elems = [SplitQuaternion.basis(k) for k in range(4)]
-
-        def decompose(h):
-            return list(enumerate(h.coeffs))
-
     else:
-        elems = [SplitOctonion.basis(k) for k in range(8)]
-
-        def decompose(o):
-            return list(enumerate(o.coeffs))
-
+        elems = [cls.basis(k) for k in range(len(basis))]
     table = []
-    for i in range(n):
+    for a in elems:
         row = []
-        for j in range(n):
-            p = elems[i] * elems[j]
-            terms = [{"coeff": c, "basis_index": k} for k, c in decompose(p) if c != 0]
-            row.append(terms)
+        for b in elems:
+            p = a * b
+            coeffs = (p.re, p.im) if cls is SplitComplex else p.coeffs
+            row.append([{"coeff": c, "basis_index": k} for k, c in enumerate(coeffs) if c != 0])
         table.append(row)
     return {"schema": 1, "algebra": algebra, "basis": basis, "table": table}

@@ -13,13 +13,15 @@ body coordinates.
 from fractions import Fraction
 import math
 
-from .splitnum import SplitComplex, OrdinaryComplex
-from .ringmat import RMatrix, RING_SPLIT, RING_COMPLEX, commutator, anticommutator, worst_of
+from .splitnum import SplitComplex, OrdinaryComplex, reciprocal
+from .ringmat import (
+    RMatrix, RING_SPLIT, RING_COMPLEX, commutator, anticommutator, worst_of, _is_zero,
+)
 from . import gammarep
 
 __all__ = [
     "InvolutionConfig", "PSEUDO", "STANDARD", "GrassmannElement",
-    "grassmann_mul", "grassmann_conj", "odd_derivative", "odd_derivative_right",
+    "odd_derivative", "odd_derivative_right",
     "build_osp_generators", "osp_algebra_check",
     "superadjoint", "super_norm", "super_project", "lift_base", "super_invert",
     "super_connection", "super_curvature", "super_transition",
@@ -121,7 +123,7 @@ class GrassmannElement:
     def __init__(self, coeffs, config):
         clean = {}
         for mask, c in coeffs.items():
-            if not _is_zero_coeff(c):
+            if not _is_zero(c):
                 clean[mask] = c
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "config", config)
@@ -234,7 +236,7 @@ class GrassmannElement:
     def inverse(self):
         """Inverse of an even element with invertible body (Neumann series)."""
         b = self.body()
-        if _is_zero_coeff(b):
+        if _is_zero(b):
             raise ZeroDivisionError("body is zero")
         binv = _coeff_inverse(b)
         rel = self.soul() * binv  # self = b (1 + rel)
@@ -276,10 +278,7 @@ class GrassmannElement:
             for idx in range(k):
                 c = c * (Fraction(-1, 2) - idx) / (idx + 1)
             acc = acc + term * c
-        return acc * (1 / root if isinstance(root, float) else Fraction(1, 1) / root)
-
-    def map_coeffs(self, fn):
-        return GrassmannElement({m: fn(c) for m, c in self.coeffs.items()}, self.config)
+        return acc * reciprocal(root)
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -311,29 +310,10 @@ class GrassmannElement:
         return " + ".join(parts)
 
 
-def _is_zero_coeff(c):
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return z()
-    return c == 0
-
-
 def _coeff_inverse(c):
     if hasattr(c, "qform"):
-        q = c.qform()
-        inv = 1 / q if isinstance(q, float) else Fraction(1, 1) / q
-        return c.conj() * inv
-    return 1 / c if isinstance(c, float) else Fraction(1, 1) / c
-
-
-def grassmann_mul(a, b):
-    return a * b
-
-
-def grassmann_conj(a, config=None):
-    if config is not None and a.config is not config:
-        raise TypeError("element belongs to a different involution config")
-    return a.conj()
+        return c.conj() * reciprocal(c.qform())
+    return reciprocal(c)
 
 
 def odd_derivative(a, k):
@@ -417,8 +397,6 @@ def osp_algebra_check(realization):
     eta = (1, -1, 1) if realization == "I" else (1, 1, -1)
     sig = [gammarep.split_pauli(i) for i in (1, 2, 3)] if realization == "I" \
         else [gammarep.tau(i) for i in (1, 2, 3)]
-    eps_naive = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-                 (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
     results = []
 
     bad = []
@@ -427,7 +405,7 @@ def osp_algebra_check(realization):
             lhs = commutator(li[i - 1], li[j - 1])
             rhs = RMatrix.zeros(3, 3, ring)
             for k in range(1, 4):
-                e = eps_naive.get((i, j, k), 0)
+                e = gammarep.levi_civita(i, j, k)
                 if e:
                     rhs = rhs + li[k - 1].scale(e * eta[k - 1]).scale(unit)
             if lhs != rhs:
@@ -487,7 +465,7 @@ def osp_algebra_check(realization):
             want = RMatrix.zeros(3, 3, ring)
             for b in range(2):
                 c = s1.entry(b, a)
-                if not _is_zero_coeff(c):
+                if not _is_zero(c):
                     want = want + ka[b].scale(c)
             if ka[a].dagger() != want:
                 bad.append(str(a + 1))
@@ -536,7 +514,7 @@ def _sandwich(chi, mat, realization, weighted_row=None):
             continue
         for b in range(3):
             c = mat.entry(a, b)
-            if _is_zero_coeff(c):
+            if _is_zero(c):
                 continue
             acc = acc + (ra * (chi[b] * c))
     return acc
@@ -645,13 +623,6 @@ def _body_real(b):
 # ---------------------------------------------------------------------------
 # closed super gauge forms
 
-def _eps_low(realization):
-    # fully lowered epsilon; both level-1 metrics flip the naive sign
-    naive = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-             (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
-    return {k: -v for k, v in naive.items()}
-
-
 def super_connection(xs, ths, patch="upper", realization="I"):
     """Closed-form super connection (A_i dict, A_alpha dict).
 
@@ -665,7 +636,6 @@ def super_connection(xs, ths, patch="upper", realization="I"):
     xs = tuple(x if isinstance(x, GrassmannElement) else _g_scalar(x, cfg) for x in xs)
     s = theta_bilinear(ths)
     one = _g_scalar(1, cfg)
-    eps_low = _eps_low(realization)
     u = _unit(realization)
     sign = 1 if patch == "upper" else -1
     n = one + xs[2] * sign
@@ -679,7 +649,7 @@ def super_connection(xs, ths, patch="upper", realization="I"):
     for i in (1, 2, 3):
         acc = _g_scalar(0, cfg)
         for j in (1, 2, 3):
-            e = eps_low.get((i, j, 3), 0)
+            e = -gammarep.levi_civita(i, j, 3)  # lowered: both metrics have det -1
             if e:
                 acc = acc + xs[j - 1] * e
         A_i[i] = acc * ninv * Fraction(lead, 2) * soul_factor
@@ -694,7 +664,7 @@ def super_connection(xs, ths, patch="upper", realization="I"):
                 xi_low = xs[i - 1] * eta3[i - 1]
                 for b in range(2):
                     c = mats[i - 1].entry(a, b)
-                    if not _is_zero_coeff(c):
+                    if not _is_zero(c):
                         acc = acc + xi_low * (ths[b] * c)
             A_a[a + 1] = acc * (u * Fraction(1, 2))
     else:
@@ -705,7 +675,7 @@ def super_connection(xs, ths, patch="upper", realization="I"):
             for i in (1, 2, 3):
                 for b in range(2):
                     c = mats[i - 1].entry(b, a)
-                    if not _is_zero_coeff(c):
+                    if not _is_zero(c):
                         acc = acc + xs[i - 1] * (ths[b] * c)
             A_a[a + 1] = acc * (-(u * Fraction(1, 2)))
     return A_i, A_a
@@ -723,7 +693,6 @@ def super_curvature(xs, ths, patch="upper", realization="I"):
     s = theta_bilinear(ths)
     one = _g_scalar(1, cfg)
     soul = one + s * Fraction(3, 2)
-    eps_low = _eps_low(realization)
     u = _unit(realization)
     eta3 = (1, -1, 1) if realization == "I" else (1, 1, -1)
     if realization == "I":
@@ -736,7 +705,7 @@ def super_curvature(xs, ths, patch="upper", realization="I"):
         for j in range(i + 1, 4):
             acc = _g_scalar(0, cfg)
             for k in (1, 2, 3):
-                e = eps_low.get((i, j, k), 0)
+                e = -gammarep.levi_civita(i, j, k)
                 if e:
                     acc = acc + xs[k - 1] * e
             F_ij[(i, j)] = acc * Fraction(lead, 2) * soul
@@ -757,12 +726,12 @@ def super_curvature(xs, ths, patch="upper", realization="I"):
                 if realization == "I":
                     for b in range(2):
                         c = mats[j - 1].entry(a, b)
-                        if not _is_zero_coeff(c):
+                        if not _is_zero(c):
                             acc = acc + quad * (ths[b] * c)
                 else:
                     for b in range(2):
                         c = mats[j - 1].entry(b, a)
-                        if not _is_zero_coeff(c):
+                        if not _is_zero(c):
                             acc = acc + quad * (ths[b] * c)
             coef = u * Fraction(1, 2) if realization == "I" else -(u * Fraction(1, 2))
             F_ia[(i, a + 1)] = acc * coef
@@ -774,7 +743,7 @@ def super_curvature(xs, ths, patch="upper", realization="I"):
             for i in (1, 2, 3):
                 m = mats[i - 1].scale(eta3[i - 1])
                 c = m.entry(a, b) + m.entry(b, a)
-                if not _is_zero_coeff(c):
+                if not _is_zero(c):
                     acc = acc + xs[i - 1] * (c * Fraction(1, 2))
             coef = u if realization == "I" else -u
             F_ab[(a + 1, b + 1)] = acc * coef * soul

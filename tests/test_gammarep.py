@@ -1,6 +1,7 @@
 """Gamma families: Clifford relations, conjugations, generators, symbols."""
 
 from fractions import Fraction as F
+import itertools
 
 import pytest
 
@@ -10,7 +11,7 @@ from splithopf import gammarep
 from splithopf.gammarep import (
     FAMILY_NAMES, build_family, clifford_check, conjugation_check,
     hermiticity_check, build_generators, build_weyl_generators, build_thooft,
-    generator_closure_check, lambda_table_check, charge_conjugation,
+    generator_closure_check, lambda_table_check, charge_conjugation, levi_civita,
 )
 
 j = SplitComplex(0, 1)
@@ -149,3 +150,34 @@ def test_thooft_tables():
     # the pure 3-index part is shared; the eta-eta parts flip
     assert plain[(1, 2, 3)] == bar[(1, 2, 3)]
     assert plain[(1, 4, 1)] == -bar[(1, 4, 1)]
+
+
+def _eps3_reference(i, j, k):
+    perm = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
+            (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
+    return perm.get((i, j, k), 0)
+
+
+def _eps4_reference(*idx):
+    # bubble sort back to (1, 2, 3, 4), one sign flip per swap
+    if len(set(idx)) != 4:
+        return 0
+    perm = list(idx)
+    sign = 1
+    for a in range(4):
+        for b in range(3, a, -1):
+            if perm[b - 1] > perm[b]:
+                perm[b - 1], perm[b] = perm[b], perm[b - 1]
+                sign = -sign
+    return sign
+
+
+def test_levi_civita():
+    for idx in itertools.product(range(0, 5), repeat=3):
+        assert levi_civita(*idx) == _eps3_reference(*idx), idx
+    for idx in itertools.product(range(1, 5), repeat=4):
+        assert levi_civita(*idx) == _eps4_reference(*idx), idx
+    assert levi_civita(1, 2, 4) == 0  # index outside 1..3
+    assert levi_civita(1, 1, 2) == 0  # repeated index
+    assert levi_civita(2, 1, 3, 5) == 0
+    assert levi_civita() == 1 and levi_civita(1) == 1 and levi_civita(2, 1) == -1

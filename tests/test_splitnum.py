@@ -9,7 +9,7 @@ import pytest
 from splithopf.splitnum import (
     SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion,
     OCTONION_TABLE, AlgebraError, verify_structure_table, multiplication_table,
-    random_element, mul, conj, qform,
+    random_element, _TABLE_CELLS, _parse_cell,
 )
 
 e = SplitOctonion.basis
@@ -95,12 +95,11 @@ def test_octonions_not_associative():
 
 
 def test_mixed_algebra_rejected():
-    with pytest.raises(AlgebraError):
-        mul(q(1), e(1))
-    with pytest.raises(AlgebraError):
-        SplitComplex(1, 0) * q(1)
-    with pytest.raises(AlgebraError):
-        q(1) * e(2)
+    # every pair of algebras, in both orders
+    elements = (SplitComplex(1, 1), OrdinaryComplex(1, 1), q(1), e(1))
+    for x, y in itertools.permutations(elements, 2):
+        with pytest.raises(AlgebraError):
+            x * y
 
 
 def test_explicit_promotion():
@@ -150,6 +149,35 @@ def test_ordinary_complex():
     assert OrdinaryComplex(3, 4).qform() == 25
 
 
-def test_free_functions():
-    assert conj(j) == -j
-    assert qform(SplitComplex(2, 1)) == 3
+def test_octonion_products_match_transcribed_table():
+    for a in range(8):
+        for b in range(8):
+            sign, k = _parse_cell(_TABLE_CELLS[a][b])
+            assert e(a) * e(b) == sign * e(k), (a, b)
+
+
+@pytest.mark.parametrize("x", [SplitQuaternion(F(1, 2), 3, F(-2, 7), 0),
+                               SplitOctonion([F(1, 3), 0, 2, F(5, 4), 0, 0, -1, F(1, 9)])])
+@pytest.mark.parametrize("s", [3, F(2, 5)])
+def test_scalar_operations_stay_exact(x, s):
+    cls = type(x)
+    for got, want in ((x * s, [c * s for c in x.coeffs]), (s * x, [s * c for c in x.coeffs]),
+                      (x + s, [x.coeffs[0] + s] + list(x.coeffs[1:]))):
+        assert type(got) is cls
+        assert got.coeffs == tuple(want)
+        assert all(type(c) in (int, F) for c in got.coeffs)
+    assert s + x == x + s
+    assert (x - s).coeffs == (x.coeffs[0] - s,) + x.coeffs[1:]
+    assert s - x == -(x - s)
+    assert all(type(c) is F for c in (x * F(1, 2)).coeffs)
+
+
+def test_hash_and_equality():
+    rng = random.Random(5)
+    for cls in (SplitQuaternion, SplitOctonion):
+        a = random_element(cls, rng)
+        b = cls.basis(0) * a  # equal value, separately built
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert SplitQuaternion(1, 2, 3, 4) != SplitOctonion([1, 2, 3, 4, 0, 0, 0, 0])
+    assert SplitQuaternion(1, 0, 0, 0) != SplitOctonion([1] + [0] * 7)
