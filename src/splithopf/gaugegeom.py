@@ -338,7 +338,7 @@ def curvature_contraction(point, t, v, patch=None, closed=None):
     weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in comps]
     if isinstance(next(iter(comps.values())), RMatrix):
         return lincomb(weights, comps.values())
-    acc = 0.0
+    acc = 0
     for w, m in zip(weights, comps.values()):
         acc += m * w
     return acc

@@ -1,10 +1,12 @@
 """Matrices over an involutive scalar ring.
 
 The substrate for every gamma-matrix and spinor computation: small matrices
-(at most 16x16) over the reals, ordinary complex numbers, split-complex
-numbers or a Grassmann algebra.  Each matrix carries a ring descriptor that
-supplies the entry involution, so adjoints never mix conjugation modes
-mid-expression.  Values are immutable.
+(at most 16x16) over the reals, ordinary complex numbers or split-complex
+numbers.  Each matrix carries a ring descriptor that supplies the entry
+involution, so adjoints never mix conjugation modes mid-expression.  Values
+are immutable.  Grassmann values enter only as vector elements: ``matvec``
+and ``form`` act on a vector of any elements the entries multiply (the super
+spinors of superhopf) through the elements' own arithmetic.
 
 Storage is dense.  Every matrix finds its nonzero cells on first use and
 keeps them (there is nothing to switch on), and every kernel walks those
@@ -15,8 +17,8 @@ elementwise ops (``scale``, ``scale_right``, negation, ``conj``).  Every
 zero cell of a result is the ring's zero.  Over the split-complex and
 complex rings the kernels compute on the re/im components of the entries,
 in the operation order of the entries' own arithmetic, so float values are
-bit-identical to it and Fraction entries stay exact; over the reals and
-Grassmann algebras they use the entries' own arithmetic.  ``lincomb`` walks
+bit-identical to it and Fraction entries stay exact; over the reals they
+use the entries' own arithmetic.  ``lincomb`` walks
 a float copy of the cells (kept on the matrix too) for a float coefficient,
 since a float times a Fraction is the float times the Fraction's float.
 """
@@ -34,20 +36,15 @@ __all__ = [
 
 
 class Ring:
-    """Descriptor of an involutive scalar ring.
+    """Descriptor of an involutive scalar ring; conj_fn implements the
+    involution."""
 
-    conj_fn implements the involution; order = "reverse" when the involution
-    reverses entry products (all commutative rings behave the same either
-    way; the distinction matters for Grassmann entries).
-    """
-
-    def __init__(self, name, zero, one, conj_fn, promote_fn, order="reverse"):
+    def __init__(self, name, zero, one, conj_fn, promote_fn):
         self.name = name
         self.zero = zero
         self.one = one
         self.conj = conj_fn
         self.promote = promote_fn
-        self.order = order
 
     def __repr__(self):
         return "Ring(%s)" % self.name
@@ -90,22 +87,6 @@ RING_COMPLEX = Ring("complex", OrdinaryComplex(0, 0), OrdinaryComplex(1, 0),
                     lambda x: x.conj(), _promote_complex)
 
 
-def grassmann_ring(config):
-    """Ring over a Grassmann algebra; involution and order come from config."""
-    from .superhopf import GrassmannElement
-
-    def promote(x):
-        if isinstance(x, GrassmannElement):
-            if x.config is not config:
-                raise TypeError("Grassmann element from a different involution config")
-            return x
-        return GrassmannElement.scalar(x, config)
-
-    return Ring("grassmann[%s]" % config.mode, GrassmannElement.scalar(0, config),
-                GrassmannElement.scalar(1, config), lambda x: x.conj(),
-                promote, order=config.product_order)
-
-
 def _is_zero(x):
     z = getattr(x, "is_zero", None)
     if z is not None:
@@ -142,15 +123,11 @@ class MetricForm:
 
 
 class RMatrix:
-    """Immutable dense matrix over a Ring.
+    """Immutable dense matrix over the real, complex or split-complex Ring.
 
-    dagger() is conjugate-transpose under the ring involution.  For
-    order-reversing involutions (every commutative ring, and the standard
-    Grassmann conjugation) it is an anti-homomorphism: dagger(MN) =
-    dagger(N) dagger(M), and dagger(dagger(M)) = M.  The order-preserving
-    pseudo-conjugation instead makes the entrywise conj() a homomorphism,
-    conj(MN) = conj(M) conj(N), and squares to the parity sign on odd
-    entries; callers in that mode should use conj() directly.
+    dagger() is conjugate-transpose under the ring involution; the rings are
+    commutative, so it is an anti-homomorphism, dagger(MN) =
+    dagger(N) dagger(M), and dagger(dagger(M)) = M.
     """
 
     __slots__ = ("rows", "cols", "entries", "ring", "_cells", "_fcells")
@@ -276,7 +253,11 @@ class RMatrix:
         return RMatrix._of(rows, self.ring)
 
     def matvec(self, vec):
-        """Apply to a column vector given as a sequence; returns a list."""
+        """Apply to a column vector given as a sequence; returns a list.
+
+        The vector may hold binarions of the ring or any elements the entries
+        multiply (Grassmann elements): those take entry * element and
+        the elements' own sum, from the ring's zero."""
         ring = self.ring
         cells = _cells(self)
         cls = _binarion(ring)
@@ -416,25 +397,22 @@ class RMatrix:
 
 def _binarion(ring):
     """SplitComplex or OrdinaryComplex for the rings whose entries the kernels
-    handle by components, None for the others."""
+    handle by components, None for the reals."""
     cls = type(ring.zero)
     return cls if cls in (SplitComplex, OrdinaryComplex) else None
 
 
 def _cells(m):
     """Nonzero cells of each row, in column order: (j, re, im) over a
-    binarion ring, (j, value) otherwise.  Found on first use and kept."""
+    binarion ring, (j, value) over the reals.  Found on first use and kept."""
     cells = m._cells
     if cells is None:
         if _binarion(m.ring):
             cells = tuple([tuple([(j, a.re, a.im) for j, a in enumerate(row)
                                   if not (a.re == 0 and a.im == 0)])
                            for row in m.entries])
-        elif m.ring == RING_REAL:
-            cells = tuple([tuple([(j, a) for j, a in enumerate(row) if a != 0])
-                           for row in m.entries])
         else:
-            cells = tuple([tuple([(j, a) for j, a in enumerate(row) if not a.is_zero()])
+            cells = tuple([tuple([(j, a) for j, a in enumerate(row) if a != 0])
                            for row in m.entries])
         object.__setattr__(m, "_cells", cells)
     return cells
@@ -447,8 +425,8 @@ def _add_negated(x, y):
 
 
 def _float_cells(m):
-    """_cells(m) with float components, over the real and binarion rings
-    (the cells themselves when they hold floats only); found on first use
+    """_cells(m) with float components (the cells themselves when they
+    hold floats only); found on first use
     and kept.  A float times a Fraction is the float times float(Fraction),
     so a float coefficient gives the same bits on either form."""
     cells = m._fcells
@@ -463,7 +441,7 @@ def _float_cells(m):
 
 def _product_rows(a, b):
     """Rows of a @ b before they become matrix entries: (re, im) lists of
-    component sums over a binarion ring, lists of ring elements otherwise.
+    component sums over a binarion ring, lists of reals otherwise.
 
     Row-sparse (Gustavson order): row i accumulates A[i, k] * B[k, :] over
     the nonzero A[i, k] in increasing k, so each cell sums its terms in the
@@ -543,11 +521,10 @@ def lincomb(coeffs, basis):
         return RMatrix._of([[cls(a, b) for a, b in zip(r, s)] for r, s in zip(re, im)],
                            ring)
     out = [[ring.zero] * cols for _ in range(rows)]
-    real = ring == RING_REAL
     for c, m in zip(coeffs, basis):
         if not c:
             continue
-        cells = _float_cells(m) if real and type(c) is float else _cells(m)
+        cells = _float_cells(m) if type(c) is float else _cells(m)
         c = ring.promote(c)
         for line, row in zip(out, cells):
             for j, a in row:
@@ -570,13 +547,7 @@ def worst_of(values):
 def _components(a):
     if isinstance(a, (SplitComplex, OrdinaryComplex)):
         return (a.re, a.im)
-    if isinstance(a, numbers.Real):
-        return (a,)
-    # Grassmann element: all basis coefficients
-    comps = []
-    for coeff in a.coeffs.values():
-        comps.extend(_components(coeff))
-    return tuple(comps) if comps else (0,)
+    return (a,)
 
 
 def commutator(a, b):
@@ -593,8 +564,8 @@ def _fused(a, b, op):
     """op(a @ b, b @ a).  Over the binarion rings both products stay as
     component sums and one matrix is built from op of them at every cell,
     with the bits of the entries' own op on the two products (no sum is
-    -0.0, so x - y is x + (-y) there); the other rings take the two
-    product matrices and op."""
+    -0.0, so x - y is x + (-y) there); the reals take the two product
+    matrices and op."""
     cls = _binarion(a.ring)
     if not cls:
         return op(a @ b, b @ a)

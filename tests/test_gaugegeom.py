@@ -94,6 +94,17 @@ def _dev(x):
     return abs(float(x)) if not hasattr(x, "max_abs") else x.max_abs()
 
 
+@pytest.mark.parametrize("real,xb", [("I", (F(24, 25), F(0), F(7, 25))),
+                                     ("II", (F(0), F(15, 8), F(17, 8)))])
+def test_level1_curvature_contraction_stays_exact(real, xb):
+    pt = BasePoint(1, real, xb)
+    t, v = (F(1), F(2), F(3)), (F(-1), F(1, 2), F(1))
+    got = gg.curvature_contraction(pt, t, v)
+    f = gg.curvature_closed(pt)
+    assert type(got) is F
+    assert got == sum(m * (t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1]) for (a, b), m in f.items())
+
+
 def test_curvature_antisymmetry():
     rng = random.Random(17)
     for (lvl, real) in ALL_CASES:

@@ -8,10 +8,9 @@ import pytest
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
     RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX,
-    commutator, anticommutator, kron, grassmann_ring,
+    commutator, anticommutator, kron,
 )
 from splithopf import gammarep
-from splithopf.superhopf import PSEUDO, STANDARD, GrassmannElement
 
 j = SplitComplex(0, 1)
 
@@ -111,27 +110,3 @@ def test_metric_form():
     assert eta.inner((1, 2, 3), (1, 2, 3)) == 1 - 4 + 9
     with pytest.raises(ValueError):
         MetricForm((1, 2))
-
-
-def test_grassmann_matrix_involution_order_rules():
-    # order-reversing involution: dagger is an anti-homomorphism;
-    # order-preserving pseudo-conjugation: entrywise conj is a homomorphism
-    def sample(cfg):
-        g0 = GrassmannElement.generator(0, cfg)
-        g1 = GrassmannElement.generator(1, cfg)
-        g2 = GrassmannElement.generator(2, cfg)
-        one = GrassmannElement.scalar(1, cfg)
-        ring = grassmann_ring(cfg)
-        a = RMatrix([[one, g0], [g1, one + g0 * g1]], ring)
-        b = RMatrix([[g2, one], [one, g0]], ring)
-        return a, b
-
-    a, b = sample(STANDARD)
-    assert (a @ b).dagger() == b.dagger() @ a.dagger()
-    assert a.dagger().dagger() == a
-
-    a, b = sample(PSEUDO)
-    assert (a @ b).conj() == a.conj() @ b.conj()
-    # the pseudo-involution squares to the parity sign, not the identity
-    g0 = GrassmannElement.generator(0, PSEUDO)
-    assert g0.conj().conj() == -g0

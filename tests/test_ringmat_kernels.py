@@ -20,10 +20,10 @@ import pytest
 
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
-    RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX, grassmann_ring, lincomb,
+    RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX, lincomb,
     commutator, anticommutator,
 )
-from splithopf.superhopf import STANDARD, GrassmannElement
+from splithopf.superhopf import PSEUDO, STANDARD, GrassmannElement
 
 
 def _nonzero(x):
@@ -200,27 +200,30 @@ def test_lincomb_exact_and_linear():
         lincomb([1, 1], [basis[0], RMatrix.zeros(4, 4, RING_COMPLEX)])
 
 
-def test_grassmann_ring_takes_the_generic_path():
-    ring = grassmann_ring(STANDARD)
+@pytest.mark.parametrize("cfg", (PSEUDO, STANDARD), ids=lambda c: c.mode)
+@pytest.mark.parametrize("ring", (RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_matvec_and_form_on_grassmann_vectors(ring, cfg):
+    # the super map's path: numeric binarion matrices acting on vectors of
+    # exact Grassmann elements take entry * element and the elements' sum
     rng = random.Random(15)
-    g = [GrassmannElement.generator(k, STANDARD) for k in range(3)]
+    cls = SplitComplex if ring is RING_SPLIT else OrdinaryComplex
 
     def elem():
-        x = GrassmannElement.scalar(_rational(rng), STANDARD)
-        for gk in g:
-            x = x + gk * _rational(rng)
-        return x
+        coeffs = {m: cls(_rational(rng), _rational(rng)) for m in range(16)
+                  if rng.random() < 0.3}
+        return GrassmannElement(coeffs, cfg)
 
-    def mat(n, m):
-        return RMatrix([[elem() for _ in range(m)] for _ in range(n)], ring)
-
-    a, b = mat(3, 3), mat(3, 2)
-    assert a @ b == RMatrix(ref_matmul(a, b), ring)
-    vec = [elem() for _ in range(3)]
-    assert a.matvec(vec) == ref_matvec(a, vec)
-    basis = [mat(3, 3) for _ in range(4)]
-    coeffs = [F(1, 2), 0, -3, F(2, 7)]
-    assert lincomb(coeffs, basis) == RMatrix(ref_lincomb(coeffs, basis), ring)
+    for n in (1, 2, 3, 3):
+        a = rand_matrix(rng, ring, n, n, _rational)
+        vec = [elem() for _ in range(n)]
+        got = a.matvec(vec)
+        assert got == ref_matvec(a, vec)
+        q = a.form(vec)
+        assert q == ref_form(a, vec)
+        for x in got + [q]:
+            # a row without nonzero cells gives the ring's zero
+            coeffs = x.coeffs.values() if isinstance(x, GrassmannElement) else (x,)
+            assert all(type(c) in (int, F) for v in coeffs for c in (v.re, v.im))
 
 
 def test_max_abs_propagates_nan():
@@ -289,30 +292,6 @@ def test_rational_elementwise_ops_stay_exact():
     n = a.form(vec)
     assert not isinstance(n.re, float) and not isinstance(n.im, float)
     assert a.scale(c).scale(SplitComplex(1, 0) / c) == a
-
-
-def test_grassmann_scalar_side_matters():
-    ring = grassmann_ring(STANDARD)
-    rng = random.Random(19)
-    g = [GrassmannElement.generator(k, STANDARD) for k in range(3)]
-
-    def elem():
-        x = GrassmannElement.scalar(_rational(rng), STANDARD)
-        for gk in g:
-            x = x + gk * _rational(rng)
-        return x
-
-    a = RMatrix([[elem() for _ in range(3)] for _ in range(3)], ring)
-    c = g[0] + g[1] * F(1, 2)  # odd, so c x = -x c on the odd part of x
-    left = a.scale(c)
-    right = a.scale_right(c)
-    assert left == RMatrix(ref_cellwise(a, lambda x: c * x), ring)
-    assert right == RMatrix(ref_cellwise(a, lambda x: x * c), ring)
-    assert left != right
-    assert -a == RMatrix(ref_cellwise(a, lambda x: -x), ring)
-    assert a.conj() == RMatrix(ref_cellwise(a, ring.conj), ring)
-    vec = [elem() for _ in range(3)]
-    assert a.form(vec) == ref_form(a, vec)
 
 
 @pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX),
@@ -393,28 +372,6 @@ def test_commutators_match_dense_reference(ring, draw):
     with pytest.raises(TypeError):
         other = RING_COMPLEX if ring is not RING_COMPLEX else RING_SPLIT
         commutator(RMatrix.zeros(2, 2, ring), RMatrix.zeros(2, 2, other))
-
-
-def test_grassmann_add_sub_commutators():
-    ring = grassmann_ring(STANDARD)
-    rng = random.Random(23)
-    g = [GrassmannElement.generator(k, STANDARD) for k in range(3)]
-
-    def elem():
-        if rng.random() < 0.4:
-            return ring.zero
-        x = GrassmannElement.scalar(_rational(rng), STANDARD)
-        for gk in g:
-            x = x + gk * _rational(rng)
-        return x
-
-    a = RMatrix([[elem() for _ in range(3)] for _ in range(3)], ring)
-    b = RMatrix([[elem() for _ in range(3)] for _ in range(3)], ring)
-    assert a + b == RMatrix(ref_add(a, b, 1), ring)
-    assert a - b == RMatrix(ref_add(a, b, -1), ring)
-    p, q = RMatrix(ref_matmul(a, b), ring), RMatrix(ref_matmul(b, a), ring)
-    assert commutator(a, b) == RMatrix(ref_add(p, q, -1), ring)
-    assert anticommutator(a, b) == RMatrix(ref_add(p, q, 1), ring)
 
 
 def test_rational_add_sub_commutators_stay_exact():

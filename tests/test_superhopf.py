@@ -62,6 +62,9 @@ def test_even_inverse_and_invsqrt():
     assert e * e.inverse() == G.scalar(1, sh.PSEUDO)
     r = e.invsqrt()
     assert r * r * e == G.scalar(1, sh.PSEUDO)
+    # a body with an imaginary part has no real inverse square root
+    with pytest.raises(ValueError):
+        G({0: SplitComplex(2, 1)}, sh.PSEUDO).invsqrt()
 
 
 def test_overlapping_masks_give_zero():
@@ -136,10 +139,11 @@ def test_projected_theta_component_formula():
         G.generator(3, cfg) * F(1, 2)
     chi = (u, v, eta)
     gen = sh.build_osp_generators("I")
-    got = sh._sandwich(chi, gen["lalpha"][0], "I") * 2
+    w = sh._weight("I")
+    got = (w @ gen["lalpha"][0]).form(chi) * 2
     want = u.conj() * eta - eta.conj() * v
     assert got == want
-    got2 = sh._sandwich(chi, gen["lalpha"][1], "I") * 2
+    got2 = (w @ gen["lalpha"][1]).form(chi) * 2
     want2 = v.conj() * eta + eta.conj() * u
     assert got2 == want2
 
