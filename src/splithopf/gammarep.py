@@ -16,7 +16,7 @@ import functools
 from .splitnum import SplitComplex, OrdinaryComplex, OCTONION_TABLE
 from .ringmat import (
     RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX,
-    commutator, anticommutator, kron,
+    commutator, anticommutator,
 )
 
 __all__ = [
@@ -211,8 +211,15 @@ def sigma3_block(n_half, ring=RING_REAL):
 
 
 def to_complex(m):
-    """Lift a real exact matrix into the complex ring."""
-    return RMatrix(m.entries, RING_COMPLEX)
+    """Lift a real matrix into the complex ring (its entries become the real
+    parts, int 0 the imaginary ones); a complex matrix is returned as it is."""
+    if m.ring == RING_COMPLEX:
+        return m
+    if m.ring != RING_REAL:
+        raise TypeError("cannot lift a %s matrix into the complex ring" % m.ring.name)
+    (entries,) = m.components()
+    zero_row = (0,) * m.cols
+    return RMatrix.from_components((entries, (zero_row,) * m.rows), RING_COMPLEX)
 
 
 # ---------------------------------------------------------------------------

@@ -435,7 +435,8 @@ def transition(point):
     case = case_info(lvl, real)
     fd = case.fiber_dim
     w, _ = section_linear_part(point, "lower")
-    top = RMatrix([row[:fd] for row in w.entries[:fd]], w.ring)
+    top = RMatrix.from_components(tuple([row[:fd] for row in g[:fd]] for g in w.components()),
+                                  w.ring)
     if lvl == 1:
         g = top.entry(0, 0) * (1.0 / rho)
         return TransitionFn(lvl, real, g, None, "scalar")
@@ -553,14 +554,9 @@ def curvature_radial(v, eps=EPS_NULL):
 # generator-span diagnostics
 
 def _flat_real(m):
-    out = []
-    for row in m.entries:
-        for a in row:
-            if isinstance(a, (SplitComplex, OrdinaryComplex)):
-                out.extend([float(a.re), float(a.im)])
-            else:
-                out.append(float(a))
-    return out
+    """The real components of m's entries as floats, entry by entry in row
+    order (re, im of each over a binarion ring)."""
+    return [float(c) for rows in zip(*m.components()) for cell in zip(*rows) for c in cell]
 
 
 def _gram_elimination(basis_vecs):
@@ -638,17 +634,13 @@ def field_components(point, patch=None):
 
     def emit(prefix, val):
         if isinstance(val, RMatrix):
+            grids = val.components()
+            suffixes = ("_re", "_im") if len(grids) == 2 else ("",)
             for i in range(val.rows):
                 for j in range(val.cols):
-                    e = val.entry(i, j)
-                    if isinstance(e, (SplitComplex, OrdinaryComplex)):
-                        names.append("%s_%d%d_re" % (prefix, i, j))
-                        values.append(float(e.re))
-                        names.append("%s_%d%d_im" % (prefix, i, j))
-                        values.append(float(e.im))
-                    else:
-                        names.append("%s_%d%d" % (prefix, i, j))
-                        values.append(float(e))
+                    for suffix, g in zip(suffixes, grids):
+                        names.append("%s_%d%d%s" % (prefix, i, j, suffix))
+                        values.append(float(g[i][j]))
         else:
             names.append(prefix)
             values.append(float(val))

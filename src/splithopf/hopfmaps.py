@@ -13,7 +13,7 @@ from fractions import Fraction
 import math
 import random
 
-from .splitnum import SplitComplex, OrdinaryComplex
+from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt
 from .ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX
 from . import gammarep
 
@@ -170,6 +170,15 @@ def charge_conjugate_spinor(psi_comps):
     return b.matvec([c.conj() for c in psi_comps])
 
 
+def _check_finite(values, what):
+    """ConstraintError on a NaN or infinite float among the values or the
+    re/im of a binarion among them; exact values are never converted."""
+    for v in values:
+        for c in (v.re, v.im) if isinstance(v, (SplitComplex, OrdinaryComplex)) else (v,):
+            if isinstance(c, float) and not math.isfinite(c):
+                raise ConstraintError("non-finite %s: %r" % (what, v))
+
+
 class Spinor:
     """Hopf spinor at a given level and realization.
 
@@ -189,6 +198,7 @@ class Spinor:
         case = case_info(level, realization)
         if len(self.comps) != case.spinor_dim:
             raise ValueError("expected %d components" % case.spinor_dim)
+        _check_finite(self.comps, "spinor component")
 
     def __setattr__(self, *a):
         raise AttributeError("immutable value")
@@ -219,6 +229,7 @@ class BasePoint:
         case = case_info(level, realization)
         if len(self.coords) != case.base_dim:
             raise ValueError("expected %d coordinates" % case.base_dim)
+        _check_finite(self.coords, "coordinate")
         if patch is None:
             patch = "upper" if self.coords[-1] >= 0 else "lower"
         object.__setattr__(self, "patch", patch)
@@ -296,18 +307,6 @@ def project(spinor, tol=1e-9):
 # ---------------------------------------------------------------------------
 # inversion sections
 
-def _exact_sqrt(q):
-    """Square root of a rational if it is a perfect square, else None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
 def _section_linear_raw(point, patch=None):
     case = case_info(point.level, point.realization)
     patch = patch or point.patch
@@ -382,12 +381,22 @@ def _section_linear_raw(point, patch=None):
 _SECTION_TEMPLATES = {}
 
 
+def _whole(c):
+    """An integer-valued Fraction as an int (the same bits against a float
+    and the same Fraction against a Fraction, but no slow mixed-type path);
+    anything else as it is."""
+    return int(c) if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _section_template(level, realization, patch):
     """Sparse affine template of the section numerator: w(x) = C + sum x_a M_a.
 
-    Stored as {(i, j): (const, ((a, coef), ...))} over the cells that can be
-    nonzero; exact integer-valued ring elements, so evaluation preserves the
-    backend of x (Fraction stays exact, float stays fast).
+    One template per component grid of w (its entries over the reals, re and
+    im over the binarion rings), each a tuple of (i, j, const, ((a, coef),
+    ...)) over the cells that can be nonzero, where a runs over the
+    coordinates whose M_a holds the cell.  The constants and coefficients
+    are integers, so evaluation preserves the backend of x (Fraction stays
+    exact, float stays fast).
     """
     key = (level, realization, patch)
     if key in _SECTION_TEMPLATES:
@@ -396,26 +405,24 @@ def _section_template(level, realization, patch):
     dim = case.base_dim
     zero_pt = BasePoint(level, realization, (Fraction(0),) * dim, patch)
     c_mat, _ = _section_linear_raw(zero_pt, patch)
-    cells = {}
-    ring = case.ring
+    consts = c_mat.components()
+    slopes = []
     for a in range(dim):
         coords = [Fraction(0)] * dim
         coords[a] = Fraction(1)
         w_a, _ = _section_linear_raw(BasePoint(level, realization, coords, patch), patch)
-        m_a = w_a - c_mat
-        for i in range(m_a.rows):
-            for j in range(m_a.cols):
-                e = m_a.entry(i, j)
-                if not (e == ring.zero or e == 0):
-                    cells.setdefault((i, j), []).append((a, e))
-    template = {}
-    for i in range(c_mat.rows):
-        for j in range(c_mat.cols):
-            const = c_mat.entry(i, j)
-            lin = tuple(cells.get((i, j), ()))
-            if lin or not (const == ring.zero or const == 0):
-                template[(i, j)] = (const, lin)
-    out = (template, c_mat.rows, c_mat.cols, ring)
+        slopes.append((w_a - c_mat).components())
+
+    def holds(grids, i, j):
+        return any(g[i][j] != 0 for g in grids)
+
+    cells = [(i, j, [a for a, m_a in enumerate(slopes) if holds(m_a, i, j)])
+             for i in range(c_mat.rows) for j in range(c_mat.cols)]
+    template = tuple(
+        tuple((i, j, _whole(const[i][j]), tuple((a, _whole(slopes[a][k][i][j])) for a in lin))
+              for i, j, lin in cells if lin or holds(consts, i, j))
+        for k, const in enumerate(consts))
+    out = (template, c_mat.rows, c_mat.cols, c_mat.ring)
     _SECTION_TEMPLATES[key] = out
     return out
 
@@ -425,18 +432,24 @@ def section_linear_part(point, patch=None):
 
     w has shape spinor_dim x fiber_dim; n is the patch factor 1 +- x_last.
     Keeping the square root outside w lets derivative formulas stay rational.
+    Each component of w is the sum const + coef * x_a over its template
+    terms in increasing a, as the ring elements' own arithmetic adds them.
     """
     patch = patch or point.patch
     template, rows, cols, ring = _section_template(point.level, point.realization, patch)
-    x = point.coords
-    entries = [[ring.zero] * cols for _ in range(rows)]
-    for (i, j), (const, lin) in template.items():
-        acc = const
-        for a, coef in lin:
-            acc = acc + coef * x[a]
-        entries[i][j] = acc
+    # int coordinates enter as Fractions, so every cell of exact input is a
+    # Fraction even where it meets int coefficients only
+    x = [Fraction(c) if type(c) is int else c for c in point.coords]
+    grids = []
+    for cells in template:
+        grid = [[0] * cols for _ in range(rows)]
+        for i, j, acc, lin in cells:
+            for a, coef in lin:
+                acc = acc + coef * x[a]
+            grid[i][j] = acc
+        grids.append(grid)
     s = 1 if patch == "upper" else -1
-    return RMatrix(entries, ring), 1 + s * x[-1]
+    return RMatrix.from_components(tuple(grids), ring), 1 + s * point.coords[-1]
 
 
 class Section:
@@ -547,7 +560,7 @@ def invert(point, fiber=None, patch=None, exact=False):
     fiber_col = _check_fiber(case, point, fiber)
 
     if exact:
-        r = _exact_sqrt(2 * Fraction(n))
+        r = exact_sqrt(2 * Fraction(n))
         if r is None:
             raise ValueError("2(1 +- x_last) = %r is not a rational square; "
                              "use the float backend" % (2 * Fraction(n),))
@@ -588,7 +601,7 @@ def level0_invert(pair, patch="upper"):
         raise ConstraintError("not on the hyperbola: %r" % (res,))
     half = (y2 + 1) / 2
     if not isinstance(half, float):
-        r = _exact_sqrt(half)
+        r = exact_sqrt(half)
         x2 = r if r is not None else math.sqrt(float(half))
     else:
         x2 = math.sqrt(half)

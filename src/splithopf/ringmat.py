@@ -8,25 +8,28 @@ are immutable.  Grassmann values enter only as vector elements: ``matvec``
 and ``form`` act on a vector of any elements the entries multiply (the super
 spinors of superhopf) through the elements' own arithmetic.
 
-Storage is dense.  Every matrix finds its nonzero cells on first use and
-keeps them (there is nothing to switch on), and every kernel walks those
-cells only: the products (``@``, ``matvec``, ``commutator``,
+Storage is by component grid.  A matrix over the reals keeps one grid, its
+entries.  A matrix over the split-complex or complex ring keeps two, the
+real and the imaginary parts of its entries, and builds its entries (one
+SplitComplex or OrdinaryComplex per cell) only when code reads ``entries``
+or ``entry()``; no kernel does.  Every matrix finds its nonzero cells on
+first use and keeps them (there is nothing to switch on), and every kernel
+walks those cells only: the products (``@``, ``matvec``, ``commutator``,
 ``anticommutator``), the Hermitian form (``form``), linear combinations
 (``lincomb``), ``+``/``-`` (over the union of the operands' cells) and the
 elementwise ops (``scale``, ``scale_right``, negation, ``conj``).  Every
 zero cell of a result is the ring's zero.  Over the split-complex and
-complex rings the kernels compute on the re/im components of the entries,
-in the operation order of the entries' own arithmetic, so float values are
-bit-identical to it and Fraction entries stay exact; over the reals they
-use the entries' own arithmetic.  ``lincomb`` walks
-a float copy of the cells (kept on the matrix too) for a float coefficient,
-since a float times a Fraction is the float times the Fraction's float.
+complex rings the kernels compute on the components, in the operation
+order of the entries' own arithmetic, so float values are bit-identical to
+it and Fraction entries stay exact; over the reals they use the entries'
+own arithmetic.  ``lincomb`` walks a float copy of the cells (kept on the
+matrix too) for a float coefficient, since a float times a Fraction is the
+float times the Fraction's float.
 """
 
-import numbers
 import operator
 
-from .splitnum import SplitComplex, OrdinaryComplex
+from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES
 
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
@@ -57,7 +60,7 @@ class Ring:
 
 
 def _promote_real(x):
-    if isinstance(x, numbers.Real):
+    if isinstance(x, REAL_TYPES):
         return x
     raise TypeError("not a real scalar: %r" % (x,))
 
@@ -65,7 +68,7 @@ def _promote_real(x):
 def _promote_split(x):
     if isinstance(x, SplitComplex):
         return x
-    if isinstance(x, numbers.Real):
+    if isinstance(x, REAL_TYPES):
         return SplitComplex(x, 0)
     raise TypeError("cannot place %r in the split-complex ring" % (x,))
 
@@ -75,7 +78,7 @@ def _promote_complex(x):
         return x
     if isinstance(x, complex):
         return OrdinaryComplex(x.real, x.imag)
-    if isinstance(x, numbers.Real):
+    if isinstance(x, REAL_TYPES):
         return OrdinaryComplex(x, 0)
     raise TypeError("cannot place %r in the complex ring" % (x,))
 
@@ -125,31 +128,63 @@ class MetricForm:
 class RMatrix:
     """Immutable dense matrix over the real, complex or split-complex Ring.
 
+    Stored as component grids (see the module docstring): ``components()``
+    returns them and ``from_components`` builds from them; ``entries`` and
+    ``entry()`` give ring elements.
+
     dagger() is conjugate-transpose under the ring involution; the rings are
     commutative, so it is an anti-homomorphism, dagger(MN) =
     dagger(N) dagger(M), and dagger(dagger(M)) = M.
     """
 
-    __slots__ = ("rows", "cols", "entries", "ring", "_cells", "_fcells")
+    __slots__ = ("rows", "cols", "ring", "_grids", "_entries", "_cells", "_fcells")
 
     def __init__(self, entries, ring):
-        self._fill(tuple(tuple(ring.promote(x) for x in row) for row in entries), ring)
+        rows = [[ring.promote(x) for x in row] for row in entries]
+        if _binarion(ring):
+            grids = ([[a.re for a in row] for row in rows], [[a.im for a in row] for row in rows])
+        else:
+            grids = (rows,)
+        self._fill(grids, ring)
+        self._check_rectangular()
 
     @classmethod
-    def _of(cls, entries, ring):
-        """Build from rows whose values are already elements of the ring."""
-        m = object.__new__(cls)
-        m._fill(tuple(map(tuple, entries)), ring)
+    def from_components(cls, grids, ring):
+        """Build from component grids, whose values are taken as they are:
+        (entries,) over the reals, (re, im) over the split-complex and
+        complex rings.  Binarion grids are kept, not copied, so nothing may
+        change them afterwards."""
+        n = 2 if _binarion(ring) else 1
+        if len(grids) != n:
+            raise ValueError("%s takes %d component grids" % (ring.name, n))
+        m = cls._of(grids, ring)
+        m._check_rectangular()
         return m
 
-    def _fill(self, entries, ring):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", len(entries[0]) if entries else 0)
+    @classmethod
+    def _of(cls, grids, ring):
+        """from_components for grids known to be rectangular and of one shape."""
+        m = object.__new__(cls)
+        m._fill(grids, ring)
+        return m
+
+    def _fill(self, grids, ring):
+        first = grids[0]
+        entries = None
+        if len(grids) == 1:
+            entries = tuple(map(tuple, first))
+            grids = (entries,)
+        object.__setattr__(self, "rows", len(first))
+        object.__setattr__(self, "cols", len(first[0]) if len(first) else 0)
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_grids", grids)
+        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_cells", None)
         object.__setattr__(self, "_fcells", None)
-        if any(len(r) != self.cols for r in entries):
+
+    def _check_rectangular(self):
+        if any(len(g) != self.rows or any(len(r) != self.cols for r in g)
+               for g in self._grids):
             raise ValueError("ragged rows")
 
     def __setattr__(self, *a):
@@ -172,7 +207,8 @@ class RMatrix:
 
     @classmethod
     def from_blocks(cls, blocks, ring):
-        """Assemble from a 2D grid of equally sized blocks (RMatrix or 0)."""
+        """Assemble from a 2D grid of equally sized blocks (RMatrix over
+        ring, or 0)."""
         sizes_r = []
         sizes_c = None
         for brow in blocks:
@@ -180,6 +216,8 @@ class RMatrix:
             widths = []
             for b in brow:
                 if isinstance(b, RMatrix):
+                    if b.ring != ring:
+                        raise TypeError("ring mismatch: %s block in %s" % (b.ring, ring))
                     h = b.rows
                     widths.append(b.cols)
                 else:
@@ -191,17 +229,15 @@ class RMatrix:
                 sizes_c = [w if w is not None else old for w, old in zip(widths, sizes_c)]
         if any(h is None for h in sizes_r) or any(w is None for w in sizes_c):
             raise ValueError("cannot infer block sizes")
-        out = []
+        grids = tuple([] for _ in range(2 if _binarion(ring) else 1))
         for brow, h in zip(blocks, sizes_r):
             for r in range(h):
-                line = []
-                for b, w in zip(brow, sizes_c):
-                    if isinstance(b, RMatrix):
-                        line.extend(b.entries[r])
-                    else:
-                        line.extend([ring.zero] * w)
-                out.append(line)
-        return cls(out, ring)
+                for k, grid in enumerate(grids):
+                    line = []
+                    for b, w in zip(brow, sizes_c):
+                        line.extend(b._grids[k][r] if isinstance(b, RMatrix) else [0] * w)
+                    grid.append(line)
+        return cls.from_components(grids, ring)
 
     # ---- basic algebra ----------------------------------------------------
 
@@ -212,10 +248,9 @@ class RMatrix:
         return self._union(other, operator.sub, _add_negated)
 
     def __neg__(self):
-        cls = _binarion(self.ring)
-        if cls:
-            return self._cellwise(lambda ar, ai: cls(-ar, -ai))
-        return self._cellwise(lambda a: -a)
+        if _binarion(self.ring):
+            return self._cellwise(lambda ar, ai: (-ar, -ai))
+        return self._cellwise(operator.neg)
 
     def scale(self, c):
         """c * M, the scalar on the left."""
@@ -224,7 +259,7 @@ class RMatrix:
         if cls:
             cr, ci = c.re, c.im
             t = cls.UNIT_SQ * ci
-            return self._cellwise(lambda ar, ai: cls(cr * ar + t * ai, cr * ai + ci * ar))
+            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar))
         return self._cellwise(lambda a: c * a)
 
     def scale_right(self, c):
@@ -234,7 +269,7 @@ class RMatrix:
         if cls:
             cr, ci = c.re, c.im
             u2 = cls.UNIT_SQ
-            return self._cellwise(lambda ar, ai: cls(ar * cr + u2 * ai * ci, ar * ci + ai * cr))
+            return self._cellwise(lambda ar, ai: (ar * cr + u2 * ai * ci, ar * ci + ai * cr))
         return self._cellwise(lambda a: a * c)
 
     def __mul__(self, c):
@@ -246,29 +281,31 @@ class RMatrix:
     def __matmul__(self, other):
         if not isinstance(other, RMatrix):
             return NotImplemented
-        rows = _product_rows(self, other)
-        cls = _binarion(self.ring)
-        if cls:
-            rows = [[cls(r, i) for r, i in zip(re, im)] for re, im in rows]
-        return RMatrix._of(rows, self.ring)
+        return RMatrix._of(_product(self, other), self.ring)
 
     def matvec(self, vec):
         """Apply to a column vector given as a sequence; returns a list.
 
         The vector may hold binarions of the ring or any elements the entries
-        multiply (Grassmann elements): those take entry * element and
-        the elements' own sum, from the ring's zero."""
+        multiply (Grassmann elements): those take entry * element and the
+        elements' own sum, from the ring's zero.  A row without nonzero
+        cells gives the ring's zero for a vector of ring elements or reals,
+        and the ring's zero times the first element (a zero of the
+        elements' own kind) otherwise."""
         ring = self.ring
         cells = _cells(self)
         cls = _binarion(ring)
         if cls and all(type(v) is cls for v in vec):
             return [cls(re, im) for re, im in _matvec_components(cells, vec, cls.UNIT_SQ)]
+        empty = ring.zero
+        if vec and not isinstance(vec[0], REAL_TYPES + (type(empty),)):
+            empty = empty * vec[0]
         out = []
-        for row, ents in zip(cells, self.entries):
-            acc = ring.zero
+        for row in cells:
+            acc = ring.zero if row else empty
             for cell in row:
-                k = cell[0]
-                acc = acc + ents[k] * vec[k]
+                a = cls(cell[1], cell[2]) if cls else cell[1]
+                acc = acc + a * vec[cell[0]]
             out.append(acc)
         return out
 
@@ -296,12 +333,11 @@ class RMatrix:
     # ---- involutions ------------------------------------------------------
 
     def transpose(self):
-        return RMatrix._of(list(zip(*self.entries)), self.ring)
+        return RMatrix._of(tuple(list(zip(*g)) for g in self._grids), self.ring)
 
     def conj(self):
-        cls = _binarion(self.ring)
-        if cls:
-            return self._cellwise(lambda ar, ai: cls(ar, -ai))
+        if _binarion(self.ring):
+            return self._cellwise(lambda ar, ai: (ar, -ai))
         return self._cellwise(self.ring.conj)
 
     def dagger(self):
@@ -315,76 +351,106 @@ class RMatrix:
 
     # ---- queries ----------------------------------------------------------
 
+    def components(self):
+        """The component grids: (entries,) over the reals, (re, im) over the
+        split-complex and complex rings.  Read-only."""
+        return self._grids
+
+    @property
+    def entries(self):
+        """Rows of ring elements; built from the grids on first read over
+        the split-complex and complex rings, and kept."""
+        entries = self._entries
+        if entries is None:
+            cls = _binarion(self.ring)
+            re, im = self._grids
+            entries = tuple([tuple(map(cls, r, i)) for r, i in zip(re, im)])
+            object.__setattr__(self, "_entries", entries)
+        return entries
+
+    def entry(self, i, j):
+        if self._entries is None:
+            re, im = self._grids
+            return _binarion(self.ring)(re[i][j], im[i][j])
+        return self._entries[i][j]
+
     def __eq__(self, other):
+        """Componentwise ==, so a NaN cell is unequal to every cell, itself
+        included (a sequence compare would take a shared NaN as equal)."""
         if not isinstance(other, RMatrix):
             return NotImplemented
         return (self.ring == other.ring and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols
+                and all(all(map(operator.eq, a, b))
+                        for g, h in zip(self._grids, other._grids) for a, b in zip(g, h)))
 
     def __hash__(self):
-        return hash((self.ring.name, self.entries))
+        return hash((self.ring.name,) + tuple(tuple(map(tuple, g)) for g in self._grids))
 
     def is_zero(self):
-        return all(_is_zero(a) for row in self.entries for a in row)
+        return not any(_cells(self))
 
     def max_abs(self):
         """Largest absolute value over all real components of all entries
         (NaN if any component is NaN)."""
-        return worst_of(abs(float(c)) for row in self.entries for a in row
-                        for c in _components(a))
-
-    def entry(self, i, j):
-        return self.entries[i][j]
+        return worst_of(abs(float(c)) for g in self._grids for row in g for c in row)
 
     def __repr__(self):
         return "RMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring.name)
 
     def _cellwise(self, fn):
-        """fn of each nonzero cell in place, the ring's zero elsewhere; fn
-        takes (re, im) over a binarion ring and the entry otherwise."""
-        ring = self.ring
-        out = [[ring.zero] * self.cols for _ in range(self.rows)]
-        if _binarion(ring):
-            for line, row in zip(out, _cells(self)):
+        """fn of each nonzero cell in place, zero elsewhere; fn maps (re, im)
+        to (re, im) over a binarion ring and the entry to the entry
+        otherwise."""
+        cells = _cells(self)
+        if _binarion(self.ring):
+            re = [[0] * self.cols for _ in cells]
+            im = [[0] * self.cols for _ in cells]
+            for lr, li, row in zip(re, im, cells):
                 for j, ar, ai in row:
-                    line[j] = fn(ar, ai)
-        else:
-            for line, row in zip(out, _cells(self)):
-                for j, a in row:
-                    line[j] = fn(a)
-        return RMatrix._of(out, ring)
+                    lr[j], li[j] = fn(ar, ai)
+            return RMatrix._of((re, im), self.ring)
+        out = [[0] * self.cols for _ in cells]
+        for line, row in zip(out, cells):
+            for j, a in row:
+                line[j] = fn(a)
+        return RMatrix._of((out,), self.ring)
 
     def _union(self, other, op, comp_op):
         """op of the entries on the union of the operands' nonzero cells,
-        the ring's zero elsewhere; over the binarion rings comp_op of their
-        components, which gives the bits of op.  A cell only one operand
-        holds meets the other's stored entry."""
+        zero elsewhere; over the binarion rings comp_op of their components,
+        which gives the bits of op.  A cell only one operand holds meets the
+        other's stored components.  A cell both hold may be computed twice
+        (when its first value is the shared int 0), with the same value."""
         self._check(other)
-        zero = self.ring.zero
-        cls = _binarion(self.ring)
-        out = []
-        for ra, rb, ca, cb in zip(self.entries, other.entries, _cells(self), _cells(other)):
-            line = [zero] * self.cols
-            if cls:
+        zero = 0
+        cols = self.cols
+        if _binarion(self.ring):
+            (xre, xim), (yre, yim) = self._grids, other._grids
+            res, ims = [], []
+            for ca, cb, xr, xi, yr, yi in zip(_cells(self), _cells(other), xre, xim, yre, yim):
+                lr, li = [zero] * cols, [zero] * cols
                 for j, ar, ai in ca:
-                    y = rb[j]
-                    line[j] = cls(comp_op(ar, y.re), comp_op(ai, y.im))
+                    lr[j] = comp_op(ar, yr[j])
+                    li[j] = comp_op(ai, yi[j])
                 for j, br, bi in cb:
-                    if line[j] is zero:
-                        x = ra[j]
-                        line[j] = cls(comp_op(x.re, br), comp_op(x.im, bi))
-            else:
-                # a cell both hold may be computed twice (when a real sum is
-                # the shared int 0), with the same value
-                for cell in ca:
-                    j = cell[0]
+                    if lr[j] is zero:
+                        lr[j] = comp_op(xr[j], br)
+                        li[j] = comp_op(xi[j], bi)
+                res.append(lr)
+                ims.append(li)
+            return RMatrix._of((res, ims), self.ring)
+        (xs,), (ys,) = self._grids, other._grids
+        out = []
+        for ra, rb, ca, cb in zip(xs, ys, _cells(self), _cells(other)):
+            line = [zero] * cols
+            for j, _ in ca:
+                line[j] = op(ra[j], rb[j])
+            for j, _ in cb:
+                if line[j] is zero:
                     line[j] = op(ra[j], rb[j])
-                for cell in cb:
-                    j = cell[0]
-                    if line[j] is zero:
-                        line[j] = op(ra[j], rb[j])
             out.append(line)
-        return RMatrix._of(out, self.ring)
+        return RMatrix._of((out,), self.ring)
 
     def _check(self, other):
         if not isinstance(other, RMatrix):
@@ -404,16 +470,16 @@ def _binarion(ring):
 
 def _cells(m):
     """Nonzero cells of each row, in column order: (j, re, im) over a
-    binarion ring, (j, value) over the reals.  Found on first use and kept."""
+    binarion ring, (j, value) over the reals.  Found on first use and kept.
+    A value is nonzero when it is truthy (NaN is; -0.0 is not)."""
     cells = m._cells
     if cells is None:
-        if _binarion(m.ring):
-            cells = tuple([tuple([(j, a.re, a.im) for j, a in enumerate(row)
-                                  if not (a.re == 0 and a.im == 0)])
-                           for row in m.entries])
+        if len(m._grids) == 2:
+            cells = tuple([tuple([(j, r, i) for j, (r, i) in enumerate(zip(rr, ri)) if r or i])
+                           for rr, ri in zip(*m._grids)])
         else:
-            cells = tuple([tuple([(j, a) for j, a in enumerate(row) if a != 0])
-                           for row in m.entries])
+            cells = tuple([tuple([(j, a) for j, a in enumerate(row) if a])
+                           for row in m._grids[0]])
         object.__setattr__(m, "_cells", cells)
     return cells
 
@@ -432,21 +498,22 @@ def _float_cells(m):
     cells = m._fcells
     if cells is None:
         cells = _cells(m)
-        if any(type(x) is not float for row in cells for cell in row for x in cell[1:]):
+        if any(type(cell[1]) is not float or type(cell[-1]) is not float
+               for row in cells for cell in row):
             cells = tuple(tuple((cell[0],) + tuple(map(float, cell[1:])) for cell in row)
                           for row in cells)
         object.__setattr__(m, "_fcells", cells)
     return cells
 
 
-def _product_rows(a, b):
-    """Rows of a @ b before they become matrix entries: (re, im) lists of
-    component sums over a binarion ring, lists of reals otherwise.
+def _product(a, b):
+    """Component grids of a @ b: (re, im) over a binarion ring, (entries,)
+    over the reals.
 
     Row-sparse (Gustavson order): row i accumulates A[i, k] * B[k, :] over
     the nonzero A[i, k] in increasing k, so each cell sums its terms in the
-    order of the dense triple loop.  The component sums start at int 0, so
-    none of them is a negative zero."""
+    order of the dense triple loop.  The sums start at int 0, so over the
+    binarion rings none of them is a negative zero."""
     ring = a.ring
     if ring != b.ring:
         raise TypeError("ring mismatch: %s vs %s" % (ring, b.ring))
@@ -455,9 +522,9 @@ def _product_rows(a, b):
     n = b.cols
     b_cells = _cells(b)
     cls = _binarion(ring)
-    out = []
     if cls:
         u2 = cls.UNIT_SQ
+        res, ims = [], []
         for arow in _cells(a):
             re, im = [0] * n, [0] * n
             for k, ar, ai in arow:
@@ -465,15 +532,17 @@ def _product_rows(a, b):
                 for j, br, bi in b_cells[k]:
                     re[j] = re[j] + (ar * br + t * bi)
                     im[j] = im[j] + (ar * bi + ai * br)
-            out.append((re, im))
-    else:
-        for arow in _cells(a):
-            line = [ring.zero] * n
-            for k, x in arow:
-                for j, y in b_cells[k]:
-                    line[j] = line[j] + x * y
-            out.append(line)
-    return out
+            res.append(re)
+            ims.append(im)
+        return res, ims
+    out = []
+    for arow in _cells(a):
+        line = [0] * n
+        for k, x in arow:
+            for j, y in b_cells[k]:
+                line[j] = line[j] + x * y
+        out.append(line)
+    return (out,)
 
 
 def _matvec_components(cells, vec, u2):
@@ -506,8 +575,7 @@ def lincomb(coeffs, basis):
     for m in basis[1:]:
         first._check(m)
     ring, rows, cols = first.ring, first.rows, first.cols
-    cls = _binarion(ring)
-    if cls:
+    if _binarion(ring):
         re = [[0] * cols for _ in range(rows)]
         im = [[0] * cols for _ in range(rows)]
         for c, m in zip(coeffs, basis):
@@ -518,9 +586,8 @@ def lincomb(coeffs, basis):
                 for j, br, bi in row:
                     r[j] = r[j] + c * br
                     s[j] = s[j] + c * bi
-        return RMatrix._of([[cls(a, b) for a, b in zip(r, s)] for r, s in zip(re, im)],
-                           ring)
-    out = [[ring.zero] * cols for _ in range(rows)]
+        return RMatrix._of((re, im), ring)
+    out = [[0] * cols for _ in range(rows)]
     for c, m in zip(coeffs, basis):
         if not c:
             continue
@@ -529,7 +596,7 @@ def lincomb(coeffs, basis):
         for line, row in zip(out, cells):
             for j, a in row:
                 line[j] = line[j] + c * a
-    return RMatrix._of(out, ring)
+    return RMatrix._of((out,), ring)
 
 
 def worst_of(values):
@@ -544,12 +611,6 @@ def worst_of(values):
     return worst
 
 
-def _components(a):
-    if isinstance(a, (SplitComplex, OrdinaryComplex)):
-        return (a.re, a.im)
-    return (a,)
-
-
 def commutator(a, b):
     """a @ b - b @ a."""
     return _fused(a, b, operator.sub)
@@ -562,16 +623,15 @@ def anticommutator(a, b):
 
 def _fused(a, b, op):
     """op(a @ b, b @ a).  Over the binarion rings both products stay as
-    component sums and one matrix is built from op of them at every cell,
-    with the bits of the entries' own op on the two products (no sum is
-    -0.0, so x - y is x + (-y) there); the reals take the two product
-    matrices and op."""
-    cls = _binarion(a.ring)
-    if not cls:
+    component grids and op is taken at every cell, with the bits of the
+    entries' own op on the two products (no sum is -0.0, so x - y is
+    x + (-y) there); the reals take the two product matrices and op."""
+    if not _binarion(a.ring):
         return op(a @ b, b @ a)
     a._check(b)
-    return RMatrix._of([[cls(op(pr, qr), op(pi, qi)) for pr, pi, qr, qi in zip(*p, *q)]
-                        for p, q in zip(_product_rows(a, b), _product_rows(b, a))], a.ring)
+    (pr, pi), (qr, qi) = _product(a, b), _product(b, a)
+    return RMatrix._of(([list(map(op, x, y)) for x, y in zip(pr, qr)],
+                        [list(map(op, x, y)) for x, y in zip(pi, qi)]), a.ring)
 
 
 def kron(a, b):

@@ -13,7 +13,7 @@ safe to share between threads.
 """
 
 from fractions import Fraction
-import numbers
+import math
 import random
 
 __all__ = [
@@ -32,13 +32,30 @@ class AlgebraError(TypeError):
     """Operands from different algebras were mixed."""
 
 
+# the concrete real types components may have; an isinstance check against
+# this tuple is far cheaper than one against the numbers.Real ABC
+REAL_TYPES = (int, float, Fraction)
+
+
 def _is_scalar(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return isinstance(x, REAL_TYPES) and not isinstance(x, bool)
 
 
 def reciprocal(x):
     """1 / x: a float for a float, an exact Fraction otherwise."""
     return 1 / x if isinstance(x, float) else Fraction(1, 1) / x
+
+
+def exact_sqrt(q):
+    """Square root of a rational if it is a perfect square, else None."""
+    q = Fraction(q)
+    if q < 0:
+        return None
+    num = math.isqrt(q.numerator)
+    den = math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
 class _Binarion:

@@ -13,7 +13,7 @@ body coordinates.
 from fractions import Fraction
 import math
 
-from .splitnum import SplitComplex, OrdinaryComplex, reciprocal
+from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt, reciprocal
 from .ringmat import (
     RMatrix, RING_SPLIT, RING_COMPLEX, commutator, anticommutator, worst_of, _is_zero,
 )
@@ -247,21 +247,17 @@ class GrassmannElement:
         return acc * binv
 
     def invsqrt(self):
-        """1/sqrt of an even element with positive real body."""
+        """1/sqrt of an even element with positive real body; the root is
+        exact when the body (or its real part) is a rational square."""
         b = self.body()
         if getattr(b, "im", 0) != 0:
             raise ValueError("body must be real")
         fb = _body_real(b)
         if fb <= 0:
             raise ValueError("body must be positive")
-        if isinstance(b, Fraction) or isinstance(b, int):
-            num = math.isqrt(Fraction(b).numerator)
-            den = math.isqrt(Fraction(b).denominator)
-            if num * num == Fraction(b).numerator and den * den == Fraction(b).denominator:
-                root = Fraction(num, den)
-            else:
-                root = math.sqrt(fb)
-        else:
+        re = getattr(b, "re", b)
+        root = exact_sqrt(re) if isinstance(re, (int, Fraction)) else None
+        if root is None:
             root = math.sqrt(fb)
         rel = self.soul() * _coeff_inverse(b)  # self = b (1 + rel)
         # (1 + rel)^(-1/2) truncated by nilpotency

@@ -9,6 +9,7 @@ import pytest
 from splithopf.splitnum import SplitComplex
 from splithopf.hopfmaps import BasePoint, sample_base_point
 from splithopf import gaugegeom as gg
+from splithopf import hopfmaps as hm
 from splithopf import gammarep
 from tests.test_hopfmaps import random_fiber, ALL_CASES
 
@@ -159,7 +160,11 @@ def test_connection_exact_on_rational_input(lvl, real, coords, t):
 # ---------------------------------------------------------------------------
 # non-finite input never passes a check
 
-def _nan_point(lvl, real, overlap=False):
+def _nan_point(monkeypatch, lvl, real, overlap=False):
+    """A sampled point with x1 = NaN.  BasePoint refuses a non-finite
+    coordinate (test_hopfmaps.py::test_base_point_rejects_non_finite), so the
+    NaN is fed in past that check to reach the NaN folds of the residuals."""
+    monkeypatch.setattr(hm, "_check_finite", lambda values, what: None)
     pt = sample_base_point(lvl, real, rng=random.Random(3), overlap=overlap)
     coords = list(pt.coords)
     coords[0] = float("nan")
@@ -172,16 +177,16 @@ def test_value_dev_propagates_nan():
     assert math.isnan(gg._value_dev(SplitComplex(nan, 1.0), 0))
 
 
-def test_connection_residual_nan_point():
-    assert math.isnan(gg.connection_residual(_nan_point(2, "I")))
+def test_connection_residual_nan_point(monkeypatch):
+    assert math.isnan(gg.connection_residual(_nan_point(monkeypatch, 2, "I")))
 
 
-def test_curvature_residual_nan_point():
-    assert math.isnan(gg.curvature_residual(_nan_point(2, "I"), pairs=2))
+def test_curvature_residual_nan_point(monkeypatch):
+    assert math.isnan(gg.curvature_residual(_nan_point(monkeypatch, 2, "I"), pairs=2))
 
 
-def test_gluing_check_nan_point():
-    res = gg.gluing_check(_nan_point(2, "II", overlap=True))
+def test_gluing_check_nan_point(monkeypatch):
+    res = gg.gluing_check(_nan_point(monkeypatch, 2, "II", overlap=True))
     assert math.isnan(res["connection"]) and math.isnan(res["curvature"])
 
 

@@ -254,11 +254,39 @@ def test_form_matrices_over_case_ring(lvl, real):
     assert sp.norm() == 1
 
 
+def test_base_point_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConstraintError):
+            BasePoint(1, "I", (bad, 0.0, 1.0))
+        with pytest.raises(ConstraintError):
+            BasePoint(2, "II", (0.0, 0.0, 0.0, 0.0, bad))
+    # exact coordinates are never converted to float (this one would overflow)
+    huge = F(10 ** 400, 3)
+    assert BasePoint(1, "I", (huge, 0, 1)).coords[0] == huge
+
+
+def test_spinor_rejects_non_finite():
+    nan, inf = float("nan"), float("inf")
+    for bad in (SplitComplex(nan, 0.0), SplitComplex(0.0, -inf)):
+        with pytest.raises(ConstraintError):
+            Spinor(1, "I", (bad, SplitComplex(0.0, 0.0)))
+    with pytest.raises(ConstraintError):
+        Spinor(1, "II", (OrdinaryComplex(1.0, 0.0), OrdinaryComplex(inf, 0.0)))
+    with pytest.raises(ConstraintError):
+        Spinor(3, "II", [1.0] + [0.0] * 14 + [nan])
+    huge = F(10 ** 400, 7)
+    assert Spinor(1, "I", (SplitComplex(huge, huge), SplitComplex(0, 0))).comps[0].re == huge
+
+
 def test_project_rejects_nan_norm(monkeypatch):
+    import splithopf.hopfmaps as hm
     nan = float("nan")
-    psi = Spinor(1, "II", (OrdinaryComplex(nan, 0), OrdinaryComplex(0, 0)))
-    with pytest.raises(ValueError):
-        project(psi)
+    # past the constructor's own check, project still refuses a NaN component
+    with monkeypatch.context() as m:
+        m.setattr(hm, "_check_finite", lambda values, what: None)
+        psi = Spinor(1, "II", (OrdinaryComplex(nan, 0), OrdinaryComplex(0, 0)))
+        with pytest.raises(ValueError):
+            project(psi)
     # a NaN norm itself, with its sign read as -1 (allowed on the two-leaf map)
     monkeypatch.setattr(Spinor, "norm", lambda self: nan)
     with pytest.raises(NormalizationError):

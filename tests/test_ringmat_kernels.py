@@ -213,17 +213,19 @@ def test_matvec_and_form_on_grassmann_vectors(ring, cfg):
                   if rng.random() < 0.3}
         return GrassmannElement(coeffs, cfg)
 
-    for n in (1, 2, 3, 3):
-        a = rand_matrix(rng, ring, n, n, _rational)
-        vec = [elem() for _ in range(n)]
+    # the last matrix has a row without nonzero cells
+    empty_row = RMatrix([[cls(F(1, 2), 0), cls(0, 3)], [cls(0, 0), cls(-0, 0)]], ring)
+    for a in [rand_matrix(rng, ring, n, n, _rational) for n in (1, 2, 3, 3)] + [empty_row]:
+        vec = [elem() for _ in range(a.cols)]
         got = a.matvec(vec)
         assert got == ref_matvec(a, vec)
         q = a.form(vec)
         assert q == ref_form(a, vec)
         for x in got + [q]:
-            # a row without nonzero cells gives the ring's zero
-            coeffs = x.coeffs.values() if isinstance(x, GrassmannElement) else (x,)
-            assert all(type(c) in (int, F) for v in coeffs for c in (v.re, v.im))
+            # every row gives a Grassmann element, an empty row its zero
+            assert isinstance(x, GrassmannElement) and x.config is cfg
+            assert all(type(c) in (int, F) for v in x.coeffs.values() for c in (v.re, v.im))
+    assert a.matvec(vec)[1].is_zero()
 
 
 def test_max_abs_propagates_nan():
@@ -350,6 +352,10 @@ def test_add_sub_signed_zero_components():
         for x, y in ((a, b), (b, a), (a, a)):
             assert_same(x + y, ref_add(x, y, 1))
             assert_same(x - y, ref_add(x, y, -1))
+        # the stored -0.0 of the operand that does not hold the cell, not an
+        # exact zero, meets the other's component
+        assert math.copysign(1, (a + b).entry(0, 0).re) == -1
+        assert math.copysign(1, (b - a).entry(0, 1).re) == -1
     a = RMatrix([[-0.0, 1.0, -0.0]], RING_REAL)
     b = RMatrix([[1.0, -0.0, -0.0]], RING_REAL)
     assert_same(a + b, ref_add(a, b, 1))
@@ -421,5 +427,89 @@ def test_second_use_gives_the_same_bits(ring, draw):
     assert a._cells is None and b._cells is None
     first = [op() for op in ops]
     assert a._cells is not None and b._cells is not None
+    if ring is not RING_REAL:
+        # no kernel builds entries, of its operands or of its result
+        assert a._entries is None and b._entries is None
+        assert all(m._entries is None for m in first)
     for op, want in zip(ops, first):
         assert_same(op(), want.entries)
+
+
+# ---------------------------------------------------------------------------
+# component grids over the binarion rings
+
+BINARION_CASES = [(ring, draw) for ring in (RING_SPLIT, RING_COMPLEX)
+                  for draw in (_float, _rational)]
+BINARION_IDS = ["%s-%s" % (ring.name, draw.__name__.strip("_")) for ring, draw in BINARION_CASES]
+
+
+@pytest.mark.parametrize("ring,draw", BINARION_CASES, ids=BINARION_IDS)
+def test_grids_entries_and_components_agree(ring, draw):
+    """Every kernel's result, built on grids, materializes entries equal to
+    its components cell by cell (bits and types), and entry(i, j) (read
+    before and after entries) gives the same cell."""
+    rng = random.Random(27)
+    a, b = rand_matrix(rng, ring, 6, 6, draw), rand_matrix(rng, ring, 6, 6, draw)
+    c = _coefficients(rng, ring, draw)[-1]
+    results = [a @ b, a + b, a - b, commutator(a, b), anticommutator(a, b), a.scale(c),
+               a.scale_right(c), -a, a.conj(), a.dagger(), a.transpose(),
+               lincomb([draw(rng) or 2, 0.75], [a, b]),
+               RMatrix.from_blocks([[a, 0], [0, b]], ring)]
+    for m in results:
+        re, im = m.components()
+        singles = [[bits(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+        assert_same(m, [[type(ring.zero)(x, y) for x, y in zip(r, i)] for r, i in zip(re, im)])
+        assert [[bits(x) for x in row] for row in m.entries] == singles
+        assert [[bits(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)] == singles
+    assert_same(a.transpose(), list(zip(*a.entries)))
+    assert_same(RMatrix.from_blocks([[a, b]], ring),
+                [list(x) + list(y) for x, y in zip(a.entries, b.entries)])
+
+
+@pytest.mark.parametrize("ring,draw", BINARION_CASES, ids=BINARION_IDS)
+def test_grid_built_and_entry_built_are_equal_and_hash_equal(ring, draw):
+    rng = random.Random(28)
+    a, b = rand_matrix(rng, ring, 5, 5, draw), rand_matrix(rng, ring, 5, 5, draw)
+    for got, want in ((a @ b, ref_matmul(a, b)), (a + b, ref_add(a, b, 1)),
+                      (commutator(a, b), ref_fused(a, b, -1))):
+        built = RMatrix(want, ring)
+        assert got == built and built == got and hash(got) == hash(built)
+    # int, Fraction and float components of one value are one matrix
+    cls = type(ring.zero)
+    ints = RMatrix([[cls(1, 0), cls(0, -2)]], ring)
+    exact = ints.scale(F(1))
+    floats = ints.scale(1.0)
+    assert ints == exact == floats
+    assert hash(ints) == hash(exact) == hash(floats)
+    assert ints != ints.scale(F(1, 2))
+
+
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_equality_is_false_on_nan_cells(ring):
+    # a list compare takes a NaN shared by both sides as equal; == compares
+    # every component itself, as an entrywise comparison does
+    nan = float("nan")
+    x = nan if ring is RING_REAL else type(ring.zero)(nan, 0.0)
+    a = RMatrix([[x, ring.one]], ring)
+    b = RMatrix([[x, ring.one]], ring)
+    assert a.components()[0][0][0] is b.components()[0][0][0]
+    assert a != b and not (a == b)
+    assert not (a == a)
+    assert RMatrix([[ring.one]], ring) == RMatrix([[ring.one]], ring)
+
+
+def test_is_scalar_pinned():
+    from splithopf.splitnum import _is_scalar
+    from splithopf.ringmat import _promote_real
+    assert _is_scalar(3) and _is_scalar(-0.5) and _is_scalar(F(2, 3))
+    assert not _is_scalar(True) and not _is_scalar(False)
+    assert not _is_scalar(1 + 2j)
+    assert not _is_scalar(SplitComplex(1, 0)) and not _is_scalar(OrdinaryComplex(1, 0))
+    assert not _is_scalar("1") and not _is_scalar(None)
+    # the ring promotions take bool as an int, as the numbers.Real check did
+    assert _promote_real(True) is True
+    assert RING_SPLIT.promote(True) == SplitComplex(1, 0)
+    assert RING_COMPLEX.promote(2 + 3j) == OrdinaryComplex(2.0, 3.0)
+    for ring in (RING_REAL, RING_SPLIT):
+        with pytest.raises(TypeError):
+            ring.promote(1j)

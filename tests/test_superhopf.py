@@ -65,6 +65,14 @@ def test_even_inverse_and_invsqrt():
     # a body with an imaginary part has no real inverse square root
     with pytest.raises(ValueError):
         G({0: SplitComplex(2, 1)}, sh.PSEUDO).invsqrt()
+    # a binarion body with a rational square real part keeps the root exact
+    r = G({0: SplitComplex(F(9, 4), 0)}, sh.PSEUDO).invsqrt()
+    assert type(r.body()) is F and r.body() == F(2, 3)
+    e = G({0: SplitComplex(F(9, 4), 0)}, sh.PSEUDO) + s * F(1, 3)
+    r = e.invsqrt()
+    assert r * r * e == G.scalar(1, sh.PSEUDO)
+    assert all(not isinstance(c, float) for v in r.coeffs.values()
+               for c in ((v.re, v.im) if hasattr(v, "re") else (v,)))
 
 
 def test_overlapping_masks_give_zero():
