@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass / operation succeeded, 1 check failure or
 domain error, 2 usage error.  All structured output is JSON (CSV for grid
-exports); floats are printed with 17 significant digits so values round-trip
-losslessly.  HOPFCTL_SEED provides the seed when --seed is absent.
+exports); floats round-trip losslessly (JSON writes each float's shortest
+repr, CSV 17 significant digits).  HOPFCTL_SEED provides the seed when
+--seed is absent.
 """
 
 import argparse
@@ -23,13 +24,9 @@ SCHEMA = 1
 MAX_GRID_NODES = 100_000
 
 
-def _fmt_float(x):
-    return float(("%.17g" % float(x)))
-
-
 def _emit(data, out):
     try:
-        text = json.dumps(data, indent=2, default=_fmt_float, allow_nan=False)
+        text = json.dumps(data, indent=2, default=float, allow_nan=False)
     except ValueError:
         raise ValueError("the result holds a non-finite number; nothing written")
     if out:
@@ -79,8 +76,8 @@ def _decode_scalar(v, ring):
 
 def _encode_scalar(v):
     if isinstance(v, (SplitComplex, OrdinaryComplex)):
-        return [_fmt_float(v.re), _fmt_float(v.im)]
-    return _fmt_float(v)
+        return [float(v.re), float(v.im)]
+    return float(v)
 
 
 def _spinor_ring(level, realization):
@@ -157,14 +154,14 @@ class UsageError(Exception):
 def cmd_project(args):
     if args.level == 0:
         y = hopfmaps.level0_project(tuple(_load_json(args.spinor, "spinor")))
-        _emit({"schema": SCHEMA, "level": 0, "coords": [_fmt_float(c) for c in y]},
+        _emit({"schema": SCHEMA, "level": 0, "coords": [float(c) for c in y]},
               args.out)
         return 0
     payload = _load_json(args.spinor, "spinor")
     sp = decode_spinor(payload, args.level, args.realization)
     pt = hopfmaps.project(sp)
     _emit({"schema": SCHEMA, "level": pt.level, "realization": pt.realization,
-           "coords": [_fmt_float(c) for c in pt.coords], "patch": pt.patch}, args.out)
+           "coords": [float(c) for c in pt.coords], "patch": pt.patch}, args.out)
     return 0
 
 
@@ -172,7 +169,7 @@ def cmd_invert(args):
     if args.level == 0:
         coords = _parse_point(args)
         x = hopfmaps.level0_invert(tuple(coords), args.patch)
-        _emit({"schema": SCHEMA, "level": 0, "coords": [_fmt_float(c) for c in x]},
+        _emit({"schema": SCHEMA, "level": 0, "coords": [float(c) for c in x]},
               args.out)
         return 0
     coords = _parse_point(args)
@@ -276,7 +273,7 @@ def cmd_sample_field(args):
             skipped += 1
             continue
         names = cnames
-        rows.append([_fmt_float(c) for c in coords] + [_fmt_float(v) for v in values])
+        rows.append([float(c) for c in coords] + values)
 
     coord_names = ["x%d" % i for i in range(1, dim + 1)]
     if args.format == "csv":

@@ -13,8 +13,23 @@ sections; three-index epsilon symbols therefore carry all indices lowered
 with the relevant metric (at level 1 both metrics have determinant -1, so
 the lowered symbol is minus the Levi-Civita symbol).  Curvature components
 are the ambient derivatives of the closed connection plus the commutator
-term -u^-1 A wedge A, which is -j [A, A] on the split side and +i [A, A] on
-the complex side.
+term -u^-1 A wedge A, which is c [A, A] with c = -j on the split side and
+c = +i on the complex side.
+
+At levels 2 and 3 the commutator term has a closed form, linear in the
+connection.  With n = 1 + s x_last, y = x / n and y.y = sum_k eta_k y_k^2
+over the free coordinates (eta the base metric), and T_mn the generator
+that A_m carries along x_n (the 't Hooft combination sum_i eta_mni e_i at
+level 2, sigma_mn at level 3):
+
+    level 2:  c [A_m, A_n] = +-(y.y / 2) T_mn + eta_n y_n A_m - eta_m y_m A_n
+              (+ for I, - for II);
+    level 3:  c [A_m, A_n] = (y.y) sigma_mn - eta_n y_n A_m + eta_m y_m A_n.
+
+curvature_closed therefore builds each F_mn as one linear combination of
+the generators, from the connection in algebra coordinates.  The numeric
+oracle curvature_numeric still takes the matrix commutator, so the two
+sides of the curvature check share no commutator code.
 """
 
 from fractions import Fraction
@@ -64,12 +79,26 @@ def _case_gauge(level, realization):
 
 
 @functools.lru_cache(maxsize=None)
-def _level2_algebra(realization, bar):
-    """('t Hooft table, generator triple) of the second map: split Pauli
-    matrices for I, the tau triple for II."""
-    gen = gammarep.split_pauli if realization == "I" else gammarep.tau
-    return (gammarep.build_thooft(realization, bar),
-            tuple(gen(i) for i in (1, 2, 3)))
+def _gauge_algebra(level, realization, bar):
+    """(basis, T) of the connection at levels 2-3.  The basis is the
+    generator triple e_i (split Pauli matrices for I, the tau triple for II)
+    at level 2 and the 28 sigma_ab, a < b, at level 3.  T holds, for every
+    ordered pair of free indices, T_mn = -T_nm in basis coordinates
+    {k: value}: the 't Hooft combination sum_i eta_mni e_i (level 2) or
+    sigma_mn (level 3); T_mm is empty."""
+    free = range(1, 5) if level == 2 else range(1, 9)
+    pairs = {(m, nn): {} for m in free for nn in free}
+    if level == 2:
+        tab = gammarep.build_thooft(realization, bar)
+        for (m, nn, i), v in tab.items():
+            pairs[(m, nn)][i - 1] = v
+        gen = gammarep.split_pauli if realization == "I" else gammarep.tau
+        return tuple(gen(i) for i in (1, 2, 3)), pairs
+    gens = gammarep.build_weyl_generators(realization, bar)["sigmas"]
+    order = sorted(gens)
+    for k, (m, nn) in enumerate(order):
+        pairs[(m, nn)][k], pairs[(nn, m)][k] = 1, -1
+    return tuple(gens[p] for p in order), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +133,54 @@ def _shift(point, t, h):
 # ---------------------------------------------------------------------------
 # closed connection forms
 
+def _patch_factor(point, patch):
+    """(s, n): the patch sign and n = 1 + s x_last, refused below EPS_PATCH."""
+    s = 1 if patch == "upper" else -1
+    n = 1 + s * point.coords[-1]
+    if n < EPS_PATCH:
+        raise PatchError(patch, n)
+    return s, n
+
+
+def _algebra_connection(point, patch):
+    """The closed connection at levels 2-3 in algebra coordinates.
+
+    Returns (s, 1/n, y, basis, T, coeffs) with s, n from _patch_factor,
+    y = x / n over the free coordinates, basis and T from _gauge_algebra,
+    and A_m = sum_k coeffs[m][k] basis[k] for the free indices m (the last
+    component vanishes):
+      level 2: A_m = -+(1/2n) sum_n' x_n' T_mn' (- for I);
+      level 3: A_m = sum_n' y_n' T_mn'.
+    """
+    x = point.coords
+    s, n = _patch_factor(point, patch)
+    inv_n = reciprocal(n)
+    basis, pairs = _gauge_algebra(point.level, point.realization, patch == "lower")
+    free = range(1, len(x))
+    y = [xi * inv_n for xi in x[:-1]]
+    if point.level == 2:
+        pref = (Fraction(-1, 2) if point.realization == "I" else Fraction(1, 2)) * inv_n
+        coeffs = {m: {k: sum(pairs[(m, nn)].get(k, 0) * x[nn - 1] for nn in free) * pref
+                      for k in range(3)}
+                  for m in free}
+    else:
+        coeffs = {m: {k: v * y[nn - 1] for nn in free for k, v in pairs[(m, nn)].items()}
+                  for m in free}
+    return s, inv_n, y, basis, pairs, coeffs
+
+
+def _combine(basis, coeffs):
+    """sum_k coeffs[k] basis[k] over a {k: coefficient} map."""
+    return lincomb(coeffs.values(), [basis[k] for k in coeffs])
+
+
+def _connection_matrices(alg):
+    _, _, _, basis, _, coeffs = alg
+    out = {m: _combine(basis, c) for m, c in coeffs.items()}
+    out[len(coeffs) + 1] = RMatrix.zeros(basis[0].rows, basis[0].cols, basis[0].ring)
+    return out
+
+
 def connection_closed(point, patch=None):
     """Closed-form connection components {a: value}, a = 1..dim.
 
@@ -112,46 +189,19 @@ def connection_closed(point, patch=None):
     patches.
     """
     patch = patch or point.patch
-    lvl, real = point.level, point.realization
+    if point.level > 1:
+        return _connection_matrices(_algebra_connection(point, patch))
     x = point.coords
-    s = 1 if patch == "upper" else -1
-    n = 1 + s * x[-1]
-    if n < EPS_PATCH:
-        raise PatchError(patch, n)
-
-    if lvl == 1:
-        sign = s if real == "I" else -1
-        out = {}
-        for i in (1, 2, 3):
-            acc = 0 * x[0]
-            for j in (1, 2, 3):
-                e = -gammarep.levi_civita(i, j, 3)
-                if e:
-                    acc = acc + e * x[j - 1]
-            out[i] = sign * acc / (2 * n)
-        return out
-
-    inv_n = reciprocal(n)
-    bar = patch == "lower"
+    s, n = _patch_factor(point, patch)
+    sign = s if point.realization == "I" else -1
     out = {}
-    if lvl == 2:
-        # A_m = pref/n sum_{n', i} eta_{m n' i} x_n' basis_i
-        tab, basis = _level2_algebra(real, bar)
-        pref = (Fraction(-1, 2) if real == "I" else Fraction(1, 2)) * inv_n
-        for m in range(1, 5):
-            coeffs = [sum(tab.get((m, nn, i), 0) * x[nn - 1] for nn in range(1, 5)) * pref
-                      for i in (1, 2, 3)]
-            out[m] = lincomb(coeffs, basis)
-        out[5] = RMatrix.zeros(2, 2, basis[0].ring)
-        return out
-
-    # level 3: A_m = (1/n) sum_{n' != m} sigma_{m n'} x_n', sigma_{n' m} = -sigma_{m n'}
-    gens = gammarep.build_weyl_generators(real, bar)["sigmas"]
-    for m in range(1, 9):
-        others = [nn for nn in range(1, 9) if nn != m]
-        out[m] = lincomb([(x[nn - 1] if m < nn else -x[nn - 1]) * inv_n for nn in others],
-                         [gens[(min(m, nn), max(m, nn))] for nn in others])
-    out[9] = RMatrix.zeros(8, 8, gens[(1, 2)].ring)
+    for i in (1, 2, 3):
+        acc = 0 * x[0]
+        for j in (1, 2, 3):
+            e = -gammarep.levi_civita(i, j, 3)
+            if e:
+                acc = acc + e * x[j - 1]
+        out[i] = sign * acc / (2 * n)
     return out
 
 
@@ -270,64 +320,67 @@ def _comm_unit(real):
     return -SplitComplex(0, 1) if real == "I" else OrdinaryComplex(0, 1)
 
 
+def _curvature_matrices(point, alg):
+    """Levels 2-3: F_mn = alpha T_mn + w_n A_m - w_m A_n for free m < n and
+    F_{m,last} = (s/n) A_m, each one lincomb over the basis.  This is the
+    ambient derivative of the connection plus the closed commutator term of
+    the module docstring: alpha = +-(1/n + y.y/2) (+ for I) and
+    w_k = eta_k y_k at level 2, alpha = y.y - 2/n and w_k = -eta_k y_k at
+    level 3.
+    """
+    s, inv_n, y, basis, pairs, coeffs = alg
+    eta = case_info(point.level, point.realization).base_metric.signature
+    yy = sum(e * yk * yk for e, yk in zip(eta, y))
+    if point.level == 2:
+        alpha = (1 if point.realization == "I" else -1) * (inv_n + yy / 2)
+        w = [e * yk for e, yk in zip(eta, y)]
+    else:
+        alpha = yy - 2 * inv_n
+        w = [-e * yk for e, yk in zip(eta, y)]
+    last = len(coeffs) + 1
+    out = {}
+    for m, am in coeffs.items():
+        for nn in range(m + 1, last):
+            terms = {k: alpha * t for k, t in pairs[(m, nn)].items()}
+            for k, c in am.items():
+                terms[k] = terms.get(k, 0) + w[nn - 1] * c
+            for k, c in coeffs[nn].items():
+                terms[k] = terms.get(k, 0) - w[m - 1] * c
+            out[(m, nn)] = _combine(basis, terms)
+        out[(m, last)] = _combine(basis, {k: s * inv_n * c for k, c in am.items()})
+    return out
+
+
 def curvature_closed(point, patch=None):
     """Closed curvature components {(a, b): value}, a < b, ambient convention.
 
     These are the exact ambient derivatives of connection_closed plus the
     commutator term, so contractions with tangent pairs give the intrinsic
-    curvature 2-form.  Level 1 of the split realization refuses points too
-    close to the light cone of the 3-metric.
+    curvature 2-form.  At levels 2-3 the commutator term is in closed form
+    (_curvature_matrices).  Level 1 of the split realization refuses points
+    too close to the light cone of the 3-metric.
     """
     patch = patch or point.patch
-    lvl, real = point.level, point.realization
+    if point.level > 1:
+        return _curvature_matrices(point, _algebra_connection(point, patch))
     x = point.coords
-    s = 1 if patch == "upper" else -1
-    n = 1 + s * x[-1]
-    if n < EPS_PATCH:
-        raise PatchError(patch, n)
-
-    if lvl == 1:
-        if real == "I":
-            r2 = x[0] * x[0] - x[1] * x[1] + x[2] * x[2]
-            if abs(float(r2)) < EPS_NULL:
-                raise ValueError("curvature undefined within %g of the light cone" % EPS_NULL)
-            sign = -1
-        else:
-            sign = 1 if patch == "upper" else -1
-        out = {}
-        for i in (1, 2, 3):
-            for jjj in range(i + 1, 4):
-                acc = 0 * x[0]
-                for k in (1, 2, 3):
-                    e = -gammarep.levi_civita(i, jjj, k)
-                    if e:
-                        acc = acc + e * x[k - 1]
-                out[(i, jjj)] = sign * acc / 2
-        return out
-
-    comps = connection_closed(point, patch)
-    c = _comm_unit(real)
-    inv_n = reciprocal(n)
-    bar = patch == "lower"
+    s, _ = _patch_factor(point, patch)
+    if point.realization == "I":
+        r2 = x[0] * x[0] - x[1] * x[1] + x[2] * x[2]
+        if abs(float(r2)) < EPS_NULL:
+            raise ValueError("curvature undefined within %g of the light cone" % EPS_NULL)
+        sign = -1
+    else:
+        sign = s
     out = {}
-    if lvl == 2:
-        # algebraic part (+-1/n) sum_i eta_{m n' i} basis_i
-        tab, basis = _level2_algebra(real, bar)
-        alg = (1 if real == "I" else -1) * inv_n
-        for m in range(1, 5):
-            for nn in range(m + 1, 5):
-                term = lincomb([tab.get((m, nn, i), 0) * alg for i in (1, 2, 3)], basis)
-                out[(m, nn)] = term + commutator(comps[m], comps[nn]).scale(c)
-            out[(m, 5)] = lincomb([inv_n * s], [comps[m]])
-        return out
-
-    # level 3: algebraic part -2 sigma_{m n'} / n
-    gens = gammarep.build_weyl_generators(real, bar)["sigmas"]
-    for m in range(1, 9):
-        for nn in range(m + 1, 9):
-            term = lincomb([-2 * inv_n], [gens[(m, nn)]])
-            out[(m, nn)] = term + commutator(comps[m], comps[nn]).scale(c)
-        out[(m, 9)] = lincomb([inv_n * s], [comps[m]])
+    for i in (1, 2, 3):
+        for jjj in range(i + 1, 4):
+            acc = 0 * x[0]
+            for k in (1, 2, 3):
+                e = -gammarep.levi_civita(i, jjj, k)
+                if e:
+                    acc = acc + e * x[k - 1]
+            out[(i, jjj)] = sign * acc / 2
     return out
 
 
@@ -588,9 +641,10 @@ def _gram_elimination(basis_vecs):
 
 
 def _lstsq(basis_vecs, elimination, target):
-    """Largest residual component of the least-squares fit of target."""
+    """Largest residual component of the least-squares fit of target, the
+    basis vectors given by their nonzero (index, value) entries."""
     steps, diag = elimination
-    rhs = [sum(a * b for a, b in zip(v, target)) for v in basis_vecs]
+    rhs = [sum(b * target[i] for i, b in v) for v in basis_vecs]
     for col, piv, factors in steps:
         rhs[col], rhs[piv] = rhs[piv], rhs[col]
         for r, f in factors:
@@ -598,55 +652,62 @@ def _lstsq(basis_vecs, elimination, target):
     coef = [r / d if abs(d) > 1e-14 else 0.0 for r, d in zip(rhs, diag)]
     resid = list(target)
     for c, v in zip(coef, basis_vecs):
-        resid = [r - c * b for r, b in zip(resid, v)]
+        for i, b in v:
+            resid[i] = resid[i] - c * b
     return worst_of(abs(r) for r in resid)
+
+
+@functools.lru_cache(maxsize=None)
+def _span_basis(level, realization, bar):
+    """The generator basis of the connection at levels 2-3, flattened and
+    kept as its nonzero (index, value) entries, and the Gram elimination of
+    those vectors."""
+    dense = [_flat_real(b) for b in _gauge_algebra(level, realization, bar)[0]]
+    return [[(i, v) for i, v in enumerate(d) if v] for d in dense], _gram_elimination(dense)
 
 
 def span_residual(point, patch=None):
     """Least-squares residual of each connection component against the
     declared generator span (sigma or tau triple at level 2, the 28
     antisymmetric-pair generators at level 3)."""
-    lvl, real = point.level, point.realization
+    patch = patch or point.patch
     comps = connection_closed(point, patch)
-    if lvl == 1:
+    if point.level == 1:
         return 0.0
-    if lvl == 2:
-        basis = _level2_algebra(real, False)[1]
-    else:
-        gens = gammarep.build_weyl_generators(real, patch == "lower")["sigmas"]
-        basis = [gens[(a, b)] for a in range(1, 9) for b in range(a + 1, 9)]
-    bvecs = [_flat_real(b) for b in basis]
-    elimination = _gram_elimination(bvecs)
+    bvecs, elimination = _span_basis(point.level, point.realization, patch == "lower")
     return worst_of(_lstsq(bvecs, elimination, _flat_real(m)) for m in comps.values()
-                    if isinstance(m, RMatrix) and not m.is_zero())
+                    if not m.is_zero())
 
 
 # ---------------------------------------------------------------------------
 # grid sampling support (CLI)
 
+# One entry: a grid samples one case, and a level-3 case has 5,760 names.
+@functools.lru_cache(maxsize=1)
+def _field_names(level, realization):
+    """Column names of field_components: A_a, then F_ab (a < b), suffixed at
+    levels 2-3 with the entry's row and column and _re/_im."""
+    dim = case_info(level, realization).base_dim
+    names = ["A_%d" % a for a in range(1, dim + 1)]
+    names += ["F_%d%d" % (a, b) for a in range(1, dim + 1) for b in range(a + 1, dim + 1)]
+    if level == 1:
+        return tuple(names)
+    m = _gauge_algebra(level, realization, False)[0][0]
+    suffixes = ("_re", "_im") if len(m.components()) == 2 else ("",)
+    return tuple("%s_%d%d%s" % (name, i, j, suffix) for name in names
+                 for i in range(m.rows) for j in range(m.cols) for suffix in suffixes)
+
+
 def field_components(point, patch=None):
     """Flattened connection and curvature components at a point, as
     (names, values) with a stable ordering, for grid export."""
     patch = patch or point.patch
-    a = connection_closed(point, patch)
-    f = curvature_closed(point, patch)
-    names, values = [], []
-
-    def emit(prefix, val):
-        if isinstance(val, RMatrix):
-            grids = val.components()
-            suffixes = ("_re", "_im") if len(grids) == 2 else ("",)
-            for i in range(val.rows):
-                for j in range(val.cols):
-                    for suffix, g in zip(suffixes, grids):
-                        names.append("%s_%d%d%s" % (prefix, i, j, suffix))
-                        values.append(float(g[i][j]))
-        else:
-            names.append(prefix)
-            values.append(float(val))
-
-    for idx in sorted(a):
-        emit("A_%d" % idx, a[idx])
-    for (i, j) in sorted(f):
-        emit("F_%d%d" % (i, j), f[(i, j)])
-    return names, values
+    if point.level == 1:
+        a, f = connection_closed(point, patch), curvature_closed(point, patch)
+        values = [float(a[k]) for k in sorted(a)] + [float(f[k]) for k in sorted(f)]
+    else:
+        alg = _algebra_connection(point, patch)
+        a, f = _connection_matrices(alg), _curvature_matrices(point, alg)
+        values = [c for m in [a[k] for k in sorted(a)] + [f[k] for k in sorted(f)]
+                  for c in _flat_real(m)]
+    return list(_field_names(point.level, point.realization)), values

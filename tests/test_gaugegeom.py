@@ -11,6 +11,7 @@ from splithopf.hopfmaps import BasePoint, sample_base_point
 from splithopf import gaugegeom as gg
 from splithopf import hopfmaps as hm
 from splithopf import gammarep
+from splithopf.ringmat import commutator, lincomb
 from tests.test_hopfmaps import random_fiber, ALL_CASES
 
 PANELS = [(l, r, p) for (l, r) in ALL_CASES for p in ("upper", "lower")]
@@ -155,6 +156,77 @@ def test_connection_exact_on_rational_input(lvl, real, coords, t):
     assert not num.is_zero()
     cl = gg.connection_contraction(pt, t, closed=closed)
     assert num == (cl if lvl == 2 or real == "I" else gammarep.to_complex(cl))
+
+
+def _curvature_by_commutator(pt, patch):
+    """Reference curvature: F_mn as the algebraic part plus c [A_m, A_n],
+    the commutator taken with ringmat.commutator; F_{m,last} = (s/n) A_m."""
+    a = gg.connection_closed(pt, patch)
+    c = gg._comm_unit(pt.realization)
+    s = 1 if patch == "upper" else -1
+    x = pt.coords
+    one = 1.0 if isinstance(x[-1], float) else F(1)
+    inv_n = one / (1 + s * x[-1])
+    last = pt.metric.dim
+    out = {}
+    if pt.level == 2:
+        tab = gammarep.build_thooft(pt.realization, patch == "lower")
+        gen = gammarep.split_pauli if pt.realization == "I" else gammarep.tau
+        alg = (1 if pt.realization == "I" else -1) * inv_n
+        for m in range(1, last):
+            for nn in range(m + 1, last):
+                term = lincomb([tab.get((m, nn, i), 0) * alg for i in (1, 2, 3)],
+                               [gen(i) for i in (1, 2, 3)])
+                out[(m, nn)] = term + commutator(a[m], a[nn]).scale(c)
+    else:
+        sig = gammarep.build_weyl_generators(pt.realization, patch == "lower")["sigmas"]
+        for m in range(1, last):
+            for nn in range(m + 1, last):
+                out[(m, nn)] = sig[(m, nn)].scale(-2 * inv_n) + commutator(a[m], a[nn]).scale(c)
+    for m in range(1, last):
+        out[(m, last)] = a[m].scale(s * inv_n)
+    return out
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("lvl,real,patch", [p for p in PANELS if p[0] > 1])
+def test_closed_commutator_term(lvl, real, patch, backend):
+    # exact points: equal with int or Fraction components; floats: within 1e-12
+    rng = random.Random(31)
+    for _ in range(2):
+        pt = sample_base_point(lvl, real, patch=patch, backend=backend, rng=rng)
+        got = gg.curvature_closed(pt, patch)
+        want = _curvature_by_commutator(pt, patch)
+        assert list(got) == sorted(want)
+        for key, m in got.items():
+            if backend == "exact":
+                assert all(isinstance(c, (int, F)) for g in m.components() for row in g for c in row)
+                assert m == want[key], key
+            else:
+                assert (m - want[key]).max_abs() < 1e-12, key
+
+
+def test_field_components_columns():
+    # the cached column names and the shared connection give the names and
+    # values read off the public closed forms entry by entry
+    rng = random.Random(33)
+    for lvl, real in ALL_CASES:
+        for patch in ("upper", "lower"):
+            pt = sample_base_point(lvl, real, patch=patch, rng=rng)
+            a, f = gg.connection_closed(pt, patch), gg.curvature_closed(pt, patch)
+            names, values = [], []
+            for prefix, val in ([("A_%d" % k, a[k]) for k in sorted(a)]
+                                + [("F_%d%d" % k, f[k]) for k in sorted(f)]):
+                if lvl == 1:
+                    names.append(prefix)
+                    values.append(float(val))
+                    continue
+                re, im = val.components()
+                for i in range(val.rows):
+                    for j in range(val.cols):
+                        names += ["%s_%d%d_re" % (prefix, i, j), "%s_%d%d_im" % (prefix, i, j)]
+                        values += [float(re[i][j]), float(im[i][j])]
+            assert gg.field_components(pt, patch) == (names, values)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +385,12 @@ def test_span_residual(lvl, real):
     for _ in range(3):
         pt = sample_base_point(lvl, real, rng=rng)
         assert gg.span_residual(pt) < 1e-10
+    # patch=None reads the point's patch, so a lower-patch point is fit
+    # against the bar basis either way
+    for _ in range(2):
+        pt = sample_base_point(lvl, real, patch="lower", rng=rng)
+        r = gg.span_residual(pt)
+        assert r < 1e-10 and r == gg.span_residual(pt, pt.patch)
 
 
 def test_field_components_export():
