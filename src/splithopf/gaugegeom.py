@@ -420,15 +420,14 @@ def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
 
 
 def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
-    """Max deviation closed-vs-numeric over random tangent pairs (NaN if any
-    deviation is NaN)."""
+    """Max deviation closed-vs-numeric over random pairs of distinct
+    tangents (NaN if any deviation is NaN)."""
     rng = rng or random.Random(0)
     tangents = tangent_basis(point)
     closed = curvature_closed(point, patch)
     devs = []
     for _ in range(pairs):
-        t = rng.choice(tangents)
-        v = rng.choice(tangents)
+        t, v = rng.sample(tangents, 2)
         cl = curvature_contraction(point, t, v, patch, closed=closed)
         nu = curvature_numeric(point, t, v, patch, h=h)
         devs.append(_value_dev(nu, cl))

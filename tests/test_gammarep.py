@@ -137,6 +137,45 @@ def test_generator_closure(name):
         assert ok, detail
 
 
+@pytest.mark.parametrize("name", ["so32_I", "so32_II"])
+@pytest.mark.parametrize("flip", [(1, 2), (2, 4), (4, 5)])
+def test_generator_closure_fails_on_one_flipped_sign(monkeypatch, name, flip):
+    real = build_generators(name)
+    sigmas = dict(real["sigmas"])
+    sigmas[flip] = -sigmas[flip]
+    fake = dict(real, sigmas=sigmas)
+    monkeypatch.setattr(gammarep, "build_generators", lambda n: fake if n == name else real)
+    ((cid, ok, detail),) = generator_closure_check(name)
+    assert not ok and detail.startswith("; fails [")
+
+
+GENERATOR_CONJ_FAMILIES = ["so32_I", "so32_II", "so43_I", "so54_I", "so54_II"]
+
+
+@pytest.mark.parametrize("name", GENERATOR_CONJ_FAMILIES)
+def test_conjugation_generator_rule_is_checked(monkeypatch, name):
+    real = charge_conjugation(name)
+    wrong = gammarep.ChargeConjugation(name, real.label, real.matrix, real.matrix_inv,
+                                       real.vector_rule, -real.generator_rule, real.lowered)
+    monkeypatch.setattr(gammarep, "charge_conjugation", lambda n: wrong)
+    status = {cid: ok for (cid, ok, _) in conjugation_check(name)}
+    assert status["conj-%s-vector" % name]
+    assert not status["conj-%s-generator" % name]
+
+
+@pytest.mark.parametrize("name", GENERATOR_CONJ_FAMILIES)
+def test_conjugation_generator_rule_holds_lowered(name):
+    # the check uses the stored sigma^{ab}; the rule holds on sigma_{ab} too,
+    # since eta_a eta_b is a real sign
+    fam, cc, gens = build_family(name), charge_conjugation(name), build_generators(name)
+    c, cinv = cc.matrix, cc.matrix_inv
+    if c.ring != gens["ring"]:
+        c, cinv = gammarep.to_complex(c), gammarep.to_complex(cinv)
+    for (a, b), s in gens["sigmas"].items():
+        low = s.scale(fam.metric.eta(a) * fam.metric.eta(b))
+        assert c @ low @ cinv == low.conj().scale(cc.generator_rule)
+
+
 def test_thooft_tables():
     for variant in ("I", "II"):
         for bar in (False, True):

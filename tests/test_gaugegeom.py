@@ -92,6 +92,23 @@ def test_curvature_closed_vs_numeric(lvl, real, patch):
     assert worst < 1e-5
 
 
+@pytest.mark.parametrize("lvl,real", ALL_CASES)
+def test_curvature_residual_pairs_distinct_tangents(monkeypatch, lvl, real):
+    seen = []
+    numeric = gg.curvature_numeric
+
+    def spy(point, t, v, *args, **kwargs):
+        seen.append((t, v))
+        return numeric(point, t, v, *args, **kwargs)
+
+    monkeypatch.setattr(gg, "curvature_numeric", spy)
+    rng = random.Random(9)
+    pt = sample_base_point(lvl, real, rng=rng)
+    gg.curvature_residual(pt, pairs=12, rng=rng)
+    assert len(seen) == 12
+    assert all(t is not v and t != v for t, v in seen)
+
+
 def _dev(x):
     return abs(float(x)) if not hasattr(x, "max_abs") else x.max_abs()
 

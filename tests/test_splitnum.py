@@ -9,8 +9,9 @@ import pytest
 from splithopf.splitnum import (
     SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion,
     OCTONION_TABLE, AlgebraError, verify_structure_table, multiplication_table,
-    random_element, _TABLE_CELLS, _parse_cell,
+    random_element, _TABLE_CELLS, _parse_cell, _cleared,
 )
+from splithopf import reporting
 
 e = SplitOctonion.basis
 q = SplitQuaternion.basis
@@ -122,6 +123,39 @@ def test_verify_structure_table_report():
     ids = [r[0] for r in results]
     assert "octonion-table-64" in ids
     assert "f-lower-antisymmetric" in ids
+
+
+def test_cleared_is_an_integer_multiple():
+    def comps(z):
+        return (z.re, z.im) if isinstance(z, (SplitComplex, OrdinaryComplex)) else z.coeffs
+
+    rng = random.Random(5)
+    for cls in (SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion):
+        for _ in range(50):
+            x = random_element(cls, rng)
+            c = _cleared(x)
+            xs, cs = comps(x), comps(c)
+            assert type(c) is cls and all(type(v) is int for v in cs)
+            nonzero = [(a, b) for a, b in zip(xs, cs) if a != 0]
+            if not nonzero:
+                assert not any(cs)
+                continue
+            k = F(nonzero[0][1]) / nonzero[0][0]
+            assert k.denominator == 1 and k > 0
+            assert all(b == k * a for a, b in zip(xs, cs))
+
+
+@pytest.mark.parametrize("cell", [(1, 2), (3, 5), (6, 4)])
+def test_octonion_sign_flip_fails_composition_and_anti_automorphism(monkeypatch, cell):
+    i, k = cell
+    rows = [list(r) for r in SplitOctonion.PRODUCTS]
+    sign, idx = rows[i][k]
+    rows[i][k] = (-sign, idx)
+    monkeypatch.setattr(SplitOctonion, "PRODUCTS", tuple(map(tuple, rows)))
+    status = {c.id: c.passed for c in reporting.algebra_suite(seed=0)}
+    assert not status["composition-SplitOctonion"]
+    assert not status["conj-anti-automorphism"]
+    assert status["composition-SplitQuaternion"] and status["octonion-table-64"]
 
 
 def test_f_lower_total_antisymmetry():
