@@ -444,6 +444,11 @@ def _cleared(x):
     return type(x)(*ints) if binarion else x._new(ints)
 
 
+def cleared_sample(cls, rng):
+    """random_element(cls, rng) with its denominators cleared (_cleared)."""
+    return _cleared(random_element(cls, rng))
+
+
 def verify_structure_table(samples=1000, seed=0):
     """Check the stored octonion table and the composition property.
 
@@ -451,7 +456,7 @@ def verify_structure_table(samples=1000, seed=0):
     against the transcribed table, total antisymmetry of the lowered
     structure tensor, and qform(ab) == qform(a) qform(b) on random rational
     samples for all three algebras (brute-force expansion, exact; each
-    sample has its denominators cleared, see _cleared).
+    sample has its denominators cleared, see cleared_sample).
     """
     results = []
 
@@ -479,8 +484,8 @@ def verify_structure_table(samples=1000, seed=0):
     for cls in (SplitComplex, SplitQuaternion, SplitOctonion):
         bad = 0
         for _ in range(samples):
-            a = _cleared(random_element(cls, rng))
-            b = _cleared(random_element(cls, rng))
+            a = cleared_sample(cls, rng)
+            b = cleared_sample(cls, rng)
             if (a * b).qform() != a.qform() * b.qform():
                 bad += 1
         results.append(

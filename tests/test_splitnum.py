@@ -9,7 +9,7 @@ import pytest
 from splithopf.splitnum import (
     SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion,
     OCTONION_TABLE, AlgebraError, verify_structure_table, multiplication_table,
-    random_element, _TABLE_CELLS, _parse_cell, _cleared,
+    random_element, _TABLE_CELLS, _parse_cell, _cleared, cleared_sample,
 )
 from splithopf import reporting
 
@@ -143,6 +143,14 @@ def test_cleared_is_an_integer_multiple():
             k = F(nonzero[0][1]) / nonzero[0][0]
             assert k.denominator == 1 and k > 0
             assert all(b == k * a for a, b in zip(xs, cs))
+
+
+def test_cleared_sample_keeps_the_rng_stream():
+    for cls in (SplitComplex, SplitQuaternion, SplitOctonion):
+        r1, r2 = random.Random(9), random.Random(9)
+        for _ in range(20):
+            assert cleared_sample(cls, r1) == _cleared(random_element(cls, r2))
+        assert r1.random() == r2.random()
 
 
 @pytest.mark.parametrize("cell", [(1, 2), (3, 5), (6, 4)])

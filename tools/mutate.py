@@ -1,17 +1,17 @@
 """One-sign mutants of one module, run against ``hopfctl verify`` suites.
 
-    python tools/mutate.py MODULE --suite SUITE [--suite SUITE ...]
-                           [--src DIR] [--seed N] [--timeout S]
+    python tools/mutate.py MODULE --suite SUITE [--suite SUITE ...] [--src DIR]
 
 Makes one mutant per unary sign in DIR/splithopf/MODULE.py (DIR defaults
 to the ``src`` of this checkout): each unary minus is deleted (``-x``
 becomes ``x``) and each unary plus is flipped (``+x`` becomes ``-x``).
 The source tree is copied once into a temporary directory; each mutant is
 written there in turn and ``python -m splithopf.cli verify --suite SUITE
---seed N --no-timestamp`` runs on it for each suite given, in order, until
+--seed 0 --no-timestamp`` runs on it for each suite given, in order, until
 one kills it.  A mutant is killed when a check fails (exit 1), crashed
 when the run exits with another nonzero code, timeout when it runs longer
-than S seconds, and survived when every suite passes.
+than TIMEOUT_S seconds (a guard against mutants that loop forever), and
+survived when every suite passes.
 
 Prints one row per mutant (line and column of the sign, kind, outcome, the
 suite that killed it, the source line) and a summary line.  Exits 0, or 2
@@ -29,6 +29,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_SRC = os.path.join(os.path.dirname(HERE), "src")
+SEED = 0
+TIMEOUT_S = 300.0
 
 
 def find_signs(source):
@@ -53,15 +55,15 @@ def mutate(source, line, col, kind):
     return b"".join(lines)
 
 
-def run_suites(src, suites, seed, timeout):
+def run_suites(src, suites):
     """(outcome, suite) for the first suite that fails, else ("survived", "")."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     for suite in suites:
         cmd = [sys.executable, "-m", "splithopf.cli", "verify", "--suite", suite,
-               "--seed", str(seed), "--no-timestamp"]
+               "--seed", str(SEED), "--no-timestamp"]
         try:
             proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=timeout)
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return "timeout", suite
         if proc.returncode == 1:
@@ -77,8 +79,6 @@ def main(argv=None):
     p.add_argument("--suite", action="append", required=True,
                    help="verify suite to run (repeatable)")
     p.add_argument("--src", default=DEFAULT_SRC, help="source tree holding splithopf/")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=300.0)
     args = p.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
@@ -87,7 +87,7 @@ def main(argv=None):
         target = os.path.join(src, "splithopf", args.module + ".py")
         with open(target, "rb") as fh:
             original = fh.read()
-        outcome, suite = run_suites(src, args.suite, args.seed, args.timeout)
+        outcome, suite = run_suites(src, args.suite)
         if outcome != "survived":
             sys.stderr.write("mutate: the unmutated tree fails suite %s (%s)\n"
                              % (suite, outcome))
@@ -98,7 +98,7 @@ def main(argv=None):
         for line, col, kind in find_signs(original):
             with open(target, "wb") as fh:
                 fh.write(mutate(original, line, col, kind))
-            outcome, suite = run_suites(src, args.suite, args.seed, args.timeout)
+            outcome, suite = run_suites(src, args.suite)
             counts[outcome] = counts.get(outcome, 0) + 1
             print("%5d %4d %-4s %-8s %-8s %s" % (
                 line, col, kind, outcome, suite,
@@ -107,7 +107,7 @@ def main(argv=None):
     print("%s: %d mutants, %s (suites %s, seed %d)" % (
         args.module, total,
         ", ".join("%d %s" % (n, k) for k, n in sorted(counts.items())) or "none",
-        ", ".join(args.suite), args.seed))
+        ", ".join(args.suite), SEED))
     return 0
 
 
