@@ -439,7 +439,9 @@ def _cleared(x):
     hold for x exactly when they hold for _cleared(x)."""
     binarion = isinstance(x, _Binarion)
     coeffs = [Fraction(c) for c in ((x.re, x.im) if binarion else x.coeffs)]
-    m = math.lcm(*(c.denominator for c in coeffs))
+    # a list, not a generator: unpacking a generator builds an over-sized
+    # tuple that CPython shrinks and then parks in its tuple free list
+    m = math.lcm(*[c.denominator for c in coeffs])
     ints = [c.numerator * (m // c.denominator) for c in coeffs]
     return type(x)(*ints) if binarion else x._new(ints)
 
