@@ -9,6 +9,7 @@ repr, CSV 17 significant digits).  HOPFCTL_SEED provides the seed when
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -128,7 +129,6 @@ def cmd_verify(args):
             for prefix, tol in overrides.items():
                 if check.id.startswith(prefix) and check.residual is not None:
                     check.tolerance = tol
-                    check.passed = check.residual < tol
         reports.append(rep)
     payload = {
         "schema": SCHEMA,
@@ -229,7 +229,7 @@ def cmd_sample_field(args):
         if not 1 <= idx <= dim - 1:
             raise UsageError("grid: axis x%d out of range (free axes are 1..%d)"
                              % (idx, dim - 1))
-    sign = 1 if args.patch == "upper" else -1
+    sign = hopfmaps.patch_sign(args.patch)
     ranges = []
     for idx in range(1, dim):
         if idx in axes:
@@ -246,15 +246,7 @@ def cmd_sample_field(args):
     eta = case.base_metric.signature
     target = case.constraint_target
 
-    def product(rs):
-        if not rs:
-            yield ()
-            return
-        for head in rs[0]:
-            for tail in product(rs[1:]):
-                yield (head,) + tail
-
-    for partial in product(ranges):
+    for partial in itertools.product(*ranges):
         # solve the last coordinate from the constraint on the chosen patch
         acc = sum(e * v * v for e, v in zip(eta[:-1], partial))
         last_sq = (target - acc) / eta[-1]

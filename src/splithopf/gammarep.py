@@ -22,7 +22,8 @@ from .ringmat import (
 __all__ = [
     "GammaFamily", "FAMILY_NAMES", "build_family",
     "clifford_check", "conjugation_check", "hermiticity_check",
-    "build_generators", "build_weyl_generators", "build_thooft", "levi_civita",
+    "build_generators", "triple", "lowered_set", "build_weyl_generators",
+    "build_thooft", "levi_civita",
     "generator_closure_check", "lambda_table_check",
 ]
 
@@ -246,45 +247,61 @@ def build_generators(name):
     return {"ring": ring, "sigmas": out, "unit": unit, "family": name}
 
 
+def triple(realization):
+    """The gamma family of the first map: the split Pauli matrices sigma^i
+    for realization I, tau^i for II."""
+    return build_family("split_pauli" if realization == "I" else "tau")
+
+
+@functools.lru_cache(maxsize=None)
+def lowered_set(level, realization):
+    """(G, c): the lowered gammas G_a that span the section block
+    x_{d-1} 1 + s c sum_{a<d-1} x_a G_a of a level-2 or level-3 map (d its
+    base dimension, s the patch sign), and the unit c.
+
+    Level 2: the triple, lowered with its own metric; c = j (I), -i (II).
+    Level 3: the so43_I gammas, lowered, with c = j (I); W_a = lambda_{8-a},
+    lowered with the split-octonion signature, with c = -1 (II).
+    """
+    if level not in (2, 3) or realization not in ("I", "II"):
+        raise ValueError("no lowered set for level %r realization %r" % (level, realization))
+    if level == 2:
+        fam = triple(realization)
+        order = range(1, 4)
+    elif realization == "I":
+        fam = build_family("so43_I")
+        order = range(1, 8)
+    else:
+        fam = build_family("lambda_so43_II")
+        order = range(7, 0, -1)
+    c = _J if realization == "I" else (-_I if level == 2 else -1)
+    return tuple(fam.gamma_lower(a) for a in order), c
+
+
 @functools.lru_cache(maxsize=None)
 def build_weyl_generators(realization, bar=False):
     """Weyl-sector generators sigma_{MN}, M,N = 1..8, for the third map.
 
-    Realization I: sigma_IJ = -(j/4)[gamma_I, gamma_J] over the so43_I
-    gammas, sigma_I8 = -sigma_8I = -(1/2) gamma_I; the bar set flips the
-    I8 components.  Realization II: same shape over W_I = lambda_{8-I}
-    (index lowered with the split-octonion signature), sigma_I8 = (i/2) W_I.
+    Over the lowered set G of lowered_set(3, realization) (lifted to the
+    complex ring for II) and the unit u (j for I, i for II):
+    sigma_IJ = -(u/4)[G_I, G_J], and sigma_I8 = -(1/2) G_I (I) or
+    (i/2) G_I (II); the bar set flips the I8 components.
     """
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
+    lowered, _ = lowered_set(3, realization)
+    if realization == "II":
+        lowered = [to_complex(g) for g in lowered]
+    unit = _J if realization == "I" else _I
     out = {}
-    if realization == "I":
-        fam = build_family("so43_I")
-        lowered = [fam.gamma_lower(i) for i in range(1, 8)]
-        for a in range(1, 8):
-            for b in range(a + 1, 8):
-                out[(a, b)] = commutator(lowered[a - 1], lowered[b - 1]).scale(-_J).scale(quarter)
-        for a in range(1, 8):
-            m = lowered[a - 1].scale(-half)
-            out[(a, 8)] = -m if bar else m
-        ring = RING_SPLIT
-    elif realization == "II":
-        lam = build_family("lambda_so43_II")
-        oct_eta = MetricForm((1, 1, 1, -1, -1, -1, -1))
-        lowered = []
-        for i in range(1, 8):
-            w = to_complex(lam.gamma(8 - i)).scale(oct_eta.eta(8 - i))
-            lowered.append(w)
-        for a in range(1, 8):
-            for b in range(a + 1, 8):
-                out[(a, b)] = commutator(lowered[a - 1], lowered[b - 1]).scale(-_I).scale(quarter)
-        for a in range(1, 8):
-            m = lowered[a - 1].scale(_I).scale(half)
-            out[(a, 8)] = -m if bar else m
-        ring = RING_COMPLEX
-    else:
-        raise ValueError(realization)
-    return {"ring": ring, "sigmas": out}
+    for a in range(1, 8):
+        for b in range(a + 1, 8):
+            out[(a, b)] = commutator(lowered[a - 1], lowered[b - 1]).scale(-unit).scale(quarter)
+    for a in range(1, 8):
+        g = lowered[a - 1]
+        m = g.scale(-half) if realization == "I" else g.scale(_I).scale(half)
+        out[(a, 8)] = -m if bar else m
+    return {"ring": lowered[0].ring, "sigmas": out}
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,14 @@ import math
 import random
 
 from .splitnum import SplitComplex, OrdinaryComplex, reciprocal
-from .ringmat import RMatrix, RING_SPLIT, commutator, lincomb, worst_of
+from .ringmat import RMatrix, commutator, lincomb, worst_of
 from . import gammarep
 from .hopfmaps import (
-    BasePoint, Section, case_info, section_linear_part, sample_base_point,
-    PatchError, EPS_PATCH,
+    BasePoint, case_info, section_linear_part, patch_sign, require_patch,
 )
 
 __all__ = [
-    "tangent_basis", "connection_closed", "connection_contraction",
+    "tangent_basis", "lowered_epsilon", "connection_closed", "connection_contraction",
     "connection_numeric", "connection_residual",
     "curvature_closed", "curvature_contraction", "curvature_numeric",
     "curvature_residual", "transition", "gluing_check",
@@ -60,22 +59,21 @@ DEFAULT_H = 1e-5
 # ---------------------------------------------------------------------------
 # per-case static data
 
+def _lift(level, realization):
+    """to_complex at (3, II), whose real sections pair with the complex unit
+    i; the identity elsewhere."""
+    return gammarep.to_complex if (level, realization) == (3, "II") else (lambda m: m)
+
+
 @functools.lru_cache(maxsize=None)
 def _case_gauge(level, realization):
-    """(unit u, weight W, undecorate D) for -u s^dag W ds, in the ring of the
-    sections (W and D lifted to the complex ring at (3, II))."""
-    if realization == "I":
-        dim = case_info(level, realization).spinor_dim
-        return SplitComplex(0, 1), RMatrix.identity(dim, RING_SPLIT), None
-    i = OrdinaryComplex(0, 1)
-    if level == 1:
-        return i, gammarep.pauli(3), None
-    if level == 2:
-        k = gammarep.build_family("so32_II").weight
-        return i, k, gammarep.pauli(3)
-    K = gammarep.to_complex(gammarep.build_family("so54_II").weight)
-    sig3 = gammarep.to_complex(gammarep.sigma3_block(4))  # fiber weight diag(1_4, -1_4)
-    return i, K, sig3
+    """(unit u, weight W, undecorate D) for -u s^dag W ds: u the first map's
+    unit, W the map's weight and D its fiber weight (None where that is the
+    identity or the fiber a phase), lifted by _lift."""
+    case = case_info(level, realization)
+    lift = _lift(level, realization)
+    D = None if realization == "I" or level == 1 else lift(case.fiber_weight())
+    return case_info(1, realization).unit, lift(case.weight()), D
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,8 +90,7 @@ def _gauge_algebra(level, realization, bar):
         tab = gammarep.build_thooft(realization, bar)
         for (m, nn, i), v in tab.items():
             pairs[(m, nn)][i - 1] = v
-        gen = gammarep.split_pauli if realization == "I" else gammarep.tau
-        return tuple(gen(i) for i in (1, 2, 3)), pairs
+        return gammarep.triple(realization).gammas, pairs
     gens = gammarep.build_weyl_generators(realization, bar)["sigmas"]
     order = sorted(gens)
     for k, (m, nn) in enumerate(order):
@@ -133,19 +130,10 @@ def _shift(point, t, h):
 # ---------------------------------------------------------------------------
 # closed connection forms
 
-def _patch_factor(point, patch):
-    """(s, n): the patch sign and n = 1 + s x_last, refused below EPS_PATCH."""
-    s = 1 if patch == "upper" else -1
-    n = 1 + s * point.coords[-1]
-    if n < EPS_PATCH:
-        raise PatchError(patch, n)
-    return s, n
-
-
 def _algebra_connection(point, patch):
     """The closed connection at levels 2-3 in algebra coordinates.
 
-    Returns (s, 1/n, y, basis, T, coeffs) with s, n from _patch_factor,
+    Returns (s, 1/n, y, basis, T, coeffs) with s, n from require_patch,
     y = x / n over the free coordinates, basis and T from _gauge_algebra,
     and A_m = sum_k coeffs[m][k] basis[k] for the free indices m (the last
     component vanishes):
@@ -153,7 +141,7 @@ def _algebra_connection(point, patch):
       level 3: A_m = sum_n' y_n' T_mn'.
     """
     x = point.coords
-    s, n = _patch_factor(point, patch)
+    s, n = require_patch(point, patch)
     inv_n = reciprocal(n)
     basis, pairs = _gauge_algebra(point.level, point.realization, patch == "lower")
     free = range(1, len(x))
@@ -181,6 +169,17 @@ def _connection_matrices(alg):
     return out
 
 
+def lowered_epsilon(x, i, j):
+    """sum_k -eps_ijk x_k: the Levi-Civita symbol with its indices lowered by
+    a level-1 base metric (both have determinant -1), contracted with x."""
+    acc = 0 * x[0]
+    for k in (1, 2, 3):
+        e = -gammarep.levi_civita(i, j, k)
+        if e:
+            acc = acc + e * x[k - 1]
+    return acc
+
+
 def connection_closed(point, patch=None):
     """Closed-form connection components {a: value}, a = 1..dim.
 
@@ -192,17 +191,9 @@ def connection_closed(point, patch=None):
     if point.level > 1:
         return _connection_matrices(_algebra_connection(point, patch))
     x = point.coords
-    s, n = _patch_factor(point, patch)
+    s, n = require_patch(point, patch)
     sign = s if point.realization == "I" else -1
-    out = {}
-    for i in (1, 2, 3):
-        acc = 0 * x[0]
-        for j in (1, 2, 3):
-            e = -gammarep.levi_civita(i, j, 3)
-            if e:
-                acc = acc + e * x[j - 1]
-        out[i] = sign * acc / (2 * n)
-    return out
+    return {i: sign * lowered_epsilon(x, 3, i) / (2 * n) for i in (1, 2, 3)}
 
 
 def connection_contraction(point, t, patch=None, closed=None):
@@ -242,7 +233,7 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
     tangents = tangents if tangents is not None else tangent_basis(point)
 
     w0, n0 = section_linear_part(point, patch)
-    lift = gammarep.to_complex if (lvl, real) == (3, "II") else (lambda m: m)
+    lift = _lift(lvl, real)
     w0 = lift(w0)
     col = None
     if section == "spinor":
@@ -251,7 +242,6 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
         col = lift(_fiber_column(point, fiber))
         w0 = w0 @ col
 
-    s_pat = 1 if patch == "upper" else -1
     out = []
     for t in tangents:
         if mode == "fd":
@@ -273,7 +263,7 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
             if col is not None:
                 wp = wp @ col
             wprime = wp - w0
-            ndot = s_pat * t[-1]
+            ndot = patch_sign(patch) * t[-1]
             p2 = (Fraction(1, 2) if not isinstance(n0, float) else 0.5) / n0
             core = (w0.dagger() @ W @ wprime) - (w0.dagger() @ W @ w0).scale(ndot).scale(p2)
             raw = core.scale(p2).scale(-u)
@@ -364,7 +354,7 @@ def curvature_closed(point, patch=None):
     if point.level > 1:
         return _curvature_matrices(point, _algebra_connection(point, patch))
     x = point.coords
-    s, _ = _patch_factor(point, patch)
+    s, _ = require_patch(point, patch)
     if point.realization == "I":
         r2 = x[0] * x[0] - x[1] * x[1] + x[2] * x[2]
         if abs(float(r2)) < EPS_NULL:
@@ -372,16 +362,8 @@ def curvature_closed(point, patch=None):
         sign = -1
     else:
         sign = s
-    out = {}
-    for i in (1, 2, 3):
-        for jjj in range(i + 1, 4):
-            acc = 0 * x[0]
-            for k in (1, 2, 3):
-                e = -gammarep.levi_civita(i, jjj, k)
-                if e:
-                    acc = acc + e * x[k - 1]
-            out[(i, jjj)] = sign * acc / 2
-    return out
+    return {(i, j): sign * lowered_epsilon(x, i, j) / 2
+            for i in (1, 2, 3) for j in range(i + 1, 4)}
 
 
 def curvature_contraction(point, t, v, patch=None, closed=None):
@@ -495,16 +477,12 @@ def transition(point):
     g = top.scale(1.0 / rho)
     if real == "I":
         return TransitionFn(lvl, real, g, None, "matrix")
-    weight = gammarep.pauli(3) if lvl == 2 else gammarep.sigma3_block(4)
-    return TransitionFn(lvl, real, g, weight, "matrix")
+    return TransitionFn(lvl, real, g, case.fiber_weight(), "matrix")
 
 
 def _transition_value(point, coords):
     pt = BasePoint(point.level, point.realization, coords, point.patch)
-    v = transition(pt).value
-    if (point.level, point.realization) == (3, "II") and isinstance(v, RMatrix):
-        v = gammarep.to_complex(v)
-    return v
+    return _lift(point.level, point.realization)(transition(pt).value)
 
 
 def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
@@ -569,11 +547,11 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
 # ---------------------------------------------------------------------------
 # light cone and radial form (split level 1)
 
-def lightcone_probe(v, eps=EPS_NULL):
+def lightcone_probe(v):
     """Classify r^2 = x1^2 - x2^2 + x3^2 for the split level-1 metric."""
     r2 = v[0] * v[0] - v[1] * v[1] + v[2] * v[2]
     fr2 = float(r2)
-    if abs(fr2) < eps:
+    if abs(fr2) < EPS_NULL:
         kind = "null"
     elif fr2 > 0:
         kind = "spacelike"
@@ -581,25 +559,18 @@ def lightcone_probe(v, eps=EPS_NULL):
         kind = "timelike"
     return {"kind": kind, "r_squared": r2}
 
-def curvature_radial(v, eps=EPS_NULL):
+def curvature_radial(v):
     """Field strength of the split level-1 monopole away from unit radius:
     F_ij = -(1/(2 r^3)) eps_ijk x^k (lowered epsilon).  Refuses points within
-    eps of the light cone, where the field is singular."""
-    probe = lightcone_probe(v, eps)
+    EPS_NULL of the light cone, where the field is singular."""
+    probe = lightcone_probe(v)
     r2 = float(probe["r_squared"])
     if probe["kind"] == "null" or r2 <= 0:
         raise ValueError("radial curvature undefined at or inside the light cone")
     r3 = r2 * math.sqrt(r2)
-    out = {}
-    for i in (1, 2, 3):
-        for j in range(i + 1, 4):
-            acc = 0.0
-            for k in (1, 2, 3):
-                e = -gammarep.levi_civita(i, j, k)
-                if e:
-                    acc += e * float(v[k - 1])
-            out[(i, j)] = -acc / (2 * r3)
-    return out
+    x = [float(c) for c in v]
+    return {(i, j): -lowered_epsilon(x, i, j) / (2 * r3)
+            for i in (1, 2, 3) for j in range(i + 1, 4)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,19 @@ Exact rational and float backends share all code paths.
 """
 
 from fractions import Fraction
+import functools
 import math
 import random
 
 from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt
-from .ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX
+from .ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX, lincomb
 from . import gammarep
 
 __all__ = [
     "Spinor", "BasePoint", "Section",
     "NormalizationError", "PatchError", "SamplingError", "ConstraintError",
     "CASES", "case_info",
+    "patch_sign", "require_patch",
     "project", "invert", "sample_normalized", "sample_base_point",
     "level0_project", "level0_invert",
     "hierarchical_fiber_check", "majorana_matrix", "charge_conjugate_spinor",
@@ -31,6 +33,8 @@ EPS_PATCH = 1e-9
 # they would blow up coordinates and lose the 1e-12 constraint residual
 EPS_NORM = 0.2
 REJECTION_CAP = 1000
+# sampled base points keep their patch factors at least this far from 0
+SAMPLE_MARGIN = 0.05
 
 
 class NormalizationError(ValueError):
@@ -61,10 +65,11 @@ class ConstraintError(ValueError):
 class _Case:
     """Static data for one (level, realization) pair."""
 
-    def __init__(self, level, realization, base_metric, constraint_target,
+    def __init__(self, level, realization, family, base_metric, constraint_target,
                  spinor_dim, fiber_dim, ring, unit, norm_signs):
         self.level = level
         self.realization = realization
+        self.family = family  # the gamma family of the projection
         self.base_metric = MetricForm(base_metric)
         self.constraint_target = constraint_target
         self.spinor_dim = spinor_dim
@@ -81,23 +86,28 @@ class _Case:
     def weight(self):
         return _weight_matrix(self.level, self.realization)
 
+    def fiber_weight(self):
+        """Weight of the fiber's norm at levels 2-3: the first map's weight
+        at level 2, the identity (I) or diag(1_4, -1_4) (II) at level 3."""
+        return _fiber_weight(self.level, self.realization)
+
     def projection_matrices(self):
         return _projection_matrices(self.level, self.realization)
 
 
 CASES = {
-    (1, "I"): _Case(1, "I", (1, -1, 1), 1, 2, 1, RING_SPLIT,
+    (1, "I"): _Case(1, "I", "split_pauli", (1, -1, 1), 1, 2, 1, RING_SPLIT,
                     SplitComplex(0, 1), (1, -1, 1, -1)),
-    (1, "II"): _Case(1, "II", (1, 1, -1), -1, 2, 1, RING_COMPLEX,
+    (1, "II"): _Case(1, "II", "tau", (1, 1, -1), -1, 2, 1, RING_COMPLEX,
                      OrdinaryComplex(0, 1), (1, 1, -1, -1)),
-    (2, "I"): _Case(2, "I", (1, -1, 1, -1, -1), -1, 4, 2, RING_SPLIT,
+    (2, "I"): _Case(2, "I", "so32_I", (1, -1, 1, -1, -1), -1, 4, 2, RING_SPLIT,
                     SplitComplex(0, 1), (1, -1, 1, -1, 1, -1, 1, -1)),
-    (2, "II"): _Case(2, "II", (1, 1, -1, -1, -1), -1, 4, 2, RING_COMPLEX,
+    (2, "II"): _Case(2, "II", "so32_II", (1, 1, -1, -1, -1), -1, 4, 2, RING_COMPLEX,
                      OrdinaryComplex(0, 1), (1, 1, -1, -1, 1, 1, -1, -1)),
-    (3, "I"): _Case(3, "I", (1, -1, -1, 1, 1, -1, -1, 1, 1), 1, 16, 8, RING_SPLIT,
+    (3, "I"): _Case(3, "I", "so54_I", (1, -1, -1, 1, 1, -1, -1, 1, 1), 1, 16, 8, RING_SPLIT,
                     SplitComplex(0, 1),
                     tuple(s for _ in range(8) for s in (1, -1))),
-    (3, "II"): _Case(3, "II", (-1, -1, -1, -1, 1, 1, 1, 1, 1), 1, 16, 8, RING_REAL,
+    (3, "II"): _Case(3, "II", "so54_II", (-1, -1, -1, -1, 1, 1, 1, 1, 1), 1, 16, 8, RING_REAL,
                      1, (1, 1, 1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1)),
 }
 
@@ -109,53 +119,32 @@ def case_info(level, realization):
         raise ValueError("no such map: level %r realization %r" % (level, realization))
 
 
-_WEIGHT_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _weight_matrix(level, realization):
-    key = (level, realization)
-    if key not in _WEIGHT_CACHE:
-        if realization == "I":
-            case = CASES[key]
-            w = RMatrix.identity(case.spinor_dim, case.ring)
-        elif level == 1:
-            w = gammarep.pauli(3)
-        elif level == 2:
-            w = gammarep.build_family("so32_II").weight
-        else:
-            w = gammarep.build_family("so54_II").weight
-        _WEIGHT_CACHE[key] = w
-    return _WEIGHT_CACHE[key]
+    """The family's pseudo-Hermitian weight (realization II), else the identity."""
+    fam = gammarep.build_family(CASES[(level, realization)].family)
+    return fam.weight if fam.weight is not None else RMatrix.identity(fam.dim, fam.ring)
 
 
-_PROJ_CACHE = {}
+@functools.lru_cache(maxsize=None)
+def _fiber_weight(level, realization):
+    if level == 1:
+        raise ValueError("the first map's fiber is a phase; it has no weight matrix")
+    if level == 2:
+        return _weight_matrix(1, realization)
+    if realization == "I":
+        return RMatrix.identity(8, RING_SPLIT)
+    return gammarep.sigma3_block(4)
 
 
+@functools.lru_cache(maxsize=None)
 def _projection_matrices(level, realization):
-    key = (level, realization)
-    if key in _PROJ_CACHE:
-        return _PROJ_CACHE[key]
-    if key == (1, "I"):
-        mats = [gammarep.split_pauli(i) for i in (1, 2, 3)]
-    elif key == (1, "II"):
-        w = gammarep.pauli(3)
-        mats = [w @ gammarep.tau(i) for i in (1, 2, 3)]
-    elif key == (2, "I"):
-        fam = gammarep.build_family("so32_I")
-        mats = [fam.gamma(a) for a in range(1, 6)]
-    elif key == (2, "II"):
-        fam = gammarep.build_family("so32_II")
-        mats = [fam.weight @ fam.gamma(a) for a in range(1, 6)]
-    elif key == (3, "I"):
-        fam = gammarep.build_family("so54_I")
-        mats = [fam.gamma(a) for a in range(1, 10)]
-    elif key == (3, "II"):
-        fam = gammarep.build_family("so54_II")
-        mats = [fam.weight @ fam.gamma(a) for a in range(1, 10)]
-    else:
-        raise ValueError(key)
-    _PROJ_CACHE[key] = mats
-    return _PROJ_CACHE[key]
+    """gamma^a, or weight @ gamma^a for a weighted family: x^a is the form of
+    the a-th matrix."""
+    fam = gammarep.build_family(CASES[(level, realization)].family)
+    if fam.weight is None:
+        return list(fam.gammas)
+    return [fam.weight @ g for g in fam.gammas]
 
 
 def majorana_matrix():
@@ -246,13 +235,33 @@ class BasePoint:
         return case.base_metric.inner(self.coords, self.coords) - case.constraint_target
 
     def patch_factor(self, patch=None):
-        patch = patch or self.patch
-        s = 1 if patch == "upper" else -1
-        return 1 + s * self.coords[-1]
+        """n = 1 + s x_last on the patch (the point's own by default)."""
+        return 1 + patch_sign(patch or self.patch) * self.coords[-1]
 
     def __repr__(self):
         return "BasePoint(level=%d, %s, %r, %s)" % (
             self.level, self.realization, self.coords, self.patch)
+
+
+def patch_sign(patch):
+    """s = +1 on the upper patch, -1 on the lower."""
+    return 1 if patch == "upper" else -1
+
+
+def require_patch(point, patch):
+    """(s, n): the patch sign and the patch factor n = 1 + s x_last,
+    refused with PatchError below EPS_PATCH."""
+    n = point.patch_factor(patch)
+    if n < EPS_PATCH:
+        raise PatchError(patch, n)
+    return patch_sign(patch), n
+
+
+def _near(v, target):
+    """v == target for an exact v; |v - target| <= 1e-9 for a float."""
+    if isinstance(v, float):
+        return abs(v - target) <= 1e-9
+    return v == target
 
 
 def _scalar_value(x, where):
@@ -268,30 +277,24 @@ def _scalar_value(x, where):
     return x
 
 
-def project(spinor, tol=1e-9):
+def project(spinor):
     """Map a normalized spinor to its base point.
 
-    The weighted norm must be 1 (exactly for rational components, within tol
-    for floats).  For the two-leaf map (1, II) a norm of -1 is also accepted
-    and lands on the lower leaf.
+    The weighted norm must be 1 (exactly for rational components, within
+    1e-9 for floats).  For the two-leaf map (1, II) a norm of -1 is also
+    accepted and lands on the lower leaf.
     """
     case = case_info(spinor.level, spinor.realization)
     n = _scalar_value(spinor.norm(), "norm")
     allowed = (1, -1) if (spinor.level, spinor.realization) == (1, "II") else (1,)
+    if not any(_near(n, sign) for sign in allowed):
+        raise NormalizationError(n)
     exact = not isinstance(n, float)
-    if exact:
-        if n not in allowed:
-            raise NormalizationError(n)
-        denom = n
-    else:
-        sign = 1 if n > 0 else -1
-        if sign not in allowed or not (abs(n - sign) <= tol):
-            raise NormalizationError(n)
-        denom = n  # dividing by the measured norm kills first-order error
     coords = []
     for mat in case.projection_matrices():
         v = _scalar_value(mat.form(spinor.comps), "projection")
-        coords.append(v / denom)
+        # dividing by the measured norm kills first-order error
+        coords.append(v / n)
     point = BasePoint(spinor.level, spinor.realization, coords)
     res = point.constraint_residual()
     if exact:
@@ -310,16 +313,15 @@ def project(spinor, tol=1e-9):
 def _section_linear_raw(point, patch=None):
     case = case_info(point.level, point.realization)
     patch = patch or point.patch
-    s = 1 if patch == "upper" else -1
+    s = patch_sign(patch)
     x = point.coords
-    n = 1 + s * x[-1]
+    n = point.patch_factor(patch)
     ring = case.ring
-    lvl, real = point.level, point.realization
 
-    if lvl == 1:
+    if point.level == 1:
         up = ring.promote(n)
-        if real == "I":
-            z = SplitComplex(x[0], -x[1]) if patch == "upper" else SplitComplex(x[0], x[1])
+        if point.realization == "I":
+            z = SplitComplex(x[0], -s * x[1])
         elif patch == "upper":
             z = OrdinaryComplex(x[1], -x[0])
         else:
@@ -330,49 +332,10 @@ def _section_linear_raw(point, patch=None):
         col = [[up], [z]] if patch == "upper" else [[z], [up]]
         return RMatrix(col, ring), n
 
-    if lvl == 2:
-        one = RMatrix.identity(2, ring)
-        if real == "I":
-            sp = gammarep.split_pauli
-            lowered = [sp(1), -sp(2), sp(3)]
-            acc = RMatrix.zeros(2, 2, ring)
-            for xi, m in zip(x[:3], lowered):
-                acc = acc + m.scale(xi)
-            block = one.scale(x[3]) + acc.scale(SplitComplex(0, 1))
-            if patch == "lower":
-                block = one.scale(x[3]) - acc.scale(SplitComplex(0, 1))
-        else:
-            taus = [gammarep.tau(1), gammarep.tau(2), -gammarep.tau(3)]
-            acc = RMatrix.zeros(2, 2, ring)
-            for xi, m in zip(x[:3], taus):
-                acc = acc + m.scale(xi)
-            block = one.scale(x[3]) - acc.scale(OrdinaryComplex(0, 1))
-            if patch == "lower":
-                block = one.scale(x[3]) + acc.scale(OrdinaryComplex(0, 1))
-        top = one.scale(n) if patch == "upper" else block
-        bottom = block if patch == "upper" else one.scale(n)
-        return RMatrix.from_blocks([[top], [bottom]], ring), n
-
-    # level 3
-    one = RMatrix.identity(8, ring)
-    if real == "I":
-        fam = gammarep.build_family("so43_I")
-        acc = RMatrix.zeros(8, 8, ring)
-        for a in range(1, 8):
-            acc = acc + fam.gamma_lower(a).scale(x[a - 1])
-        block = one.scale(x[7]) + acc.scale(SplitComplex(0, 1))
-        if patch == "lower":
-            block = one.scale(x[7]) - acc.scale(SplitComplex(0, 1))
-    else:
-        lam = gammarep.build_family("lambda_so43_II")
-        oct_eta = (1, 1, 1, -1, -1, -1, -1)
-        acc = RMatrix.zeros(8, 8, ring)
-        for a in range(1, 8):
-            w_low = lam.gamma(8 - a).scale(oct_eta[8 - a - 1])
-            acc = acc + w_low.scale(x[a - 1])
-        block = one.scale(x[7]) - acc
-        if patch == "lower":
-            block = one.scale(x[7]) + acc
+    # block = x_{d-1} 1 + s c sum_{a<d-1} x_a G_a over the map's lowered set
+    lowered, c = gammarep.lowered_set(point.level, point.realization)
+    one = RMatrix.identity(lowered[0].rows, ring)
+    block = one.scale(x[-2]) + lincomb(x[:-2], lowered).scale(s * c)
     top = one.scale(n) if patch == "upper" else block
     bottom = block if patch == "upper" else one.scale(n)
     return RMatrix.from_blocks([[top], [bottom]], ring), n
@@ -448,8 +411,7 @@ def section_linear_part(point, patch=None):
                 acc = acc + coef * x[a]
             grid[i][j] = acc
         grids.append(grid)
-    s = 1 if patch == "upper" else -1
-    return RMatrix.from_components(tuple(grids), ring), 1 + s * point.coords[-1]
+    return RMatrix.from_components(tuple(grids), ring), point.patch_factor(patch)
 
 
 class Section:
@@ -488,38 +450,28 @@ def _check_fiber(case, point, fiber):
     comps = list(fiber.comps) if isinstance(fiber, Spinor) else list(fiber)
     if len(comps) != 8:
         raise ValueError("level-3 fiber needs 8 components")
+    w = _scalar_value(case.fiber_weight().form(comps), "fiber norm")
     if real == "I":
-        w = RMatrix.identity(8, RING_SPLIT).form(comps)
-        _require_one(_scalar_value(w, "fiber norm"), "fiber must satisfy conj-norm 1")
+        _require_one(w, "fiber must satisfy conj-norm 1")
         d = gammarep.charge_conjugation("so43_I").matrix
         dc = d.matvec([c.conj() for c in comps])
         if not _close_vec(dc, comps):
             raise ValueError("level-3 fiber must satisfy the reality condition Phi = d conj(Phi)")
     else:
-        sig3 = gammarep.sigma3_block(4)
-        w = _scalar_value(sig3.form(comps), "fiber norm")
         _require_one(w, "fiber must have Sigma3-norm 1")
     return [[c] for c in comps]
 
 
 def _require_one(v, msg):
-    if isinstance(v, float):
-        if not (abs(v - 1.0) <= 1e-9):
-            raise NormalizationError(v, msg + " (got %r)" % v)
-    elif v != 1:
+    if not _near(v, 1):
         raise NormalizationError(v, msg + " (got %r)" % (v,))
 
 
 def _close_vec(a, b):
     for x, y in zip(a, b):
         d = x - y
-        comps = (d.re, d.im) if hasattr(d, "re") else (d,)
-        for c in comps:
-            if isinstance(c, float):
-                if not (abs(c) <= 1e-9):
-                    return False
-            elif c != 0:
-                return False
+        if not all(_near(c, 0) for c in ((d.re, d.im) if hasattr(d, "re") else (d,))):
+            return False
     return True
 
 
@@ -537,16 +489,9 @@ def invert(point, fiber=None, patch=None, exact=False):
     case = case_info(point.level, point.realization)
     patch = patch or point.patch
     res = point.constraint_residual()
-    if isinstance(res, float):
-        if not (abs(res) <= 1e-9):
-            raise ConstraintError("point is off the hyperboloid: residual %r" % res)
-    elif res != 0:
+    if not _near(res, 0):
         raise ConstraintError("point is off the hyperboloid: residual %r" % (res,))
-
-    s = 1 if patch == "upper" else -1
-    factor = 1 + s * point.coords[-1]
-    if factor < EPS_PATCH:
-        raise PatchError(patch, factor)
+    require_patch(point, patch)
 
     w, n = section_linear_part(point, patch)
     if fiber is None:
@@ -582,10 +527,7 @@ def level0_project(pair):
     onto (y1, y2) = (2 x1 x2, x1^2 + x2^2) on one branch."""
     x1, x2 = pair
     res = x1 * x1 - x2 * x2 + 1
-    if isinstance(res, float):
-        if not (abs(res) <= 1e-9):
-            raise ConstraintError("not on the hyperbola: %r" % res)
-    elif res != 0:
+    if not _near(res, 0):
         raise ConstraintError("not on the hyperbola: %r" % (res,))
     return (2 * x1 * x2, x1 * x1 + x2 * x2)
 
@@ -594,10 +536,7 @@ def level0_invert(pair, patch="upper"):
     """Pick the antipodal representative with x2 > 0 (upper) or x2 < 0."""
     y1, y2 = pair
     res = y1 * y1 - y2 * y2 + 1
-    if isinstance(res, float):
-        if not (abs(res) <= 1e-9):
-            raise ConstraintError("not on the hyperbola: %r" % res)
-    elif res != 0:
+    if not _near(res, 0):
         raise ConstraintError("not on the hyperbola: %r" % (res,))
     half = (y2 + 1) / 2
     if not isinstance(half, float):
@@ -678,7 +617,7 @@ def sample_normalized(level, realization, seed=0, backend="float", rng=None):
 
 
 def sample_base_point(level, realization, patch="upper", seed=0, backend="float",
-                      rng=None, overlap=False, margin=0.05):
+                      rng=None, overlap=False):
     """Random base point on the requested patch, via a projected spinor.
 
     The hyperboloids are symmetric under flipping the last coordinate, so a
@@ -691,7 +630,7 @@ def sample_base_point(level, realization, patch="upper", seed=0, backend="float"
         sp = sample_normalized(level, realization, backend=backend, rng=rng)
         pt = project(sp)
         coords = list(pt.coords)
-        want_sign = 1 if patch == "upper" else -1
+        want_sign = patch_sign(patch)
         if (level, realization) == (1, "II"):
             # lower leaf is the reflection of the (always upper) image
             if patch == "lower":
@@ -700,11 +639,11 @@ def sample_base_point(level, realization, patch="upper", seed=0, backend="float"
             coords[-1] = -coords[-1]
         cand = BasePoint(level, realization, coords, patch)
         f = cand.patch_factor(patch)
-        if f < margin:
+        if f < SAMPLE_MARGIN:
             continue
         if overlap:
-            if abs(float(coords[-1])) > 0.9 or cand.patch_factor("upper") < margin \
-                    or cand.patch_factor("lower") < margin:
+            if abs(float(coords[-1])) > 0.9 or cand.patch_factor("upper") < SAMPLE_MARGIN \
+                    or cand.patch_factor("lower") < SAMPLE_MARGIN:
                 continue
         return cand
     raise SamplingError("could not sample a base point on the %s patch" % patch)
@@ -732,7 +671,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             pt = sample_base_point(2, realization, rng=rng)
             psi = invert(pt, fiber=fib)
             n = _scalar_value(psi.norm(), "norm")
-            if not (abs(n - 1) <= 1e-9):
+            if not _near(n, 1):
                 ok = False
                 detail = "norm %r" % n
                 break
@@ -748,8 +687,8 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             j = SplitComplex(0, 1)
             pc = charge_conjugate_spinor(psi.comps)
             phi = [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
-            n = _scalar_value(RMatrix.identity(8, RING_SPLIT).form(phi), "norm")
-            if not (abs(n - 1) <= 1e-9):
+            n = _scalar_value(case_info(3, "I").fiber_weight().form(phi), "norm")
+            if not _near(n, 1):
                 ok = False
                 detail = "Phi norm %r" % n
                 break
@@ -758,7 +697,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             n2 = _scalar_value(Psi.norm(), "norm")
             B = majorana_matrix()
             mc = [-c for c in B.matvec([c.conj() for c in Psi.comps])]
-            if not (abs(n2 - 1) <= 1e-9) or not _close_vec(mc, Psi.comps):
+            if not _near(n2, 1) or not _close_vec(mc, Psi.comps):
                 ok = False
                 detail = "level-3 norm %r" % n2
                 break
@@ -775,7 +714,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             pt = sample_base_point(3, "II", rng=rng)
             Psi = invert(pt, fiber=phi)
             n2 = _scalar_value(Psi.norm(), "norm")
-            if not (abs(n2 - 1) <= 1e-9):
+            if not _near(n2, 1):
                 ok = False
                 detail = "norm %r" % n2
                 break

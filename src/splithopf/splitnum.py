@@ -420,15 +420,19 @@ def _parse_cell(cell):
     return (sign, int(cell[1:]))
 
 
-def _random_rational(rng, span=6):
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+# random coefficients are p/q with |p| <= RANDOM_SPAN and 1 <= q <= RANDOM_SPAN
+RANDOM_SPAN = 6
 
 
-def random_element(cls, rng, span=6):
+def _random_rational(rng):
+    return Fraction(rng.randint(-RANDOM_SPAN, RANDOM_SPAN), rng.randint(1, RANDOM_SPAN))
+
+
+def random_element(cls, rng):
     if issubclass(cls, _Binarion):
-        return cls(_random_rational(rng, span), _random_rational(rng, span))
+        return cls(_random_rational(rng), _random_rational(rng))
     if issubclass(cls, _TableAlgebra):
-        return cls._new(_random_rational(rng, span) for _ in range(len(cls.PRODUCTS)))
+        return cls._new(_random_rational(rng) for _ in range(len(cls.PRODUCTS)))
     raise TypeError(cls)
 
 

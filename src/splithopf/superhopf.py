@@ -14,10 +14,10 @@ from fractions import Fraction
 import math
 
 from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt, reciprocal
-from .ringmat import (
-    RMatrix, RING_SPLIT, RING_COMPLEX, commutator, anticommutator, worst_of, _is_zero,
-)
+from .ringmat import RMatrix, commutator, anticommutator, lincomb, worst_of, _is_zero
 from . import gammarep
+from .hopfmaps import BasePoint, case_info, patch_sign
+from .gaugegeom import tangent_basis, lowered_epsilon
 
 __all__ = [
     "InvolutionConfig", "PSEUDO", "STANDARD", "GrassmannElement",
@@ -39,22 +39,16 @@ class InvolutionConfig:
     Coefficients conjugate through their own conj() when they carry one.
     """
 
-    def __init__(self, mode, n_generators=4):
+    n_generators = 4
+
+    def __init__(self, mode):
         if mode not in ("pseudo", "standard"):
             raise ValueError(mode)
-        if n_generators % 2:
-            raise ValueError("generators must pair up under the involution")
         self.mode = mode
-        self.n_generators = n_generators
-        self.product_order = "preserve" if mode == "pseudo" else "reverse"
         images = {}
-        for k in range(0, n_generators, 2):
-            if mode == "pseudo":
-                images[k] = (1, k + 1)
-                images[k + 1] = (-1, k)
-            else:
-                images[k] = (1, k + 1)
-                images[k + 1] = (1, k)
+        for k in range(0, self.n_generators, 2):
+            images[k] = (1, k + 1)
+            images[k + 1] = (-1 if mode == "pseudo" else 1, k)
         self.images = images
 
     def __repr__(self):
@@ -83,21 +77,6 @@ def _merge_sign(a, b):
             sign = -sign
         bb ^= low
     return sign
-
-
-def _word_sign(indices):
-    """Sort a distinct generator sequence; returns (sign, mask)."""
-    idx = list(indices)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1, i, -1):
-            if idx[j - 1] > idx[j]:
-                idx[j - 1], idx[j] = idx[j], idx[j - 1]
-                sign = -sign
-    mask = 0
-    for k in idx:
-        mask |= 1 << k
-    return sign, mask
 
 
 def _mask_bits(mask):
@@ -190,17 +169,16 @@ class GrassmannElement:
         out = {}
         for mask, c in self.coeffs.items():
             bits = _mask_bits(mask)
-            if cfg.product_order == "reverse":
-                bits = list(reversed(bits))
-            sign = 1
-            imgs = []
+            if cfg.mode == "standard":  # order-reversing
+                bits.reverse()
+            # the product of the generators' images, merged one at a time
+            sign, m2 = 1, 0
             for k in bits:
                 s, k2 = cfg.images[k]
-                sign *= s
-                imgs.append(k2)
-            s2, m2 = _word_sign(imgs)
+                sign *= s * _merge_sign(m2, 1 << k2)
+                m2 |= 1 << k2
             val = _conj_coeff(c)
-            val = val if sign * s2 > 0 else -val
+            val = val if sign > 0 else -val
             out[m2] = out.get(m2, 0) + val
         return GrassmannElement(out, cfg)
 
@@ -212,13 +190,15 @@ class GrassmannElement:
     def soul(self):
         return GrassmannElement({m: c for m, c in self.coeffs.items() if m}, self.config)
 
-    def even_part(self):
+    def _part(self, parity):
         return GrassmannElement({m: c for m, c in self.coeffs.items()
-                                 if bin(m).count("1") % 2 == 0}, self.config)
+                                 if bin(m).count("1") % 2 == parity}, self.config)
+
+    def even_part(self):
+        return self._part(0)
 
     def odd_part(self):
-        return GrassmannElement({m: c for m, c in self.coeffs.items()
-                                 if bin(m).count("1") % 2 == 1}, self.config)
+        return self._part(1)
 
     def parity(self):
         """0, 1 or None for mixed."""
@@ -311,17 +291,22 @@ def _coeff_inverse(c):
     return reciprocal(c)
 
 
-def odd_derivative(a, k):
-    """Left derivative with respect to generator k."""
+def _odd_derivative(a, k, passed):
+    """Derivative with respect to generator k that moves it past the
+    generators in the bitmask passed, one sign each."""
     out = {}
     bit = 1 << k
     for mask, c in a.coeffs.items():
         if not mask & bit:
             continue
-        below = bin(mask & (bit - 1)).count("1")
-        val = c if below % 2 == 0 else -c
+        val = c if bin(mask & passed).count("1") % 2 == 0 else -c
         out[mask ^ bit] = out.get(mask ^ bit, 0) + val
     return GrassmannElement(out, a.config)
+
+
+def odd_derivative(a, k):
+    """Left derivative with respect to generator k."""
+    return _odd_derivative(a, k, (1 << k) - 1)
 
 
 def odd_derivative_right(a, k):
@@ -331,35 +316,28 @@ def odd_derivative_right(a, k):
     right derivatives; that convention reproduces the closed forms exactly
     (see super_connection_check).
     """
-    out = {}
-    bit = 1 << k
-    for mask, c in a.coeffs.items():
-        if not mask & bit:
-            continue
-        above = bin(mask >> (k + 1)).count("1")
-        val = c if above % 2 == 0 else -c
-        out[mask ^ bit] = out.get(mask ^ bit, 0) + val
-    return GrassmannElement(out, a.config)
+    return _odd_derivative(a, k, -(2 << k))
 
 
 # ---------------------------------------------------------------------------
 # OSp(1|2) generators
 
-# body metric eta_ii and superadjoint weight W of each realization: the split
-# map weights with diag(1, 1, -1), the complex one with kappa = diag(1, -1, -1)
-_ETA = {"I": (1, -1, 1), "II": (1, 1, -1)}
+# superadjoint weight W of each realization: the split map weights with
+# diag(1, 1, -1), the complex one with kappa = diag(1, -1, -1)
 _WEIGHT = {"I": (1, 1, -1), "II": (1, -1, -1)}
 
 
+def _eta(realization):
+    """The body metric eta_ii: the first map's base metric."""
+    return case_info(1, realization).base_metric.signature
+
+
 def _ring(realization):
-    return RING_SPLIT if realization == "I" else RING_COMPLEX
+    return case_info(1, realization).ring
 
 
-def _sigmas(realization):
-    """sigma^i (split Pauli) for the split realization, tau^i for the complex."""
-    if realization == "I":
-        return [gammarep.split_pauli(i) for i in (1, 2, 3)]
-    return [gammarep.tau(i) for i in (1, 2, 3)]
+def _unit(realization):
+    return case_info(1, realization).unit
 
 
 def _weight(realization):
@@ -370,7 +348,7 @@ def _osp_matrices(realization):
     ring = _ring(realization)
     half = Fraction(1, 2)
     li = []
-    for m in _sigmas(realization):
+    for m in gammarep.triple(realization).gammas:
         rows = [[m.entry(0, 0), m.entry(0, 1), 0],
                 [m.entry(1, 0), m.entry(1, 1), 0],
                 [0, 0, 0]]
@@ -399,26 +377,27 @@ def _eps2(ring):
     return RMatrix([[0, 1], [-1, 0]], ring)
 
 
+def _ring_lincomb(coeffs, basis, unit):
+    """sum_k coeffs[k] basis[k] for ring coefficients re + u im, u the unit."""
+    return (lincomb([c.re for c in coeffs], basis)
+            + lincomb([c.im for c in coeffs], basis).scale(unit))
+
+
 def osp_algebra_check(realization):
     """Exact verification of the graded algebra of both generator sets."""
     gen = build_osp_generators(realization)
-    ring = gen["ring"]
     li, la = gen["li"], gen["lalpha"]
     unit = _unit(realization)
-    eta = _ETA[realization]
-    sig = _sigmas(realization)
+    eta = _eta(realization)
+    sig = gammarep.triple(realization).gammas
+    half = Fraction(1, 2)
     results = []
 
     bad = []
     for i in range(1, 4):
         for j in range(1, 4):
-            lhs = commutator(li[i - 1], li[j - 1])
-            rhs = RMatrix.zeros(3, 3, ring)
-            for k in range(1, 4):
-                e = gammarep.levi_civita(i, j, k)
-                if e:
-                    rhs = rhs + li[k - 1].scale(e * eta[k - 1]).scale(unit)
-            if lhs != rhs:
+            rhs = lincomb([gammarep.levi_civita(i, j, k) * eta[k - 1] for k in (1, 2, 3)], li)
+            if commutator(li[i - 1], li[j - 1]) != rhs.scale(unit):
                 bad.append("[l%d,l%d]" % (i, j))
     results.append(("osp-%s-even-even" % realization, not bad,
                     "; fails " + ",".join(bad) if bad else "[l^i,l^j] = u eps^ijk l_k"))
@@ -426,29 +405,22 @@ def osp_algebra_check(realization):
     bad = []
     for i in range(1, 4):
         for a in range(2):
-            lhs = commutator(li[i - 1], la[a])
-            rhs = RMatrix.zeros(3, 3, ring)
-            for b in range(2):
-                rhs = rhs + la[b].scale(sig[i - 1].entry(b, a)).scale(Fraction(1, 2))
-            if lhs != rhs:
+            rhs = _ring_lincomb([sig[i - 1].entry(b, a) for b in range(2)], la, unit).scale(half)
+            if commutator(li[i - 1], la[a]) != rhs:
                 bad.append("[l%d,l^a%d]" % (i, a + 1))
     results.append(("osp-%s-even-odd" % realization, not bad,
                     "; fails " + ",".join(bad) if bad else "[l^i,l^a] = (1/2) sigma^i_b^a l^b"))
 
-    eps = _eps2(ring)
+    # {l^a, l^b} = (1/2) (e G_i)^ab l^i over the lowered triple G, with
+    # e = eps (split) or eps^T (complex)
+    eps = _eps2(gen["ring"])
+    eps = eps if realization == "I" else eps.transpose()
+    lowered, _ = gammarep.lowered_set(2, realization)
     bad = []
     for a in range(2):
         for b in range(2):
-            lhs = anticommutator(la[a], la[b])
-            rhs = RMatrix.zeros(3, 3, ring)
-            for i in range(1, 4):
-                if realization == "I":
-                    coef = (eps @ sig[i - 1]).entry(a, b)
-                    rhs = rhs + li[i - 1].scale(eta[i - 1]).scale(coef).scale(Fraction(1, 2))
-                else:
-                    coef = (eps.transpose() @ sig[i - 1].scale(eta[i - 1])).entry(a, b)
-                    rhs = rhs + li[i - 1].scale(coef).scale(Fraction(1, 2))
-            if lhs != rhs:
+            rhs = _ring_lincomb([(eps @ g).entry(a, b) for g in lowered], li, unit).scale(half)
+            if anticommutator(la[a], la[b]) != rhs:
                 bad.append("{l^a%d,l^a%d}" % (a + 1, b + 1))
     results.append(("osp-%s-odd-odd" % realization, not bad,
                     "; fails " + ",".join(bad) if bad else "{l^a,l^b} closes on l_i"))
@@ -462,7 +434,7 @@ def osp_algebra_check(realization):
         results.append(("osp-II-charge-conjugation", not bad,
                         "; fails " + ",".join(bad) if bad else
                         "R^dag l^i R = -(l^i)* (even sector)"))
-        props = R.dagger() == R and R.transpose() == R and R @ R == RMatrix.identity(3, ring)
+        props = R.dagger() == R and R.transpose() == R and R @ R == RMatrix.identity(3, R.ring)
         results.append(("osp-II-R-properties", props, "R symmetric, real, involutive"))
         k_i = gen["kappa_i"]
         herm = all(m.dagger() == m for m in k_i)
@@ -471,12 +443,7 @@ def osp_algebra_check(realization):
         ka = gen["kappa_alpha"]
         bad = []
         for a in range(2):
-            want = RMatrix.zeros(3, 3, ring)
-            for b in range(2):
-                c = s1.entry(b, a)
-                if not _is_zero(c):
-                    want = want + ka[b].scale(c)
-            if ka[a].dagger() != want:
+            if ka[a].dagger() != _ring_lincomb([s1.entry(b, a) for b in range(2)], ka, unit):
                 bad.append(str(a + 1))
         results.append(("osp-II-kappa-alpha", not bad,
                         "(kappa^alpha)^dag = (sigma1)_b^a kappa^b"))
@@ -488,10 +455,6 @@ def osp_algebra_check(realization):
 
 def _config(realization):
     return PSEUDO if realization == "I" else STANDARD
-
-
-def _unit(realization):
-    return SplitComplex(0, 1) if realization == "I" else OrdinaryComplex(0, 1)
 
 
 def _elements(xs, cfg):
@@ -536,7 +499,7 @@ def constraint_residual(xs, ths, realization):
     """eta_ij x^i x^j + s eps_ab th^a th^b - target, as a Grassmann element."""
     cfg = xs[0].config
     acc = GrassmannElement.scalar(0, cfg)
-    for e, x in zip(_ETA[realization], xs):
+    for e, x in zip(_eta(realization), xs):
         acc = acc + x * x * e
     tt = theta_bilinear(ths)
     if realization == "I":
@@ -580,7 +543,7 @@ def super_invert(xs, ths, patch="upper", realization="I"):
     one = GrassmannElement.scalar(1, cfg)
     if realization == "II" and patch == "lower":
         raise ValueError("the complex super map covers only the upper leaf")
-    sign = 1 if patch == "upper" else -1
+    sign = patch_sign(patch)
     n = one + xs[2] * sign
     if float(_body_real(n.body())) < 1e-9:
         raise ValueError("patch factor degenerate; try the other patch")
@@ -610,14 +573,15 @@ def _body_real(b):
 # closed super gauge forms
 
 def _odd_contractions(xs, ths, realization):
-    """v_i = M_i theta and w = x^i v_i, where M_i = eta_i sigma^i eps for the
-    split realization and (eta_i tau^i eps)^T for the complex one; the
+    """v_i = M_i theta and w = x^i v_i, where M_i = G_i eps for the split
+    realization and (G_i eps)^T for the complex one, G_i = eta_i sigma^i
+    (eta_i tau^i) the lowered triple of gammarep.lowered_set; the
     transpose is the complex map's contraction on the first index of tau eps.
     Returns (M, v, w, c) with c = u/2 (split) or -u/2 (complex), so that
     A_alpha = c w_alpha."""
     zero = GrassmannElement.scalar(0, xs[0].config)
     eps = _eps2(_ring(realization))
-    mats = [(m @ eps).scale(e) for m, e in zip(_sigmas(realization), _ETA[realization])]
+    mats = [g @ eps for g in gammarep.lowered_set(2, realization)[0]]
     if realization == "II":
         mats = [m.transpose() for m in mats]
     vs = [m.matvec(ths) for m in mats]
@@ -639,7 +603,7 @@ def super_connection(xs, ths, patch="upper", realization="I"):
     xs = _elements(xs, cfg)
     s = theta_bilinear(ths)
     one = GrassmannElement.scalar(1, cfg)
-    sign = 1 if patch == "upper" else -1
+    sign = patch_sign(patch)
     n = one + xs[2] * sign
     ninv = n.inverse()
     two_pm = GrassmannElement.scalar(2, cfg) + xs[2] * sign
@@ -647,14 +611,8 @@ def super_connection(xs, ths, patch="upper", realization="I"):
     # bosonic body signs: split patchwise +/-, complex fixed -
     lead = sign if realization == "I" else -1
 
-    A_i = {}
-    for i in (1, 2, 3):
-        acc = GrassmannElement.scalar(0, cfg)
-        for j in (1, 2, 3):
-            e = -gammarep.levi_civita(i, j, 3)  # lowered: both metrics have det -1
-            if e:
-                acc = acc + xs[j - 1] * e
-        A_i[i] = acc * ninv * Fraction(lead, 2) * soul_factor
+    A_i = {i: lowered_epsilon(xs, 3, i) * ninv * Fraction(lead, 2) * soul_factor
+           for i in (1, 2, 3)}
 
     _, _, w, coef = _odd_contractions(xs, ths, realization)
     A_a = {a + 1: w[a] * coef for a in range(2)}
@@ -673,25 +631,15 @@ def super_curvature(xs, ths, patch="upper", realization="I"):
     s = theta_bilinear(ths)
     one = GrassmannElement.scalar(1, cfg)
     soul = one + s * Fraction(3, 2)
-    if realization == "I":
-        lead = -1
-    else:
-        lead = 1 if patch == "upper" else -1
+    lead = -1 if realization == "I" else patch_sign(patch)
 
-    F_ij = {}
-    for i in (1, 2, 3):
-        for j in range(i + 1, 4):
-            acc = GrassmannElement.scalar(0, cfg)
-            for k in (1, 2, 3):
-                e = -gammarep.levi_civita(i, j, k)
-                if e:
-                    acc = acc + xs[k - 1] * e
-            F_ij[(i, j)] = acc * Fraction(lead, 2) * soul
+    F_ij = {(i, j): lowered_epsilon(xs, i, j) * Fraction(lead, 2) * soul
+            for i in (1, 2, 3) for j in range(i + 1, 4)}
 
     # F_ia = c (eta_ij - 3 x_i x_j) (eta_j v_j)_a with lowered x_i, x_j; as
     # eta_j^2 = 1 this is c (v_i - 3 eta_i x^i w)_a
     mats, vs, w, coef = _odd_contractions(xs, ths, realization)
-    eta = _ETA[realization]
+    eta = _eta(realization)
     F_ia = {(i + 1, a + 1): (vs[i][a] - xs[i] * w[a] * (3 * eta[i])) * coef
             for i in range(3) for a in range(2)}
 
@@ -715,7 +663,7 @@ def super_transition(xs, ths):
     s = theta_bilinear(ths)
     one = GrassmannElement.scalar(1, cfg)
     rho2 = one - xs[2] * xs[2]
-    num = (xs[0] + xs[1] * SplitComplex(0, 1)) * \
+    num = (xs[0] + xs[1] * _unit("I")) * \
         (one + s * rho2.inverse() * Fraction(1, 2))
     return num, rho2
 
@@ -730,15 +678,12 @@ def engine_checks(seed=0, samples=60):
     results = []
 
     def rand_elem(cfg):
+        cls = SplitComplex if cfg is PSEUDO else OrdinaryComplex
         coeffs = {}
         for _ in range(4):
             mask = rng.randrange(1 << cfg.n_generators)
-            if cfg is PSEUDO:
-                c = SplitComplex(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
-                                 Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-            else:
-                c = OrdinaryComplex(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
-                                    Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+            c = cls(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
             coeffs[mask] = coeffs.get(mask, 0) + c
         return GrassmannElement(coeffs, cfg)
 
@@ -821,19 +766,13 @@ def _defining_even(chi0, chis_p, chis_m, h, realization):
     return -(acc * u)
 
 
-def _body_tangents(x_body, realization):
-    eta = _ETA[realization]
-    q = sum(e * float(x) * float(x) for e, x in zip(eta, x_body))
-    out = []
-    for a in range(3):
-        t = [0.0, 0.0, 0.0]
-        t[a] = 1.0
-        coef = eta[a] * float(x_body[a]) / q
-        t = [ti - coef * float(xi) for ti, xi in zip(t, x_body)]
-        norm = math.sqrt(sum(ti * ti for ti in t))
-        if norm > 1e-12:
-            out.append(tuple(ti / norm for ti in t))
-    return out
+def _shifted_lifts(x_body, ths, realization, h):
+    """(t, lift at x_body + h t, lift at x_body - h t) for each tangent t of
+    the first map's base at the body point."""
+    for t in tangent_basis(BasePoint(1, realization, x_body)):
+        xp = [float(x) + h * ti for x, ti in zip(x_body, t)]
+        xm = [float(x) - h * ti for x, ti in zip(x_body, t)]
+        yield t, lift_base(xp, ths, realization), lift_base(xm, ths, realization)
 
 
 def super_connection_check(x_body, patch="upper", realization="I", h=1e-6):
@@ -857,11 +796,9 @@ def super_connection_check(x_body, patch="upper", realization="I", h=1e-6):
     even = []
     s = theta_bilinear(ths)
     one = GrassmannElement.scalar(1, cfg)
-    for t in _body_tangents(x_body, realization):
-        xp = [float(x) + h * ti for x, ti in zip(x_body, t)]
-        xm = [float(x) - h * ti for x, ti in zip(x_body, t)]
-        chi_p = super_invert(lift_base(xp, ths, realization), ths, patch, realization)
-        chi_m = super_invert(lift_base(xm, ths, realization), ths, patch, realization)
+    for t, lift_p, lift_m in _shifted_lifts(x_body, ths, realization, h):
+        chi_p = super_invert(lift_p, ths, patch, realization)
+        chi_m = super_invert(lift_m, ths, patch, realization)
         num = _defining_even(chi, chi_p, chi_m, h, realization)
         closed = GrassmannElement.scalar(0, cfg)
         for i in (1, 2, 3):
@@ -903,11 +840,7 @@ def super_gluing_check(x_body, h=1e-6):
         odd.append(dev.max_abs())
 
     even = []
-    for t in _body_tangents(x_body, realization):
-        xp = [float(x) + h * ti for x, ti in zip(x_body, t)]
-        xm = [float(x) - h * ti for x, ti in zip(x_body, t)]
-        lift_p = lift_base(xp, ths, realization)
-        lift_m = lift_base(xm, ths, realization)
+    for _, lift_p, lift_m in _shifted_lifts(x_body, ths, realization, h):
         chi_up_p = super_invert(lift_p, ths, "upper", realization)
         chi_up_m = super_invert(lift_m, ths, "upper", realization)
         chi_lo_p = super_invert(lift_p, ths, "lower", realization)

@@ -169,6 +169,24 @@ def test_tolerance_override(capsys):
     assert code == 2
 
 
+def test_tolerance_override_keeps_exact_conditions(capsys, monkeypatch):
+    # a super-connection check whose exact odd residual is 1 fails with its
+    # default tolerance given explicitly as well as without it
+    from splithopf import superhopf
+    real_check = superhopf.super_connection_check
+
+    def broken(*args, **kw):
+        return dict(real_check(*args, **kw), odd=1.0)
+
+    monkeypatch.setattr(superhopf, "super_connection_check", broken)
+    for extra in ((), ("--tolerance", "super-connection=1e-6")):
+        code, out, _ = run(capsys, "verify", "--suite", "super", "--no-timestamp", *extra)
+        assert code == 1
+        status = {c["id"]: c["status"] for s in json.loads(out)["suites"] for c in s["checks"]}
+        assert status["super-connection-I"] == status["super-connection-II"] == "fail"
+        assert status["super-gluing"] == "pass"
+
+
 def test_non_finite_output_fails(capsys, monkeypatch):
     import splithopf.cli as cli
     monkeypatch.setattr(cli, "multiplication_table", lambda name: {"x": float("nan")})

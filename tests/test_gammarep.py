@@ -176,6 +176,16 @@ def test_conjugation_generator_rule_holds_lowered(name):
         assert c @ low @ cinv == low.conj().scale(cc.generator_rule)
 
 
+@pytest.mark.parametrize("name", ["split_pauli", "tau"])
+def test_conjugation_generator_rule_of_the_triples(name):
+    # conjugation_check skips the generator identity for the two triples, so
+    # their stored rule is pinned here: C sigma C^-1 = -conj(sigma)
+    cc = charge_conjugation(name)
+    assert cc.generator_rule == -1
+    for s in build_generators(name)["sigmas"].values():
+        assert cc.matrix @ s @ cc.matrix_inv == s.conj().scale(cc.generator_rule)
+
+
 def test_thooft_tables():
     for variant in ("I", "II"):
         for bar in (False, True):

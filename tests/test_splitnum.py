@@ -153,6 +153,16 @@ def test_cleared_sample_keeps_the_rng_stream():
         assert r1.random() == r2.random()
 
 
+def test_random_element_reaches_negative_coefficients():
+    def comps(z):
+        return (z.re, z.im) if isinstance(z, (SplitComplex, OrdinaryComplex)) else z.coeffs
+
+    rng = random.Random(0)
+    for cls in (SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion):
+        draws = [c for _ in range(20) for c in comps(random_element(cls, rng))]
+        assert min(draws) < 0 < max(draws)
+
+
 @pytest.mark.parametrize("cell", [(1, 2), (3, 5), (6, 4)])
 def test_octonion_sign_flip_fails_composition_and_anti_automorphism(monkeypatch, cell):
     i, k = cell

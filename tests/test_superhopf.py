@@ -35,6 +35,19 @@ def test_left_derivative():
     assert sh.odd_derivative_right(g0 * g1, 1) == g0
 
 
+def test_right_derivative_is_the_signed_left_derivative():
+    # on a word of degree p, d^R_k = (-1)^(p-1) d^L_k: moving g_k to the right
+    # end instead of the left passes the other p - 1 generators
+    for mask in range(16):
+        word = G({mask: 1}, sh.PSEUDO)
+        p = bin(mask).count("1")
+        for k in range(4):
+            left = sh.odd_derivative(word, k)
+            assert sh.odd_derivative_right(word, k) == (left if p % 2 else -left)
+    g1, g2, g3 = gens(sh.PSEUDO)[1:]
+    assert sh.odd_derivative_right(g1 * g2 * g3, 1) == g2 * g3
+
+
 def test_pseudo_conjugation_images():
     g0, g1, _, _ = gens(sh.PSEUDO)
     assert g0.conj() == g1
