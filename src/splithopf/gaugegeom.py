@@ -26,10 +26,12 @@ level 2, sigma_mn at level 3):
               (+ for I, - for II);
     level 3:  c [A_m, A_n] = (y.y) sigma_mn - eta_n y_n A_m + eta_m y_m A_n.
 
-curvature_closed therefore builds each F_mn as one linear combination of
-the generators, from the connection in algebra coordinates.  The numeric
-oracle curvature_numeric still takes the matrix commutator, so the two
-sides of the curvature check share no commutator code.
+Both closed forms are kept as {k: coefficient} maps over the generators,
+and a contraction with tangents is one linear combination of them; one
+matrix per component is built only for connection_closed, curvature_closed,
+field_components and the span oracle.  The numeric oracle curvature_numeric
+still takes the matrix commutator, so the two sides of the curvature check
+share no commutator code.
 """
 
 from fractions import Fraction
@@ -130,8 +132,9 @@ def _shift(point, t, h):
 # ---------------------------------------------------------------------------
 # closed connection forms
 
-def _algebra_connection(point, patch):
-    """The closed connection at levels 2-3 in algebra coordinates.
+def _algebra_connection(level, realization, patch, coords):
+    """The closed connection at levels 2-3 in algebra coordinates, at any x
+    require_patch accepts: off the hyperboloid, a numerator linear in x over n.
 
     Returns (s, 1/n, y, basis, T, coeffs) with s, n from require_patch,
     y = x / n over the free coordinates, basis and T from _gauge_algebra,
@@ -140,14 +143,14 @@ def _algebra_connection(point, patch):
       level 2: A_m = -+(1/2n) sum_n' x_n' T_mn' (- for I);
       level 3: A_m = sum_n' y_n' T_mn'.
     """
-    x = point.coords
-    s, n = require_patch(point, patch)
+    x = coords
+    s, n = require_patch(x, patch)
     inv_n = reciprocal(n)
-    basis, pairs = _gauge_algebra(point.level, point.realization, patch == "lower")
+    basis, pairs = _gauge_algebra(level, realization, patch == "lower")
     free = range(1, len(x))
     y = [xi * inv_n for xi in x[:-1]]
-    if point.level == 2:
-        pref = (Fraction(-1, 2) if point.realization == "I" else Fraction(1, 2)) * inv_n
+    if level == 2:
+        pref = (Fraction(-1, 2) if realization == "I" else Fraction(1, 2)) * inv_n
         coeffs = {m: {k: sum(pairs[(m, nn)].get(k, 0) * x[nn - 1] for nn in free) * pref
                       for k in range(3)}
                   for m in free}
@@ -162,8 +165,17 @@ def _combine(basis, coeffs):
     return lincomb(coeffs.values(), [basis[k] for k in coeffs])
 
 
-def _connection_matrices(alg):
-    _, _, _, basis, _, coeffs = alg
+def _contract(basis, comps, weights):
+    """sum_key w_key comps[key] over {key: {k: coefficient}} maps (weights in
+    comps' order), summed in algebra coordinates: one lincomb."""
+    acc = {}
+    for w, cm in zip(weights, comps.values()):
+        for k, c in cm.items():
+            acc[k] = acc.get(k, 0) + w * c
+    return _combine(basis, acc)
+
+
+def _connection_matrices(basis, coeffs):
     out = {m: _combine(basis, c) for m, c in coeffs.items()}
     out[len(coeffs) + 1] = RMatrix.zeros(basis[0].rows, basis[0].cols, basis[0].ring)
     return out
@@ -180,6 +192,18 @@ def lowered_epsilon(x, i, j):
     return acc
 
 
+def _connection_coeffs(point, patch):
+    """The closed connection as the contractions take it: {a: scalar} at
+    level 1, (basis, {m: {k: coefficient}}) at levels 2-3."""
+    x = point.coords
+    if point.level > 1:
+        alg = _algebra_connection(point.level, point.realization, patch, x)
+        return alg[3], alg[5]
+    s, n = require_patch(x, patch)
+    sign = s if point.realization == "I" else -1
+    return {i: sign * lowered_epsilon(x, 3, i) / (2 * n) for i in (1, 2, 3)}
+
+
 def connection_closed(point, patch=None):
     """Closed-form connection components {a: value}, a = 1..dim.
 
@@ -187,22 +211,18 @@ def connection_closed(point, patch=None):
     span of the case's generator family.  The last component vanishes on both
     patches.
     """
-    patch = patch or point.patch
-    if point.level > 1:
-        return _connection_matrices(_algebra_connection(point, patch))
-    x = point.coords
-    s, n = require_patch(point, patch)
-    sign = s if point.realization == "I" else -1
-    return {i: sign * lowered_epsilon(x, 3, i) / (2 * n) for i in (1, 2, 3)}
+    comps = _connection_coeffs(point, patch or point.patch)
+    return comps if point.level == 1 else _connection_matrices(*comps)
 
 
 def connection_contraction(point, t, patch=None, closed=None):
-    """sum_a A_a t^a for a tangent direction t, contracting the closed
-    components (connection_closed(point, patch) unless given)."""
-    comps = closed if closed is not None else connection_closed(point, patch)
-    if isinstance(comps[1], RMatrix):
-        return lincomb([t[a - 1] for a in comps], comps.values())
-    return sum(v * t[a - 1] for a, v in comps.items())
+    """sum_a A_a t^a for a tangent direction t, from the closed connection
+    as _connection_coeffs(point, patch) gives it (computed unless given)."""
+    comps = closed if closed is not None else _connection_coeffs(point, patch or point.patch)
+    if point.level == 1:
+        return sum(v * t[a - 1] for a, v in comps.items())
+    basis, coeffs = comps
+    return _contract(basis, coeffs, [t[m - 1] for m in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +262,16 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
         col = lift(_fiber_column(point, fiber))
         w0 = w0 @ col
 
+    # tangent-independent products, formed once (@ groups to the left anyway)
+    if mode == "fd":
+        s0_w = w0.scale(1.0 / math.sqrt(2.0 * n0)).dagger() @ W
+    elif mode == "analytic":
+        w0_w = w0.dagger() @ W
+        w0_w_w0 = w0_w @ w0
+        p2 = (Fraction(1, 2) if not isinstance(n0, float) else 0.5) / n0
+    else:
+        raise ValueError(mode)
+
     out = []
     for t in tangents:
         if mode == "fd":
@@ -254,27 +284,19 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
             sp = wp.scale(1.0 / math.sqrt(2.0 * np_))
             sm = wm.scale(1.0 / math.sqrt(2.0 * nm))
             ds = (sp - sm).scale(1.0 / (2.0 * h))
-            s0 = w0.scale(1.0 / math.sqrt(2.0 * n0))
-            raw = (s0.dagger() @ W @ ds).scale(-u)
-        elif mode == "analytic":
+            raw = (s0_w @ ds).scale(-u)
+        else:
             # s = w / sqrt(2n); -u s^dag W ds = -u p^2 [w^dag W w' - (dn/2n) w^dag W w]
             wp, _ = section_linear_part(_shift(point, t, 1), patch)
             wp = lift(wp)
             if col is not None:
                 wp = wp @ col
-            wprime = wp - w0
             ndot = patch_sign(patch) * t[-1]
-            p2 = (Fraction(1, 2) if not isinstance(n0, float) else 0.5) / n0
-            core = (w0.dagger() @ W @ wprime) - (w0.dagger() @ W @ w0).scale(ndot).scale(p2)
+            core = (w0_w @ (wp - w0)) - w0_w_w0.scale(ndot).scale(p2)
             raw = core.scale(p2).scale(-u)
-        else:
-            raise ValueError(mode)
         if D is not None and col is None:
             raw = D @ raw
-        if raw.rows == 1 and raw.cols == 1:
-            out.append(raw.entry(0, 0))
-        else:
-            out.append(raw)
+        out.append(raw.entry(0, 0) if raw.rows == 1 and raw.cols == 1 else raw)
     return out
 
 
@@ -291,15 +313,10 @@ def connection_residual(point, patch=None, h=DEFAULT_H, mode="fd"):
     (NaN if any deviation is NaN)."""
     patch = patch or point.patch
     tangents = tangent_basis(point)
-    closed = connection_closed(point, patch)
+    closed = _connection_coeffs(point, patch)
     numeric = connection_numeric(point, patch, h=h, mode=mode, tangents=tangents)
-    devs = []
-    for t, num in zip(tangents, numeric):
-        cl = connection_contraction(point, t, patch, closed=closed)
-        if isinstance(num, RMatrix) and not isinstance(cl, RMatrix):
-            cl = RMatrix([[cl]], num.ring)
-        devs.append(_value_dev(num, cl))
-    return worst_of(devs)
+    return worst_of(_value_dev(num, connection_contraction(point, t, patch, closed=closed))
+                    for t, num in zip(tangents, numeric))
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +327,13 @@ def _comm_unit(real):
     return -SplitComplex(0, 1) if real == "I" else OrdinaryComplex(0, 1)
 
 
-def _curvature_matrices(point, alg):
+def _curvature_terms(point, alg):
     """Levels 2-3: F_mn = alpha T_mn + w_n A_m - w_m A_n for free m < n and
-    F_{m,last} = (s/n) A_m, each one lincomb over the basis.  This is the
-    ambient derivative of the connection plus the closed commutator term of
-    the module docstring: alpha = +-(1/n + y.y/2) (+ for I) and
-    w_k = eta_k y_k at level 2, alpha = y.y - 2/n and w_k = -eta_k y_k at
-    level 3.
+    F_{m,last} = (s/n) A_m, as {(m, n): {k: coefficient}} over the basis.
+    This is the ambient derivative of the connection plus the closed
+    commutator term of the module docstring: alpha = +-(1/n + y.y/2) (+ for
+    I) and w_k = eta_k y_k at level 2, alpha = y.y - 2/n and
+    w_k = -eta_k y_k at level 3.
     """
     s, inv_n, y, basis, pairs, coeffs = alg
     eta = case_info(point.level, point.realization).base_metric.signature
@@ -336,25 +353,23 @@ def _curvature_matrices(point, alg):
                 terms[k] = terms.get(k, 0) + w[nn - 1] * c
             for k, c in coeffs[nn].items():
                 terms[k] = terms.get(k, 0) - w[m - 1] * c
-            out[(m, nn)] = _combine(basis, terms)
-        out[(m, last)] = _combine(basis, {k: s * inv_n * c for k, c in am.items()})
+            out[(m, nn)] = terms
+        out[(m, last)] = {k: s * inv_n * c for k, c in am.items()}
     return out
 
 
-def curvature_closed(point, patch=None):
-    """Closed curvature components {(a, b): value}, a < b, ambient convention.
+def _curvature_matrices(basis, terms):
+    return {key: _combine(basis, c) for key, c in terms.items()}
 
-    These are the exact ambient derivatives of connection_closed plus the
-    commutator term, so contractions with tangent pairs give the intrinsic
-    curvature 2-form.  At levels 2-3 the commutator term is in closed form
-    (_curvature_matrices).  Level 1 of the split realization refuses points
-    too close to the light cone of the 3-metric.
-    """
-    patch = patch or point.patch
-    if point.level > 1:
-        return _curvature_matrices(point, _algebra_connection(point, patch))
+
+def _curvature_coeffs(point, patch):
+    """The closed curvature as the contractions take it: {(a, b): scalar} at
+    level 1, (basis, _curvature_terms) at levels 2-3."""
     x = point.coords
-    s, _ = require_patch(point, patch)
+    if point.level > 1:
+        alg = _algebra_connection(point.level, point.realization, patch, x)
+        return alg[3], _curvature_terms(point, alg)
+    s, _ = require_patch(x, patch)
     if point.realization == "I":
         r2 = x[0] * x[0] - x[1] * x[1] + x[2] * x[2]
         if abs(float(r2)) < EPS_NULL:
@@ -366,17 +381,28 @@ def curvature_closed(point, patch=None):
             for i in (1, 2, 3) for j in range(i + 1, 4)}
 
 
+def curvature_closed(point, patch=None):
+    """Closed curvature components {(a, b): value}, a < b, ambient convention.
+
+    These are the exact ambient derivatives of connection_closed plus the
+    commutator term, so contractions with tangent pairs give the intrinsic
+    curvature 2-form.  At levels 2-3 the commutator term is in closed form
+    (_curvature_terms).  Level 1 of the split realization refuses points
+    too close to the light cone of the 3-metric.
+    """
+    comps = _curvature_coeffs(point, patch or point.patch)
+    return comps if point.level == 1 else _curvature_matrices(*comps)
+
+
 def curvature_contraction(point, t, v, patch=None, closed=None):
-    """F(t, v) = sum_{a<b} F_ab (t^a v^b - t^b v^a), contracting the closed
-    components (curvature_closed(point, patch) unless given)."""
-    comps = closed if closed is not None else curvature_closed(point, patch)
-    weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in comps]
-    if isinstance(next(iter(comps.values())), RMatrix):
-        return lincomb(weights, comps.values())
-    acc = 0
-    for w, m in zip(weights, comps.values()):
-        acc += m * w
-    return acc
+    """F(t, v) = sum_{a<b} F_ab (t^a v^b - t^b v^a), from the closed curvature
+    as _curvature_coeffs(point, patch) gives it (computed unless given)."""
+    comps = closed if closed is not None else _curvature_coeffs(point, patch or point.patch)
+    terms = comps if point.level == 1 else comps[1]
+    weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in terms]
+    if point.level == 1:
+        return sum(f * w for w, f in zip(weights, terms.values()))
+    return _contract(comps[0], terms, weights)
 
 
 def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
@@ -393,12 +419,11 @@ def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
     a_vm = contract(_shift(point, v, -h), t)
     if isinstance(a_tp, RMatrix):
         da = (a_tp - a_tm).scale(1.0 / (2 * h)) - (a_vp - a_vm).scale(1.0 / (2 * h))
-        here = connection_closed(point, patch)
+        here = _connection_coeffs(point, patch)
         at = contract(point, t, here)
         av = contract(point, v, here)
         return da + commutator(at, av).scale(_comm_unit(point.realization))
-    da = (a_tp - a_tm) / (2 * h) - (a_vp - a_vm) / (2 * h)
-    return da
+    return (a_tp - a_tm) / (2 * h) - (a_vp - a_vm) / (2 * h)
 
 
 def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
@@ -406,7 +431,7 @@ def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
     tangents (NaN if any deviation is NaN)."""
     rng = rng or random.Random(0)
     tangents = tangent_basis(point)
-    closed = curvature_closed(point, patch)
+    closed = _curvature_coeffs(point, patch or point.patch)
     devs = []
     for _ in range(pairs):
         t, v = rng.sample(tangents, 2)
@@ -437,12 +462,10 @@ class TransitionFn:
     def unitarity_residual(self):
         g = self.value
         if self.kind == "scalar":
-            return abs(float((g.conj() * g - 1).re)) + abs(float((g.conj() * g).im))
+            return _value_dev(g.conj() * g, 1)
         if self.weight is None:
-            dev = g.dagger() @ g - RMatrix.identity(g.rows, g.ring)
-            return dev.max_abs()
-        dev = g.dagger() @ self.weight @ g - self.weight
-        return dev.max_abs()
+            return _value_dev(g.dagger() @ g, RMatrix.identity(g.rows, g.ring))
+        return _value_dev(g.dagger() @ self.weight @ g, self.weight)
 
 
 def transition(point):
@@ -480,9 +503,8 @@ def transition(point):
     return TransitionFn(lvl, real, g, case.fiber_weight(), "matrix")
 
 
-def _transition_value(point, coords):
-    pt = BasePoint(point.level, point.realization, coords, point.patch)
-    return _lift(point.level, point.realization)(transition(pt).value)
+def _transition_value(point):
+    return _lift(point.level, point.realization)(transition(point).value)
 
 
 def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
@@ -498,26 +520,23 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     """
     lvl, real = point.level, point.realization
     tangents = tangent_basis(point)
-    g = _transition_value(point, point.coords)
-    upper = connection_closed(point, "upper")
-    lower = connection_closed(point, "lower")
+    g = _transition_value(point)
+    upper = _connection_coeffs(point, "upper")
+    lower = _connection_coeffs(point, "lower")
     u, _, decor = _case_gauge(lvl, real)
 
     if lvl > 1:
-        gd = g.dagger()
-        gd_decor = gd @ decor if decor is not None else gd
+        gd_decor = g.dagger() if decor is None else g.dagger() @ decor
 
     conn_devs = []
     for t in tangents:
-        coords_p = [c + h * ti for c, ti in zip(point.coords, t)]
-        coords_m = [c - h * ti for c, ti in zip(point.coords, t)]
-        gp, gm = _transition_value(point, coords_p), _transition_value(point, coords_m)
+        gp, gm = _transition_value(_shift(point, t, h)), _transition_value(_shift(point, t, -h))
         a_up = connection_contraction(point, t, "upper", closed=upper)
         a_lo = connection_contraction(point, t, "lower", closed=lower)
         if lvl == 1:
             dg = (gp - gm) * (1.0 / (2 * h))
             expr = -(u * (g.conj() * dg))  # real on the constraint surface
-            dev = abs(float(a_lo - a_up - expr.re)) + abs(float(expr.im))
+            dev = _value_dev(a_lo - a_up, expr)
         else:
             dg = (gp - gm).scale(1.0 / (2 * h))
             rhs = gd_decor @ a_up @ g - (gd_decor @ dg).scale(u)
@@ -528,19 +547,14 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     rng = rng or random.Random(1234)
     drawn = [(rng.choice(tangents), rng.choice(tangents)) for _ in range(pairs)]
 
-    def contractions(patch):
-        # one patch at a time: only one set of closed components is alive
-        closed = curvature_closed(point, patch)
-        return [curvature_contraction(point, t, v, patch, closed=closed) for t, v in drawn]
-
+    curv = [_curvature_coeffs(point, patch) for patch in ("upper", "lower")]
     curv_devs = []
-    for fu, fl in zip(contractions("upper"), contractions("lower")):
+    for t, v in drawn:
+        fu, fl = (curvature_contraction(point, t, v, closed=c) for c in curv)
         if lvl == 1:
-            curv_devs.append(abs(float(fu - fl)))
+            curv_devs.append(_value_dev(fl, fu))
         else:
-            lhs = fl if decor is None else decor @ fl
-            rhs = gd_decor @ fu @ g
-            curv_devs.append(_value_dev(lhs, rhs))
+            curv_devs.append(_value_dev(fl if decor is None else decor @ fl, gd_decor @ fu @ g))
     return {"connection": worst_of(conn_devs), "curvature": worst_of(curv_devs)}
 
 
@@ -676,8 +690,9 @@ def field_components(point, patch=None):
         a, f = connection_closed(point, patch), curvature_closed(point, patch)
         values = [float(a[k]) for k in sorted(a)] + [float(f[k]) for k in sorted(f)]
     else:
-        alg = _algebra_connection(point, patch)
-        a, f = _connection_matrices(alg), _curvature_matrices(point, alg)
+        alg = _algebra_connection(point.level, point.realization, patch, point.coords)
+        a = _connection_matrices(alg[3], alg[5])
+        f = _curvature_matrices(alg[3], _curvature_terms(point, alg))
         values = [c for m in [a[k] for k in sorted(a)] + [f[k] for k in sorted(f)]
                   for c in _flat_real(m)]
     return list(_field_names(point.level, point.realization)), values

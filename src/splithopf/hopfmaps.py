@@ -248,10 +248,10 @@ def patch_sign(patch):
     return 1 if patch == "upper" else -1
 
 
-def require_patch(point, patch):
-    """(s, n): the patch sign and the patch factor n = 1 + s x_last,
-    refused with PatchError below EPS_PATCH."""
-    n = point.patch_factor(patch)
+def require_patch(coords, patch):
+    """(s, n): the patch sign and the patch factor n = 1 + s x_last of any
+    coordinates, refused with PatchError below EPS_PATCH."""
+    n = 1 + patch_sign(patch) * coords[-1]
     if n < EPS_PATCH:
         raise PatchError(patch, n)
     return patch_sign(patch), n
@@ -491,7 +491,7 @@ def invert(point, fiber=None, patch=None, exact=False):
     res = point.constraint_residual()
     if not _near(res, 0):
         raise ConstraintError("point is off the hyperboloid: residual %r" % (res,))
-    require_patch(point, patch)
+    require_patch(point.coords, patch)
 
     w, n = section_linear_part(point, patch)
     if fiber is None:

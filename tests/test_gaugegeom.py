@@ -128,7 +128,7 @@ def test_curvature_antisymmetry():
     rng = random.Random(17)
     for (lvl, real) in ALL_CASES:
         pt = sample_base_point(lvl, real, rng=rng)
-        f = gg.curvature_closed(pt)
+        f = gg._curvature_coeffs(pt, pt.patch)
         tangents = gg.tangent_basis(pt)
         t, v = tangents[0], tangents[-1]
         a = gg.curvature_contraction(pt, t, v, closed=f)
@@ -136,7 +136,7 @@ def test_curvature_antisymmetry():
         assert _dev(a + b) < 1e-12
         assert a == gg.curvature_contraction(pt, t, v)
         # the connection contraction is linear in the direction
-        conn = gg.connection_closed(pt)
+        conn = gg._connection_coeffs(pt, pt.patch)
         at = gg.connection_contraction(pt, t, closed=conn)
         av = gg.connection_contraction(pt, v, closed=conn)
         tv = [x - 2 * y for x, y in zip(t, v)]
@@ -171,8 +171,45 @@ def test_connection_exact_on_rational_input(lvl, real, coords, t):
     num = gg.connection_numeric(pt, mode="analytic", tangents=[t])[0]
     assert all(isinstance(c, (int, F)) for c in _components(num))
     assert not num.is_zero()
-    cl = gg.connection_contraction(pt, t, closed=closed)
+    cl = gg.connection_contraction(pt, t)
     assert num == (cl if lvl == 2 or real == "I" else gammarep.to_complex(cl))
+
+
+def _matrix_contractions(pt, patch, t, v):
+    """A(t) and F(t, v) summed over the per-component matrices of
+    connection_closed and curvature_closed: the reference the contractions
+    in algebra coordinates are held to."""
+    a, f = gg.connection_closed(pt, patch), gg.curvature_closed(pt, patch)
+    wa = [t[k - 1] for k in a]
+    wf = [t[i - 1] * v[j - 1] - t[j - 1] * v[i - 1] for i, j in f]
+    if pt.level == 1:
+        return (sum(w * c for w, c in zip(wa, a.values())),
+                sum(w * c for w, c in zip(wf, f.values())))
+    return lincomb(wa, a.values()), lincomb(wf, f.values())
+
+
+@pytest.mark.parametrize("lvl,real,patch", PANELS)
+def test_contractions_match_component_matrices(lvl, real, patch):
+    rng = random.Random(41)
+    for _ in range(2):
+        pt = sample_base_point(lvl, real, patch=patch, rng=rng)
+        tangents = gg.tangent_basis(pt)
+        t, v = tangents[0], tangents[-1]
+        want_a, want_f = _matrix_contractions(pt, patch, t, v)
+        assert _dev(gg.connection_contraction(pt, t, patch) - want_a) < 1e-12
+        assert _dev(gg.curvature_contraction(pt, t, v, patch) - want_f) < 1e-12
+
+
+@pytest.mark.parametrize("lvl,real,coords,t", RATIONAL_POINTS)
+def test_contractions_match_component_matrices_exactly(lvl, real, coords, t):
+    pt = BasePoint(lvl, real, coords, "upper")
+    v = [F(1, k + 2) for k in range(len(coords))]
+    want_a, want_f = _matrix_contractions(pt, "upper", t, v)
+    for got, want in ((gg.connection_contraction(pt, t), want_a),
+                      (gg.curvature_contraction(pt, t, v), want_f)):
+        assert all(isinstance(c, (int, F)) for g in got.components() for row in g for c in row)
+        assert not got.is_zero()
+        assert got == want
 
 
 def _curvature_by_commutator(pt, patch):

@@ -322,8 +322,11 @@ def test_super_gluing_exact_theta():
 
 def test_super_gluing_float_body():
     x3 = math.sqrt(1 - 0.36 + 0.09)
+    xs = sh.lift_base((0.6, 0.3, x3), theta_pair("I"), "I")
+    num, rho2 = sh.super_transition(xs, theta_pair("I"))
+    g = num * rho2.invsqrt()
+    assert (g.conj() * g - G.scalar(1, sh.PSEUDO)).max_abs() < 1e-12
     res = sh.super_gluing_check((0.6, 0.3, x3))
-    assert res["unitarity"] < 1e-12
     assert res["section"] < 1e-12
     assert res["odd"] < 1e-12
     assert res["even"] < 1e-6
@@ -361,7 +364,7 @@ def test_super_checks_fail_on_nan_deviation(monkeypatch):
     res = sh.super_connection_check((F(24, 25), F(0), F(7, 25)), "upper", "I")
     assert math.isnan(res["odd"]) and math.isnan(res["even"])
     res = sh.super_gluing_check((F(24, 25), F(0), F(7, 25)))
-    assert all(math.isnan(res[k]) for k in ("unitarity", "section", "odd", "even"))
+    assert all(math.isnan(res[k]) for k in ("section", "odd", "even"))
 
 
 def test_super_project_rejects_nan_spinor():

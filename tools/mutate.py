@@ -2,9 +2,11 @@
 
     python tools/mutate.py MODULE --suite SUITE [--suite SUITE ...] [--src DIR]
 
-Makes one mutant per unary sign in DIR/splithopf/MODULE.py (DIR defaults
-to the ``src`` of this checkout): each unary minus is deleted (``-x``
-becomes ``x``) and each unary plus is flipped (``+x`` becomes ``-x``).
+Makes one mutant per sign in DIR/splithopf/MODULE.py (DIR defaults to the
+``src`` of this checkout): each unary minus is deleted (``-x`` becomes
+``x``), each unary plus is flipped (``+x`` becomes ``-x``), and each binary
+plus or minus, augmented assignments included, is swapped for the other
+(``a + b`` becomes ``a - b``, ``a -= b`` becomes ``a += b``).
 The source tree is copied once into a temporary directory; each mutant is
 written there in turn and ``python -m splithopf.cli verify --suite SUITE
 --seed 0 --no-timestamp`` runs on it for each suite given, in order, until
@@ -33,25 +35,52 @@ SEED = 0
 TIMEOUT_S = 300.0
 
 
+def _binary_sign(lines, line, col):
+    """(line, byte column) of the first + or - at or after the given place,
+    past blanks, closing parentheses, line continuations and comments, or
+    None when something else comes first."""
+    while line <= len(lines):
+        text = lines[line - 1]
+        while col < len(text):
+            ch = text[col:col + 1]
+            if ch in b"+-":
+                return line, col
+            if ch == b"#":
+                break
+            if ch not in b" \t\r\n)\\":
+                return None
+            col += 1
+        line, col = line + 1, 0
+    return None
+
+
 def find_signs(source):
-    """(line, byte column, kind) of every unary minus ("del") and unary
-    plus ("flip") in the module, in source order."""
-    kinds = {ast.USub: ("del", b"-"), ast.UAdd: ("flip", b"+")}
+    """(line, byte column, kind) of every unary minus ("del"), unary plus
+    ("flip") and binary plus or minus ("swap", in an expression or an
+    augmented assignment) in the module, in source order."""
+    unary = {ast.USub: ("del", b"-"), ast.UAdd: ("flip", b"+")}
     lines = source.splitlines(keepends=True)
     out = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.UnaryOp) and type(node.op) in kinds:
-            kind, char = kinds[type(node.op)]
+        if isinstance(node, ast.UnaryOp) and type(node.op) in unary:
+            kind, char = unary[type(node.op)]
             line, col = node.lineno, node.col_offset
             if lines[line - 1][col:col + 1] == char:
                 out.append((line, col, kind))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, (ast.Add, ast.Sub)):
+            left = node.left if isinstance(node, ast.BinOp) else node.target
+            at = _binary_sign(lines, left.end_lineno, left.end_col_offset)
+            if at is not None:
+                out.append(at + ("swap",))
     return sorted(out)
 
 
 def mutate(source, line, col, kind):
     lines = source.splitlines(keepends=True)
     text = lines[line - 1]
-    lines[line - 1] = text[:col] + (b"-" if kind == "flip" else b"") + text[col + 1:]
+    new = {"del": b"", "flip": b"-", "swap": b"-" if text[col:col + 1] == b"+" else b"+"}[kind]
+    lines[line - 1] = text[:col] + new + text[col + 1:]
     return b"".join(lines)
 
 
