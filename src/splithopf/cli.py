@@ -261,7 +261,7 @@ def cmd_sample_field(args):
             continue
         try:
             cnames, values = gaugegeom.field_components(pt, args.patch)
-        except (hopfmaps.PatchError, ValueError):
+        except hopfmaps.PatchError:
             skipped += 1
             continue
         names = cnames

@@ -28,8 +28,10 @@ level 2, sigma_mn at level 3):
 
 Both closed forms are kept as {k: coefficient} maps over the generators,
 and a contraction with tangents is one linear combination of them; one
-matrix per component is built only for connection_closed, curvature_closed,
-field_components and the span oracle.  The numeric oracle curvature_numeric
+matrix per component is built only for connection_closed and
+curvature_closed.  field_components and the span oracle write each
+component's entries straight from its map over the flattened generators
+(_flat_basis), with no matrix in between.  The numeric oracle curvature_numeric
 still takes the matrix commutator, so the two sides of the curvature check
 share no commutator code.
 """
@@ -175,12 +177,6 @@ def _contract(basis, comps, weights):
     return _combine(basis, acc)
 
 
-def _connection_matrices(basis, coeffs):
-    out = {m: _combine(basis, c) for m, c in coeffs.items()}
-    out[len(coeffs) + 1] = RMatrix.zeros(basis[0].rows, basis[0].cols, basis[0].ring)
-    return out
-
-
 def lowered_epsilon(x, i, j):
     """sum_k -eps_ijk x_k: the Levi-Civita symbol with its indices lowered by
     a level-1 base metric (both have determinant -1), contracted with x."""
@@ -212,7 +208,12 @@ def connection_closed(point, patch=None):
     patches.
     """
     comps = _connection_coeffs(point, patch or point.patch)
-    return comps if point.level == 1 else _connection_matrices(*comps)
+    if point.level == 1:
+        return comps
+    basis, coeffs = comps
+    out = {m: _combine(basis, c) for m, c in coeffs.items()}
+    out[len(coeffs) + 1] = RMatrix.zeros(basis[0].rows, basis[0].cols, basis[0].ring)
+    return out
 
 
 def connection_contraction(point, t, patch=None, closed=None):
@@ -358,10 +359,6 @@ def _curvature_terms(point, alg):
     return out
 
 
-def _curvature_matrices(basis, terms):
-    return {key: _combine(basis, c) for key, c in terms.items()}
-
-
 def _curvature_coeffs(point, patch):
     """The closed curvature as the contractions take it: {(a, b): scalar} at
     level 1, (basis, _curvature_terms) at levels 2-3."""
@@ -391,7 +388,10 @@ def curvature_closed(point, patch=None):
     too close to the light cone of the 3-metric.
     """
     comps = _curvature_coeffs(point, patch or point.patch)
-    return comps if point.level == 1 else _curvature_matrices(*comps)
+    if point.level == 1:
+        return comps
+    basis, terms = comps
+    return {key: _combine(basis, c) for key, c in terms.items()}
 
 
 def curvature_contraction(point, t, v, patch=None, closed=None):
@@ -596,16 +596,23 @@ def _flat_real(m):
     return [float(c) for rows in zip(*m.components()) for cell in zip(*rows) for c in cell]
 
 
+def _flat_width(m):
+    """len(_flat_real(m))."""
+    return m.rows * m.cols * len(m.components())
+
+
 def _gram_elimination(basis_vecs):
     """Gauss-Jordan elimination with partial pivoting of the Gram matrix of
-    the basis vectors, recorded as the row operations applied (one
-    (col, pivot row, [(row, factor), ...]) per eliminated column) and the
-    resulting diagonal, so that many right-hand sides reuse one factoring."""
+    the basis vectors, given by their nonzero (index, value) entries,
+    recorded as the row operations applied (one (col, pivot row,
+    [(row, factor), ...]) per eliminated column) and the resulting diagonal,
+    so that many right-hand sides reuse one factoring."""
     k = len(basis_vecs)
+    lookup = [dict(v) for v in basis_vecs]
     gram = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(basis_vecs[i], basis_vecs[j]))
+            gram[i][j] = gram[j][i] = sum(a * lookup[j].get(idx, 0.0) for idx, a in basis_vecs[i])
     steps = []
     for col in range(k):
         piv = max(range(col, k), key=lambda r: abs(gram[r][col]))
@@ -642,25 +649,49 @@ def _lstsq(basis_vecs, elimination, target):
 
 
 @functools.lru_cache(maxsize=None)
-def _span_basis(level, realization, bar):
-    """The generator basis of the connection at levels 2-3, flattened and
-    kept as its nonzero (index, value) entries, and the Gram elimination of
-    those vectors."""
-    dense = [_flat_real(b) for b in _gauge_algebra(level, realization, bar)[0]]
-    return [[(i, v) for i, v in enumerate(d) if v] for d in dense], _gram_elimination(dense)
+def _flat_basis(level, realization, bar):
+    """The generator basis of the connection at levels 2-3, each generator
+    flattened by _flat_real and kept as its nonzero (index, value) entries."""
+    return [[(i, v) for i, v in enumerate(_flat_real(b)) if v]
+            for b in _gauge_algebra(level, realization, bar)[0]]
+
+
+@functools.lru_cache(maxsize=None)
+def _span_elimination(level, realization, bar):
+    """The Gram elimination of the flattened generator basis."""
+    return _gram_elimination(_flat_basis(level, realization, bar))
+
+
+def _flat_sum(flat, coeffs, out, offset=0):
+    """Add sum_k coeffs[k] flat[k] into out[offset:], for a {k: coefficient}
+    map over the flattened basis.  Zero coefficients are skipped and the
+    terms of each entry are added in coeffs' order, as lincomb does, so with
+    float coefficients the entries are the floats _flat_real reads off the
+    lincomb matrix; a rational coefficient meets the float basis in float
+    arithmetic."""
+    for k, c in coeffs.items():
+        if c:
+            for i, v in flat[k]:
+                out[offset + i] += c * v
+    return out
 
 
 def span_residual(point, patch=None):
     """Least-squares residual of each connection component against the
     declared generator span (sigma or tau triple at level 2, the 28
-    antisymmetric-pair generators at level 3)."""
+    antisymmetric-pair generators at level 3), fitted on the flat rows
+    field_components writes; components with no nonzero coefficient are
+    skipped."""
     patch = patch or point.patch
-    comps = connection_closed(point, patch)
+    comps = _connection_coeffs(point, patch)
     if point.level == 1:
         return 0.0
-    bvecs, elimination = _span_basis(point.level, point.realization, patch == "lower")
-    return worst_of(_lstsq(bvecs, elimination, _flat_real(m)) for m in comps.values()
-                    if not m.is_zero())
+    basis, coeffs = comps
+    key = (point.level, point.realization, patch == "lower")
+    flat, elimination = _flat_basis(*key), _span_elimination(*key)
+    width = _flat_width(basis[0])
+    return worst_of(_lstsq(flat, elimination, _flat_sum(flat, cm, [0.0] * width))
+                    for cm in coeffs.values() if any(cm.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -684,15 +715,27 @@ def _field_names(level, realization):
 
 def field_components(point, patch=None):
     """Flattened connection and curvature components at a point, as
-    (names, values) with a stable ordering, for grid export."""
+    (names, values) with a stable ordering, for grid export.
+
+    At levels 2-3 each component is written into its slice of the row from
+    its {k: coefficient} map over the flattened generators (_flat_sum), with
+    no matrix built: float input gives the floats of the connection_closed
+    and curvature_closed entries bit for bit, and rational input gives each
+    exact entry v within 1e-15 * max(1, |v|), the coefficients meeting the
+    float generators in float arithmetic.
+    """
     patch = patch or point.patch
+    names = list(_field_names(point.level, point.realization))
     if point.level == 1:
         a, f = connection_closed(point, patch), curvature_closed(point, patch)
-        values = [float(a[k]) for k in sorted(a)] + [float(f[k]) for k in sorted(f)]
-    else:
-        alg = _algebra_connection(point.level, point.realization, patch, point.coords)
-        a = _connection_matrices(alg[3], alg[5])
-        f = _curvature_matrices(alg[3], _curvature_terms(point, alg))
-        values = [c for m in [a[k] for k in sorted(a)] + [f[k] for k in sorted(f)]
-                  for c in _flat_real(m)]
-    return list(_field_names(point.level, point.realization)), values
+        return names, [float(a[k]) for k in sorted(a)] + [float(f[k]) for k in sorted(f)]
+    alg = _algebra_connection(point.level, point.realization, patch, point.coords)
+    coeffs, terms = alg[5], _curvature_terms(point, alg)
+    # A_1 .. A_dim (the last component vanishes), then F_ab sorted
+    maps = [coeffs[k] for k in sorted(coeffs)] + [{}] + [terms[k] for k in sorted(terms)]
+    flat = _flat_basis(point.level, point.realization, patch == "lower")
+    width = _flat_width(alg[3][0])
+    values = [0.0] * (width * len(maps))
+    for offset, cm in zip(range(0, len(values), width), maps):
+        _flat_sum(flat, cm, values, offset)
+    return names, values

@@ -147,6 +147,30 @@ def test_sample_field_json_skips_counted(capsys):
     assert data["skipped"] >= 1  # x1 = 3, x2 = 0.1 has no real x3
 
 
+def test_sample_field_fails_closed_on_field_error(capsys, monkeypatch):
+    # only a degenerate patch factor skips a node; any other error of the
+    # field computation fails the grid before anything is written
+    grid = ("sample-field", "--level", "2", "--realization", "I",
+            "--grid", "x1=-0.5:0.5:2,x2=-0.5:0.5:2")
+
+    def broken(pt, patch=None):
+        raise ValueError("injected field error")
+
+    monkeypatch.setattr(cli.gaugegeom, "field_components", broken)
+    code, out, err = run(capsys, *grid)
+    assert code == 1
+    assert out == ""
+    assert "injected field error" in err
+
+    def degenerate(pt, patch=None):
+        raise cli.hopfmaps.PatchError(patch, 0.0)
+
+    monkeypatch.setattr(cli.gaugegeom, "field_components", degenerate)
+    code, out, _ = run(capsys, *grid)
+    assert code == 0
+    assert out.splitlines()[-1] == "# skipped=4"
+
+
 def test_grid_spec_errors(capsys):
     code, _, err = run(capsys, "sample-field", "--level", "1", "--realization", "I",
                        "--grid", "bogus")

@@ -283,6 +283,43 @@ def test_field_components_columns():
             assert gg.field_components(pt, patch) == (names, values)
 
 
+GAUGE_PANELS = [(l, r, p) for l in (2, 3) for r in ("I", "II") for p in ("upper", "lower")]
+
+
+@pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
+def test_field_rows_build_no_matrix(monkeypatch, lvl, real, patch):
+    # the field rows and the span fit are written from the flattened
+    # generators, never through a per-component matrix
+    pt = sample_base_point(lvl, real, patch=patch, rng=random.Random(71))
+    gg.field_components(pt, patch)  # fills the per-case caches
+
+    def refused(*args):
+        raise AssertionError("a component matrix was built")
+
+    monkeypatch.setattr(gg, "lincomb", refused)
+    monkeypatch.setattr(gg, "_combine", refused)
+    names, values = gg.field_components(pt, patch)
+    assert len(names) == len(values) and any(values)
+    assert gg.span_residual(pt, patch) < 1e-10
+
+
+@pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
+def test_field_components_at_exact_points(lvl, real, patch):
+    # rational coefficients meet the float generators in float arithmetic:
+    # each value is within 1e-15 * max(1, |v|) of the exact entry v
+    rng = random.Random(72)
+    for _ in range(2):
+        pt = sample_base_point(lvl, real, patch=patch, backend="exact", rng=rng)
+        a, f = gg.connection_closed(pt, patch), gg.curvature_closed(pt, patch)
+        exact = [c for m in [a[k] for k in sorted(a)] + [f[k] for k in sorted(f)]
+                 for rows in zip(*m.components()) for cell in zip(*rows) for c in cell]
+        assert all(isinstance(c, (int, F)) for c in exact) and any(exact)
+        _, values = gg.field_components(pt, patch)
+        assert len(values) == len(exact)
+        for v, e in zip(values, exact):
+            assert abs(v - float(e)) <= 1e-15 * max(1.0, abs(float(e)))
+
+
 # ---------------------------------------------------------------------------
 # non-finite input never passes a check
 
