@@ -107,13 +107,18 @@ def cmd_tables(args):
 
 
 def _parse_tolerances(specs):
+    """{prefix: tolerance}; a tolerance that is not a finite number >= 0 is a
+    usage error (a NaN or an infinite one would pass every residual)."""
     out = {}
     for spec in specs or ():
         try:
             prefix, value = spec.split("=")
-            out[prefix] = float(value)
+            tol = float(value)
         except ValueError:
             raise UsageError("tolerance: expected CHECK_PREFIX=VALUE, got %r" % spec)
+        if not (math.isfinite(tol) and tol >= 0):
+            raise UsageError("tolerance: must be a finite number >= 0, got %r" % spec)
+        out[prefix] = tol
     return out
 
 

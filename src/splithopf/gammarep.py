@@ -16,7 +16,7 @@ import functools
 from .splitnum import SplitComplex, OrdinaryComplex, OCTONION_TABLE
 from .ringmat import (
     RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX,
-    commutator, anticommutator, lincomb,
+    commutator, anticommutator, lincomb, _zero_grid,
 )
 
 __all__ = [
@@ -219,8 +219,7 @@ def to_complex(m):
     if m.ring != RING_REAL:
         raise TypeError("cannot lift a %s matrix into the complex ring" % m.ring.name)
     (entries,) = m.components()
-    zero_row = (0,) * m.cols
-    return RMatrix.from_components((entries, (zero_row,) * m.rows), RING_COMPLEX)
+    return RMatrix.from_components((entries, _zero_grid(m.rows, m.cols)), RING_COMPLEX)
 
 
 # ---------------------------------------------------------------------------

@@ -144,21 +144,26 @@ def hopf_suite(seed=0, samples=120):
     checks = []
     rng = random.Random(seed)
     for (lvl, real) in ((1, "I"), (1, "II"), (2, "I"), (2, "II"), (3, "I"), (3, "II")):
-        devs = []
+        devs, error = [], ""
         for _ in range(samples):
-            pt = hopfmaps.project(hopfmaps.sample_normalized(lvl, real, rng=rng))
-            devs.append(abs(pt.constraint_residual()))
+            sp = hopfmaps.sample_normalized(lvl, real, rng=rng)
+            try:
+                devs.append(abs(hopfmaps.project(sp).constraint_residual()))
+            except hopfmaps.ConstraintError as exc:
+                error = error or str(exc)
         worst = worst_of(devs)
-        checks.append(CheckReport("constraint-%d-%s-float" % (lvl, real),
-                                  identity="eta_ab x^a x^b = target",
+        checks.append(CheckReport("constraint-%d-%s-float" % (lvl, real), not error,
+                                  identity="eta_ab x^a x^b = target", description=error,
                                   residual=worst, tolerance=1e-12))
-        exact_ok = True
+        exact_ok, error = True, ""
         for _ in range(max(5, samples // 20)):
             sp = hopfmaps.sample_normalized(lvl, real, backend="exact", rng=rng)
-            if hopfmaps.project(sp).constraint_residual() != 0:
-                exact_ok = False
+            try:
+                exact_ok = hopfmaps.project(sp).constraint_residual() == 0 and exact_ok
+            except hopfmaps.ConstraintError as exc:
+                exact_ok, error = False, error or str(exc)
         checks.append(CheckReport("constraint-%d-%s-exact" % (lvl, real), exact_ok,
-                                  identity="exact rational constraint"))
+                                  identity="exact rational constraint", description=error))
         for patch in ("upper", "lower"):
             devs = []
             for _ in range(max(10, samples // 6)):

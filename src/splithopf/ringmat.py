@@ -25,11 +25,29 @@ it and Fraction entries stay exact; over the reals they use the entries'
 own arithmetic.  ``lincomb`` walks a float copy of the cells (kept on the
 matrix too) for a float coefficient, since a float times a Fraction is the
 float times the Fraction's float.
+
+Exact kernels run on integers.  A matrix whose nonzero cells hold only ints,
+or only Fractions, keeps on first exact use those cells cleared to ints with
+one common denominator.  When every operand of ``@`` (so ``commutator`` and
+``anticommutator``), ``matvec``, ``form``, ``scale``, ``scale_right`` or
+``lincomb`` is exact and a Fraction is among them, the kernel walks its one
+cell loop over the cleared ints (the vector, scalar or coefficients cleared
+once per call) and divides each written value once at the end.  Types are
+those of the entries' own arithmetic: a written value is a Fraction, also
+where its terms cancel, a value no term reached is the int 0, and ints alone
+give ints.  A float operand keeps the loop above, bit for bit; it is told by
+its first component, before any scan.  ``MetricForm.inner`` clears exact
+vectors the same way.  A product of int matrices puts the one shared
+``_zero_grid`` of its shape in place of a result grid of int zeros.
 """
 
+from fractions import Fraction
+import functools
+from itertools import chain, islice
+import math
 import operator
 
-from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES
+from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints
 
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
@@ -116,7 +134,15 @@ class MetricForm:
         return RMatrix.diagonal(self.signature, ring)
 
     def inner(self, x, y):
-        return sum(s * a * b for s, a, b in zip(self.signature, x, y))
+        """sum_i s_i x_i y_i; on cleared ints, divided once, when x and y are
+        exact with a Fraction among them (_clear)."""
+        cx = _clear(x)
+        cy = cx if y is x else cx and _clear(y)
+        exact = cy and Fraction in cx[2] | cy[2]
+        if exact:
+            x, y = cx[0], cy[0]
+        acc = sum(s * a * b for s, a, b in zip(self.signature, x, y))
+        return Fraction(acc, cx[1] * cy[1]) if exact else acc
 
     def __eq__(self, other):
         return isinstance(other, MetricForm) and self.signature == other.signature
@@ -137,7 +163,7 @@ class RMatrix:
     dagger(N) dagger(M), and dagger(dagger(M)) = M.
     """
 
-    __slots__ = ("rows", "cols", "ring", "_grids", "_entries", "_cells", "_fcells")
+    __slots__ = ("rows", "cols", "ring", "_grids", "_entries", "_cells", "_fcells", "_icells")
 
     def __init__(self, entries, ring):
         rows = [[ring.promote(x) for x in row] for row in entries]
@@ -181,6 +207,7 @@ class RMatrix:
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_cells", None)
         object.__setattr__(self, "_fcells", None)
+        object.__setattr__(self, "_icells", None)
 
     def _check_rectangular(self):
         if any(len(g) != self.rows or any(len(r) != self.cols for r in g)
@@ -254,23 +281,38 @@ class RMatrix:
 
     def scale(self, c):
         """c * M, the scalar on the left."""
-        c = self.ring.promote(c)
-        cls = _binarion(self.ring)
+        cls, parts, ops = self._scalar_operands(c)
         if cls:
-            cr, ci = c.re, c.im
+            cr, ci = parts
             t = cls.UNIT_SQ * ci
-            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar))
-        return self._cellwise(lambda a: c * a)
+            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar), ops)
+        c, = parts
+        return self._cellwise(lambda a: c * a, ops)
 
     def scale_right(self, c):
         """M * c, the scalar on the right."""
+        cls, parts, ops = self._scalar_operands(c)
+        if cls:
+            cr, ci = parts
+            u2 = cls.UNIT_SQ
+            return self._cellwise(lambda ar, ai: (ar * cr + u2 * ai * ci, ar * ci + ai * cr), ops)
+        c, = parts
+        return self._cellwise(lambda a: a * c, ops)
+
+    def _scalar_operands(self, c):
+        """(cls, parts, ops) for a scalar c of scale and scale_right: the
+        ring's _binarion, the components of c promoted to the ring ([re, im],
+        or [c] over the reals) and ops for _cellwise.  When _operands clears
+        the parts and the cells, parts are ints and ops is (cells, den);
+        otherwise ops is None."""
         c = self.ring.promote(c)
         cls = _binarion(self.ring)
-        if cls:
-            cr, ci = c.re, c.im
-            u2 = cls.UNIT_SQ
-            return self._cellwise(lambda ar, ai: (ar * cr + u2 * ai * ci, ar * ci + ai * cr))
-        return self._cellwise(lambda a: a * c)
+        parts = [c.re, c.im] if cls else [c]
+        ops = None if type(parts[0]) is float else _operands(self, parts)
+        if ops:
+            cells, parts, dm, dc, _ = ops
+            ops = cells, dm * dc
+        return cls, parts, ops
 
     def __mul__(self, c):
         return self.scale_right(c)
@@ -292,22 +334,14 @@ class RMatrix:
         cells gives the ring's zero for a vector of ring elements or reals,
         and the ring's zero times the first element (a zero of the
         elements' own kind) otherwise."""
-        ring = self.ring
-        cells = _cells(self)
-        cls = _binarion(ring)
+        cls = _binarion(self.ring)
         if cls and all(type(v) is cls for v in vec):
-            return [cls(re, im) for re, im in _matvec_components(cells, vec, cls.UNIT_SQ)]
-        empty = ring.zero
-        if vec and not isinstance(vec[0], REAL_TYPES + (type(empty),)):
-            empty = empty * vec[0]
-        out = []
-        for row in cells:
-            acc = ring.zero if row else empty
-            for cell in row:
-                a = cls(cell[1], cell[2]) if cls else cell[1]
-                acc = acc + a * vec[cell[0]]
-            out.append(acc)
-        return out
+            _, _, res, ims, _, den = _matvec_components(self, vec, cls.UNIT_SQ)
+            if den is not None:
+                res, ims = _finish([res, ims], den)
+            return list(map(cls, res, ims))
+        _, out, _, den = _matvec_values(self, vec)
+        return out if den is None else list(_finish([out], den)[0])
 
     def form(self, vec):
         """sum_i conj(vec_i) (M vec)_i, the ring involution on the left.
@@ -319,15 +353,21 @@ class RMatrix:
         cls = _binarion(ring)
         if cls and all(type(v) is cls for v in vec):
             u2 = cls.UNIT_SQ
-            re = im = 0
-            for v, (mr, mi) in zip(vec, _matvec_components(_cells(self), vec, u2)):
-                cr, ci = v.re, -v.im
+            vr, vi, res, ims, dv, den = _matvec_components(self, vec, u2)
+            re = im = 0 if den is None else False
+            for cr, ci, mr, mi in zip(vr, vi, res, ims):
+                ci = -ci
                 re = re + (cr * mr + u2 * ci * mi)
                 im = im + (cr * mi + ci * mr)
+            if den is not None:
+                (re, im), = _finish([[re, im]], den * dv)
             return cls(re, im)
-        acc = ring.zero
-        for c, v in zip(vec, self.matvec(vec)):
+        vec, out, dv, den = _matvec_values(self, vec)
+        acc = ring.zero if den is None else False
+        for c, v in zip(vec, out):
             acc = acc + (c.conj() if hasattr(c, "conj") else c) * v
+        if den is not None:
+            (acc,), = _finish([[acc]], den * dv)
         return acc
 
     # ---- involutions ------------------------------------------------------
@@ -398,23 +438,27 @@ class RMatrix:
     def __repr__(self):
         return "RMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring.name)
 
-    def _cellwise(self, fn):
+    def _cellwise(self, fn, ops=None):
         """fn of each nonzero cell in place, zero elsewhere; fn maps (re, im)
         to (re, im) over a binarion ring and the entry to the entry
-        otherwise."""
-        cells = _cells(self)
+        otherwise.  ops = (cleared cells, den) from _scalar_operands: fn
+        runs on those cells and each value is divided by den once."""
+        cells, den = ops or (_cells(self), None)
+        start = 0 if den is None else False
         if _binarion(self.ring):
-            re = [[0] * self.cols for _ in cells]
-            im = [[0] * self.cols for _ in cells]
+            re = [[start] * self.cols for _ in cells]
+            im = [[start] * self.cols for _ in cells]
             for lr, li, row in zip(re, im, cells):
                 for j, ar, ai in row:
                     lr[j], li[j] = fn(ar, ai)
+            if den is not None:
+                re, im = _finish(re, den), _finish(im, den)
             return RMatrix._of((re, im), self.ring)
-        out = [[0] * self.cols for _ in cells]
+        out = [[start] * self.cols for _ in cells]
         for line, row in zip(out, cells):
             for j, a in row:
                 line[j] = fn(a)
-        return RMatrix._of((out,), self.ring)
+        return RMatrix._of((out if den is None else _finish(out, den),), self.ring)
 
     def _union(self, other, op, comp_op):
         """op of the entries on the union of the operands' nonzero cells,
@@ -506,6 +550,81 @@ def _float_cells(m):
     return cells
 
 
+_EXACT = {int, Fraction}
+
+
+def _clear(values):
+    """(ints, den, types) for a sequence of ints and Fractions: the values
+    times den, the lcm of their denominators (splitnum.cleared_ints), and
+    the set of their types; None when another type is among them (a float
+    is told by the first value, before any scan)."""
+    if values and type(values[0]) is float:
+        return None
+    types = set(map(type, values))
+    if Fraction in types:
+        return cleared_ints(values) + (types,) if types <= _EXACT else None
+    return (values, 1, types) if types <= _EXACT else None
+
+
+def _exact(m):
+    """(cells, den, frac): the nonzero cells of m with int components and
+    their denominator, when the components are all ints (_cells(m) itself,
+    den 1, frac false) or all Fractions (_cells(m) times den, the lcm of
+    their denominators, frac true); None otherwise.  Found on first exact
+    use and kept; a float matrix is told by its first component, before any
+    scan."""
+    ex = m._icells
+    if ex is None:
+        cells, row = _cells(m), ()
+        for row in cells:
+            if row:
+                break
+        # the types of the cells' column indices (ints) and components
+        types = {float} if row and type(row[0][1]) is float else \
+            set(map(type, chain.from_iterable(chain.from_iterable(cells))))
+        ex = False
+        if types <= {int}:
+            ex = (cells, 1, False)
+        elif types <= _EXACT:
+            ints, den, types = _clear([c for row in cells for cell in row for c in cell[1:]])
+            if types == {Fraction}:
+                it, k = iter(ints), len(m._grids)
+                ex = (tuple([tuple([(cell[0], *islice(it, k)) for cell in row])
+                             for row in cells]), den, True)
+        object.__setattr__(m, "_icells", ex)
+    return ex or None
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_grid(rows, cols):
+    """The all-int-0 grid of a shape, one object for every matrix that has
+    one: a real-valued or an imaginary binarion matrix holds one such grid.
+    Only a kernel that knows every value of a grid is an int puts it in
+    place, so a stored 0.0, -0.0 or Fraction(0) is never lost."""
+    return ((0,) * cols,) * rows
+
+
+def _operands(m, values):
+    """(cells, ints, dm, dv, types): the cells of m cleared over dm
+    (_exact) and the values (a scalar's or a vector's components) cleared
+    over dv (_clear), with the set of the values' types, when both are
+    exact and a Fraction is among them; None otherwise, so that ints alone
+    keep the entries' own arithmetic, which is int arithmetic already."""
+    cv = _clear(values)
+    em = cv and _exact(m)
+    if not em or not (em[2] or Fraction in cv[2]):
+        return None
+    return em[0], cv[0], em[1], cv[1], cv[2]
+
+
+def _finish(grid, den):
+    """The grid of a cleared kernel, whose values are int sums over den:
+    each becomes the Fraction sum / den, and one still False, which no term
+    reached, the int 0 (False + n is the int n).  So a reached cell is a
+    Fraction even when its terms cancel."""
+    return [tuple([0 if x is False else Fraction(x, den) for x in line]) for line in grid]
+
+
 def _product(a, b):
     """Component grids of a @ b: (re, im) over a binarion ring, (entries,)
     over the reals.
@@ -513,20 +632,27 @@ def _product(a, b):
     Row-sparse (Gustavson order): row i accumulates A[i, k] * B[k, :] over
     the nonzero A[i, k] in increasing k, so each cell sums its terms in the
     order of the dense triple loop.  The sums start at int 0, so over the
-    binarion rings none of them is a negative zero."""
+    binarion rings none of them is a negative zero.  When both operands are
+    exact with a Fraction among them (_exact), the loop runs on their
+    cleared cells and each sum is divided once (_finish)."""
     ring = a.ring
     if ring != b.ring:
         raise TypeError("ring mismatch: %s vs %s" % (ring, b.ring))
     if a.cols != b.rows:
         raise ValueError("shape mismatch: %dx%d @ %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     n = b.cols
-    b_cells = _cells(b)
+    ea = _exact(a)
+    eb = ea and _exact(b)
+    if eb and (ea[2] or eb[2]):
+        a_cells, b_cells, den, start = ea[0], eb[0], ea[1] * eb[1], False
+    else:
+        a_cells, b_cells, den, start = _cells(a), _cells(b), None, 0
     cls = _binarion(ring)
     if cls:
         u2 = cls.UNIT_SQ
         res, ims = [], []
-        for arow in _cells(a):
-            re, im = [0] * n, [0] * n
+        for arow in a_cells:
+            re, im = [start] * n, [start] * n
             for k, ar, ai in arow:
                 t = u2 * ai
                 for j, br, bi in b_cells[k]:
@@ -534,31 +660,101 @@ def _product(a, b):
                     im[j] = im[j] + (ar * bi + ai * br)
             res.append(re)
             ims.append(im)
+        if den is not None:
+            return _finish(res, den), _finish(ims, den)
+        if eb:
+            # ints only: a grid without a nonzero value is all int 0
+            zero = _zero_grid(a.rows, n)
+            return tuple(g if any(map(any, g)) else zero for g in (res, ims))
         return res, ims
     out = []
-    for arow in _cells(a):
-        line = [0] * n
+    for arow in a_cells:
+        line = [start] * n
         for k, x in arow:
             for j, y in b_cells[k]:
                 line[j] = line[j] + x * y
         out.append(line)
-    return (out,)
+    return (out if den is None else _finish(out, den),)
 
 
-def _matvec_components(cells, vec, u2):
-    """(re, im) of each row of M vec over a binarion ring, summed over the
-    row's cells in column order as the entries' product and sum would."""
+def _vector_operands(m, values):
+    """_operands for a vector's components, refused when they mix ints and
+    Fractions: a row would then be an int or a Fraction by the values it
+    reaches."""
+    ops = _operands(m, values)
+    return ops if ops and len(ops[4]) < 2 else None
+
+
+def _matvec_components(m, vec, u2):
+    """(vr, vi, res, ims, dv, den) for M vec over a binarion ring: the
+    vector's components and the (re, im) of each row, summed over the row's
+    cells in column order as the entries' product and sum would.  When
+    _vector_operands clears the operands, vr and vi are ints over dv and
+    the row sums ints over den, False for a row without cells; else dv and
+    den are None."""
     vr = [v.re for v in vec]
     vi = [v.im for v in vec]
-    out = []
+    ops = vr and type(vr[0]) is not float and _vector_operands(m, vr + vi)
+    if ops:
+        cells, ints, dm, dv, _ = ops
+        vr, vi, den, start = ints[:len(vr)], ints[len(vr):], dm * dv, False
+    else:
+        cells, dv, den, start = _cells(m), None, None, 0
+    res, ims = [], []
     for row in cells:
-        re = im = 0
+        re = im = start
         for k, ar, ai in row:
             br, bi = vr[k], vi[k]
             re = re + (ar * br + u2 * ai * bi)
             im = im + (ar * bi + ai * br)
-        out.append((re, im))
-    return out
+        res.append(re)
+        ims.append(im)
+    return vr, vi, res, ims, dv, den
+
+
+def _matvec_values(m, vec):
+    """(vec, rows, dv, den) for M vec in the entries' own arithmetic: the
+    vector and the sum of each row, as matvec describes.  Over the reals,
+    when _vector_operands clears the operands, the vector is ints over dv
+    and the row sums ints over den, False for a row without cells; else dv
+    and den are None."""
+    ring = m.ring
+    cls = _binarion(ring)
+    ops = None if cls else _vector_operands(m, vec)
+    if ops:
+        cells, vec, dm, dv, _ = ops
+        den, start = dm * dv, False
+    else:
+        cells, dv, den, start = _cells(m), None, None, ring.zero
+    empty = start
+    if vec and not isinstance(vec[0], REAL_TYPES + (type(empty),)):
+        empty = empty * vec[0]
+    out = []
+    for row in cells:
+        acc = start if row else empty
+        for cell in row:
+            a = cls(cell[1], cell[2]) if cls else cell[1]
+            acc = acc + a * vec[cell[0]]
+        out.append(acc)
+    return vec, out, dv, den
+
+
+def _cleared_terms(coeffs, basis):
+    """(ints, cells, den) for lincomb when every nonzero coefficient is an
+    int or a Fraction, its basis matrix is exact (_exact) and each such term
+    holds a Fraction (its coefficient or its cells): per nonzero term the
+    coefficient made an int and the cleared cells, so that every term is
+    over den, the lcm of the terms' denominators.  None otherwise (a float
+    coefficient is told by the first one)."""
+    if type(coeffs[0]) is float or not all(type(c) in _EXACT for c in coeffs):
+        return None
+    terms = [(c, _exact(m)) for c, m in zip(coeffs, basis) if c]
+    if not all(ex and (ex[2] or type(c) is Fraction) for c, ex in terms):
+        return None
+    dens = [c.denominator * ex[1] for c, ex in terms]
+    den = math.lcm(*dens)
+    return ([c.numerator * (den // d) for (c, _), d in zip(terms, dens)],
+            [ex[0] for _, ex in terms], den)
 
 
 def lincomb(coeffs, basis):
@@ -566,7 +762,8 @@ def lincomb(coeffs, basis):
 
     Works over the nonzero cells of each basis matrix (their float copy for
     a float coefficient) and skips zero coefficients; rational coefficients
-    and entries give an exact result.
+    and entries give an exact result, on cleared ints divided once when a
+    Fraction is among them (_cleared_terms).
     """
     coeffs, basis = tuple(coeffs), tuple(basis)
     if not basis or len(coeffs) != len(basis):
@@ -575,28 +772,33 @@ def lincomb(coeffs, basis):
     for m in basis[1:]:
         first._check(m)
     ring, rows, cols = first.ring, first.rows, first.cols
+    # on the cleared path coeffs are ints and basis holds each term's cells
+    coeffs, basis, den = _cleared_terms(coeffs, basis) or (coeffs, basis, None)
+    start = 0 if den is None else False
     if _binarion(ring):
-        re = [[0] * cols for _ in range(rows)]
-        im = [[0] * cols for _ in range(rows)]
+        re = [[start] * cols for _ in range(rows)]
+        im = [[start] * cols for _ in range(rows)]
         for c, m in zip(coeffs, basis):
             if not c:
                 continue
-            cells = _float_cells(m) if type(c) is float else _cells(m)
+            cells = m if den else _float_cells(m) if type(c) is float else _cells(m)
             for r, s, row in zip(re, im, cells):
                 for j, br, bi in row:
                     r[j] = r[j] + c * br
                     s[j] = s[j] + c * bi
+        if den:
+            re, im = _finish(re, den), _finish(im, den)
         return RMatrix._of((re, im), ring)
-    out = [[0] * cols for _ in range(rows)]
+    out = [[start] * cols for _ in range(rows)]
     for c, m in zip(coeffs, basis):
         if not c:
             continue
-        cells = _float_cells(m) if type(c) is float else _cells(m)
+        cells = m if den else _float_cells(m) if type(c) is float else _cells(m)
         c = ring.promote(c)
         for line, row in zip(out, cells):
             for j, a in row:
                 line[j] = line[j] + c * a
-    return RMatrix._of((out,), ring)
+    return RMatrix._of((_finish(out, den) if den else out,), ring)
 
 
 def worst_of(values):
@@ -630,8 +832,9 @@ def _fused(a, b, op):
         return op(a @ b, b @ a)
     a._check(b)
     (pr, pi), (qr, qi) = _product(a, b), _product(b, a)
-    return RMatrix._of(([list(map(op, x, y)) for x, y in zip(pr, qr)],
-                        [list(map(op, x, y)) for x, y in zip(pi, qi)]), a.ring)
+    # two products share a grid only when both hold the one zero grid
+    return RMatrix._of(tuple(p if p is q else [list(map(op, x, y)) for x, y in zip(p, q)]
+                             for p, q in ((pr, qr), (pi, qi))), a.ring)
 
 
 def kron(a, b):

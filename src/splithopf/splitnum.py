@@ -436,17 +436,22 @@ def random_element(cls, rng):
     raise TypeError(cls)
 
 
+def cleared_ints(values):
+    """(ints, m) for a sequence of ints and Fractions: m is the lcm of their
+    denominators and ints are the values times m, each an int."""
+    # a list, not a generator: unpacking a generator builds an over-sized
+    # tuple that CPython shrinks and then parks in its tuple free list
+    m = math.lcm(*[c.denominator for c in values])
+    return [c.numerator * (m // c.denominator) for c in values], m
+
+
 def _cleared(x):
     """x times the lcm of its coefficients' denominators: the same element up
     to a positive integer factor, with int coefficients.  The composition
     and anti-automorphism identities are homogeneous in each factor, so they
     hold for x exactly when they hold for _cleared(x)."""
     binarion = isinstance(x, _Binarion)
-    coeffs = [Fraction(c) for c in ((x.re, x.im) if binarion else x.coeffs)]
-    # a list, not a generator: unpacking a generator builds an over-sized
-    # tuple that CPython shrinks and then parks in its tuple free list
-    m = math.lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (m // c.denominator) for c in coeffs]
+    ints, _ = cleared_ints((x.re, x.im) if binarion else x.coeffs)
     return type(x)(*ints) if binarion else x._new(ints)
 
 

@@ -263,3 +263,63 @@ def test_grid_node_cap(capsys, monkeypatch):
         cli._parse_grid("x1=0:1:%d,x2=0:1:2" % cap)
     with pytest.raises(cli.UsageError):
         cli._parse_grid("x1=0:1:%d,x2=0:1:%d" % (10 ** 9, 10 ** 9))
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999", "-1e-9"])
+def test_tolerance_refuses_non_finite_and_negative(capsys, monkeypatch, value):
+    # refused as a usage error before any suite runs: a NaN tolerance would
+    # pass every residual and an infinite one would fail only at output
+    def no_suite(*args, **kw):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli.reporting, "run_suite", no_suite)
+    code, out, err = run(capsys, "verify", "--suite", "hopf",
+                         "--tolerance", "constraint-=" + value)
+    assert code == 2
+    assert out == ""
+    assert "tolerance" in err
+
+
+def test_constraint_checks_report_a_projection_error(capsys, monkeypatch):
+    # a projection off by 1e-6 makes hopfmaps.project raise ConstraintError;
+    # the constraint checks fail with its message and the report is written
+    from fractions import Fraction
+    import types
+    from splithopf import hopfmaps, reporting
+
+    real_value, drawn = hopfmaps._scalar_value, {}
+
+    def shifted(x, where):
+        v = real_value(x, where)
+        if where != "projection":
+            return v
+        return v + (Fraction(1, 10 ** 6) if isinstance(v, Fraction) else 1e-6)
+
+    def sample_normalized(*args, **kw):
+        sp = hopfmaps.sample_normalized(*args, **kw)
+        drawn[id(sp)] = sp  # kept alive, so that no later spinor takes its id
+        return sp
+
+    def project(spinor):
+        if id(spinor) not in drawn:
+            return hopfmaps.project(spinor)
+        with monkeypatch.context() as m:
+            m.setattr(hopfmaps, "_scalar_value", shifted)
+            return hopfmaps.project(spinor)
+
+    # only the suite's own draws are shifted; the round trips, which project
+    # inverted points, and the library's inner calls are left alone
+    proxy = types.SimpleNamespace(**vars(hopfmaps))
+    proxy.sample_normalized, proxy.project = sample_normalized, project
+    monkeypatch.setattr(reporting, "hopfmaps", proxy)
+    code, out, _ = run(capsys, "verify", "--suite", "hopf", "--no-timestamp")
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    constraint = [i for i in checks if i.startswith("constraint-")]
+    assert len(constraint) == 12
+    for i, c in checks.items():
+        if i in constraint:
+            assert c["status"] == "fail"
+            assert "left the hyperboloid" in c["detail"]
+        else:
+            assert c["status"] == "pass"

@@ -131,6 +131,15 @@ def _rational(rng):
     return F(rng.randint(-5, 5), rng.randint(1, 4))
 
 
+def _fraction(rng):
+    # every value a Fraction, zeros included: the kernels clear such cells
+    return F(_rational(rng))
+
+
+def _integer(rng):
+    return 0 if rng.random() < 0.4 else rng.randint(-5, 5)
+
+
 def rand_matrix(rng, ring, rows, cols, draw):
     if ring is RING_REAL:
         return RMatrix([[draw(rng) for _ in range(cols)] for _ in range(rows)], ring)
@@ -139,8 +148,8 @@ def rand_matrix(rng, ring, rows, cols, draw):
                    ring)
 
 
-CASES = [(ring, draw) for ring in (RING_REAL, RING_SPLIT, RING_COMPLEX)
-         for draw in (_float, _rational)]
+DRAWS = (_float, _rational, _fraction, _integer)
+CASES = [(ring, draw) for ring in (RING_REAL, RING_SPLIT, RING_COMPLEX) for draw in DRAWS]
 IDS = ["%s-%s" % (ring.name, draw.__name__.strip("_")) for ring, draw in CASES]
 
 
@@ -438,8 +447,7 @@ def test_second_use_gives_the_same_bits(ring, draw):
 # ---------------------------------------------------------------------------
 # component grids over the binarion rings
 
-BINARION_CASES = [(ring, draw) for ring in (RING_SPLIT, RING_COMPLEX)
-                  for draw in (_float, _rational)]
+BINARION_CASES = [(ring, draw) for ring in (RING_SPLIT, RING_COMPLEX) for draw in DRAWS]
 BINARION_IDS = ["%s-%s" % (ring.name, draw.__name__.strip("_")) for ring, draw in BINARION_CASES]
 
 
@@ -513,3 +521,140 @@ def test_is_scalar_pinned():
     for ring in (RING_REAL, RING_SPLIT):
         with pytest.raises(TypeError):
             ring.promote(1j)
+
+
+# ---------------------------------------------------------------------------
+# exact kernels on cleared integers
+
+def _cell_mixed(rng, ring):
+    """A matrix whose nonzero cells are int in some places and Fraction in
+    others, which the kernels take as they are, not cleared."""
+    m = rand_matrix(rng, ring, 6, 6, _integer)
+    f = rand_matrix(rng, ring, 6, 6, _fraction)
+    return RMatrix([[x if (i + j) % 2 else y for j, (x, y) in enumerate(zip(rx, ry))]
+                    for i, (rx, ry) in enumerate(zip(m.entries, f.entries))], ring)
+
+
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_mixed_operands_match_dense_reference(ring):
+    """A float meeting a Fraction, a matrix holding both, and int cells next
+    to Fraction cells all keep the entries' own arithmetic: the same bits
+    and types as the dense reference."""
+    rng = random.Random(30)
+    fr, fl = rand_matrix(rng, ring, 6, 6, _fraction), rand_matrix(rng, ring, 6, 6, _float)
+    both = RMatrix([[x if j % 2 else y for j, (x, y) in enumerate(zip(rx, ry))]
+                    for rx, ry in zip(fr.entries, fl.entries)], ring)
+    mixed = _cell_mixed(rng, ring)
+    ints = rand_matrix(rng, ring, 6, 6, _integer)
+    vecs = [list(rand_matrix(rng, ring, 1, 6, draw).entries[0])
+            for draw in (_fraction, _float, _rational, _integer)]
+    # ints and Fractions in one vector: a row of ints that reaches only int
+    # values is an int
+    vecs[2][0] = ring.promote(F(1, 2))
+    vecs[2][1:] = [ring.promote(x) for x in (1, -2, 0, 3, 0)]
+    for a, b in ((fr, fl), (fl, fr), (both, fr), (fr, both), (mixed, fr), (fr, mixed),
+                 (mixed, mixed)):
+        assert_same(a @ b, ref_matmul(a, b))
+        want = ref_fused(a, b, -1) if ring is not RING_REAL else ref_add(
+            RMatrix(ref_matmul(a, b), ring), RMatrix(ref_matmul(b, a), ring), -1)
+        assert_same(commutator(a, b), want)
+        assert_same(lincomb([F(1, 3), 2], [a, b]), ref_lincomb([F(1, 3), 2], [a, b]))
+        assert_same(lincomb([F(1, 3), 0.5], [a, b]), ref_lincomb([F(1, 3), 0.5], [a, b]))
+    for m in (fr, fl, both, mixed, ints):
+        for vec in vecs:
+            assert_same(RMatrix([m.matvec(vec)], ring), [ref_matvec(m, vec)])
+            assert_same(RMatrix([[m.form(vec)]], ring), [[ref_form(m, vec)]])
+        for c in (0.75, F(2, 3)) + ((type(ring.zero)(F(1, 2), -1.5),) if ring is not RING_REAL
+                                    else ()):
+            p = ring.promote(c)
+            assert_same(m.scale(c), ref_cellwise(m, lambda x: p * x))
+            assert_same(m.scale_right(c), ref_cellwise(m, lambda x: x * p))
+
+
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_cleared_results_keep_types(ring):
+    """On cleared operands a reached cell is a Fraction, also where its terms
+    cancel, and a cell no term reached is the int 0; int operands give ints."""
+    cls = None if ring is RING_REAL else type(ring.zero)
+
+    def mat(rows):
+        # the imaginary part of a value's own type, so that Fraction
+        # matrices hold Fractions only
+        return RMatrix([[x if cls is None else cls(x, type(x)(0)) for x in row]
+                        for row in rows], ring)
+
+    def kinds(m):
+        return [[type(c).__name__ + ("0" if c == 0 else "") for c in line]
+                for grid in m.components() for line in grid]
+
+    a = mat([[F(1, 2), F(1, 2)], [0, 0]])
+    b = mat([[F(1), F(0)], [F(-1), F(0)]])
+    # (0, 0) is reached by two terms that cancel; no term reaches the rest
+    want = [["Fraction0", "int0"], ["int0", "int0"]]
+    assert kinds(a @ b) == want * (2 if cls else 1)
+    ints = mat([[1, 2], [0, 3]])
+    assert {k for row in kinds(ints @ ints) + kinds(ints.scale(2)) for k in row} <= {
+        "int", "int0"}
+    assert kinds(lincomb([F(1, 2), F(-1, 2)], [ints, ints])) == \
+        [["Fraction0", "Fraction0"], ["int0", "Fraction0"]] * (2 if cls else 1)
+    # a row without cells gives the int 0, the other row a Fraction
+    vec = [F(0), F(1, 3)] if cls is None else [cls(F(0), F(0)), cls(F(1, 3), F(0))]
+    assert kinds(RMatrix([mat([[1, 2], [0, 0]]).matvec(vec)], ring)) == \
+        [["Fraction", "int0"], ["Fraction0", "int0"]][:2 if cls else 1]
+
+
+@pytest.mark.parametrize("ring", (RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_int_products_share_zero_grids(ring):
+    """A product of int matrices puts one shared grid in place of a result
+    grid of int 0s; a float product, whose zeros may be 0.0, keeps its own."""
+    from splithopf.ringmat import _zero_grid
+    cls = type(ring.zero)
+    real = RMatrix([[cls(1, 0), cls(2, 0)], [cls(0, 0), cls(-3, 0)]], ring)
+    imag = RMatrix([[cls(0, 1), cls(0, 0)], [cls(0, 0), cls(0, -1)]], ring)
+    # int cells, and a -0.0 where neither component is nonzero
+    signed = RMatrix.from_components(([[1, 0.0], [2, 0]], [[0, -0.0], [0, 0]]), ring)
+    zero = _zero_grid(2, 2)
+    assert (real @ real).components()[1] is zero
+    assert (imag @ imag).components()[1] is zero
+    assert (real @ imag).components()[0] is zero
+    assert commutator(real, real).components()[1] is zero
+    assert (signed @ real).components()[1] is zero
+    assert math.copysign(1, signed.components()[1][0][1]) == -1
+    floats = real.scale(1.0)
+    assert (floats @ floats).components()[1] is not zero
+    for a, b in ((real, imag), (signed, real), (floats, real)):
+        assert_same(a @ b, ref_matmul(a, b))
+
+
+def _count_fraction_products(monkeypatch):
+    counts = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(F, name)
+
+        def counting(a, b, real=real):
+            counts.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(F, name, counting)
+    return counts
+
+
+def test_exact_paths_make_no_fraction_product(monkeypatch):
+    """The exact kernels clear their operands and divide once: a commutator
+    of two sigma generators, the projection of an exact level-3 spinor and
+    the Grassmann engine's checks multiply no Fraction."""
+    from splithopf import gammarep, hopfmaps, superhopf
+    sigmas = gammarep.build_generators("so54_I")["sigmas"]
+    spinors = [hopfmaps.sample_normalized(3, real, backend="exact", rng=random.Random(3))
+               for real in ("I", "II")]
+    counts = _count_fraction_products(monkeypatch)
+    assert F(1, 2) * 3 == F(3, 2) and len(counts) == 1
+    del counts[:]
+    c = commutator(sigmas[(1, 2)], sigmas[(2, 3)])
+    assert not c.is_zero()
+    points = [hopfmaps.project(sp) for sp in spinors]
+    checks = superhopf.engine_checks(seed=0, samples=2)
+    assert counts == []
+    assert all(ok for _, ok, _ in checks)
+    assert all(type(x) is F for pt in points for x in pt.coords)
+    assert all(type(x) in (int, F) for grid in c.components() for row in grid for x in row)
