@@ -3,8 +3,10 @@
 Exit codes: 0 all checks pass / operation succeeded, 1 check failure or
 domain error, 2 usage error.  All structured output is JSON (CSV for grid
 exports); floats round-trip losslessly (JSON writes each float's shortest
-repr, CSV 17 significant digits).  HOPFCTL_SEED provides the seed when
---seed is absent.
+repr, CSV 17 significant digits).  A sample-field JSON grid is bulk data:
+one line with the default separators, which CPython's C encoder writes.
+Every other document is indented by 2 spaces for reading.  Both layouts
+hold the same values.  HOPFCTL_SEED provides the seed when --seed is absent.
 """
 
 import argparse
@@ -25,9 +27,12 @@ SCHEMA = 1
 MAX_GRID_NODES = 100_000
 
 
-def _emit(data, out):
+def _emit(data, out, indent=2):
+    """Write data as JSON to the file out, or to stdout.  indent=None gives
+    one line with the default separators, which CPython's C encoder writes;
+    any indent goes through its pure-Python encoder."""
     try:
-        text = json.dumps(data, indent=2, default=float, allow_nan=False)
+        text = json.dumps(data, indent=indent, default=float, allow_nan=False)
     except ValueError:
         raise ValueError("the result holds a non-finite number; nothing written")
     if out:
@@ -246,7 +251,7 @@ def cmd_sample_field(args):
         ranges.append(vals)
 
     rows = []
-    names = None
+    names = ()
     skipped = 0
     eta = case.base_metric.signature
     target = case.constraint_target
@@ -272,11 +277,11 @@ def cmd_sample_field(args):
         names = cnames
         rows.append([float(c) for c in coords] + values)
 
-    coord_names = ["x%d" % i for i in range(1, dim + 1)]
+    columns = ["x%d" % i for i in range(1, dim + 1)] + list(names)
     if args.format == "csv":
         target_fh = open(args.out, "w", newline="") if args.out else sys.stdout
         writer = csv.writer(target_fh)
-        writer.writerow(coord_names + (names or []))
+        writer.writerow(columns)
         for row in rows:
             writer.writerow(["%.17g" % v for v in row])
         writer.writerow(["# skipped=%d" % skipped])
@@ -284,8 +289,8 @@ def cmd_sample_field(args):
             target_fh.close()
     else:
         _emit({"schema": SCHEMA, "level": args.level, "realization": args.realization,
-               "patch": args.patch, "columns": coord_names + (names or []),
-               "rows": rows, "skipped": skipped}, args.out)
+               "patch": args.patch, "columns": columns,
+               "rows": rows, "skipped": skipped}, args.out, indent=None)
     return 0
 
 

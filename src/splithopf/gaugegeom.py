@@ -715,7 +715,8 @@ def _field_names(level, realization):
 
 def field_components(point, patch=None):
     """Flattened connection and curvature components at a point, as
-    (names, values) with a stable ordering, for grid export.
+    (names, values) with a stable ordering, for grid export; names is the
+    cached tuple of the case's column names, shared by every call.
 
     At levels 2-3 each component is written into its slice of the row from
     its {k: coefficient} map over the flattened generators (_flat_sum), with
@@ -725,7 +726,7 @@ def field_components(point, patch=None):
     float generators in float arithmetic.
     """
     patch = patch or point.patch
-    names = list(_field_names(point.level, point.realization))
+    names = _field_names(point.level, point.realization)
     if point.level == 1:
         a, f = connection_closed(point, patch), curvature_closed(point, patch)
         return names, [float(a[k]) for k in sorted(a)] + [float(f[k]) for k in sorted(f)]

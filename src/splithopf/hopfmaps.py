@@ -660,63 +660,53 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
     realization): Phi = (psi, j psi_c)/sqrt(2) built from a random level-2
     spinor has unit norm, satisfies the reality condition, and feeds the
     level-3 section.  Null-norm candidates are rejected by construction.
+    A ConstraintError on the way (a projection off the hyperboloid, say)
+    fails the check with the error as its detail.
     """
-    rng = random.Random(seed)
-    results = []
-    if level == 2:
-        ok = True
-        detail = ""
-        for _ in range(samples):
-            fib = sample_normalized(1, realization, rng=rng)
-            pt = sample_base_point(2, realization, rng=rng)
-            psi = invert(pt, fiber=fib)
-            n = _scalar_value(psi.norm(), "norm")
-            if not _near(n, 1):
-                ok = False
-                detail = "norm %r" % n
-                break
-        results.append(("fiber-level2-%s" % realization, ok, detail or "norm 1 throughout"))
-        return results
-    if level != 3:
+    if level not in (2, 3):
         raise ValueError("hierarchy check applies to levels 2 and 3")
-    if realization == "I":
-        ok = True
-        detail = ""
+    rng = random.Random(seed)
+    detail = ""
+    try:
         for _ in range(samples):
-            psi = sample_normalized(2, "I", rng=rng)
-            j = SplitComplex(0, 1)
-            pc = charge_conjugate_spinor(psi.comps)
-            phi = [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
-            n = _scalar_value(case_info(3, "I").fiber_weight().form(phi), "norm")
-            if not _near(n, 1):
-                ok = False
-                detail = "Phi norm %r" % n
-                break
-            pt = sample_base_point(3, "I", rng=rng)
-            Psi = invert(pt, fiber=phi)
-            n2 = _scalar_value(Psi.norm(), "norm")
-            B = majorana_matrix()
-            mc = [-c for c in B.matvec([c.conj() for c in Psi.comps])]
-            if not _near(n2, 1) or not _close_vec(mc, Psi.comps):
-                ok = False
-                detail = "level-3 norm %r" % n2
-                break
-        results.append(("fiber-level3-I", ok, detail or "hierarchy reproduced"))
-    else:
-        ok = True
-        detail = ""
-        for _ in range(samples):
-            raw = [rng.gauss(0, 1) for _ in range(8)]
-            n = sum(raw[i] * raw[i] for i in range(4)) - sum(raw[i] * raw[i] for i in range(4, 8))
-            if n <= EPS_NORM:
-                continue
-            phi = [c / math.sqrt(n) for c in raw]
-            pt = sample_base_point(3, "II", rng=rng)
-            Psi = invert(pt, fiber=phi)
-            n2 = _scalar_value(Psi.norm(), "norm")
-            if not _near(n2, 1):
-                ok = False
-                detail = "norm %r" % n2
-                break
-        results.append(("fiber-level3-II", ok, detail or "hierarchy reproduced"))
-    return results
+            if level == 2:
+                fib = sample_normalized(1, realization, rng=rng)
+                pt = sample_base_point(2, realization, rng=rng)
+                psi = invert(pt, fiber=fib)
+                n = _scalar_value(psi.norm(), "norm")
+                if not _near(n, 1):
+                    detail = "norm %r" % n
+                    break
+            elif realization == "I":
+                psi = sample_normalized(2, "I", rng=rng)
+                j = SplitComplex(0, 1)
+                pc = charge_conjugate_spinor(psi.comps)
+                phi = [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
+                n = _scalar_value(case_info(3, "I").fiber_weight().form(phi), "norm")
+                if not _near(n, 1):
+                    detail = "Phi norm %r" % n
+                    break
+                pt = sample_base_point(3, "I", rng=rng)
+                Psi = invert(pt, fiber=phi)
+                n2 = _scalar_value(Psi.norm(), "norm")
+                B = majorana_matrix()
+                mc = [-c for c in B.matvec([c.conj() for c in Psi.comps])]
+                if not _near(n2, 1) or not _close_vec(mc, Psi.comps):
+                    detail = "level-3 norm %r" % n2
+                    break
+            else:
+                raw = [rng.gauss(0, 1) for _ in range(8)]
+                n = sum(raw[i] * raw[i] for i in range(4)) - sum(raw[i] * raw[i] for i in range(4, 8))
+                if n <= EPS_NORM:
+                    continue
+                phi = [c / math.sqrt(n) for c in raw]
+                pt = sample_base_point(3, "II", rng=rng)
+                Psi = invert(pt, fiber=phi)
+                n2 = _scalar_value(Psi.norm(), "norm")
+                if not _near(n2, 1):
+                    detail = "norm %r" % n2
+                    break
+    except ConstraintError as exc:
+        detail = str(exc)
+    passed = "norm 1 throughout" if level == 2 else "hierarchy reproduced"
+    return [("fiber-level%d-%s" % (level, realization), not detail, detail or passed)]

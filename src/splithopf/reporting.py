@@ -165,15 +165,19 @@ def hopf_suite(seed=0, samples=120):
         checks.append(CheckReport("constraint-%d-%s-exact" % (lvl, real), exact_ok,
                                   identity="exact rational constraint", description=error))
         for patch in ("upper", "lower"):
-            devs = []
+            devs, error = [], ""
             for _ in range(max(10, samples // 6)):
-                pt = hopfmaps.sample_base_point(lvl, real, patch=patch, rng=rng)
-                fib = _random_fiber(lvl, real, rng)
-                back = hopfmaps.project(hopfmaps.invert(pt, fiber=fib, patch=patch))
+                try:
+                    pt = hopfmaps.sample_base_point(lvl, real, patch=patch, rng=rng)
+                    fib = _random_fiber(lvl, real, rng)
+                    back = hopfmaps.project(hopfmaps.invert(pt, fiber=fib, patch=patch))
+                except hopfmaps.ConstraintError as exc:
+                    error = error or str(exc)
+                    continue
                 devs += [abs(a - b) for a, b in zip(back.coords, pt.coords)]
             worst = worst_of(devs)
-            checks.append(CheckReport("roundtrip-%d-%s-%s" % (lvl, real, patch),
-                                      identity="project(invert(x)) = x",
+            checks.append(CheckReport("roundtrip-%d-%s-%s" % (lvl, real, patch), not error,
+                                      identity="project(invert(x)) = x", description=error,
                                       residual=worst, tolerance=1e-12))
     for _ in range(samples):
         t = rng.uniform(-1.5, 1.5)

@@ -106,6 +106,13 @@ def test_verify_deterministic_bytes(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_report_keeps_its_indent(capsys):
+    # reports are read by people: 2-space indent, one key per line
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--no-timestamp")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("HOPFCTL_SEED", "21")
     code, out, _ = run(capsys, "verify", "--suite", "algebra", "--no-timestamp")
@@ -145,6 +152,50 @@ def test_sample_field_json_skips_counted(capsys):
                        "--format", "json")
     data = json.loads(out)
     assert data["skipped"] >= 1  # x1 = 3, x2 = 0.1 has no real x3
+
+
+def test_sample_field_json_is_one_line(capsys, monkeypatch):
+    # a JSON grid is bulk data: one line with the default separators, holding
+    # the payload the indented layout would hold, and the values of the CSV
+    # export of the same grid
+    grid = ("sample-field", "--level", "2", "--realization", "I",
+            "--grid", "x1=-0.5:0.5:2,x2=-0.5:1.1:3")
+    sent = []
+    emit = cli._emit
+
+    def recorded(data, out, indent=2):
+        sent.append(data)
+        emit(data, out, indent)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    code, out, _ = run(capsys, *grid, "--format", "json")
+    assert code == 0
+    [payload] = sent
+    assert out == json.dumps(payload) + "\n"
+    assert json.loads(out) == json.loads(json.dumps(payload, indent=2)) == payload
+    data = json.loads(out)
+    assert len(data["rows"]) == 6 and len(data["columns"]) == len(data["rows"][0])
+    code, csv_out, _ = run(capsys, *grid, "--format", "csv")
+    assert code == 0
+    lines = csv_out.splitlines()
+    assert lines[0].split(",") == data["columns"]
+    assert [[float(v) for v in line.split(",")] for line in lines[1:-1]] == data["rows"]
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sample_field_json_refuses_nan(capsys, monkeypatch, tmp_path, to_file):
+    def nan_field(pt, patch=None):
+        return ("A_1",), [float("nan")]
+
+    monkeypatch.setattr(cli.gaugegeom, "field_components", nan_field)
+    target = tmp_path / "grid.json"
+    extra = ("--out", str(target)) if to_file else ()
+    code, out, err = run(capsys, "sample-field", "--level", "1", "--realization", "I",
+                         "--grid", "x1=-0.5:0.5:2", "--format", "json", *extra)
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+    assert not target.exists()
 
 
 def test_sample_field_fails_closed_on_field_error(capsys, monkeypatch):
@@ -323,3 +374,32 @@ def test_constraint_checks_report_a_projection_error(capsys, monkeypatch):
             assert "left the hyperboloid" in c["detail"]
         else:
             assert c["status"] == "pass"
+
+
+def test_hopf_suite_reports_every_projection_error(capsys, monkeypatch):
+    # every projection shifted by 1e-6, also those inside sample_base_point,
+    # the round trips and the fiber hierarchy: each check that projects fails
+    # with the error as its detail, and the report is still written
+    from fractions import Fraction
+    from splithopf import hopfmaps
+
+    real_value = hopfmaps._scalar_value
+
+    def shifted(x, where):
+        v = real_value(x, where)
+        if where != "projection":
+            return v
+        return v + (Fraction(1, 10 ** 6) if isinstance(v, Fraction) else 1e-6)
+
+    monkeypatch.setattr(hopfmaps, "_scalar_value", shifted)
+    code, out, _ = run(capsys, "verify", "--suite", "hopf", "--no-timestamp")
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    projecting = [i for i in checks if i.startswith(("constraint-", "roundtrip-", "fiber-level"))]
+    assert len(projecting) == 12 + 12 + 4
+    for i, c in checks.items():
+        if i in projecting:
+            assert c["status"] == "fail", i
+            assert "left the hyperboloid" in c["detail"], i
+        else:
+            assert c["status"] == "pass", i

@@ -280,7 +280,10 @@ def test_field_components_columns():
                     for j in range(val.cols):
                         names += ["%s_%d%d_re" % (prefix, i, j), "%s_%d%d_im" % (prefix, i, j)]
                         values += [float(re[i][j]), float(im[i][j])]
-            assert gg.field_components(pt, patch) == (names, values)
+            got = gg.field_components(pt, patch)
+            assert got == (tuple(names), values)
+            # the cached names themselves, not a copy per node
+            assert got[0] is gg.field_components(pt, patch)[0]
 
 
 GAUGE_PANELS = [(l, r, p) for l in (2, 3) for r in ("I", "II") for p in ("upper", "lower")]
