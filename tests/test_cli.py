@@ -172,8 +172,8 @@ def test_sample_field_json_is_one_line(capsys, monkeypatch):
     assert code == 0
     [payload] = sent
     assert out == json.dumps(payload) + "\n"
-    assert json.loads(out) == json.loads(json.dumps(payload, indent=2)) == payload
     data = json.loads(out)
+    assert data == json.loads(json.dumps(payload, indent=2)) == payload
     assert len(data["rows"]) == 6 and len(data["columns"]) == len(data["rows"][0])
     code, csv_out, _ = run(capsys, *grid, "--format", "csv")
     assert code == 0
