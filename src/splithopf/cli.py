@@ -69,15 +69,37 @@ def _load_json(text, what):
         raise UsageError("%s: %s" % (what, e))
 
 
-def _decode_scalar(v, ring):
-    if isinstance(v, list):
-        re, im = v
-        if ring == "split":
-            return SplitComplex(re, im)
-        if ring == "complex":
-            return OrdinaryComplex(re, im)
-        raise ValueError("real components must be plain numbers")
+def _is_number(v):
+    """A JSON number: an int or a float, not a bool."""
+    return type(v) in (int, float)
+
+
+def _numbers(v, what, length=None):
+    """v, when it is a JSON array of numbers (of the given length); a bool,
+    string, null, object or nested array in it is a usage error."""
+    if not isinstance(v, list) or not all(map(_is_number, v)):
+        raise UsageError("%s: expected a JSON array of numbers, got %s" % (what, json.dumps(v)))
+    if length is not None and len(v) != length:
+        raise UsageError("%s: expected %d numbers, got %d" % (what, length, len(v)))
     return v
+
+
+def _decode_scalar(v, ring, what):
+    """A component: a number, or over the split-complex and complex rings
+    also an [re, im] pair of numbers."""
+    if isinstance(v, list) and ring != "real":
+        re, im = _numbers(v, what, 2)
+        return SplitComplex(re, im) if ring == "split" else OrdinaryComplex(re, im)
+    if not _is_number(v):
+        raise UsageError("%s: expected a number%s, got %s"
+                         % (what, "" if ring == "real" else " or an [re, im] pair", json.dumps(v)))
+    return v
+
+
+def _decode_array(payload, ring, what):
+    if not isinstance(payload, list):
+        raise UsageError("%s: expected a JSON array, got %s" % (what, json.dumps(payload)))
+    return [_decode_scalar(v, ring, what) for v in payload]
 
 
 def _encode_scalar(v):
@@ -93,8 +115,7 @@ def _spinor_ring(level, realization):
 
 
 def decode_spinor(payload, level, realization):
-    ring = _spinor_ring(level, realization)
-    comps = [_decode_scalar(v, ring) for v in payload]
+    comps = _decode_array(payload, _spinor_ring(level, realization), "spinor")
     return hopfmaps.Spinor(level, realization, comps)
 
 
@@ -150,11 +171,8 @@ def cmd_verify(args):
     return 0 if payload["status"] == "pass" else 1
 
 
-def _parse_point(args):
-    coords = _load_json(args.point, "point")
-    if not isinstance(coords, list) or not all(isinstance(c, (int, float)) for c in coords):
-        raise UsageError("point: expected a JSON array of numbers")
-    return coords
+def _parse_point(args, length=None):
+    return _numbers(_load_json(args.point, "point"), "point", length)
 
 
 class UsageError(Exception):
@@ -163,7 +181,8 @@ class UsageError(Exception):
 
 def cmd_project(args):
     if args.level == 0:
-        y = hopfmaps.level0_project(tuple(_load_json(args.spinor, "spinor")))
+        y = hopfmaps.level0_project(tuple(_numbers(_load_json(args.spinor, "spinor"),
+                                                   "spinor", 2)))
         _emit({"schema": SCHEMA, "level": 0, "coords": [float(c) for c in y]},
               args.out)
         return 0
@@ -177,7 +196,7 @@ def cmd_project(args):
 
 def cmd_invert(args):
     if args.level == 0:
-        coords = _parse_point(args)
+        coords = _parse_point(args, 2)
         x = hopfmaps.level0_invert(tuple(coords), args.patch)
         _emit({"schema": SCHEMA, "level": 0, "coords": [float(c) for c in x]},
               args.out)
@@ -186,15 +205,13 @@ def cmd_invert(args):
     pt = hopfmaps.BasePoint(args.level, args.realization, coords, args.patch)
     fiber = None
     if args.fiber:
-        ring = _spinor_ring(1 if args.level == 2 else args.level, args.realization)
         raw = _load_json(args.fiber, "fiber")
         if args.level == 1:
-            fiber = _decode_scalar(raw, _spinor_ring(1, args.realization))
-        elif args.level == 2:
-            fiber = [_decode_scalar(v, ring) for v in raw]
+            fiber = _decode_scalar(raw, _spinor_ring(1, args.realization), "fiber")
         else:
-            ring = "split" if args.realization == "I" else "real"
-            fiber = [_decode_scalar(v, ring) for v in raw]
+            ring = _spinor_ring(1, args.realization) if args.level == 2 else \
+                "split" if args.realization == "I" else "real"
+            fiber = _decode_array(raw, ring, "fiber")
     sp = hopfmaps.invert(pt, fiber=fiber, patch=args.patch)
     if isinstance(sp, hopfmaps.Section):
         mat = sp.matrix()

@@ -15,7 +15,7 @@ import math
 import random
 
 from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt
-from .ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX, lincomb
+from .ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb
 from . import gammarep
 
 __all__ = [
@@ -92,7 +92,7 @@ class _Case:
         return _fiber_weight(self.level, self.realization)
 
     def projection_matrices(self):
-        return _projection_matrices(self.level, self.realization)
+        return list(_bilinear_matrices(self.level, self.realization)[1:])
 
 
 CASES = {
@@ -138,13 +138,15 @@ def _fiber_weight(level, realization):
 
 
 @functools.lru_cache(maxsize=None)
-def _projection_matrices(level, realization):
-    """gamma^a, or weight @ gamma^a for a weighted family: x^a is the form of
-    the a-th matrix."""
+def _bilinear_matrices(level, realization):
+    """(weight, m^1 ... m^k) with m^a = gamma^a, or weight @ gamma^a for a
+    weighted family: a spinor's norm is the form of the weight and x^a the
+    form of m^a."""
     fam = gammarep.build_family(CASES[(level, realization)].family)
+    weight = _weight_matrix(level, realization)
     if fam.weight is None:
-        return list(fam.gammas)
-    return [fam.weight @ g for g in fam.gammas]
+        return (weight,) + tuple(fam.gammas)
+    return (weight,) + tuple(fam.weight @ g for g in fam.gammas)
 
 
 def majorana_matrix():
@@ -193,8 +195,7 @@ class Spinor:
         raise AttributeError("immutable value")
 
     def norm(self):
-        case = case_info(self.level, self.realization)
-        return case.weight().form(self.comps)
+        return forms((_weight_matrix(self.level, self.realization),), self.comps)[0]
 
     def scaled_by_unit_phase(self, phase):
         """Multiply by a fiber phase (same-ring scalar with qform 1)."""
@@ -284,17 +285,14 @@ def project(spinor):
     1e-9 for floats).  For the two-leaf map (1, II) a norm of -1 is also
     accepted and lands on the lower leaf.
     """
-    case = case_info(spinor.level, spinor.realization)
-    n = _scalar_value(spinor.norm(), "norm")
+    norm, *values = forms(_bilinear_matrices(spinor.level, spinor.realization), spinor.comps)
+    n = _scalar_value(norm, "norm")
     allowed = (1, -1) if (spinor.level, spinor.realization) == (1, "II") else (1,)
     if not any(_near(n, sign) for sign in allowed):
         raise NormalizationError(n)
     exact = not isinstance(n, float)
-    coords = []
-    for mat in case.projection_matrices():
-        v = _scalar_value(mat.form(spinor.comps), "projection")
-        # dividing by the measured norm kills first-order error
-        coords.append(v / n)
+    # dividing by the measured norm kills first-order error
+    coords = [_scalar_value(v, "projection") / n for v in values]
     point = BasePoint(spinor.level, spinor.realization, coords)
     res = point.constraint_residual()
     if exact:
@@ -436,21 +434,23 @@ class Section:
 
 
 def _check_fiber(case, point, fiber):
+    """The fiber's components, once its norm (and at level 3-I its reality
+    condition) is checked."""
     lvl, real = point.level, point.realization
     if lvl == 1:
         q = _scalar_value(fiber.qform() if hasattr(fiber, "qform") else fiber * fiber, "fiber")
         _require_one(q, "fiber phase must satisfy conj(c) c = 1")
-        return [[fiber]]
+        return [fiber]
     if lvl == 2:
         sub = Spinor(1, real, fiber) if not isinstance(fiber, Spinor) else fiber
         n = _scalar_value(sub.norm(), "fiber norm")
         _require_one(n, "level-1 fiber must be normalized")
-        return [[c] for c in sub.comps]
+        return list(sub.comps)
     # level 3: 8-component fiber with the level-specific reality condition
     comps = list(fiber.comps) if isinstance(fiber, Spinor) else list(fiber)
     if len(comps) != 8:
         raise ValueError("level-3 fiber needs 8 components")
-    w = _scalar_value(case.fiber_weight().form(comps), "fiber norm")
+    w = _scalar_value(forms((case.fiber_weight(),), comps)[0], "fiber norm")
     if real == "I":
         _require_one(w, "fiber must satisfy conj-norm 1")
         d = gammarep.charge_conjugation("so43_I").matrix
@@ -459,7 +459,7 @@ def _check_fiber(case, point, fiber):
             raise ValueError("level-3 fiber must satisfy the reality condition Phi = d conj(Phi)")
     else:
         _require_one(w, "fiber must have Sigma3-norm 1")
-    return [[c] for c in comps]
+    return comps
 
 
 def _require_one(v, msg):
@@ -502,7 +502,7 @@ def invert(point, fiber=None, patch=None, exact=False):
         else:
             pole = [case.ring.one, case.ring.zero]
             fiber = Spinor(1, point.realization, pole)
-    fiber_col = _check_fiber(case, point, fiber)
+    fiber = [case.ring.promote(c) for c in _check_fiber(case, point, fiber)]
 
     if exact:
         r = exact_sqrt(2 * Fraction(n))
@@ -513,8 +513,7 @@ def invert(point, fiber=None, patch=None, exact=False):
     else:
         pref = 1.0 / math.sqrt(2.0 * n)
 
-    col = RMatrix(fiber_col, case.ring)
-    comps = [row[0] * pref for row in (w @ col).entries]
+    comps = [c * pref for c in w.matvec(fiber)]
     norm_sign = -1 if (point.level, point.realization) == (1, "II") and patch == "lower" else 1
     return Spinor(point.level, point.realization, comps, norm_sign)
 

@@ -4,9 +4,9 @@ The substrate for every gamma-matrix and spinor computation: small matrices
 (at most 16x16) over the reals, ordinary complex numbers or split-complex
 numbers.  Each matrix carries a ring descriptor that supplies the entry
 involution, so adjoints never mix conjugation modes mid-expression.  Values
-are immutable.  Grassmann values enter only as vector elements: ``matvec``
-and ``form`` act on a vector of any elements the entries multiply (the super
-spinors of superhopf) through the elements' own arithmetic.
+are immutable.  Grassmann values enter only as vector elements: ``matvec``,
+``form`` and ``forms`` act on a vector of any elements the entries multiply
+(the super spinors of superhopf) through the elements' own arithmetic.
 
 Storage is by component grid.  A matrix over the reals keeps one grid, its
 entries.  A matrix over the split-complex or complex ring keeps two, the
@@ -15,7 +15,7 @@ SplitComplex or OrdinaryComplex per cell) only when code reads ``entries``
 or ``entry()``; no kernel does.  Every matrix finds its nonzero cells on
 first use and keeps them (there is nothing to switch on), and every kernel
 walks those cells only: the products (``@``, ``matvec``, ``commutator``,
-``anticommutator``), the Hermitian form (``form``), linear combinations
+``anticommutator``), the Hermitian forms (``forms``), linear combinations
 (``lincomb``), ``+``/``-`` (over the union of the operands' cells) and the
 elementwise ops (``scale``, ``scale_right``, negation, ``conj``).  Every
 zero cell of a result is the ring's zero.  Over the split-complex and
@@ -29,10 +29,17 @@ float times the Fraction's float.
 Exact kernels run on integers.  A matrix whose nonzero cells hold only ints,
 or only Fractions, keeps on first exact use those cells cleared to ints with
 one common denominator.  When every operand of ``@`` (so ``commutator`` and
-``anticommutator``), ``matvec``, ``form``, ``scale``, ``scale_right`` or
+``anticommutator``), ``matvec``, a form, ``scale``, ``scale_right`` or
 ``lincomb`` is exact and a Fraction is among them, the kernel walks its one
 cell loop over the cleared ints (the vector, scalar or coefficients cleared
-once per call) and divides each written value once at the end.  Types are
+once per call) and divides each written value once at the end.
+
+``forms(mats, vec)`` gives the Hermitian form of each of several matrices
+over one ring against one vector, in one pass: it reads the vector's
+components (and their conjugates) once and, on exact input, clears them
+once, with one lcm, for every matrix; ``RMatrix.form`` is ``forms`` of one
+matrix.  A spinor's norm and all its bilinears (hopfmaps.project,
+superhopf.super_project) are one ``forms`` call.  Types are
 those of the entries' own arithmetic: a written value is a Fraction, also
 where its terms cancel, a value no term reached is the int 0, and ints alone
 give ints.  A float operand keeps the loop above, bit for bit; it is told by
@@ -51,7 +58,7 @@ from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints
 
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
-    "MetricForm", "RMatrix", "lincomb", "worst_of",
+    "MetricForm", "RMatrix", "forms", "lincomb", "worst_of",
     "commutator", "anticommutator", "kron",
 ]
 
@@ -308,7 +315,7 @@ class RMatrix:
         c = self.ring.promote(c)
         cls = _binarion(self.ring)
         parts = [c.re, c.im] if cls else [c]
-        ops = None if type(parts[0]) is float else _operands(self, parts)
+        ops = None if type(parts[0]) is float else _operands(self, _clear(parts))
         if ops:
             cells, parts, dm, dc, _ = ops
             ops = cells, dm * dc
@@ -336,39 +343,17 @@ class RMatrix:
         elements' own kind) otherwise."""
         cls = _binarion(self.ring)
         if cls and all(type(v) is cls for v in vec):
-            _, _, res, ims, _, den = _matvec_components(self, vec, cls.UNIT_SQ)
+            _, _, res, ims, _, den = _matvec_components(self, _vector_parts(vec), cls.UNIT_SQ)
             if den is not None:
                 res, ims = _finish([res, ims], den)
             return list(map(cls, res, ims))
-        _, out, _, den = _matvec_values(self, vec)
+        _, out, _, den = _matvec_values(self, vec, None if cls else _clear_vector(vec))
         return out if den is None else list(_finish([out], den)[0])
 
     def form(self, vec):
-        """sum_i conj(vec_i) (M vec)_i, the ring involution on the left.
-
-        Adds the terms in increasing i from the ring's zero, with the
-        operation order of matvec followed by the entries' own product and
-        sum."""
-        ring = self.ring
-        cls = _binarion(ring)
-        if cls and all(type(v) is cls for v in vec):
-            u2 = cls.UNIT_SQ
-            vr, vi, res, ims, dv, den = _matvec_components(self, vec, u2)
-            re = im = 0 if den is None else False
-            for cr, ci, mr, mi in zip(vr, vi, res, ims):
-                ci = -ci
-                re = re + (cr * mr + u2 * ci * mi)
-                im = im + (cr * mi + ci * mr)
-            if den is not None:
-                (re, im), = _finish([[re, im]], den * dv)
-            return cls(re, im)
-        vec, out, dv, den = _matvec_values(self, vec)
-        acc = ring.zero if den is None else False
-        for c, v in zip(vec, out):
-            acc = acc + (c.conj() if hasattr(c, "conj") else c) * v
-        if den is not None:
-            (acc,), = _finish([[acc]], den * dv)
-        return acc
+        """sum_i conj(vec_i) (M vec)_i, the ring involution on the left
+        (see forms)."""
+        return forms((self,), vec)[0]
 
     # ---- involutions ------------------------------------------------------
 
@@ -604,13 +589,13 @@ def _zero_grid(rows, cols):
     return ((0,) * cols,) * rows
 
 
-def _operands(m, values):
+def _operands(m, cv):
     """(cells, ints, dm, dv, types): the cells of m cleared over dm
-    (_exact) and the values (a scalar's or a vector's components) cleared
-    over dv (_clear), with the set of the values' types, when both are
-    exact and a Fraction is among them; None otherwise, so that ints alone
-    keep the entries' own arithmetic, which is int arithmetic already."""
-    cv = _clear(values)
+    (_exact) and the values (a scalar's or a vector's components) as
+    cleared over dv, cv = (ints, dv, types) from _clear, when both are
+    exact and a Fraction is among them; None otherwise (also for cv None),
+    so that ints alone keep the entries' own arithmetic, which is int
+    arithmetic already."""
     em = cv and _exact(m)
     if not em or not (em[2] or Fraction in cv[2]):
         return None
@@ -677,27 +662,39 @@ def _product(a, b):
     return (out if den is None else _finish(out, den),)
 
 
-def _vector_operands(m, values):
-    """_operands for a vector's components, refused when they mix ints and
-    Fractions: a row would then be an int or a Fraction by the values it
-    reaches."""
-    ops = _operands(m, values)
-    return ops if ops and len(ops[4]) < 2 else None
+def _clear_vector(values):
+    """_clear for a vector's components, refused (None) when they mix ints
+    and Fractions: a row would then be an int or a Fraction by the values
+    it reaches."""
+    cv = _clear(values)
+    return cv if cv and len(cv[2]) < 2 else None
 
 
-def _matvec_components(m, vec, u2):
-    """(vr, vi, res, ims, dv, den) for M vec over a binarion ring: the
-    vector's components and the (re, im) of each row, summed over the row's
-    cells in column order as the entries' product and sum would.  When
-    _vector_operands clears the operands, vr and vi are ints over dv and
-    the row sums ints over den, False for a row without cells; else dv and
-    den are None."""
+def _vector_parts(vec):
+    """(vr, vi, cv) for a vector of binarions: its re and im components
+    and, when they are exact (_clear_vector, both lists together), cv =
+    ((ints of vr, ints of vi), dv, types) for _operands; else cv is None."""
     vr = [v.re for v in vec]
     vi = [v.im for v in vec]
-    ops = vr and type(vr[0]) is not float and _vector_operands(m, vr + vi)
+    cv = None if not vr or type(vr[0]) is float else _clear_vector(vr + vi)
+    if cv:
+        ints, dv, types = cv
+        cv = (ints[:len(vr)], ints[len(vr):]), dv, types
+    return vr, vi, cv
+
+
+def _matvec_components(m, parts, u2):
+    """(vr, vi, res, ims, dv, den) for M vec over a binarion ring, parts =
+    _vector_parts(vec): the vector's components and the (re, im) of each
+    row, summed over the row's cells in column order as the entries'
+    product and sum would.  When _operands clears m and the vector, vr and
+    vi are ints over dv and the row sums ints over den, False for a row
+    without cells; else dv and den are None."""
+    vr, vi, cv = parts
+    ops = _operands(m, cv)
     if ops:
-        cells, ints, dm, dv, _ = ops
-        vr, vi, den, start = ints[:len(vr)], ints[len(vr):], dm * dv, False
+        cells, (vr, vi), dm, dv, _ = ops
+        den, start = dm * dv, False
     else:
         cells, dv, den, start = _cells(m), None, None, 0
     res, ims = [], []
@@ -712,15 +709,16 @@ def _matvec_components(m, vec, u2):
     return vr, vi, res, ims, dv, den
 
 
-def _matvec_values(m, vec):
+def _matvec_values(m, vec, cv):
     """(vec, rows, dv, den) for M vec in the entries' own arithmetic: the
-    vector and the sum of each row, as matvec describes.  Over the reals,
-    when _vector_operands clears the operands, the vector is ints over dv
-    and the row sums ints over den, False for a row without cells; else dv
-    and den are None."""
+    vector and the sum of each row, as matvec describes.  cv is
+    _clear_vector(vec) over the reals, None over the binarion rings.  When
+    _operands clears m and the vector, the vector is ints over dv and the
+    row sums ints over den, False for a row without cells; else dv and den
+    are None."""
     ring = m.ring
     cls = _binarion(ring)
-    ops = None if cls else _vector_operands(m, vec)
+    ops = _operands(m, cv)
     if ops:
         cells, vec, dm, dv, _ = ops
         den, start = dm * dv, False
@@ -737,6 +735,50 @@ def _matvec_values(m, vec):
             acc = acc + a * vec[cell[0]]
         out.append(acc)
     return vec, out, dv, den
+
+
+def forms(mats, vec):
+    """[m.form(vec) for m in mats], for matrices over one ring: each form is
+    sum_i conj(vec_i) (M vec)_i, the ring involution on the left.
+
+    The vector is read once for all the matrices: its components, their
+    conjugates and, on exact input, its cleared ints (_clear_vector, one
+    lcm).  Each matrix then takes the path its own form would: the cleared
+    loop when _operands admits the matrix and the vector, the loop over its
+    cells otherwise.  Each form adds its terms in increasing i from the
+    ring's zero, with the operation order of matvec followed by the
+    entries' own product and sum."""
+    ring = mats[0].ring
+    if any(m.ring is not ring and m.ring != ring for m in mats):
+        raise TypeError("forms takes matrices over one ring")
+    cls = _binarion(ring)
+    out = []
+    if cls and all(type(v) is cls for v in vec):
+        u2 = cls.UNIT_SQ
+        parts = _vector_parts(vec)
+        for m in mats:
+            vr, vi, res, ims, dv, den = _matvec_components(m, parts, u2)
+            re = im = 0 if den is None else False
+            for cr, ci, mr, mi in zip(vr, vi, res, ims):
+                ci = -ci
+                re = re + (cr * mr + u2 * ci * mi)
+                im = im + (cr * mi + ci * mr)
+            if den is not None:
+                (re, im), = _finish([[re, im]], den * dv)
+            out.append(cls(re, im))
+        return out
+    cv = None if cls else _clear_vector(vec)
+    conj = [c.conj() if hasattr(c, "conj") else c for c in vec]
+    for m in mats:
+        ints, rows, dv, den = _matvec_values(m, vec, cv)
+        acc = ring.zero if den is None else False
+        # cleared ints are reals, their own conjugates
+        for c, v in zip(conj if den is None else ints, rows):
+            acc = acc + c * v
+        if den is not None:
+            (acc,), = _finish([[acc]], den * dv)
+        out.append(acc)
+    return out
 
 
 def _cleared_terms(coeffs, basis):

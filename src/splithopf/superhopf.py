@@ -11,10 +11,11 @@ body coordinates.
 """
 
 from fractions import Fraction
+import functools
 import math
 
 from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt, reciprocal, cleared_ints
-from .ringmat import RMatrix, commutator, anticommutator, lincomb, worst_of, _is_zero
+from .ringmat import RMatrix, commutator, anticommutator, forms, lincomb, worst_of, _is_zero
 from . import gammarep
 from .hopfmaps import BasePoint, case_info, patch_sign
 from .gaugegeom import tangent_basis, lowered_epsilon
@@ -340,6 +341,7 @@ def _unit(realization):
     return case_info(1, realization).unit
 
 
+@functools.lru_cache(maxsize=None)
 def _weight(realization):
     return RMatrix.diagonal(_WEIGHT[realization], _ring(realization))
 
@@ -356,6 +358,15 @@ def _osp_matrices(realization):
     l1 = RMatrix([[0, 0, 1], [0, 0, 0], [0, 1, 0]], ring).scale(half)
     l2 = RMatrix([[0, 0, 0], [0, 0, 1], [-1, 0, 0]], ring).scale(half)
     return {"ring": ring, "li": li, "lalpha": [l1, l2]}
+
+
+@functools.lru_cache(maxsize=None)
+def _bilinear_matrices(realization):
+    """(W, W l^1, W l^2, W l^3, W l^alpha1, W l^alpha2): a super spinor's
+    norm and half its super coordinates are their forms."""
+    w = _weight(realization)
+    gen = _osp_matrices(realization)
+    return (w,) + tuple(w @ m for m in gen["li"] + gen["lalpha"])
 
 
 def build_osp_generators(realization):
@@ -482,17 +493,14 @@ def super_project(chi, realization):
     formula.  The super constraint (eta_ij x^i x^j +- eps_ab theta^a
     theta^b = +-1) then holds exactly in the algebra.
     """
-    n = super_norm(chi, realization)
+    n, *halves = forms(_bilinear_matrices(realization), chi)
     one = GrassmannElement.scalar(1, chi[0].config)
     if not (n == one):
         dev = (n - one).max_abs()
         if not (dev <= 1e-9):
             raise ValueError("super spinor is not normalized (deviation %g)" % dev)
-    gen = build_osp_generators(realization)
-    w = _weight(realization)
-    xs = tuple((w @ m).form(chi) * 2 for m in gen["li"])
-    ths = tuple((w @ m).form(chi) * 2 for m in gen["lalpha"])
-    return xs, ths
+    coords = tuple(h * 2 for h in halves)
+    return coords[:3], coords[3:]
 
 
 def constraint_residual(xs, ths, realization):

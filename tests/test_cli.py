@@ -286,6 +286,35 @@ def test_non_finite_input_rejected(capsys, argv):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("project", "--level", "1", "--spinor", "[true,[0,0]]"),
+    ("project", "--level", "1", "--spinor", "[[1,0,5],[0,0]]"),
+    ("project", "--level", "1", "--spinor", '["a",[0,0]]'),
+    ("project", "--level", "1", "--spinor", "[[[1],0],[0,0]]"),
+    ("project", "--level", "1", "--spinor", "[[1,null],[0,0]]"),
+    ("project", "--level", "1", "--spinor", "5"),
+    ("project", "--level", "3", "--realization", "II", "--spinor", "[[1,0]" + ",0" * 15 + "]"),
+    ("project", "--level", "0", "--spinor", "[1,2,3]"),
+    ("project", "--level", "0", "--spinor", "[true,1]"),
+    ("invert", "--level", "1", "--point", "[true,0,1]"),
+    ("invert", "--level", "1", "--point", '[0,0,"1"]'),
+    ("invert", "--level", "0", "--point", "[0,1,2]"),
+    ("invert", "--level", "1", "--point", "[0,0,1]", "--fiber", "[1,0,0]"),
+    ("invert", "--level", "2", "--point", "[0,0,0,0,1]", "--fiber", "[[1,0],false]"),
+    ("invert", "--level", "2", "--point", "[0,0,0,0,1]", "--fiber", '{"re":1}'),
+])
+def test_malformed_payloads_are_usage_errors(capsys, tmp_path, argv):
+    """A bool, string, null or nested array where a number belongs, a pair
+    that is not [re, im] and a level-0 pair of the wrong length are refused
+    as usage errors before anything is computed or written."""
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("grid", ["x1=0:1:0", "x1=0:1:-2", "x1=nan:1:3", "x1=0:inf:3"])
 def test_grid_rejects_empty_or_non_finite(capsys, grid):
     code, out, err = run(capsys, "sample-field", "--level", "1", "--realization", "I",

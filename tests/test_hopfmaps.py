@@ -287,8 +287,10 @@ def test_project_rejects_nan_norm(monkeypatch):
         psi = Spinor(1, "II", (OrdinaryComplex(nan, 0), OrdinaryComplex(0, 0)))
         with pytest.raises(ValueError):
             project(psi)
-    # a NaN norm itself, with its sign read as -1 (allowed on the two-leaf map)
-    monkeypatch.setattr(Spinor, "norm", lambda self: nan)
+    # a NaN norm itself, with its sign read as -1 (allowed on the two-leaf map),
+    # from the one forms call that gives project the norm and the coordinates
+    forms = hm.forms
+    monkeypatch.setattr(hm, "forms", lambda mats, vec: [nan] + forms(mats, vec)[1:])
     with pytest.raises(NormalizationError):
         project(Spinor(1, "II", (OrdinaryComplex(1.0, 0.0), OrdinaryComplex(0.0, 0.0))))
 

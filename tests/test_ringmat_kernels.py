@@ -20,7 +20,7 @@ import pytest
 
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
-    RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX, lincomb,
+    RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb,
     commutator, anticommutator,
 )
 from splithopf.superhopf import PSEUDO, STANDARD, GrassmannElement
@@ -290,6 +290,64 @@ def test_form_matches_dense_reference(ring, draw):
         assert_same(RMatrix([[a.form(vec)]], ring), [[ref_form(a, vec)]])
 
 
+def _form_vectors(rng, ring, n):
+    """One vector per draw, and one mixing int and Fraction components."""
+    vecs = [list(rand_matrix(rng, ring, 1, n, draw).entries[0]) for draw in DRAWS]
+    mixed = [ring.promote(x) for x in [F(1, 2)] + [rng.randint(-3, 3) for _ in range(n - 1)]]
+    return vecs + [mixed]
+
+
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_forms_match_dense_reference(ring):
+    """forms reads a vector once for several matrices; each result has the
+    bits and the type of the matrix's own dense reference form, whichever
+    path (float, int, cleared Fraction, entries' arithmetic) the matrix and
+    the vector take."""
+    rng = random.Random(31)
+    for n in (1, 2, 4, 8):
+        mats = [rand_matrix(rng, ring, n, n, draw) for draw in DRAWS + DRAWS]
+        # int cells beside Fraction cells
+        mats.append(_cell_mixed(rng, ring, n))
+        for vec in _form_vectors(rng, ring, n):
+            want = [bits(ref_form(m, vec)) for m in mats]
+            assert [bits(x) for x in forms(mats, vec)] == want
+            assert [bits(x) for x in forms(mats, tuple(vec))] == want
+            assert [bits(m.form(vec)) for m in mats] == want
+    # terms that cancel on the cleared path give Fraction(0) in every
+    # component, as they do in the reference; so does a matrix without cells
+    cls = None if ring is RING_REAL else type(ring.zero)
+    exact = (lambda x: F(x)) if cls is None else (lambda x: cls(F(x), F(0)))
+    cancel = RMatrix.diagonal([exact(1), exact(-1)], ring)
+    zero = RMatrix.zeros(2, 2, ring)
+    vec = [exact(F(1, 2)), exact(F(1, 2))]
+    got = forms([cancel, zero], vec)
+    assert [bits(x) for x in got] == [bits(ref_form(m, vec)) for m in (cancel, zero)]
+    assert bits(got[0]) == bits(got[1]) == bits(exact(0))
+
+
+@pytest.mark.parametrize("cfg", (PSEUDO, STANDARD), ids=lambda c: c.mode)
+@pytest.mark.parametrize("ring", (RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_forms_on_grassmann_vectors(ring, cfg):
+    """Several numeric matrices against one vector of exact Grassmann
+    elements: each form equals the dense reference and stays exact."""
+    rng = random.Random(32)
+    cls = SplitComplex if ring is RING_SPLIT else OrdinaryComplex
+    vec = [GrassmannElement({m: cls(_rational(rng), _rational(rng)) for m in range(16)
+                             if rng.random() < 0.3}, cfg) for _ in range(3)]
+    mats = [rand_matrix(rng, ring, 3, 3, draw) for draw in DRAWS]
+    mats.append(RMatrix.zeros(3, 3, ring))
+    got = forms(mats, vec)
+    assert got == [ref_form(m, vec) for m in mats]
+    for x in got[:-1]:
+        assert isinstance(x, GrassmannElement) and x.config is cfg
+
+
+def test_forms_refuses_mixed_rings():
+    with pytest.raises(TypeError):
+        forms([RMatrix.identity(2, RING_SPLIT), RMatrix.identity(2, RING_COMPLEX)],
+              [SplitComplex(1, 0), SplitComplex(0, 0)])
+
+
 def test_rational_elementwise_ops_stay_exact():
     rng = random.Random(18)
     a = rand_matrix(rng, RING_SPLIT, 6, 6, _rational)
@@ -526,11 +584,11 @@ def test_is_scalar_pinned():
 # ---------------------------------------------------------------------------
 # exact kernels on cleared integers
 
-def _cell_mixed(rng, ring):
-    """A matrix whose nonzero cells are int in some places and Fraction in
-    others, which the kernels take as they are, not cleared."""
-    m = rand_matrix(rng, ring, 6, 6, _integer)
-    f = rand_matrix(rng, ring, 6, 6, _fraction)
+def _cell_mixed(rng, ring, n=6):
+    """An n x n matrix whose nonzero cells are int in some places and
+    Fraction in others, which the kernels take as they are, not cleared."""
+    m = rand_matrix(rng, ring, n, n, _integer)
+    f = rand_matrix(rng, ring, n, n, _fraction)
     return RMatrix([[x if (i + j) % 2 else y for j, (x, y) in enumerate(zip(rx, ry))]
                     for i, (rx, ry) in enumerate(zip(m.entries, f.entries))], ring)
 
@@ -658,3 +716,49 @@ def test_exact_paths_make_no_fraction_product(monkeypatch):
     assert all(ok for _, ok, _ in checks)
     assert all(type(x) is F for pt in points for x in pt.coords)
     assert all(type(x) in (int, F) for grid in c.components() for row in grid for x in row)
+
+
+def test_maps_take_their_bilinears_from_forms(monkeypatch):
+    """project (one forms call per spinor), super_project and invert make
+    no per-matrix form and no matrix product once their cached matrices
+    exist: over all six maps, the second call, with RMatrix.form and
+    RMatrix.__matmul__ made to raise, gives the first call's results."""
+    from splithopf import hopfmaps, superhopf
+    rng = random.Random(33)
+    calls = []
+    for level, real in hopfmaps.CASES:
+        for backend in ("float", "exact"):
+            sp = hopfmaps.sample_normalized(level, real, backend=backend, rng=rng)
+            calls.append(lambda sp=sp: hopfmaps.project(sp).coords)
+        point = hopfmaps.sample_base_point(level, real, rng=rng)
+        fibers = [None]
+        if level == 2:
+            fibers.append(hopfmaps.sample_normalized(1, real, rng=rng))
+        elif level == 3 and real == "I":
+            psi = hopfmaps.sample_normalized(2, "I", rng=rng)
+            half = 1 / math.sqrt(2.0)
+            pc = hopfmaps.charge_conjugate_spinor(psi.comps)
+            fibers.append([c * half for c in psi.comps + tuple(SplitComplex(0, 1) * c
+                                                                for c in pc)])
+        elif level == 3:
+            fibers.append([1.0] + [0.0] * 7)
+        for fiber in fibers:
+            def inverted(point=point, fiber=fiber):
+                out = hopfmaps.invert(point, fiber=fiber)
+                return out.w if isinstance(out, hopfmaps.Section) else out.comps
+            calls.append(inverted)
+    for real in ("I", "II"):
+        cfg = PSEUDO if real == "I" else STANDARD
+        ths = (GrassmannElement.generator(0, cfg), GrassmannElement.generator(1, cfg))
+        xs = superhopf.lift_base((F(0), F(15, 8), F(17, 8)) if real == "II"
+                                 else (F(24, 25), F(0), F(7, 25)), ths, real)
+        chi = superhopf.super_invert(xs, ths, "upper", real)
+        calls.append(lambda chi=chi, real=real: superhopf.super_project(chi, real))
+    first = [call() for call in calls]
+
+    def refused(*args):
+        raise AssertionError("a per-matrix form or a matrix product")
+
+    monkeypatch.setattr(RMatrix, "form", refused)
+    monkeypatch.setattr(RMatrix, "__matmul__", refused)
+    assert [call() for call in calls] == first
