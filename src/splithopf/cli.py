@@ -208,10 +208,10 @@ def cmd_invert(args):
         raw = _load_json(args.fiber, "fiber")
         if args.level == 1:
             fiber = _decode_scalar(raw, _spinor_ring(1, args.realization), "fiber")
+        elif args.level == 2:
+            fiber = _decode_array(raw, _spinor_ring(1, args.realization), "fiber")
         else:
-            ring = _spinor_ring(1, args.realization) if args.level == 2 else \
-                "split" if args.realization == "I" else "real"
-            fiber = _decode_array(raw, ring, "fiber")
+            fiber = _decode_array(raw, "split" if args.realization == "I" else "real", "fiber")
     sp = hopfmaps.invert(pt, fiber=fiber, patch=args.patch)
     if isinstance(sp, hopfmaps.Section):
         mat = sp.matrix()

@@ -502,6 +502,8 @@ def invert(point, fiber=None, patch=None, exact=False):
         else:
             pole = [case.ring.one, case.ring.zero]
             fiber = Spinor(1, point.realization, pole)
+    # ring elements, as the section's entries are, so that every fiber takes
+    # matvec's component path
     fiber = [case.ring.promote(c) for c in _check_fiber(case, point, fiber)]
 
     if exact:

@@ -32,20 +32,20 @@ one common denominator.  When every operand of ``@`` (so ``commutator`` and
 ``anticommutator``), ``matvec``, a form, ``scale``, ``scale_right`` or
 ``lincomb`` is exact and a Fraction is among them, the kernel walks its one
 cell loop over the cleared ints (the vector, scalar or coefficients cleared
-once per call) and divides each written value once at the end.
-
-``forms(mats, vec)`` gives the Hermitian form of each of several matrices
-over one ring against one vector, in one pass: it reads the vector's
-components (and their conjugates) once and, on exact input, clears them
-once, with one lcm, for every matrix; ``RMatrix.form`` is ``forms`` of one
-matrix.  A spinor's norm and all its bilinears (hopfmaps.project,
-superhopf.super_project) are one ``forms`` call.  Types are
+once per call) and divides each written value once at the end.  Types are
 those of the entries' own arithmetic: a written value is a Fraction, also
 where its terms cancel, a value no term reached is the int 0, and ints alone
 give ints.  A float operand keeps the loop above, bit for bit; it is told by
 its first component, before any scan.  ``MetricForm.inner`` clears exact
 vectors the same way.  A product of int matrices puts the one shared
 ``_zero_grid`` of its shape in place of a result grid of int zeros.
+
+``forms(mats, vec)`` gives the Hermitian form of each of several matrices
+over one ring against one vector, in one pass: it reads the vector's
+components (and their conjugates) once and, on exact input, clears them
+once, with one lcm, for every matrix; ``RMatrix.form`` is ``forms`` of one
+matrix.  A spinor's norm and all its bilinears (hopfmaps.project,
+superhopf.super_project) are one ``forms`` call.
 """
 
 from fractions import Fraction
