@@ -13,7 +13,7 @@ from .hopfmaps import (
 )
 from .gaugegeom import (
     connection_closed, connection_numeric, curvature_closed, transition,
-    gluing_check, lightcone_probe,
+    gluing_check,
 )
 from .superhopf import (
     GrassmannElement, PSEUDO, STANDARD, super_project, super_invert,

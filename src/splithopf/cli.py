@@ -74,12 +74,12 @@ def _is_number(v):
     return type(v) in (int, float)
 
 
-def _numbers(v, what, length=None):
-    """v, when it is a JSON array of numbers (of the given length); a bool,
+def _numbers(v, what, length):
+    """v, when it is a JSON array of the given length of numbers; a bool,
     string, null, object or nested array in it is a usage error."""
     if not isinstance(v, list) or not all(map(_is_number, v)):
         raise UsageError("%s: expected a JSON array of numbers, got %s" % (what, json.dumps(v)))
-    if length is not None and len(v) != length:
+    if len(v) != length:
         raise UsageError("%s: expected %d numbers, got %d" % (what, length, len(v)))
     return v
 
@@ -96,9 +96,11 @@ def _decode_scalar(v, ring, what):
     return v
 
 
-def _decode_array(payload, ring, what):
+def _decode_array(payload, ring, what, length):
     if not isinstance(payload, list):
         raise UsageError("%s: expected a JSON array, got %s" % (what, json.dumps(payload)))
+    if len(payload) != length:
+        raise UsageError("%s: expected %d components, got %d" % (what, length, len(payload)))
     return [_decode_scalar(v, ring, what) for v in payload]
 
 
@@ -115,7 +117,8 @@ def _spinor_ring(level, realization):
 
 
 def decode_spinor(payload, level, realization):
-    comps = _decode_array(payload, _spinor_ring(level, realization), "spinor")
+    comps = _decode_array(payload, _spinor_ring(level, realization), "spinor",
+                          hopfmaps.case_info(level, realization).spinor_dim)
     return hopfmaps.Spinor(level, realization, comps)
 
 
@@ -171,7 +174,7 @@ def cmd_verify(args):
     return 0 if payload["status"] == "pass" else 1
 
 
-def _parse_point(args, length=None):
+def _parse_point(args, length):
     return _numbers(_load_json(args.point, "point"), "point", length)
 
 
@@ -201,17 +204,17 @@ def cmd_invert(args):
         _emit({"schema": SCHEMA, "level": 0, "coords": [float(c) for c in x]},
               args.out)
         return 0
-    coords = _parse_point(args)
-    pt = hopfmaps.BasePoint(args.level, args.realization, coords, args.patch)
+    case = hopfmaps.case_info(args.level, args.realization)
+    pt = hopfmaps.BasePoint(args.level, args.realization, _parse_point(args, case.base_dim),
+                            args.patch)
     fiber = None
     if args.fiber:
-        raw = _load_json(args.fiber, "fiber")
+        # a fiber's components lie in the ring of the map's own spinors
+        raw, ring = _load_json(args.fiber, "fiber"), _spinor_ring(args.level, args.realization)
         if args.level == 1:
-            fiber = _decode_scalar(raw, _spinor_ring(1, args.realization), "fiber")
-        elif args.level == 2:
-            fiber = _decode_array(raw, _spinor_ring(1, args.realization), "fiber")
+            fiber = _decode_scalar(raw, ring, "fiber")
         else:
-            fiber = _decode_array(raw, "split" if args.realization == "I" else "real", "fiber")
+            fiber = _decode_array(raw, ring, "fiber", case.fiber_dim)
     sp = hopfmaps.invert(pt, fiber=fiber, patch=args.patch)
     if isinstance(sp, hopfmaps.Section):
         mat = sp.matrix()

@@ -53,7 +53,7 @@ __all__ = [
     "connection_numeric", "connection_residual",
     "curvature_closed", "curvature_contraction", "curvature_numeric",
     "curvature_residual", "transition", "gluing_check",
-    "lightcone_probe", "curvature_radial", "span_residual", "field_components",
+    "span_residual", "field_components",
 ]
 
 EPS_NULL = 1e-9
@@ -556,35 +556,6 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
         else:
             curv_devs.append(_value_dev(fl if decor is None else decor @ fl, gd_decor @ fu @ g))
     return {"connection": worst_of(conn_devs), "curvature": worst_of(curv_devs)}
-
-
-# ---------------------------------------------------------------------------
-# light cone and radial form (split level 1)
-
-def lightcone_probe(v):
-    """Classify r^2 = x1^2 - x2^2 + x3^2 for the split level-1 metric."""
-    r2 = v[0] * v[0] - v[1] * v[1] + v[2] * v[2]
-    fr2 = float(r2)
-    if abs(fr2) < EPS_NULL:
-        kind = "null"
-    elif fr2 > 0:
-        kind = "spacelike"
-    else:
-        kind = "timelike"
-    return {"kind": kind, "r_squared": r2}
-
-def curvature_radial(v):
-    """Field strength of the split level-1 monopole away from unit radius:
-    F_ij = -(1/(2 r^3)) eps_ijk x^k (lowered epsilon).  Refuses points within
-    EPS_NULL of the light cone, where the field is singular."""
-    probe = lightcone_probe(v)
-    r2 = float(probe["r_squared"])
-    if probe["kind"] == "null" or r2 <= 0:
-        raise ValueError("radial curvature undefined at or inside the light cone")
-    r3 = r2 * math.sqrt(r2)
-    x = [float(c) for c in v]
-    return {(i, j): -lowered_epsilon(x, i, j) / (2 * r3)
-            for i in (1, 2, 3) for j in range(i + 1, 4)}
 
 
 # ---------------------------------------------------------------------------

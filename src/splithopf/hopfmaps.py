@@ -23,7 +23,7 @@ __all__ = [
     "NormalizationError", "PatchError", "SamplingError", "ConstraintError",
     "CASES", "case_info",
     "patch_sign", "require_patch",
-    "project", "invert", "sample_normalized", "sample_base_point",
+    "project", "invert", "sample_normalized", "sample_base_point", "sample_fiber",
     "level0_project", "level0_invert",
     "hierarchical_fiber_check", "majorana_matrix", "charge_conjugate_spinor",
 ]
@@ -174,18 +174,16 @@ class Spinor:
     """Hopf spinor at a given level and realization.
 
     comps are ring elements (split-complex, ordinary complex, or plain reals
-    at level 3-II).  norm_sign records the sign of the weighted self-inner
-    product; only the two-leaf map (1, II) admits -1, which labels sections
-    over the lower leaf.
+    at level 3-II).  The weighted self-inner product is 1, except on the
+    sections of the two-leaf map (1, II) over its lower leaf, where it is -1.
     """
 
-    __slots__ = ("level", "realization", "comps", "norm_sign")
+    __slots__ = ("level", "realization", "comps")
 
-    def __init__(self, level, realization, comps, norm_sign=1):
+    def __init__(self, level, realization, comps):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "realization", realization)
         object.__setattr__(self, "comps", tuple(comps))
-        object.__setattr__(self, "norm_sign", norm_sign)
         case = case_info(level, realization)
         if len(self.comps) != case.spinor_dim:
             raise ValueError("expected %d components" % case.spinor_dim)
@@ -196,11 +194,6 @@ class Spinor:
 
     def norm(self):
         return forms((_weight_matrix(self.level, self.realization),), self.comps)[0]
-
-    def scaled_by_unit_phase(self, phase):
-        """Multiply by a fiber phase (same-ring scalar with qform 1)."""
-        return Spinor(self.level, self.realization,
-                      [c * phase for c in self.comps], self.norm_sign)
 
     def __repr__(self):
         return "Spinor(level=%d, realization=%s, dim=%d)" % (
@@ -515,9 +508,7 @@ def invert(point, fiber=None, patch=None, exact=False):
     else:
         pref = 1.0 / math.sqrt(2.0 * n)
 
-    comps = [c * pref for c in w.matvec(fiber)]
-    norm_sign = -1 if (point.level, point.realization) == (1, "II") and patch == "lower" else 1
-    return Spinor(point.level, point.realization, comps, norm_sign)
+    return Spinor(point.level, point.realization, [c * pref for c in w.matvec(fiber)])
 
 
 # ---------------------------------------------------------------------------
@@ -650,63 +641,68 @@ def sample_base_point(level, realization, patch="upper", seed=0, backend="float"
     raise SamplingError("could not sample a base point on the %s patch" % patch)
 
 
+def sample_fiber(level, realization, rng):
+    """Pseudo-random fiber element of the given map, as invert takes it: a
+    unit phase at level 1, a normalized level-1 spinor at level 2, and at
+    level 3 Phi = (psi, j psi_c)/sqrt(2) from a normalized level-2 spinor
+    (I) or a gaussian 8-vector scaled to Sigma3-norm 1 (II), drawn again
+    while that norm is at most EPS_NORM times its squared length."""
+    case_info(level, realization)
+    if level == 1:
+        t = rng.uniform(-1, 1)
+        if realization == "I":
+            return SplitComplex(math.cosh(t), math.sinh(t))
+        return OrdinaryComplex(math.cos(t), math.sin(t))
+    if level == 2:
+        return sample_normalized(1, realization, rng=rng)
+    if realization == "I":
+        psi = sample_normalized(2, "I", rng=rng)
+        j = SplitComplex(0, 1)
+        pc = charge_conjugate_spinor(psi.comps)
+        return [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
+    for _ in range(REJECTION_CAP):
+        raw = [rng.gauss(0, 1) for _ in range(8)]
+        n = sum(raw[i] * raw[i] for i in range(4)) - sum(raw[i] * raw[i] for i in range(4, 8))
+        if n > EPS_NORM * sum(c * c for c in raw):
+            return [c / math.sqrt(n) for c in raw]
+    raise SamplingError("rejection cap exceeded while sampling a level-3 II fiber")
+
+
 # ---------------------------------------------------------------------------
 # hierarchy of fibers
 
 def hierarchical_fiber_check(level, realization, seed=0, samples=20):
     """The fiber of map n is a normalized spinor of map n-1.
 
-    Level 2: a random normalized level-1 spinor, used as the fiber of the
-    level-2 section, yields a normalized level-2 spinor.  Level 3 (split
-    realization): Phi = (psi, j psi_c)/sqrt(2) built from a random level-2
-    spinor has unit norm, satisfies the reality condition, and feeds the
-    level-3 section.  Null-norm candidates are rejected by construction.
+    Each of the samples draws a fiber (sample_fiber) and a base point, and
+    the section through them must be a normalized spinor.  At level 3 (I)
+    Phi, built from a level-2 spinor, must have unit norm too, and the
+    section must satisfy the Majorana condition.
     A ConstraintError on the way (a projection off the hyperboloid, say)
     fails the check with the error as its detail.
     """
     if level not in (2, 3):
         raise ValueError("hierarchy check applies to levels 2 and 3")
     rng = random.Random(seed)
+    split3 = (level, realization) == (3, "I")
     detail = ""
     try:
         for _ in range(samples):
-            if level == 2:
-                fib = sample_normalized(1, realization, rng=rng)
-                pt = sample_base_point(2, realization, rng=rng)
-                psi = invert(pt, fiber=fib)
-                n = _scalar_value(psi.norm(), "norm")
-                if not _near(n, 1):
-                    detail = "norm %r" % n
-                    break
-            elif realization == "I":
-                psi = sample_normalized(2, "I", rng=rng)
-                j = SplitComplex(0, 1)
-                pc = charge_conjugate_spinor(psi.comps)
-                phi = [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
-                n = _scalar_value(case_info(3, "I").fiber_weight().form(phi), "norm")
+            fib = sample_fiber(level, realization, rng)
+            if split3:
+                n = _scalar_value(case_info(3, "I").fiber_weight().form(fib), "norm")
                 if not _near(n, 1):
                     detail = "Phi norm %r" % n
                     break
-                pt = sample_base_point(3, "I", rng=rng)
-                Psi = invert(pt, fiber=phi)
-                n2 = _scalar_value(Psi.norm(), "norm")
-                B = majorana_matrix()
-                mc = [-c for c in B.matvec([c.conj() for c in Psi.comps])]
-                if not _near(n2, 1) or not _close_vec(mc, Psi.comps):
-                    detail = "level-3 norm %r" % n2
-                    break
-            else:
-                raw = [rng.gauss(0, 1) for _ in range(8)]
-                n = sum(raw[i] * raw[i] for i in range(4)) - sum(raw[i] * raw[i] for i in range(4, 8))
-                if n <= EPS_NORM:
-                    continue
-                phi = [c / math.sqrt(n) for c in raw]
-                pt = sample_base_point(3, "II", rng=rng)
-                Psi = invert(pt, fiber=phi)
-                n2 = _scalar_value(Psi.norm(), "norm")
-                if not _near(n2, 1):
-                    detail = "norm %r" % n2
-                    break
+            psi = invert(sample_base_point(level, realization, rng=rng), fiber=fib)
+            n = _scalar_value(psi.norm(), "norm")
+            ok = _near(n, 1)
+            if split3:
+                mc = [-c for c in majorana_matrix().matvec([c.conj() for c in psi.comps])]
+                ok = ok and _close_vec(mc, psi.comps)
+            if not ok:
+                detail = ("level-3 norm %r" if split3 else "norm %r") % n
+                break
     except ConstraintError as exc:
         detail = str(exc)
     passed = "norm 1 throughout" if level == 2 else "hierarchy reproduced"

@@ -169,7 +169,7 @@ def hopf_suite(seed=0, samples=120):
             for _ in range(max(10, samples // 6)):
                 try:
                     pt = hopfmaps.sample_base_point(lvl, real, patch=patch, rng=rng)
-                    fib = _random_fiber(lvl, real, rng)
+                    fib = hopfmaps.sample_fiber(lvl, real, rng)
                     back = hopfmaps.project(hopfmaps.invert(pt, fiber=fib, patch=patch))
                 except hopfmaps.ConstraintError as exc:
                     error = error or str(exc)
@@ -193,26 +193,6 @@ def hopf_suite(seed=0, samples=120):
         checks += _from_triples(hopfmaps.hierarchical_fiber_check(lvl, real, seed=seed,
                                                                   samples=8))
     return checks
-
-
-def _random_fiber(lvl, real, rng):
-    if lvl == 1:
-        t = rng.uniform(-1, 1)
-        if real == "I":
-            return splitnum.SplitComplex(math.cosh(t), math.sinh(t))
-        return splitnum.OrdinaryComplex(math.cos(t), math.sin(t))
-    if lvl == 2:
-        return hopfmaps.sample_normalized(1, real, rng=rng)
-    if real == "I":
-        psi = hopfmaps.sample_normalized(2, "I", rng=rng)
-        j = splitnum.SplitComplex(0, 1)
-        pc = hopfmaps.charge_conjugate_spinor(psi.comps)
-        return [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
-    while True:
-        raw = [rng.gauss(0, 1) for _ in range(8)]
-        n = sum(raw[i] * raw[i] for i in range(4)) - sum(raw[i] * raw[i] for i in range(4, 8))
-        if n > 0.2 * sum(c * c for c in raw):
-            return [c / math.sqrt(n) for c in raw]
 
 
 def gauge_suite(seed=0, points=12):
@@ -253,7 +233,7 @@ def gauge_suite(seed=0, points=12):
     devs = []
     for _ in range(points):
         pt = hopfmaps.sample_base_point(3, "I", rng=rng)
-        fib = _random_fiber(3, "I", rng)
+        fib = hopfmaps.sample_fiber(3, "I", rng)
         vals = gaugegeom.connection_numeric(pt, mode="analytic", section="spinor",
                                             fiber=fib)
         devs += [abs(float(c)) for v in vals for c in (v.re, v.im)]

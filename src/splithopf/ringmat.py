@@ -26,19 +26,19 @@ own arithmetic.  ``lincomb`` walks a float copy of the cells (kept on the
 matrix too) for a float coefficient, since a float times a Fraction is the
 float times the Fraction's float.
 
-Exact kernels run on integers.  A matrix whose nonzero cells hold only ints,
-or only Fractions, keeps on first exact use those cells cleared to ints with
-one common denominator.  When every operand of ``@`` (so ``commutator`` and
-``anticommutator``), ``matvec``, a form, ``scale``, ``scale_right`` or
-``lincomb`` is exact and a Fraction is among them, the kernel walks its one
-cell loop over the cleared ints (the vector, scalar or coefficients cleared
-once per call) and divides each written value once at the end.  Types are
-those of the entries' own arithmetic: a written value is a Fraction, also
-where its terms cancel, a value no term reached is the int 0, and ints alone
-give ints.  A float operand keeps the loop above, bit for bit; it is told by
-its first component, before any scan.  ``MetricForm.inner`` clears exact
-vectors the same way.  A product of int matrices puts the one shared
-``_zero_grid`` of its shape in place of a result grid of int zeros.
+Exact kernels run on integers.  A matrix whose nonzero cells hold only
+ints and Fractions keeps on first exact use those cells cleared to ints
+with one common denominator (``_exact``).  One rule, ``_cleared``, picks
+the loop of ``@`` (so ``commutator`` and ``anticommutator``), ``matvec``,
+forms, ``scale``, ``scale_right``, ``lincomb`` and ``MetricForm.inner``:
+when both operands are exact and a Fraction is a factor of every term
+written (``_clear``), the loop runs on the cleared ints and divides each
+written value once.  So types are those of the entries' own arithmetic:
+a written value is a Fraction, also where its terms cancel, and a value
+no term reached is the int 0.  Other operands keep the loop above, bit
+for bit; a float is told by its first component, before any scan.  A
+product of int matrices puts the one shared ``_zero_grid`` of its shape
+in place of a result grid of int zeros.
 
 ``forms(mats, vec)`` gives the Hermitian form of each of several matrices
 over one ring against one vector, in one pass: it reads the vector's
@@ -50,7 +50,7 @@ superhopf.super_project) are one ``forms`` call.
 
 from fractions import Fraction
 import functools
-from itertools import chain, islice
+from itertools import islice
 import math
 import operator
 
@@ -141,15 +141,14 @@ class MetricForm:
         return RMatrix.diagonal(self.signature, ring)
 
     def inner(self, x, y):
-        """sum_i s_i x_i y_i; on cleared ints, divided once, when x and y are
-        exact with a Fraction among them (_clear)."""
-        cx = _clear(x)
-        cy = cx if y is x else cx and _clear(y)
-        exact = cy and Fraction in cx[2] | cy[2]
-        if exact:
-            x, y = cx[0], cy[0]
-        acc = sum(s * a * b for s, a, b in zip(self.signature, x, y))
-        return Fraction(acc, cx[1] * cy[1]) if exact else acc
+        """sum_i s_i x_i y_i; on cleared ints, divided once, when _cleared
+        admits x and y (both broad)."""
+        cx = _clear(x, True)
+        cy = cx if y is x else cx and _clear(y, True)
+        if _cleared(cx, cy):
+            acc = sum(s * a * b for s, a, b in zip(self.signature, cx[0], cy[0]))
+            return Fraction(acc, cx[1] * cy[1])
+        return sum(s * a * b for s, a, b in zip(self.signature, x, y))
 
     def __eq__(self, other):
         return isinstance(other, MetricForm) and self.signature == other.signature
@@ -315,9 +314,9 @@ class RMatrix:
         c = self.ring.promote(c)
         cls = _binarion(self.ring)
         parts = [c.re, c.im] if cls else [c]
-        ops = None if type(parts[0]) is float else _operands(self, _clear(parts))
+        ops = None if type(parts[0]) is float else _operands(self, _clear(parts, True))
         if ops:
-            cells, parts, dm, dc, _ = ops
+            cells, parts, dm, dc = ops
             ops = cells, dm * dc
         return cls, parts, ops
 
@@ -347,7 +346,7 @@ class RMatrix:
             if den is not None:
                 res, ims = _finish([res, ims], den)
             return list(map(cls, res, ims))
-        _, out, _, den = _matvec_values(self, vec, None if cls else _clear_vector(vec))
+        _, out, _, den = _matvec_values(self, vec, None if cls else _clear(vec))
         return out if den is None else list(_finish([out], den)[0])
 
     def form(self, vec):
@@ -367,12 +366,6 @@ class RMatrix:
 
     def dagger(self):
         return self.conj().transpose()
-
-    def weighted_adjoint(self, g):
-        """G . dagger(M) . G for a metric weight G."""
-        if isinstance(g, MetricForm):
-            g = g.matrix(self.ring)
-        return g @ self.dagger() @ g
 
     # ---- queries ----------------------------------------------------------
 
@@ -538,46 +531,50 @@ def _float_cells(m):
 _EXACT = {int, Fraction}
 
 
-def _clear(values):
-    """(ints, den, types) for a sequence of ints and Fractions: the values
+def _clear(values, broad=False):
+    """(ints, den, kind) for a sequence of ints and Fractions: the values
     times den, the lcm of their denominators (splitnum.cleared_ints), and
-    the set of their types; None when another type is among them (a float
-    is told by the first value, before any scan)."""
+    the kind of the operand.  Kind 0: no Fraction.  Kind 2: a Fraction is
+    a factor of every term a kernel writes, because every value is one or
+    because a broad operand (each of its values meets every written value)
+    holds one.  Kind 1: anything else.  None when another type is among
+    the values (a float is told by the first one, before any scan)."""
     if values and type(values[0]) is float:
         return None
     types = set(map(type, values))
-    if Fraction in types:
-        return cleared_ints(values) + (types,) if types <= _EXACT else None
-    return (values, 1, types) if types <= _EXACT else None
+    if not types <= _EXACT:
+        return None
+    if Fraction not in types:
+        return values, 1, 0
+    return cleared_ints(values) + (2 if broad or int not in types else 1,)
 
 
 def _exact(m):
-    """(cells, den, frac): the nonzero cells of m with int components and
-    their denominator, when the components are all ints (_cells(m) itself,
-    den 1, frac false) or all Fractions (_cells(m) times den, the lcm of
-    their denominators, frac true); None otherwise.  Found on first exact
-    use and kept; a float matrix is told by its first component, before any
-    scan."""
+    """_clear of the components of m's nonzero cells, kept as cells:
+    (cells, den, kind), the cells themselves for kind 0; None otherwise.
+    Found on first exact use and kept; a float matrix is told by its first
+    component, before any scan."""
     ex = m._icells
     if ex is None:
-        cells, row = _cells(m), ()
-        for row in cells:
-            if row:
-                break
-        # the types of the cells' column indices (ints) and components
-        types = {float} if row and type(row[0][1]) is float else \
-            set(map(type, chain.from_iterable(chain.from_iterable(cells))))
-        ex = False
-        if types <= {int}:
-            ex = (cells, 1, False)
-        elif types <= _EXACT:
-            ints, den, types = _clear([c for row in cells for cell in row for c in cell[1:]])
-            if types == {Fraction}:
-                it, k = iter(ints), len(m._grids)
-                ex = (tuple([tuple([(cell[0], *islice(it, k)) for cell in row])
-                             for row in cells]), den, True)
-        object.__setattr__(m, "_icells", ex)
+        cells = _cells(m)
+        row = next(filter(None, cells), ())
+        ex = not (row and type(row[0][1]) is float) and \
+            _clear([c for row in cells for cell in row for c in cell[1:]])
+        if ex and ex[2]:
+            it, k = iter(ex[0]), len(m._grids)
+            ex = (tuple([tuple([(cell[0], *islice(it, k)) for cell in row])
+                         for row in cells]), ex[1], ex[2])
+        elif ex:
+            ex = (cells, 1, 0)
+        object.__setattr__(m, "_icells", ex or False)
     return ex or None
+
+
+def _cleared(a, b):
+    """Whether a kernel walks its cleared loop on two operands classified
+    by _clear or _exact: both exact and one of kind 2.  Every kernel takes
+    this one decision; otherwise it keeps the entries' own arithmetic."""
+    return a is not None and b is not None and (a[2] == 2 or b[2] == 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,16 +587,11 @@ def _zero_grid(rows, cols):
 
 
 def _operands(m, cv):
-    """(cells, ints, dm, dv, types): the cells of m cleared over dm
-    (_exact) and the values (a scalar's or a vector's components) as
-    cleared over dv, cv = (ints, dv, types) from _clear, when both are
-    exact and a Fraction is among them; None otherwise (also for cv None),
-    so that ints alone keep the entries' own arithmetic, which is int
-    arithmetic already."""
+    """(cells, ints, dm, dv) when _cleared admits m and the values cv =
+    (ints, dv, kind) from _clear: the cells of m cleared over dm (_exact)
+    and cv's ints; None otherwise (also for cv None)."""
     em = cv and _exact(m)
-    if not em or not (em[2] or Fraction in cv[2]):
-        return None
-    return em[0], cv[0], em[1], cv[1], cv[2]
+    return (em[0], cv[0], em[1], cv[1]) if _cleared(em, cv) else None
 
 
 def _finish(grid, den):
@@ -617,9 +609,9 @@ def _product(a, b):
     Row-sparse (Gustavson order): row i accumulates A[i, k] * B[k, :] over
     the nonzero A[i, k] in increasing k, so each cell sums its terms in the
     order of the dense triple loop.  The sums start at int 0, so over the
-    binarion rings none of them is a negative zero.  When both operands are
-    exact with a Fraction among them (_exact), the loop runs on their
-    cleared cells and each sum is divided once (_finish)."""
+    binarion rings none of them is a negative zero.  When _cleared admits
+    the operands (_exact), the loop runs on their cleared cells and each
+    sum is divided once (_finish)."""
     ring = a.ring
     if ring != b.ring:
         raise TypeError("ring mismatch: %s vs %s" % (ring, b.ring))
@@ -628,7 +620,7 @@ def _product(a, b):
     n = b.cols
     ea = _exact(a)
     eb = ea and _exact(b)
-    if eb and (ea[2] or eb[2]):
+    if _cleared(ea, eb):
         a_cells, b_cells, den, start = ea[0], eb[0], ea[1] * eb[1], False
     else:
         a_cells, b_cells, den, start = _cells(a), _cells(b), None, 0
@@ -647,7 +639,7 @@ def _product(a, b):
             ims.append(im)
         if den is not None:
             return _finish(res, den), _finish(ims, den)
-        if eb:
+        if eb and not (ea[2] or eb[2]):
             # ints only: a grid without a nonzero value is all int 0
             zero = _zero_grid(a.rows, n)
             return tuple(g if any(map(any, g)) else zero for g in (res, ims))
@@ -662,24 +654,17 @@ def _product(a, b):
     return (out if den is None else _finish(out, den),)
 
 
-def _clear_vector(values):
-    """_clear for a vector's components, refused (None) when they mix ints
-    and Fractions: a row would then be an int or a Fraction by the values
-    it reaches."""
-    cv = _clear(values)
-    return cv if cv and len(cv[2]) < 2 else None
-
-
-def _vector_parts(vec):
+def _vector_parts(vec, broad=False):
     """(vr, vi, cv) for a vector of binarions: its re and im components
-    and, when they are exact (_clear_vector, both lists together), cv =
-    ((ints of vr, ints of vi), dv, types) for _operands; else cv is None."""
+    and, when they are exact (_clear, both lists together, broad for a
+    form's vector), cv = ((ints of vr, ints of vi), dv, kind) for
+    _operands; else cv is None."""
     vr = [v.re for v in vec]
     vi = [v.im for v in vec]
-    cv = None if not vr or type(vr[0]) is float else _clear_vector(vr + vi)
+    cv = None if not vr or type(vr[0]) is float else _clear(vr + vi, broad)
     if cv:
-        ints, dv, types = cv
-        cv = (ints[:len(vr)], ints[len(vr):]), dv, types
+        ints, dv, kind = cv
+        cv = (ints[:len(vr)], ints[len(vr):]), dv, kind
     return vr, vi, cv
 
 
@@ -693,7 +678,7 @@ def _matvec_components(m, parts, u2):
     vr, vi, cv = parts
     ops = _operands(m, cv)
     if ops:
-        cells, (vr, vi), dm, dv, _ = ops
+        cells, (vr, vi), dm, dv = ops
         den, start = dm * dv, False
     else:
         cells, dv, den, start = _cells(m), None, None, 0
@@ -711,8 +696,8 @@ def _matvec_components(m, parts, u2):
 
 def _matvec_values(m, vec, cv):
     """(vec, rows, dv, den) for M vec in the entries' own arithmetic: the
-    vector and the sum of each row, as matvec describes.  cv is
-    _clear_vector(vec) over the reals, None over the binarion rings.  When
+    vector and the sum of each row, as matvec describes.  cv is _clear(vec)
+    over the reals (broad for a form), None over the binarion rings.  When
     _operands clears m and the vector, the vector is ints over dv and the
     row sums ints over den, False for a row without cells; else dv and den
     are None."""
@@ -720,7 +705,7 @@ def _matvec_values(m, vec, cv):
     cls = _binarion(ring)
     ops = _operands(m, cv)
     if ops:
-        cells, vec, dm, dv, _ = ops
+        cells, vec, dm, dv = ops
         den, start = dm * dv, False
     else:
         cells, dv, den, start = _cells(m), None, None, ring.zero
@@ -742,12 +727,12 @@ def forms(mats, vec):
     sum_i conj(vec_i) (M vec)_i, the ring involution on the left.
 
     The vector is read once for all the matrices: its components, their
-    conjugates and, on exact input, its cleared ints (_clear_vector, one
-    lcm).  Each matrix then takes the path its own form would: the cleared
-    loop when _operands admits the matrix and the vector, the loop over its
-    cells otherwise.  Each form adds its terms in increasing i from the
-    ring's zero, with the operation order of matvec followed by the
-    entries' own product and sum."""
+    conjugates and, on exact input, its cleared ints (_clear, one lcm; the
+    vector is broad).  Each matrix then takes the path its own form would:
+    the cleared loop when _cleared admits the matrix and the vector, the
+    loop over its cells otherwise.  Each form adds its terms in increasing
+    i from the ring's zero, with the operation order of matvec followed by
+    the entries' own product and sum."""
     ring = mats[0].ring
     if any(m.ring is not ring and m.ring != ring for m in mats):
         raise TypeError("forms takes matrices over one ring")
@@ -755,7 +740,7 @@ def forms(mats, vec):
     out = []
     if cls and all(type(v) is cls for v in vec):
         u2 = cls.UNIT_SQ
-        parts = _vector_parts(vec)
+        parts = _vector_parts(vec, True)
         for m in mats:
             vr, vi, res, ims, dv, den = _matvec_components(m, parts, u2)
             re = im = 0 if den is None else False
@@ -767,7 +752,7 @@ def forms(mats, vec):
                 (re, im), = _finish([[re, im]], den * dv)
             out.append(cls(re, im))
         return out
-    cv = None if cls else _clear_vector(vec)
+    cv = None if cls else _clear(vec, True)
     conj = [c.conj() if hasattr(c, "conj") else c for c in vec]
     for m in mats:
         ints, rows, dv, den = _matvec_values(m, vec, cv)
@@ -782,21 +767,21 @@ def forms(mats, vec):
 
 
 def _cleared_terms(coeffs, basis):
-    """(ints, cells, den) for lincomb when every nonzero coefficient is an
-    int or a Fraction, its basis matrix is exact (_exact) and each such term
-    holds a Fraction (its coefficient or its cells): per nonzero term the
-    coefficient made an int and the cleared cells, so that every term is
-    over den, the lcm of the terms' denominators.  None otherwise (a float
-    coefficient is told by the first one)."""
-    if type(coeffs[0]) is float or not all(type(c) in _EXACT for c in coeffs):
+    """(ints, cells, den) for lincomb when _cleared admits the nonzero
+    coefficients, cleared together (_clear), with each of their basis
+    matrices (_exact): the coefficients made ints and the cleared cells,
+    so that every term is over den, the lcm of the terms' denominators.
+    None otherwise (a float coefficient is told by the first one)."""
+    if type(coeffs[0]) is float:
         return None
-    terms = [(c, _exact(m)) for c, m in zip(coeffs, basis) if c]
-    if not all(ex and (ex[2] or type(c) is Fraction) for c, ex in terms):
+    terms = [(c, m) for c, m in zip(coeffs, basis) if c]
+    cv = _clear([c for c, _ in terms])
+    exs = [cv and _exact(m) for _, m in terms]
+    if not all(_cleared(cv, ex) for ex in exs):
         return None
-    dens = [c.denominator * ex[1] for c, ex in terms]
+    dens = [cv[1] * ex[1] for ex in exs]
     den = math.lcm(*dens)
-    return ([c.numerator * (den // d) for (c, _), d in zip(terms, dens)],
-            [ex[0] for _, ex in terms], den)
+    return [n * (den // d) for n, d in zip(cv[0], dens)], [ex[0] for ex in exs], den
 
 
 def lincomb(coeffs, basis):
@@ -804,8 +789,8 @@ def lincomb(coeffs, basis):
 
     Works over the nonzero cells of each basis matrix (their float copy for
     a float coefficient) and skips zero coefficients; rational coefficients
-    and entries give an exact result, on cleared ints divided once when a
-    Fraction is among them (_cleared_terms).
+    and entries give an exact result, on cleared ints divided once when
+    _cleared admits every term (_cleared_terms).
     """
     coeffs, basis = tuple(coeffs), tuple(basis)
     if not basis or len(coeffs) != len(basis):

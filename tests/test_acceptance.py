@@ -18,7 +18,7 @@ from splithopf import splitnum, gammarep, hopfmaps, gaugegeom, superhopf
 from splithopf.splitnum import (
     SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion, random_element,
 )
-from tests.test_hopfmaps import random_fiber, ALL_CASES
+from tests.test_hopfmaps import ALL_CASES
 
 OVERLAP_CASES = [(1, "I"), (2, "I"), (2, "II"), (3, "I"), (3, "II")]
 
@@ -122,7 +122,7 @@ def test_criterion_4_round_trips():
             worst = 0.0
             for _ in range(200):
                 pt = hopfmaps.sample_base_point(lvl, real, patch=patch, rng=rng)
-                sp = hopfmaps.invert(pt, fiber=random_fiber(lvl, real, rng), patch=patch)
+                sp = hopfmaps.invert(pt, fiber=hopfmaps.sample_fiber(lvl, real, rng), patch=patch)
                 back = hopfmaps.project(sp)
                 worst = max(worst,
                             max(abs(a - b) for a, b in zip(back.coords, pt.coords)))
@@ -154,7 +154,7 @@ def test_criterion_5_connection_oracle():
             pt = hopfmaps.sample_base_point(3, real, rng=rng)
             vals = gaugegeom.connection_numeric(pt, mode="analytic",
                                                 section="spinor",
-                                                fiber=random_fiber(3, real, rng))
+                                                fiber=hopfmaps.sample_fiber(3, real, rng))
             for v in vals:
                 worst = max(worst, abs(float(v.re)), abs(float(v.im)))
     assert worst < 1e-12, "spinor-section connection %g" % worst

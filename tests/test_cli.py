@@ -302,11 +302,22 @@ def test_non_finite_input_rejected(capsys, argv):
     ("invert", "--level", "1", "--point", "[0,0,1]", "--fiber", "[1,0,0]"),
     ("invert", "--level", "2", "--point", "[0,0,0,0,1]", "--fiber", "[[1,0],false]"),
     ("invert", "--level", "2", "--point", "[0,0,0,0,1]", "--fiber", '{"re":1}'),
+    # payloads of the wrong length: spinor_dim, base_dim and the fiber's length
+    ("project", "--level", "1", "--spinor", "[[1,0]]"),
+    ("project", "--level", "2", "--realization", "II", "--spinor", "[[1,0],[0,0],[0,0]]"),
+    ("project", "--level", "3", "--realization", "II", "--spinor", "[1" + ",0" * 16 + "]"),
+    ("invert", "--level", "1", "--point", "[0,1]"),
+    ("invert", "--level", "2", "--point", "[0,0,0,0,0,1]"),
+    ("invert", "--level", "2", "--point", "[0,0,0,0,1]", "--fiber", "[[1,0]]"),
+    ("invert", "--level", "3", "--realization", "II", "--point", "[0,0,0,0,0,0,0,0,1]",
+     "--fiber", "[1]"),
+    ("invert", "--level", "3", "--point", "[0,0,0,0,0,0,0,0,1]", "--fiber",
+     "[[1,0]" + ",[0,0]" * 8 + "]"),
 ])
 def test_malformed_payloads_are_usage_errors(capsys, tmp_path, argv):
     """A bool, string, null or nested array where a number belongs, a pair
-    that is not [re, im] and a level-0 pair of the wrong length are refused
-    as usage errors before anything is computed or written."""
+    that is not [re, im] and a payload of the wrong length are refused as
+    usage errors before anything is computed or written."""
     out_file = tmp_path / "out.json"
     code, out, err = run(capsys, *argv, "--out", str(out_file))
     assert code == 2

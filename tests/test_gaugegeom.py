@@ -7,12 +7,12 @@ import random
 import pytest
 
 from splithopf.splitnum import SplitComplex
-from splithopf.hopfmaps import BasePoint, sample_base_point
+from splithopf.hopfmaps import BasePoint, sample_base_point, sample_fiber
 from splithopf import gaugegeom as gg
 from splithopf import hopfmaps as hm
 from splithopf import gammarep
 from splithopf.ringmat import commutator, lincomb
-from tests.test_hopfmaps import random_fiber, ALL_CASES
+from tests.test_hopfmaps import ALL_CASES
 
 PANELS = [(l, r, p) for (l, r) in ALL_CASES for p in ("upper", "lower")]
 OVERLAP_CASES = [(1, "I"), (2, "I"), (2, "II"), (3, "I"), (3, "II")]
@@ -362,7 +362,7 @@ def test_majorana_vanishing_spinor_section():
         worst = 0.0
         for _ in range(5):
             pt = sample_base_point(3, real, rng=rng)
-            fib = random_fiber(3, real, rng)
+            fib = sample_fiber(3, real, rng)
             vals = gg.connection_numeric(pt, mode="analytic", section="spinor", fiber=fib)
             for v in vals:
                 worst = max(worst, abs(float(v.re)), abs(float(v.im)))
@@ -441,31 +441,7 @@ def test_section_transition_consistency():
 
 
 # ---------------------------------------------------------------------------
-# light cone, radial form, spans
-
-def test_lightcone_probe():
-    assert gg.lightcone_probe((1, 1, 0))["kind"] == "null"
-    probe = gg.lightcone_probe((0, 0, 1))
-    assert probe["kind"] == "spacelike" and probe["r_squared"] == 1
-    # a direction scaled toward the cone tip classifies as null within eps
-    s = 1e-5
-    assert gg.lightcone_probe((3 * s, math.sqrt(8) * s, 0))["kind"] == "null"
-    assert gg.lightcone_probe((3, math.sqrt(8), 0))["kind"] == "spacelike"
-    assert gg.lightcone_probe((0, 2, 1))["kind"] == "timelike"
-
-
-def test_radial_curvature():
-    # at unit radius the radial form matches the on-sheet field strength
-    pole = BasePoint(1, "I", (0.0, 0.0, 1.0))
-    f = gg.curvature_closed(pole)
-    fr = gg.curvature_radial((0.0, 0.0, 1.0))
-    assert abs(fr[(1, 2)] - f[(1, 2)]) < 1e-15
-    # scaling the point rescales by 1/r^3
-    fr2 = gg.curvature_radial((0.0, 0.0, 2.0))
-    assert abs(fr2[(1, 2)] - f[(1, 2)] * 2 / 8) < 1e-15
-    with pytest.raises(ValueError):
-        gg.curvature_radial((1.0, 1.0, 0.0))
-
+# light-cone guard, spans
 
 def test_curvature_refuses_near_cone():
     pt = BasePoint(1, "I", (1.0, 1.0, 1e-12))  # r^2 within eps of zero

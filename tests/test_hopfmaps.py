@@ -10,32 +10,12 @@ import pytest
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.hopfmaps import (
     Spinor, BasePoint, Section, project, invert, sample_normalized,
-    sample_base_point, level0_project, level0_invert, hierarchical_fiber_check,
+    sample_base_point, sample_fiber, level0_project, level0_invert, hierarchical_fiber_check,
     charge_conjugate_spinor, majorana_matrix, NormalizationError, PatchError,
     ConstraintError, case_info,
 )
 
 ALL_CASES = [(1, "I"), (1, "II"), (2, "I"), (2, "II"), (3, "I"), (3, "II")]
-
-
-def random_fiber(lvl, real, rng):
-    if lvl == 1:
-        t = rng.uniform(-1, 1)
-        if real == "I":
-            return SplitComplex(math.cosh(t), math.sinh(t))
-        return OrdinaryComplex(math.cos(t), math.sin(t))
-    if lvl == 2:
-        return sample_normalized(1, real, rng=rng)
-    if real == "I":
-        psi = sample_normalized(2, "I", rng=rng)
-        j = SplitComplex(0, 1)
-        pc = charge_conjugate_spinor(psi.comps)
-        return [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
-    while True:
-        raw = [rng.gauss(0, 1) for _ in range(8)]
-        n = sum(raw[k] * raw[k] for k in range(4)) - sum(raw[k] * raw[k] for k in range(4, 8))
-        if n > 0.2 * sum(c * c for c in raw):
-            return [c / math.sqrt(n) for c in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +76,12 @@ def test_fiber_invariance_exact():
     sp = Spinor(1, "I", [SplitComplex(F(3, 5), 0), SplitComplex(F(4, 5), 0)])
     phase = SplitComplex(F(5, 4), F(3, 4))  # cosh/sinh pair, qform 1
     assert phase.qform() == 1
-    assert project(sp.scaled_by_unit_phase(phase)).coords == project(sp).coords
+    assert project(Spinor(1, "I", [c * phase for c in sp.comps])).coords == project(sp).coords
     sp2 = Spinor(1, "II", [OrdinaryComplex(F(5, 4), 0), OrdinaryComplex(F(3, 4), 0)])
     phase2 = OrdinaryComplex(F(3, 5), F(4, 5))  # unit circle point
     assert phase2.qform() == 1
-    assert project(sp2.scaled_by_unit_phase(phase2)).coords == project(sp2).coords
+    assert project(Spinor(1, "II", [c * phase2 for c in sp2.comps])).coords == \
+        project(sp2).coords
 
 
 def test_majorana_sampling():
@@ -158,7 +139,7 @@ def test_roundtrip(lvl, real, patch):
     worst = 0.0
     for _ in range(40):
         pt = sample_base_point(lvl, real, patch=patch, rng=rng)
-        sp = invert(pt, fiber=random_fiber(lvl, real, rng), patch=patch)
+        sp = invert(pt, fiber=sample_fiber(lvl, real, rng), patch=patch)
         back = project(sp)
         worst = max(worst, max(abs(a - b) for a, b in zip(back.coords, pt.coords)))
     assert worst < 1e-12
@@ -181,7 +162,6 @@ def test_two_leaf_lower_section_has_negative_norm():
     rng = random.Random(3)
     pt = sample_base_point(1, "II", patch="lower", rng=rng)
     sp = invert(pt, patch="lower")
-    assert sp.norm_sign == -1
     n = sp.norm()
     assert abs(float(n.re) + 1) < 1e-12
     # positive-norm spinors can never reach the lower leaf: x3 >= 1 always
@@ -213,6 +193,36 @@ def test_level0_map():
 def test_hierarchical_fibers(lvl, real):
     for (cid, ok, detail) in hierarchical_fiber_check(lvl, real, seed=5, samples=8):
         assert ok, "%s: %s" % (cid, detail)
+
+
+@pytest.mark.parametrize("lvl,real", ALL_CASES)
+def test_sampled_fibers_invert(lvl, real):
+    """Every fiber sample_fiber draws is one invert takes, and the section
+    through it is a normalized spinor over the base point."""
+    rng = random.Random(9)
+    for _ in range(20):
+        fib = sample_fiber(lvl, real, rng)
+        pt = sample_base_point(lvl, real, rng=rng)
+        n = invert(pt, fiber=fib).norm()
+        assert abs(float(getattr(n, "re", n)) - 1) < 1e-12
+
+
+def test_level3_II_hierarchy_inverts_every_sample(monkeypatch):
+    """A rejected level-3 (II) fiber draw is drawn again, not a sample lost:
+    eight samples are eight sections."""
+    import splithopf.hopfmaps as hm
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(hm, "invert", counting)
+    for seed in (0, 5, 7):
+        del seen[:]
+        [(cid, ok, detail)] = hierarchical_fiber_check(3, "II", seed=seed, samples=8)
+        assert ok, detail
+        assert len(seen) == 8
 
 
 def test_null_fiber_rejected():

@@ -94,15 +94,6 @@ def test_kron():
         assert fam.gamma(i) == kron(gammarep.pauli(2), gammarep.tau(i))
 
 
-def test_weighted_adjoint():
-    fam = gammarep.build_family("so32_II")
-    g = MetricForm((1, -1, 1, -1))
-    m = fam.gamma(1)
-    w = m.weighted_adjoint(g)
-    gm = g.matrix(RING_COMPLEX)
-    assert w == gm @ m.dagger() @ gm
-
-
 def test_metric_form():
     eta = MetricForm((1, -1, 1))
     assert eta.eta(2) == -1

@@ -586,7 +586,8 @@ def test_is_scalar_pinned():
 
 def _cell_mixed(rng, ring, n=6):
     """An n x n matrix whose nonzero cells are int in some places and
-    Fraction in others, which the kernels take as they are, not cleared."""
+    Fraction in others, which the kernels clear only beside an operand that
+    puts a Fraction in every term they write."""
     m = rand_matrix(rng, ring, n, n, _integer)
     f = rand_matrix(rng, ring, n, n, _fraction)
     return RMatrix([[x if (i + j) % 2 else y for j, (x, y) in enumerate(zip(rx, ry))]
@@ -716,6 +717,34 @@ def test_exact_paths_make_no_fraction_product(monkeypatch):
     assert all(ok for _, ok, _ in checks)
     assert all(type(x) is F for pt in points for x in pt.coords)
     assert all(type(x) in (int, F) for grid in c.components() for row in grid for x in row)
+
+
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT), ids=lambda r: r.name)
+def test_mixed_exact_operands_clear(monkeypatch, ring):
+    """Ints mixed with Fractions clear beside an operand that puts a
+    Fraction in every written term: the forms of an int matrix on a mixed
+    vector (a form's vector meets every written value), the matvec of a
+    Fraction matrix on that vector, and @, scale, scale_right and lincomb
+    of a mixed-cell matrix beside a Fraction operand multiply no Fraction
+    and give the dense reference's values and types."""
+    rng = random.Random(40)
+    ints, fr = (rand_matrix(rng, ring, 6, 6, draw) for draw in (_integer, _fraction))
+    mixed = _cell_mixed(rng, ring)
+    vec = [ring.promote(x) for x in (F(1, 2), 1, -2, F(-3, 4), 3, 0)]
+    coeffs = [F(1, 3), F(-2, 5)]
+    counts = _count_fraction_products(monkeypatch)
+    got = [RMatrix([forms((ints, fr), vec)], ring), RMatrix([fr.matvec(vec)], ring),
+           mixed @ fr, fr @ mixed, mixed.scale(F(2, 3)), mixed.scale_right(F(2, 3)),
+           lincomb(coeffs, [mixed, ints])]
+    assert counts == []
+    monkeypatch.undo()
+    p = ring.promote(F(2, 3))
+    want = [[[ref_form(ints, vec), ref_form(fr, vec)]], [ref_matvec(fr, vec)],
+            ref_matmul(mixed, fr), ref_matmul(fr, mixed),
+            ref_cellwise(mixed, lambda x: p * x), ref_cellwise(mixed, lambda x: x * p),
+            ref_lincomb(coeffs, [mixed, ints])]
+    for g, w in zip(got, want):
+        assert_same(g, w)
 
 
 def test_maps_take_their_bilinears_from_forms(monkeypatch):
