@@ -11,8 +11,7 @@ from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.hopfmaps import (
     Spinor, BasePoint, Section, project, invert, sample_normalized,
     sample_base_point, sample_fiber, level0_project, level0_invert, hierarchical_fiber_check,
-    charge_conjugate_spinor, majorana_matrix, NormalizationError, PatchError,
-    ConstraintError, case_info,
+    majorana_matrix, NormalizationError, PatchError, ConstraintError, case_info,
 )
 
 ALL_CASES = [(1, "I"), (1, "II"), (2, "I"), (2, "II"), (3, "I"), (3, "II")]

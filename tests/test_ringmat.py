@@ -7,7 +7,7 @@ import pytest
 
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
-    RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX,
+    RMatrix, MetricForm, RING_REAL, RING_SPLIT,
     commutator, anticommutator, kron,
 )
 from splithopf import gammarep
