@@ -31,9 +31,12 @@ and a contraction with tangents is one linear combination of them; one
 matrix per component is built only for connection_closed and
 curvature_closed.  field_components and the span oracle write each
 component's entries straight from its map over the flattened generators
-(_flat_basis), with no matrix in between.  The numeric oracle curvature_numeric
-still takes the matrix commutator, so the two sides of the curvature check
-share no commutator code.
+(_flat_basis), with no matrix in between.  The numeric oracle
+curvature_numeric differences the connection maps at shifted base points in
+algebra coordinates too, but takes the matrix commutator of the unshifted
+contractions, so the two sides of the curvature check share no commutator
+code.  The oracles' shifted points are bare coordinates, no BasePoint, read
+by section_linear_at, transition_at and _connection_coeffs.
 """
 
 from fractions import Fraction
@@ -44,15 +47,13 @@ import random
 from .splitnum import SplitComplex, OrdinaryComplex, reciprocal
 from .ringmat import RMatrix, commutator, lincomb, worst_of
 from . import gammarep
-from .hopfmaps import (
-    BasePoint, case_info, section_linear_part, patch_sign, require_patch,
-)
+from .hopfmaps import case_info, section_linear_at, patch_sign, require_patch
 
 __all__ = [
     "tangent_basis", "lowered_epsilon", "connection_closed", "connection_contraction",
     "connection_numeric", "connection_residual",
     "curvature_closed", "curvature_contraction", "curvature_numeric",
-    "curvature_residual", "transition", "gluing_check",
+    "curvature_residual", "transition", "transition_at", "gluing_check",
     "span_residual", "field_components",
 ]
 
@@ -126,11 +127,6 @@ def tangent_basis(point):
     return out
 
 
-def _shift(point, t, h):
-    coords = [c + h * ti for c, ti in zip(point.coords, t)]
-    return BasePoint(point.level, point.realization, coords, point.patch)
-
-
 # ---------------------------------------------------------------------------
 # closed connection forms
 
@@ -167,11 +163,11 @@ def _combine(basis, coeffs):
     return lincomb(coeffs.values(), [basis[k] for k in coeffs])
 
 
-def _contract(basis, comps, weights):
-    """sum_key w_key comps[key] over {key: {k: coefficient}} maps (weights in
-    comps' order), summed in algebra coordinates: one lincomb."""
+def _contract(basis, weighted):
+    """sum w cm over (w, {k: coefficient}) pairs, summed in algebra
+    coordinates: one lincomb."""
     acc = {}
-    for w, cm in zip(weights, comps.values()):
+    for w, cm in weighted:
         for k, c in cm.items():
             acc[k] = acc.get(k, 0) + w * c
     return _combine(basis, acc)
@@ -188,10 +184,11 @@ def lowered_epsilon(x, i, j):
     return acc
 
 
-def _connection_coeffs(point, patch):
-    """The closed connection as the contractions take it: {a: scalar} at
+def _connection_coeffs(point, patch, x=None):
+    """The closed connection of the point's map as the contractions take it,
+    at the point or at any other x require_patch accepts: {a: scalar} at
     level 1, (basis, {m: {k: coefficient}}) at levels 2-3."""
-    x = point.coords
+    x = point.coords if x is None else x
     if point.level > 1:
         alg = _algebra_connection(point.level, point.realization, patch, x)
         return alg[3], alg[5]
@@ -223,51 +220,52 @@ def connection_contraction(point, t, patch=None, closed=None):
     if point.level == 1:
         return sum(v * t[a - 1] for a, v in comps.items())
     basis, coeffs = comps
-    return _contract(basis, coeffs, [t[m - 1] for m in coeffs])
+    return _contract(basis, ((t[m - 1], cm) for m, cm in coeffs.items()))
 
 
 # ---------------------------------------------------------------------------
 # numeric connection along sections
-
-def _fiber_column(point, fiber):
-    case = case_info(point.level, point.realization)
-    comps = list(fiber.comps) if hasattr(fiber, "comps") else list(fiber)
-    return RMatrix([[c] for c in comps], case.ring)
-
 
 def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
                        section="matrix", fiber=None, tangents=None):
     """Connection contractions -u s^dag W (d_t s) along tangent directions.
 
     mode="fd" uses central differences of the section at x +- h t (the
-    independent oracle); mode="analytic" differentiates the section shape
-    exactly, which stays rational on rational input.  section="spinor"
-    contracts the matrix section with a fiber column first; at level 3 that
-    value vanishes identically by the reality constraint of the fiber.
+    independent oracle): -u/(2h) D s(x)^dag W, D the fiber weight where the
+    case has one, is one matrix per point, and per tangent the difference
+    of the sections at x +- h t is one real lincomb of their numerators
+    (section_linear_at), lifted once.  mode="analytic" differentiates the
+    section shape exactly, which stays rational on rational input.
+    section="spinor" contracts the matrix section with a fiber column first;
+    at level 3 that value vanishes identically by the reality constraint of
+    the fiber.
 
     Returns a list of values aligned with the tangent directions; entries
     are scalars at level 1 (and for spinor sections), matrices otherwise.
     """
     patch = patch or point.patch
-    lvl, real = point.level, point.realization
+    lvl, real, x = point.level, point.realization, point.coords
     u, W, D = _case_gauge(lvl, real)
     tangents = tangents if tangents is not None else tangent_basis(point)
 
-    w0, n0 = section_linear_part(point, patch)
+    w0, n0 = section_linear_at(lvl, real, x, patch)
     lift = _lift(lvl, real)
     w0 = lift(w0)
     col = None
     if section == "spinor":
         if fiber is None:
             raise ValueError("spinor-section mode needs a fiber")
-        col = lift(_fiber_column(point, fiber))
+        col = lift(RMatrix([[c] for c in getattr(fiber, "comps", fiber)],
+                           case_info(lvl, real).ring))
         w0 = w0 @ col
 
     # tangent-independent products, formed once (@ groups to the left anyway)
+    w0_w = w0.dagger() @ W
+    if D is not None and col is None:
+        w0_w = D @ w0_w
     if mode == "fd":
-        s0_w = w0.scale(1.0 / math.sqrt(2.0 * n0)).dagger() @ W
+        fold = w0_w.scale(-u * (1.0 / (2.0 * h * math.sqrt(2.0 * n0))))
     elif mode == "analytic":
-        w0_w = w0.dagger() @ W
         w0_w_w0 = w0_w @ w0
         p2 = (Fraction(1, 2) if not isinstance(n0, float) else 0.5) / n0
     else:
@@ -276,27 +274,20 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
     out = []
     for t in tangents:
         if mode == "fd":
-            wp, np_ = section_linear_part(_shift(point, t, h), patch)
-            wm, nm = section_linear_part(_shift(point, t, -h), patch)
-            wp, wm = lift(wp), lift(wm)
-            if col is not None:
-                wp = wp @ col
-                wm = wm @ col
-            sp = wp.scale(1.0 / math.sqrt(2.0 * np_))
-            sm = wm.scale(1.0 / math.sqrt(2.0 * nm))
-            ds = (sp - sm).scale(1.0 / (2.0 * h))
-            raw = (s0_w @ ds).scale(-u)
+            wp, np_ = section_linear_at(lvl, real, [c + h * ti for c, ti in zip(x, t)], patch)
+            wm, nm = section_linear_at(lvl, real, [c - h * ti for c, ti in zip(x, t)], patch)
+            ds = lift(lincomb((1.0 / math.sqrt(2.0 * np_), -1.0 / math.sqrt(2.0 * nm)),
+                              (wp, wm)))
+            raw = fold @ (ds if col is None else ds @ col)
         else:
             # s = w / sqrt(2n); -u s^dag W ds = -u p^2 [w^dag W w' - (dn/2n) w^dag W w]
-            wp, _ = section_linear_part(_shift(point, t, 1), patch)
+            wp, _ = section_linear_at(lvl, real, [c + ti for c, ti in zip(x, t)], patch)
             wp = lift(wp)
             if col is not None:
                 wp = wp @ col
             ndot = patch_sign(patch) * t[-1]
             core = (w0_w @ (wp - w0)) - w0_w_w0.scale(ndot).scale(p2)
             raw = core.scale(p2).scale(-u)
-        if D is not None and col is None:
-            raw = D @ raw
         out.append(raw.entry(0, 0) if raw.rows == 1 and raw.cols == 1 else raw)
     return out
 
@@ -402,28 +393,28 @@ def curvature_contraction(point, t, v, patch=None, closed=None):
     weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in terms]
     if point.level == 1:
         return sum(f * w for w, f in zip(weights, terms.values()))
-    return _contract(comps[0], terms, weights)
+    return _contract(comps[0], zip(weights, terms.values()))
 
 
 def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
     """dA(t, v) by central differences of the closed connection, plus the
-    exact commutator term; comparable with curvature_contraction."""
+    exact commutator term; comparable with curvature_contraction.  The
+    connection maps at x +- h t, read along v, and at x +- h v, along t, are
+    weighted by +-1/(2h) and summed in algebra coordinates (one lincomb at
+    levels 2-3); the commutator of the unshifted contractions is a matrix
+    commutator."""
     patch = patch or point.patch
-
-    def contract(pt, vec, closed=None):
-        return connection_contraction(pt, vec, patch, closed=closed)
-
-    a_tp = contract(_shift(point, t, h), v)
-    a_tm = contract(_shift(point, t, -h), v)
-    a_vp = contract(_shift(point, v, h), t)
-    a_vm = contract(_shift(point, v, -h), t)
-    if isinstance(a_tp, RMatrix):
-        da = (a_tp - a_tm).scale(1.0 / (2 * h)) - (a_vp - a_vm).scale(1.0 / (2 * h))
-        here = _connection_coeffs(point, patch)
-        at = contract(point, t, here)
-        av = contract(point, v, here)
-        return da + commutator(at, av).scale(_comm_unit(point.realization))
-    return (a_tp - a_tm) / (2 * h) - (a_vp - a_vm) / (2 * h)
+    inv = 1.0 / (2 * h)
+    weighted = []
+    for step, d, along, w in ((h, t, v, inv), (-h, t, v, -inv), (h, v, t, -inv), (-h, v, t, inv)):
+        comps = _connection_coeffs(point, patch, [c + step * di for c, di in zip(point.coords, d)])
+        coeffs = comps if point.level == 1 else comps[1]
+        weighted += [(w * along[m - 1], cm) for m, cm in coeffs.items()]
+    if point.level == 1:
+        return sum(w * a for w, a in weighted)
+    here = _connection_coeffs(point, patch)
+    at, av = (connection_contraction(point, d, patch, closed=here) for d in (t, v))
+    return _contract(here[0], weighted) + commutator(at, av).scale(_comm_unit(point.realization))
 
 
 def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
@@ -475,36 +466,32 @@ def transition(point):
     realization at levels 2-3; g^dag sigma3 g = sigma3 and
     g^dag Sigma3 g = Sigma3 for the complex realization at levels 2 and 3.
     The two-leaf map (1, II) has disjoint patches and no transition.
-
-    g is the leading fiber_dim block of the lower-patch section numerator
-    divided by sqrt(1 - x_last^2); the sections then satisfy
-    section_lower = section_upper @ g exactly.
+    The value is transition_at of the point's coordinates.
     """
     lvl, real = point.level, point.realization
-    if (lvl, real) == (1, "II"):
+    weight = None if real == "I" or lvl == 1 else case_info(lvl, real).fiber_weight()
+    return TransitionFn(lvl, real, transition_at(lvl, real, point.coords), weight,
+                        "scalar" if lvl == 1 else "matrix")
+
+
+def transition_at(level, realization, coords):
+    """transition's value at bare coordinates, also off the hyperboloid:
+    the leading fiber_dim block of the lower-patch section numerator
+    (section_linear_at) over sqrt(1 - x_last^2), a scalar at level 1, so
+    that section_lower = section_upper @ g exactly.  A ValueError for the
+    two-leaf map and within EPS_NULL of |x_last| = 1."""
+    if (level, realization) == (1, "II"):
         raise ValueError("the two-leaf map has no patch overlap")
-    x = point.coords
-    rho2 = 1 - x[-1] * x[-1]
+    rho2 = 1 - coords[-1] * coords[-1]
     if float(rho2) <= EPS_NULL:
-        raise ValueError("overlap requires |x_last| < 1 (got %r)" % (x[-1],))
+        raise ValueError("overlap requires |x_last| < 1 (got %r)" % (coords[-1],))
     rho = math.sqrt(float(rho2))
-
-    case = case_info(lvl, real)
-    fd = case.fiber_dim
-    w, _ = section_linear_part(point, "lower")
-    top = RMatrix.from_components(tuple([row[:fd] for row in g[:fd]] for g in w.components()),
-                                  w.ring)
-    if lvl == 1:
-        g = top.entry(0, 0) * (1.0 / rho)
-        return TransitionFn(lvl, real, g, None, "scalar")
-    g = top.scale(1.0 / rho)
-    if real == "I":
-        return TransitionFn(lvl, real, g, None, "matrix")
-    return TransitionFn(lvl, real, g, case.fiber_weight(), "matrix")
-
-
-def _transition_value(point):
-    return _lift(point.level, point.realization)(transition(point).value)
+    fd = case_info(level, realization).fiber_dim
+    w, _ = section_linear_at(level, realization, coords, "lower")
+    top = RMatrix.from_components(tuple(g[:fd] for g in w.components()), w.ring)
+    if level == 1:
+        return top.entry(0, 0) * (1.0 / rho)
+    return top.scale(1.0 / rho)
 
 
 def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
@@ -514,23 +501,27 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     matrix where the realization carries one (sigma3 at (2, II), Sigma3 at
     (3, II); scalar conjugation at level 1).  Curvature: F' = g^dag F g with
     the same decoration; at level 1 the field strength is patch-independent.
-    dg is evaluated by central finite differences.
+    dg is evaluated by central finite differences of transition_at at
+    x +- h t; at levels 2-3 the right side is g^dag decor (A g - u dg).
     Returns {"connection": r1, "curvature": r2}, each the worst residual
     (NaN if any residual is NaN).
     """
-    lvl, real = point.level, point.realization
+    lvl, real, x = point.level, point.realization, point.coords
     tangents = tangent_basis(point)
-    g = _transition_value(point)
+    lift = _lift(lvl, real)
+    g = lift(transition_at(lvl, real, x))
     upper = _connection_coeffs(point, "upper")
     lower = _connection_coeffs(point, "lower")
     u, _, decor = _case_gauge(lvl, real)
 
     if lvl > 1:
         gd_decor = g.dagger() if decor is None else g.dagger() @ decor
+        u_2h = u * (1.0 / (2 * h))
 
     conn_devs = []
     for t in tangents:
-        gp, gm = _transition_value(_shift(point, t, h)), _transition_value(_shift(point, t, -h))
+        gp = transition_at(lvl, real, [c + h * ti for c, ti in zip(x, t)])
+        gm = transition_at(lvl, real, [c - h * ti for c, ti in zip(x, t)])
         a_up = connection_contraction(point, t, "upper", closed=upper)
         a_lo = connection_contraction(point, t, "lower", closed=lower)
         if lvl == 1:
@@ -538,8 +529,7 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
             expr = -(u * (g.conj() * dg))  # real on the constraint surface
             dev = _value_dev(a_lo - a_up, expr)
         else:
-            dg = (gp - gm).scale(1.0 / (2 * h))
-            rhs = gd_decor @ a_up @ g - (gd_decor @ dg).scale(u)
+            rhs = gd_decor @ (a_up @ g - lift(gp - gm).scale(u_2h))
             lhs = a_lo if decor is None else decor @ a_lo
             dev = _value_dev(lhs, rhs)
         conn_devs.append(dev)

@@ -22,7 +22,7 @@ __all__ = [
     "Spinor", "BasePoint", "Section",
     "NormalizationError", "PatchError", "SamplingError", "ConstraintError",
     "CASES", "case_info",
-    "patch_sign", "require_patch",
+    "patch_sign", "require_patch", "section_linear_at",
     "project", "invert", "sample_normalized", "sample_base_point", "sample_fiber",
     "level0_project", "level0_invert",
     "hierarchical_fiber_check", "majorana_matrix", "charge_conjugate_spinor",
@@ -382,18 +382,24 @@ def _section_template(level, realization, patch):
 
 
 def section_linear_part(point, patch=None):
+    """section_linear_at of the point's coordinates, on its patch by default."""
+    return section_linear_at(point.level, point.realization, point.coords, patch or point.patch)
+
+
+def section_linear_at(level, realization, coords, patch):
     """The section as (w, n): full section = w / sqrt(2 n), w linear in x.
 
     w has shape spinor_dim x fiber_dim; n is the patch factor 1 +- x_last.
     Keeping the square root outside w lets derivative formulas stay rational.
     Each component of w is the sum const + coef * x_a over its template
     terms in increasing a, as the ring elements' own arithmetic adds them.
+    The coordinates may lie off the hyperboloid (the shifted points of the
+    oracles): no BasePoint is built, so no finiteness scan runs.
     """
-    patch = patch or point.patch
-    template, rows, cols, ring = _section_template(point.level, point.realization, patch)
+    template, rows, cols, ring = _section_template(level, realization, patch)
     # int coordinates enter as Fractions, so every cell of exact input is a
     # Fraction even where it meets int coefficients only
-    x = [Fraction(c) if type(c) is int else c for c in point.coords]
+    x = [Fraction(c) if type(c) is int else c for c in coords]
     grids = []
     for cells in template:
         grid = [[0] * cols for _ in range(rows)]
@@ -402,7 +408,7 @@ def section_linear_part(point, patch=None):
                 acc = acc + coef * x[a]
             grid[i][j] = acc
         grids.append(grid)
-    return RMatrix.from_components(tuple(grids), ring), point.patch_factor(patch)
+    return RMatrix.from_components(tuple(grids), ring), 1 + patch_sign(patch) * coords[-1]
 
 
 class Section:

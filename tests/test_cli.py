@@ -96,6 +96,16 @@ def test_verify_algebra_pass_and_fault(capsys):
     assert any("so32_I" in f for f in failing)
 
 
+@pytest.mark.parametrize("suite", ["hopf", "gauge", "super"])
+def test_inject_fault_needs_a_fault_hook(capsys, suite):
+    # only algebra and gamma take the corrupted fixture; elsewhere the flag
+    # would be ignored and the run would pass
+    code, out, err = run(capsys, "verify", "--suite", suite, "--inject-fault")
+    assert code == 2
+    assert out == ""
+    assert "no fault hook" in err
+
+
 def test_verify_deterministic_bytes(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -92,6 +92,25 @@ def test_curvature_closed_vs_numeric(lvl, real, patch):
     assert worst < 1e-5
 
 
+@pytest.mark.parametrize("lvl,real,patch", [p for p in PANELS if p[0] > 1])
+def test_oracles_catch_a_wrong_connection(monkeypatch, lvl, real, patch):
+    # -3 A: the connection, curvature and gluing oracles each see the change;
+    # their tolerances are those of the gauge suite
+    closed = gg._algebra_connection
+
+    def wrong(*args):
+        *head, coeffs = closed(*args)
+        return (*head, {m: {k: -3 * c for k, c in cm.items()} for m, cm in coeffs.items()})
+
+    monkeypatch.setattr(gg, "_algebra_connection", wrong)
+    rng = random.Random(41)
+    pt = sample_base_point(lvl, real, patch=patch, rng=rng)
+    assert gg.connection_residual(pt, patch) > 1e-6
+    assert gg.curvature_residual(pt, patch, pairs=2, rng=rng) > 1e-5
+    pt = sample_base_point(lvl, real, patch=patch, rng=rng, overlap=True)
+    assert gg.gluing_check(pt, rng=rng)["connection"] > 1e-6
+
+
 @pytest.mark.parametrize("lvl,real", ALL_CASES)
 def test_curvature_residual_pairs_distinct_tangents(monkeypatch, lvl, real):
     seen = []
@@ -399,6 +418,36 @@ def test_no_transition_for_two_leaf_map():
     pt = BasePoint(1, "II", (0.0, 0.0, 1.5))
     with pytest.raises(ValueError):
         gg.transition(pt)
+
+
+@pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
+def test_transition_coordinates_entry(lvl, real):
+    # transition_at of bare coordinates is transition's value bit for bit:
+    # the top fiber_dim block of the lower-patch section numerator over rho
+    rng = random.Random(23)
+    fd = hm.case_info(lvl, real).fiber_dim
+    for _ in range(3):
+        pt = sample_base_point(lvl, real, rng=rng, overlap=True)
+        x = pt.coords
+        g = gg.transition_at(lvl, real, x)
+        value = gg.transition(pt).value
+        assert repr(g if lvl == 1 else g.components()) == \
+            repr(value if lvl == 1 else value.components())
+        w, _ = hm.section_linear_at(lvl, real, x, "lower")
+        inv = 1.0 / math.sqrt(1 - x[-1] * x[-1])
+        top = [[[c * inv for c in row] for row in grid[:fd]] for grid in w.components()]
+        if lvl == 1:
+            assert (g.re, g.im) == (top[0][0][0], top[1][0][0])
+        else:
+            assert [[list(row) for row in grid] for grid in g.components()] == top
+
+
+def test_transition_at_refuses_outside_the_overlap():
+    for last in (1.0, -1, F(3, 2), -2.0):
+        with pytest.raises(ValueError):
+            gg.transition_at(2, "I", (0, 0, 0, 0, last))
+    with pytest.raises(ValueError):
+        gg.transition_at(1, "II", (0.0, 0.0, 0.5))
 
 
 @pytest.mark.parametrize("lvl,real", OVERLAP_CASES)

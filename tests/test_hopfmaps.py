@@ -12,7 +12,9 @@ from splithopf.hopfmaps import (
     Spinor, BasePoint, Section, project, invert, sample_normalized,
     sample_base_point, sample_fiber, level0_project, level0_invert, hierarchical_fiber_check,
     majorana_matrix, NormalizationError, PatchError, ConstraintError, case_info,
+    section_linear_part, section_linear_at,
 )
+from splithopf import hopfmaps as hm
 
 ALL_CASES = [(1, "I"), (1, "II"), (2, "I"), (2, "II"), (3, "I"), (3, "II")]
 
@@ -129,6 +131,31 @@ def test_level3_pole_matrix_section():
     for r in range(8, 16):
         for c in range(8):
             assert m.entry(r, c).is_zero()
+
+
+@pytest.mark.parametrize("lvl,real", ALL_CASES)
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_section_coordinates_entry(lvl, real, patch):
+    # section_linear_at of bare coordinates gives the grids and n of the
+    # BasePoint path bit for bit (repr tells -0.0 from 0.0 and 1 from
+    # Fraction(1)), on float, Fraction and int coordinates
+    rng = random.Random(19)
+    ints = tuple(range(2, case_info(lvl, real).base_dim + 2))  # off the hyperboloid
+    for coords in (sample_base_point(lvl, real, patch=patch, rng=rng).coords,
+                   sample_base_point(lvl, real, patch=patch, backend="exact", rng=rng).coords,
+                   ints):
+        pt = BasePoint(lvl, real, coords, patch)
+        w, n = section_linear_at(lvl, real, coords, patch)
+        w_pt, n_pt = section_linear_part(pt)
+        assert repr(w.components()) == repr(w_pt.components())
+        assert repr(n) == repr(n_pt)
+        if not isinstance(coords[0], float):
+            # the values of the gamma-matrix construction the template is read from
+            assert w == hm._section_linear_raw(pt)[0]
+    # int coordinates enter as Fractions
+    w_frac, _ = section_linear_at(lvl, real, [F(c) for c in ints], patch)
+    assert repr(w.components()) == repr(w_frac.components())
+    assert any(type(c) is F for g in w.components() for row in g for c in row)
 
 
 @pytest.mark.parametrize("lvl,real", ALL_CASES)
