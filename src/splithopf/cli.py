@@ -3,14 +3,15 @@
 Exit codes: 0 all checks pass / operation succeeded, 1 check failure or
 domain error, 2 usage error.  All structured output is JSON (CSV for grid
 exports); floats round-trip losslessly (JSON writes each float's shortest
-repr, CSV 17 significant digits).  A sample-field JSON grid is bulk data:
-one line with the default separators, which CPython's C encoder writes.
-Every other document is indented by 2 spaces for reading.  Both layouts
-hold the same values.  HOPFCTL_SEED provides the seed when --seed is absent.
+repr, CSV 17 significant digits: one "%.17g" line template per grid, in the
+bytes of csv.writer's default dialect).  A non-finite value fails either
+format, and nothing is written.  A sample-field JSON grid is bulk data: one
+line with the default separators, which CPython's C encoder writes; every
+other document is indented by 2 spaces.  HOPFCTL_SEED provides the seed
+when --seed is absent.
 """
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -25,6 +26,7 @@ from . import hopfmaps, gaugegeom, reporting
 SCHEMA = 1
 # Largest grid sample-field accepts, in nodes (the product of the steps).
 MAX_GRID_NODES = 100_000
+NON_FINITE = "the result holds a non-finite number; nothing written"
 
 
 def _emit(data, out, indent=2):
@@ -34,7 +36,7 @@ def _emit(data, out, indent=2):
     try:
         text = json.dumps(data, indent=indent, default=float, allow_nan=False)
     except ValueError:
-        raise ValueError("the result holds a non-finite number; nothing written")
+        raise ValueError(NON_FINITE)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -257,27 +259,17 @@ def _parse_grid(spec):
 def cmd_sample_field(args):
     case = hopfmaps.case_info(args.level, args.realization)
     dim = case.base_dim
-    axes = _parse_grid(args.grid)
-    for idx in axes:
+    ranges = [[0.0] for _ in range(1, dim)]
+    for idx, (lo, hi, steps) in _parse_grid(args.grid).items():
         if not 1 <= idx <= dim - 1:
             raise UsageError("grid: axis x%d out of range (free axes are 1..%d)"
                              % (idx, dim - 1))
-    sign = hopfmaps.patch_sign(args.patch)
-    ranges = []
-    for idx in range(1, dim):
-        if idx in axes:
-            lo, hi, steps = axes[idx]
-            vals = [lo + (hi - lo) * k / max(1, steps - 1) for k in range(steps)] \
-                if steps > 1 else [lo]
-        else:
-            vals = [0.0]
-        ranges.append(vals)
+        ranges[idx - 1] = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)] \
+            if steps > 1 else [lo]
 
-    rows = []
-    names = ()
-    skipped = 0
-    eta = case.base_metric.signature
-    target = case.constraint_target
+    rows, names, skipped = [], (), 0
+    sign = hopfmaps.patch_sign(args.patch)
+    eta, target = case.base_metric.signature, case.constraint_target
 
     for partial in itertools.product(*ranges):
         # solve the last coordinate from the constraint on the chosen patch
@@ -286,30 +278,30 @@ def cmd_sample_field(args):
         if last_sq < 0:
             skipped += 1
             continue
-        x_last = sign * math.sqrt(last_sq)
-        coords = list(partial) + [x_last]
+        coords = list(partial) + [sign * math.sqrt(last_sq)]
         pt = hopfmaps.BasePoint(args.level, args.realization, coords, args.patch)
         if pt.patch_factor(args.patch) < 1e-6:
             skipped += 1
             continue
         try:
-            cnames, values = gaugegeom.field_components(pt, args.patch)
+            names, values = gaugegeom.field_components(pt, args.patch)
         except hopfmaps.PatchError:
             skipped += 1
             continue
-        names = cnames
-        rows.append([float(c) for c in coords] + values)
+        rows.append(coords + values)  # coords are floats
 
     columns = ["x%d" % i for i in range(1, dim + 1)] + list(names)
     if args.format == "csv":
-        target_fh = open(args.out, "w", newline="") if args.out else sys.stdout
-        writer = csv.writer(target_fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["%.17g" % v for v in row])
-        writer.writerow(["# skipped=%d" % skipped])
+        template = ",".join(["%.17g"] * len(columns)) + "\r\n"
+        body = [template % tuple(row) for row in rows]
+        if any("n" in line for line in body):  # %.17g writes an n only in nan and inf
+            raise ValueError(NON_FINITE)
+        lines = [",".join(columns) + "\r\n"] + body + ["# skipped=%d\r\n" % skipped]
         if args.out:
-            target_fh.close()
+            with open(args.out, "w", newline="") as fh:
+                fh.writelines(lines)
+        else:
+            sys.stdout.writelines(lines)
     else:
         _emit({"schema": SCHEMA, "level": args.level, "realization": args.realization,
                "patch": args.patch, "columns": columns,

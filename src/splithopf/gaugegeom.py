@@ -103,6 +103,14 @@ def _gauge_algebra(level, realization, bar):
     return tuple(gens[p] for p in order), pairs
 
 
+@functools.lru_cache(maxsize=None)
+def _thooft_terms(realization, bar):
+    """Level 2: ((m, row), ...), row[k] the (n', T_mn'[k]) with T_mn'[k] != 0."""
+    pairs = _gauge_algebra(2, realization, bar)[1]
+    return tuple((m, [[(nn, pairs[(m, nn)][k]) for nn in range(1, 5) if pairs[(m, nn)].get(k)]
+                      for k in range(3)]) for m in range(1, 5))
+
+
 # ---------------------------------------------------------------------------
 # tangent frames
 
@@ -130,7 +138,7 @@ def tangent_basis(point):
 # ---------------------------------------------------------------------------
 # closed connection forms
 
-def _algebra_connection(level, realization, patch, coords):
+def _algebra_connection(level, realization, patch, x):
     """The closed connection at levels 2-3 in algebra coordinates, at any x
     require_patch accepts: off the hyperboloid, a numerator linear in x over n.
 
@@ -141,18 +149,16 @@ def _algebra_connection(level, realization, patch, coords):
       level 2: A_m = -+(1/2n) sum_n' x_n' T_mn' (- for I);
       level 3: A_m = sum_n' y_n' T_mn'.
     """
-    x = coords
     s, n = require_patch(x, patch)
     inv_n = reciprocal(n)
     basis, pairs = _gauge_algebra(level, realization, patch == "lower")
-    free = range(1, len(x))
     y = [xi * inv_n for xi in x[:-1]]
     if level == 2:
         pref = (Fraction(-1, 2) if realization == "I" else Fraction(1, 2)) * inv_n
-        coeffs = {m: {k: sum(pairs[(m, nn)].get(k, 0) * x[nn - 1] for nn in free) * pref
-                      for k in range(3)}
-                  for m in free}
+        coeffs = {m: {k: sum(v * x[nn - 1] for nn, v in terms) * pref for k, terms in enumerate(row)}
+                  for m, row in _thooft_terms(realization, patch == "lower")}
     else:
+        free = range(1, len(x))
         coeffs = {m: {k: v * y[nn - 1] for nn in free for k, v in pairs[(m, nn)].items()}
                   for m in free}
     return s, inv_n, y, basis, pairs, coeffs
@@ -670,8 +676,8 @@ def _field_names(level, realization):
         return tuple(names)
     m = _gauge_algebra(level, realization, False)[0][0]
     suffixes = ("_re", "_im") if len(m.components()) == 2 else ("",)
-    return tuple("%s_%d%d%s" % (name, i, j, suffix) for name in names
-                 for i in range(m.rows) for j in range(m.cols) for suffix in suffixes)
+    cells = ["_%d%d%s" % (i, j, sfx) for i in range(m.rows) for j in range(m.cols) for sfx in suffixes]
+    return tuple([name + cell for name in names for cell in cells])
 
 
 def field_components(point, patch=None):

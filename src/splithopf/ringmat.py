@@ -796,9 +796,10 @@ def lincomb(coeffs, basis):
     if not basis or len(coeffs) != len(basis):
         raise ValueError("lincomb needs one coefficient per basis matrix, and a basis")
     first = basis[0]
-    for m in basis[1:]:
-        first._check(m)
     ring, rows, cols = first.ring, first.rows, first.cols
+    for m in basis[1:]:  # _check rules on all but the same ring object and shape
+        if type(m) is not RMatrix or m.ring is not ring or m.rows != rows or m.cols != cols:
+            first._check(m)
     # on the cleared path coeffs are ints and basis holds each term's cells
     coeffs, basis, den = _cleared_terms(coeffs, basis) or (coeffs, basis, None)
     start = 0 if den is None else False

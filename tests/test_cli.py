@@ -1,5 +1,7 @@
 """Command-line front end: schemas, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -206,6 +208,54 @@ def test_sample_field_json_refuses_nan(capsys, monkeypatch, tmp_path, to_file):
     assert out == ""
     assert "non-finite" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "to_file"])
+def test_sample_field_csv_refuses_nan(capsys, monkeypatch, tmp_path, to_file):
+    # CSV fails on a non-finite value as JSON does: exit 1, nothing written
+    for bad in ("nan", "inf", "-inf"):
+        def bad_field(pt, patch=None):
+            return ("A_1", "A_2"), [0.5, float(bad)]
+
+        monkeypatch.setattr(cli.gaugegeom, "field_components", bad_field)
+        target = tmp_path / "grid.csv"
+        extra = ("--out", str(target)) if to_file else ()
+        code, out, err = run(capsys, "sample-field", "--level", "1", "--realization", "I",
+                             "--grid", "x1=-0.5:0.5:2", "--format", "csv", *extra)
+        assert code == 1, bad
+        assert out == ""
+        assert "non-finite" in err
+        assert not target.exists()
+
+
+# one grid per level; the level-1 and level-2 grids reach past the domain
+CSV_GRIDS = [("1", "I", "upper", "x1=-0.5:3:3,x2=-0.4:0.4:2"),
+             ("2", "I", "lower", "x1=-0.5:0.5:3,x2=-0.5:1.1:3"),
+             ("3", "II", "upper", "x1=-0.4:0.4:2")]
+
+
+@pytest.mark.parametrize("level,real,patch,grid", CSV_GRIDS)
+def test_sample_field_csv_bytes(capsys, tmp_path, level, real, patch, grid):
+    # the CSV export is byte for byte what csv.writer writes from the header,
+    # each value as "%.17g" and the skipped footer, on stdout and with --out
+    argv = ("sample-field", "--level", level, "--realization", real, "--patch", patch,
+            "--grid", grid)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(data["columns"])
+    for row in data["rows"]:
+        writer.writerow(["%.17g" % v for v in row])
+    writer.writerow(["# skipped=%d" % data["skipped"]])
+    assert data["rows"] and (data["skipped"] > 0) == (level != "3")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == want.getvalue()
+    target = tmp_path / "grid.csv"
+    assert main(list(argv) + ["--format", "csv", "--out", str(target)]) == 0
+    assert target.read_bytes() == want.getvalue().encode()
 
 
 def test_sample_field_fails_closed_on_field_error(capsys, monkeypatch):

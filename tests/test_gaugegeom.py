@@ -305,6 +305,46 @@ def test_field_components_columns():
             assert got[0] is gg.field_components(pt, patch)[0]
 
 
+def test_field_names_match_per_cell_rendering():
+    # the names joined from per-cell suffixes are the names rendered cell by
+    # cell, and the cache keeps one case
+    for lvl, real in ALL_CASES:
+        dim = hm.case_info(lvl, real).base_dim
+        base = ["A_%d" % a for a in range(1, dim + 1)]
+        base += ["F_%d%d" % (a, b) for a in range(1, dim + 1) for b in range(a + 1, dim + 1)]
+        want = tuple(base)
+        if lvl > 1:
+            m = gg._gauge_algebra(lvl, real, False)[0][0]
+            suffixes = ("_re", "_im") if len(m.components()) == 2 else ("",)
+            want = tuple("%s_%d%d%s" % (name, i, j, suffix) for name in base
+                         for i in range(m.rows) for j in range(m.cols) for suffix in suffixes)
+        assert gg._field_names(lvl, real) == want
+    assert gg._field_names.cache_info().maxsize == 1
+
+
+@pytest.mark.parametrize("real", ["I", "II"])
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_level2_connection_matches_dense_sum(real, patch):
+    # the sparse 't Hooft sums keep every coefficient of the dense sum over
+    # all slots: the same keys, the same float bits, the same Fractions
+    pairs = gg._gauge_algebra(2, real, patch == "lower")[1]
+    rng = random.Random(19)
+    for backend in ("float", "exact", "float", "exact"):
+        x = sample_base_point(2, real, patch=patch, backend=backend, rng=rng).coords
+        inv_n = 1 / (1 + hm.patch_sign(patch) * x[-1])
+        pref = (F(-1, 2) if real == "I" else F(1, 2)) * inv_n
+        want = {m: {k: sum(pairs[(m, nn)].get(k, 0) * x[nn - 1] for nn in range(1, 5)) * pref
+                    for k in range(3)} for m in range(1, 5)}
+        got = gg._algebra_connection(2, real, patch, x)[5]
+        assert [(m, list(c)) for m, c in got.items()] == [(m, list(c)) for m, c in want.items()]
+        for m in want:
+            for k, w in want[m].items():
+                if backend == "float":
+                    assert got[m][k].hex() == w.hex(), (m, k)
+                else:
+                    assert type(got[m][k]) is F and got[m][k] == w, (m, k)
+
+
 GAUGE_PANELS = [(l, r, p) for l in (2, 3) for r in ("I", "II") for p in ("upper", "lower")]
 
 

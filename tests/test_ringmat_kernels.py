@@ -20,7 +20,7 @@ import pytest
 
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
-    RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb,
+    RMatrix, Ring, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb,
     commutator, anticommutator,
 )
 from splithopf.superhopf import PSEUDO, STANDARD, GrassmannElement
@@ -207,6 +207,20 @@ def test_lincomb_exact_and_linear():
         lincomb([], [])
     with pytest.raises(TypeError):
         lincomb([1, 1], [basis[0], RMatrix.zeros(4, 4, RING_COMPLEX)])
+    # a mismatch in the last place of a longer basis is found as well
+    for rows, cols in ((4, 2), (2, 4)):
+        with pytest.raises(ValueError):
+            lincomb([1, 1, 1], basis[:2] + [RMatrix.zeros(rows, cols, RING_SPLIT)])
+    with pytest.raises(TypeError):
+        lincomb([1, 1, 1], basis[:2] + [RMatrix.zeros(4, 4, RING_COMPLEX)])
+    with pytest.raises(TypeError):
+        lincomb([1, 1, 1], basis[:2] + [[[0] * 4] * 4])
+    # a ring equal by name is the same ring, though not the same object
+    twin = Ring(RING_SPLIT.name, RING_SPLIT.zero, RING_SPLIT.one, RING_SPLIT.conj,
+                RING_SPLIT.promote)
+    assert twin is not RING_SPLIT and twin == RING_SPLIT
+    last = RMatrix(basis[2].entries, twin)
+    assert lincomb(coeffs[:3], basis[:2] + [last]) == lincomb(coeffs[:3], basis[:3])
 
 
 @pytest.mark.parametrize("cfg", (PSEUDO, STANDARD), ids=lambda c: c.mode)
