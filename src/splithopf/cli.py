@@ -8,7 +8,7 @@ bytes of csv.writer's default dialect).  A non-finite value fails either
 format, and nothing is written.  A sample-field JSON grid is bulk data: one
 line with the default separators, which CPython's C encoder writes; every
 other document is indented by 2 spaces.  HOPFCTL_SEED provides the seed
-when --seed is absent.
+when --seed is absent; a malformed one is a usage error.
 """
 
 import argparse
@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 from fractions import Fraction
@@ -48,7 +49,10 @@ def _seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("HOPFCTL_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise UsageError("HOPFCTL_SEED: expected an integer, got %r" % env)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +241,13 @@ def _parse_grid(spec):
         part = part.strip()
         if not part:
             continue
+        m = re.fullmatch("x([1-9][0-9]*)=([^:]*):([^:]*):([^:]*)", part)
         try:
-            name, rng = part.split("=")
-            lo, hi, steps = rng.split(":")
-            axis, lo, hi, steps = int(name.lstrip("x")), float(lo), float(hi), int(steps)
-        except ValueError:
+            axis, lo, hi, steps = int(m[1]), float(m[2]), float(m[3]), int(m[4])
+        except (TypeError, ValueError):  # no match (m is None), or a malformed number
             raise UsageError("grid: expected xI=min:max:steps[,...], got %r" % part)
+        if axis in axes:
+            raise UsageError("grid: axis x%d given twice" % axis)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError("grid: bounds must be finite, got %r" % part)
         if steps < 1:

@@ -154,7 +154,7 @@ def _algebra_connection(level, realization, patch, x):
     basis, pairs = _gauge_algebra(level, realization, patch == "lower")
     y = [xi * inv_n for xi in x[:-1]]
     if level == 2:
-        pref = (Fraction(-1, 2) if realization == "I" else Fraction(1, 2)) * inv_n
+        pref = inv_n / -2 if realization == "I" else inv_n / 2
         coeffs = {m: {k: sum(v * x[nn - 1] for nn, v in terms) * pref for k, terms in enumerate(row)}
                   for m, row in _thooft_terms(realization, patch == "lower")}
     else:
@@ -170,13 +170,13 @@ def _combine(basis, coeffs):
 
 
 def _contract(basis, weighted):
-    """sum w cm over (w, {k: coefficient}) pairs, summed in algebra
-    coordinates: one lincomb."""
-    acc = {}
+    """sum w cm over (w, {k: coefficient}) pairs, added up in a list with one
+    slot per basis matrix, then one lincomb (which skips the zero slots)."""
+    acc = [0] * len(basis)
     for w, cm in weighted:
         for k, c in cm.items():
-            acc[k] = acc.get(k, 0) + w * c
-    return _combine(basis, acc)
+            acc[k] += w * c
+    return lincomb(acc, basis)
 
 
 def lowered_epsilon(x, i, j):
@@ -299,9 +299,13 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
 
 
 def _value_dev(a, b):
+    """max |a - b| over the real components (NaN if any is NaN); matrices are
+    read cell by cell from both operands' grids, with the checks of a - b."""
+    if isinstance(a, RMatrix):
+        a._check(b)
+        return worst_of(abs(float(x - y)) for g, h in zip(a.components(), b.components())
+                        for r, q in zip(g, h) for x, y in zip(r, q))
     d = a - b
-    if isinstance(d, RMatrix):
-        return d.max_abs()
     comps = (d.re, d.im) if hasattr(d, "re") else (d,)
     return worst_of(abs(float(c)) for c in comps)
 

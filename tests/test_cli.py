@@ -291,6 +291,51 @@ def test_grid_spec_errors(capsys):
     assert code == 2  # the last coordinate is solved, not gridded
 
 
+@pytest.mark.parametrize("grid", ["1=0:0.1:2", "x 1=0:0.1:2", "x+1=0:0.1:2", "xx1=0:0.1:2",
+                                  "X1=0:0.1:2", "x01=0:0.1:2", "x0=0:0.1:2", "x1 =0:0.1:2",
+                                  "x1=0:0.1:2,x1=0:0.2:3", "x1=0:0.1:2,x2=0:1:2,x1=0:0.1:2"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_grid_axis_names(capsys, monkeypatch, tmp_path, grid, to_file):
+    # an axis is x followed by a positive decimal integer, named once
+    def walked(*a, **k):
+        raise AssertionError("a malformed grid was walked")
+
+    monkeypatch.setattr(cli.gaugegeom, "field_components", walked)
+    target = tmp_path / "grid.csv"
+    extra = ("--out", str(target)) if to_file else ()
+    code, out, err = run(capsys, "sample-field", "--level", "1", "--realization", "I",
+                         "--grid", grid, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: grid: ")
+    assert not target.exists()
+
+
+def test_grid_axes_in_any_order(capsys):
+    code, out, _ = run(capsys, "sample-field", "--level", "2", "--realization", "I",
+                       "--grid", "x2=-0.4:0.4:2,x1=-0.5:0.5:3")
+    assert code == 0
+    code, want, _ = run(capsys, "sample-field", "--level", "2", "--realization", "I",
+                        "--grid", "x1=-0.5:0.5:3,x2=-0.4:0.4:2")
+    assert out == want
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0x10", "seven"])
+def test_malformed_seed_env_is_a_usage_error(capsys, monkeypatch, value):
+    def ran(*a, **k):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setenv("HOPFCTL_SEED", value)
+    # --seed takes precedence and never reads the variable
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--seed", "3", "--no-timestamp")
+    assert code == 0 and json.loads(out)["seed"] == 3
+    monkeypatch.setattr(cli.reporting, "run_suite", ran)
+    code, out, err = run(capsys, "verify", "--suite", "algebra")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: HOPFCTL_SEED")
+
+
 def test_tolerance_override(capsys):
     # an absurdly tight override flips residual-carrying checks to failure
     code, out, _ = run(capsys, "verify", "--suite", "hopf", "--no-timestamp",

@@ -11,7 +11,8 @@ from splithopf.hopfmaps import BasePoint, sample_base_point, sample_fiber
 from splithopf import gaugegeom as gg
 from splithopf import hopfmaps as hm
 from splithopf import gammarep
-from splithopf.ringmat import commutator, lincomb
+from splithopf.ringmat import (RMatrix, RING_COMPLEX, RING_REAL, RING_SPLIT,
+                               commutator, lincomb)
 from tests.test_hopfmaps import ALL_CASES
 
 PANELS = [(l, r, p) for (l, r) in ALL_CASES for p in ("upper", "lower")]
@@ -400,6 +401,9 @@ def test_value_dev_propagates_nan():
     nan = float("nan")
     assert math.isnan(gg._value_dev(SplitComplex(1.0, nan), 0))
     assert math.isnan(gg._value_dev(SplitComplex(nan, 1.0), 0))
+    ok = RMatrix.identity(2, RING_SPLIT)
+    bad = RMatrix.from_components(([[1.0, 0], [0, 1.0]], [[0, nan], [0, 0]]), RING_SPLIT)
+    assert math.isnan(gg._value_dev(bad, ok)) and math.isnan(gg._value_dev(ok, bad))
 
 
 def test_connection_residual_nan_point(monkeypatch):
@@ -568,3 +572,138 @@ def test_gauge_suite_fails_on_nan_residual(monkeypatch):
     assert not check.passed and math.isnan(check.residual)
     assert check.as_dict()["residual"] == "nan"
     assert checks["curvature-oracle-2-I-upper"].passed
+
+
+# ---------------------------------------------------------------------------
+# residuals read from the operands' grids; contractions summed by index
+
+RINGS = [RING_REAL, RING_SPLIT, RING_COMPLEX]
+
+
+def _grids(rng, ring, rows, cols, kind):
+    """Seeded component grids with zero cells of every type (-0.0 among
+    them); kind "float", "exact" or "mixed" picks the nonzero values."""
+    def value():
+        r = rng.random()
+        if r < 0.35:
+            return rng.choice([0, 0.0, -0.0, F(0)])
+        if kind == "float" or (kind == "mixed" and r < 0.65):
+            return rng.uniform(-2, 2)
+        return rng.choice([F(rng.randint(-9, 9), rng.randint(1, 7)), rng.randint(-5, 5)])
+    n = 1 if ring is RING_REAL else 2
+    return tuple([[value() for _ in range(cols)] for _ in range(rows)] for _ in range(n))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_value_dev_matches_difference_matrix(ring):
+    rng = random.Random(23)
+    for kind_a in ("float", "exact", "mixed"):
+        for kind_b in ("float", "exact", "mixed"):
+            for rows, cols in ((1, 1), (2, 3), (4, 4)):
+                a = RMatrix.from_components(_grids(rng, ring, rows, cols, kind_a), ring)
+                b = RMatrix.from_components(_grids(rng, ring, rows, cols, kind_b), ring)
+                for x, y in ((a, b), (b, a), (a, a), (a, RMatrix.zeros(rows, cols, ring))):
+                    got, want = gg._value_dev(x, y), (x - y).max_abs()
+                    assert type(got) is float and got.hex() == want.hex(), (kind_a, kind_b)
+    # a cell only one operand holds, and -0.0 against an exact zero
+    n = 1 if ring is RING_REAL else 2
+    a = RMatrix.from_components(([[-0.0, 3.5], [0, F(1, 3)]],) * n, ring)
+    b = RMatrix.from_components(([[0, 0.0], [-0.25, F(1, 3)]],) * n, ring)
+    assert gg._value_dev(a, b) == (a - b).max_abs() == 3.5
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("special", [float("nan"), float("inf"), float("-inf")])
+def test_value_dev_non_finite_cells(ring, special):
+    rng = random.Random(29)
+    for component in range(1 if ring is RING_REAL else 2):
+        for side in (0, 1):
+            grids = [_grids(rng, ring, 3, 2, "mixed") for _ in range(2)]
+            grids[side][component][1][1] = special
+            a, b = (RMatrix.from_components(g, ring) for g in grids)
+            got = gg._value_dev(a, b)
+            if special != special:
+                assert math.isnan(got)
+            else:
+                assert got == math.inf
+            assert repr(got) == repr((a - b).max_abs())
+
+
+@pytest.mark.parametrize("other", [
+    RMatrix.identity(2, RING_COMPLEX), RMatrix.identity(3, RING_SPLIT),
+    RMatrix.zeros(2, 3, RING_SPLIT), 1, SplitComplex(1, 0)])
+def test_value_dev_mismatch_raises_as_difference(other):
+    a = RMatrix.identity(2, RING_SPLIT)
+    with pytest.raises(Exception) as want:
+        a - other
+    with pytest.raises(want.type) as got:
+        gg._value_dev(a, other)
+    assert str(got.value) == str(want.value)
+
+
+def _dict_contract(basis, weighted):
+    """The contraction summed through a {k: coefficient} dict, in the order
+    the generator indices first appear, then _combine."""
+    acc = {}
+    for w, cm in weighted:
+        for k, c in cm.items():
+            acc[k] = acc.get(k, 0) + w * c
+    return gg._combine(basis, acc)
+
+
+@pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
+def test_contractions_match_dict_reference(lvl, real, patch):
+    rng = random.Random(31)
+    for backend in ("float", "exact", "float"):
+        pt = sample_base_point(lvl, real, patch=patch, backend=backend, rng=rng)
+        if backend == "float":
+            tangents = gg.tangent_basis(pt)
+            pairs = [tuple(rng.sample(tangents, 2)) for _ in range(3)]
+        else:
+            dim = len(pt.coords)
+            pairs = [([F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)],
+                      [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)])]
+        basis, coeffs = gg._connection_coeffs(pt, patch)
+        fbasis, terms = closed = gg._curvature_coeffs(pt, patch)
+        for t, v in pairs:
+            weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in terms]
+            checks = [
+                (gg.connection_contraction(pt, t, patch),
+                 _dict_contract(basis, ((t[m - 1], cm) for m, cm in coeffs.items()))),
+                (gg.curvature_contraction(pt, t, v, patch, closed=closed),
+                 _dict_contract(fbasis, zip(weights, terms.values())))]
+            for got, want in checks:
+                cells = [c for g in got.components() for row in g for c in row]
+                ref = [c for g in want.components() for row in g for c in row]
+                if backend == "float":
+                    assert [float(c).hex() for c in cells] == [float(c).hex() for c in ref]
+                else:
+                    assert all(type(c) in (int, F) for c in cells) and cells == ref
+                    assert not got.is_zero()
+
+
+@pytest.mark.parametrize("real", ["I", "II"])
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_level2_connection_builds_no_fraction(monkeypatch, real, patch):
+    # the level-2 prefactor -+1/(2n) halves 1/n instead of multiplying it by
+    # a Fraction: the float bits and the exact values of the Fraction form
+    def refused(*args):
+        raise AssertionError("a Fraction was built")
+
+    rng = random.Random(37)
+    for backend in ("float", "exact", "float"):
+        x = sample_base_point(2, real, patch=patch, backend=backend, rng=rng).coords
+        inv_n = 1 / (1 + hm.patch_sign(patch) * x[-1])
+        pref = (F(-1, 2) if real == "I" else F(1, 2)) * inv_n
+        pairs = gg._gauge_algebra(2, real, patch == "lower")[1]
+        want = {m: {k: sum(pairs[(m, nn)].get(k, 0) * x[nn - 1] for nn in range(1, 5)) * pref
+                    for k in range(3)} for m in range(1, 5)}
+        with monkeypatch.context() as mp:
+            mp.setattr(gg, "Fraction", refused)
+            got = gg._algebra_connection(2, real, patch, x)[5]
+        for m in want:
+            for k, w in want[m].items():
+                if backend == "float":
+                    assert got[m][k].hex() == w.hex(), (m, k)
+                else:
+                    assert type(got[m][k]) is F and got[m][k] == w, (m, k)
