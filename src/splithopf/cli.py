@@ -235,17 +235,22 @@ def cmd_invert(args):
     return 0
 
 
+# one axis of a --grid: x and a positive decimal integer, two bounds, each a
+# plain decimal or exponent literal, and a decimal integer step count
+_BOUND = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_GRID_AXIS = re.compile(r"x([1-9][0-9]*)=(%s):(%s):([0-9]+)" % (_BOUND, _BOUND))
+
+
 def _parse_grid(spec):
     axes = {}
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
-        m = re.fullmatch("x([1-9][0-9]*)=([^:]*):([^:]*):([^:]*)", part)
-        try:
-            axis, lo, hi, steps = int(m[1]), float(m[2]), float(m[3]), int(m[4])
-        except (TypeError, ValueError):  # no match (m is None), or a malformed number
+        m = _GRID_AXIS.fullmatch(part)
+        if m is None:
             raise UsageError("grid: expected xI=min:max:steps[,...], got %r" % part)
+        axis, lo, hi, steps = int(m[1]), float(m[2]), float(m[3]), int(m[4])
         if axis in axes:
             raise UsageError("grid: axis x%d given twice" % axis)
         if not (math.isfinite(lo) and math.isfinite(hi)):

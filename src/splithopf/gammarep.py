@@ -2,10 +2,13 @@
 
 Eight families in two realizations: the split lane (built on the
 split-imaginary unit j, hermitian generators) and the complex lane (ordinary
-i, non-hermitian generators with a pseudo-Hermitian weight).  Matrices are
-hard-coded entry by entry; the split-octonion structure constants provide an
-independent cross-check for the lambda family.  Everything is exact over
-the rationals and verified by the checks at the bottom.
+i, non-hermitian generators with a pseudo-Hermitian weight).  The 2x2
+blocks and so43_I are written entry by entry.  so32_I, so32_II, so54_I and
+so54_II are one block doubling (_doubled) of j sigma^i, -i tau^i, j gamma^a
+of so43_I and lambda^{8-a}.  The lambdas are built from the split-octonion
+structure constants and checked against the printed matrices.  Every
+generator set is sigma^{ab} = -(u/4) [G_a, G_b] (_sigmas).  Everything is
+exact over the rationals and verified by the checks at the bottom.
 
 Families expose 1-based physics indices; storage is 0-based.
 """
@@ -111,8 +114,13 @@ class GammaFamily:
         return "GammaFamily(%s)" % self.name
 
 
-def _block4(b11, b12, b21, b22, ring):
-    return RMatrix.from_blocks([[b11, b12], [b21, b22]], ring)
+def _doubled(gammas):
+    """The gammas of one more signature pair: [[0, g], [-g, 0]] for each g,
+    then [[0, 1], [1, 0]] and [[1, 0], [0, -1]]."""
+    ring = gammas[0].ring
+    one = RMatrix.identity(gammas[0].rows, ring)
+    blocks = [[[0, g], [-g, 0]] for g in gammas] + [[[0, one], [one, 0]], [[one, 0], [0, -one]]]
+    return [RMatrix.from_blocks(b, ring) for b in blocks]
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,27 +135,13 @@ def build_family(name):
                            weight=pauli(3))
 
     if name == "so32_I":
-        one2 = RMatrix.identity(2, RING_SPLIT)
-        gs = []
-        for i in (1, 2, 3):
-            js = split_pauli(i).scale(_J)
-            gs.append(_block4(0, js, -js, 0, RING_SPLIT))
-        gs.append(_block4(0, one2, one2, 0, RING_SPLIT))
-        gs.append(_block4(one2, 0, 0, -one2, RING_SPLIT))
-        return GammaFamily("so32_I", gs, MetricForm((1, -1, 1, -1, -1)), -1,
-                           RING_SPLIT, _J)
+        return GammaFamily("so32_I", _doubled([split_pauli(i).scale(_J) for i in (1, 2, 3)]),
+                           MetricForm((1, -1, 1, -1, -1)), -1, RING_SPLIT, _J)
 
     if name == "so32_II":
-        one2 = RMatrix.identity(2, RING_COMPLEX)
-        gs = []
-        for i in (1, 2, 3):
-            it = tau(i).scale(_I)
-            gs.append(_block4(0, -it, it, 0, RING_COMPLEX))
-        gs.append(_block4(0, one2, one2, 0, RING_COMPLEX))
-        gs.append(_block4(one2, 0, 0, -one2, RING_COMPLEX))
         k = RMatrix.from_blocks([[pauli(3), 0], [0, pauli(3)]], RING_COMPLEX)
-        return GammaFamily("so32_II", gs, MetricForm((1, 1, -1, -1, -1)), -1,
-                           RING_COMPLEX, _I, weight=k)
+        return GammaFamily("so32_II", _doubled([tau(i).scale(-_I) for i in (1, 2, 3)]),
+                           MetricForm((1, 1, -1, -1, -1)), -1, RING_COMPLEX, _I, weight=k)
 
     if name == "so43_I":
         s = split_pauli
@@ -167,14 +161,7 @@ def build_family(name):
                            MetricForm((-1, 1, 1, -1, -1, 1, 1)), +1, RING_SPLIT, _J)
 
     if name == "so54_I":
-        base = build_family("so43_I")
-        one8 = RMatrix.identity(8, RING_SPLIT)
-        gs = []
-        for idx in range(1, 8):
-            jg = base.gamma(idx).scale(_J)
-            gs.append(_block4(0, jg, -jg, 0, RING_SPLIT))
-        gs.append(_block4(0, one8, one8, 0, RING_SPLIT))
-        gs.append(_block4(one8, 0, 0, -one8, RING_SPLIT))
+        gs = _doubled([g.scale(_J) for g in build_family("so43_I").gammas])
         return GammaFamily("so54_I", gs,
                            MetricForm((1, -1, -1, 1, 1, -1, -1, 1, 1)), +1,
                            RING_SPLIT, _J)
@@ -189,14 +176,8 @@ def build_family(name):
                            MetricForm((1, 1, 1, -1, -1, -1, -1)), -1, RING_REAL, 1)
 
     if name == "so54_II":
-        lam = build_family("lambda_so43_II")
-        one8 = RMatrix.identity(8, RING_REAL)
-        gs = []
-        for idx in range(1, 8):
-            l = lam.gamma(8 - idx)  # the 8-I ordering is load-bearing
-            gs.append(_block4(0, l, -l, 0, RING_REAL))
-        gs.append(_block4(0, one8, one8, 0, RING_REAL))
-        gs.append(_block4(one8, 0, 0, -one8, RING_REAL))
+        # lambda^{8-a}: the reversed order is load-bearing
+        gs = _doubled(build_family("lambda_so43_II").gammas[::-1])
         sig3 = RMatrix.diagonal([1, 1, 1, 1, -1, -1, -1, -1], RING_REAL)
         weight = RMatrix.from_blocks([[sig3, 0], [0, sig3]], RING_REAL)
         return GammaFamily("so54_II", gs,
@@ -225,25 +206,22 @@ def to_complex(m):
 # ---------------------------------------------------------------------------
 # generators
 
+def _sigmas(gammas, unit):
+    """sigma^{ab} = -(u/4) [gamma^a, gamma^b], keyed by (a, b) with a < b."""
+    quarter = Fraction(1, 4)
+    n = len(gammas)
+    return {(a, b): commutator(gammas[a - 1], gammas[b - 1]).scale(-unit).scale(quarter)
+            for a in range(1, n + 1) for b in range(a + 1, n + 1)}
+
+
 @functools.lru_cache(maxsize=None)
 def build_generators(name):
-    """sigma^{ab} = -(u/4) [gamma^a, gamma^b], keyed by (a, b) with a < b."""
+    """The so(p, q) generators of a family (_sigmas) and their ring; a real
+    family is lifted to the complex ring, with u = i."""
     fam = build_family(name)
     if fam.ring == RING_REAL:
-        gammas = [to_complex(g) for g in fam.gammas]
-        unit = _I
-        ring = RING_COMPLEX
-    else:
-        gammas = list(fam.gammas)
-        unit = fam.unit
-        ring = fam.ring
-    quarter = Fraction(1, 4)
-    out = {}
-    n = len(gammas)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            out[(a, b)] = commutator(gammas[a - 1], gammas[b - 1]).scale(-unit).scale(quarter)
-    return {"ring": ring, "sigmas": out, "unit": unit, "family": name}
+        return {"ring": RING_COMPLEX, "sigmas": _sigmas([to_complex(g) for g in fam.gammas], _I)}
+    return {"ring": fam.ring, "sigmas": _sigmas(fam.gammas, fam.unit)}
 
 
 def triple(realization):
@@ -286,16 +264,11 @@ def build_weyl_generators(realization, bar=False):
     sigma_IJ = -(u/4)[G_I, G_J], and sigma_I8 = -(1/2) G_I (I) or
     (i/2) G_I (II); the bar set flips the I8 components.
     """
-    quarter = Fraction(1, 4)
     half = Fraction(1, 2)
     lowered, _ = lowered_set(3, realization)
     if realization == "II":
         lowered = [to_complex(g) for g in lowered]
-    unit = _J if realization == "I" else _I
-    out = {}
-    for a in range(1, 8):
-        for b in range(a + 1, 8):
-            out[(a, b)] = commutator(lowered[a - 1], lowered[b - 1]).scale(-unit).scale(quarter)
+    out = _sigmas(lowered, _J if realization == "I" else _I)
     for a in range(1, 8):
         g = lowered[a - 1]
         m = g.scale(-half) if realization == "I" else g.scale(_I).scale(half)

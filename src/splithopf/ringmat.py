@@ -17,7 +17,7 @@ first use and keeps them (there is nothing to switch on), and every kernel
 walks those cells only: the products (``@``, ``matvec``, ``commutator``,
 ``anticommutator``), the Hermitian forms (``forms``), linear combinations
 (``lincomb``), ``+``/``-`` (over the union of the operands' cells) and the
-elementwise ops (``scale``, ``scale_right``, negation, ``conj``).  Every
+elementwise ops (``scale``, negation, ``conj``).  Every
 zero cell of a result is the ring's zero.  Over the split-complex and
 complex rings the kernels compute on the components, in the operation
 order of the entries' own arithmetic, so float values are bit-identical to
@@ -30,7 +30,7 @@ Exact kernels run on integers.  A matrix whose nonzero cells hold only
 ints and Fractions keeps on first exact use those cells cleared to ints
 with one common denominator (``_exact``).  One rule, ``_cleared``, picks
 the loop of ``@`` (so ``commutator`` and ``anticommutator``), ``matvec``,
-forms, ``scale``, ``scale_right``, ``lincomb`` and ``MetricForm.inner``:
+forms, ``scale``, ``lincomb`` and ``MetricForm.inner``:
 when both operands are exact and a Fraction is a factor of every term
 written (``_clear``), the loop runs on the cleared ints and divides each
 written value once.  So types are those of the entries' own arithmetic:
@@ -286,31 +286,9 @@ class RMatrix:
         return self._cellwise(operator.neg)
 
     def scale(self, c):
-        """c * M, the scalar on the left."""
-        cls, parts, ops = self._scalar_operands(c)
-        if cls:
-            cr, ci = parts
-            t = cls.UNIT_SQ * ci
-            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar), ops)
-        c, = parts
-        return self._cellwise(lambda a: c * a, ops)
-
-    def scale_right(self, c):
-        """M * c, the scalar on the right."""
-        cls, parts, ops = self._scalar_operands(c)
-        if cls:
-            cr, ci = parts
-            u2 = cls.UNIT_SQ
-            return self._cellwise(lambda ar, ai: (ar * cr + u2 * ai * ci, ar * ci + ai * cr), ops)
-        c, = parts
-        return self._cellwise(lambda a: a * c, ops)
-
-    def _scalar_operands(self, c):
-        """(cls, parts, ops) for a scalar c of scale and scale_right: the
-        ring's _binarion, the components of c promoted to the ring ([re, im],
-        or [c] over the reals) and ops for _cellwise.  When _operands clears
-        the parts and the cells, parts are ints and ops is (cells, den);
-        otherwise ops is None."""
+        """c * M, the scalar on the left.  When _operands clears the
+        components of c (promoted to the ring) and the cells, _cellwise runs
+        on the cleared ints and divides by their common denominator."""
         c = self.ring.promote(c)
         cls = _binarion(self.ring)
         parts = [c.re, c.im] if cls else [c]
@@ -318,13 +296,12 @@ class RMatrix:
         if ops:
             cells, parts, dm, dc = ops
             ops = cells, dm * dc
-        return cls, parts, ops
-
-    def __mul__(self, c):
-        return self.scale_right(c)
-
-    def __rmul__(self, c):
-        return self.scale(c)
+        if cls:
+            cr, ci = parts
+            t = cls.UNIT_SQ * ci
+            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar), ops)
+        c, = parts
+        return self._cellwise(lambda a: c * a, ops)
 
     def __matmul__(self, other):
         if not isinstance(other, RMatrix):
@@ -419,7 +396,7 @@ class RMatrix:
     def _cellwise(self, fn, ops=None):
         """fn of each nonzero cell in place, zero elsewhere; fn maps (re, im)
         to (re, im) over a binarion ring and the entry to the entry
-        otherwise.  ops = (cleared cells, den) from _scalar_operands: fn
+        otherwise.  ops = (cleared cells, den) from scale: fn
         runs on those cells and each value is divided by den once."""
         cells, den = ops or (_cells(self), None)
         start = 0 if den is None else False

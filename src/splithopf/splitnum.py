@@ -4,12 +4,14 @@ Split-complex numbers (j^2 = +1), split-quaternions and split-octonions,
 together with their involutions and indefinite quadratic forms.  The
 two-component numbers share _Binarion; the split-quaternions and
 split-octonions share _TableAlgebra, which multiplies, conjugates and
-evaluates the quadratic form from one table of basis products per algebra
-(the octonion table is built from the structure constants and checked cell
-by cell against a transcribed one).  Components may be ints, Fractions or
-floats; the same classes serve both the exact rational backend and the
-float geometry backend.  All values are immutable, so everything here is
-safe to share between threads.
+evaluates the quadratic form from one table of basis products per algebra.
+Both tables follow from the reals by one Cayley-Dickson doubling rule
+(_doubled) and a signed relabelling of the units (_relabel); the octonion
+structure constants are read off the octonion table, which verify checks
+cell by cell against an independently written one.  Components may be
+ints, Fractions or floats; the same classes serve both the exact rational
+backend and the float geometry backend.  All values are immutable, so
+everything here is safe to share between threads.
 """
 
 from fractions import Fraction
@@ -168,12 +170,38 @@ class OrdinaryComplex(_Binarion):
 # ---------------------------------------------------------------------------
 # split-quaternions and split-octonions
 
-def _product_table(n, imag):
-    """PRODUCTS[i][j] = (sign, k) for e_i e_j = sign e_k over the basis
-    e_0..e_{n-1}; e_0 is the unit and imag maps each pair (i, j) of
-    imaginary indices to its product."""
-    return tuple(tuple(imag[i, j] if i and j else (1, i + j) for j in range(n))
-                 for i in range(n))
+def _doubled(table, gamma):
+    """Cayley-Dickson double of the algebra whose basis products are
+    table[i][j] = (sign, k), e_i e_j = sign e_k with e_0 the unit: the pairs
+    (a, b) under (a, b)(c, d) = (ac + gamma conj(d) b, da + b conj(c)), with
+    the units e_i = (e_i, 0) and e_{n+i} = (0, e_i)."""
+    n = len(table)
+
+    def product(i, j):
+        (x, a), (y, b) = divmod(i, n), divmod(j, n)
+        sign, k = table[b][a] if y else table[a][b]
+        if x:  # conj(e_b) = -e_b for b > 0
+            sign *= (gamma if y else 1) * (-1 if b else 1)
+        return sign, k + n * (x ^ y)
+
+    return tuple(tuple(product(i, j) for j in range(2 * n)) for i in range(2 * n))
+
+
+def _relabel(table, units):
+    """The table in the signed basis e'_m = +-e_|u| for u = units[m], the
+    sign that of u (e'_0 = e_0)."""
+    sign = [-1 if u < 0 else 1 for u in units]
+    new = {abs(u): m for m, u in enumerate(units)}
+
+    def product(a, b):
+        s, k = table[abs(units[a])][abs(units[b])]
+        return s * sign[a] * sign[b] * sign[new[k]], new[k]
+
+    return tuple(tuple(product(a, b) for b in range(len(units))) for a in range(len(units)))
+
+
+# the complex numbers, the reals doubled with i^2 = -1
+_COMPLEX = _doubled((((1, 0),),), -1)
 
 
 class _TableAlgebra:
@@ -275,70 +303,38 @@ class _TableAlgebra:
         return "%s%r" % (type(self).__name__, self.coeffs)
 
 
-# Products q_i q_j -> (sign, k) of the split-quaternion units, k = 0 the
-# scalar unit.  Generated by q1^2 = q3^2 = 1, q2^2 = -1, q1 q2 = q3,
-# q2 q3 = q1, q3 q1 = -q2 and anticommutativity.
-_QUAT_TAB = {
-    (1, 1): (1, 0), (2, 2): (-1, 0), (3, 3): (1, 0),
-    (1, 2): (1, 3), (2, 1): (-1, 3),
-    (2, 3): (1, 1), (3, 2): (-1, 1),
-    (3, 1): (-1, 2), (1, 3): (1, 2),
-}
-
-
 class SplitQuaternion(_TableAlgebra):
-    """r0 + r1 q1 + r2 q2 + r3 q3 with q1^2 = q3^2 = +1, q2^2 = -1."""
+    """r0 + r1 q1 + r2 q2 + r3 q3 with q1^2 = q3^2 = +1, q2^2 = -1,
+    q1 q2 = q3, q2 q3 = q1, q3 q1 = -q2, and distinct units anticommute.
+
+    The complex numbers doubled with a square-(+1) unit, (a, b) for a + b l:
+    q1 = l, q2 = i and q3 = -il.
+    """
 
     __slots__ = ()
-    PRODUCTS = _product_table(4, _QUAT_TAB)
+    PRODUCTS = _relabel(_doubled(_COMPLEX, 1), (0, 2, 1, -3))
 
     def __init__(self, r0=0, r1=0, r2=0, r3=0):
         object.__setattr__(self, "coeffs", (r0, r1, r2, r3))
 
     @classmethod
-    def from_split_complex(cls, z, axis=1):
-        # explicit promotion: j maps onto a square-(+1) imaginary unit
-        if axis not in (1, 3):
-            raise ValueError("j must map to a unit of square +1 (axis 1 or 3)")
-        c = [z.re, 0, 0, 0]
-        c[axis] = z.im
-        return cls(*c)
+    def from_split_complex(cls, z):
+        """a + bj as a + b q1: the double of the inclusion of the reals in
+        the complex numbers (j = (0, 1) = q1)."""
+        return cls(z.re, z.im, 0, 0)
 
 
+# The split-octonions: the quaternions e0..e3 (the complex numbers doubled
+# with a square-(-1) unit) doubled with a square-(+1) unit, e4 = (0, 1) and
+# e_{4+i} = -(0, e_i).
+_OCT_PRODUCTS = _relabel(_doubled(_doubled(_COMPLEX, -1), 1), (0, 1, 2, 3, 4, -5, -6, -7))
 # Signature of the imaginary units e1..e7: e_I e_I = -eta_I.
-_ETA7 = (None, 1, 1, 1, -1, -1, -1, -1)
-
-# Totally antisymmetric structure tensor with the third index lowered by the
-# signature above.  Seven seed triples; all other nonzero entries follow by
-# antisymmetry (cyclic permutations leave the value unchanged).
-_SEEDS_LOWER = {
-    (1, 2, 3): 1,
-    (1, 4, 5): 1,
-    (1, 6, 7): 1,
-    (2, 4, 6): 1,
-    (2, 5, 7): -1,
-    (3, 4, 7): 1,
-    (3, 5, 6): 1,
-}
-
-
-def _expand_lower():
-    full = {}
-    for (i, j, k), v in _SEEDS_LOWER.items():
-        for (a, b, c), sgn in (
-            ((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-            ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
-        ):
-            full[(a, b, c)] = sgn * v
-    return full
-
-
-_F_LOWER = _expand_lower()
-# mixed form: raise the last index (diagonal metric)
-_F_MIXED = {key: v * _ETA7[key[2]] for key, v in _F_LOWER.items()}
-_OCT_IMAG = {(i, j): (v, k) for (i, j, k), v in _F_MIXED.items()}
-_OCT_IMAG.update({(i, i): (-_ETA7[i], 0) for i in range(1, 8)})
-_OCT_PRODUCTS = _product_table(8, _OCT_IMAG)
+_ETA7 = (None,) + tuple(-_OCT_PRODUCTS[i][i][0] for i in range(1, 8))
+# The structure tensor f(I, J, K), e_I e_J = f(I, J, K) e_K + ..., and its
+# form with the last index lowered by the signature above.
+_F_MIXED = {(i, j, k): sign for i in range(1, 8) for j in range(1, 8)
+            for sign, k in (_OCT_PRODUCTS[i][j],) if k}
+_F_LOWER = {key: v * _ETA7[key[2]] for key, v in _F_MIXED.items()}
 
 
 class StructureTable:
@@ -388,7 +384,8 @@ class SplitOctonion(_TableAlgebra):
 
     @classmethod
     def from_split_quaternion(cls, h):
-        # q1 -> e4, q2 -> e2, q3 -> e6 preserves all products and squares
+        """q1 -> e4, q2 -> e2, q3 -> e6: the double of the inclusion of the
+        complex numbers in the quaternions as span(1, e2)."""
         r0, r1, r2, r3 = h.coeffs
         return cls([r0, 0, r2, 0, r1, 0, r3, 0])
 
@@ -464,10 +461,11 @@ def verify_structure_table(samples=1000, seed=0):
     """Check the stored octonion table and the composition property.
 
     Returns a list of (check id, passed, detail) triples: all 64 products
-    against the transcribed table, total antisymmetry of the lowered
-    structure tensor, and qform(ab) == qform(a) qform(b) on random rational
-    samples for all three algebras (brute-force expansion, exact; each
-    sample has its denominators cleared, see cleared_sample).
+    against the transcribed table, total antisymmetry of the structure
+    tensor lowered with the signature of qform, and
+    qform(ab) == qform(a) qform(b) on random rational samples for all three
+    algebras (brute-force expansion, exact; each sample has its
+    denominators cleared, see cleared_sample).
     """
     results = []
 
@@ -487,6 +485,9 @@ def verify_structure_table(samples=1000, seed=0):
                 v = OCTONION_TABLE.f_lower(i, j, k)
                 if v != -OCTONION_TABLE.f_lower(j, i, k) or v != -OCTONION_TABLE.f_lower(i, k, j):
                     asym_bad.append("(%d,%d,%d)" % (i, j, k))
+    # the index is lowered with the signature of the quadratic form
+    asym_bad += ["eta_%d" % i for i in range(1, 8)
+                 if SplitOctonion.basis(i).qform() != OCTONION_TABLE.eta[i]]
     nonzero = sum(1 for v in OCTONION_TABLE.lower.values() if v != 0)
     ok = not asym_bad and nonzero == 42
     results.append(("f-lower-antisymmetric", ok, "; ".join(asym_bad) or "42 signed entries"))

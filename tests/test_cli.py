@@ -293,10 +293,17 @@ def test_grid_spec_errors(capsys):
 
 @pytest.mark.parametrize("grid", ["1=0:0.1:2", "x 1=0:0.1:2", "x+1=0:0.1:2", "xx1=0:0.1:2",
                                   "X1=0:0.1:2", "x01=0:0.1:2", "x0=0:0.1:2", "x1 =0:0.1:2",
-                                  "x1=0:0.1:2,x1=0:0.2:3", "x1=0:0.1:2,x2=0:1:2,x1=0:0.1:2"])
+                                  "x1=0:0.1:2,x1=0:0.2:3", "x1=0:0.1:2,x2=0:1:2,x1=0:0.1:2",
+                                  "x1=0:0.1:1_0", "x1= 0 :0.1: 2 ", "x1=0 :0.1:2",
+                                  "x1=1_0.5:1:2", "x1=0:0.1:+2", "x1=0:0.1:2.0", "x1=0:1:1e1",
+                                  "x1=0x1:1:2", "x1=.:1:2", "x1=1e:1:2", "x1=--1:1:2",
+                                  "x1=0:1:\u0663", "x1=\u0661:2:2", "x1=0:1:"])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_grid_axis_names(capsys, monkeypatch, tmp_path, grid, to_file):
-    # an axis is x followed by a positive decimal integer, named once
+    # an axis is x followed by a positive decimal integer, named once; its
+    # bounds are plain decimal or exponent literals and its step count a
+    # decimal integer: no blanks, underscores, signed counts or non-ASCII
+    # digits, which float() and int() would accept
     def walked(*a, **k):
         raise AssertionError("a malformed grid was walked")
 
@@ -309,6 +316,14 @@ def test_grid_axis_names(capsys, monkeypatch, tmp_path, grid, to_file):
     assert out == ""
     assert err.startswith("usage error: grid: ")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("text,value", [("-0.412", -0.412), ("1.1", 1.1), ("8", 8.0),
+                                        (".5", 0.5), ("5.", 5.0), ("+1E2", 100.0),
+                                        ("1e-3", 0.001), ("-0", 0.0)])
+def test_grid_bound_literals(text, value):
+    axes = cli._parse_grid("x1=%s:%s:8, x2=0:1:12" % (text, text))
+    assert axes == {1: (value, value, 8), 2: (0.0, 1.0, 12)}
 
 
 def test_grid_axes_in_any_order(capsys):

@@ -82,13 +82,22 @@ def test_kron():
     c = rand_split_matrix(rng, 2, 2)
     d = rand_split_matrix(rng, 2, 2)
     assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
-    # the 16-component block gammas are kron products in row-major layout
-    so54 = gammarep.build_family("so54_II")
-    one8 = RMatrix.identity(8, RING_REAL)
-    p1 = RMatrix([[0, 1], [1, 0]], RING_REAL)
-    p3 = RMatrix([[1, 0], [0, -1]], RING_REAL)
-    assert so54.gamma(8) == kron(p1, one8)
-    assert so54.gamma(9) == kron(p3, one8)
+    # the block-doubled gammas are kron products in row-major layout: eps x g
+    # for each inner gamma g, then sigma1 x 1 and sigma3 x 1
+    minus_i = OrdinaryComplex(0, -1)
+    doubled = {
+        "so32_I": [gammarep.split_pauli(i).scale(j) for i in (1, 2, 3)],
+        "so32_II": [gammarep.tau(i).scale(minus_i) for i in (1, 2, 3)],
+        "so54_I": [g.scale(j) for g in gammarep.build_family("so43_I").gammas],
+        "so54_II": [gammarep.build_family("lambda_so43_II").gamma(8 - a) for a in range(1, 8)],
+    }
+    for name, inner in doubled.items():
+        fam = gammarep.build_family(name)
+        eps, p1, p3 = (RMatrix(rows, fam.ring)
+                       for rows in ([[0, 1], [-1, 0]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]))
+        one = RMatrix.identity(inner[0].rows, fam.ring)
+        want = [kron(eps, g) for g in inner] + [kron(p1, one), kron(p3, one)]
+        assert fam.gammas == tuple(want), name
     fam = gammarep.build_family("so32_II")
     for i in (1, 2, 3):
         assert fam.gamma(i) == kron(gammarep.pauli(2), gammarep.tau(i))

@@ -9,7 +9,7 @@ import pytest
 from splithopf.splitnum import (
     SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion,
     OCTONION_TABLE, AlgebraError, verify_structure_table, multiplication_table,
-    random_element, _TABLE_CELLS, _parse_cell, _cleared, cleared_sample,
+    random_element, _TABLE_CELLS, _parse_cell, _cleared, cleared_sample, _doubled,
 )
 from splithopf import reporting
 
@@ -43,12 +43,24 @@ def test_table_cells():
 
 
 def test_quaternion_squares():
-    assert q(1) * q(1) == SplitQuaternion(1)
-    assert q(2) * q(2) == -SplitQuaternion(1)
-    assert q(3) * q(3) == SplitQuaternion(1)
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            if a != b:
+    # all 16 products from the relations of the SplitQuaternion docstring:
+    # q1^2 = q3^2 = 1, q2^2 = -1, q1 q2 = q3, q2 q3 = q1, q3 q1 = -q2, and
+    # distinct units anticommute
+    one = SplitQuaternion(1)
+    squares = {1: one, 2: -one, 3: one}
+    cyclic = {(1, 2): q(3), (2, 3): q(1), (3, 1): -q(2)}
+    for a in range(4):
+        for b in range(4):
+            if a == 0 or b == 0:
+                want = q(a + b)
+            elif a == b:
+                want = squares[a]
+            elif (a, b) in cyclic:
+                want = cyclic[a, b]
+            else:
+                want = -cyclic[b, a]
+            assert q(a) * q(b) == want, (a, b)
+            if a != b and a and b:
                 assert q(a) * q(b) == -(q(b) * q(a))
 
 
@@ -107,14 +119,33 @@ def test_explicit_promotion():
     z = SplitComplex(F(2, 3), F(1, 5))
     h = SplitQuaternion.from_split_complex(z)
     assert h.coeffs == (F(2, 3), F(1, 5), 0, 0)
-    # the embedding is multiplicative
-    w = SplitComplex(F(1, 2), F(3, 4))
-    assert SplitQuaternion.from_split_complex(z * w) == \
-        SplitQuaternion.from_split_complex(z) * SplitQuaternion.from_split_complex(w)
+    # the promotions are the doubled inclusions: the split-complex numbers
+    # are the reals doubled with j^2 = +1, and their image span(1, q1)
+    # multiplies by that table, as the image span(1, e4, e2, e6) of the
+    # split-quaternions multiplies by theirs
+    basis = (SplitComplex(1, 0), j)
+    split_complex = _doubled((((1, 0),),), 1)
+    for a in range(2):
+        for b in range(2):
+            sign, k = split_complex[a][b]
+            assert basis[a] * basis[b] == sign * basis[k]
+            assert SplitQuaternion.PRODUCTS[a][b] == (sign, k)
+    assert [SplitQuaternion.from_split_complex(x) for x in basis] == [q(0), q(1)]
+    image = (0, 4, 2, 6)
     for a in range(4):
+        assert SplitOctonion.from_split_quaternion(q(a)) == e(image[a])
         for b in range(4):
-            assert SplitOctonion.from_split_quaternion(q(a) * q(b)) == \
-                SplitOctonion.from_split_quaternion(q(a)) * SplitOctonion.from_split_quaternion(q(b))
+            sign, k = SplitQuaternion.PRODUCTS[a][b]
+            assert SplitOctonion.PRODUCTS[image[a]][image[b]] == (sign, image[k])
+    # both are multiplicative
+    rng = random.Random(8)
+    for _ in range(50):
+        z, w = (random_element(SplitComplex, rng) for _ in range(2))
+        assert SplitQuaternion.from_split_complex(z * w) == \
+            SplitQuaternion.from_split_complex(z) * SplitQuaternion.from_split_complex(w)
+        x, y = (random_element(SplitQuaternion, rng) for _ in range(2))
+        assert SplitOctonion.from_split_quaternion(x * y) == \
+            SplitOctonion.from_split_quaternion(x) * SplitOctonion.from_split_quaternion(y)
 
 
 def test_verify_structure_table_report():
