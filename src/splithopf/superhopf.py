@@ -5,9 +5,9 @@ order-preserving pseudo-conjugation squaring to -1 on odd generators for the
 split realization, and the standard order-reversing conjugation for the
 complex one), the OSp(1|2) generator sets of both realizations, and the
 supersymmetric Hopf map with its connections, curvatures and transition
-function.  Constraint identities hold exactly in the algebra; derivative
-identities combine exact odd derivatives with finite differences in the
-body coordinates.
+function.  Constraint and derivative identities hold exactly in the
+algebra: body derivatives are read off one more section at a shift along
+the nilpotent even element g2 g3, a dual unit inside the algebra.
 """
 
 from fractions import Fraction
@@ -17,8 +17,8 @@ import math
 from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt, reciprocal, cleared_ints
 from .ringmat import RMatrix, commutator, anticommutator, forms, lincomb, worst_of, _is_zero
 from . import gammarep
-from .hopfmaps import BasePoint, case_info, patch_sign
-from .gaugegeom import tangent_basis, lowered_epsilon
+from .hopfmaps import case_info, patch_sign
+from .gaugegeom import lowered_epsilon
 
 __all__ = [
     "InvolutionConfig", "PSEUDO", "STANDARD", "GrassmannElement",
@@ -234,7 +234,7 @@ class GrassmannElement:
         if getattr(b, "im", 0) != 0:
             raise ValueError("body must be real")
         fb = _body_real(b)
-        if fb <= 0:
+        if not (fb > 0):
             raise ValueError("body must be positive")
         re = getattr(b, "re", b)
         root = exact_sqrt(re) if isinstance(re, (int, Fraction)) else None
@@ -553,7 +553,7 @@ def super_invert(xs, ths, patch="upper", realization="I"):
         raise ValueError("the complex super map covers only the upper leaf")
     sign = patch_sign(patch)
     n = one + xs[2] * sign
-    if float(_body_real(n.body())) < 1e-9:
+    if not (_body_real(n.body()) >= 1e-9):
         raise ValueError("patch factor degenerate; try the other patch")
     pref = (n * 2).invsqrt()
     quarter = n.inverse() * Fraction(1, 4)
@@ -759,76 +759,72 @@ def _theta_pair(realization):
     return (GrassmannElement.generator(0, cfg), GrassmannElement.generator(1, cfg))
 
 
-def _defining_odd(chi, realization):
-    """A_alpha = -u chi^row d^R_alpha chi (right derivatives)."""
-    u = _unit(realization)
-    row = superadjoint(chi, realization)
-    out = []
+def _epsilon_part(a):
+    """b for a = a0 + eps b, eps = g2 g3, a0 and b free of g2 and g3."""
+    return odd_derivative(odd_derivative(a, 2), 3)
+
+
+def _directions(x_body, ths, realization):
+    """(d, t, lift) for each direction of the (body, theta) chart.
+
+    theta^alpha: d = d^R_alpha, and t and lift are None.  Body: the tangent
+    t = e_a - (eta_a x_a / q) x and the lift of x + eps t.  eps = g2 g3 is
+    even, real and squares to 0, so the section at the lift is exactly
+    chi + eps d_t chi, and d reads its eps part.  sum_a x_a t_a = 0, so the
+    two tangents of the smallest |x_a| are a basis.
+    """
     for alpha in (0, 1):
-        acc = GrassmannElement.scalar(0, chi[0].config)
-        for rc, cc in zip(row, chi):
-            acc = acc + rc * odd_derivative_right(cc, alpha)
-        out.append(-(acc * u))
-    return out
+        yield functools.partial(odd_derivative_right, k=alpha), None, None
+    q = case_info(1, realization).constraint_target
+    cfg = ths[0].config
+    eps = GrassmannElement.generator(2, cfg) * GrassmannElement.generator(3, cfg)
+    for a in sorted(range(3), key=lambda a: abs(x_body[a]))[:2]:
+        coef = _eta(realization)[a] * x_body[a] * q  # q = +-1 is its own inverse
+        t = [(a == b) - coef * x for b, x in enumerate(x_body)]
+        yield _epsilon_part, t, lift_base([eps * ti + x for x, ti in zip(x_body, t)],
+                                          ths, realization)
 
 
-def _defining_even(chi0, chis_p, chis_m, h, realization):
-    u = _unit(realization)
-    row = superadjoint(chi0, realization)
-    acc = GrassmannElement.scalar(0, chi0[0].config)
-    inv = 1.0 / (2.0 * h)
-    for rc, cp, cm in zip(row, chis_p, chis_m):
-        acc = acc + rc * ((cp - cm) * inv)
-    return -(acc * u)
+def _defining(chi, d, chi_d, realization):
+    """-u chi^row d(chi_d), chi_d the section at the lift of direction d."""
+    acc = GrassmannElement.scalar(0, chi[0].config)
+    for rc, cc in zip(superadjoint(chi, realization), chi_d):
+        acc = acc + rc * d(cc)
+    return -(acc * _unit(realization))
 
 
-def _shifted_lifts(x_body, ths, realization, h):
-    """(t, lift at x_body + h t, lift at x_body - h t) for each tangent t of
-    the first map's base at the body point."""
-    for t in tangent_basis(BasePoint(1, realization, x_body)):
-        xp = [float(x) + h * ti for x, ti in zip(x_body, t)]
-        xm = [float(x) - h * ti for x, ti in zip(x_body, t)]
-        yield t, lift_base(xp, ths, realization), lift_base(xm, ths, realization)
-
-
-def super_connection_check(x_body, patch="upper", realization="I", h=1e-6):
+def super_connection_check(x_body, patch="upper", realization="I"):
     """Residuals of the closed super connection against -u chi^row d chi.
 
-    Odd components use exact right theta-derivatives of the composed chart
-    section; even components use central differences along body tangents.
+    Every derivative is exact in the algebra (see _directions).  theta^alpha
+    compares with A_alpha, a body tangent t with sum_i (1 - theta eps
+    theta / 2) t_i A_i, the lifted x being x_b (1 - theta eps theta / 2).
     Returns {"odd": r, "even": r}.
     """
     ths = _theta_pair(realization)
-    cfg = _config(realization)
     xs = lift_base(x_body, ths, realization)
     chi = super_invert(xs, ths, patch, realization)
     A_i, A_a = super_connection(xs, ths, patch, realization)
+    factor = GrassmannElement.scalar(1, ths[0].config) - theta_bilinear(ths) * Fraction(1, 2)
 
-    # the chain term through the soul of the lifted x, sum_i x_i A_i, is
-    # proportional to x . (eps x) = 0
-    dfn = _defining_odd(chi, realization)
-    odd = [(dfn[alpha] - A_a[alpha + 1]).max_abs() for alpha in (0, 1)]
-
-    even = []
-    s = theta_bilinear(ths)
-    one = GrassmannElement.scalar(1, cfg)
-    for t, lift_p, lift_m in _shifted_lifts(x_body, ths, realization, h):
-        chi_p = super_invert(lift_p, ths, patch, realization)
-        chi_m = super_invert(lift_m, ths, patch, realization)
-        num = _defining_even(chi, chi_p, chi_m, h, realization)
-        closed = GrassmannElement.scalar(0, cfg)
-        for i in (1, 2, 3):
-            closed = closed + (one - s * Fraction(1, 2)) * t[i - 1] * A_i[i]
-        even.append((num - closed).max_abs())
+    # the chain term through the soul of the lifted x in a theta direction,
+    # sum_i x_i A_i, is proportional to x . (eps x) = 0
+    odd, even = [], []
+    for alpha, (d, t, lift) in enumerate(_directions(x_body, ths, realization)):
+        if t is None:
+            odd.append((_defining(chi, d, chi, realization) - A_a[alpha + 1]).max_abs())
+            continue
+        chi_t = super_invert(lift, ths, patch, realization)
+        closed = sum(factor * ti * A_i[i] for i, ti in zip((1, 2, 3), t))
+        even.append((_defining(chi, d, chi_t, realization) - closed).max_abs())
     return {"odd": worst_of(odd), "even": worst_of(even)}
 
 
-def super_gluing_check(x_body, h=1e-6):
+def super_gluing_check(x_body):
     """Patch gluing of the split super map at an overlap body point.
 
-    Checks chi_lower = chi_upper g, conj(g) g = 1 exactly in the algebra,
-    and A' - A = -j g* dg with exact right theta-derivatives and central
-    differences along body tangents.  Returns a residual dictionary.
+    Checks chi_lower = chi_upper g, conj(g) g = 1 and A' - A = -j g* dg along
+    every direction of _directions, exactly in the algebra; returns residuals.
     """
     realization = "I"
     ths = _theta_pair(realization)
@@ -839,34 +835,21 @@ def super_gluing_check(x_body, h=1e-6):
     chi_lo = super_invert(xs, ths, "lower", realization)
     num, rho2 = super_transition(xs, ths)
     g = num * rho2.invsqrt()
-    u = _unit(realization)
 
     exact_unit = (num.conj() * num - rho2).is_zero()
 
     sec_dev = worst_of((a - b).max_abs() for a, b in zip(chi_lo, [c * g for c in chi_up]))
 
-    odd = []
-    up = _defining_odd(chi_up, realization)
-    lo = _defining_odd(chi_lo, realization)
-    for alpha in (0, 1):
-        dg = odd_derivative_right(g, alpha)
-        dev = lo[alpha] - up[alpha] + (g.conj() * dg) * u
-        odd.append(dev.max_abs())
-
-    even = []
-    for _, lift_p, lift_m in _shifted_lifts(x_body, ths, realization, h):
-        chi_up_p = super_invert(lift_p, ths, "upper", realization)
-        chi_up_m = super_invert(lift_m, ths, "upper", realization)
-        chi_lo_p = super_invert(lift_p, ths, "lower", realization)
-        chi_lo_m = super_invert(lift_m, ths, "lower", realization)
-        a_up = _defining_even(chi_up, chi_up_p, chi_up_m, h, realization)
-        a_lo = _defining_even(chi_lo, chi_lo_p, chi_lo_m, h, realization)
-        np_, rp = super_transition(lift_p, ths)
-        nm_, rm = super_transition(lift_m, ths)
-        gp = np_ * rp.invsqrt()
-        gm = nm_ * rm.invsqrt()
-        dg = (gp - gm) * (1.0 / (2.0 * h))
-        dev = a_lo - a_up + (g.conj() * dg) * u
-        even.append(dev.max_abs())
+    odd, even = [], []
+    for d, t, lift in _directions(x_body, ths, realization):
+        up_d, lo_d, g_d = chi_up, chi_lo, g
+        if lift is not None:
+            up_d = super_invert(lift, ths, "upper", realization)
+            lo_d = super_invert(lift, ths, "lower", realization)
+            num_d, rho2_d = super_transition(lift, ths)
+            g_d = num_d * rho2_d.invsqrt()
+        dev = _defining(chi_lo, d, lo_d, realization) - _defining(chi_up, d, up_d, realization) \
+            + (g.conj() * d(g_d)) * _unit(realization)
+        (odd if t is None else even).append(dev.max_abs())
     return {"unitarity_exact": exact_unit,
             "section": sec_dev, "odd": worst_of(odd), "even": worst_of(even)}

@@ -9,6 +9,7 @@ import pytest
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf import superhopf as sh
 from splithopf import gaugegeom as gg
+from splithopf import reporting
 from splithopf.hopfmaps import BasePoint
 
 G = sh.GrassmannElement
@@ -86,6 +87,9 @@ def test_even_inverse_and_invsqrt():
     assert r * r * e == G.scalar(1, sh.PSEUDO)
     assert all(not isinstance(c, float) for v in r.coeffs.values()
                for c in ((v.re, v.im) if hasattr(v, "re") else (v,)))
+    # a NaN body is not positive
+    with pytest.raises(ValueError):
+        G.scalar(float("nan"), sh.PSEUDO).invsqrt()
 
 
 def test_overlapping_masks_give_zero():
@@ -208,21 +212,67 @@ def test_two_leaf_super_map_upper_only():
 # ---------------------------------------------------------------------------
 # connections and curvatures
 
+def tangent(real, xb, a):
+    """e_a - (eta_a x_a / q) x, q = +-1 the constraint target."""
+    q = 1 if real == "I" else -1
+    coef = sh._eta(real)[a] * xb[a] * q
+    return [(a == b) - coef * x for b, x in enumerate(xb)]
+
+
+def eps_derivative(real, xb, patch, t):
+    """d_t chi: the g2 g3 part of the section at the lift of x + g2 g3 t."""
+    ths = theta_pair(real)
+    g2, g3 = gens(ths[0].config)[2:]
+    lift = sh.lift_base([g2 * g3 * ti + x for x, ti in zip(xb, t)], ths, real)
+    return [sh._epsilon_part(c) for c in sh.super_invert(lift, ths, patch, real)]
+
+
+def central_difference(f, xb, t, h=1e-6):
+    """(f(x + h t) - f(x - h t)) / 2h, componentwise."""
+    plus = f([x + h * ti for x, ti in zip(xb, t)])
+    minus = f([x - h * ti for x, ti in zip(xb, t)])
+    return [(p - m) * (1 / (2 * h)) for p, m in zip(plus, minus)]
+
+
 @pytest.mark.parametrize("real,xb,patch", [
     ("I", (F(24, 25), F(0), F(7, 25)), "upper"),
     ("I", (F(24, 25), F(0), F(-7, 25)), "lower"),
     ("II", (F(0), F(15, 8), F(17, 8)), "upper"),
+    # every coordinate nonzero, and 2 (1 +- x3) rational squares
+    ("I", (F(1), F(7, 25), F(7, 25)), "upper"),
+    ("I", (F(1), F(7, 25), F(7, 25)), "lower"),
+    ("I", (F(1), F(7, 25), F(-7, 25)), "upper"),
+    ("I", (F(1), F(7, 25), F(-7, 25)), "lower"),
+    ("II", (F(12), F(12), F(17)), "upper"),
 ])
 def test_connection_defining_formula(real, xb, patch):
     res = sh.super_connection_check(xb, patch, real)
     assert res["odd"] == 0.0
-    assert res["even"] < 1e-6
+    assert res["even"] == 0.0
+    # every coordinate tangent, the one the check drops included, is exact
+    ths = theta_pair(real)
+    xs = sh.lift_base(xb, ths, real)
+    chi = sh.super_invert(xs, ths, patch, real)
+    A_i, _ = sh.super_connection(xs, ths, patch, real)
+    factor = G.scalar(1, ths[0].config) - sh.theta_bilinear(ths) * F(1, 2)
+    for a in range(3):
+        t = tangent(real, xb, a)
+        dfn = sh._defining(chi, lambda c: c, eps_derivative(real, xb, patch, t), real)
+        assert (dfn - sum(factor * ti * A_i[i] for i, ti in zip((1, 2, 3), t))).is_zero()
 
 
 def test_connection_defining_formula_float():
     x3 = math.sqrt(1 - 0.36 + 0.09)
     res = sh.super_connection_check((0.6, 0.3, x3), "upper", "I")
     assert res["odd"] < 1e-12 and res["even"] < 1e-6
+    # the eps derivative against a central difference of the section
+    ths = theta_pair("I")
+    section = lambda x: sh.super_invert(sh.lift_base(x, ths, "I"), ths, "upper", "I")
+    for a in range(3):
+        t = tangent("I", (0.6, 0.3, x3), a)
+        fd = central_difference(section, (0.6, 0.3, x3), t)
+        exact = eps_derivative("I", (0.6, 0.3, x3), "upper", t)
+        assert max((e - f).max_abs() for e, f in zip(exact, fd)) < 1e-6
 
 
 def test_odd_connection_at_pole():
@@ -313,11 +363,13 @@ def test_super_transition_unitary_exact():
 
 
 def test_super_gluing_exact_theta():
-    res = sh.super_gluing_check((F(24, 25), F(0), F(7, 25)))
-    assert res["unitarity_exact"]
-    assert res["section"] == 0.0
-    assert res["odd"] == 0.0
-    assert res["even"] < 1e-6
+    # 1 - x3^2 and 2 (1 +- x3) are rational squares at both points
+    for xb in ((F(24, 25), F(0), F(7, 25)), (F(1), F(7, 25), F(7, 25))):
+        res = sh.super_gluing_check(xb)
+        assert res["unitarity_exact"]
+        assert res["section"] == 0.0
+        assert res["odd"] == 0.0
+        assert res["even"] == 0.0
 
 
 def test_super_gluing_float_body():
@@ -330,6 +382,18 @@ def test_super_gluing_float_body():
     assert res["section"] < 1e-12
     assert res["odd"] < 1e-12
     assert res["even"] < 1e-6
+    # the eps derivative of g against a central difference of the transition
+    ths = theta_pair("I")
+    g2, g3 = gens(sh.PSEUDO)[2:]
+
+    def transition(x):
+        num, rho2 = sh.super_transition(sh.lift_base(x, ths, "I"), ths)
+        return [num * rho2.invsqrt()]
+    for a in range(3):
+        t = tangent("I", (0.6, 0.3, x3), a)
+        fd, = central_difference(transition, (0.6, 0.3, x3), t)
+        shifted, = transition([g2 * g3 * ti + x for x, ti in zip((0.6, 0.3, x3), t)])
+        assert (sh._epsilon_part(shifted) - fd).max_abs() < 1e-6
 
 
 def test_theta_zero_reduction_bit_identical():
@@ -365,6 +429,33 @@ def test_super_checks_fail_on_nan_deviation(monkeypatch):
     assert math.isnan(res["odd"]) and math.isnan(res["even"])
     res = sh.super_gluing_check((F(24, 25), F(0), F(7, 25)))
     assert all(math.isnan(res[k]) for k in ("section", "odd", "even"))
+
+
+def test_super_suite_requires_exact_even_parts(monkeypatch):
+    # a soul factor off by 1e-9 stays far below the 1e-6 tolerance, but the
+    # even parts are no longer exactly 0
+    closed = sh.super_connection
+
+    def off(xs, ths, patch="upper", realization="I"):
+        A_i, A_a = closed(xs, ths, patch, realization)
+        bump = G.scalar(1, ths[0].config) + sh.theta_bilinear(ths) * 1e-9
+        return {i: a * bump for i, a in A_i.items()}, A_a
+    monkeypatch.setattr(sh, "super_connection", off)
+    assert 0 < sh.super_connection_check((F(24, 25), F(0), F(7, 25)))["even"] < 1e-6
+    passed = {c.id: c.passed for c in reporting.super_suite()}
+    assert not passed["super-connection-I"] and not passed["super-connection-II"]
+    assert passed["super-gluing"]
+
+
+def test_super_map_rejects_nan_body():
+    nan = float("nan")
+    ths = theta_pair("I")
+    with pytest.raises(ValueError):
+        sh.super_invert(sh.lift_base((0.6, 0.3, nan), ths, "I"), ths, "upper", "I")
+    with pytest.raises(ValueError):
+        sh.super_connection_check((0.6, 0.3, nan), "upper", "I")
+    with pytest.raises(ValueError):
+        sh.super_gluing_check((0.6, 0.3, nan))
 
 
 def test_super_project_rejects_nan_spinor():

@@ -1,12 +1,14 @@
-"""One-sign mutants of one module, run against ``hopfctl verify`` suites.
+"""One-operator mutants of one module, run against ``hopfctl verify`` suites.
 
     python tools/mutate.py MODULE --suite SUITE [--suite SUITE ...] [--src DIR]
 
-Makes one mutant per sign in DIR/splithopf/MODULE.py (DIR defaults to the
-``src`` of this checkout): each unary minus is deleted (``-x`` becomes
-``x``), each unary plus is flipped (``+x`` becomes ``-x``), and each binary
-plus or minus, augmented assignments included, is swapped for the other
-(``a + b`` becomes ``a - b``, ``a -= b`` becomes ``a += b``).
+Makes one mutant per operator in DIR/splithopf/MODULE.py (DIR defaults to
+the ``src`` of this checkout): each unary minus is deleted (``-x`` becomes
+``x``), each unary plus is flipped (``+x`` becomes ``-x``), each binary plus
+or minus, augmented assignments included, is swapped for the other (``a + b``
+becomes ``a - b``, ``a -= b`` becomes ``a += b``), and each order comparison
+is made loose or strict (``<`` becomes ``<=``, ``>=`` becomes ``>``; the
+shifts ``<<`` and ``>>`` are not comparisons).
 The source tree is copied once into a temporary directory; each mutant is
 written there in turn and ``python -m splithopf.cli verify --suite SUITE
 --seed 0 --no-timestamp`` runs on it for each suite given, in order, until
@@ -15,8 +17,8 @@ when the run exits with another nonzero code, timeout when it runs longer
 than TIMEOUT_S seconds (a guard against mutants that loop forever), and
 survived when every suite passes.
 
-Prints one row per mutant (line and column of the sign, kind, outcome, the
-suite that killed it, the source line) and a summary line.  Exits 0, or 2
+Prints one row per mutant (line and column of the operator, kind, outcome,
+the suite that killed it, the source line) and a summary line.  Exits 0, or 2
 when the unmutated tree already fails a suite.  DIR is never written.
 Standard library only.
 """
@@ -35,15 +37,15 @@ SEED = 0
 TIMEOUT_S = 300.0
 
 
-def _binary_sign(lines, line, col):
-    """(line, byte column) of the first + or - at or after the given place,
-    past blanks, closing parentheses, line continuations and comments, or
-    None when something else comes first."""
+def _operator_at(lines, line, col, chars):
+    """(line, byte column) of the first of the bytes chars at or after the
+    given place, past blanks, closing parentheses, line continuations and
+    comments, or None when something else comes first."""
     while line <= len(lines):
         text = lines[line - 1]
         while col < len(text):
             ch = text[col:col + 1]
-            if ch in b"+-":
+            if ch in chars:
                 return line, col
             if ch == b"#":
                 break
@@ -56,8 +58,9 @@ def _binary_sign(lines, line, col):
 
 def find_signs(source):
     """(line, byte column, kind) of every unary minus ("del"), unary plus
-    ("flip") and binary plus or minus ("swap", in an expression or an
-    augmented assignment) in the module, in source order."""
+    ("flip"), binary plus or minus ("swap", in an expression or an
+    augmented assignment) and order comparison ("cmp": <, <=, > or >=) in
+    the module, in source order."""
     unary = {ast.USub: ("del", b"-"), ast.UAdd: ("flip", b"+")}
     lines = source.splitlines(keepends=True)
     out = []
@@ -70,15 +73,26 @@ def find_signs(source):
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
                 and isinstance(node.op, (ast.Add, ast.Sub)):
             left = node.left if isinstance(node, ast.BinOp) else node.target
-            at = _binary_sign(lines, left.end_lineno, left.end_col_offset)
+            at = _operator_at(lines, left.end_lineno, left.end_col_offset, b"+-")
             if at is not None:
                 out.append(at + ("swap",))
+        elif isinstance(node, ast.Compare):
+            for left, op in zip([node.left] + node.comparators[:-1], node.ops):
+                if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
+                    at = _operator_at(lines, left.end_lineno, left.end_col_offset, b"<>")
+                    if at is not None:
+                        out.append(at + ("cmp",))
     return sorted(out)
 
 
 def mutate(source, line, col, kind):
     lines = source.splitlines(keepends=True)
     text = lines[line - 1]
+    if kind == "cmp":
+        # toggle the "=" after the < or >
+        loose = text[col + 1:col + 2] == b"="
+        lines[line - 1] = text[:col + 1] + (text[col + 2:] if loose else b"=" + text[col + 1:])
+        return b"".join(lines)
     new = {"del": b"", "flip": b"-", "swap": b"-" if text[col:col + 1] == b"+" else b"+"}[kind]
     lines[line - 1] = text[:col] + new + text[col + 1:]
     return b"".join(lines)
