@@ -1,11 +1,11 @@
 """Canonical connections, curvatures and transition functions.
 
-Closed forms for every map and patch, together with two independent
-evaluations of the defining derivative -u s(x)^dag W ds(x) along the
-inversion sections: central finite differences, and an exact analytic path
-that exploits the section shape (rational prefactor squared times a matrix
-linear in x).  Gluing identities and gauge covariance are checked at overlap
-points with the transition functions.
+Closed forms for every map and patch, together with two evaluations of the
+defining derivative -u s(x)^dag W ds(x) along the inversion sections:
+central finite differences, and the exact derivative of the section shape
+(a matrix w linear in x over sqrt(2n)), which stays rational on rational
+input.  Gluing identities and gauge covariance are checked at overlap points
+with the transition functions.
 
 Sign conventions.  The closed component formulas are fixed by requiring
 exact agreement with the canonical-connection derivative of the inversion
@@ -29,14 +29,18 @@ level 2, sigma_mn at level 3):
 Both closed forms are kept as {k: coefficient} maps over the generators,
 and a contraction with tangents is one linear combination of them; one
 matrix per component is built only for connection_closed and
-curvature_closed.  field_components and the span oracle write each
-component's entries straight from its map over the flattened generators
-(_flat_basis), with no matrix in between.  The numeric oracle
+curvature_closed.  field_components writes each component's entries
+straight from its map over the flattened generators (_flat_basis), with no
+matrix in between.  The closed contraction lies in the generator span by
+construction, so its agreement with the exact section derivative is also
+the check that the derivative lies in that span.  The numeric oracle
 curvature_numeric differences the connection maps at shifted base points in
 algebra coordinates too, but takes the matrix commutator of the unshifted
 contractions, so the two sides of the curvature check share no commutator
-code.  The oracles' shifted points are bare coordinates, no BasePoint, read
-by section_linear_at, transition_at and _connection_coeffs.
+code.  The section numerator and the transition's numerator are linear in
+x, so a first derivative along t needs them at x + t only, never at x +- h t
+(connection_numeric, _transition_step).  Shifted points are bare
+coordinates, no BasePoint.
 """
 
 from fractions import Fraction
@@ -54,7 +58,7 @@ __all__ = [
     "connection_numeric", "connection_residual",
     "curvature_closed", "curvature_contraction", "curvature_numeric",
     "curvature_residual", "transition", "transition_at", "gluing_check",
-    "span_residual", "field_components",
+    "field_components",
 ]
 
 EPS_NULL = 1e-9
@@ -236,12 +240,14 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
                        section="matrix", fiber=None, tangents=None):
     """Connection contractions -u s^dag W (d_t s) along tangent directions.
 
-    mode="fd" uses central differences of the section at x +- h t (the
-    independent oracle): -u/(2h) D s(x)^dag W, D the fiber weight where the
-    case has one, is one matrix per point, and per tangent the difference
-    of the sections at x +- h t is one real lincomb of their numerators
-    (section_linear_at), lifted once.  mode="analytic" differentiates the
-    section shape exactly, which stays rational on rational input.
+    The section is w / sqrt(2n), w linear in x (section_linear_at), so
+    w(x + e t) = w0 + e (w(x + t) - w0) for any step e: per tangent w is
+    evaluated once, at x + t, and d_t s is one real lincomb of w0 and
+    w(x + t), lifted once, times the fold -u D w0^dag W, D the fiber weight
+    where the case has one.  mode="fd" is the central difference at x +- h t
+    (the independent oracle), mode="analytic" the exact derivative, rational
+    on rational input; they differ only in the two lincomb coefficients and
+    the fold's scalar.
     section="spinor" contracts the matrix section with a fiber column first;
     at level 3 that value vanishes identically by the reality constraint of
     the fiber.
@@ -256,44 +262,41 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
 
     w0, n0 = section_linear_at(lvl, real, x, patch)
     lift = _lift(lvl, real)
-    w0 = lift(w0)
+    v0 = lift(w0)
     col = None
     if section == "spinor":
         if fiber is None:
             raise ValueError("spinor-section mode needs a fiber")
         col = lift(RMatrix([[c] for c in getattr(fiber, "comps", fiber)],
                            case_info(lvl, real).ring))
-        w0 = w0 @ col
+        v0 = v0 @ col
 
-    # tangent-independent products, formed once (@ groups to the left anyway)
-    w0_w = w0.dagger() @ W
+    # tangent-independent, formed once (@ groups to the left anyway)
+    fold = v0.dagger() @ W
     if D is not None and col is None:
-        w0_w = D @ w0_w
+        fold = D @ fold
+    sign = patch_sign(patch)
     if mode == "fd":
-        fold = w0_w.scale(-u * (1.0 / (2.0 * h * math.sqrt(2.0 * n0))))
+        fold = fold.scale(-u * (1.0 / (2.0 * h * math.sqrt(2.0 * n0))))
     elif mode == "analytic":
-        w0_w_w0 = w0_w @ w0
         p2 = (Fraction(1, 2) if not isinstance(n0, float) else 0.5) / n0
+        fold = fold.scale(-u * p2)
     else:
         raise ValueError(mode)
 
     out = []
     for t in tangents:
+        wp, _ = section_linear_at(lvl, real, [c + ti for c, ti in zip(x, t)], patch)
         if mode == "fd":
-            wp, np_ = section_linear_at(lvl, real, [c + h * ti for c, ti in zip(x, t)], patch)
-            wm, nm = section_linear_at(lvl, real, [c - h * ti for c, ti in zip(x, t)], patch)
-            ds = lift(lincomb((1.0 / math.sqrt(2.0 * np_), -1.0 / math.sqrt(2.0 * nm)),
-                              (wp, wm)))
-            raw = fold @ (ds if col is None else ds @ col)
+            # w(x +- h t) = w0 +- h (wp - w0), over sqrt(2 n(x +- h t))
+            a, b = (1.0 / math.sqrt(2.0 * (1 + sign * (x[-1] + e * t[-1]))) for e in (h, -h))
+            c1 = h * (a + b)
+            c0 = a - b - c1
         else:
-            # s = w / sqrt(2n); -u s^dag W ds = -u p^2 [w^dag W w' - (dn/2n) w^dag W w]
-            wp, _ = section_linear_at(lvl, real, [c + ti for c, ti in zip(x, t)], patch)
-            wp = lift(wp)
-            if col is not None:
-                wp = wp @ col
-            ndot = patch_sign(patch) * t[-1]
-            core = (w0_w @ (wp - w0)) - w0_w_w0.scale(ndot).scale(p2)
-            raw = core.scale(p2).scale(-u)
+            # sqrt(2n) d_t (w / sqrt(2n)) = (wp - w0) - (sign t_last / 2n) w0
+            c0, c1 = -(1 + sign * t[-1] * p2), 1
+        ds = lift(lincomb((c0, c1), (w0, wp)))
+        raw = fold @ (ds if col is None else ds @ col)
         out.append(raw.entry(0, 0) if raw.rows == 1 and raw.cols == 1 else raw)
     return out
 
@@ -484,24 +487,42 @@ def transition(point):
                         "scalar" if lvl == 1 else "matrix")
 
 
+def _transition_top(level, realization, coords):
+    """The leading fiber_dim block of the lower-patch section numerator
+    (section_linear_at), linear in the coordinates."""
+    fd = case_info(level, realization).fiber_dim
+    w, _ = section_linear_at(level, realization, coords, "lower")
+    return RMatrix.from_components(tuple(g[:fd] for g in w.components()), w.ring)
+
+
+def _inv_rho(x_last):
+    """1 / sqrt(1 - x_last^2), refused within EPS_NULL of |x_last| = 1."""
+    rho2 = 1 - x_last * x_last
+    if float(rho2) <= EPS_NULL:
+        raise ValueError("overlap requires |x_last| < 1 (got %r)" % (x_last,))
+    return 1.0 / math.sqrt(float(rho2))
+
+
 def transition_at(level, realization, coords):
     """transition's value at bare coordinates, also off the hyperboloid:
-    the leading fiber_dim block of the lower-patch section numerator
-    (section_linear_at) over sqrt(1 - x_last^2), a scalar at level 1, so
-    that section_lower = section_upper @ g exactly.  A ValueError for the
+    _transition_top over sqrt(1 - x_last^2), a scalar at level 1, so that
+    section_lower = section_upper @ g exactly.  A ValueError for the
     two-leaf map and within EPS_NULL of |x_last| = 1."""
     if (level, realization) == (1, "II"):
         raise ValueError("the two-leaf map has no patch overlap")
-    rho2 = 1 - coords[-1] * coords[-1]
-    if float(rho2) <= EPS_NULL:
-        raise ValueError("overlap requires |x_last| < 1 (got %r)" % (coords[-1],))
-    rho = math.sqrt(float(rho2))
-    fd = case_info(level, realization).fiber_dim
-    w, _ = section_linear_at(level, realization, coords, "lower")
-    top = RMatrix.from_components(tuple(g[:fd] for g in w.components()), w.ring)
-    if level == 1:
-        return top.entry(0, 0) * (1.0 / rho)
-    return top.scale(1.0 / rho)
+    inv_rho = _inv_rho(coords[-1])
+    top = _transition_top(level, realization, coords)
+    return top.entry(0, 0) * inv_rho if level == 1 else top.scale(inv_rho)
+
+
+def _transition_step(level, realization, x, top0, t, h):
+    """g(x + h t) - g(x - h t) as a matrix (1 x 1 at level 1), top0 the
+    _transition_top at x: top is linear, so top(x +- h t) =
+    top0 +- h (top(x + t) - top0) takes one evaluation, at x + t."""
+    a, b = (_inv_rho(x[-1] + e * t[-1]) for e in (h, -h))
+    c1 = h * (a + b)
+    top1 = _transition_top(level, realization, [c + ti for c, ti in zip(x, t)])
+    return lincomb((a - b - c1, c1), (top0, top1))
 
 
 def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
@@ -511,8 +532,9 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     matrix where the realization carries one (sigma3 at (2, II), Sigma3 at
     (3, II); scalar conjugation at level 1).  Curvature: F' = g^dag F g with
     the same decoration; at level 1 the field strength is patch-independent.
-    dg is evaluated by central finite differences of transition_at at
-    x +- h t; at levels 2-3 the right side is g^dag decor (A g - u dg).
+    dg is the central difference of g at x +- h t (_transition_step, one
+    numerator evaluation per tangent); at levels 2-3 the right side is
+    g^dag decor (A g - u dg).
     Returns {"connection": r1, "curvature": r2}, each the worst residual
     (NaN if any residual is NaN).
     """
@@ -520,6 +542,7 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     tangents = tangent_basis(point)
     lift = _lift(lvl, real)
     g = lift(transition_at(lvl, real, x))
+    top0 = _transition_top(lvl, real, x)
     upper = _connection_coeffs(point, "upper")
     lower = _connection_coeffs(point, "lower")
     u, _, decor = _case_gauge(lvl, real)
@@ -530,16 +553,15 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
 
     conn_devs = []
     for t in tangents:
-        gp = transition_at(lvl, real, [c + h * ti for c, ti in zip(x, t)])
-        gm = transition_at(lvl, real, [c - h * ti for c, ti in zip(x, t)])
+        step = _transition_step(lvl, real, x, top0, t, h)
         a_up = connection_contraction(point, t, "upper", closed=upper)
         a_lo = connection_contraction(point, t, "lower", closed=lower)
         if lvl == 1:
-            dg = (gp - gm) * (1.0 / (2 * h))
+            dg = step.entry(0, 0) * (1.0 / (2 * h))
             expr = -(u * (g.conj() * dg))  # real on the constraint surface
             dev = _value_dev(a_lo - a_up, expr)
         else:
-            rhs = gd_decor @ (a_up @ g - lift(gp - gm).scale(u_2h))
+            rhs = gd_decor @ (a_up @ g - lift(step).scale(u_2h))
             lhs = a_lo if decor is None else decor @ a_lo
             dev = _value_dev(lhs, rhs)
         conn_devs.append(dev)
@@ -559,7 +581,7 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# generator-span diagnostics
+# grid sampling support (CLI)
 
 def _flat_real(m):
     """The real components of m's entries as floats, entry by entry in row
@@ -572,65 +594,12 @@ def _flat_width(m):
     return m.rows * m.cols * len(m.components())
 
 
-def _gram_elimination(basis_vecs):
-    """Gauss-Jordan elimination with partial pivoting of the Gram matrix of
-    the basis vectors, given by their nonzero (index, value) entries,
-    recorded as the row operations applied (one (col, pivot row,
-    [(row, factor), ...]) per eliminated column) and the resulting diagonal,
-    so that many right-hand sides reuse one factoring."""
-    k = len(basis_vecs)
-    lookup = [dict(v) for v in basis_vecs]
-    gram = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            gram[i][j] = gram[j][i] = sum(a * lookup[j].get(idx, 0.0) for idx, a in basis_vecs[i])
-    steps = []
-    for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(gram[r][col]))
-        if abs(gram[piv][col]) < 1e-14:
-            continue
-        gram[col], gram[piv] = gram[piv], gram[col]
-        inv = 1.0 / gram[col][col]
-        factors = []
-        for r in range(k):
-            if r == col:
-                continue
-            f = gram[r][col] * inv
-            gram[r] = [x - f * y for x, y in zip(gram[r], gram[col])]
-            factors.append((r, f))
-        steps.append((col, piv, factors))
-    return steps, [gram[i][i] for i in range(k)]
-
-
-def _lstsq(basis_vecs, elimination, target):
-    """Largest residual component of the least-squares fit of target, the
-    basis vectors given by their nonzero (index, value) entries."""
-    steps, diag = elimination
-    rhs = [sum(b * target[i] for i, b in v) for v in basis_vecs]
-    for col, piv, factors in steps:
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        for r, f in factors:
-            rhs[r] = rhs[r] - f * rhs[col]
-    coef = [r / d if abs(d) > 1e-14 else 0.0 for r, d in zip(rhs, diag)]
-    resid = list(target)
-    for c, v in zip(coef, basis_vecs):
-        for i, b in v:
-            resid[i] = resid[i] - c * b
-    return worst_of(abs(r) for r in resid)
-
-
 @functools.lru_cache(maxsize=None)
 def _flat_basis(level, realization, bar):
     """The generator basis of the connection at levels 2-3, each generator
     flattened by _flat_real and kept as its nonzero (index, value) entries."""
     return [[(i, v) for i, v in enumerate(_flat_real(b)) if v]
             for b in _gauge_algebra(level, realization, bar)[0]]
-
-
-@functools.lru_cache(maxsize=None)
-def _span_elimination(level, realization, bar):
-    """The Gram elimination of the flattened generator basis."""
-    return _gram_elimination(_flat_basis(level, realization, bar))
 
 
 def _flat_sum(flat, coeffs, out, offset=0):
@@ -646,27 +615,6 @@ def _flat_sum(flat, coeffs, out, offset=0):
                 out[offset + i] += c * v
     return out
 
-
-def span_residual(point, patch=None):
-    """Least-squares residual of each connection component against the
-    declared generator span (sigma or tau triple at level 2, the 28
-    antisymmetric-pair generators at level 3), fitted on the flat rows
-    field_components writes; components with no nonzero coefficient are
-    skipped."""
-    patch = patch or point.patch
-    comps = _connection_coeffs(point, patch)
-    if point.level == 1:
-        return 0.0
-    basis, coeffs = comps
-    key = (point.level, point.realization, patch == "lower")
-    flat, elimination = _flat_basis(*key), _span_elimination(*key)
-    width = _flat_width(basis[0])
-    return worst_of(_lstsq(flat, elimination, _flat_sum(flat, cm, [0.0] * width))
-                    for cm in coeffs.values() if any(cm.values()))
-
-
-# ---------------------------------------------------------------------------
-# grid sampling support (CLI)
 
 # One entry: a grid samples one case, and a level-3 case has 5,760 names.
 @functools.lru_cache(maxsize=1)

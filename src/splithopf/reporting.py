@@ -242,7 +242,7 @@ def gauge_suite(seed=0, points=12):
                               identity="-u Psi^dag d Psi = 0 on the reality-constrained section"))
     for (lvl, real) in ((2, "I"), (2, "II"), (3, "I"), (3, "II")):
         pt = hopfmaps.sample_base_point(lvl, real, rng=rng)
-        r = gaugegeom.span_residual(pt)
+        r = gaugegeom.connection_residual(pt, mode="analytic")
         checks.append(CheckReport("span-%d-%s" % (lvl, real), residual=r, tolerance=1e-10,
                                   identity="A components in the generator span"))
     return checks

@@ -83,6 +83,77 @@ def test_connection_closed_vs_analytic(lvl, real, patch):
     assert worst < 1e-12
 
 
+def _exact_parts(v):
+    """The real components of a scalar or a matrix."""
+    if isinstance(v, RMatrix):
+        return [c for g in v.components() for row in g for c in row]
+    return [v.re, v.im] if hasattr(v, "re") else [v]
+
+
+@pytest.mark.parametrize("lvl,real,patch", PANELS)
+def test_connection_analytic_is_exact(lvl, real, patch):
+    # rational points and tangents t_a = e_a - (eta_a x_a / q) x: the exact
+    # section derivative is the closed contraction, with no float anywhere
+    case = hm.case_info(lvl, real)
+    eta, q = case.base_metric.signature, case.constraint_target
+    rng = random.Random(97)
+    for _ in range(2):
+        pt = sample_base_point(lvl, real, patch=patch, backend="exact", rng=rng)
+        x = pt.coords
+        tangents = [[(a == b) - F(eta[a] * x[a] * xb) / q for b, xb in enumerate(x)]
+                    for a in range(len(x))]
+        numeric = gg.connection_numeric(pt, patch, mode="analytic", tangents=tangents)
+        for t, num in zip(tangents, numeric):
+            closed = gg.connection_contraction(pt, t, patch)
+            assert all(isinstance(c, (int, F)) for c in _exact_parts(num) + _exact_parts(closed))
+            assert all(c == 0 for c in _exact_parts(num - closed))
+
+
+def _scaled(v, k):
+    return v.scale(k) if isinstance(v, RMatrix) else v * k
+
+
+@pytest.mark.parametrize("lvl,real,patch", [(1, "I", "lower"), (1, "II", "upper"),
+                                            (2, "II", "lower"), (3, "II", "upper")])
+def test_connection_fd_is_the_central_difference(lvl, real, patch):
+    # the reference evaluates the section twice, s = w / sqrt(2n) at x +- h t:
+    # -u D s(x)^dag W (s(x + h t) - s(x - h t)) / 2h
+    h = 1e-5
+    u, W, D = gg._case_gauge(lvl, real)
+    lift = gg._lift(lvl, real)
+
+    def section(y):
+        w, n = hm.section_linear_at(lvl, real, y, patch)
+        return lift(w).scale(1.0 / math.sqrt(2.0 * n))
+
+    for pt in (sample_base_point(lvl, real, patch=patch, rng=random.Random(s)) for s in (1, 2)):
+        x = pt.coords
+        fold = section(x).dagger() @ W
+        fold = fold if D is None else D @ fold
+        tangents = gg.tangent_basis(pt)
+        got = gg.connection_numeric(pt, patch, h=h, mode="fd", tangents=tangents)
+        for t, num in zip(tangents, got):
+            sp, sm = (section([c + e * ti for c, ti in zip(x, t)]) for e in (h, -h))
+            want = (fold @ (sp - sm)).scale(-u * (1.0 / (2 * h)))
+            want = want.entry(0, 0) if lvl == 1 else want
+            assert gg._value_dev(num, want) < 1e-9
+
+
+@pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
+def test_gluing_dg_is_the_central_difference(lvl, real):
+    # gluing's dg against (g(x + h t) - g(x - h t)) / 2h from two
+    # transition_at calls
+    h = 1e-5
+    pt = sample_base_point(lvl, real, rng=random.Random(35), overlap=True)
+    x = pt.coords
+    top0 = gg._transition_top(lvl, real, x)
+    for t in gg.tangent_basis(pt):
+        step = gg._transition_step(lvl, real, x, top0, t, h)
+        gp, gm = (gg.transition_at(lvl, real, [c + e * ti for c, ti in zip(x, t)]) for e in (h, -h))
+        got = _scaled(step.entry(0, 0) if lvl == 1 else step, 1.0 / (2 * h))
+        assert gg._value_dev(got, _scaled(gp - gm, 1.0 / (2 * h))) < 1e-9
+
+
 @pytest.mark.parametrize("lvl,real,patch", PANELS)
 def test_curvature_closed_vs_numeric(lvl, real, patch):
     rng = random.Random(5)
@@ -93,10 +164,8 @@ def test_curvature_closed_vs_numeric(lvl, real, patch):
     assert worst < 1e-5
 
 
-@pytest.mark.parametrize("lvl,real,patch", [p for p in PANELS if p[0] > 1])
-def test_oracles_catch_a_wrong_connection(monkeypatch, lvl, real, patch):
-    # -3 A: the connection, curvature and gluing oracles each see the change;
-    # their tolerances are those of the gauge suite
+def _patch_minus_three_a(monkeypatch):
+    """Replace the closed connection at levels 2-3 by -3 A."""
     closed = gg._algebra_connection
 
     def wrong(*args):
@@ -104,9 +173,17 @@ def test_oracles_catch_a_wrong_connection(monkeypatch, lvl, real, patch):
         return (*head, {m: {k: -3 * c for k, c in cm.items()} for m, cm in coeffs.items()})
 
     monkeypatch.setattr(gg, "_algebra_connection", wrong)
+
+
+@pytest.mark.parametrize("lvl,real,patch", [p for p in PANELS if p[0] > 1])
+def test_oracles_catch_a_wrong_connection(monkeypatch, lvl, real, patch):
+    # -3 A: the connection (both modes), curvature and gluing oracles each
+    # see the change; their tolerances are those of the gauge suite
+    _patch_minus_three_a(monkeypatch)
     rng = random.Random(41)
     pt = sample_base_point(lvl, real, patch=patch, rng=rng)
     assert gg.connection_residual(pt, patch) > 1e-6
+    assert gg.connection_residual(pt, patch, mode="analytic") > 1e-10
     assert gg.curvature_residual(pt, patch, pairs=2, rng=rng) > 1e-5
     pt = sample_base_point(lvl, real, patch=patch, rng=rng, overlap=True)
     assert gg.gluing_check(pt, rng=rng)["connection"] > 1e-6
@@ -351,8 +428,8 @@ GAUGE_PANELS = [(l, r, p) for l in (2, 3) for r in ("I", "II") for p in ("upper"
 
 @pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
 def test_field_rows_build_no_matrix(monkeypatch, lvl, real, patch):
-    # the field rows and the span fit are written from the flattened
-    # generators, never through a per-component matrix
+    # the field rows are written from the flattened generators, never
+    # through a per-component matrix
     pt = sample_base_point(lvl, real, patch=patch, rng=random.Random(71))
     gg.field_components(pt, patch)  # fills the per-case caches
 
@@ -363,7 +440,6 @@ def test_field_rows_build_no_matrix(monkeypatch, lvl, real, patch):
     monkeypatch.setattr(gg, "_combine", refused)
     names, values = gg.field_components(pt, patch)
     assert len(names) == len(values) and any(values)
-    assert gg.span_residual(pt, patch) < 1e-10
 
 
 @pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
@@ -534,26 +610,12 @@ def test_section_transition_consistency():
 
 
 # ---------------------------------------------------------------------------
-# light-cone guard, spans
+# light-cone guard
 
 def test_curvature_refuses_near_cone():
     pt = BasePoint(1, "I", (1.0, 1.0, 1e-12))  # r^2 within eps of zero
     with pytest.raises(ValueError):
         gg.curvature_closed(pt)
-
-
-@pytest.mark.parametrize("lvl,real", [(2, "I"), (2, "II"), (3, "I"), (3, "II")])
-def test_span_residual(lvl, real):
-    rng = random.Random(21)
-    for _ in range(3):
-        pt = sample_base_point(lvl, real, rng=rng)
-        assert gg.span_residual(pt) < 1e-10
-    # patch=None reads the point's patch, so a lower-patch point is fit
-    # against the bar basis either way
-    for _ in range(2):
-        pt = sample_base_point(lvl, real, patch="lower", rng=rng)
-        r = gg.span_residual(pt)
-        assert r < 1e-10 and r == gg.span_residual(pt, pt.patch)
 
 
 def test_field_components_export():
@@ -566,12 +628,23 @@ def test_field_components_export():
 
 def test_gauge_suite_fails_on_nan_residual(monkeypatch):
     from splithopf import reporting
-    monkeypatch.setattr(gg, "connection_residual", lambda pt, patch=None: float("nan"))
+    monkeypatch.setattr(gg, "connection_residual", lambda pt, patch=None, **kw: float("nan"))
     checks = {c.id: c for c in reporting.gauge_suite(points=1)}
-    check = checks["connection-oracle-2-I-upper"]
-    assert not check.passed and math.isnan(check.residual)
-    assert check.as_dict()["residual"] == "nan"
+    for cid in ("connection-oracle-2-I-upper", "span-2-I"):
+        check = checks[cid]
+        assert not check.passed and math.isnan(check.residual)
+        assert check.as_dict()["residual"] == "nan"
     assert checks["curvature-oracle-2-I-upper"].passed
+
+
+def test_span_checks_fail_on_a_wrong_connection(monkeypatch):
+    # -3 A is still in the generator span, but no longer the section
+    # derivative, which span-* compares it with
+    from splithopf import reporting
+    _patch_minus_three_a(monkeypatch)
+    checks = {c.id: c for c in reporting.gauge_suite(points=1)}
+    for lvl, real in ((2, "I"), (2, "II"), (3, "I"), (3, "II")):
+        assert not checks["span-%d-%s" % (lvl, real)].passed
 
 
 # ---------------------------------------------------------------------------
