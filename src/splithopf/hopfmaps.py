@@ -14,7 +14,7 @@ import functools
 import math
 import random
 
-from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt
+from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt, rational
 from .ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb
 from . import gammarep
 
@@ -33,6 +33,9 @@ EPS_PATCH = 1e-9
 # they would blow up coordinates and lose the 1e-12 constraint residual
 EPS_NORM = 0.2
 REJECTION_CAP = 1000
+# the coordinates of an exact chord direction: rng.choice(_CHORD_DRAWS) is
+# rng.randint(-9, 9), one rng._randbelow(19) either way
+_CHORD_DRAWS = range(-9, 10)
 # sampled base points keep their patch factors at least this far from 0
 SAMPLE_MARGIN = 0.05
 
@@ -594,22 +597,21 @@ def sample_normalized(level, realization, seed=0, backend="float", rng=None):
                             % (level, realization))
     if backend != "exact":
         raise ValueError("backend must be 'float' or 'exact'")
+    # the chord from p0 = P0 / mult, a point of norm 1, along an int
+    # direction v meets the quadric again at p = p0 + t v, t = -2 b / (mult qv)
+    # with qv = q(v) and b = mult * sum s P0 v; over the one denominator
+    # mult qv, p_i = (P0_i qv - 2 b v_i) / (mult qv).  b == 0 gives p == p0.
+    P0 = [1 if i == 0 or (mult == 2 and i == 8) else 0 for i in range(dim)]
     for _ in range(REJECTION_CAP):
-        p0 = [Fraction(0)] * dim
-        if mult == 2:
-            p0[0] = Fraction(1, 2)
-            p0[8] = Fraction(1, 2)
-        else:
-            p0[0] = Fraction(1)
-        v = [Fraction(rng.randint(-9, 9)) for _ in range(dim)]
+        v = [rng.choice(_CHORD_DRAWS) for _ in range(dim)]
         qv = mult * sum(s * c * c for s, c in zip(signs, v))
         if qv == 0:
             continue
-        bpv = mult * sum(s * a * b for s, a, b in zip(signs, p0, v))
-        t = Fraction(-2) * bpv / qv
-        p = [a + t * b for a, b in zip(p0, v)]
-        if p == p0:
+        b = mult * sum(s * a * c for s, a, c in zip(signs, P0, v))
+        if b == 0:
             continue
+        den = mult * qv
+        p = [rational(a * qv - 2 * b * c, den) for a, c in zip(P0, v)]
         return Spinor(level, realization, _assemble(case, p))
     raise SamplingError("rejection cap exceeded (exact backend)")
 

@@ -35,10 +35,13 @@ when both operands are exact and a Fraction is a factor of every term
 written (``_clear``), the loop runs on the cleared ints and divides each
 written value once.  So types are those of the entries' own arithmetic:
 a written value is a Fraction, also where its terms cancel, and a value
-no term reached is the int 0.  Other operands keep the loop above, bit
-for bit; a float is told by its first component, before any scan.  A
-product of int matrices puts the one shared ``_zero_grid`` of its shape
-in place of a result grid of int zeros.
+no term reached is the int 0.  Each written value comes from
+``splitnum.rational``, a bounded memo of ``Fraction(n, d)``, so a value
+written again is the Fraction already made.  Other operands keep the
+loop above, bit for bit; a float is told by its first component, before
+any scan.  A product of int matrices puts the one shared ``_zero_grid``
+of its shape in place of a result grid of int zeros, and ``from_blocks``,
+an int ``scale`` and negation keep it where their operands hold it.
 
 ``forms(mats, vec)`` gives the Hermitian form of each of several matrices
 over one ring against one vector, in one pass: it reads the vector's
@@ -54,7 +57,7 @@ from itertools import islice
 import math
 import operator
 
-from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints
+from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints, rational
 
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
@@ -147,7 +150,7 @@ class MetricForm:
         cy = cx if y is x else cx and _clear(y, True)
         if _cleared(cx, cy):
             acc = sum(s * a * b for s, a, b in zip(self.signature, cx[0], cy[0]))
-            return Fraction(acc, cx[1] * cy[1])
+            return rational(acc, cx[1] * cy[1])
         return sum(s * a * b for s, a, b in zip(self.signature, x, y))
 
     def __eq__(self, other):
@@ -270,6 +273,12 @@ class RMatrix:
                     for b, w in zip(brow, sizes_c):
                         line.extend(b._grids[k][r] if isinstance(b, RMatrix) else [0] * w)
                     grid.append(line)
+        # a grid that every block holds as the shared one is the shared one
+        # of the result (a 0 block is int 0)
+        mats = [b for brow in blocks for b in brow if isinstance(b, RMatrix)]
+        zero = _zero_grid(sum(sizes_r), sum(sizes_c))
+        grids = tuple(zero if all(_zero_grids(b)[k] for b in mats) else g
+                      for k, g in enumerate(grids))
         return cls.from_components(grids, ring)
 
     # ---- basic algebra ----------------------------------------------------
@@ -282,7 +291,7 @@ class RMatrix:
 
     def __neg__(self):
         if _binarion(self.ring):
-            return self._cellwise(lambda ar, ai: (-ar, -ai))
+            return self._cellwise(lambda ar, ai: (-ar, -ai), zeros=_zero_grids(self))
         return self._cellwise(operator.neg)
 
     def scale(self, c):
@@ -292,14 +301,23 @@ class RMatrix:
         c = self.ring.promote(c)
         cls = _binarion(self.ring)
         parts = [c.re, c.im] if cls else [c]
-        ops = None if type(parts[0]) is float else _operands(self, _clear(parts, True))
+        cv = None if type(parts[0]) is float else _clear(parts, True)
+        ops = cv and _operands(self, cv)
         if ops:
             cells, parts, dm, dc = ops
             ops = cells, dm * dc
         if cls:
             cr, ci = parts
             t = cls.UNIT_SQ * ci
-            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar), ops)
+            em = cv and _exact(self)
+            zeros = (False, False)
+            if em and not (cv[2] or em[2]):
+                # ints only: a result grid is all int 0 where each of its
+                # terms meets a zero part of c or the shared zero grid
+                zr, zi = _zero_grids(self)
+                zeros = ((zr or not cr) and (zi or not ci), (zi or not cr) and (zr or not ci))
+            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar), ops,
+                                  zeros)
         c, = parts
         return self._cellwise(lambda a: c * a, ops)
 
@@ -393,11 +411,13 @@ class RMatrix:
     def __repr__(self):
         return "RMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring.name)
 
-    def _cellwise(self, fn, ops=None):
+    def _cellwise(self, fn, ops=None, zeros=(False, False)):
         """fn of each nonzero cell in place, zero elsewhere; fn maps (re, im)
         to (re, im) over a binarion ring and the entry to the entry
         otherwise.  ops = (cleared cells, den) from scale: fn
-        runs on those cells and each value is divided by den once."""
+        runs on those cells and each value is divided by den once.  zeros
+        (binarion rings): for (re, im), whether fn writes the int 0 on every
+        cell, so that the result holds the shared _zero_grid there."""
         cells, den = ops or (_cells(self), None)
         start = 0 if den is None else False
         if _binarion(self.ring):
@@ -408,6 +428,9 @@ class RMatrix:
                     lr[j], li[j] = fn(ar, ai)
             if den is not None:
                 re, im = _finish(re, den), _finish(im, den)
+            if any(zeros):
+                zero = _zero_grid(self.rows, self.cols)
+                re, im = (zero if z else g for z, g in zip(zeros, (re, im)))
             return RMatrix._of((re, im), self.ring)
         out = [[start] * self.cols for _ in cells]
         for line, row in zip(out, cells):
@@ -563,6 +586,12 @@ def _zero_grid(rows, cols):
     return ((0,) * cols,) * rows
 
 
+def _zero_grids(m):
+    """For each of m's grids, whether it is the shared _zero_grid."""
+    zero = _zero_grid(m.rows, m.cols)
+    return [g is zero for g in m._grids]
+
+
 def _operands(m, cv):
     """(cells, ints, dm, dv) when _cleared admits m and the values cv =
     (ints, dv, kind) from _clear: the cells of m cleared over dm (_exact)
@@ -573,10 +602,11 @@ def _operands(m, cv):
 
 def _finish(grid, den):
     """The grid of a cleared kernel, whose values are int sums over den:
-    each becomes the Fraction sum / den, and one still False, which no term
+    each becomes the Fraction sum / den (splitnum.rational, which hands
+    back a value it made recently), and one still False, which no term
     reached, the int 0 (False + n is the int n).  So a reached cell is a
     Fraction even when its terms cancel."""
-    return [tuple([0 if x is False else Fraction(x, den) for x in line]) for line in grid]
+    return [tuple([0 if x is False else rational(x, den) for x in line]) for line in grid]
 
 
 def _product(a, b):

@@ -15,6 +15,7 @@ everything here is safe to share between threads.
 """
 
 from fractions import Fraction
+import functools
 import math
 import random
 
@@ -41,6 +42,15 @@ REAL_TYPES = (int, float, Fraction)
 
 def _is_scalar(x):
     return isinstance(x, REAL_TYPES) and not isinstance(x, bool)
+
+
+@functools.lru_cache(maxsize=4096)
+def rational(n, d):
+    """Fraction(n, d) for ints n and d, made once per (n, d) while the key is
+    among the 4,096 most recently used and shared after that: a Fraction is
+    immutable.  The exact kernels write few distinct values many times
+    (ringmat._finish)."""
+    return Fraction(n, d)
 
 
 def reciprocal(x):
@@ -421,8 +431,22 @@ def _parse_cell(cell):
 RANDOM_SPAN = 6
 
 
+def rational_table(span):
+    """table[p + span][q - 1] = Fraction(p, q) for |p| <= span and
+    1 <= q <= span.  rng.choice(rng.choice(table)) is the draw
+    Fraction(rng.randint(-span, span), rng.randint(1, span)): randint(a, b)
+    and choice(seq) each take one rng._randbelow, of b - a + 1 and of
+    len(seq), so the draw leaves the rng in the same state, and no Fraction
+    is built per draw."""
+    return tuple(tuple(Fraction(p, q) for q in range(1, span + 1))
+                 for p in range(-span, span + 1))
+
+
+_RATIONALS = rational_table(RANDOM_SPAN)
+
+
 def _random_rational(rng):
-    return Fraction(rng.randint(-RANDOM_SPAN, RANDOM_SPAN), rng.randint(1, RANDOM_SPAN))
+    return rng.choice(rng.choice(_RATIONALS))
 
 
 def random_element(cls, rng):

@@ -14,7 +14,8 @@ from fractions import Fraction
 import functools
 import math
 
-from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt, reciprocal, cleared_ints
+from .splitnum import (SplitComplex, OrdinaryComplex, exact_sqrt, reciprocal, cleared_ints,
+                       rational_table)
 from .ringmat import RMatrix, commutator, anticommutator, forms, lincomb, worst_of, _is_zero
 from . import gammarep
 from .hopfmaps import case_info, patch_sign
@@ -679,6 +680,26 @@ def super_transition(xs, ths):
 # ---------------------------------------------------------------------------
 # engine checks
 
+# the engine samples' coefficients: Fraction(p, q), |p| <= 4, 1 <= q <= 4
+_ENGINE_RATIONALS = rational_table(4)
+
+
+def _engine_sample(rng, cfg):
+    """An element of cfg's algebra drawn from rng: four terms with
+    coefficients from _ENGINE_RATIONALS (terms on one mask add up), times
+    the lcm of the coefficients' denominators."""
+    cls = SplitComplex if cfg is PSEUDO else OrdinaryComplex
+    coeffs = {}
+    for _ in range(4):
+        mask = rng.randrange(1 << cfg.n_generators)
+        c = cls(rng.choice(rng.choice(_ENGINE_RATIONALS)),
+                rng.choice(rng.choice(_ENGINE_RATIONALS)))
+        coeffs[mask] = coeffs.get(mask, 0) + c
+    ints, _ = cleared_ints([p for c in coeffs.values() for p in (c.re, c.im)])
+    return GrassmannElement({m: cls(*ints[2 * k:2 * k + 2]) for k, m in enumerate(coeffs)},
+                            cfg)
+
+
 def engine_checks(seed=0, samples=60):
     """Exact property checks of the Grassmann engine itself.
 
@@ -690,23 +711,10 @@ def engine_checks(seed=0, samples=60):
     import random as _random
     rng = _random.Random(seed)
     results = []
-
-    def rand_elem(cfg):
-        cls = SplitComplex if cfg is PSEUDO else OrdinaryComplex
-        coeffs = {}
-        for _ in range(4):
-            mask = rng.randrange(1 << cfg.n_generators)
-            c = cls(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
-                    Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-            coeffs[mask] = coeffs.get(mask, 0) + c
-        ints, _ = cleared_ints([p for c in coeffs.values() for p in (c.re, c.im)])
-        return GrassmannElement({m: cls(*ints[2 * k:2 * k + 2]) for k, m in enumerate(coeffs)},
-                                cfg)
-
     for cfg, label in ((PSEUDO, "pseudo"), (STANDARD, "standard")):
         ok_assoc = ok_parity = ok_conj = ok_leib = True
         for _ in range(samples):
-            a, b, c = rand_elem(cfg), rand_elem(cfg), rand_elem(cfg)
+            a, b, c = (_engine_sample(rng, cfg) for _ in range(3))
             if (a * b) * c != a * (b * c):
                 ok_assoc = False
             ae, bo = a.even_part(), b.odd_part()

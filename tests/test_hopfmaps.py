@@ -96,6 +96,45 @@ def test_majorana_sampling():
             assert abs(float(d.re)) < 1e-12 and abs(float(d.im)) < 1e-12
 
 
+def _chord_reference(lvl, real, rng):
+    """The exact chord with Fraction coordinates and randint draws: the
+    point p = p0 + t v, t = -2 <p0, v> / q(v), rejected where q(v) = 0 or
+    p = p0."""
+    case = case_info(lvl, real)
+    signs = case.norm_signs
+    mult = 2 if (lvl, real) == (3, "I") else 1
+    while True:
+        p0 = [F(0)] * len(signs)
+        if mult == 2:
+            p0[0] = p0[8] = F(1, 2)
+        else:
+            p0[0] = F(1)
+        v = [F(rng.randint(-9, 9)) for _ in signs]
+        qv = mult * sum(s * c * c for s, c in zip(signs, v))
+        if qv == 0:
+            continue
+        t = F(-2) * mult * sum(s * a * b for s, a, b in zip(signs, p0, v)) / qv
+        p = [a + t * b for a, b in zip(p0, v)]
+        if p != p0:
+            return hm._assemble(case, p)
+
+
+@pytest.mark.parametrize("lvl,real", ALL_CASES)
+def test_exact_chord_keeps_the_rng_stream(lvl, real):
+    """The exact chord over one denominator gives the reference's spinors,
+    component types included, and leaves the rng in the same state."""
+    def key(comps):
+        # (3, II) spinors are real, the others binarions
+        return [(type(c),) + ((type(c.re), c.re, type(c.im), c.im) if hasattr(c, "re") else (c,))
+                for c in comps]
+
+    r1, r2 = random.Random(31), random.Random(31)
+    for _ in range(200):
+        got = sample_normalized(lvl, real, backend="exact", rng=r1).comps
+        assert key(got) == key(_chord_reference(lvl, real, r2))
+    assert r1.getstate() == r2.getstate()
+
+
 def test_sampling_determinism():
     a = sample_normalized(2, "II", seed=5)
     b = sample_normalized(2, "II", seed=5)

@@ -658,7 +658,9 @@ def test_cleared_results_keep_types(ring):
     b = mat([[F(1), F(0)], [F(-1), F(0)]])
     # (0, 0) is reached by two terms that cancel; no term reaches the rest
     want = [["Fraction0", "int0"], ["int0", "int0"]]
-    assert kinds(a @ b) == want * (2 if cls else 1)
+    # the second product takes its values from the memo of the first
+    for _ in range(2):
+        assert kinds(a @ b) == want * (2 if cls else 1)
     ints = mat([[1, 2], [0, 3]])
     assert {k for row in kinds(ints @ ints) + kinds(ints.scale(2)) for k in row} <= {
         "int", "int0"}
@@ -691,6 +693,42 @@ def test_int_products_share_zero_grids(ring):
     assert (floats @ floats).components()[1] is not zero
     for a, b in ((real, imag), (signed, real), (floats, real)):
         assert_same(a @ b, ref_matmul(a, b))
+
+
+@pytest.mark.parametrize("ring", (RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_blocks_scale_and_negation_keep_shared_zero_grids(ring):
+    """from_blocks, an int scale and negation keep the shared grid where
+    their operands hold it, with the entries' own values; a Fraction or
+    float scale, whose zeros are not int 0, keeps its own grids."""
+    from splithopf.ringmat import _zero_grid
+    cls = type(ring.zero)
+    plain = RMatrix([[cls(1, 0), cls(2, 0)], [cls(0, 0), cls(-3, 0)]], ring)
+    real = plain @ RMatrix.identity(2, ring)
+    zero = _zero_grid(2, 2)
+    assert real.components()[1] is zero and plain.components()[1] is not zero
+    for c in (3, -1, 0, cls(0, 2), cls(2, -1), F(1, 2), 0.5):
+        p = ring.promote(c)
+        got = real.scale(c)
+        assert_same(got, ref_cellwise(real, lambda x: p * x))
+        shared = [g is zero for g in got.components()]
+        if isinstance(c, int):
+            assert shared == [c == 0, True]
+        elif c == cls(0, 2):
+            assert shared == [True, False]
+        else:
+            assert shared == [False, False]
+    assert_same(-real, ref_cellwise(real, lambda x: -x))
+    assert [g is zero for g in (-real).components()] == [False, True]
+    imag = real.scale(cls(0, 1))
+    assert [g is zero for g in (-imag).components()] == [True, False]
+    big = RMatrix.from_blocks([[real, 0], [0, real]], ring)
+    assert_same(big, RMatrix.from_blocks([[plain, 0], [0, plain]], ring).entries)
+    assert big.components()[1] is _zero_grid(4, 4) and big.components()[0] is not \
+        _zero_grid(4, 4)
+    mixed = RMatrix.from_blocks([[real, 0], [0, imag]], ring)
+    assert_same(mixed, RMatrix.from_blocks([[plain, 0], [0, plain.scale(cls(0, 1))]],
+                                           ring).entries)
+    assert not any(g is _zero_grid(4, 4) for g in mixed.components())
 
 
 def _count_fraction_products(monkeypatch):

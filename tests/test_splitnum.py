@@ -10,6 +10,7 @@ from splithopf.splitnum import (
     SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion,
     OCTONION_TABLE, AlgebraError, verify_structure_table, multiplication_table,
     random_element, _TABLE_CELLS, _parse_cell, _cleared, cleared_sample, _doubled,
+    _random_rational, rational,
 )
 from splithopf import reporting
 
@@ -182,6 +183,34 @@ def test_cleared_sample_keeps_the_rng_stream():
         for _ in range(20):
             assert cleared_sample(cls, r1) == _cleared(random_element(cls, r2))
         assert r1.random() == r2.random()
+
+
+def test_random_rational_keeps_the_rng_stream():
+    """A table draw has the value and type of the randint draw it stands for
+    and leaves the rng in the state that draw leaves."""
+    r1, r2 = random.Random(23), random.Random(23)
+    for _ in range(1200):
+        got = _random_rational(r1)
+        want = F(r2.randint(-6, 6), r2.randint(1, 6))
+        assert type(got) is type(want) and got == want
+    assert r1.getstate() == r2.getstate()
+
+
+def test_rational_is_a_bounded_memo_of_fraction():
+    """rational(n, d) is Fraction(n, d), a Fraction, for negative, zero and
+    large numerators and over more keys than the memo holds; a key still
+    held gives the same object."""
+    maxsize = rational.cache_info().maxsize
+    assert maxsize is not None
+    keys = [(n, d) for n in (0, -1, 7, -10 ** 30, 3 ** 80) for d in (1, 2, -6, 10 ** 20 + 1)]
+    keys += [(n, 7) for n in range(-maxsize, maxsize)]
+    for _ in range(2):
+        for n, d in keys:
+            got = rational(n, d)
+            assert type(got) is F and got == F(n, d)
+    assert rational(-3, 4) is rational(-3, 4)
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
 
 
 def test_random_element_reaches_negative_coefficients():

@@ -69,6 +69,32 @@ def test_engine_check_battery():
         assert ok, "%s: %s" % (cid, detail)
 
 
+def _engine_sample_reference(rng, cfg):
+    """An engine sample drawn with randint and Fraction, then cleared."""
+    cls = SplitComplex if cfg is sh.PSEUDO else OrdinaryComplex
+    coeffs = {}
+    for _ in range(4):
+        mask = rng.randrange(1 << cfg.n_generators)
+        c = cls(F(rng.randint(-4, 4), rng.randint(1, 4)), F(rng.randint(-4, 4), rng.randint(1, 4)))
+        coeffs[mask] = coeffs.get(mask, 0) + c
+    m = math.lcm(*[p.denominator for c in coeffs.values() for p in (c.re, c.im)])
+    return {k: cls(int(c.re * m), int(c.im * m)) for k, c in coeffs.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("cfg", (sh.PSEUDO, sh.STANDARD), ids=lambda c: c.mode)
+def test_engine_sample_keeps_the_rng_stream(cfg):
+    """The table-drawn engine sample has the reference's terms, int
+    components included, and leaves the rng in the same state."""
+    def key(coeffs):
+        return [(k, type(c), type(c.re), c.re, type(c.im), c.im) for k, c in coeffs.items()]
+
+    r1, r2 = random.Random(41), random.Random(41)
+    for _ in range(1000):
+        got = sh._engine_sample(r1, cfg).coeffs
+        assert key(got) == key(_engine_sample_reference(r2, cfg))
+    assert r1.getstate() == r2.getstate()
+
+
 def test_even_inverse_and_invsqrt():
     g0, g1, _, _ = gens(sh.PSEUDO)
     s = g0 * g1
