@@ -19,9 +19,8 @@ import os
 import re
 import sys
 
-from fractions import Fraction
-
 from .splitnum import SplitComplex, OrdinaryComplex, multiplication_table
+from .ringmat import RING_REAL
 from . import hopfmaps, gaugegeom, reporting
 
 SCHEMA = 1
@@ -91,14 +90,14 @@ def _numbers(v, what, length):
 
 
 def _decode_scalar(v, ring, what):
-    """A component: a number, or over the split-complex and complex rings
-    also an [re, im] pair of numbers."""
-    if isinstance(v, list) and ring != "real":
+    """A component of the ring: a number, or over the split-complex and
+    complex rings also an [re, im] pair of numbers."""
+    if isinstance(v, list) and ring is not RING_REAL:
         re, im = _numbers(v, what, 2)
-        return SplitComplex(re, im) if ring == "split" else OrdinaryComplex(re, im)
+        return type(ring.zero)(re, im)
     if not _is_number(v):
         raise UsageError("%s: expected a number%s, got %s"
-                         % (what, "" if ring == "real" else " or an [re, im] pair", json.dumps(v)))
+                         % (what, "" if ring is RING_REAL else " or an [re, im] pair", json.dumps(v)))
     return v
 
 
@@ -116,16 +115,10 @@ def _encode_scalar(v):
     return float(v)
 
 
-def _spinor_ring(level, realization):
-    if (level, realization) == (3, "II"):
-        return "real"
-    return "split" if realization == "I" else "complex"
-
-
 def decode_spinor(payload, level, realization):
-    comps = _decode_array(payload, _spinor_ring(level, realization), "spinor",
-                          hopfmaps.case_info(level, realization).spinor_dim)
-    return hopfmaps.Spinor(level, realization, comps)
+    case = hopfmaps.case_info(level, realization)
+    return hopfmaps.Spinor(level, realization,
+                           _decode_array(payload, case.ring, "spinor", case.spinor_dim))
 
 
 def encode_spinor(spinor):
@@ -219,11 +212,11 @@ def cmd_invert(args):
     fiber = None
     if args.fiber:
         # a fiber's components lie in the ring of the map's own spinors
-        raw, ring = _load_json(args.fiber, "fiber"), _spinor_ring(args.level, args.realization)
+        raw = _load_json(args.fiber, "fiber")
         if args.level == 1:
-            fiber = _decode_scalar(raw, ring, "fiber")
+            fiber = _decode_scalar(raw, case.ring, "fiber")
         else:
-            fiber = _decode_array(raw, ring, "fiber", case.fiber_dim)
+            fiber = _decode_array(raw, case.ring, "fiber", case.fiber_dim)
     sp = hopfmaps.invert(pt, fiber=fiber, patch=args.patch)
     if isinstance(sp, hopfmaps.Section):
         mat = sp.matrix()

@@ -5,7 +5,7 @@ defining derivative -u s(x)^dag W ds(x) along the inversion sections:
 central finite differences, and the exact derivative of the section shape
 (a matrix w linear in x over sqrt(2n)), which stays rational on rational
 input.  Gluing identities and gauge covariance are checked at overlap points
-with the transition functions.
+with the transition functions, exact where 1 - x_last^2 is a rational square.
 
 Sign conventions.  The closed component formulas are fixed by requiring
 exact agreement with the canonical-connection derivative of the inversion
@@ -48,7 +48,7 @@ import functools
 import math
 import random
 
-from .splitnum import SplitComplex, OrdinaryComplex, reciprocal
+from .splitnum import SplitComplex, OrdinaryComplex, reciprocal, root
 from .ringmat import RMatrix, commutator, lincomb, worst_of
 from . import gammarep
 from .hopfmaps import case_info, section_linear_at, patch_sign, require_patch
@@ -108,11 +108,14 @@ def _gauge_algebra(level, realization, bar):
 
 
 @functools.lru_cache(maxsize=None)
-def _thooft_terms(realization, bar):
-    """Level 2: ((m, row), ...), row[k] the (n', T_mn'[k]) with T_mn'[k] != 0."""
-    pairs = _gauge_algebra(2, realization, bar)[1]
-    return tuple((m, [[(nn, pairs[(m, nn)][k]) for nn in range(1, 5) if pairs[(m, nn)].get(k)]
-                      for k in range(3)]) for m in range(1, 5))
+def _thooft_terms(level, realization, bar):
+    """((m, ((k, n', T_mn'[k]), ...)), ...) over the free m, each row in
+    increasing k: at both levels every (m, k) has exactly one n' with
+    T_mn'[k] != 0, and at level 3 k increases with n'."""
+    pairs = _gauge_algebra(level, realization, bar)[1]
+    free = range(1, 5) if level == 2 else range(1, 9)
+    return tuple((m, sorted((k, nn, v) for nn in free for k, v in pairs[(m, nn)].items() if v))
+                 for m in free)
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +152,17 @@ def _algebra_connection(level, realization, patch, x):
     Returns (s, 1/n, y, basis, T, coeffs) with s, n from require_patch,
     y = x / n over the free coordinates, basis and T from _gauge_algebra,
     and A_m = sum_k coeffs[m][k] basis[k] for the free indices m (the last
-    component vanishes):
-      level 2: A_m = -+(1/2n) sum_n' x_n' T_mn' (- for I);
-      level 3: A_m = sum_n' y_n' T_mn'.
+    component vanishes), with A_m[k] = pref T_mn'[k] x_n' over the one n'
+    of each (m, k) (_thooft_terms): pref = -+1/(2n) at level 2 (- for I)
+    and 1/n at level 3.
     """
     s, n = require_patch(x, patch)
     inv_n = reciprocal(n)
     basis, pairs = _gauge_algebra(level, realization, patch == "lower")
     y = [xi * inv_n for xi in x[:-1]]
-    if level == 2:
-        pref = inv_n / -2 if realization == "I" else inv_n / 2
-        coeffs = {m: {k: sum(v * x[nn - 1] for nn, v in terms) * pref for k, terms in enumerate(row)}
-                  for m, row in _thooft_terms(realization, patch == "lower")}
-    else:
-        free = range(1, len(x))
-        coeffs = {m: {k: v * y[nn - 1] for nn in free for k, v in pairs[(m, nn)].items()}
-                  for m in free}
+    pref = inv_n if level == 3 else inv_n / -2 if realization == "I" else inv_n / 2
+    coeffs = {m: {k: v * pref * x[nn - 1] for k, nn, v in row}
+              for m, row in _thooft_terms(level, realization, patch == "lower")}
     return s, inv_n, y, basis, pairs, coeffs
 
 
@@ -451,21 +449,20 @@ def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
 class TransitionFn:
     """Transition function at an overlap point, with its unitarity contract."""
 
-    __slots__ = ("level", "realization", "value", "weight", "kind")
+    __slots__ = ("level", "realization", "value", "weight")
 
-    def __init__(self, level, realization, value, weight, kind):
+    def __init__(self, level, realization, value, weight):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "realization", realization)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable value")
 
     def unitarity_residual(self):
         g = self.value
-        if self.kind == "scalar":
+        if self.level == 1:
             return _value_dev(g.conj() * g, 1)
         if self.weight is None:
             return _value_dev(g.dagger() @ g, RMatrix.identity(g.rows, g.ring))
@@ -483,8 +480,7 @@ def transition(point):
     """
     lvl, real = point.level, point.realization
     weight = None if real == "I" or lvl == 1 else case_info(lvl, real).fiber_weight()
-    return TransitionFn(lvl, real, transition_at(lvl, real, point.coords), weight,
-                        "scalar" if lvl == 1 else "matrix")
+    return TransitionFn(lvl, real, transition_at(lvl, real, point.coords), weight)
 
 
 def _transition_top(level, realization, coords):
@@ -496,11 +492,12 @@ def _transition_top(level, realization, coords):
 
 
 def _inv_rho(x_last):
-    """1 / sqrt(1 - x_last^2), refused within EPS_NULL of |x_last| = 1."""
+    """1 / sqrt(1 - x_last^2), exact where 1 - x_last^2 is a rational square
+    (splitnum.root); refused within EPS_NULL of |x_last| = 1."""
     rho2 = 1 - x_last * x_last
     if float(rho2) <= EPS_NULL:
         raise ValueError("overlap requires |x_last| < 1 (got %r)" % (x_last,))
-    return 1.0 / math.sqrt(float(rho2))
+    return reciprocal(root(rho2))
 
 
 def transition_at(level, realization, coords):

@@ -6,7 +6,9 @@ sections reconstruct a spinor over each patch from a base point and a fiber
 element.  Component formulas always go through the gamma matrices.
 
 Every value is immutable; functions are pure and safe to call concurrently.
-Exact rational and float backends share all code paths.
+Exact rational and float backends share all code paths; every square root
+is splitnum.root's, exact on a rational square.  The float samplers share
+one gaussian draw and the level-3 (I) samplers one Majorana doubling.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ import functools
 import math
 import random
 
-from .splitnum import SplitComplex, OrdinaryComplex, exact_sqrt, rational
+from .splitnum import SplitComplex, OrdinaryComplex, rational, reciprocal, root
 from .ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb
 from . import gammarep
 
@@ -160,8 +162,19 @@ def majorana_matrix():
 
 def charge_conjugate_spinor(psi_comps):
     """psi_c = b conj(psi) for a 4-component split spinor."""
-    b = gammarep.charge_conjugation("so32_I").matrix
-    return b.matvec([c.conj() for c in psi_comps])
+    return _conjugate("so32_I", psi_comps)
+
+
+def _conjugate(family, comps):
+    """C conj(v), C the family's charge-conjugation matrix: the one form of
+    every reality condition v = +-C conj(v) and of psi_c."""
+    return gammarep.charge_conjugation(family).matrix.matvec([c.conj() for c in comps])
+
+
+def _majorana_pair(psi):
+    """(psi, j psi_c) of a 4-component split spinor; j c is written
+    SplitComplex(c.im, c.re), the value and type of SplitComplex(0, 1) * c."""
+    return list(psi) + [SplitComplex(c.im, c.re) for c in charge_conjugate_spinor(psi)]
 
 
 def _check_finite(values, what):
@@ -431,36 +444,32 @@ class Section:
         raise AttributeError("immutable value")
 
     def matrix(self):
-        """The normalized section w / sqrt(2n) (float prefactor)."""
-        return self.w.scale(1.0 / math.sqrt(2.0 * self.n))
+        """The normalized section w / sqrt(2n), exact where 2n is a rational
+        square (splitnum.root)."""
+        return self.w.scale(reciprocal(root(2 * self.n)))
+
+
+def _fiber_norm(case, comps):
+    """The form of the map's fiber weight on a level-2/3 fiber."""
+    return forms((case.fiber_weight(),), comps)[0]
 
 
 def _check_fiber(case, point, fiber):
     """The fiber's components, once its norm (and at level 3-I its reality
     condition) is checked."""
-    lvl, real = point.level, point.realization
-    if lvl == 1:
+    if point.level == 1:
         q = _scalar_value(fiber.qform() if hasattr(fiber, "qform") else fiber * fiber, "fiber")
         _require_one(q, "fiber phase must satisfy conj(c) c = 1")
         return [fiber]
-    if lvl == 2:
-        sub = Spinor(1, real, fiber) if not isinstance(fiber, Spinor) else fiber
-        n = _scalar_value(sub.norm(), "fiber norm")
-        _require_one(n, "level-1 fiber must be normalized")
-        return list(sub.comps)
-    # level 3: 8-component fiber with the level-specific reality condition
-    comps = list(fiber.comps) if isinstance(fiber, Spinor) else list(fiber)
-    if len(comps) != 8:
-        raise ValueError("level-3 fiber needs 8 components")
-    w = _scalar_value(forms((case.fiber_weight(),), comps)[0], "fiber norm")
-    if real == "I":
-        _require_one(w, "fiber must satisfy conj-norm 1")
-        d = gammarep.charge_conjugation("so43_I").matrix
-        dc = d.matvec([c.conj() for c in comps])
-        if not _close_vec(dc, comps):
-            raise ValueError("level-3 fiber must satisfy the reality condition Phi = d conj(Phi)")
-    else:
-        _require_one(w, "fiber must have Sigma3-norm 1")
+    comps = list(getattr(fiber, "comps", fiber))
+    if len(comps) != case.fiber_dim:
+        raise ValueError("level-%d fiber needs %d components" % (point.level, case.fiber_dim))
+    _check_finite(comps, "fiber component")
+    _require_one(_scalar_value(_fiber_norm(case, comps), "fiber norm"),
+                 "fiber must have weighted norm 1")
+    if case.realization == "I" and point.level == 3 \
+            and not _close_vec(_conjugate("so43_I", comps), comps):
+        raise ValueError("level-3 fiber must satisfy the reality condition Phi = d conj(Phi)")
     return comps
 
 
@@ -477,7 +486,7 @@ def _close_vec(a, b):
     return True
 
 
-def invert(point, fiber=None, patch=None, exact=False):
+def invert(point, fiber=None, patch=None):
     """Inversion section at a base point; returns a Spinor (or a Section).
 
     fiber is the element of the fiber at one level below: a unit phase at
@@ -485,8 +494,8 @@ def invert(point, fiber=None, patch=None, exact=False):
     with the appropriate reality condition at level 3.  fiber=None picks the
     pole fiber at levels 1-2 and the matrix section at level 3.
 
-    With exact=True, coordinates must be rational and 2(1 +- x_last) must be
-    a perfect rational square so the prefactor stays exact.
+    The prefactor 1/sqrt(2(1 +- x_last)) is splitnum.root's: exact where
+    that is a rational square, a float otherwise.
     """
     case = case_info(point.level, point.realization)
     patch = patch or point.patch
@@ -507,16 +516,7 @@ def invert(point, fiber=None, patch=None, exact=False):
     # ring elements, as the section's entries are, so that every fiber takes
     # matvec's component path
     fiber = [case.ring.promote(c) for c in _check_fiber(case, point, fiber)]
-
-    if exact:
-        r = exact_sqrt(2 * Fraction(n))
-        if r is None:
-            raise ValueError("2(1 +- x_last) = %r is not a rational square; "
-                             "use the float backend" % (2 * Fraction(n),))
-        pref = 1 / r
-    else:
-        pref = 1.0 / math.sqrt(2.0 * n)
-
+    pref = reciprocal(root(2 * n))
     return Spinor(point.level, point.realization, [c * pref for c in w.matvec(fiber)])
 
 
@@ -539,12 +539,7 @@ def level0_invert(pair, patch="upper"):
     res = y1 * y1 - y2 * y2 + 1
     if not _near(res, 0):
         raise ConstraintError("not on the hyperbola: %r" % (res,))
-    half = (y2 + 1) / 2
-    if not isinstance(half, float):
-        r = exact_sqrt(half)
-        x2 = r if r is not None else math.sqrt(float(half))
-    else:
-        x2 = math.sqrt(half)
+    x2 = root(reciprocal(2) * (y2 + 1))
     if patch == "lower":
         x2 = -x2
     x1 = y1 / (2 * x2)
@@ -555,26 +550,35 @@ def level0_invert(pair, patch="upper"):
 # sampling
 
 def _assemble(case, reals):
-    lvl, real = case.level, case.realization
-    if (lvl, real) == (3, "II"):
+    if case.ring is RING_REAL:
         return list(reals)
-    if real == "I" and lvl == 3:
-        # reals are the 16 free parameters (U, V); assemble the full pattern
-        U = [SplitComplex(reals[2 * i], reals[2 * i + 1]) for i in range(4)]
-        V = [SplitComplex(reals[8 + 2 * i], reals[8 + 2 * i + 1]) for i in range(4)]
-        j = SplitComplex(0, 1)
-        Uc = charge_conjugate_spinor(U)
-        Vc = charge_conjugate_spinor(V)
-        return U + [j * c for c in Uc] + V + [j * c for c in Vc]
-    cls = SplitComplex if real == "I" else OrdinaryComplex
-    return [cls(reals[2 * i], reals[2 * i + 1]) for i in range(len(reals) // 2)]
+    cls = type(case.ring.zero)
+    comps = [cls(reals[i], reals[i + 1]) for i in range(0, len(reals), 2)]
+    if (case.level, case.realization) == (3, "I"):
+        # the 16 free parameters (U, V) fill the pattern (U, j U_c, V, j V_c)
+        return _majorana_pair(comps[:4]) + _majorana_pair(comps[4:])
+    return comps
+
+
+def _gaussian(signs, rng, mult=1):
+    """The one rejection draw: a gaussian vector v, drawn again while
+    n = mult sum s v^2 is at most EPS_NORM mult |v|^2, then scaled to n = 1."""
+    for _ in range(REJECTION_CAP):
+        v = [rng.gauss(0.0, 1.0) for _ in signs]
+        n = mult * sum(s * c * c for s, c in zip(signs, v))
+        e2 = mult * sum(c * c for c in v)
+        if n <= EPS_NORM * e2:
+            continue
+        scale = 1.0 / math.sqrt(n)
+        return [c * scale for c in v]
+    raise SamplingError("rejection cap exceeded in a gaussian draw of signature %r" % (signs,))
 
 
 def sample_normalized(level, realization, seed=0, backend="float", rng=None):
     """Pseudo-random normalized spinor; deterministic for a fixed seed.
 
-    backend="float": gaussian draw, rejected while the indefinite norm is
-    below EPS_NORM, then scaled.  backend="exact": a rational point on the
+    backend="float": the gaussian draw of _gaussian, which the level-3 (II)
+    fiber shares.  backend="exact": a rational point on the
     normalization quadric through the chord construction, so the norm is 1
     exactly.  Level 3-I spinors are assembled from free (U, V) parameters so
     the reality condition holds by construction.
@@ -585,16 +589,7 @@ def sample_normalized(level, realization, seed=0, backend="float", rng=None):
     dim = len(signs)
     mult = 2 if (level, realization) == (3, "I") else 1
     if backend == "float":
-        for _ in range(REJECTION_CAP):
-            v = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-            n = mult * sum(s * c * c for s, c in zip(signs, v))
-            e2 = mult * sum(c * c for c in v)
-            if n <= EPS_NORM * e2:
-                continue
-            scale = 1.0 / math.sqrt(n)
-            return Spinor(level, realization, _assemble(case, [c * scale for c in v]))
-        raise SamplingError("rejection cap exceeded while sampling level %d %s"
-                            % (level, realization))
+        return Spinor(level, realization, _assemble(case, _gaussian(signs, rng, mult)))
     if backend != "exact":
         raise ValueError("backend must be 'float' or 'exact'")
     # the chord from p0 = P0 / mult, a point of norm 1, along an int
@@ -638,13 +633,9 @@ def sample_base_point(level, realization, patch="upper", seed=0, backend="float"
         elif (coords[-1] > 0) != (want_sign > 0) and coords[-1] != 0:
             coords[-1] = -coords[-1]
         cand = BasePoint(level, realization, coords, patch)
-        f = cand.patch_factor(patch)
-        if f < SAMPLE_MARGIN:
+        # |x_last| <= 0.9 keeps both patch factors at least 0.1 > SAMPLE_MARGIN
+        if cand.patch_factor(patch) < SAMPLE_MARGIN or (overlap and abs(float(coords[-1])) > 0.9):
             continue
-        if overlap:
-            if abs(float(coords[-1])) > 0.9 or cand.patch_factor("upper") < SAMPLE_MARGIN \
-                    or cand.patch_factor("lower") < SAMPLE_MARGIN:
-                continue
         return cand
     raise SamplingError("could not sample a base point on the %s patch" % patch)
 
@@ -653,9 +644,9 @@ def sample_fiber(level, realization, rng):
     """Pseudo-random fiber element of the given map, as invert takes it: a
     unit phase at level 1, a normalized level-1 spinor at level 2, and at
     level 3 Phi = (psi, j psi_c)/sqrt(2) from a normalized level-2 spinor
-    (I) or a gaussian 8-vector scaled to Sigma3-norm 1 (II), drawn again
-    while that norm is at most EPS_NORM times its squared length."""
-    case_info(level, realization)
+    (I) or the gaussian draw of sample_normalized over the diagonal of the
+    fiber weight Sigma3 (II)."""
+    case = case_info(level, realization)
     if level == 1:
         t = rng.uniform(-1, 1)
         if realization == "I":
@@ -665,15 +656,9 @@ def sample_fiber(level, realization, rng):
         return sample_normalized(1, realization, rng=rng)
     if realization == "I":
         psi = sample_normalized(2, "I", rng=rng)
-        j = SplitComplex(0, 1)
-        pc = charge_conjugate_spinor(psi.comps)
-        return [c * (1 / math.sqrt(2.0)) for c in list(psi.comps) + [j * c for c in pc]]
-    for _ in range(REJECTION_CAP):
-        raw = [rng.gauss(0, 1) for _ in range(8)]
-        n = sum(raw[i] * raw[i] for i in range(4)) - sum(raw[i] * raw[i] for i in range(4, 8))
-        if n > EPS_NORM * sum(c * c for c in raw):
-            return [c / math.sqrt(n) for c in raw]
-    raise SamplingError("rejection cap exceeded while sampling a level-3 II fiber")
+        return [c * (1 / math.sqrt(2.0)) for c in _majorana_pair(psi.comps)]
+    w = case.fiber_weight()
+    return _gaussian([w.entry(i, i) for i in range(w.rows)], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +683,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
         for _ in range(samples):
             fib = sample_fiber(level, realization, rng)
             if split3:
-                n = _scalar_value(case_info(3, "I").fiber_weight().form(fib), "norm")
+                n = _scalar_value(_fiber_norm(case_info(3, "I"), fib), "norm")
                 if not _near(n, 1):
                     detail = "Phi norm %r" % n
                     break
@@ -706,8 +691,7 @@ def hierarchical_fiber_check(level, realization, seed=0, samples=20):
             n = _scalar_value(psi.norm(), "norm")
             ok = _near(n, 1)
             if split3:
-                mc = [-c for c in majorana_matrix().matvec([c.conj() for c in psi.comps])]
-                ok = ok and _close_vec(mc, psi.comps)
+                ok = ok and _close_vec([-c for c in _conjugate("so54_I", psi.comps)], psi.comps)
             if not ok:
                 detail = ("level-3 norm %r" if split3 else "norm %r") % n
                 break

@@ -58,16 +58,16 @@ def reciprocal(x):
     return 1 / x if isinstance(x, float) else Fraction(1, 1) / x
 
 
-def exact_sqrt(q):
-    """Square root of a rational if it is a perfect square, else None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
+def root(q):
+    """The one square-root rule: the exact Fraction root of an int or
+    Fraction that is a rational square, else math.sqrt(float(q)), so a float
+    keeps its bits and rational input stays exact where it can."""
+    if not isinstance(q, float) and q >= 0:
+        q = Fraction(q)
+        num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if num * num == q.numerator and den * den == q.denominator:
+            return Fraction(num, den)
+    return math.sqrt(float(q))
 
 
 class _Binarion:

@@ -12,9 +12,8 @@ the nilpotent even element g2 g3, a dual unit inside the algebra.
 
 from fractions import Fraction
 import functools
-import math
 
-from .splitnum import (SplitComplex, OrdinaryComplex, exact_sqrt, reciprocal, cleared_ints,
+from .splitnum import (SplitComplex, OrdinaryComplex, reciprocal, root, cleared_ints,
                        rational_table)
 from .ringmat import RMatrix, commutator, anticommutator, forms, lincomb, worst_of, _is_zero
 from . import gammarep
@@ -229,18 +228,15 @@ class GrassmannElement:
         return acc * binv
 
     def invsqrt(self):
-        """1/sqrt of an even element with positive real body; the root is
-        exact when the body (or its real part) is a rational square."""
+        """1/sqrt of an even element with positive real body; the root of
+        the body's real part is splitnum.root's, exact on a rational square."""
         b = self.body()
         if getattr(b, "im", 0) != 0:
             raise ValueError("body must be real")
         fb = _body_real(b)
         if not (fb > 0):
             raise ValueError("body must be positive")
-        re = getattr(b, "re", b)
-        root = exact_sqrt(re) if isinstance(re, (int, Fraction)) else None
-        if root is None:
-            root = math.sqrt(fb)
+        r = root(getattr(b, "re", b))
         rel = self.soul() * _coeff_inverse(b)  # self = b (1 + rel)
         # (1 + rel)^(-1/2) truncated by nilpotency
         acc = GrassmannElement.scalar(1, self.config)
@@ -255,7 +251,7 @@ class GrassmannElement:
             for idx in range(k):
                 c = c * (Fraction(-1, 2) - idx) / (idx + 1)
             acc = acc + term * c
-        return acc * reciprocal(root)
+        return acc * reciprocal(r)
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):

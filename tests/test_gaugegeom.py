@@ -427,6 +427,46 @@ GAUGE_PANELS = [(l, r, p) for l in (2, 3) for r in ("I", "II") for p in ("upper"
 
 
 @pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
+def test_one_connection_term_per_generator(lvl, real, patch):
+    """Each (m, k) has exactly one n' with T_mn'[k] != 0, and each row of
+    _thooft_terms runs in increasing k, which at level 3 is increasing n'."""
+    basis, pairs = gg._gauge_algebra(lvl, real, patch == "lower")
+    free = range(1, 5) if lvl == 2 else range(1, 9)
+    for m, row in gg._thooft_terms(lvl, real, patch == "lower"):
+        assert [k for k, _, _ in row] == [k for k in range(len(basis))
+                                          if any(pairs[(m, nn)].get(k) for nn in free)]
+        for k, nn, v in row:
+            assert [n2 for n2 in free if pairs[(m, n2)].get(k)] == [nn] and pairs[(m, nn)][k] == v
+        if lvl == 3:
+            assert [nn for _, nn, _ in row] == [nn for nn in free if nn != m]
+
+
+@pytest.mark.parametrize("real", ["I", "II"])
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_level3_connection_matches_sigma_sum(real, patch):
+    # A_m[k] = (T_mn'[k] / n) x_n' has the keys, key order, float bits
+    # (zero signs included) and Fractions of T_mn'[k] y_n', y = x / n
+    pairs = gg._gauge_algebra(3, real, patch == "lower")[1]
+    rng = random.Random(29)
+    free = range(1, 9)
+    for backend in ("float", "exact", "float"):
+        x = list(sample_base_point(3, real, patch=patch, backend=backend, rng=rng).coords)
+        if backend == "float":
+            x[2], x[5] = 0.0, -0.0
+        inv_n = gg.reciprocal(1 + hm.patch_sign(patch) * x[-1])
+        want = {m: {k: v * (x[nn - 1] * inv_n) for nn in free for k, v in pairs[(m, nn)].items()}
+                for m in free}
+        got = gg._algebra_connection(3, real, patch, x)[5]
+        assert [(m, list(c)) for m, c in got.items()] == [(m, list(c)) for m, c in want.items()]
+        for m in want:
+            for k, w in want[m].items():
+                if backend == "float":
+                    assert got[m][k].hex() == w.hex(), (m, k)
+                else:
+                    assert type(got[m][k]) is F and got[m][k] == w, (m, k)
+
+
+@pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
 def test_field_rows_build_no_matrix(monkeypatch, lvl, real, patch):
     # the field rows are written from the flattened generators, never
     # through a per-component matrix
@@ -532,6 +572,24 @@ def test_transition_exact_on_rational_equator():
     g = gg.transition(pt)
     xh1, xh2 = x[0] / math.sqrt(float(rho2)), x[1] / math.sqrt(float(rho2))
     assert abs((xh1 * xh1 - xh2 * xh2) - 1.0) < 1e-12
+    # rho = 24/25 is rational, so g is exact and unit exactly
+    assert type(g.value.re) is F and type(g.value.im) is F
+    assert g.value.conj() * g.value == 1
+    assert g.unitarity_residual() == 0
+
+
+@pytest.mark.parametrize("lvl,real,x", [
+    (2, "I", (0, F(4, 5), 0, 0, F(3, 5))),
+    (2, "II", (0, 0, F(4, 5), 0, F(3, 5))),
+    (3, "I", (0,) * 7 + (F(4, 5), F(3, 5))),
+    (3, "II", (0,) * 7 + (F(4, 5), F(3, 5))),
+])
+def test_transition_exact_on_rational_squares(lvl, real, x):
+    # 1 - (3/5)^2 = (4/5)^2: transition_at is exact and g^dag W g = W exactly
+    g = gg.transition(BasePoint(lvl, real, x))
+    assert {type(c) for grid in g.value.components() for row in grid for c in row} <= {int, F}
+    w = g.weight if g.weight is not None else RMatrix.identity(g.value.rows, g.value.ring)
+    assert g.value.dagger() @ w @ g.value == w
 
 
 def test_no_transition_for_two_leaf_map():

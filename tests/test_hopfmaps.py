@@ -96,10 +96,10 @@ def test_majorana_sampling():
             assert abs(float(d.re)) < 1e-12 and abs(float(d.im)) < 1e-12
 
 
-def _chord_reference(lvl, real, rng):
+def _chord_reference(lvl, real, rng, assemble=None):
     """The exact chord with Fraction coordinates and randint draws: the
     point p = p0 + t v, t = -2 <p0, v> / q(v), rejected where q(v) = 0 or
-    p = p0."""
+    p = p0; assembled by hm._assemble unless another assembler is given."""
     case = case_info(lvl, real)
     signs = case.norm_signs
     mult = 2 if (lvl, real) == (3, "I") else 1
@@ -116,7 +116,7 @@ def _chord_reference(lvl, real, rng):
         t = F(-2) * mult * sum(s * a * b for s, a, b in zip(signs, p0, v)) / qv
         p = [a + t * b for a, b in zip(p0, v)]
         if p != p0:
-            return hm._assemble(case, p)
+            return (assemble or hm._assemble)(case, p)
 
 
 @pytest.mark.parametrize("lvl,real", ALL_CASES)
@@ -133,6 +133,86 @@ def test_exact_chord_keeps_the_rng_stream(lvl, real):
         got = sample_normalized(lvl, real, backend="exact", rng=r1).comps
         assert key(got) == key(_chord_reference(lvl, real, r2))
     assert r1.getstate() == r2.getstate()
+
+
+def _majorana_reference(psi):
+    """(psi, j psi_c) with j psi_c taken as the product SplitComplex(0, 1) * c."""
+    j = SplitComplex(0, 1)
+    return list(psi) + [j * c for c in hm.charge_conjugate_spinor(psi)]
+
+
+def _assemble_reference(case, reals):
+    """The (3, I) pattern (U, j U_c, V, j V_c) through _majorana_reference."""
+    comps = [SplitComplex(reals[i], reals[i + 1]) for i in range(0, 16, 2)]
+    return _majorana_reference(comps[:4]) + _majorana_reference(comps[4:])
+
+
+def _gaussian_reference(signs, mult, rng):
+    """A gaussian vector redrawn while mult q(v) <= EPS_NORM mult |v|^2, then
+    scaled to mult q(v) = 1."""
+    while True:
+        v = [rng.gauss(0.0, 1.0) for _ in signs]
+        n = mult * sum(s * c * c for s, c in zip(signs, v))
+        if n > hm.EPS_NORM * mult * sum(c * c for c in v):
+            return [c * (1.0 / math.sqrt(n)) for c in v]
+
+
+def _full_repr(comps):
+    """repr of the components with the types of their parts."""
+    return repr([(type(c.re), c.re, type(c.im), c.im) for c in comps])
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_majorana_doubling_matches_the_product(backend):
+    """(3, I) samples build j psi_c as SplitComplex(c.im, c.re); values,
+    part types and the rng state are those of SplitComplex(0, 1) * c."""
+    case = case_info(3, "I")
+    r1, r2 = random.Random(41), random.Random(41)
+    for _ in range(200):
+        got = sample_normalized(3, "I", backend=backend, rng=r1).comps
+        if backend == "float":
+            want = _assemble_reference(case, _gaussian_reference(case.norm_signs, 2, r2))
+        else:
+            want = _chord_reference(3, "I", r2, assemble=_assemble_reference)
+        assert _full_repr(got) == _full_repr(want)
+    assert r1.getstate() == r2.getstate()
+
+
+def test_split_level3_fiber_matches_the_product():
+    r1, r2 = random.Random(43), random.Random(43)
+    for _ in range(200):
+        got = sample_fiber(3, "I", r1)
+        psi = sample_normalized(2, "I", rng=r2)
+        want = [c * (1 / math.sqrt(2.0)) for c in _majorana_reference(psi.comps)]
+        assert _full_repr(got) == _full_repr(want)
+    assert r1.getstate() == r2.getstate()
+
+
+def test_complex_level3_fiber_is_the_shared_gaussian_draw():
+    """sample_fiber(3, "II") makes the gauss calls of the old loop (8 per
+    attempt, redrawn while the Sigma3 form is at most EPS_NORM |v|^2) and
+    returns a vector of Sigma3 form 1."""
+    r1, r2 = random.Random(47), random.Random(47)
+    for _ in range(200):
+        got = sample_fiber(3, "II", r1)
+        while True:
+            raw = [r2.gauss(0, 1) for _ in range(8)]
+            n = sum(c * c for c in raw[:4]) - sum(c * c for c in raw[4:])
+            if n > hm.EPS_NORM * sum(c * c for c in raw):
+                break
+        assert all(type(c) is float for c in got)
+        assert all(abs(a - b / math.sqrt(n)) <= 1e-14 * max(1.0, abs(a)) for a, b in zip(got, raw))
+        assert abs(sum(c * c for c in got[:4]) - sum(c * c for c in got[4:]) - 1) <= 1e-12
+    assert r1.getstate() == r2.getstate()
+
+
+def test_overlap_samples_keep_both_patches():
+    rng = random.Random(53)
+    for lvl, real in ALL_CASES[:1] + ALL_CASES[2:]:
+        for _ in range(20):
+            pt = sample_base_point(lvl, real, rng=rng, overlap=True)
+            assert abs(pt.coords[-1]) <= 0.9
+            assert min(pt.patch_factor("upper"), pt.patch_factor("lower")) >= 0.1 - 1e-15
 
 
 def test_sampling_determinism():
@@ -153,9 +233,70 @@ def test_pole_inversion():
 def test_lower_patch_exact_roundtrip():
     # 2(1 - x3) = 64/25 is a rational square, so the section stays exact
     pt = BasePoint(1, "I", (F(24, 25), 0, F(-7, 25)), "lower")
-    sp = invert(pt, exact=True)
+    sp = invert(pt)
     back = project(sp)
     assert back.coords == pt.coords
+
+
+def _exact_parts(comps):
+    """True when every component (or both parts of a binarion) is an int or
+    a Fraction."""
+    return all(type(p) in (int, F) for c in comps
+               for p in ((c.re, c.im) if hasattr(c, "re") else (c,)))
+
+
+def _exact_fiber(lvl, real):
+    """A rational fiber at the map's level (None: invert's pole fiber)."""
+    if lvl < 3:
+        return None
+    if real == "II":
+        return [1] + [0] * 7  # Sigma3 form 1
+    half = SplitComplex(F(1, 2), 0)
+    # psi of norm 1/2, so (psi, j psi_c) has norm 1 and Phi = d conj(Phi)
+    return hm._majorana_pair([half, half, SplitComplex(0, 0), SplitComplex(0, 0)])
+
+
+@pytest.mark.parametrize("lvl,real", ALL_CASES)
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_invert_is_exact_at_the_integer_poles(lvl, real, patch):
+    """2(1 +- x_last) = 4 at the pole of the patch: the section's prefactor
+    is 1/2 exactly, with no flag, and the round trip is exact."""
+    dim = case_info(lvl, real).base_dim
+    pt = BasePoint(lvl, real, (0,) * (dim - 1) + (1 if patch == "upper" else -1,), patch)
+    sp = invert(pt, fiber=_exact_fiber(lvl, real))
+    assert _exact_parts(sp.comps)
+    assert project(sp).coords == pt.coords
+
+
+@pytest.mark.parametrize("x3", [F(-7, 25), F(7, 25)])
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_invert_is_exact_on_rational_squares(x3, patch):
+    # 2(1 +- x3) is 64/25 or 36/25, a rational square either way
+    pt = BasePoint(1, "I", (F(24, 25), 0, x3), patch)
+    sp = invert(pt)
+    assert _exact_parts(sp.comps) and any(type(c.re) is F for c in sp.comps)
+    assert project(sp).coords == pt.coords
+
+
+def test_invert_is_float_off_rational_squares():
+    # 2(1 + 4/5) = 18/5 is not a rational square
+    pt = BasePoint(1, "I", (F(3, 5), 0, F(4, 5)))
+    sp = invert(pt)
+    assert all(type(c.re) is float and type(c.im) is float for c in sp.comps)
+    assert max(abs(float(a - b)) for a, b in zip(project(sp).coords, pt.coords)) < 1e-15
+
+
+def test_level0_invert_and_section_matrix_exact_on_rational_squares():
+    # (y2 + 1) / 2 = 1 at the int pole; 9/8 at (3/4, 5/4) is not a square
+    assert [type(c) for c in level0_invert((0, 1))] == [F, F]
+    assert level0_invert((0, 1), "lower") == (0, -1)
+    assert all(type(c) is float for c in level0_invert((F(3, 4), F(5, 4))))
+    m = invert(BasePoint(3, "II", (0,) * 8 + (1,))).matrix()
+    assert _exact_parts(m.entries[r][c] for r in range(16) for c in range(8))
+    assert m.entry(0, 0) == F(1) and m.entry(8, 0) == 0
+    pt = BasePoint(3, "II", (F(3, 4),) + (0,) * 7 + (F(5, 4),))
+    off = invert(pt).matrix()  # 2(1 + 5/4) = 9/2 is not a square
+    assert {type(e) for row in off.entries for e in row if e} == {float}
 
 
 def test_level3_pole_matrix_section():

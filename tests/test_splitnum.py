@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 import itertools
+import math
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from splithopf.splitnum import (
     SplitComplex, OrdinaryComplex, SplitQuaternion, SplitOctonion,
     OCTONION_TABLE, AlgebraError, verify_structure_table, multiplication_table,
     random_element, _TABLE_CELLS, _parse_cell, _cleared, cleared_sample, _doubled,
-    _random_rational, rational,
+    _random_rational, rational, root,
 )
 from splithopf import reporting
 
@@ -293,3 +294,14 @@ def test_hash_and_equality():
         assert len({a, b}) == 1
     assert SplitQuaternion(1, 2, 3, 4) != SplitOctonion([1, 2, 3, 4, 0, 0, 0, 0])
     assert SplitQuaternion(1, 0, 0, 0) != SplitOctonion([1] + [0] * 7)
+
+
+def test_root_is_exact_on_rational_squares_only():
+    for q, r in ((0, F(0)), (4, F(2)), (F(9, 4), F(3, 2)), (F(64, 25), F(8, 5))):
+        assert root(q) == r and type(root(q)) is F
+    # a rational that is not a square, and every float, take math.sqrt
+    for q in (2, F(18, 5), 0.25, 2.0, 1e-300, 0.0):
+        assert type(root(q)) is float and root(q) == math.sqrt(float(q))
+    for q in (-1, F(-1, 4), -0.25):
+        with pytest.raises(ValueError):
+            root(q)
