@@ -56,6 +56,15 @@ def test_invert_roundtrip_through_json(capsys):
     assert abs(back[0] - 0.3) < 1e-12 and abs(back[3] - 0.4) < 1e-12
 
 
+def test_invert_exact_on_integer_squares(capsys):
+    # 2(1 + 17) = 36: the section is (18, 71 - 73 j) / 6 exactly, and JSON
+    # carries each component's correctly rounded float
+    code, out, _ = run(capsys, "invert", "--level", "1", "--realization", "I",
+                       "--point", "[71, 73, 17]")
+    assert code == 0
+    assert json.loads(out)["comps"] == [[3.0, 0.0], [71 / 6, -73 / 6]]
+
+
 def test_invert_level3_returns_section(capsys):
     code, out, _ = run(capsys, "invert", "--level", "3", "--realization", "I",
                        "--point", json.dumps([0.0] * 8 + [1.0]))
