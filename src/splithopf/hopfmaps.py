@@ -504,7 +504,6 @@ def invert(point, fiber=None, patch=None):
         raise ConstraintError("point is off the hyperboloid: residual %r" % (res,))
     require_patch(point.coords, patch)
 
-    w, n = section_linear_part(point, patch)
     if fiber is None:
         if point.level == 3:
             return Section(point, patch)
@@ -513,6 +512,7 @@ def invert(point, fiber=None, patch=None):
         else:
             pole = [case.ring.one, case.ring.zero]
             fiber = Spinor(1, point.realization, pole)
+    w, n = section_linear_part(point, patch)
     # ring elements, as the section's entries are, so that every fiber takes
     # matvec's component path
     fiber = [case.ring.promote(c) for c in _check_fiber(case, point, fiber)]

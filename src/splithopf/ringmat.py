@@ -44,11 +44,11 @@ of its shape in place of a result grid of int zeros, and ``from_blocks``,
 an int ``scale`` and negation keep it where their operands hold it.
 
 ``forms(mats, vec)`` gives the Hermitian form of each of several matrices
-over one ring against one vector, in one pass: it reads the vector's
-components (and their conjugates) once and, on exact input, clears them
-once, with one lcm, for every matrix; ``RMatrix.form`` is ``forms`` of one
-matrix.  A spinor's norm and all its bilinears (hopfmaps.project,
-superhopf.super_project) are one ``forms`` call.
+over one ring against one vector: it reads (and on exact input clears) the
+vector once, and a row whose one cell is a unit (+-1, +-u) reads its term
+from the product conj(v_i) v_j, made once for every matrix; ``RMatrix.form``
+is ``forms`` of one matrix.  A spinor's norm and all its bilinears
+(hopfmaps.project, superhopf.super_project) are one ``forms`` call.
 """
 
 from fractions import Fraction
@@ -172,7 +172,8 @@ class RMatrix:
     dagger(N) dagger(M), and dagger(dagger(M)) = M.
     """
 
-    __slots__ = ("rows", "cols", "ring", "_grids", "_entries", "_cells", "_fcells", "_icells")
+    __slots__ = ("rows", "cols", "ring", "_grids", "_entries", "_cells", "_fcells", "_icells",
+                 "_units")
 
     def __init__(self, entries, ring):
         rows = [[ring.promote(x) for x in row] for row in entries]
@@ -214,9 +215,8 @@ class RMatrix:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_grids", grids)
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_cells", None)
-        object.__setattr__(self, "_fcells", None)
-        object.__setattr__(self, "_icells", None)
+        for kept in ("_cells", "_fcells", "_icells", "_units"):
+            object.__setattr__(self, kept, None)
 
     def _check_rectangular(self):
         if any(len(g) != self.rows or any(len(r) != self.cols for r in g)
@@ -729,47 +729,86 @@ def _matvec_values(m, vec, cv):
     return vec, out, dv, den
 
 
+def _units(m):
+    """(places, general) for the rows of m, found on first use and kept;
+    False unless m is square with int cells.  A row i whose one cell (at k)
+    is a unit (+-1, or +-u over a binarion ring) places its term's parts in
+    (p, -p), p = conj(v_lo) v_hi, lo <= hi the row and k: (lo * n + hi, re,
+    im).  A unit swaps and negates, and conj(v_k) v_i = conj(conj(v_i) v_k)
+    sums the same products, so a term keeps its bits but a zero's sign,
+    which no form reads; any other row i is in general, placed at -1 - i."""
+    units = m._units
+    if units is None:
+        ex = m.rows == m.cols and _exact(m)
+        n, u2, units = m.cols, getattr(_binarion(m.ring), "UNIT_SQ", 1), []
+        for i, row in enumerate(_cells(m) if ex and not ex[2] else ()):
+            k, *a = row[0] if len(row) == 1 else (0, 0)
+            ar, ai = (a + [0])[:2]
+            c = -1 if i > k else 1
+            # (sign, component of p) of the term's re and im
+            terms = ((ar, 0), (ar * c, 1)) if ar else ((u2 * ai * c, 1), (ai, 0))
+            units.append((min(i, k) * n + max(i, k),) + tuple(j + 1 - s for s, j in terms)
+                         if sum(map(abs, a)) == 1 else (-1 - i, 0, 1))
+        units = bool(units) and (tuple(units), tuple(-1 - u[0] for u in units if u[0] < 0))
+        object.__setattr__(m, "_units", units)
+    return units
+
+
 def forms(mats, vec):
     """[m.form(vec) for m in mats], for matrices over one ring: each form is
-    sum_i conj(vec_i) (M vec)_i, the ring involution on the left.
+    sum_i conj(vec_i) (M vec)_i, the ring involution on the left, its terms
+    added in increasing i from the ring's zero.
 
-    The vector is read once for all the matrices: its components, their
-    conjugates and, on exact input, its cleared ints (_clear, one lcm; the
-    vector is broad).  Each matrix then takes the path its own form would:
-    the cleared loop when _cleared admits the matrix and the vector, the
-    loop over its cells otherwise.  Each form adds its terms in increasing
-    i from the ring's zero, with the operation order of matvec followed by
-    the entries' own product and sum."""
+    The vector is read once: its components, their conjugates and, on
+    exact input, its cleared ints (_clear, one lcm, broad), which a matrix
+    takes when _cleared admits it.  When they are all floats or all exact,
+    a unit row (_units) reads its term from the pair products, made once in
+    a call for all the matrices (of ints, so all see the vector cleared or
+    none does); any other row sums its cells as matvec does, then takes the
+    entries' own product."""
     ring = mats[0].ring
     if any(m.ring is not ring and m.ring != ring for m in mats):
         raise TypeError("forms takes matrices over one ring")
-    cls = _binarion(ring)
-    out = []
-    if cls and all(type(v) is cls for v in vec):
+    cls, n = _binarion(ring), len(vec)
+    binarions = cls and all(type(v) is cls for v in vec)
+    if binarions:
         u2 = cls.UNIT_SQ
-        parts = _vector_parts(vec, True)
-        for m in mats:
-            vr, vi, res, ims, dv, den = _matvec_components(m, parts, u2)
-            re = im = 0 if den is None else False
-            for cr, ci, mr, mi in zip(vr, vi, res, ims):
-                ci = -ci
-                re = re + (cr * mr + u2 * ci * mi)
-                im = im + (cr * mi + ci * mr)
-            if den is not None:
-                (re, im), = _finish([[re, im]], den * dv)
-            out.append(cls(re, im))
-        return out
-    cv = None if cls else _clear(vec, True)
-    conj = [c.conj() if hasattr(c, "conj") else c for c in vec]
+        parts = vr, vi, cv = _vector_parts(vec, True)
+    else:  # cleared ints are reals, their own conjugates
+        cv = None if cls else _clear(vec, True)
+        vr, vi = [c.conj() if hasattr(c, "conj") else c for c in vec], None
+    kinds = set(map(type, vr + vi if binarions else vec)) if binarions or not cls else {None}
+    one = kinds <= _EXACT or kinds == {float}
+    # the pair products, then at -1 - i the term of a general row i
+    pairs, out = [None] * (n * n + n), []
     for m in mats:
-        ints, rows, dv, den = _matvec_values(m, vec, cv)
-        acc = ring.zero if den is None else False
-        # cleared ints are reals, their own conjugates
-        for c, v in zip(conj if den is None else ints, rows):
-            acc = acc + c * v
-        if den is not None:
-            (acc,), = _finish([[acc]], den * dv)
-        out.append(acc)
+        r = min(m.rows, n)
+        units, general = one and m.cols == n and _units(m) or (
+            tuple((-1 - i, 0, 1) for i in range(r)), range(r))
+        ops = _operands(m, cv)
+        xr, xi = (ops[1] if binarions else (ops[1], None)) if ops else (vr, vi)
+        den = ops and ops[2] * ops[3] * ops[3]
+        sums = general and (_matvec_components(m, parts, u2)[2:4] if binarions
+                            else _matvec_values(m, vec, cv)[1:2])
+        for i in general:
+            cr, mr = xr[i], sums[0][i]
+            ci, mi = (-xi[i], sums[1][i]) if binarions else (0, 0)
+            pairs[-1 - i] = ((cr * mr + u2 * ci * mi, cr * mi + ci * mr) if binarions
+                             else (cr * mr, 0))
+        re = im = (0 if binarions else ring.zero) if den is None else False
+        for idx, jr, ji in units:
+            p = pairs[idx]
+            if p is None:
+                lo, hi = divmod(idx, n)
+                if binarions:
+                    cr, ci, br, bi = xr[lo], -xi[lo], xr[hi], xi[hi]
+                    pr, pi = cr * br + u2 * ci * bi, cr * bi + ci * br
+                else:
+                    pr, pi = xr[lo] * xr[hi], 0
+                p = pairs[idx] = (pr, pi, -pr, -pi)
+            re, im = re + p[jr], im + p[ji]
+        vals = (re, im) if den is None else _finish([[re, im]], den)[0]
+        out.append(cls(*vals) if binarions else vals[0])
     return out
 
 

@@ -313,6 +313,27 @@ def test_level3_pole_matrix_section():
             assert m.entry(r, c).is_zero()
 
 
+@pytest.mark.parametrize("real", ["I", "II"])
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_level3_invert_builds_the_section_once(monkeypatch, real, patch):
+    """invert of a level-3 point without a fiber evaluates the section
+    numerator once, in Section, and returns the section of that point."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return section_linear_part(*args, **kwargs)
+
+    pt = sample_base_point(3, real, patch=patch, rng=random.Random(8))
+    monkeypatch.setattr(hm, "section_linear_part", counting)
+    sec = invert(pt)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    w, n = section_linear_part(pt)
+    assert isinstance(sec, Section) and sec.patch == patch
+    assert sec.w == w and sec.n == n
+
+
 @pytest.mark.parametrize("lvl,real", ALL_CASES)
 @pytest.mark.parametrize("patch", ["upper", "lower"])
 def test_section_coordinates_entry(lvl, real, patch):

@@ -837,3 +837,77 @@ def test_maps_take_their_bilinears_from_forms(monkeypatch):
     monkeypatch.setattr(RMatrix, "form", refused)
     monkeypatch.setattr(RMatrix, "__matmul__", refused)
     assert [call() for call in calls] == first
+
+
+def _unit_set_vectors(rng, ring, n):
+    """Gaussian floats, ints and Fractions; two poles with a signed zero in
+    every other part; and vectors that mix floats with an int, with a
+    Fraction, and ints with Fractions."""
+    cls = None if ring is RING_REAL else type(ring.zero)
+
+    def vector(draw):
+        return [draw() if cls is None else cls(draw(), draw()) for _ in range(n)]
+
+    vecs = [vector(lambda: rng.gauss(0.0, 1.0)), vector(lambda: rng.randint(-3, 3)),
+            vector(lambda: F(rng.randint(-5, 5), rng.randint(1, 4)))]
+    for lead in (1.0, -1.0):
+        vecs.append(vector(lambda: rng.choice((0.0, -0.0))))
+        vecs[-1][0] = ring.promote(lead) if cls is None else cls(lead, rng.choice((0.0, -0.0)))
+    for odd in (2, F(1, 3)):
+        vecs.append(vector(lambda: rng.gauss(0.0, 1.0)))
+        vecs[-1][n - 1] = ring.promote(odd)
+    vecs.append(vector(lambda: rng.randint(-3, 3)))
+    vecs[-1][0] = ring.promote(F(-2, 3))
+    return vecs
+
+
+def _partial_tables(m):
+    """Copies of m whose first row holds a non-unit cell (twice its unit),
+    a second cell, or no cell; and m with Fraction and with float cells."""
+    one = m.ring.one
+    rows = [[list(r) for r in m.entries] for _ in range(3)]
+    j = next(j for j, x in enumerate(rows[0][0]) if _nonzero(x))
+    rows[0][0][j] = rows[0][0][j] * 2
+    rows[1][0][(j + 1) % m.cols] = one
+    rows[2][0] = [m.ring.zero] * m.cols
+    return [RMatrix(r, m.ring) for r in rows] + [m.scale(F(1, 2)), m.scale(0.5)]
+
+
+def test_forms_unit_rows_match_dense_reference():
+    """The bilinear sets of the six maps and the level-3 fiber weights hold
+    unit rows only (one +-1 or +-u cell each), so forms reads every term of
+    theirs from a pair product.  On every kind of vector, alone and beside
+    matrices with a non-unit cell, a second cell, an empty row, Fraction or
+    float cells, each form has the bits and the type of the dense
+    reference; a NaN or an infinite component makes every form non-finite;
+    the super map's Grassmann set keeps the reference too."""
+    from splithopf import hopfmaps, superhopf
+    from splithopf.ringmat import _units
+    rng = random.Random(34)
+    sets = [hopfmaps._bilinear_matrices(*case) for case in hopfmaps.CASES]
+    sets += [(hopfmaps._fiber_weight(3, real),) for real in ("I", "II")]
+    for mats in sets:
+        assert all(_units(m) and not _units(m)[1] and _units(m) is _units(m) for m in mats)
+        ring, n = mats[0].ring, mats[0].cols
+        for extra in ([], _partial_tables(mats[-1])):
+            group = list(mats) + extra
+            for vec in _unit_set_vectors(rng, ring, n):
+                want = [bits(ref_form(m, vec)) for m in group]
+                assert [bits(x) for x in forms(group, vec)] == want
+                assert [bits(x) for x in forms(group, tuple(vec))] == want
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for i in (0, n - 1):
+                vec = _unit_set_vectors(rng, ring, n)[0]
+                vec[i] = ring.promote(bad) if ring is RING_REAL else type(ring.zero)(
+                    vec[i].re, bad)
+                for x in forms(mats, vec):
+                    parts = (x,) if ring is RING_REAL else (x.re, x.im)
+                    assert not any(map(math.isfinite, parts))
+    for real in ("I", "II"):
+        cfg = PSEUDO if real == "I" else STANDARD
+        ths = (GrassmannElement.generator(0, cfg), GrassmannElement.generator(1, cfg))
+        xs = superhopf.lift_base((F(0), F(15, 8), F(17, 8)) if real == "II"
+                                 else (F(24, 25), F(0), F(7, 25)), ths, real)
+        chi = superhopf.super_invert(xs, ths, "upper", real)
+        mats = superhopf._bilinear_matrices(real)
+        assert forms(mats, chi) == [ref_form(m, chi) for m in mats]
