@@ -12,6 +12,7 @@ when --seed is absent; a malformed one is a usage error.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -366,9 +367,11 @@ def build_parser():
     return p
 
 
+_parser = functools.lru_cache(maxsize=1)(build_parser)  # main's, built once per process
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as e:

@@ -27,24 +27,26 @@ level 2, sigma_mn at level 3):
     level 3:  c [A_m, A_n] = (y.y) sigma_mn - eta_n y_n A_m + eta_m y_m A_n.
 
 Both closed forms are kept as {k: coefficient} maps over the generators,
-and a contraction with tangents is one linear combination of them; one
-matrix per component is built only for connection_closed and
-curvature_closed.  field_components writes each component's entries
-straight from its map over the flattened generators (_flat_basis), with no
-matrix in between.  The closed contraction lies in the generator span by
-construction, so its agreement with the exact section derivative is also
-the check that the derivative lies in that span.  The numeric oracle
-curvature_numeric differences the connection maps at shifted base points in
-algebra coordinates too, but takes the matrix commutator of the unshifted
-contractions, so the two sides of the curvature check share no commutator
-code.  The section numerator and the transition's numerator are linear in
-x, so a first derivative along t needs them at x + t only, never at x +- h t
-(connection_numeric, _transition_step).  Shifted points are bare
-coordinates, no BasePoint.
+the curvature evaluated along a static per-case plan of its slots and
+keys (_curvature_plan), and a contraction with tangents is one linear
+combination of them; one matrix per component is built only for
+connection_closed and curvature_closed.  field_components writes each
+coefficient times its flattened generator (_flat_basis) into the export
+row as soon as it is made.  The closed contraction lies in the generator
+span by construction, so its agreement with the exact section derivative
+is also the check that the derivative lies in that span.  The numeric
+oracle curvature_numeric differences the connection maps at shifted base
+points in algebra coordinates too, but takes the matrix commutator of the
+unshifted contractions, so the two sides of the curvature check share no
+commutator code.  The section numerator and the transition's numerator
+are linear in x, so a first derivative along t needs them at x + t only,
+never at x +- h t (connection_numeric, _transition_step).  Shifted points
+are bare coordinates, no BasePoint.
 """
 
 from fractions import Fraction
 import functools
+import itertools
 import math
 import random
 
@@ -118,6 +120,20 @@ def _thooft_terms(level, realization, bar):
                  for m in free)
 
 
+@functools.lru_cache(maxsize=None)
+def _curvature_plan(level, realization, bar):
+    """The F slots (m, n), m < n, in sorted order, as (m, n, entries): the
+    (k, T_mn[k] or None, k in A_m, k in A_n) of its keys: T_mn's, then
+    A_m's new ones, then A_n's.  entries is None at (m, last): s/n A_m."""
+    pairs = _gauge_algebra(level, realization, bar)[1]
+    keys = {m: [k for k, _, _ in row] for m, row in _thooft_terms(level, realization, bar)}
+    last, shared = len(keys) + 1, {}  # one tuple per distinct entry, shared by the slots
+    return tuple((m, nn, None if nn == last else tuple(shared.setdefault(e, e) for e in (
+        (k, pairs[(m, nn)].get(k), k in keys[m], k in keys[nn])
+        for k in dict.fromkeys([*pairs[(m, nn)], *keys[m], *keys[nn]]))))
+        for m in keys for nn in range(m + 1, last + 1))
+
+
 # ---------------------------------------------------------------------------
 # tangent frames
 
@@ -149,21 +165,22 @@ def _algebra_connection(level, realization, patch, x):
     """The closed connection at levels 2-3 in algebra coordinates, at any x
     require_patch accepts: off the hyperboloid, a numerator linear in x over n.
 
-    Returns (s, 1/n, y, basis, T, coeffs) with s, n from require_patch,
-    y = x / n over the free coordinates, basis and T from _gauge_algebra,
-    and A_m = sum_k coeffs[m][k] basis[k] for the free indices m (the last
-    component vanishes), with A_m[k] = pref T_mn'[k] x_n' over the one n'
-    of each (m, k) (_thooft_terms): pref = -+1/(2n) at level 2 (- for I)
-    and 1/n at level 3.
+    Returns (s, 1/n, y, basis, plan, coeffs) with s, n from require_patch,
+    y = x / n over the free coordinates, basis from _gauge_algebra, plan
+    the case's _curvature_plan, and A_m = sum_k coeffs[m][k] basis[k] for
+    the free indices m (the last component vanishes), with A_m[k] =
+    pref T_mn'[k] x_n' over the one n' of each (m, k) (_thooft_terms):
+    pref = -+1/(2n) at level 2 (- for I) and 1/n at level 3.
     """
     s, n = require_patch(x, patch)
     inv_n = reciprocal(n)
-    basis, pairs = _gauge_algebra(level, realization, patch == "lower")
+    bar = patch == "lower"
+    basis = _gauge_algebra(level, realization, bar)[0]
     y = [xi * inv_n for xi in x[:-1]]
     pref = inv_n if level == 3 else inv_n / -2 if realization == "I" else inv_n / 2
     coeffs = {m: {k: v * pref * x[nn - 1] for k, nn, v in row}
-              for m, row in _thooft_terms(level, realization, patch == "lower")}
-    return s, inv_n, y, basis, pairs, coeffs
+              for m, row in _thooft_terms(level, realization, bar)}
+    return s, inv_n, y, basis, _curvature_plan(level, realization, bar), coeffs
 
 
 def _combine(basis, coeffs):
@@ -330,15 +347,14 @@ def _comm_unit(real):
     return -SplitComplex(0, 1) if real == "I" else OrdinaryComplex(0, 1)
 
 
-def _curvature_terms(point, alg):
-    """Levels 2-3: F_mn = alpha T_mn + w_n A_m - w_m A_n for free m < n and
-    F_{m,last} = (s/n) A_m, as {(m, n): {k: coefficient}} over the basis.
-    This is the ambient derivative of the connection plus the closed
-    commutator term of the module docstring: alpha = +-(1/n + y.y/2) (+ for
-    I) and w_k = eta_k y_k at level 2, alpha = y.y - 2/n and
-    w_k = -eta_k y_k at level 3.
-    """
-    s, inv_n, y, basis, pairs, coeffs = alg
+def _curvature_values(point, alg, first=0):
+    """Levels 2-3: yields (j, k, F_mn[k]) along _curvature_plan, j counting
+    slots from first: F_mn = alpha T_mn + w_n A_m - w_m A_n (from alpha
+    T_mn[k] or the int 0) for free m < n and F_{m,last} = (s/n) A_m, the
+    ambient derivative of the connection plus the commutator term of the
+    module docstring: alpha = +-(1/n + y.y/2) (+ for I), w_k = eta_k y_k at
+    level 2; alpha = y.y - 2/n, w_k = -eta_k y_k at level 3."""
+    s, inv_n, y, basis, plan, coeffs = alg
     eta = case_info(point.level, point.realization).base_metric.signature
     yy = sum(e * yk * yk for e, yk in zip(eta, y))
     if point.level == 2:
@@ -347,18 +363,29 @@ def _curvature_terms(point, alg):
     else:
         alpha = yy - 2 * inv_n
         w = [-e * yk for e, yk in zip(eta, y)]
-    last = len(coeffs) + 1
-    out = {}
-    for m, am in coeffs.items():
-        for nn in range(m + 1, last):
-            terms = {k: alpha * t for k, t in pairs[(m, nn)].items()}
-            for k, c in am.items():
-                terms[k] = terms.get(k, 0) + w[nn - 1] * c
-            for k, c in coeffs[nn].items():
-                terms[k] = terms.get(k, 0) - w[m - 1] * c
-            out[(m, nn)] = terms
-        out[(m, last)] = {k: s * inv_n * c for k, c in am.items()}
-    return out
+    sn = s * inv_n
+    for j, (m, nn, entries) in enumerate(plan, first):
+        am = coeffs[m]
+        if entries is None:
+            yield from ((j, k, sn * c) for k, c in am.items())
+            continue
+        an, wn, wm = coeffs[nn], w[nn - 1], w[m - 1]
+        for k, t, inm, inn in entries:
+            c = 0 if t is None else alpha * t
+            if inm:
+                c = c + wn * am[k]
+            if inn:
+                c = c - wm * an[k]
+            yield j, k, c
+
+
+def _curvature_terms(point, alg):
+    """Levels 2-3: the closed curvature (_curvature_values) as
+    {(m, n): {k: coefficient}} over the basis, in plan order."""
+    slots = [((m, nn), {}) for m, nn, _ in alg[4]]
+    for j, k, c in _curvature_values(point, alg):
+        slots[j][1][k] = c
+    return dict(slots)
 
 
 def _curvature_coeffs(point, patch):
@@ -586,31 +613,12 @@ def _flat_real(m):
     return [float(c) for rows in zip(*m.components()) for cell in zip(*rows) for c in cell]
 
 
-def _flat_width(m):
-    """len(_flat_real(m))."""
-    return m.rows * m.cols * len(m.components())
-
-
 @functools.lru_cache(maxsize=None)
 def _flat_basis(level, realization, bar):
     """The generator basis of the connection at levels 2-3, each generator
     flattened by _flat_real and kept as its nonzero (index, value) entries."""
     return [[(i, v) for i, v in enumerate(_flat_real(b)) if v]
             for b in _gauge_algebra(level, realization, bar)[0]]
-
-
-def _flat_sum(flat, coeffs, out, offset=0):
-    """Add sum_k coeffs[k] flat[k] into out[offset:], for a {k: coefficient}
-    map over the flattened basis.  Zero coefficients are skipped and the
-    terms of each entry are added in coeffs' order, as lincomb does, so with
-    float coefficients the entries are the floats _flat_real reads off the
-    lincomb matrix; a rational coefficient meets the float basis in float
-    arithmetic."""
-    for k, c in coeffs.items():
-        if c:
-            for i, v in flat[k]:
-                out[offset + i] += c * v
-    return out
 
 
 # One entry: a grid samples one case, and a level-3 case has 5,760 names.
@@ -634,12 +642,12 @@ def field_components(point, patch=None):
     (names, values) with a stable ordering, for grid export; names is the
     cached tuple of the case's column names, shared by every call.
 
-    At levels 2-3 each component is written into its slice of the row from
-    its {k: coefficient} map over the flattened generators (_flat_sum), with
-    no matrix built: float input gives the floats of the connection_closed
-    and curvature_closed entries bit for bit, and rational input gives each
-    exact entry v within 1e-15 * max(1, |v|), the coefficients meeting the
-    float generators in float arithmetic.
+    At levels 2-3 each coefficient of A_m, and of F_mn as _curvature_values
+    makes it, is added times its flattened generator (_flat_basis) into its
+    component's slice of the row at once, skipped if zero, as lincomb does:
+    float input gives the floats of the connection_closed and
+    curvature_closed entries bit for bit, and rational input each exact
+    entry v within 1e-15 * max(1, |v|), in float arithmetic.
     """
     patch = patch or point.patch
     names = _field_names(point.level, point.realization)
@@ -647,12 +655,14 @@ def field_components(point, patch=None):
         a, f = connection_closed(point, patch), curvature_closed(point, patch)
         return names, [float(a[k]) for k in sorted(a)] + [float(f[k]) for k in sorted(f)]
     alg = _algebra_connection(point.level, point.realization, patch, point.coords)
-    coeffs, terms = alg[5], _curvature_terms(point, alg)
-    # A_1 .. A_dim (the last component vanishes), then F_ab sorted
-    maps = [coeffs[k] for k in sorted(coeffs)] + [{}] + [terms[k] for k in sorted(terms)]
     flat = _flat_basis(point.level, point.realization, patch == "lower")
-    width = _flat_width(alg[3][0])
-    values = [0.0] * (width * len(maps))
-    for offset, cm in zip(range(0, len(values), width), maps):
-        _flat_sum(flat, cm, values, offset)
+    # A_1 .. A_dim (the last component vanishes), then F_ab in plan order
+    dim, values = len(alg[5]) + 1, [0.0] * len(names)
+    width = len(names) // (dim + len(alg[4]))
+    conn = ((m - 1, k, c) for m, cm in alg[5].items() for k, c in cm.items())
+    for slot, k, c in itertools.chain(conn, _curvature_values(point, alg, dim)):
+        if c:
+            off = width * slot
+            for i, v in flat[k]:
+                values[off + i] += c * v
     return names, values

@@ -774,11 +774,12 @@ def forms(mats, vec):
     if binarions:
         u2 = cls.UNIT_SQ
         parts = vr, vi, cv = _vector_parts(vec, True)
-    else:  # cleared ints are reals, their own conjugates
-        cv = None if cls else _clear(vec, True)
-        vr, vi = [c.conj() if hasattr(c, "conj") else c for c in vec], None
-    kinds = set(map(type, vr + vi if binarions else vec)) if binarions or not cls else {None}
+        kinds = set(map(type, vr + vi))
+    else:
+        cv, kinds = (None, {None}) if cls else (_clear(vec, True), set(map(type, vec)))
     one = kinds <= _EXACT or kinds == {float}
+    if not binarions:  # cleared ints, floats, ints and Fractions are their own conjugates
+        vr, vi = vec if one else [c.conj() if hasattr(c, "conj") else c for c in vec], None
     # the pair products, then at -1 - i the term of a general row i
     pairs, out = [None] * (n * n + n), []
     for m in mats:

@@ -500,6 +500,33 @@ def test_tolerance_refuses_non_finite_and_negative(capsys, monkeypatch, value):
     assert "tolerance" in err
 
 
+def test_main_calls_share_no_options(capsys, monkeypatch, tmp_path):
+    # main parses every call with one parser: the --tolerance values of a
+    # call are not appended to the next call's, and a call's --out is not
+    # carried into the next
+    def suite(name, seed=0, corrupt=False):
+        checks = [cli.reporting.CheckReport(cid, residual=0.5, tolerance=1.0)
+                  for cid in ("a-1", "b-1", "c-1")]
+        return cli.reporting.VerifyReport(name, checks, seed, 0.0)
+
+    def tolerances(text):
+        return {c["id"]: c["tolerance"] for s in json.loads(text)["suites"] for c in s["checks"]}
+
+    monkeypatch.setattr(cli.reporting, "run_suite", suite)
+    path = tmp_path / "first.json"
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--no-timestamp",
+                       "--tolerance", "a-=0.1", "--tolerance", "c-=2", "--out", str(path))
+    assert code == 1 and out == ""
+    assert tolerances(path.read_text()) == {"a-1": 0.1, "b-1": 1.0, "c-1": 2.0}
+    for argv in (("--tolerance", "b-=0.25"), ("--tolerance", "b-=0.25")):
+        code, out, _ = run(capsys, "verify", "--suite", "algebra", "--no-timestamp", *argv)
+        assert code == 1
+        assert tolerances(out) == {"a-1": 1.0, "b-1": 0.25, "c-1": 1.0}
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--no-timestamp")
+    assert code == 0 and tolerances(out) == {"a-1": 1.0, "b-1": 1.0, "c-1": 1.0}
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_constraint_checks_report_a_projection_error(capsys, monkeypatch):
     # a projection off by 1e-6 makes hopfmaps.project raise ConstraintError;
     # the constraint checks fail with its message and the report is written

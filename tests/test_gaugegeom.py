@@ -466,6 +466,62 @@ def test_level3_connection_matches_sigma_sum(real, patch):
                     assert type(got[m][k]) is F and got[m][k] == w, (m, k)
 
 
+def _curvature_reference(lvl, real, patch, x):
+    """_curvature_terms written from its docstring formula with dicts:
+    F_mn = alpha T_mn + w_n A_m - w_m A_n for free m < n, F_{m,last} =
+    (s/n) A_m, each map from T_mn's keys, then A_m's, then A_n's."""
+    s, inv_n, y, _, _, coeffs = gg._algebra_connection(lvl, real, patch, x)
+    pairs = gg._gauge_algebra(lvl, real, patch == "lower")[1]
+    eta = hm.case_info(lvl, real).base_metric.signature
+    yy = sum(e * yk * yk for e, yk in zip(eta, y))
+    if lvl == 2:
+        alpha = (1 if real == "I" else -1) * (inv_n + yy / 2)
+        w = [e * yk for e, yk in zip(eta, y)]
+    else:
+        alpha = yy - 2 * inv_n
+        w = [-e * yk for e, yk in zip(eta, y)]
+    last = len(coeffs) + 1
+    want = {}
+    for m in range(1, last):
+        for nn in range(m + 1, last):
+            terms = {k: alpha * t for k, t in pairs[(m, nn)].items()}
+            for k, c in coeffs[m].items():
+                terms[k] = terms.get(k, 0) + w[nn - 1] * c
+            for k, c in coeffs[nn].items():
+                terms[k] = terms.get(k, 0) - w[m - 1] * c
+            want[(m, nn)] = terms
+        want[(m, last)] = {k: s * inv_n * c for k, c in coeffs[m].items()}
+    return want
+
+
+@pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
+def test_curvature_terms_match_formula(lvl, real, patch):
+    # the slots, the keys of each slot, the float bits (zero signs and
+    # 0 + (-0.0) included) and the exact types of the closed curvature
+    rng = random.Random(41)
+    last = 1.0 if patch == "upper" else -1.0
+    for backend in ("float", "exact", "float", "zeros", "exact", "pole"):
+        sampled = "exact" if backend == "exact" else "float"
+        x = list(sample_base_point(lvl, real, patch=patch, backend=sampled, rng=rng).coords)
+        if backend == "zeros":
+            x[0], x[1], x[-2] = 0.0, -0.0, -0.0
+        elif backend == "pole":
+            x = [(-0.0 if i % 2 else 0.0) for i in range(len(x) - 1)] + [last]
+        pt = BasePoint(lvl, real, x, patch)
+        got = gg._curvature_terms(pt, gg._algebra_connection(lvl, real, patch, x))
+        want = _curvature_reference(lvl, real, patch, x)
+        assert list(got) == list(want)
+        for key, terms in want.items():
+            assert list(got[key]) == list(terms), key
+            for k, w in terms.items():
+                g = got[key][k]
+                assert type(g) is type(w), (backend, key, k)
+                if backend == "exact":
+                    assert g == w and isinstance(g, (int, F)), (key, k)
+                else:
+                    assert g.hex() == w.hex(), (backend, key, k)
+
+
 @pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
 def test_field_rows_build_no_matrix(monkeypatch, lvl, real, patch):
     # the field rows are written from the flattened generators, never
