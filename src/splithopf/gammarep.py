@@ -19,7 +19,7 @@ import functools
 from .splitnum import SplitComplex, OrdinaryComplex, OCTONION_TABLE
 from .ringmat import (
     RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX,
-    commutator, anticommutator, lincomb, _zero_grid,
+    commutator, anticommutator, lincomb,
 )
 
 __all__ = [
@@ -200,7 +200,7 @@ def to_complex(m):
     if m.ring != RING_REAL:
         raise TypeError("cannot lift a %s matrix into the complex ring" % m.ring.name)
     (entries,) = m.components()
-    return RMatrix.from_components((entries, _zero_grid(m.rows, m.cols)), RING_COMPLEX)
+    return RMatrix.from_components((entries, ((0,) * m.cols,) * m.rows), RING_COMPLEX)
 
 
 # ---------------------------------------------------------------------------

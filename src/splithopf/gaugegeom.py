@@ -120,18 +120,23 @@ def _thooft_terms(level, realization, bar):
                  for m in free)
 
 
+_PLANS = {}  # each distinct plan once: the four level-3 plans are equal
+
+
 @functools.lru_cache(maxsize=None)
 def _curvature_plan(level, realization, bar):
     """The F slots (m, n), m < n, in sorted order, as (m, n, entries): the
     (k, T_mn[k] or None, k in A_m, k in A_n) of its keys: T_mn's, then
-    A_m's new ones, then A_n's.  entries is None at (m, last): s/n A_m."""
+    A_m's new ones, then A_n's.  entries is None at (m, last): s/n A_m.
+    Equal plans are one object (_PLANS)."""
     pairs = _gauge_algebra(level, realization, bar)[1]
     keys = {m: [k for k, _, _ in row] for m, row in _thooft_terms(level, realization, bar)}
     last, shared = len(keys) + 1, {}  # one tuple per distinct entry, shared by the slots
-    return tuple((m, nn, None if nn == last else tuple(shared.setdefault(e, e) for e in (
+    plan = tuple((m, nn, None if nn == last else tuple(shared.setdefault(e, e) for e in (
         (k, pairs[(m, nn)].get(k), k in keys[m], k in keys[nn])
         for k in dict.fromkeys([*pairs[(m, nn)], *keys[m], *keys[nn]]))))
         for m in keys for nn in range(m + 1, last + 1))
+    return _PLANS.setdefault(plan, plan)
 
 
 # ---------------------------------------------------------------------------

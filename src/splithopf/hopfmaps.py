@@ -27,7 +27,7 @@ __all__ = [
     "patch_sign", "require_patch", "section_linear_at",
     "project", "invert", "sample_normalized", "sample_base_point", "sample_fiber",
     "level0_project", "level0_invert",
-    "hierarchical_fiber_check", "majorana_matrix", "charge_conjugate_spinor",
+    "hierarchical_fiber_check", "charge_conjugate_spinor",
 ]
 
 EPS_PATCH = 1e-9
@@ -152,12 +152,6 @@ def _bilinear_matrices(level, realization):
     if fam.weight is None:
         return (weight,) + tuple(fam.gammas)
     return (weight,) + tuple(fam.weight @ g for g in fam.gammas)
-
-
-def majorana_matrix():
-    """B of the 16-component split realization; the reality condition is
-    Psi = -B^-1 conj(Psi) with B^-1 = B."""
-    return gammarep.charge_conjugation("so54_I").matrix
 
 
 def charge_conjugate_spinor(psi_comps):

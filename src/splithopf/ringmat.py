@@ -30,7 +30,7 @@ Exact kernels run on integers.  A matrix whose nonzero cells hold only
 ints and Fractions keeps on first exact use those cells cleared to ints
 with one common denominator (``_exact``).  One rule, ``_cleared``, picks
 the loop of ``@`` (so ``commutator`` and ``anticommutator``), ``matvec``,
-forms, ``scale``, ``lincomb`` and ``MetricForm.inner``:
+forms and ``scale``:
 when both operands are exact and a Fraction is a factor of every term
 written (``_clear``), the loop runs on the cleared ints and divides each
 written value once.  So types are those of the entries' own arithmetic:
@@ -39,9 +39,7 @@ no term reached is the int 0.  Each written value comes from
 ``splitnum.rational``, a bounded memo of ``Fraction(n, d)``, so a value
 written again is the Fraction already made.  Other operands keep the
 loop above, bit for bit; a float is told by its first component, before
-any scan.  A product of int matrices puts the one shared ``_zero_grid``
-of its shape in place of a result grid of int zeros, and ``from_blocks``,
-an int ``scale`` and negation keep it where their operands hold it.
+any scan.
 
 ``forms(mats, vec)`` gives the Hermitian form of each of several matrices
 over one ring against one vector: it reads (and on exact input clears) the
@@ -52,9 +50,7 @@ is ``forms`` of one matrix.  A spinor's norm and all its bilinears
 """
 
 from fractions import Fraction
-import functools
 from itertools import islice
-import math
 import operator
 
 from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints, rational
@@ -144,13 +140,7 @@ class MetricForm:
         return RMatrix.diagonal(self.signature, ring)
 
     def inner(self, x, y):
-        """sum_i s_i x_i y_i; on cleared ints, divided once, when _cleared
-        admits x and y (both broad)."""
-        cx = _clear(x, True)
-        cy = cx if y is x else cx and _clear(y, True)
-        if _cleared(cx, cy):
-            acc = sum(s * a * b for s, a, b in zip(self.signature, cx[0], cy[0]))
-            return rational(acc, cx[1] * cy[1])
+        """sum_i s_i x_i y_i."""
         return sum(s * a * b for s, a, b in zip(self.signature, x, y))
 
     def __eq__(self, other):
@@ -273,12 +263,6 @@ class RMatrix:
                     for b, w in zip(brow, sizes_c):
                         line.extend(b._grids[k][r] if isinstance(b, RMatrix) else [0] * w)
                     grid.append(line)
-        # a grid that every block holds as the shared one is the shared one
-        # of the result (a 0 block is int 0)
-        mats = [b for brow in blocks for b in brow if isinstance(b, RMatrix)]
-        zero = _zero_grid(sum(sizes_r), sum(sizes_c))
-        grids = tuple(zero if all(_zero_grids(b)[k] for b in mats) else g
-                      for k, g in enumerate(grids))
         return cls.from_components(grids, ring)
 
     # ---- basic algebra ----------------------------------------------------
@@ -291,7 +275,7 @@ class RMatrix:
 
     def __neg__(self):
         if _binarion(self.ring):
-            return self._cellwise(lambda ar, ai: (-ar, -ai), zeros=_zero_grids(self))
+            return self._cellwise(lambda ar, ai: (-ar, -ai))
         return self._cellwise(operator.neg)
 
     def scale(self, c):
@@ -309,15 +293,7 @@ class RMatrix:
         if cls:
             cr, ci = parts
             t = cls.UNIT_SQ * ci
-            em = cv and _exact(self)
-            zeros = (False, False)
-            if em and not (cv[2] or em[2]):
-                # ints only: a result grid is all int 0 where each of its
-                # terms meets a zero part of c or the shared zero grid
-                zr, zi = _zero_grids(self)
-                zeros = ((zr or not cr) and (zi or not ci), (zi or not cr) and (zr or not ci))
-            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar), ops,
-                                  zeros)
+            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar), ops)
         c, = parts
         return self._cellwise(lambda a: c * a, ops)
 
@@ -411,13 +387,11 @@ class RMatrix:
     def __repr__(self):
         return "RMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring.name)
 
-    def _cellwise(self, fn, ops=None, zeros=(False, False)):
+    def _cellwise(self, fn, ops=None):
         """fn of each nonzero cell in place, zero elsewhere; fn maps (re, im)
         to (re, im) over a binarion ring and the entry to the entry
         otherwise.  ops = (cleared cells, den) from scale: fn
-        runs on those cells and each value is divided by den once.  zeros
-        (binarion rings): for (re, im), whether fn writes the int 0 on every
-        cell, so that the result holds the shared _zero_grid there."""
+        runs on those cells and each value is divided by den once."""
         cells, den = ops or (_cells(self), None)
         start = 0 if den is None else False
         if _binarion(self.ring):
@@ -428,9 +402,6 @@ class RMatrix:
                     lr[j], li[j] = fn(ar, ai)
             if den is not None:
                 re, im = _finish(re, den), _finish(im, den)
-            if any(zeros):
-                zero = _zero_grid(self.rows, self.cols)
-                re, im = (zero if z else g for z, g in zip(zeros, (re, im)))
             return RMatrix._of((re, im), self.ring)
         out = [[start] * self.cols for _ in cells]
         for line, row in zip(out, cells):
@@ -577,21 +548,6 @@ def _cleared(a, b):
     return a is not None and b is not None and (a[2] == 2 or b[2] == 2)
 
 
-@functools.lru_cache(maxsize=None)
-def _zero_grid(rows, cols):
-    """The all-int-0 grid of a shape, one object for every matrix that has
-    one: a real-valued or an imaginary binarion matrix holds one such grid.
-    Only a kernel that knows every value of a grid is an int puts it in
-    place, so a stored 0.0, -0.0 or Fraction(0) is never lost."""
-    return ((0,) * cols,) * rows
-
-
-def _zero_grids(m):
-    """For each of m's grids, whether it is the shared _zero_grid."""
-    zero = _zero_grid(m.rows, m.cols)
-    return [g is zero for g in m._grids]
-
-
 def _operands(m, cv):
     """(cells, ints, dm, dv) when _cleared admits m and the values cv =
     (ints, dv, kind) from _clear: the cells of m cleared over dm (_exact)
@@ -646,10 +602,6 @@ def _product(a, b):
             ims.append(im)
         if den is not None:
             return _finish(res, den), _finish(ims, den)
-        if eb and not (ea[2] or eb[2]):
-            # ints only: a grid without a nonzero value is all int 0
-            zero = _zero_grid(a.rows, n)
-            return tuple(g if any(map(any, g)) else zero for g in (res, ims))
         return res, ims
     out = []
     for arow in a_cells:
@@ -813,31 +765,12 @@ def forms(mats, vec):
     return out
 
 
-def _cleared_terms(coeffs, basis):
-    """(ints, cells, den) for lincomb when _cleared admits the nonzero
-    coefficients, cleared together (_clear), with each of their basis
-    matrices (_exact): the coefficients made ints and the cleared cells,
-    so that every term is over den, the lcm of the terms' denominators.
-    None otherwise (a float coefficient is told by the first one)."""
-    if type(coeffs[0]) is float:
-        return None
-    terms = [(c, m) for c, m in zip(coeffs, basis) if c]
-    cv = _clear([c for c, _ in terms])
-    exs = [cv and _exact(m) for _, m in terms]
-    if not all(_cleared(cv, ex) for ex in exs):
-        return None
-    dens = [cv[1] * ex[1] for ex in exs]
-    den = math.lcm(*dens)
-    return [n * (den // d) for n, d in zip(cv[0], dens)], [ex[0] for ex in exs], den
-
-
 def lincomb(coeffs, basis):
     """sum_k coeffs[k] * basis[k] for real coefficients.
 
     Works over the nonzero cells of each basis matrix (their float copy for
     a float coefficient) and skips zero coefficients; rational coefficients
-    and entries give an exact result, on cleared ints divided once when
-    _cleared admits every term (_cleared_terms).
+    and entries give an exact result.
     """
     coeffs, basis = tuple(coeffs), tuple(basis)
     if not basis or len(coeffs) != len(basis):
@@ -847,33 +780,28 @@ def lincomb(coeffs, basis):
     for m in basis[1:]:  # _check rules on all but the same ring object and shape
         if type(m) is not RMatrix or m.ring is not ring or m.rows != rows or m.cols != cols:
             first._check(m)
-    # on the cleared path coeffs are ints and basis holds each term's cells
-    coeffs, basis, den = _cleared_terms(coeffs, basis) or (coeffs, basis, None)
-    start = 0 if den is None else False
     if _binarion(ring):
-        re = [[start] * cols for _ in range(rows)]
-        im = [[start] * cols for _ in range(rows)]
+        re = [[0] * cols for _ in range(rows)]
+        im = [[0] * cols for _ in range(rows)]
         for c, m in zip(coeffs, basis):
             if not c:
                 continue
-            cells = m if den else _float_cells(m) if type(c) is float else _cells(m)
+            cells = _float_cells(m) if type(c) is float else _cells(m)
             for r, s, row in zip(re, im, cells):
                 for j, br, bi in row:
                     r[j] = r[j] + c * br
                     s[j] = s[j] + c * bi
-        if den:
-            re, im = _finish(re, den), _finish(im, den)
         return RMatrix._of((re, im), ring)
-    out = [[start] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     for c, m in zip(coeffs, basis):
         if not c:
             continue
-        cells = m if den else _float_cells(m) if type(c) is float else _cells(m)
+        cells = _float_cells(m) if type(c) is float else _cells(m)
         c = ring.promote(c)
         for line, row in zip(out, cells):
             for j, a in row:
                 line[j] = line[j] + c * a
-    return RMatrix._of((_finish(out, den) if den else out,), ring)
+    return RMatrix._of((out,), ring)
 
 
 def worst_of(values):
@@ -907,8 +835,7 @@ def _fused(a, b, op):
         return op(a @ b, b @ a)
     a._check(b)
     (pr, pi), (qr, qi) = _product(a, b), _product(b, a)
-    # two products share a grid only when both hold the one zero grid
-    return RMatrix._of(tuple(p if p is q else [list(map(op, x, y)) for x, y in zip(p, q)]
+    return RMatrix._of(tuple([list(map(op, x, y)) for x, y in zip(p, q)]
                              for p, q in ((pr, qr), (pi, qi))), a.ring)
 
 

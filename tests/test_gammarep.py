@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
-from splithopf.ringmat import RMatrix, MetricForm, RING_SPLIT, RING_COMPLEX
+from splithopf.ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX
 from splithopf import gammarep
 from splithopf.gammarep import (
     FAMILY_NAMES, build_family, clifford_check, conjugation_check,
@@ -124,6 +124,26 @@ def test_weyl_sector_so54_II_imaginary():
         w = sig3 @ s
         assert w.conj() == -w
         assert w.transpose() == -w
+
+
+def test_to_complex_keeps_values_and_types():
+    # the real grid keeps its values and bits, every imaginary part is the
+    # int 0, and a complex matrix is returned as it is
+    rows = [[1, F(1, 3), -0.0], [0.0, F(0), -2.5], [0, 7, F(-2, 7)]]
+    for real in (RMatrix(rows, RING_REAL), RMatrix([[1, 0], [0, -3]], RING_REAL),
+                 RMatrix([[F(1, 2), F(0)], [F(-1), F(3, 4)]], RING_REAL),
+                 RMatrix([[0.5, -0.0], [0.0, -1.25]], RING_REAL)):
+        lifted = gammarep.to_complex(real)
+        assert lifted.ring == RING_COMPLEX and (lifted.rows, lifted.cols) == (real.rows, real.cols)
+        got, imag = lifted.components()
+        (want,) = real.components()
+        assert [[(type(x), repr(x)) for x in row] for row in got] == \
+            [[(type(x), repr(x)) for x in row] for row in want]
+        assert all(type(x) is int and x == 0 for row in imag for x in row)
+        assert gammarep.to_complex(lifted) is lifted
+    assert lifted == RMatrix([[OrdinaryComplex(0.5, 0), OrdinaryComplex(-0.0, 0)],
+                              [OrdinaryComplex(0.0, 0), OrdinaryComplex(-1.25, 0)]],
+                             RING_COMPLEX)
 
 
 def test_lambda_cross_check():

@@ -494,6 +494,13 @@ def _curvature_reference(lvl, real, patch, x):
     return want
 
 
+def test_equal_curvature_plans_are_one_object():
+    # the sigma_mn keys depend on neither the realization nor the patch
+    plans = [gg._curvature_plan(3, real, bar) for real in ("I", "II") for bar in (False, True)]
+    assert all(p is plans[0] for p in plans)
+    assert gg._curvature_plan(2, "I", False) != plans[0]
+
+
 @pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
 def test_curvature_terms_match_formula(lvl, real, patch):
     # the slots, the keys of each slot, the float bits (zero signs and

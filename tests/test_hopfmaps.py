@@ -11,10 +11,10 @@ from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.hopfmaps import (
     Spinor, BasePoint, Section, project, invert, sample_normalized,
     sample_base_point, sample_fiber, level0_project, level0_invert, hierarchical_fiber_check,
-    majorana_matrix, NormalizationError, PatchError, ConstraintError, case_info,
+    NormalizationError, PatchError, ConstraintError, case_info,
     section_linear_part, section_linear_at,
 )
-from splithopf import hopfmaps as hm
+from splithopf import gammarep, hopfmaps as hm
 
 ALL_CASES = [(1, "I"), (1, "II"), (2, "I"), (2, "II"), (3, "I"), (3, "II")]
 
@@ -86,7 +86,8 @@ def test_fiber_invariance_exact():
 
 
 def test_majorana_sampling():
-    B = majorana_matrix()
+    # B of the 16-component split realization: Psi = -B^-1 conj(Psi), B^-1 = B
+    B = gammarep.charge_conjugation("so54_I").matrix
     rng = random.Random(1)
     for backend in ("float", "exact"):
         sp = sample_normalized(3, "I", backend=backend, rng=rng)

@@ -673,62 +673,41 @@ def test_cleared_results_keep_types(ring):
 
 
 @pytest.mark.parametrize("ring", (RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
-def test_int_products_share_zero_grids(ring):
-    """A product of int matrices puts one shared grid in place of a result
-    grid of int 0s; a float product, whose zeros may be 0.0, keeps its own."""
-    from splithopf.ringmat import _zero_grid
+def test_int_products_match_dense_reference(ring):
+    """Products of int matrices, of a matrix holding a -0.0 where neither
+    component is nonzero, and of floats give the dense reference's values
+    and types."""
     cls = type(ring.zero)
     real = RMatrix([[cls(1, 0), cls(2, 0)], [cls(0, 0), cls(-3, 0)]], ring)
     imag = RMatrix([[cls(0, 1), cls(0, 0)], [cls(0, 0), cls(0, -1)]], ring)
     # int cells, and a -0.0 where neither component is nonzero
     signed = RMatrix.from_components(([[1, 0.0], [2, 0]], [[0, -0.0], [0, 0]]), ring)
-    zero = _zero_grid(2, 2)
-    assert (real @ real).components()[1] is zero
-    assert (imag @ imag).components()[1] is zero
-    assert (real @ imag).components()[0] is zero
-    assert commutator(real, real).components()[1] is zero
-    assert (signed @ real).components()[1] is zero
     assert math.copysign(1, signed.components()[1][0][1]) == -1
     floats = real.scale(1.0)
-    assert (floats @ floats).components()[1] is not zero
-    for a, b in ((real, imag), (signed, real), (floats, real)):
+    for a, b in ((real, real), (imag, imag), (real, imag), (signed, real), (floats, floats),
+                 (floats, real)):
         assert_same(a @ b, ref_matmul(a, b))
+    assert_same(commutator(real, real), ref_fused(real, real, -1))
 
 
 @pytest.mark.parametrize("ring", (RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
-def test_blocks_scale_and_negation_keep_shared_zero_grids(ring):
-    """from_blocks, an int scale and negation keep the shared grid where
-    their operands hold it, with the entries' own values; a Fraction or
-    float scale, whose zeros are not int 0, keeps its own grids."""
-    from splithopf.ringmat import _zero_grid
+def test_blocks_scale_and_negation_match_dense_reference(ring):
+    """from_blocks, scale and negation of a matrix with a real or an
+    imaginary product for its cells give the entries' own values."""
     cls = type(ring.zero)
     plain = RMatrix([[cls(1, 0), cls(2, 0)], [cls(0, 0), cls(-3, 0)]], ring)
     real = plain @ RMatrix.identity(2, ring)
-    zero = _zero_grid(2, 2)
-    assert real.components()[1] is zero and plain.components()[1] is not zero
     for c in (3, -1, 0, cls(0, 2), cls(2, -1), F(1, 2), 0.5):
         p = ring.promote(c)
-        got = real.scale(c)
-        assert_same(got, ref_cellwise(real, lambda x: p * x))
-        shared = [g is zero for g in got.components()]
-        if isinstance(c, int):
-            assert shared == [c == 0, True]
-        elif c == cls(0, 2):
-            assert shared == [True, False]
-        else:
-            assert shared == [False, False]
+        assert_same(real.scale(c), ref_cellwise(real, lambda x: p * x))
     assert_same(-real, ref_cellwise(real, lambda x: -x))
-    assert [g is zero for g in (-real).components()] == [False, True]
     imag = real.scale(cls(0, 1))
-    assert [g is zero for g in (-imag).components()] == [True, False]
+    assert_same(-imag, ref_cellwise(imag, lambda x: -x))
     big = RMatrix.from_blocks([[real, 0], [0, real]], ring)
     assert_same(big, RMatrix.from_blocks([[plain, 0], [0, plain]], ring).entries)
-    assert big.components()[1] is _zero_grid(4, 4) and big.components()[0] is not \
-        _zero_grid(4, 4)
     mixed = RMatrix.from_blocks([[real, 0], [0, imag]], ring)
     assert_same(mixed, RMatrix.from_blocks([[plain, 0], [0, plain.scale(cls(0, 1))]],
                                            ring).entries)
-    assert not any(g is _zero_grid(4, 4) for g in mixed.components())
 
 
 def _count_fraction_products(monkeypatch):
@@ -746,20 +725,28 @@ def _count_fraction_products(monkeypatch):
 
 def test_exact_paths_make_no_fraction_product(monkeypatch):
     """The exact kernels clear their operands and divide once: a commutator
-    of two sigma generators, the projection of an exact level-3 spinor and
-    the Grassmann engine's checks multiply no Fraction."""
+    of two sigma generators, the bilinears of an exact level-3 spinor (the
+    forms call of its projection) and the Grassmann engine's checks
+    multiply no Fraction."""
     from splithopf import gammarep, hopfmaps, superhopf
     sigmas = gammarep.build_generators("so54_I")["sigmas"]
     spinors = [hopfmaps.sample_normalized(3, real, backend="exact", rng=random.Random(3))
                for real in ("I", "II")]
+    mats = [hopfmaps._bilinear_matrices(sp.level, sp.realization) for sp in spinors]
     counts = _count_fraction_products(monkeypatch)
     assert F(1, 2) * 3 == F(3, 2) and len(counts) == 1
     del counts[:]
     c = commutator(sigmas[(1, 2)], sigmas[(2, 3)])
     assert not c.is_zero()
-    points = [hopfmaps.project(sp) for sp in spinors]
+    values = [forms(m, sp.comps) for m, sp in zip(mats, spinors)]
     checks = superhopf.engine_checks(seed=0, samples=2)
     assert counts == []
+    monkeypatch.undo()
+    # the projection divides by the norm and takes the constraint's inner
+    # product in the entries' own arithmetic
+    points = [hopfmaps.project(sp) for sp in spinors]
+    assert [[v.re if hasattr(v, "re") else v for v in vals[1:]] for vals in values] == \
+        [list(pt.coords) for pt in points]
     assert all(ok for _, ok, _ in checks)
     assert all(type(x) is F for pt in points for x in pt.coords)
     assert all(type(x) in (int, F) for grid in c.components() for row in grid for x in row)
@@ -770,9 +757,10 @@ def test_mixed_exact_operands_clear(monkeypatch, ring):
     """Ints mixed with Fractions clear beside an operand that puts a
     Fraction in every written term: the forms of an int matrix on a mixed
     vector (a form's vector meets every written value), the matvec of a
-    Fraction matrix on that vector, and @, scale and lincomb
-    of a mixed-cell matrix beside a Fraction operand multiply no Fraction
-    and give the dense reference's values and types."""
+    Fraction matrix on that vector, and @ and scale of a mixed-cell matrix
+    beside a Fraction operand multiply no Fraction and give the dense
+    reference's values and types; so does lincomb, in the entries' own
+    arithmetic."""
     rng = random.Random(40)
     ints, fr = (rand_matrix(rng, ring, 6, 6, draw) for draw in (_integer, _fraction))
     mixed = _cell_mixed(rng, ring)
@@ -780,10 +768,10 @@ def test_mixed_exact_operands_clear(monkeypatch, ring):
     coeffs = [F(1, 3), F(-2, 5)]
     counts = _count_fraction_products(monkeypatch)
     got = [RMatrix([forms((ints, fr), vec)], ring), RMatrix([fr.matvec(vec)], ring),
-           mixed @ fr, fr @ mixed, mixed.scale(F(2, 3)),
-           lincomb(coeffs, [mixed, ints])]
+           mixed @ fr, fr @ mixed, mixed.scale(F(2, 3))]
     assert counts == []
     monkeypatch.undo()
+    got.append(lincomb(coeffs, [mixed, ints]))
     p = ring.promote(F(2, 3))
     want = [[[ref_form(ints, vec), ref_form(fr, vec)]], [ref_matvec(fr, vec)],
             ref_matmul(mixed, fr), ref_matmul(fr, mixed),
