@@ -29,8 +29,8 @@ float times the Fraction's float.
 Exact kernels run on integers.  A matrix whose nonzero cells hold only
 ints and Fractions keeps on first exact use those cells cleared to ints
 with one common denominator (``_exact``).  One rule, ``_cleared``, picks
-the loop of ``@`` (so ``commutator`` and ``anticommutator``), ``matvec``,
-forms and ``scale``:
+the loop of ``@`` (so ``commutator`` and ``anticommutator``), forms and
+``scale``:
 when both operands are exact and a Fraction is a factor of every term
 written (``_clear``), the loop runs on the cleared ints and divides each
 written value once.  So types are those of the entries' own arithmetic:
@@ -313,12 +313,9 @@ class RMatrix:
         elements' own kind) otherwise."""
         cls = _binarion(self.ring)
         if cls and all(type(v) is cls for v in vec):
-            _, _, res, ims, _, den = _matvec_components(self, _vector_parts(vec), cls.UNIT_SQ)
-            if den is not None:
-                res, ims = _finish([res, ims], den)
-            return list(map(cls, res, ims))
-        _, out, _, den = _matvec_values(self, vec, None if cls else _clear(vec))
-        return out if den is None else list(_finish([out], den)[0])
+            parts = [v.re for v in vec], [v.im for v in vec], None
+            return list(map(cls, *_matvec_components(self, parts, cls.UNIT_SQ)))
+        return _matvec_values(self, vec, None)
 
     def form(self, vec):
         """sum_i conj(vec_i) (M vec)_i, the ring involution on the left
@@ -543,8 +540,9 @@ def _exact(m):
 
 def _cleared(a, b):
     """Whether a kernel walks its cleared loop on two operands classified
-    by _clear or _exact: both exact and one of kind 2.  Every kernel takes
-    this one decision; otherwise it keeps the entries' own arithmetic."""
+    by _clear or _exact: both exact and one of kind 2.  Every kernel with a
+    cleared loop takes this one decision; otherwise it keeps the entries'
+    own arithmetic."""
     return a is not None and b is not None and (a[2] == 2 or b[2] == 2)
 
 
@@ -613,14 +611,14 @@ def _product(a, b):
     return (out if den is None else _finish(out, den),)
 
 
-def _vector_parts(vec, broad=False):
-    """(vr, vi, cv) for a vector of binarions: its re and im components
-    and, when they are exact (_clear, both lists together, broad for a
-    form's vector), cv = ((ints of vr, ints of vi), dv, kind) for
-    _operands; else cv is None."""
+def _vector_parts(vec):
+    """(vr, vi, cv) for a form's vector of binarions: its re and im
+    components and, when they are exact (_clear, both lists together,
+    broad), cv = ((ints of vr, ints of vi), dv, kind) for _operands; else
+    cv is None."""
     vr = [v.re for v in vec]
     vi = [v.im for v in vec]
-    cv = None if not vr or type(vr[0]) is float else _clear(vr + vi, broad)
+    cv = None if not vr or type(vr[0]) is float else _clear(vr + vi, True)
     if cv:
         ints, dv, kind = cv
         cv = (ints[:len(vr)], ints[len(vr):]), dv, kind
@@ -628,19 +626,18 @@ def _vector_parts(vec, broad=False):
 
 
 def _matvec_components(m, parts, u2):
-    """(vr, vi, res, ims, dv, den) for M vec over a binarion ring, parts =
-    _vector_parts(vec): the vector's components and the (re, im) of each
-    row, summed over the row's cells in column order as the entries'
-    product and sum would.  When _operands clears m and the vector, vr and
-    vi are ints over dv and the row sums ints over den, False for a row
-    without cells; else dv and den are None."""
+    """(res, ims) for M vec over a binarion ring, parts = (vr, vi, cv) as
+    _vector_parts gives them: the (re, im) of each row, summed over the
+    row's cells in column order as the entries' product and sum would.
+    When _operands clears m and the vector (cv), the row sums are ints over
+    the den that forms divides by, False for a row without cells."""
     vr, vi, cv = parts
     ops = _operands(m, cv)
     if ops:
-        cells, (vr, vi), dm, dv = ops
-        den, start = dm * dv, False
+        cells, (vr, vi), _, _ = ops
+        start = False
     else:
-        cells, dv, den, start = _cells(m), None, None, 0
+        cells, start = _cells(m), 0
     res, ims = [], []
     for row in cells:
         re = im = start
@@ -650,24 +647,23 @@ def _matvec_components(m, parts, u2):
             im = im + (ar * bi + ai * br)
         res.append(re)
         ims.append(im)
-    return vr, vi, res, ims, dv, den
+    return res, ims
 
 
 def _matvec_values(m, vec, cv):
-    """(vec, rows, dv, den) for M vec in the entries' own arithmetic: the
-    vector and the sum of each row, as matvec describes.  cv is _clear(vec)
-    over the reals (broad for a form), None over the binarion rings.  When
-    _operands clears m and the vector, the vector is ints over dv and the
-    row sums ints over den, False for a row without cells; else dv and den
-    are None."""
+    """The sum of each row of M vec in the entries' own arithmetic, as
+    matvec describes.  cv is a form's _clear(vec) over the reals, else
+    None.  When _operands clears m and the vector (cv), the row sums are
+    ints over the den that forms divides by, False for a row without
+    cells."""
     ring = m.ring
     cls = _binarion(ring)
     ops = _operands(m, cv)
     if ops:
-        cells, vec, dm, dv = ops
-        den, start = dm * dv, False
+        cells, vec, _, _ = ops
+        start = False
     else:
-        cells, dv, den, start = _cells(m), None, None, ring.zero
+        cells, start = _cells(m), ring.zero
     empty = start
     if vec and not isinstance(vec[0], REAL_TYPES + (type(empty),)):
         empty = empty * vec[0]
@@ -678,7 +674,7 @@ def _matvec_values(m, vec, cv):
             a = cls(cell[1], cell[2]) if cls else cell[1]
             acc = acc + a * vec[cell[0]]
         out.append(acc)
-    return vec, out, dv, den
+    return out
 
 
 def _units(m):
@@ -725,7 +721,7 @@ def forms(mats, vec):
     binarions = cls and all(type(v) is cls for v in vec)
     if binarions:
         u2 = cls.UNIT_SQ
-        parts = vr, vi, cv = _vector_parts(vec, True)
+        parts = vr, vi, cv = _vector_parts(vec)
         kinds = set(map(type, vr + vi))
     else:
         cv, kinds = (None, {None}) if cls else (_clear(vec, True), set(map(type, vec)))
@@ -741,8 +737,8 @@ def forms(mats, vec):
         ops = _operands(m, cv)
         xr, xi = (ops[1] if binarions else (ops[1], None)) if ops else (vr, vi)
         den = ops and ops[2] * ops[3] * ops[3]
-        sums = general and (_matvec_components(m, parts, u2)[2:4] if binarions
-                            else _matvec_values(m, vec, cv)[1:2])
+        sums = general and (_matvec_components(m, parts, u2) if binarions
+                            else (_matvec_values(m, vec, cv),))
         for i in general:
             cr, mr = xr[i], sums[0][i]
             ci, mi = (-xi[i], sums[1][i]) if binarions else (0, 0)

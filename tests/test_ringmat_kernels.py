@@ -756,10 +756,10 @@ def test_exact_paths_make_no_fraction_product(monkeypatch):
 def test_mixed_exact_operands_clear(monkeypatch, ring):
     """Ints mixed with Fractions clear beside an operand that puts a
     Fraction in every written term: the forms of an int matrix on a mixed
-    vector (a form's vector meets every written value), the matvec of a
-    Fraction matrix on that vector, and @ and scale of a mixed-cell matrix
-    beside a Fraction operand multiply no Fraction and give the dense
-    reference's values and types; so does lincomb, in the entries' own
+    vector (a form's vector meets every written value), and @ and scale of
+    a mixed-cell matrix beside a Fraction operand multiply no Fraction and
+    give the dense reference's values and types; so do the matvec of a
+    Fraction matrix on that vector and lincomb, in the entries' own
     arithmetic."""
     rng = random.Random(40)
     ints, fr = (rand_matrix(rng, ring, 6, 6, draw) for draw in (_integer, _fraction))
@@ -767,16 +767,16 @@ def test_mixed_exact_operands_clear(monkeypatch, ring):
     vec = [ring.promote(x) for x in (F(1, 2), 1, -2, F(-3, 4), 3, 0)]
     coeffs = [F(1, 3), F(-2, 5)]
     counts = _count_fraction_products(monkeypatch)
-    got = [RMatrix([forms((ints, fr), vec)], ring), RMatrix([fr.matvec(vec)], ring),
-           mixed @ fr, fr @ mixed, mixed.scale(F(2, 3))]
+    got = [RMatrix([forms((ints, fr), vec)], ring), mixed @ fr, fr @ mixed,
+           mixed.scale(F(2, 3))]
     assert counts == []
     monkeypatch.undo()
-    got.append(lincomb(coeffs, [mixed, ints]))
+    got += [RMatrix([fr.matvec(vec)], ring), lincomb(coeffs, [mixed, ints])]
     p = ring.promote(F(2, 3))
-    want = [[[ref_form(ints, vec), ref_form(fr, vec)]], [ref_matvec(fr, vec)],
+    want = [[[ref_form(ints, vec), ref_form(fr, vec)]],
             ref_matmul(mixed, fr), ref_matmul(fr, mixed),
             ref_cellwise(mixed, lambda x: p * x),
-            ref_lincomb(coeffs, [mixed, ints])]
+            [ref_matvec(fr, vec)], ref_lincomb(coeffs, [mixed, ints])]
     for g, w in zip(got, want):
         assert_same(g, w)
 
