@@ -692,8 +692,8 @@ def test_int_products_match_dense_reference(ring):
 
 @pytest.mark.parametrize("ring", (RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
 def test_blocks_scale_and_negation_match_dense_reference(ring):
-    """from_blocks, scale and negation of a matrix with a real or an
-    imaginary product for its cells give the entries' own values."""
+    """from_blocks, scale and negation of an int product matrix and of its
+    imaginary multiple give the entries' own values."""
     cls = type(ring.zero)
     plain = RMatrix([[cls(1, 0), cls(2, 0)], [cls(0, 0), cls(-3, 0)]], ring)
     real = plain @ RMatrix.identity(2, ring)
@@ -758,9 +758,9 @@ def test_mixed_exact_operands_clear(monkeypatch, ring):
     Fraction in every written term: the forms of an int matrix on a mixed
     vector (a form's vector meets every written value), and @ and scale of
     a mixed-cell matrix beside a Fraction operand multiply no Fraction and
-    give the dense reference's values and types; so do the matvec of a
-    Fraction matrix on that vector and lincomb, in the entries' own
-    arithmetic."""
+    give the dense reference's values and types.  The matvec of a Fraction
+    matrix on that vector and lincomb keep the entries' own arithmetic and
+    give the reference's values and types too."""
     rng = random.Random(40)
     ints, fr = (rand_matrix(rng, ring, 6, 6, draw) for draw in (_integer, _fraction))
     mixed = _cell_mixed(rng, ring)
