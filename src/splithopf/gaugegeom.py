@@ -35,13 +35,27 @@ coefficient times its flattened generator (_flat_basis) into the export
 row as soon as it is made.  The closed contraction lies in the generator
 span by construction, so its agreement with the exact section derivative
 is also the check that the derivative lies in that span.  The numeric
-oracle curvature_numeric differences the connection maps at shifted base
+curvature (_curvature_hat) differences the connection maps at shifted base
 points in algebra coordinates too, but takes the matrix commutator of the
 unshifted contractions, so the two sides of the curvature check share no
 commutator code.  The section numerator and the transition's numerator
 are linear in x, so a first derivative along t needs them at x + t only,
-never at x +- h t (connection_numeric, _transition_step).  Shifted points
+never at x +- h t (_connection_hat, _transition_step).  Shifted points
 are bare coordinates, no BasePoint.
+
+The level-2 and level-3 checks read every identity divided by u:
+
+    connection:  A / u = -D s^dag W ds;
+    curvature:   F / u = d(A / u) - [A / u, A / u], since c u = -1 in
+                 both realizations;
+    gluing:      A' / u = g^dag decor (A g / u - dg).
+
+The closed side is contracted over rho_k = sigma_k / u (_rho), made from
+sigma_k's own component grids.  At (3, II) the sections, the transition,
+both weights and every rho_k are real, so those checks run over the reals.
+Only the public connection_numeric and curvature_numeric multiply by u,
+which swaps or negates components (_by_unit): exact, so a residual read
+on the hat values has the bits of one read on u times them.
 """
 
 from fractions import Fraction
@@ -50,8 +64,8 @@ import itertools
 import math
 import random
 
-from .splitnum import SplitComplex, OrdinaryComplex, reciprocal, root
-from .ringmat import RMatrix, commutator, lincomb, worst_of
+from .splitnum import reciprocal, root
+from .ringmat import RMatrix, RING_COMPLEX, RING_REAL, commutator, lincomb, worst_of
 from . import gammarep
 from .hopfmaps import case_info, section_linear_at, patch_sign, require_patch
 
@@ -70,21 +84,32 @@ DEFAULT_H = 1e-5
 # ---------------------------------------------------------------------------
 # per-case static data
 
-def _lift(level, realization):
-    """to_complex at (3, II), whose real sections pair with the complex unit
-    i; the identity elsewhere."""
-    return gammarep.to_complex if (level, realization) == (3, "II") else (lambda m: m)
-
-
 @functools.lru_cache(maxsize=None)
 def _case_gauge(level, realization):
-    """(unit u, weight W, undecorate D) for -u s^dag W ds: u the first map's
-    unit, W the map's weight and D its fiber weight (None where that is the
-    identity or the fiber a phase), lifted by _lift."""
+    """(unit u, weight W, undecorate D) for A = -u D s^dag W ds: u the first
+    map's unit, W the map's weight and D its fiber weight (None where that
+    is the identity or the fiber a phase), both in the case's own ring,
+    which is the reals at (3, II)."""
     case = case_info(level, realization)
-    lift = _lift(level, realization)
-    D = None if realization == "I" or level == 1 else lift(case.fiber_weight())
-    return case_info(1, realization).unit, lift(case.weight()), D
+    D = None if realization == "I" or level == 1 else case.fiber_weight()
+    return case_info(1, realization).unit, case.weight(), D
+
+
+def _by_unit(m, inverse=False):
+    """u m, or m / u with inverse, by components: u (re, im) = (u^2 im, re)
+    and (re, im) / u = (im, u^2 re).  Over the split-complex ring (u = j,
+    u^2 = 1) both swap the grids, which are kept; over the complex ring
+    (u = i) one of them is negated.  A real m, a hat value at (3, II), is
+    lifted by to_complex first, and u = i."""
+    if m.ring == RING_REAL:
+        m = gammarep.to_complex(m)
+    re, im = m.components()
+    if m.ring == RING_COMPLEX:
+        if inverse:
+            re = [[-c for c in row] for row in re]
+        else:
+            im = [[-c for c in row] for row in im]
+    return RMatrix.from_components((im, re), m.ring)
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,6 +132,19 @@ def _gauge_algebra(level, realization, bar):
     for k, (m, nn) in enumerate(order):
         pairs[(m, nn)][k], pairs[(nn, m)][k] = 1, -1
     return tuple(gens[p] for p in order), pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _rho(level, realization, bar):
+    """rho_k = sigma_k / u over the basis sigma_k of _gauge_algebra, on
+    sigma_k's own component grids (_by_unit): the generators of the hat
+    values A / u and F / u.  Where the case's ring is the reals, (3, II),
+    every sigma_k is i times a real matrix, so rho_k is sigma_k's imaginary
+    grid over the reals."""
+    basis = _gauge_algebra(level, realization, bar)[0]
+    if case_info(level, realization).ring == RING_REAL:
+        return tuple(RMatrix.from_components((m.components()[1],), RING_REAL) for m in basis)
+    return tuple(_by_unit(m, inverse=True) for m in basis)
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,40 +294,32 @@ def connection_contraction(point, t, patch=None, closed=None):
 # ---------------------------------------------------------------------------
 # numeric connection along sections
 
-def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
-                       section="matrix", fiber=None, tangents=None):
-    """Connection contractions -u s^dag W (d_t s) along tangent directions.
+def _connection_hat(point, patch, h, mode, section, fiber, tangents):
+    """The connection contractions over u, -D s^dag W (d_t s), as matrices
+    aligned with the tangents (1 x 1 for spinor sections and at level 1).
 
     The section is w / sqrt(2n), w linear in x (section_linear_at), so
     w(x + e t) = w0 + e (w(x + t) - w0) for any step e: per tangent w is
-    evaluated once, at x + t, and d_t s is one real lincomb of w0 and
-    w(x + t), lifted once, times the fold -u D w0^dag W, D the fiber weight
-    where the case has one.  mode="fd" is the central difference at x +- h t
-    (the independent oracle), mode="analytic" the exact derivative, rational
-    on rational input; they differ only in the two lincomb coefficients and
-    the fold's scalar.
-    section="spinor" contracts the matrix section with a fiber column first;
-    at level 3 that value vanishes identically by the reality constraint of
-    the fiber.
-
-    Returns a list of values aligned with the tangent directions; entries
-    are scalars at level 1 (and for spinor sections), matrices otherwise.
+    evaluated once, at x + t, and d_t s is one lincomb of w0 and w(x + t)
+    times the fold -D w0^dag W, D the fiber weight where the case has one
+    (w0 times the fiber column for spinor sections, without D).
+    mode="fd" is the central difference at x +- h t (the independent
+    oracle), mode="analytic" the exact derivative, rational on rational
+    input; they differ only in the two lincomb coefficients and the fold's
+    scalar.  Everything is in the case's own ring, so the (3, II) values
+    are real.
     """
-    patch = patch or point.patch
     lvl, real, x = point.level, point.realization, point.coords
-    u, W, D = _case_gauge(lvl, real)
+    _, W, D = _case_gauge(lvl, real)
     tangents = tangents if tangents is not None else tangent_basis(point)
 
     w0, n0 = section_linear_at(lvl, real, x, patch)
-    lift = _lift(lvl, real)
-    v0 = lift(w0)
-    col = None
+    v0, col = w0, None
     if section == "spinor":
         if fiber is None:
             raise ValueError("spinor-section mode needs a fiber")
-        col = lift(RMatrix([[c] for c in getattr(fiber, "comps", fiber)],
-                           case_info(lvl, real).ring))
-        v0 = v0 @ col
+        col = RMatrix([[c] for c in getattr(fiber, "comps", fiber)], case_info(lvl, real).ring)
+        v0 = w0 @ col
 
     # tangent-independent, formed once (@ groups to the left anyway)
     fold = v0.dagger() @ W
@@ -297,10 +327,10 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
         fold = D @ fold
     sign = patch_sign(patch)
     if mode == "fd":
-        fold = fold.scale(-u * (1.0 / (2.0 * h * math.sqrt(2.0 * n0))))
+        fold = fold.scale(-(1.0 / (2.0 * h * math.sqrt(2.0 * n0))))
     elif mode == "analytic":
         p2 = (Fraction(1, 2) if not isinstance(n0, float) else 0.5) / n0
-        fold = fold.scale(-u * p2)
+        fold = fold.scale(-p2)
     else:
         raise ValueError(mode)
 
@@ -315,10 +345,25 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
         else:
             # sqrt(2n) d_t (w / sqrt(2n)) = (wp - w0) - (sign t_last / 2n) w0
             c0, c1 = -(1 + sign * t[-1] * p2), 1
-        ds = lift(lincomb((c0, c1), (w0, wp)))
-        raw = fold @ (ds if col is None else ds @ col)
-        out.append(raw.entry(0, 0) if raw.rows == 1 and raw.cols == 1 else raw)
+        ds = lincomb((c0, c1), (w0, wp))
+        out.append(fold @ (ds if col is None else ds @ col))
     return out
+
+
+def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
+                       section="matrix", fiber=None, tangents=None):
+    """Connection contractions -u D s^dag W (d_t s) along tangent directions:
+    u times _connection_hat, lifted to the complex ring at (3, II).
+    section="spinor" contracts the matrix section with a fiber column first;
+    at level 3 that value vanishes identically by the reality constraint of
+    the fiber.
+
+    Returns a list of values aligned with the tangent directions; entries
+    are scalars at level 1 (and for spinor sections), matrices otherwise.
+    """
+    out = [_by_unit(m) for m in _connection_hat(point, patch or point.patch, h, mode,
+                                                 section, fiber, tangents)]
+    return [m.entry(0, 0) if m.rows == 1 and m.cols == 1 else m for m in out]
 
 
 def _value_dev(a, b):
@@ -333,24 +378,33 @@ def _value_dev(a, b):
     return worst_of(abs(float(c)) for c in comps)
 
 
+def _hat_coeffs(point, patch, comps):
+    """comps, as _connection_coeffs or _curvature_coeffs give them, over
+    rho = sigma / u (_rho) at levels 2-3, so their contractions are the hat
+    values A / u and F / u; the level-1 scalars as they are."""
+    if point.level == 1:
+        return comps
+    return _rho(point.level, point.realization, patch == "lower"), comps[1]
+
+
 def connection_residual(point, patch=None, h=DEFAULT_H, mode="fd"):
     """Max deviation between the closed form and the section derivative
-    (NaN if any deviation is NaN)."""
+    (NaN if any deviation is NaN): at levels 2-3 between the hat values,
+    the contraction over rho and _connection_hat; at level 1 between the
+    scalars."""
     patch = patch or point.patch
     tangents = tangent_basis(point)
-    closed = _connection_coeffs(point, patch)
-    numeric = connection_numeric(point, patch, h=h, mode=mode, tangents=tangents)
+    closed = _hat_coeffs(point, patch, _connection_coeffs(point, patch))
+    if point.level == 1:
+        numeric = connection_numeric(point, patch, h=h, mode=mode, tangents=tangents)
+    else:
+        numeric = _connection_hat(point, patch, h, mode, "matrix", None, tangents)
     return worst_of(_value_dev(num, connection_contraction(point, t, patch, closed=closed))
                     for t, num in zip(tangents, numeric))
 
 
 # ---------------------------------------------------------------------------
 # curvature
-
-def _comm_unit(real):
-    # F_ab = d_a A_b - d_b A_a + c [A_a, A_b]; c = -j (split), +i (complex)
-    return -SplitComplex(0, 1) if real == "I" else OrdinaryComplex(0, 1)
-
 
 def _curvature_values(point, alg, first=0):
     """Levels 2-3: yields (j, k, F_mn[k]) along _curvature_plan, j counting
@@ -439,14 +493,15 @@ def curvature_contraction(point, t, v, patch=None, closed=None):
     return _contract(comps[0], zip(weights, terms.values()))
 
 
-def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
-    """dA(t, v) by central differences of the closed connection, plus the
-    exact commutator term; comparable with curvature_contraction.  The
-    connection maps at x +- h t, read along v, and at x +- h v, along t, are
-    weighted by +-1/(2h) and summed in algebra coordinates (one lincomb at
-    levels 2-3); the commutator of the unshifted contractions is a matrix
-    commutator."""
-    patch = patch or point.patch
+def _curvature_hat(point, t, v, patch, h):
+    """F(t, v) / u at levels 2-3, the scalar F(t, v) at level 1: dA(t, v)
+    by central differences of the closed connection, plus the exact
+    commutator term.  The connection maps at x +- h t, read along v, and at
+    x +- h v, along t, are weighted by +-1/(2h) and summed in algebra
+    coordinates, over rho at levels 2-3 (one lincomb).  There F / u =
+    d(A / u) - [A(t) / u, A(v) / u], since F = dA + c [A, A] with c u = -1
+    in both realizations, and the commutator of the unshifted contractions
+    over rho is a matrix commutator."""
     inv = 1.0 / (2 * h)
     weighted = []
     for step, d, along, w in ((h, t, v, inv), (-h, t, v, -inv), (h, v, t, -inv), (-h, v, t, inv)):
@@ -455,22 +510,33 @@ def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
         weighted += [(w * along[m - 1], cm) for m, cm in coeffs.items()]
     if point.level == 1:
         return sum(w * a for w, a in weighted)
-    here = _connection_coeffs(point, patch)
+    here = _hat_coeffs(point, patch, _connection_coeffs(point, patch))
     at, av = (connection_contraction(point, d, patch, closed=here) for d in (t, v))
-    return _contract(here[0], weighted) + commutator(at, av).scale(_comm_unit(point.realization))
+    return _contract(here[0], weighted) - commutator(at, av)
+
+
+def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
+    """dA(t, v) by central differences of the closed connection, plus the
+    exact commutator term; comparable with curvature_contraction.  At
+    levels 2-3 it is u times _curvature_hat, lifted to the complex ring at
+    (3, II); at level 1, the scalar _curvature_hat."""
+    f = _curvature_hat(point, t, v, patch or point.patch, h)
+    return f if point.level == 1 else _by_unit(f)
 
 
 def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
     """Max deviation closed-vs-numeric over random pairs of distinct
-    tangents (NaN if any deviation is NaN)."""
+    tangents (NaN if any deviation is NaN): the contraction over rho
+    against _curvature_hat at levels 2-3, the scalars at level 1."""
     rng = rng or random.Random(0)
+    patch = patch or point.patch
     tangents = tangent_basis(point)
-    closed = _curvature_coeffs(point, patch or point.patch)
+    closed = _hat_coeffs(point, patch, _curvature_coeffs(point, patch))
     devs = []
     for _ in range(pairs):
         t, v = rng.sample(tangents, 2)
         cl = curvature_contraction(point, t, v, patch, closed=closed)
-        nu = curvature_numeric(point, t, v, patch, h=h)
+        nu = _curvature_hat(point, t, v, patch, h)
         devs.append(_value_dev(nu, cl))
     return worst_of(devs)
 
@@ -562,23 +628,24 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     (3, II); scalar conjugation at level 1).  Curvature: F' = g^dag F g with
     the same decoration; at level 1 the field strength is patch-independent.
     dg is the central difference of g at x +- h t (_transition_step, one
-    numerator evaluation per tangent); at levels 2-3 the right side is
-    g^dag decor (A g - u dg).
+    numerator evaluation per tangent).  At levels 2-3 both identities are
+    read divided by u, on the contractions over rho (_hat_coeffs): the
+    connection's right side is g^dag decor (A g / u - dg), and at (3, II)
+    every matrix is real.
     Returns {"connection": r1, "curvature": r2}, each the worst residual
     (NaN if any residual is NaN).
     """
     lvl, real, x = point.level, point.realization, point.coords
     tangents = tangent_basis(point)
-    lift = _lift(lvl, real)
-    g = lift(transition_at(lvl, real, x))
+    g = transition_at(lvl, real, x)
     top0 = _transition_top(lvl, real, x)
-    upper = _connection_coeffs(point, "upper")
-    lower = _connection_coeffs(point, "lower")
+    upper, lower = (_hat_coeffs(point, patch, _connection_coeffs(point, patch))
+                    for patch in ("upper", "lower"))
     u, _, decor = _case_gauge(lvl, real)
 
     if lvl > 1:
         gd_decor = g.dagger() if decor is None else g.dagger() @ decor
-        u_2h = u * (1.0 / (2 * h))
+        inv_2h = 1.0 / (2 * h)
 
     conn_devs = []
     for t in tangents:
@@ -590,7 +657,7 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
             expr = -(u * (g.conj() * dg))  # real on the constraint surface
             dev = _value_dev(a_lo - a_up, expr)
         else:
-            rhs = gd_decor @ (a_up @ g - lift(step).scale(u_2h))
+            rhs = gd_decor @ (a_up @ g - step.scale(inv_2h))
             lhs = a_lo if decor is None else decor @ a_lo
             dev = _value_dev(lhs, rhs)
         conn_devs.append(dev)
@@ -598,7 +665,8 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     rng = rng or random.Random(1234)
     drawn = [(rng.choice(tangents), rng.choice(tangents)) for _ in range(pairs)]
 
-    curv = [_curvature_coeffs(point, patch) for patch in ("upper", "lower")]
+    curv = [_hat_coeffs(point, patch, _curvature_coeffs(point, patch))
+            for patch in ("upper", "lower")]
     curv_devs = []
     for t, v in drawn:
         fu, fl = (curvature_contraction(point, t, v, closed=c) for c in curv)

@@ -58,7 +58,7 @@ from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints, r
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
     "MetricForm", "RMatrix", "forms", "lincomb", "worst_of",
-    "commutator", "anticommutator", "kron",
+    "commutator", "anticommutator",
 ]
 
 
@@ -833,18 +833,3 @@ def _fused(a, b, op):
     (pr, pi), (qr, qi) = _product(a, b), _product(b, a)
     return RMatrix._of(tuple([list(map(op, x, y)) for x, y in zip(p, q)]
                              for p, q in ((pr, qr), (pi, qi))), a.ring)
-
-
-def kron(a, b):
-    """Kronecker product in row-major block layout: blocks are a[i][j] * b."""
-    if a.ring != b.ring:
-        raise TypeError("ring mismatch")
-    out = []
-    for arow in a.entries:
-        for brow in b.entries:
-            line = []
-            for av in arow:
-                for bv in brow:
-                    line.append(av * bv)
-            out.append(line)
-    return RMatrix(out, a.ring)

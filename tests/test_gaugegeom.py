@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from splithopf.splitnum import SplitComplex
+from splithopf.splitnum import OrdinaryComplex, SplitComplex
 from splithopf.hopfmaps import BasePoint, sample_base_point, sample_fiber
 from splithopf import gaugegeom as gg
 from splithopf import hopfmaps as hm
@@ -120,7 +120,8 @@ def test_connection_fd_is_the_central_difference(lvl, real, patch):
     # -u D s(x)^dag W (s(x + h t) - s(x - h t)) / 2h
     h = 1e-5
     u, W, D = gg._case_gauge(lvl, real)
-    lift = gg._lift(lvl, real)
+    lift = gammarep.to_complex if (lvl, real) == (3, "II") else (lambda m: m)
+    W, D = lift(W), None if D is None else lift(D)
 
     def section(y):
         w, n = hm.section_linear_at(lvl, real, y, patch)
@@ -137,6 +138,112 @@ def test_connection_fd_is_the_central_difference(lvl, real, patch):
             want = (fold @ (sp - sm)).scale(-u * (1.0 / (2 * h)))
             want = want.entry(0, 0) if lvl == 1 else want
             assert gg._value_dev(num, want) < 1e-9
+
+
+def _connection_numeric_reference(pt, patch, mode, tangents, fiber=None, h=gg.DEFAULT_H):
+    """connection_numeric written with the unit and the lift: -u D s^dag W
+    (d_t s), every matrix of the (3, II) case lifted to the complex ring
+    first, d_t s the lincomb of w0 and w(x + t) that connection_numeric
+    takes, and the unit in the fold's scalar."""
+    lvl, real, x = pt.level, pt.realization, pt.coords
+    case = hm.case_info(lvl, real)
+    u = hm.case_info(1, real).unit
+    lift = gammarep.to_complex if (lvl, real) == (3, "II") else (lambda m: m)
+    W = lift(case.weight())
+    D = None if real == "I" or lvl == 1 else lift(case.fiber_weight())
+    w0, n0 = hm.section_linear_at(lvl, real, x, patch)
+    v0, col = lift(w0), None
+    if fiber is not None:
+        col = lift(RMatrix([[c] for c in getattr(fiber, "comps", fiber)], case.ring))
+        v0 = v0 @ col
+    fold = v0.dagger() @ W
+    if D is not None and col is None:
+        fold = D @ fold
+    s = hm.patch_sign(patch)
+    if mode == "fd":
+        fold = fold.scale(-u * (1.0 / (2.0 * h * math.sqrt(2.0 * n0))))
+    else:
+        p2 = (F(1, 2) if not isinstance(n0, float) else 0.5) / n0
+        fold = fold.scale(-u * p2)
+    out = []
+    for t in tangents:
+        wp, _ = hm.section_linear_at(lvl, real, [c + ti for c, ti in zip(x, t)], patch)
+        if mode == "fd":
+            a, b = (1.0 / math.sqrt(2.0 * (1 + s * (x[-1] + e * t[-1]))) for e in (h, -h))
+            c0, c1 = a - b - h * (a + b), h * (a + b)
+        else:
+            c0, c1 = -(1 + s * t[-1] * p2), 1
+        ds = lift(lincomb((c0, c1), (w0, wp)))
+        raw = fold @ (ds if col is None else ds @ col)
+        out.append(raw.entry(0, 0) if raw.rows == 1 and raw.cols == 1 else raw)
+    return out
+
+
+def _curvature_numeric_reference(pt, t, v, patch, h=gg.DEFAULT_H):
+    """curvature_numeric written with the unit: the differences of the
+    closed connection over the generators sigma, plus c [A(t), A(v)] with
+    c = -j (I) or +i (II)."""
+    inv = 1.0 / (2 * h)
+    weighted = []
+    for step, d, along, w in ((h, t, v, inv), (-h, t, v, -inv), (h, v, t, -inv), (-h, v, t, inv)):
+        comps = gg._connection_coeffs(pt, patch, [c + step * di for c, di in zip(pt.coords, d)])
+        coeffs = comps if pt.level == 1 else comps[1]
+        weighted += [(w * along[m - 1], cm) for m, cm in coeffs.items()]
+    if pt.level == 1:
+        return sum(w * a for w, a in weighted)
+    c = -SplitComplex(0, 1) if pt.realization == "I" else OrdinaryComplex(0, 1)
+    basis = gg._connection_coeffs(pt, patch)[0]
+    at, av = (gg.connection_contraction(pt, d, patch) for d in (t, v))
+    return gg._contract(basis, weighted) + commutator(at, av).scale(c)
+
+
+def _same_cells(got, want, exact):
+    """Equal values; each nonzero cell of want has got's type and float bits;
+    on exact input every cell of got is an int or a Fraction."""
+    assert type(got) is type(want)
+    for g, w in zip(_exact_parts(got), _exact_parts(want), strict=True):
+        assert g == w
+        if exact:
+            assert isinstance(g, (int, F)), g
+        if w:
+            assert type(g) is type(w), (g, w)
+            if type(w) is float:
+                assert g.hex() == w.hex()
+
+
+@pytest.mark.parametrize("lvl,real,patch", PANELS)
+def test_public_gauge_values_match_the_unit_reference(lvl, real, patch):
+    # connection_numeric (both modes, matrix and spinor sections) and
+    # curvature_numeric against the reference written with u and the lift
+    case = hm.case_info(lvl, real)
+    eta, q = case.base_metric.signature, case.constraint_target
+    rng = random.Random(53)
+    for backend in ("float", "exact"):
+        pt = sample_base_point(lvl, real, patch=patch, backend=backend, rng=rng)
+        x = pt.coords
+        if backend == "exact":
+            tangents = [[(a == b) - F(eta[a] * x[a] * xb) / q for b, xb in enumerate(x)]
+                        for a in range(len(x))]
+        else:
+            tangents = gg.tangent_basis(pt)
+        fiber = sample_fiber(lvl, real, rng)
+        fiber = [fiber] if lvl == 1 else fiber
+        for mode in ("fd", "analytic"):
+            exact = backend == "exact" and mode == "analytic"
+            got = gg.connection_numeric(pt, patch, mode=mode, tangents=tangents)
+            want = _connection_numeric_reference(pt, patch, mode, tangents)
+            for g, w in zip(got, want, strict=True):
+                _same_cells(g, w, exact)
+            got = gg.connection_numeric(pt, patch, mode=mode, section="spinor", fiber=fiber,
+                                        tangents=tangents)
+            want = _connection_numeric_reference(pt, patch, mode, tangents, fiber)
+            for g, w in zip(got, want, strict=True):
+                _same_cells(g, w, False)
+        if backend == "float":
+            for _ in range(2):
+                t, v = rng.sample(tangents, 2)
+                _same_cells(gg.curvature_numeric(pt, t, v, patch),
+                            _curvature_numeric_reference(pt, t, v, patch), False)
 
 
 @pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
@@ -192,13 +299,13 @@ def test_oracles_catch_a_wrong_connection(monkeypatch, lvl, real, patch):
 @pytest.mark.parametrize("lvl,real", ALL_CASES)
 def test_curvature_residual_pairs_distinct_tangents(monkeypatch, lvl, real):
     seen = []
-    numeric = gg.curvature_numeric
+    numeric = gg._curvature_hat
 
     def spy(point, t, v, *args, **kwargs):
         seen.append((t, v))
         return numeric(point, t, v, *args, **kwargs)
 
-    monkeypatch.setattr(gg, "curvature_numeric", spy)
+    monkeypatch.setattr(gg, "_curvature_hat", spy)
     rng = random.Random(9)
     pt = sample_base_point(lvl, real, rng=rng)
     gg.curvature_residual(pt, pairs=12, rng=rng)
@@ -313,7 +420,7 @@ def _curvature_by_commutator(pt, patch):
     """Reference curvature: F_mn as the algebraic part plus c [A_m, A_n],
     the commutator taken with ringmat.commutator; F_{m,last} = (s/n) A_m."""
     a = gg.connection_closed(pt, patch)
-    c = gg._comm_unit(pt.realization)
+    c = -SplitComplex(0, 1) if pt.realization == "I" else OrdinaryComplex(0, 1)
     s = 1 if patch == "upper" else -1
     x = pt.coords
     one = 1.0 if isinstance(x[-1], float) else F(1)
@@ -492,6 +599,37 @@ def _curvature_reference(lvl, real, patch, x):
             want[(m, nn)] = terms
         want[(m, last)] = {k: s * inv_n * c for k, c in coeffs[m].items()}
     return want
+
+
+@pytest.mark.parametrize("lvl,real,bar", [(lvl, real, bar) for lvl in (2, 3)
+                                           for real in ("I", "II") for bar in (False, True)])
+def test_rho_is_sigma_over_the_unit(lvl, real, bar):
+    # u rho_k = sigma_k in values and types, u (re, im) = (u^2 im, re), and
+    # rho_k is built on sigma_k's grids: at (3, II) it holds sigma_k's
+    # imaginary cells over the reals, sigma_k's real grid being all zero
+    sigma = gg._gauge_algebra(lvl, real, bar)[0]
+    rho = gg._rho(lvl, real, bar)
+    assert len(rho) == len(sigma) and rho is gg._rho(lvl, real, bar)
+
+    def typed(grid):
+        return [(type(c), c) for row in grid for c in row]
+
+    for r, m in zip(rho, sigma):
+        s_re, s_im = m.components()
+        if (lvl, real) == (3, "II"):
+            assert r.ring == RING_REAL
+            (grid,) = r.components()
+            assert typed(grid) == typed(s_im) and not any(c for row in s_re for c in row)
+            # the real constructor keeps rows as tuples, so the cells are shared
+            assert all(a is b for x, y in zip(grid, s_im) for a, b in zip(x, y, strict=True))
+            continue
+        assert r.ring == m.ring
+        re, im = r.components()
+        u_re = [[-c for c in row] for row in im] if real == "II" else im
+        assert typed(u_re) == typed(s_re) and typed(re) == typed(s_im)
+        if lvl == 3:
+            assert re is s_im and im is s_re
+        assert r.components()[0] is s_im
 
 
 def test_equal_curvature_plans_are_one_object():

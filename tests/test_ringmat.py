@@ -8,11 +8,21 @@ import pytest
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
     RMatrix, MetricForm, RING_REAL, RING_SPLIT,
-    commutator, anticommutator, kron,
+    commutator, anticommutator,
 )
 from splithopf import gammarep
 
 j = SplitComplex(0, 1)
+
+
+def kron(a, b):
+    """Kronecker product in row-major block layout, blocks a[i][j] * b, from
+    the entries' own products: the independent reference of the block
+    doubling in gammarep."""
+    if a.ring != b.ring:
+        raise TypeError("ring mismatch")
+    return RMatrix([[av * bv for av in arow for bv in brow]
+                    for arow in a.entries for brow in b.entries], a.ring)
 
 
 def rand_split_matrix(rng, n, m):
