@@ -29,8 +29,8 @@ level 2, sigma_mn at level 3):
 Both closed forms are kept as {k: coefficient} maps over the generators,
 the curvature evaluated along a static per-case plan of its slots and
 keys (_curvature_plan), and a contraction with tangents is one linear
-combination of them; one matrix per component is built only for
-connection_closed and curvature_closed.  field_components writes each
+combination of them, so a component matrix is the contraction along
+e_a (and e_b), none kept on its own.  field_components writes each
 coefficient times its flattened generator (_flat_basis) into the export
 row as soon as it is made.  The closed contraction lies in the generator
 span by construction, so its agreement with the exact section derivative
@@ -53,9 +53,9 @@ The level-2 and level-3 checks read every identity divided by u:
 The closed side is contracted over rho_k = sigma_k / u (_rho), made from
 sigma_k's own component grids.  At (3, II) the sections, the transition,
 both weights and every rho_k are real, so those checks run over the reals.
-Only the public connection_numeric and curvature_numeric multiply by u,
-which swaps or negates components (_by_unit): exact, so a residual read
-on the hat values has the bits of one read on u times them.
+Only the public connection_numeric multiplies by u, which swaps or
+negates components (_by_unit): exact, so a residual read on the hat
+values has the bits of one read on u times them.
 """
 
 from fractions import Fraction
@@ -72,7 +72,7 @@ from .hopfmaps import case_info, section_linear_at, patch_sign, require_patch
 __all__ = [
     "tangent_basis", "lowered_epsilon", "connection_closed", "connection_contraction",
     "connection_numeric", "connection_residual",
-    "curvature_closed", "curvature_contraction", "curvature_numeric",
+    "curvature_closed", "curvature_contraction",
     "curvature_residual", "transition", "transition_at", "gluing_check",
     "field_components",
 ]
@@ -226,11 +226,6 @@ def _algebra_connection(level, realization, patch, x):
     return s, inv_n, y, basis, _curvature_plan(level, realization, bar), coeffs
 
 
-def _combine(basis, coeffs):
-    """sum_k coeffs[k] basis[k] over a {k: coefficient} map."""
-    return lincomb(coeffs.values(), [basis[k] for k in coeffs])
-
-
 def _contract(basis, weighted):
     """sum w cm over (w, {k: coefficient}) pairs, added up in a list with one
     slot per basis matrix, then one lincomb (which skips the zero slots)."""
@@ -252,11 +247,13 @@ def lowered_epsilon(x, i, j):
     return acc
 
 
-def _connection_coeffs(point, patch, x=None):
-    """The closed connection of the point's map as the contractions take it,
-    at the point or at any other x require_patch accepts: {a: scalar} at
-    level 1, (basis, {m: {k: coefficient}}) at levels 2-3."""
-    x = point.coords if x is None else x
+def connection_closed(point, patch=None, x=None):
+    """The closed connection of the point's map on the patch (the point's
+    unless given), at the point or at any other x require_patch accepts:
+    {a: scalar}, a = 1..3, at level 1; at levels 2-3 (basis, {m: {k:
+    coefficient}}), A_m = sum_k coefficient basis[k] over the free m, the
+    last component vanishing on both patches."""
+    patch, x = patch or point.patch, point.coords if x is None else x
     if point.level > 1:
         alg = _algebra_connection(point.level, point.realization, patch, x)
         return alg[3], alg[5]
@@ -265,26 +262,10 @@ def _connection_coeffs(point, patch, x=None):
     return {i: sign * lowered_epsilon(x, 3, i) / (2 * n) for i in (1, 2, 3)}
 
 
-def connection_closed(point, patch=None):
-    """Closed-form connection components {a: value}, a = 1..dim.
-
-    Level 1 components are real scalars; levels 2 and 3 are matrices in the
-    span of the case's generator family.  The last component vanishes on both
-    patches.
-    """
-    comps = _connection_coeffs(point, patch or point.patch)
-    if point.level == 1:
-        return comps
-    basis, coeffs = comps
-    out = {m: _combine(basis, c) for m, c in coeffs.items()}
-    out[len(coeffs) + 1] = RMatrix.zeros(basis[0].rows, basis[0].cols, basis[0].ring)
-    return out
-
-
 def connection_contraction(point, t, patch=None, closed=None):
     """sum_a A_a t^a for a tangent direction t, from the closed connection
-    as _connection_coeffs(point, patch) gives it (computed unless given)."""
-    comps = closed if closed is not None else _connection_coeffs(point, patch or point.patch)
+    as connection_closed(point, patch) gives it (computed unless given)."""
+    comps = closed if closed is not None else connection_closed(point, patch)
     if point.level == 1:
         return sum(v * t[a - 1] for a, v in comps.items())
     basis, coeffs = comps
@@ -318,7 +299,10 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
     if section == "spinor":
         if fiber is None:
             raise ValueError("spinor-section mode needs a fiber")
-        col = RMatrix([[c] for c in getattr(fiber, "comps", fiber)], case_info(lvl, real).ring)
+        comps = getattr(fiber, "comps", fiber)
+        if lvl == 1 and not isinstance(comps, (list, tuple)):
+            comps = [comps]  # the bare phase
+        col = RMatrix([[c] for c in comps], case_info(lvl, real).ring)
         v0 = w0 @ col
 
     # tangent-independent, formed once (@ groups to the left anyway)
@@ -354,9 +338,10 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
                        section="matrix", fiber=None, tangents=None):
     """Connection contractions -u D s^dag W (d_t s) along tangent directions:
     u times _connection_hat, lifted to the complex ring at (3, II).
-    section="spinor" contracts the matrix section with a fiber column first;
-    at level 3 that value vanishes identically by the reality constraint of
-    the fiber.
+    section="spinor" contracts the matrix section with a fiber column first,
+    the fiber as invert takes it (at level 1 the bare phase, or a list of
+    one); at level 3 that value vanishes identically by the reality
+    constraint of the fiber.
 
     Returns a list of values aligned with the tangent directions; entries
     are scalars at level 1 (and for spinor sections), matrices otherwise.
@@ -379,7 +364,7 @@ def _value_dev(a, b):
 
 
 def _hat_coeffs(point, patch, comps):
-    """comps, as _connection_coeffs or _curvature_coeffs give them, over
+    """comps, as connection_closed or curvature_closed give them, over
     rho = sigma / u (_rho) at levels 2-3, so their contractions are the hat
     values A / u and F / u; the level-1 scalars as they are."""
     if point.level == 1:
@@ -394,7 +379,7 @@ def connection_residual(point, patch=None, h=DEFAULT_H, mode="fd"):
     scalars."""
     patch = patch or point.patch
     tangents = tangent_basis(point)
-    closed = _hat_coeffs(point, patch, _connection_coeffs(point, patch))
+    closed = _hat_coeffs(point, patch, connection_closed(point, patch))
     if point.level == 1:
         numeric = connection_numeric(point, patch, h=h, mode=mode, tangents=tangents)
     else:
@@ -447,10 +432,18 @@ def _curvature_terms(point, alg):
     return dict(slots)
 
 
-def _curvature_coeffs(point, patch):
-    """The closed curvature as the contractions take it: {(a, b): scalar} at
-    level 1, (basis, _curvature_terms) at levels 2-3."""
-    x = point.coords
+def curvature_closed(point, patch=None):
+    """The closed curvature of the point's map on the patch (the point's
+    unless given), ambient convention: {(a, b): scalar}, a < b, at level 1,
+    (basis, _curvature_terms) at levels 2-3.
+
+    These are the exact ambient derivatives of connection_closed plus the
+    commutator term, so contractions with tangent pairs give the intrinsic
+    curvature 2-form.  At levels 2-3 the commutator term is in closed form.
+    Level 1 of the split realization refuses points too close to the light
+    cone of the 3-metric.
+    """
+    patch, x = patch or point.patch, point.coords
     if point.level > 1:
         alg = _algebra_connection(point.level, point.realization, patch, x)
         return alg[3], _curvature_terms(point, alg)
@@ -466,26 +459,10 @@ def _curvature_coeffs(point, patch):
             for i in (1, 2, 3) for j in range(i + 1, 4)}
 
 
-def curvature_closed(point, patch=None):
-    """Closed curvature components {(a, b): value}, a < b, ambient convention.
-
-    These are the exact ambient derivatives of connection_closed plus the
-    commutator term, so contractions with tangent pairs give the intrinsic
-    curvature 2-form.  At levels 2-3 the commutator term is in closed form
-    (_curvature_terms).  Level 1 of the split realization refuses points
-    too close to the light cone of the 3-metric.
-    """
-    comps = _curvature_coeffs(point, patch or point.patch)
-    if point.level == 1:
-        return comps
-    basis, terms = comps
-    return {key: _combine(basis, c) for key, c in terms.items()}
-
-
 def curvature_contraction(point, t, v, patch=None, closed=None):
     """F(t, v) = sum_{a<b} F_ab (t^a v^b - t^b v^a), from the closed curvature
-    as _curvature_coeffs(point, patch) gives it (computed unless given)."""
-    comps = closed if closed is not None else _curvature_coeffs(point, patch or point.patch)
+    as curvature_closed(point, patch) gives it (computed unless given)."""
+    comps = closed if closed is not None else curvature_closed(point, patch)
     terms = comps if point.level == 1 else comps[1]
     weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in terms]
     if point.level == 1:
@@ -505,23 +482,14 @@ def _curvature_hat(point, t, v, patch, h):
     inv = 1.0 / (2 * h)
     weighted = []
     for step, d, along, w in ((h, t, v, inv), (-h, t, v, -inv), (h, v, t, -inv), (-h, v, t, inv)):
-        comps = _connection_coeffs(point, patch, [c + step * di for c, di in zip(point.coords, d)])
+        comps = connection_closed(point, patch, [c + step * di for c, di in zip(point.coords, d)])
         coeffs = comps if point.level == 1 else comps[1]
         weighted += [(w * along[m - 1], cm) for m, cm in coeffs.items()]
     if point.level == 1:
         return sum(w * a for w, a in weighted)
-    here = _hat_coeffs(point, patch, _connection_coeffs(point, patch))
+    here = _hat_coeffs(point, patch, connection_closed(point, patch))
     at, av = (connection_contraction(point, d, patch, closed=here) for d in (t, v))
     return _contract(here[0], weighted) - commutator(at, av)
-
-
-def curvature_numeric(point, t, v, patch=None, h=DEFAULT_H):
-    """dA(t, v) by central differences of the closed connection, plus the
-    exact commutator term; comparable with curvature_contraction.  At
-    levels 2-3 it is u times _curvature_hat, lifted to the complex ring at
-    (3, II); at level 1, the scalar _curvature_hat."""
-    f = _curvature_hat(point, t, v, patch or point.patch, h)
-    return f if point.level == 1 else _by_unit(f)
 
 
 def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
@@ -531,7 +499,7 @@ def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
     rng = rng or random.Random(0)
     patch = patch or point.patch
     tangents = tangent_basis(point)
-    closed = _hat_coeffs(point, patch, _curvature_coeffs(point, patch))
+    closed = _hat_coeffs(point, patch, curvature_closed(point, patch))
     devs = []
     for _ in range(pairs):
         t, v = rng.sample(tangents, 2)
@@ -577,7 +545,7 @@ def transition(point):
     The value is transition_at of the point's coordinates.
     """
     lvl, real = point.level, point.realization
-    weight = None if real == "I" or lvl == 1 else case_info(lvl, real).fiber_weight()
+    weight = _case_gauge(lvl, real)[2]
     return TransitionFn(lvl, real, transition_at(lvl, real, point.coords), weight)
 
 
@@ -639,7 +607,7 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     tangents = tangent_basis(point)
     g = transition_at(lvl, real, x)
     top0 = _transition_top(lvl, real, x)
-    upper, lower = (_hat_coeffs(point, patch, _connection_coeffs(point, patch))
+    upper, lower = (_hat_coeffs(point, patch, connection_closed(point, patch))
                     for patch in ("upper", "lower"))
     u, _, decor = _case_gauge(lvl, real)
 
@@ -665,7 +633,7 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     rng = rng or random.Random(1234)
     drawn = [(rng.choice(tangents), rng.choice(tangents)) for _ in range(pairs)]
 
-    curv = [_hat_coeffs(point, patch, _curvature_coeffs(point, patch))
+    curv = [_hat_coeffs(point, patch, curvature_closed(point, patch))
             for patch in ("upper", "lower")]
     curv_devs = []
     for t, v in drawn:
@@ -718,9 +686,10 @@ def field_components(point, patch=None):
     At levels 2-3 each coefficient of A_m, and of F_mn as _curvature_values
     makes it, is added times its flattened generator (_flat_basis) into its
     component's slice of the row at once, skipped if zero, as lincomb does:
-    float input gives the floats of the connection_closed and
-    curvature_closed entries bit for bit, and rational input each exact
-    entry v within 1e-15 * max(1, |v|), in float arithmetic.
+    float input gives bit for bit the floats of the matrix lincomb makes of
+    each connection_closed and curvature_closed coefficient map, over its
+    keys in map order, and rational input each exact entry v within
+    1e-15 * max(1, |v|), in float arithmetic.
     """
     patch = patch or point.patch
     names = _field_names(point.level, point.realization)

@@ -17,6 +17,32 @@ from tests.test_hopfmaps import ALL_CASES
 
 PANELS = [(l, r, p) for (l, r) in ALL_CASES for p in ("upper", "lower")]
 OVERLAP_CASES = [(1, "I"), (2, "I"), (2, "II"), (3, "I"), (3, "II")]
+GAUGE_PANELS = [(l, r, p) for l in (2, 3) for r in ("I", "II") for p in ("upper", "lower")]
+
+
+def _combine(basis, coeffs):
+    """sum_k coeffs[k] basis[k] over a {k: coefficient} map: one lincomb
+    over its keys, in its map order."""
+    return lincomb(coeffs.values(), [basis[k] for k in coeffs])
+
+
+def _closed_matrices(pt, patch=None):
+    """The reference component matrices of connection_closed and
+    curvature_closed: at levels 2-3 each slot's coefficient map combined
+    over the basis (_combine), the vanishing last connection component a
+    zero matrix; level 1's scalar maps as they are."""
+    a, f = gg.connection_closed(pt, patch), gg.curvature_closed(pt, patch)
+    if pt.level == 1:
+        return a, f
+    (basis, coeffs), terms = a, f[1]
+    a = {m: _combine(basis, c) for m, c in coeffs.items()}
+    a[len(coeffs) + 1] = RMatrix.zeros(basis[0].rows, basis[0].cols, basis[0].ring)
+    return a, {key: _combine(basis, c) for key, c in terms.items()}
+
+
+def _unit(dim, a):
+    """The coordinate direction e_a, a = 1..dim, with int components."""
+    return [int(b == a) for b in range(1, dim + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +72,16 @@ def test_first_map_curvature_at_pole():
 
 def test_second_map_pole_connection():
     pole = BasePoint(2, "I", (0.0, 0.0, 0.0, 0.0, 1.0))
-    a = gg.connection_closed(pole)
     for m in range(1, 6):
-        assert a[m].is_zero()
+        assert gg.connection_contraction(pole, _unit(5, m)).is_zero()
 
 
 def test_last_component_vanishes():
     rng = random.Random(4)
     for (lvl, real) in ALL_CASES:
         pt = sample_base_point(lvl, real, rng=rng)
-        a = gg.connection_closed(pt)
-        last = a[pt.metric.dim]
+        dim = pt.metric.dim
+        last = gg.connection_contraction(pt, _unit(dim, dim))
         assert last == 0.0 or last.is_zero()
 
 
@@ -154,7 +179,8 @@ def _connection_numeric_reference(pt, patch, mode, tangents, fiber=None, h=gg.DE
     w0, n0 = hm.section_linear_at(lvl, real, x, patch)
     v0, col = lift(w0), None
     if fiber is not None:
-        col = lift(RMatrix([[c] for c in getattr(fiber, "comps", fiber)], case.ring))
+        comps = [fiber] if lvl == 1 else getattr(fiber, "comps", fiber)
+        col = lift(RMatrix([[c] for c in comps], case.ring))
         v0 = v0 @ col
     fold = v0.dagger() @ W
     if D is not None and col is None:
@@ -179,24 +205,6 @@ def _connection_numeric_reference(pt, patch, mode, tangents, fiber=None, h=gg.DE
     return out
 
 
-def _curvature_numeric_reference(pt, t, v, patch, h=gg.DEFAULT_H):
-    """curvature_numeric written with the unit: the differences of the
-    closed connection over the generators sigma, plus c [A(t), A(v)] with
-    c = -j (I) or +i (II)."""
-    inv = 1.0 / (2 * h)
-    weighted = []
-    for step, d, along, w in ((h, t, v, inv), (-h, t, v, -inv), (h, v, t, -inv), (-h, v, t, inv)):
-        comps = gg._connection_coeffs(pt, patch, [c + step * di for c, di in zip(pt.coords, d)])
-        coeffs = comps if pt.level == 1 else comps[1]
-        weighted += [(w * along[m - 1], cm) for m, cm in coeffs.items()]
-    if pt.level == 1:
-        return sum(w * a for w, a in weighted)
-    c = -SplitComplex(0, 1) if pt.realization == "I" else OrdinaryComplex(0, 1)
-    basis = gg._connection_coeffs(pt, patch)[0]
-    at, av = (gg.connection_contraction(pt, d, patch) for d in (t, v))
-    return gg._contract(basis, weighted) + commutator(at, av).scale(c)
-
-
 def _same_cells(got, want, exact):
     """Equal values; each nonzero cell of want has got's type and float bits;
     on exact input every cell of got is an int or a Fraction."""
@@ -213,8 +221,8 @@ def _same_cells(got, want, exact):
 
 @pytest.mark.parametrize("lvl,real,patch", PANELS)
 def test_public_gauge_values_match_the_unit_reference(lvl, real, patch):
-    # connection_numeric (both modes, matrix and spinor sections) and
-    # curvature_numeric against the reference written with u and the lift
+    # connection_numeric (both modes, matrix and spinor sections) against
+    # the reference written with u and the lift
     case = hm.case_info(lvl, real)
     eta, q = case.base_metric.signature, case.constraint_target
     rng = random.Random(53)
@@ -227,7 +235,6 @@ def test_public_gauge_values_match_the_unit_reference(lvl, real, patch):
         else:
             tangents = gg.tangent_basis(pt)
         fiber = sample_fiber(lvl, real, rng)
-        fiber = [fiber] if lvl == 1 else fiber
         for mode in ("fd", "analytic"):
             exact = backend == "exact" and mode == "analytic"
             got = gg.connection_numeric(pt, patch, mode=mode, tangents=tangents)
@@ -239,11 +246,28 @@ def test_public_gauge_values_match_the_unit_reference(lvl, real, patch):
             want = _connection_numeric_reference(pt, patch, mode, tangents, fiber)
             for g, w in zip(got, want, strict=True):
                 _same_cells(g, w, False)
-        if backend == "float":
-            for _ in range(2):
-                t, v = rng.sample(tangents, 2)
-                _same_cells(gg.curvature_numeric(pt, t, v, patch),
-                            _curvature_numeric_reference(pt, t, v, patch), False)
+
+
+@pytest.mark.parametrize("real", ["I", "II"])
+@pytest.mark.parametrize("mode", ["fd", "analytic"])
+def test_spinor_connection_takes_the_bare_phase(real, mode):
+    # the level-1 fiber as sample_fiber draws it and invert takes it, not
+    # wrapped in a list; the list of one gives the same values
+    rng = random.Random(61)
+    for patch in ("upper", "lower"):
+        pt = sample_base_point(1, real, patch=patch, rng=rng)
+        phase = sample_fiber(1, real, rng)
+        assert hm.invert(pt, phase, patch).comps
+        tangents = gg.tangent_basis(pt)
+        got = gg.connection_numeric(pt, patch, mode=mode, section="spinor", fiber=phase,
+                                    tangents=tangents)
+        listed = gg.connection_numeric(pt, patch, mode=mode, section="spinor", fiber=[phase],
+                                       tangents=tangents)
+        want = _connection_numeric_reference(pt, patch, mode, tangents, phase)
+        assert len(got) == len(tangents)
+        for g, li, w in zip(got, listed, want, strict=True):
+            _same_cells(g, w, False)
+            _same_cells(li, w, False)
 
 
 @pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
@@ -332,7 +356,7 @@ def test_curvature_antisymmetry():
     rng = random.Random(17)
     for (lvl, real) in ALL_CASES:
         pt = sample_base_point(lvl, real, rng=rng)
-        f = gg._curvature_coeffs(pt, pt.patch)
+        f = gg.curvature_closed(pt)
         tangents = gg.tangent_basis(pt)
         t, v = tangents[0], tangents[-1]
         a = gg.curvature_contraction(pt, t, v, closed=f)
@@ -340,7 +364,7 @@ def test_curvature_antisymmetry():
         assert _dev(a + b) < 1e-12
         assert a == gg.curvature_contraction(pt, t, v)
         # the connection contraction is linear in the direction
-        conn = gg._connection_coeffs(pt, pt.patch)
+        conn = gg.connection_closed(pt)
         at = gg.connection_contraction(pt, t, closed=conn)
         av = gg.connection_contraction(pt, v, closed=conn)
         tv = [x - 2 * y for x, y in zip(t, v)]
@@ -369,7 +393,7 @@ def test_connection_exact_on_rational_input(lvl, real, coords, t):
     pt = BasePoint(lvl, real, coords, "upper")
     assert pt.constraint_residual() == 0
     assert pt.metric.inner(coords, t) == 0
-    closed = gg.connection_closed(pt)
+    closed, _ = _closed_matrices(pt)
     for m in closed.values():
         assert all(isinstance(c, (int, F)) for c in _components(m))
     num = gg.connection_numeric(pt, mode="analytic", tangents=[t])[0]
@@ -380,10 +404,10 @@ def test_connection_exact_on_rational_input(lvl, real, coords, t):
 
 
 def _matrix_contractions(pt, patch, t, v):
-    """A(t) and F(t, v) summed over the per-component matrices of
-    connection_closed and curvature_closed: the reference the contractions
-    in algebra coordinates are held to."""
-    a, f = gg.connection_closed(pt, patch), gg.curvature_closed(pt, patch)
+    """A(t) and F(t, v) summed over the reference component matrices
+    (_closed_matrices): the reference the contractions in algebra
+    coordinates are held to."""
+    a, f = _closed_matrices(pt, patch)
     wa = [t[k - 1] for k in a]
     wf = [t[i - 1] * v[j - 1] - t[j - 1] * v[i - 1] for i, j in f]
     if pt.level == 1:
@@ -416,10 +440,27 @@ def test_contractions_match_component_matrices_exactly(lvl, real, coords, t):
         assert got == want
 
 
+@pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
+def test_coordinate_contractions_are_the_component_matrices(lvl, real, patch):
+    # at a rational point, A(e_a) is A_a and F(e_a, e_b) is F_ab, a < b,
+    # exactly, with int or Fraction cells only
+    pt = sample_base_point(lvl, real, patch=patch, backend="exact", rng=random.Random(43))
+    a, f = _closed_matrices(pt, patch)
+    dim = pt.metric.dim
+    checks = [(gg.connection_contraction(pt, _unit(dim, m), patch), a[m]) for m in a]
+    checks += [(gg.curvature_contraction(pt, _unit(dim, i), _unit(dim, j), patch), f[(i, j)])
+               for i, j in f]
+    assert len(checks) == dim + dim * (dim - 1) // 2
+    for got, want in checks:
+        assert all(isinstance(c, (int, F)) for g in got.components() for row in g for c in row)
+        assert got == want
+
+
 def _curvature_by_commutator(pt, patch):
     """Reference curvature: F_mn as the algebraic part plus c [A_m, A_n],
-    the commutator taken with ringmat.commutator; F_{m,last} = (s/n) A_m."""
-    a = gg.connection_closed(pt, patch)
+    the commutator taken with ringmat.commutator over the reference
+    connection matrices (_closed_matrices); F_{m,last} = (s/n) A_m."""
+    a, _ = _closed_matrices(pt, patch)
     c = -SplitComplex(0, 1) if pt.realization == "I" else OrdinaryComplex(0, 1)
     s = 1 if patch == "upper" else -1
     x = pt.coords
@@ -453,7 +494,7 @@ def test_closed_commutator_term(lvl, real, patch, backend):
     rng = random.Random(31)
     for _ in range(2):
         pt = sample_base_point(lvl, real, patch=patch, backend=backend, rng=rng)
-        got = gg.curvature_closed(pt, patch)
+        _, got = _closed_matrices(pt, patch)
         want = _curvature_by_commutator(pt, patch)
         assert list(got) == sorted(want)
         for key, m in got.items():
@@ -466,12 +507,12 @@ def test_closed_commutator_term(lvl, real, patch, backend):
 
 def test_field_components_columns():
     # the cached column names and the shared connection give the names and
-    # values read off the public closed forms entry by entry
+    # values read off the reference component matrices entry by entry
     rng = random.Random(33)
     for lvl, real in ALL_CASES:
         for patch in ("upper", "lower"):
             pt = sample_base_point(lvl, real, patch=patch, rng=rng)
-            a, f = gg.connection_closed(pt, patch), gg.curvature_closed(pt, patch)
+            a, f = _closed_matrices(pt, patch)
             names, values = [], []
             for prefix, val in ([("A_%d" % k, a[k]) for k in sorted(a)]
                                 + [("F_%d%d" % k, f[k]) for k in sorted(f)]):
@@ -528,9 +569,6 @@ def test_level2_connection_matches_dense_sum(real, patch):
                     assert got[m][k].hex() == w.hex(), (m, k)
                 else:
                     assert type(got[m][k]) is F and got[m][k] == w, (m, k)
-
-
-GAUGE_PANELS = [(l, r, p) for l in (2, 3) for r in ("I", "II") for p in ("upper", "lower")]
 
 
 @pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
@@ -678,7 +716,6 @@ def test_field_rows_build_no_matrix(monkeypatch, lvl, real, patch):
         raise AssertionError("a component matrix was built")
 
     monkeypatch.setattr(gg, "lincomb", refused)
-    monkeypatch.setattr(gg, "_combine", refused)
     names, values = gg.field_components(pt, patch)
     assert len(names) == len(values) and any(values)
 
@@ -690,7 +727,7 @@ def test_field_components_at_exact_points(lvl, real, patch):
     rng = random.Random(72)
     for _ in range(2):
         pt = sample_base_point(lvl, real, patch=patch, backend="exact", rng=rng)
-        a, f = gg.connection_closed(pt, patch), gg.curvature_closed(pt, patch)
+        a, f = _closed_matrices(pt, patch)
         exact = [c for m in [a[k] for k in sorted(a)] + [f[k] for k in sorted(f)]
                  for rows in zip(*m.components()) for cell in zip(*rows) for c in cell]
         assert all(isinstance(c, (int, F)) for c in exact) and any(exact)
@@ -980,7 +1017,7 @@ def _dict_contract(basis, weighted):
     for w, cm in weighted:
         for k, c in cm.items():
             acc[k] = acc.get(k, 0) + w * c
-    return gg._combine(basis, acc)
+    return _combine(basis, acc)
 
 
 @pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
@@ -995,8 +1032,8 @@ def test_contractions_match_dict_reference(lvl, real, patch):
             dim = len(pt.coords)
             pairs = [([F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)],
                       [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)])]
-        basis, coeffs = gg._connection_coeffs(pt, patch)
-        fbasis, terms = closed = gg._curvature_coeffs(pt, patch)
+        basis, coeffs = gg.connection_closed(pt, patch)
+        fbasis, terms = closed = gg.curvature_closed(pt, patch)
         for t, v in pairs:
             weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in terms]
             checks = [
