@@ -39,9 +39,11 @@ curvature (_curvature_hat) differences the connection maps at shifted base
 points in algebra coordinates too, but takes the matrix commutator of the
 unshifted contractions, so the two sides of the curvature check share no
 commutator code.  The section numerator and the transition's numerator
-are linear in x, so a first derivative along t needs them at x + t only,
-never at x +- h t (_connection_hat, _transition_step).  Shifted points
-are bare coordinates, no BasePoint.
+are affine in x, w = C + sum x_a M_a with static slopes M_a
+(hopfmaps.section_slopes, _transition_slopes), so a first derivative
+along t is sum t_a M_a: each derivative evaluates its numerator at x
+only, once per point (_connection_hat, _transition_step).  Shifted
+points are bare coordinates, no BasePoint.
 
 The level-2 and level-3 checks read every identity divided by u:
 
@@ -67,7 +69,7 @@ import random
 from .splitnum import reciprocal, root
 from .ringmat import RMatrix, RING_COMPLEX, RING_REAL, commutator, lincomb, worst_of
 from . import gammarep
-from .hopfmaps import case_info, section_linear_at, patch_sign, require_patch
+from .hopfmaps import case_info, section_linear_at, section_slopes, patch_sign, require_patch
 
 __all__ = [
     "tangent_basis", "lowered_epsilon", "connection_closed", "connection_contraction",
@@ -279,22 +281,25 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
     """The connection contractions over u, -D s^dag W (d_t s), as matrices
     aligned with the tangents (1 x 1 for spinor sections and at level 1).
 
-    The section is w / sqrt(2n), w linear in x (section_linear_at), so
-    w(x + e t) = w0 + e (w(x + t) - w0) for any step e: per tangent w is
-    evaluated once, at x + t, and d_t s is one lincomb of w0 and w(x + t)
-    times the fold -D w0^dag W, D the fiber weight where the case has one
-    (w0 times the fiber column for spinor sections, without D).
-    mode="fd" is the central difference at x +- h t (the independent
-    oracle), mode="analytic" the exact derivative, rational on rational
-    input; they differ only in the two lincomb coefficients and the fold's
-    scalar.  Everything is in the case's own ring, so the (3, II) values
-    are real.
+    The section is w / sqrt(2n), w = C + sum x_a M_a affine in x, so
+    w(x + e t) = w0 + e sum t_a M_a for any step e, the slopes M_a static
+    (section_slopes).  Per point w is evaluated once, at x, and the fold
+    -D w0^dag W (D the fiber weight where the case has one; w0 times the
+    fiber column for spinor sections, without D) is multiplied into w0 and
+    each M_a (each M_a times the column for spinor sections), giving G0
+    and G_a; per tangent the value is one lincomb of G0, G_1 ... G_d with
+    coefficients (c0, c1 t_a).  mode="fd" is the central difference at
+    x +- h t (the independent oracle), mode="analytic" the exact
+    derivative, rational on rational input; they differ only in c0, c1
+    and the fold's scalar.  Everything is in the case's own ring, so the
+    (3, II) values are real.
     """
     lvl, real, x = point.level, point.realization, point.coords
     _, W, D = _case_gauge(lvl, real)
     tangents = tangents if tangents is not None else tangent_basis(point)
 
     w0, n0 = section_linear_at(lvl, real, x, patch)
+    slopes = section_slopes(lvl, real, patch)
     v0, col = w0, None
     if section == "spinor":
         if fiber is None:
@@ -304,6 +309,7 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
             comps = [comps]  # the bare phase
         col = RMatrix([[c] for c in comps], case_info(lvl, real).ring)
         v0 = w0 @ col
+        slopes = [m @ col for m in slopes]
 
     # tangent-independent, formed once (@ groups to the left anyway)
     fold = v0.dagger() @ W
@@ -318,19 +324,17 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
     else:
         raise ValueError(mode)
 
+    gens = [fold @ v0] + [fold @ m for m in slopes]
     out = []
     for t in tangents:
-        wp, _ = section_linear_at(lvl, real, [c + ti for c, ti in zip(x, t)], patch)
         if mode == "fd":
-            # w(x +- h t) = w0 +- h (wp - w0), over sqrt(2 n(x +- h t))
+            # w(x +- h t) = w0 +- h sum t_a M_a, over sqrt(2 n(x +- h t))
             a, b = (1.0 / math.sqrt(2.0 * (1 + sign * (x[-1] + e * t[-1]))) for e in (h, -h))
-            c1 = h * (a + b)
-            c0 = a - b - c1
+            c0, c1 = a - b, h * (a + b)
         else:
-            # sqrt(2n) d_t (w / sqrt(2n)) = (wp - w0) - (sign t_last / 2n) w0
-            c0, c1 = -(1 + sign * t[-1] * p2), 1
-        ds = lincomb((c0, c1), (w0, wp))
-        out.append(fold @ (ds if col is None else ds @ col))
+            # sqrt(2n) d_t (w / sqrt(2n)) = sum t_a M_a - (sign t_last / 2n) w0
+            c0, c1 = -(sign * t[-1] * p2), 1
+        out.append(lincomb([c0] + [c1 * ta for ta in t], gens))
     return out
 
 
@@ -549,12 +553,25 @@ def transition(point):
     return TransitionFn(lvl, real, transition_at(lvl, real, point.coords), weight)
 
 
+def _leading_rows(w, level, realization):
+    """The leading fiber_dim rows of w."""
+    fd = case_info(level, realization).fiber_dim
+    return RMatrix.from_components(tuple(g[:fd] for g in w.components()), w.ring)
+
+
 def _transition_top(level, realization, coords):
     """The leading fiber_dim block of the lower-patch section numerator
-    (section_linear_at), linear in the coordinates."""
-    fd = case_info(level, realization).fiber_dim
+    (section_linear_at), affine in the coordinates."""
     w, _ = section_linear_at(level, realization, coords, "lower")
-    return RMatrix.from_components(tuple(g[:fd] for g in w.components()), w.ring)
+    return _leading_rows(w, level, realization)
+
+
+@functools.lru_cache(maxsize=None)
+def _transition_slopes(level, realization):
+    """The slopes of _transition_top: the leading fiber_dim rows of the
+    lower-patch section_slopes."""
+    return tuple(_leading_rows(m, level, realization)
+                 for m in section_slopes(level, realization, "lower"))
 
 
 def _inv_rho(x_last):
@@ -566,26 +583,26 @@ def _inv_rho(x_last):
     return reciprocal(root(rho2))
 
 
-def transition_at(level, realization, coords):
+def transition_at(level, realization, coords, top=None):
     """transition's value at bare coordinates, also off the hyperboloid:
-    _transition_top over sqrt(1 - x_last^2), a scalar at level 1, so that
-    section_lower = section_upper @ g exactly.  A ValueError for the
-    two-leaf map and within EPS_NULL of |x_last| = 1."""
+    _transition_top (computed unless given) over sqrt(1 - x_last^2), a
+    scalar at level 1, so that section_lower = section_upper @ g exactly.
+    A ValueError for the two-leaf map and within EPS_NULL of |x_last| = 1."""
     if (level, realization) == (1, "II"):
         raise ValueError("the two-leaf map has no patch overlap")
     inv_rho = _inv_rho(coords[-1])
-    top = _transition_top(level, realization, coords)
+    top = _transition_top(level, realization, coords) if top is None else top
     return top.entry(0, 0) * inv_rho if level == 1 else top.scale(inv_rho)
 
 
 def _transition_step(level, realization, x, top0, t, h):
     """g(x + h t) - g(x - h t) as a matrix (1 x 1 at level 1), top0 the
-    _transition_top at x: top is linear, so top(x +- h t) =
-    top0 +- h (top(x + t) - top0) takes one evaluation, at x + t."""
+    _transition_top at x: top is affine, so top(x +- h t) =
+    top0 +- h sum t_a M_a over its static slopes M_a (_transition_slopes),
+    and the step is one lincomb of top0 and the M_a."""
     a, b = (_inv_rho(x[-1] + e * t[-1]) for e in (h, -h))
     c1 = h * (a + b)
-    top1 = _transition_top(level, realization, [c + ti for c, ti in zip(x, t)])
-    return lincomb((a - b - c1, c1), (top0, top1))
+    return lincomb([a - b] + [c1 * ta for ta in t], (top0, *_transition_slopes(level, realization)))
 
 
 def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
@@ -595,9 +612,9 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     matrix where the realization carries one (sigma3 at (2, II), Sigma3 at
     (3, II); scalar conjugation at level 1).  Curvature: F' = g^dag F g with
     the same decoration; at level 1 the field strength is patch-independent.
-    dg is the central difference of g at x +- h t (_transition_step, one
-    numerator evaluation per tangent).  At levels 2-3 both identities are
-    read divided by u, on the contractions over rho (_hat_coeffs): the
+    dg is the central difference of g at x +- h t (_transition_step, from
+    the numerator at x, which g shares, and its static slopes).  At levels
+    2-3 both identities are read divided by u, on the contractions over rho (_hat_coeffs): the
     connection's right side is g^dag decor (A g / u - dg), and at (3, II)
     every matrix is real.
     Returns {"connection": r1, "curvature": r2}, each the worst residual
@@ -605,8 +622,8 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     """
     lvl, real, x = point.level, point.realization, point.coords
     tangents = tangent_basis(point)
-    g = transition_at(lvl, real, x)
     top0 = _transition_top(lvl, real, x)
+    g = transition_at(lvl, real, x, top0)
     upper, lower = (_hat_coeffs(point, patch, connection_closed(point, patch))
                     for patch in ("upper", "lower"))
     u, _, decor = _case_gauge(lvl, real)

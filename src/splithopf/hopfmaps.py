@@ -24,7 +24,7 @@ __all__ = [
     "Spinor", "BasePoint", "Section",
     "NormalizationError", "PatchError", "SamplingError", "ConstraintError",
     "CASES", "case_info",
-    "patch_sign", "require_patch", "section_linear_at",
+    "patch_sign", "require_patch", "section_linear_at", "section_slopes",
     "project", "invert", "sample_normalized", "sample_base_point", "sample_fiber",
     "level0_project", "level0_invert",
     "hierarchical_fiber_check", "charge_conjugate_spinor",
@@ -421,6 +421,23 @@ def section_linear_at(level, realization, coords, patch):
     return RMatrix.from_components(tuple(grids), ring), 1 + patch_sign(patch) * coords[-1]
 
 
+@functools.lru_cache(maxsize=None)
+def section_slopes(level, realization, patch):
+    """The slopes M_a of the section numerator, w(x) = C + sum x_a M_a, as
+    int-valued matrices of the shape and ring of w, one per coordinate:
+    _section_template's coefficients, read once per (level, realization,
+    patch).  A first derivative of w along t is sum t_a M_a, with no
+    evaluation of w at a shifted point."""
+    template, rows, cols, ring = _section_template(level, realization, patch)
+    dim = case_info(level, realization).base_dim
+    grids = [tuple([[0] * cols for _ in range(rows)] for _ in template) for _ in range(dim)]
+    for g, cells in enumerate(template):
+        for i, j, _, lin in cells:
+            for a, coef in lin:
+                grids[a][g][i][j] = coef
+    return tuple(RMatrix.from_components(m, ring) for m in grids)
+
+
 class Section:
     """Matrix-valued inversion section over one patch (identity fiber)."""
 
@@ -452,6 +469,10 @@ def _check_fiber(case, point, fiber):
     """The fiber's components, once its norm (and at level 3-I its reality
     condition) is checked."""
     if point.level == 1:
+        if isinstance(fiber, (list, tuple)):
+            if len(fiber) != 1:
+                raise ValueError("level-1 fiber is one phase, bare or in a list of one")
+            fiber = fiber[0]
         q = _scalar_value(fiber.qform() if hasattr(fiber, "qform") else fiber * fiber, "fiber")
         _require_one(q, "fiber phase must satisfy conj(c) c = 1")
         return [fiber]
@@ -484,7 +505,8 @@ def invert(point, fiber=None, patch=None):
     """Inversion section at a base point; returns a Spinor (or a Section).
 
     fiber is the element of the fiber at one level below: a unit phase at
-    level 1, a normalized level-1 spinor at level 2, an 8-component spinor
+    level 1 (bare or in a list of one; any other sequence is refused with a
+    ValueError), a normalized level-1 spinor at level 2, an 8-component spinor
     with the appropriate reality condition at level 3.  fiber=None picks the
     pole fiber at levels 1-2 and the matrix section at level 3.
 

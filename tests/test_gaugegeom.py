@@ -168,8 +168,9 @@ def test_connection_fd_is_the_central_difference(lvl, real, patch):
 def _connection_numeric_reference(pt, patch, mode, tangents, fiber=None, h=gg.DEFAULT_H):
     """connection_numeric written with the unit and the lift: -u D s^dag W
     (d_t s), every matrix of the (3, II) case lifted to the complex ring
-    first, d_t s the lincomb of w0 and w(x + t) that connection_numeric
-    takes, and the unit in the fold's scalar."""
+    first, the fold multiplied into w0 and each slope M_a (section_slopes)
+    and d_t s the lincomb of those products that connection_numeric takes,
+    and the unit in the fold's scalar."""
     lvl, real, x = pt.level, pt.realization, pt.coords
     case = hm.case_info(lvl, real)
     u = hm.case_info(1, real).unit
@@ -178,10 +179,12 @@ def _connection_numeric_reference(pt, patch, mode, tangents, fiber=None, h=gg.DE
     D = None if real == "I" or lvl == 1 else lift(case.fiber_weight())
     w0, n0 = hm.section_linear_at(lvl, real, x, patch)
     v0, col = lift(w0), None
+    slopes = [lift(m) for m in hm.section_slopes(lvl, real, patch)]
     if fiber is not None:
         comps = [fiber] if lvl == 1 else getattr(fiber, "comps", fiber)
         col = lift(RMatrix([[c] for c in comps], case.ring))
         v0 = v0 @ col
+        slopes = [m @ col for m in slopes]
     fold = v0.dagger() @ W
     if D is not None and col is None:
         fold = D @ fold
@@ -191,16 +194,15 @@ def _connection_numeric_reference(pt, patch, mode, tangents, fiber=None, h=gg.DE
     else:
         p2 = (F(1, 2) if not isinstance(n0, float) else 0.5) / n0
         fold = fold.scale(-u * p2)
+    gens = [fold @ v0] + [fold @ m for m in slopes]
     out = []
     for t in tangents:
-        wp, _ = hm.section_linear_at(lvl, real, [c + ti for c, ti in zip(x, t)], patch)
         if mode == "fd":
             a, b = (1.0 / math.sqrt(2.0 * (1 + s * (x[-1] + e * t[-1]))) for e in (h, -h))
-            c0, c1 = a - b - h * (a + b), h * (a + b)
+            c0, c1 = a - b, h * (a + b)
         else:
-            c0, c1 = -(1 + s * t[-1] * p2), 1
-        ds = lift(lincomb((c0, c1), (w0, wp)))
-        raw = fold @ (ds if col is None else ds @ col)
+            c0, c1 = -(s * t[-1] * p2), 1
+        raw = lincomb([c0] + [c1 * ta for ta in t], gens)
         out.append(raw.entry(0, 0) if raw.rows == 1 and raw.cols == 1 else raw)
     return out
 
@@ -267,6 +269,74 @@ def test_spinor_connection_takes_the_bare_phase(real, mode):
         for g, li, w in zip(got, listed, want, strict=True):
             _same_cells(g, w, False)
             _same_cells(li, w, False)
+
+
+def _cells(m):
+    return [c for g in m.components() for row in g for c in row]
+
+
+@pytest.mark.parametrize("lvl,real,patch", PANELS)
+def test_connection_hat_evaluates_the_section_once_per_point(monkeypatch, lvl, real, patch):
+    # the derivatives come from the static slopes, so the numerator is
+    # evaluated at x only, whatever the number of tangents
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return hm.section_linear_at(*args)
+
+    monkeypatch.setattr(gg, "section_linear_at", spy)
+    rng = random.Random(59)
+    pt = sample_base_point(lvl, real, patch=patch, rng=rng)
+    fiber = sample_fiber(lvl, real, rng)
+    tangents = gg.tangent_basis(pt)
+    for mode in ("fd", "analytic"):
+        for section, fib in (("matrix", None), ("spinor", fiber)):
+            for ts in (tangents[:1], tangents, tangents * 3):
+                del calls[:]
+                out = gg._connection_hat(pt, patch, gg.DEFAULT_H, mode, section, fib, ts)
+                assert len(out) == len(ts)
+                assert calls == [(lvl, real, pt.coords, patch)]
+
+
+@pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
+def test_gluing_evaluates_the_transition_top_once_per_point(monkeypatch, lvl, real):
+    # g and every dg come from the one numerator at x and its static slopes
+    calls = []
+    top = gg._transition_top
+
+    def spy(*args):
+        calls.append(args)
+        return top(*args)
+
+    monkeypatch.setattr(gg, "_transition_top", spy)
+    rng = random.Random(67)
+    for _ in range(2):
+        pt = sample_base_point(lvl, real, rng=rng, overlap=True)
+        del calls[:]
+        gg.gluing_check(pt)
+        assert calls == [(lvl, real, pt.coords)]
+
+
+@pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
+def test_transition_slopes_match_the_top(lvl, real):
+    # top(x) = top(0) + sum x_a M_a exactly at seeded rational points, on
+    # and off the hyperboloid; the slopes are int matrices, made once
+    dim = hm.case_info(lvl, real).base_dim
+    slopes = gg._transition_slopes(lvl, real)
+    assert gg._transition_slopes(lvl, real) is slopes and len(slopes) == dim
+    assert all(type(c) is int for m in slopes for c in _cells(m))
+    const = gg._transition_top(lvl, real, (F(0),) * dim)
+    rng = random.Random(47)
+    for coords in (sample_base_point(lvl, real, backend="exact", rng=rng, overlap=True).coords,
+                   [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]):
+        top = gg._transition_top(lvl, real, coords)
+        want = const
+        for xa, m in zip(coords, slopes):
+            want = want + m.scale(xa)
+        assert top.ring == want.ring and (top.rows, top.cols) == (want.rows, want.cols)
+        assert _cells(top) == _cells(want)
+        assert all(type(c) in (int, F) for c in _cells(top) + _cells(want))
 
 
 @pytest.mark.parametrize("lvl,real", OVERLAP_CASES)

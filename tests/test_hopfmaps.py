@@ -12,7 +12,7 @@ from splithopf.hopfmaps import (
     Spinor, BasePoint, Section, project, invert, sample_normalized,
     sample_base_point, sample_fiber, level0_project, level0_invert, hierarchical_fiber_check,
     NormalizationError, PatchError, ConstraintError, case_info,
-    section_linear_part, section_linear_at,
+    section_linear_part, section_linear_at, section_slopes,
 )
 from splithopf import gammarep, hopfmaps as hm
 
@@ -358,6 +358,51 @@ def test_section_coordinates_entry(lvl, real, patch):
     w_frac, _ = section_linear_at(lvl, real, [F(c) for c in ints], patch)
     assert repr(w.components()) == repr(w_frac.components())
     assert any(type(c) is F for g in w.components() for row in g for c in row)
+
+
+def _cells(m):
+    return [c for g in m.components() for row in g for c in row]
+
+
+@pytest.mark.parametrize("lvl,real", ALL_CASES)
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_section_slopes_match_the_template(lvl, real, patch):
+    # w(x) = C + sum x_a M_a exactly, C = w(0), at seeded rational points on
+    # and off the hyperboloid; the slopes are int matrices, made once
+    dim = case_info(lvl, real).base_dim
+    slopes = section_slopes(lvl, real, patch)
+    assert section_slopes(lvl, real, patch) is slopes and len(slopes) == dim
+    assert all(type(c) is int for m in slopes for c in _cells(m))
+    const, _ = section_linear_at(lvl, real, (F(0),) * dim, patch)
+    rng = random.Random(41)
+    for coords in (sample_base_point(lvl, real, patch=patch, backend="exact", rng=rng).coords,
+                   [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]):
+        w, _ = section_linear_at(lvl, real, coords, patch)
+        want = const
+        for xa, m in zip(coords, slopes):
+            want = want + m.scale(xa)
+        assert w.ring == want.ring and (w.rows, w.cols) == (want.rows, want.cols)
+        assert _cells(w) == _cells(want)
+        assert all(type(c) in (int, F) for c in _cells(w) + _cells(want))
+
+
+@pytest.mark.parametrize("real", ["I", "II"])
+@pytest.mark.parametrize("patch", ["upper", "lower"])
+def test_invert_takes_the_phase_bare_or_in_a_list_of_one(real, patch):
+    # the level-1 fiber as connection_numeric takes it; (1, II) lower is the
+    # mirror leaf
+    rng = random.Random(43)
+    for _ in range(3):
+        pt = sample_base_point(1, real, patch=patch, rng=rng)
+        phase = sample_fiber(1, real, rng)
+        bare = invert(pt, phase, patch)
+        for wrapped in ([phase], (phase,)):
+            got = invert(pt, wrapped, patch)
+            assert [(c.re.hex(), c.im.hex()) for c in got.comps] == \
+                [(c.re.hex(), c.im.hex()) for c in bare.comps]
+        for wrong in ([], [phase, phase]):
+            with pytest.raises(ValueError):
+                invert(pt, wrong, patch)
 
 
 @pytest.mark.parametrize("lvl,real", ALL_CASES)
