@@ -614,9 +614,9 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     the same decoration; at level 1 the field strength is patch-independent.
     dg is the central difference of g at x +- h t (_transition_step, from
     the numerator at x, which g shares, and its static slopes).  At levels
-    2-3 both identities are read divided by u, on the contractions over rho (_hat_coeffs): the
-    connection's right side is g^dag decor (A g / u - dg), and at (3, II)
-    every matrix is real.
+    2-3 both identities are read divided by u, on the contractions over
+    rho (_hat_coeffs): the connection's right side is
+    g^dag decor (A g / u - dg), and at (3, II) every matrix is real.
     Returns {"connection": r1, "curvature": r2}, each the worst residual
     (NaN if any residual is NaN).
     """

@@ -271,10 +271,6 @@ def test_spinor_connection_takes_the_bare_phase(real, mode):
             _same_cells(li, w, False)
 
 
-def _cells(m):
-    return [c for g in m.components() for row in g for c in row]
-
-
 @pytest.mark.parametrize("lvl,real,patch", PANELS)
 def test_connection_hat_evaluates_the_section_once_per_point(monkeypatch, lvl, real, patch):
     # the derivatives come from the static slopes, so the numerator is
@@ -325,7 +321,7 @@ def test_transition_slopes_match_the_top(lvl, real):
     dim = hm.case_info(lvl, real).base_dim
     slopes = gg._transition_slopes(lvl, real)
     assert gg._transition_slopes(lvl, real) is slopes and len(slopes) == dim
-    assert all(type(c) is int for m in slopes for c in _cells(m))
+    assert all(type(c) is int for m in slopes for c in _exact_parts(m))
     const = gg._transition_top(lvl, real, (F(0),) * dim)
     rng = random.Random(47)
     for coords in (sample_base_point(lvl, real, backend="exact", rng=rng, overlap=True).coords,
@@ -335,8 +331,8 @@ def test_transition_slopes_match_the_top(lvl, real):
         for xa, m in zip(coords, slopes):
             want = want + m.scale(xa)
         assert top.ring == want.ring and (top.rows, top.cols) == (want.rows, want.cols)
-        assert _cells(top) == _cells(want)
-        assert all(type(c) in (int, F) for c in _cells(top) + _cells(want))
+        assert _exact_parts(top) == _exact_parts(want)
+        assert all(type(c) in (int, F) for c in _exact_parts(top) + _exact_parts(want))
 
 
 @pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
