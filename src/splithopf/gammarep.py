@@ -193,14 +193,14 @@ def sigma3_block(n_half, ring=RING_REAL):
 
 
 def to_complex(m):
-    """Lift a real matrix into the complex ring (its entries become the real
-    parts, int 0 the imaginary ones); a complex matrix is returned as it is."""
+    """Lift a real matrix into the complex ring, cell by cell (its entries
+    become the real parts, int 0 the imaginary ones); a complex matrix is
+    returned as it is."""
     if m.ring == RING_COMPLEX:
         return m
     if m.ring != RING_REAL:
         raise TypeError("cannot lift a %s matrix into the complex ring" % m.ring.name)
-    (entries,) = m.components()
-    return RMatrix.from_components((entries, ((0,) * m.cols,) * m.rows), RING_COMPLEX)
+    return m._recast(lambda j, a: (j, a, 0), RING_COMPLEX)
 
 
 # ---------------------------------------------------------------------------

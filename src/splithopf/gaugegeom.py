@@ -69,7 +69,8 @@ import random
 from .splitnum import reciprocal, root
 from .ringmat import RMatrix, RING_COMPLEX, RING_REAL, commutator, lincomb, worst_of
 from . import gammarep
-from .hopfmaps import case_info, section_linear_at, section_slopes, patch_sign, require_patch
+from .hopfmaps import (case_info, section_linear_at, section_slopes, patch_sign, require_patch,
+                       _check_fiber)
 
 __all__ = [
     "tangent_basis", "lowered_epsilon", "connection_closed", "connection_contraction",
@@ -98,20 +99,18 @@ def _case_gauge(level, realization):
 
 
 def _by_unit(m, inverse=False):
-    """u m, or m / u with inverse, by components: u (re, im) = (u^2 im, re)
-    and (re, im) / u = (im, u^2 re).  Over the split-complex ring (u = j,
-    u^2 = 1) both swap the grids, which are kept; over the complex ring
-    (u = i) one of them is negated.  A real m, a hat value at (3, II), is
-    lifted by to_complex first, and u = i."""
+    """u m, or m / u with inverse, by components of the stored cells:
+    u (re, im) = (u^2 im, re) and (re, im) / u = (im, u^2 re).  Over the
+    split-complex ring (u = j, u^2 = 1) both swap the components; over the
+    complex ring (u = i) one of them is negated.  A real m, a hat value at
+    (3, II), is lifted by to_complex first, and u = i."""
     if m.ring == RING_REAL:
         m = gammarep.to_complex(m)
-    re, im = m.components()
-    if m.ring == RING_COMPLEX:
-        if inverse:
-            re = [[-c for c in row] for row in re]
-        else:
-            im = [[-c for c in row] for row in im]
-    return RMatrix.from_components((im, re), m.ring)
+    if m.ring != RING_COMPLEX:
+        return m._recast(lambda j, r, i: (j, i, r), m.ring)
+    if inverse:
+        return m._recast(lambda j, r, i: (j, i, -r), m.ring)
+    return m._recast(lambda j, r, i: (j, -i, r), m.ring)
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,13 +138,13 @@ def _gauge_algebra(level, realization, bar):
 @functools.lru_cache(maxsize=None)
 def _rho(level, realization, bar):
     """rho_k = sigma_k / u over the basis sigma_k of _gauge_algebra, on
-    sigma_k's own component grids (_by_unit): the generators of the hat
-    values A / u and F / u.  Where the case's ring is the reals, (3, II),
-    every sigma_k is i times a real matrix, so rho_k is sigma_k's imaginary
-    grid over the reals."""
+    sigma_k's own cells (_by_unit): the generators of the hat values A / u
+    and F / u.  Where the case's ring is the reals, (3, II), every sigma_k
+    is i times a real matrix, so rho_k holds sigma_k's imaginary
+    components over the reals."""
     basis = _gauge_algebra(level, realization, bar)[0]
     if case_info(level, realization).ring == RING_REAL:
-        return tuple(RMatrix.from_components((m.components()[1],), RING_REAL) for m in basis)
+        return tuple(m._recast(lambda j, r, i: (j, i), RING_REAL) for m in basis)
     return tuple(_by_unit(m, inverse=True) for m in basis)
 
 
@@ -304,10 +303,8 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
     if section == "spinor":
         if fiber is None:
             raise ValueError("spinor-section mode needs a fiber")
-        comps = getattr(fiber, "comps", fiber)
-        if lvl == 1 and not isinstance(comps, (list, tuple)):
-            comps = [comps]  # the bare phase
-        col = RMatrix([[c] for c in comps], case_info(lvl, real).ring)
+        case = case_info(lvl, real)
+        col = RMatrix([[c] for c in _check_fiber(case, point, fiber)], case.ring)
         v0 = w0 @ col
         slopes = [m @ col for m in slopes]
 
@@ -343,8 +340,9 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
     """Connection contractions -u D s^dag W (d_t s) along tangent directions:
     u times _connection_hat, lifted to the complex ring at (3, II).
     section="spinor" contracts the matrix section with a fiber column first,
-    the fiber as invert takes it (at level 1 the bare phase, or a list of
-    one); at level 3 that value vanishes identically by the reality
+    the fiber as invert takes it and checked as invert checks it
+    (hopfmaps._check_fiber: at level 1 the bare phase, or a list of one, of
+    unit norm); at level 3 that value vanishes identically by the reality
     constraint of the fiber.
 
     Returns a list of values aligned with the tangent directions; entries
@@ -356,12 +354,28 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
 
 
 def _value_dev(a, b):
-    """max |a - b| over the real components (NaN if any is NaN); matrices are
-    read cell by cell from both operands' grids, with the checks of a - b."""
+    """max |a - b| over the real components (NaN if any is NaN).  Matrices
+    are read row by row from both operands' cells, with the checks of
+    a - b: a line per component takes a's values, then less b's, the int 0
+    where a row holds no cell."""
     if isinstance(a, RMatrix):
         a._check(b)
-        return worst_of(abs(float(x - y)) for g, h in zip(a.components(), b.components())
-                        for r, q in zip(g, h) for x, y in zip(r, q))
+        diffs = []
+        for p, q in zip(a._stored, b._stored):
+            x, y = [0] * a.cols, [0] * a.cols
+            if a.ring == RING_REAL:
+                for j, v in p:
+                    x[j] = v
+                for j, v in q:
+                    x[j] = x[j] - v
+                diffs += x
+                continue
+            for j, r, i in p:
+                x[j], y[j] = r, i
+            for j, r, i in q:
+                x[j], y[j] = x[j] - r, y[j] - i
+            diffs += x + y
+        return worst_of(map(abs, map(float, diffs)))
     d = a - b
     comps = (d.re, d.im) if hasattr(d, "re") else (d,)
     return worst_of(abs(float(c)) for c in comps)
@@ -554,9 +568,8 @@ def transition(point):
 
 
 def _leading_rows(w, level, realization):
-    """The leading fiber_dim rows of w."""
-    fd = case_info(level, realization).fiber_dim
-    return RMatrix.from_components(tuple(g[:fd] for g in w.components()), w.ring)
+    """The leading fiber_dim rows of w, which share w's cells."""
+    return RMatrix._of(w._stored[:case_info(level, realization).fiber_dim], w.cols, w.ring)
 
 
 def _transition_top(level, realization, coords):
@@ -665,17 +678,14 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
 # ---------------------------------------------------------------------------
 # grid sampling support (CLI)
 
-def _flat_real(m):
-    """The real components of m's entries as floats, entry by entry in row
-    order (re, im of each over a binarion ring)."""
-    return [float(c) for rows in zip(*m.components()) for cell in zip(*rows) for c in cell]
-
-
 @functools.lru_cache(maxsize=None)
 def _flat_basis(level, realization, bar):
     """The generator basis of the connection at levels 2-3, each generator
-    flattened by _flat_real and kept as its nonzero (index, value) entries."""
-    return [[(i, v) for i, v in enumerate(_flat_real(b)) if v]
+    read from its cells as the nonzero (index, float value) pairs of its
+    real components, flattened entry by entry in row order (re, im of each
+    over a binarion ring)."""
+    return [[((i * b.cols + cell[0]) * (len(cell) - 1) + p, v) for i, row in enumerate(b._stored)
+             for cell in row for p, v in enumerate(map(float, cell[1:])) if v]
             for b in _gauge_algebra(level, realization, bar)[0]]
 
 
@@ -690,7 +700,7 @@ def _field_names(level, realization):
     if level == 1:
         return tuple(names)
     m = _gauge_algebra(level, realization, False)[0][0]
-    suffixes = ("_re", "_im") if len(m.components()) == 2 else ("",)
+    suffixes = ("_re", "_im") if m.ring != RING_REAL else ("",)
     cells = ["_%d%d%s" % (i, j, sfx) for i in range(m.rows) for j in range(m.cols) for sfx in suffixes]
     return tuple([name + cell for name in names for cell in cells])
 

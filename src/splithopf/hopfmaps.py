@@ -355,10 +355,11 @@ def _whole(c):
 def _section_template(level, realization, patch):
     """Sparse affine template of the section numerator: w(x) = C + sum x_a M_a.
 
-    One template per component grid of w (its entries over the reals, re and
-    im over the binarion rings), each a tuple of (i, j, const, ((a, coef),
-    ...)) over the cells that can be nonzero, where a runs over the
-    coordinates whose M_a holds the cell.  The constants and coefficients
+    A tuple of (i, j, parts) over the cells that can be nonzero, in row
+    order; parts holds one (const, ((a, coef), ...)) per component of the
+    cell (its entry over the reals, re and im over the binarion rings),
+    where a runs over the coordinates whose M_a holds the cell, the same
+    for every component.  The constants and coefficients
     are integers, so evaluation preserves the backend of x (Fraction stays
     exact, float stays fast).
     """
@@ -383,9 +384,9 @@ def _section_template(level, realization, patch):
     cells = [(i, j, [a for a, m_a in enumerate(slopes) if holds(m_a, i, j)])
              for i in range(c_mat.rows) for j in range(c_mat.cols)]
     template = tuple(
-        tuple((i, j, _whole(const[i][j]), tuple((a, _whole(slopes[a][k][i][j])) for a in lin))
-              for i, j, lin in cells if lin or holds(consts, i, j))
-        for k, const in enumerate(consts))
+        (i, j, tuple((_whole(const[i][j]), tuple((a, _whole(slopes[a][k][i][j])) for a in lin))
+                     for k, const in enumerate(consts)))
+        for i, j, lin in cells if lin or holds(consts, i, j))
     out = (template, c_mat.rows, c_mat.cols, c_mat.ring)
     _SECTION_TEMPLATES[key] = out
     return out
@@ -410,15 +411,15 @@ def section_linear_at(level, realization, coords, patch):
     # int coordinates enter as Fractions, so every cell of exact input is a
     # Fraction even where it meets int coefficients only
     x = [Fraction(c) if type(c) is int else c for c in coords]
-    grids = []
-    for cells in template:
-        grid = [[0] * cols for _ in range(rows)]
-        for i, j, acc, lin in cells:
+    stored = [[] for _ in range(rows)]
+    for i, j, parts in template:
+        cell = [j]
+        for acc, lin in parts:
             for a, coef in lin:
                 acc = acc + coef * x[a]
-            grid[i][j] = acc
-        grids.append(grid)
-    return RMatrix.from_components(tuple(grids), ring), 1 + patch_sign(patch) * coords[-1]
+            cell.append(acc)
+        stored[i].append(tuple(cell))
+    return RMatrix._of(tuple(map(tuple, stored)), cols, ring), 1 + patch_sign(patch) * coords[-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -430,12 +431,11 @@ def section_slopes(level, realization, patch):
     evaluation of w at a shifted point."""
     template, rows, cols, ring = _section_template(level, realization, patch)
     dim = case_info(level, realization).base_dim
-    grids = [tuple([[0] * cols for _ in range(rows)] for _ in template) for _ in range(dim)]
-    for g, cells in enumerate(template):
-        for i, j, _, lin in cells:
-            for a, coef in lin:
-                grids[a][g][i][j] = coef
-    return tuple(RMatrix.from_components(m, ring) for m in grids)
+    slopes = [[[] for _ in range(rows)] for _ in range(dim)]
+    for i, j, parts in template:
+        for t, (a, _) in enumerate(parts[0][1]):
+            slopes[a][i].append((j, *[lin[t][1] for _, lin in parts]))
+    return tuple(RMatrix._of(tuple(map(tuple, m)), cols, ring) for m in slopes)
 
 
 class Section:

@@ -8,17 +8,22 @@ are immutable.  Grassmann values enter only as vector elements: ``matvec``,
 ``form`` and ``forms`` act on a vector of any elements the entries multiply
 (the super spinors of superhopf) through the elements' own arithmetic.
 
-Storage is by component grid.  A matrix over the reals keeps one grid, its
-entries.  A matrix over the split-complex or complex ring keeps two, the
-real and the imaginary parts of its entries, and builds its entries (one
-SplitComplex or OrdinaryComplex per cell) only when code reads ``entries``
-or ``entry()``; no kernel does.  Every matrix finds its nonzero cells on
-first use and keeps them (there is nothing to switch on), and every kernel
-walks those cells only: the products (``@``, ``matvec``, ``commutator``,
-``anticommutator``), the Hermitian forms (``forms``), linear combinations
-(``lincomb``), ``+``/``-`` (over the union of the operands' cells) and the
-elementwise ops (``scale``, negation, ``conj``).  Every
-zero cell of a result is the ring's zero.  Over the split-complex and
+Storage is by cell.  Each row keeps its stored cells in column order,
+(j, value) over the reals and (j, re, im) over the split-complex and
+complex rings: every cell but those whose components are all the int 0,
+so a written Fraction(0), 0.0, -0.0 or NaN is kept.  ``components()``,
+``entries`` and ``entry()`` build dense views from the cells on demand,
+an absent cell reading as the int 0 (over a binarion ring, the element of
+two int 0s); no kernel reads them.  The kernels walk the truthy cells
+(``_cells``: a cell with a truthy component, so NaN is one and -0.0 is
+not), which are the stored cells themselves when none is falsy, and write
+the cells of their results directly: the products (``@``, ``matvec``,
+``commutator``, ``anticommutator``), the Hermitian forms (``forms``),
+linear combinations (``lincomb``), ``+``/``-`` (over the union of the
+operands' truthy cells) and the elementwise ops (``scale``, negation,
+``conj``).  A cell of a result that no term reaches is absent, and ``==``
+and ``hash`` read the truthy cells, so a stored zero and an absent cell
+are alike.  Over the split-complex and
 complex rings the kernels compute on the components, in the operation
 order of the entries' own arithmetic, so float values are bit-identical to
 it and Fraction entries stay exact; over the reals they use the entries'
@@ -34,8 +39,8 @@ the loop of ``@`` (so ``commutator`` and ``anticommutator``), forms and
 when both operands are exact and a Fraction is a factor of every term
 written (``_clear``), the loop runs on the cleared ints and divides each
 written value once.  So types are those of the entries' own arithmetic:
-a written value is a Fraction, also where its terms cancel, and a value
-no term reached is the int 0.  Each written value comes from
+a written value is a Fraction, also where its terms cancel, and a cell
+no term reached is absent.  Each written value comes from
 ``splitnum.rational``, a bounded memo of ``Fraction(n, d)``, so a value
 written again is the Fraction already made.  Other operands keep the
 loop above, bit for bit; a float is told by its first component, before
@@ -50,7 +55,7 @@ is ``forms`` of one matrix.  A spinor's norm and all its bilinears
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat, starmap
 import operator
 
 from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints, rational
@@ -151,67 +156,51 @@ class MetricForm:
 
 
 class RMatrix:
-    """Immutable dense matrix over the real, complex or split-complex Ring.
+    """Immutable matrix over the real, complex or split-complex Ring.
 
-    Stored as component grids (see the module docstring): ``components()``
-    returns them and ``from_components`` builds from them; ``entries`` and
-    ``entry()`` give ring elements.
+    Stored as the cells of each row (see the module docstring):
+    ``components()`` builds the component grids from them and
+    ``from_components`` builds from such grids; ``entries`` and ``entry()``
+    give ring elements.
 
     dagger() is conjugate-transpose under the ring involution; the rings are
     commutative, so it is an anti-homomorphism, dagger(MN) =
     dagger(N) dagger(M), and dagger(dagger(M)) = M.
     """
 
-    __slots__ = ("rows", "cols", "ring", "_grids", "_entries", "_cells", "_fcells", "_icells",
+    __slots__ = ("rows", "cols", "ring", "_stored", "_entries", "_cells", "_fcells", "_icells",
                  "_units")
 
     def __init__(self, entries, ring):
         rows = [[ring.promote(x) for x in row] for row in entries]
-        if _binarion(ring):
-            grids = ([[a.re for a in row] for row in rows], [[a.im for a in row] for row in rows])
-        else:
-            grids = (rows,)
-        self._fill(grids, ring)
-        self._check_rectangular()
+        grids = ([[a.re for a in r] for r in rows], [[a.im for a in r] for r in rows]) \
+            if _binarion(ring) else (rows,)
+        self._fill(*_grid_cells(grids), ring)
 
     @classmethod
     def from_components(cls, grids, ring):
         """Build from component grids, whose values are taken as they are:
         (entries,) over the reals, (re, im) over the split-complex and
-        complex rings.  Binarion grids are kept, not copied, so nothing may
-        change them afterwards."""
+        complex rings."""
         n = 2 if _binarion(ring) else 1
         if len(grids) != n:
             raise ValueError("%s takes %d component grids" % (ring.name, n))
-        m = cls._of(grids, ring)
-        m._check_rectangular()
-        return m
+        return cls._of(*_grid_cells(grids), ring)
 
     @classmethod
-    def _of(cls, grids, ring):
-        """from_components for grids known to be rectangular and of one shape."""
+    def _of(cls, stored, cols, ring):
+        """The matrix of these rows of stored cells, taken as they are."""
         m = object.__new__(cls)
-        m._fill(grids, ring)
+        m._fill(stored, cols, ring)
         return m
 
-    def _fill(self, grids, ring):
-        first = grids[0]
-        entries = None
-        if len(grids) == 1:
-            entries = tuple(map(tuple, first))
-            grids = (entries,)
-        object.__setattr__(self, "rows", len(first))
-        object.__setattr__(self, "cols", len(first[0]) if len(first) else 0)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_grids", grids)
-        object.__setattr__(self, "_entries", entries)
-        for kept in ("_cells", "_fcells", "_icells", "_units"):
-            object.__setattr__(self, kept, None)
-
-    def _check_rectangular(self):
-        if any(len(g) != self.rows or any(len(r) != self.cols for r in g)
-               for g in self._grids):
-            raise ValueError("ragged rows")
+    def _fill(self, stored, cols, ring):
+        _set(self, "rows", len(stored))
+        _set(self, "cols", cols)
+        _set(self, "ring", ring)
+        _set(self, "_stored", stored)
+        for kept in ("_entries", "_cells", "_fcells", "_icells", "_units"):
+            _set(self, kept, None)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable value")
@@ -255,15 +244,20 @@ class RMatrix:
                 sizes_c = [w if w is not None else old for w, old in zip(widths, sizes_c)]
         if any(h is None for h in sizes_r) or any(w is None for w in sizes_c):
             raise ValueError("cannot infer block sizes")
-        grids = tuple([] for _ in range(2 if _binarion(ring) else 1))
+        stored = []
         for brow, h in zip(blocks, sizes_r):
+            if len(brow) != len(sizes_c) or any(
+                    getattr(b, "rows", h) != h or getattr(b, "cols", w) != w
+                    for b, w in zip(brow, sizes_c)):
+                raise ValueError("ragged rows")
             for r in range(h):
-                for k, grid in enumerate(grids):
-                    line = []
-                    for b, w in zip(brow, sizes_c):
-                        line.extend(b._grids[k][r] if isinstance(b, RMatrix) else [0] * w)
-                    grid.append(line)
-        return cls.from_components(grids, ring)
+                row, off = [], 0
+                for b, w in zip(brow, sizes_c):
+                    if isinstance(b, RMatrix):
+                        row += [(c[0] + off,) + c[1:] for c in b._stored[r]]
+                    off += w
+                stored.append(tuple(row))
+        return cls._of(tuple(stored), sum(sizes_c), ring)
 
     # ---- basic algebra ----------------------------------------------------
 
@@ -275,8 +269,8 @@ class RMatrix:
 
     def __neg__(self):
         if _binarion(self.ring):
-            return self._cellwise(lambda ar, ai: (-ar, -ai))
-        return self._cellwise(operator.neg)
+            return self._cellwise(lambda j, ar, ai: (j, -ar, -ai))
+        return self._cellwise(lambda j, a: (j, -a))
 
     def scale(self, c):
         """c * M, the scalar on the left.  When _operands clears the
@@ -293,14 +287,14 @@ class RMatrix:
         if cls:
             cr, ci = parts
             t = cls.UNIT_SQ * ci
-            return self._cellwise(lambda ar, ai: (cr * ar + t * ai, cr * ai + ci * ar), ops)
+            return self._cellwise(lambda j, ar, ai: (j, cr * ar + t * ai, cr * ai + ci * ar), ops)
         c, = parts
-        return self._cellwise(lambda a: c * a, ops)
+        return self._cellwise(lambda j, a: (j, c * a), ops)
 
     def __matmul__(self, other):
         if not isinstance(other, RMatrix):
             return NotImplemented
-        return RMatrix._of(_product(self, other), self.ring)
+        return RMatrix._of(_product(self, other), other.cols, self.ring)
 
     def matvec(self, vec):
         """Apply to a column vector given as a sequence; returns a list.
@@ -325,12 +319,17 @@ class RMatrix:
     # ---- involutions ------------------------------------------------------
 
     def transpose(self):
-        return RMatrix._of(tuple(list(zip(*g)) for g in self._grids), self.ring)
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._stored):
+            for cell in row:
+                cols[cell[0]].append((i,) + cell[1:])
+        return RMatrix._of(tuple(map(tuple, cols)), self.rows, self.ring)
 
     def conj(self):
         if _binarion(self.ring):
-            return self._cellwise(lambda ar, ai: (ar, -ai))
-        return self._cellwise(self.ring.conj)
+            return self._cellwise(lambda j, ar, ai: (j, ar, -ai))
+        conj = self.ring.conj
+        return self._cellwise(lambda j, a: (j, conj(a)))
 
     def dagger(self):
         return self.conj().transpose()
@@ -338,40 +337,49 @@ class RMatrix:
     # ---- queries ----------------------------------------------------------
 
     def components(self):
-        """The component grids: (entries,) over the reals, (re, im) over the
-        split-complex and complex rings.  Read-only."""
-        return self._grids
+        """The component grids, built from the cells: (entries,) over the
+        reals, (re, im) over the split-complex and complex rings, the int 0
+        where no cell is stored."""
+        grids = tuple([[0] * self.cols for _ in range(self.rows)]
+                      for _ in range(2 if _binarion(self.ring) else 1))
+        for i, row in enumerate(self._stored):
+            for j, *parts in row:
+                for grid, v in zip(grids, parts):
+                    grid[i][j] = v
+        return grids
 
     @property
     def entries(self):
-        """Rows of ring elements; built from the grids on first read over
-        the split-complex and complex rings, and kept."""
+        """Rows of ring elements, built from the cells on first read and
+        kept."""
         entries = self._entries
         if entries is None:
-            cls = _binarion(self.ring)
-            re, im = self._grids
-            entries = tuple([tuple(map(cls, r, i)) for r, i in zip(re, im)])
-            object.__setattr__(self, "_entries", entries)
+            cls, grids = _binarion(self.ring), self.components()
+            entries = tuple([tuple(map(cls, r, i)) for r, i in zip(*grids)] if cls
+                            else map(tuple, grids[0]))
+            _set(self, "_entries", entries)
         return entries
 
     def entry(self, i, j):
-        if self._entries is None:
-            re, im = self._grids
-            return _binarion(self.ring)(re[i][j], im[i][j])
-        return self._entries[i][j]
+        """The ring element at (i, j), read from row i's cells."""
+        cls, j = _binarion(self.ring), range(self.cols)[j]
+        parts = next((cell[1:] for cell in self._stored[i] if cell[0] == j), (0, 0))
+        return cls(*parts) if cls else parts[0]
 
     def __eq__(self, other):
-        """Componentwise ==, so a NaN cell is unequal to every cell, itself
-        included (a sequence compare would take a shared NaN as equal)."""
+        """Equal ring, shape and truthy cells, compared component by
+        component with ==: a stored zero is alike an absent cell, and a NaN
+        cell is unequal to every cell, itself included (a sequence compare
+        would take a shared NaN as equal)."""
         if not isinstance(other, RMatrix):
             return NotImplemented
+        a, b = _cells(self), _cells(other)
         return (self.ring == other.ring and self.rows == other.rows
-                and self.cols == other.cols
-                and all(all(map(operator.eq, a, b))
-                        for g, h in zip(self._grids, other._grids) for a, b in zip(g, h)))
+                and self.cols == other.cols and list(map(len, a)) == list(map(len, b))
+                and all(map(operator.eq, _flat(_flat(a)), _flat(_flat(b)))))
 
     def __hash__(self):
-        return hash((self.ring.name,) + tuple(tuple(map(tuple, g)) for g in self._grids))
+        return hash((self.ring.name, self.rows, self.cols, _cells(self)))
 
     def is_zero(self):
         return not any(_cells(self))
@@ -379,68 +387,44 @@ class RMatrix:
     def max_abs(self):
         """Largest absolute value over all real components of all entries
         (NaN if any component is NaN)."""
-        return worst_of(abs(float(c)) for g in self._grids for row in g for c in row)
+        return worst_of(abs(float(c)) for row in self._stored for cell in row for c in cell[1:])
 
     def __repr__(self):
         return "RMatrix(%dx%d over %s)" % (self.rows, self.cols, self.ring.name)
 
     def _cellwise(self, fn, ops=None):
-        """fn of each nonzero cell in place, zero elsewhere; fn maps (re, im)
-        to (re, im) over a binarion ring and the entry to the entry
-        otherwise.  ops = (cleared cells, den) from scale: fn
-        runs on those cells and each value is divided by den once."""
+        """fn of each truthy cell, absent elsewhere; fn maps the cell
+        (j, re, im) over a binarion ring, (j, value) otherwise, to the
+        result's cell, left out if fn makes all its components the int 0.
+        ops = (cleared cells, den) from scale: fn runs on those cells and
+        each value is divided by den once."""
         cells, den = ops or (_cells(self), None)
-        start = 0 if den is None else False
-        if _binarion(self.ring):
-            re = [[start] * self.cols for _ in cells]
-            im = [[start] * self.cols for _ in cells]
-            for lr, li, row in zip(re, im, cells):
-                for j, ar, ai in row:
-                    lr[j], li[j] = fn(ar, ai)
-            if den is not None:
-                re, im = _finish(re, den), _finish(im, den)
-            return RMatrix._of((re, im), self.ring)
-        out = [[start] * self.cols for _ in cells]
-        for line, row in zip(out, cells):
-            for j, a in row:
-                line[j] = fn(a)
-        return RMatrix._of((out if den is None else _finish(out, den),), self.ring)
+        out = [tuple(starmap(fn, row)) for row in cells]
+        if den is not None:
+            out = [[(c[0], *[rational(x, den) for x in c[1:]]) for c in row] for row in out]
+        return RMatrix._of(_pruned(out), self.cols, self.ring)
+
+    def _recast(self, fn, ring):
+        """The matrix over ring whose cells are fn of the stored cells, as
+        _cellwise makes them: for lifts and swaps done cell by cell."""
+        return RMatrix._of(_pruned([tuple(starmap(fn, row)) for row in self._stored]),
+                           self.cols, ring)
 
     def _union(self, other, op, comp_op):
-        """op of the entries on the union of the operands' nonzero cells,
-        zero elsewhere; over the binarion rings comp_op of their components,
-        which gives the bits of op.  A cell only one operand holds meets the
-        other's stored components.  A cell both hold may be computed twice
-        (when its first value is the shared int 0), with the same value."""
+        """op of the entries on the union of the operands' truthy cells,
+        absent elsewhere; over the binarion rings comp_op of their
+        components, which gives the bits of op.  A cell only one operand
+        holds meets the other's stored components, the int 0 where it
+        stores none."""
         self._check(other)
-        zero = 0
-        cols = self.cols
-        if _binarion(self.ring):
-            (xre, xim), (yre, yim) = self._grids, other._grids
-            res, ims = [], []
-            for ca, cb, xr, xi, yr, yi in zip(_cells(self), _cells(other), xre, xim, yre, yim):
-                lr, li = [zero] * cols, [zero] * cols
-                for j, ar, ai in ca:
-                    lr[j] = comp_op(ar, yr[j])
-                    li[j] = comp_op(ai, yi[j])
-                for j, br, bi in cb:
-                    if lr[j] is zero:
-                        lr[j] = comp_op(xr[j], br)
-                        li[j] = comp_op(xi[j], bi)
-                res.append(lr)
-                ims.append(li)
-            return RMatrix._of((res, ims), self.ring)
-        (xs,), (ys,) = self._grids, other._grids
-        out = []
-        for ra, rb, ca, cb in zip(xs, ys, _cells(self), _cells(other)):
-            line = [zero] * cols
-            for j, _ in ca:
-                line[j] = op(ra[j], rb[j])
-            for j, _ in cb:
-                if line[j] is zero:
-                    line[j] = op(ra[j], rb[j])
-            out.append(line)
-        return RMatrix._of((out,), self.ring)
+        binarion = _binarion(self.ring)
+        # with a stored falsy cell in a row, the columns of the truthy ones
+        rows = ((sa, sb, range(self.cols) if ca is sa and cb is sb
+                 else set(map(_column, ca)).union(map(_column, cb)))
+                for sa, sb, ca, cb in zip(self._stored, other._stored,
+                                          _cells(self), _cells(other)))
+        return RMatrix._of(_merged(rows, self.cols, comp_op if binarion else op, binarion),
+                           self.cols, self.ring)
 
     def _check(self, other):
         if not isinstance(other, RMatrix):
@@ -451,6 +435,49 @@ class RMatrix:
             raise ValueError("shape mismatch")
 
 
+_set = object.__setattr__
+_column, _second = operator.itemgetter(0), operator.itemgetter(1)
+_flat = chain.from_iterable
+
+
+def _grid_cells(grids):
+    """(rows of stored cells, cols) of component grids of one rectangular
+    shape; a ValueError for ragged rows."""
+    first = grids[0]
+    cols = len(first[0]) if len(first) else 0
+    if any(len(g) != len(first) or any(len(r) != cols for r in g) for g in grids):
+        raise ValueError("ragged rows")
+    return _pruned([zip(range(cols), *lines) for lines in zip(*grids)]), cols
+
+
+def _merged(rows, cols, fn, binarion):
+    """Rows of cells of fn of two operands' components, from (a's cells,
+    b's cells, columns) per row: at each of the columns where either row
+    holds a cell, fn of a's and b's components there, the int 0 for a
+    component a row lacks; cells all of whose components come out the int
+    0 are left out."""
+    zero = (None, 0, 0)
+    out = []
+    for sa, sb, on in rows:
+        x, y = [zero] * cols, [zero] * cols
+        for c in sa:
+            x[c[0]] = c
+        for c in sb:
+            y[c[0]] = c
+        out.append([(j, fn(p[1], q[1]), fn(p[2], q[2])) if binarion else (j, fn(p[1], q[1]))
+                    for j, p, q in zip(range(cols), x, y)
+                    if (p is not zero or q is not zero) and j in on])
+    return _pruned(out)
+
+
+def _pruned(rows):
+    """Rows of cells, each row an iterable of cells in column order, as
+    tuples without the cells whose components are all the int 0 (c[1] and
+    c[-1] are the components of both layouts)."""
+    return tuple([tuple([c for c in row if c[1] or c[-1] or type(c[1]) is not int
+                         or type(c[-1]) is not int]) for row in rows])
+
+
 def _binarion(ring):
     """SplitComplex or OrdinaryComplex for the rings whose entries the kernels
     handle by components, None for the reals."""
@@ -459,18 +486,19 @@ def _binarion(ring):
 
 
 def _cells(m):
-    """Nonzero cells of each row, in column order: (j, re, im) over a
-    binarion ring, (j, value) over the reals.  Found on first use and kept.
-    A value is nonzero when it is truthy (NaN is; -0.0 is not)."""
+    """The truthy cells of each row, in column order: (j, re, im) over a
+    binarion ring, (j, value) over the reals, a cell being truthy when a
+    component is (NaN is; -0.0 and Fraction(0) are not).  The stored cells
+    themselves when no stored cell is falsy, else a copy without those;
+    found on first use and kept."""
     cells = m._cells
     if cells is None:
-        if len(m._grids) == 2:
-            cells = tuple([tuple([(j, r, i) for j, (r, i) in enumerate(zip(rr, ri)) if r or i])
-                           for rr, ri in zip(*m._grids)])
-        else:
-            cells = tuple([tuple([(j, a) for j, a in enumerate(row) if a])
-                           for row in m._grids[0]])
-        object.__setattr__(m, "_cells", cells)
+        cells = m._stored
+        # a first component truthy in every cell settles it at C speed
+        if not all(map(_second, _flat(cells))) and not all(
+                c[1] or c[-1] for row in cells for c in row):
+            cells = tuple([tuple([c for c in row if c[1] or c[-1]]) for row in cells])
+        _set(m, "_cells", cells)
     return cells
 
 
@@ -492,7 +520,7 @@ def _float_cells(m):
                for row in cells for cell in row):
             cells = tuple(tuple((cell[0],) + tuple(map(float, cell[1:])) for cell in row)
                           for row in cells)
-        object.__setattr__(m, "_fcells", cells)
+        _set(m, "_fcells", cells)
     return cells
 
 
@@ -529,12 +557,12 @@ def _exact(m):
         ex = not (row and type(row[0][1]) is float) and \
             _clear([c for row in cells for cell in row for c in cell[1:]])
         if ex and ex[2]:
-            it, k = iter(ex[0]), len(m._grids)
+            it, k = iter(ex[0]), 2 if _binarion(m.ring) else 1
             ex = (tuple([tuple([(cell[0], *islice(it, k)) for cell in row])
                          for row in cells]), ex[1], ex[2])
         elif ex:
             ex = (cells, 1, 0)
-        object.__setattr__(m, "_icells", ex or False)
+        _set(m, "_icells", ex or False)
     return ex or None
 
 
@@ -554,25 +582,16 @@ def _operands(m, cv):
     return (em[0], cv[0], em[1], cv[1]) if _cleared(em, cv) else None
 
 
-def _finish(grid, den):
-    """The grid of a cleared kernel, whose values are int sums over den:
-    each becomes the Fraction sum / den (splitnum.rational, which hands
-    back a value it made recently), and one still False, which no term
-    reached, the int 0 (False + n is the int n).  So a reached cell is a
-    Fraction even when its terms cancel."""
-    return [tuple([0 if x is False else rational(x, den) for x in line]) for line in grid]
-
-
 def _product(a, b):
-    """Component grids of a @ b: (re, im) over a binarion ring, (entries,)
-    over the reals.
+    """The rows of cells of a @ b, a cell no term reached being absent.
 
     Row-sparse (Gustavson order): row i accumulates A[i, k] * B[k, :] over
     the nonzero A[i, k] in increasing k, so each cell sums its terms in the
     order of the dense triple loop.  The sums start at int 0, so over the
     binarion rings none of them is a negative zero.  When _cleared admits
     the operands (_exact), the loop runs on their cleared cells and each
-    sum is divided once (_finish)."""
+    reached sum is divided once, to a Fraction even where its terms cancel
+    (splitnum.rational)."""
     ring = a.ring
     if ring != b.ring:
         raise TypeError("ring mismatch: %s vs %s" % (ring, b.ring))
@@ -586,9 +605,9 @@ def _product(a, b):
     else:
         a_cells, b_cells, den, start = _cells(a), _cells(b), None, 0
     cls = _binarion(ring)
+    out = []
     if cls:
         u2 = cls.UNIT_SQ
-        res, ims = [], []
         for arow in a_cells:
             re, im = [start] * n, [start] * n
             for k, ar, ai in arow:
@@ -596,19 +615,18 @@ def _product(a, b):
                 for j, br, bi in b_cells[k]:
                     re[j] = re[j] + (ar * br + t * bi)
                     im[j] = im[j] + (ar * bi + ai * br)
-            res.append(re)
-            ims.append(im)
-        if den is not None:
-            return _finish(res, den), _finish(ims, den)
-        return res, ims
-    out = []
+            out.append(zip(range(n), re, im) if den is None else tuple(
+                [(j, rational(r, den), rational(i, den))
+                 for j, r, i in zip(range(n), re, im) if r is not False]))
+        return _pruned(out) if den is None else tuple(out)
     for arow in a_cells:
         line = [start] * n
         for k, x in arow:
             for j, y in b_cells[k]:
                 line[j] = line[j] + x * y
-        out.append(line)
-    return (out if den is None else _finish(out, den),)
+        out.append(enumerate(line) if den is None else tuple(
+            [(j, rational(x, den)) for j, x in enumerate(line) if x is not False]))
+    return _pruned(out) if den is None else tuple(out)
 
 
 def _vector_parts(vec):
@@ -698,7 +716,7 @@ def _units(m):
             units.append((min(i, k) * n + max(i, k),) + tuple(j + 1 - s for s, j in terms)
                          if sum(map(abs, a)) == 1 else (-1 - i, 0, 1))
         units = bool(units) and (tuple(units), tuple(-1 - u[0] for u in units if u[0] < 0))
-        object.__setattr__(m, "_units", units)
+        _set(m, "_units", units)
     return units
 
 
@@ -756,7 +774,9 @@ def forms(mats, vec):
                     pr, pi = xr[lo] * xr[hi], 0
                 p = pairs[idx] = (pr, pi, -pr, -pi)
             re, im = re + p[jr], im + p[ji]
-        vals = (re, im) if den is None else _finish([[re, im]], den)[0]
+        # a value no term reached is still False: the int 0 (False + n is n)
+        vals = (re, im) if den is None else [0 if x is False else rational(x, den)
+                                             for x in (re, im)]
         out.append(cls(*vals) if binarions else vals[0])
     return out
 
@@ -787,7 +807,7 @@ def lincomb(coeffs, basis):
                 for j, br, bi in row:
                     r[j] = r[j] + c * br
                     s[j] = s[j] + c * bi
-        return RMatrix._of((re, im), ring)
+        return RMatrix._of(_pruned(map(zip, repeat(range(cols)), re, im)), cols, ring)
     out = [[0] * cols for _ in range(rows)]
     for c, m in zip(coeffs, basis):
         if not c:
@@ -797,7 +817,7 @@ def lincomb(coeffs, basis):
         for line, row in zip(out, cells):
             for j, a in row:
                 line[j] = line[j] + c * a
-    return RMatrix._of((out,), ring)
+    return RMatrix._of(_pruned(map(enumerate, out)), cols, ring)
 
 
 def worst_of(values):
@@ -823,13 +843,12 @@ def anticommutator(a, b):
 
 
 def _fused(a, b, op):
-    """op(a @ b, b @ a).  Over the binarion rings both products stay as
-    component grids and op is taken at every cell, with the bits of the
+    """op(a @ b, b @ a).  Over the binarion rings op is taken on the
+    components of the two products' cells (_merged), with the bits of the
     entries' own op on the two products (no sum is -0.0, so x - y is
     x + (-y) there); the reals take the two product matrices and op."""
     if not _binarion(a.ring):
         return op(a @ b, b @ a)
     a._check(b)
-    (pr, pi), (qr, qi) = _product(a, b), _product(b, a)
-    return RMatrix._of(tuple([list(map(op, x, y)) for x, y in zip(p, q)]
-                             for p, q in ((pr, qr), (pi, qi))), a.ring)
+    rows = ((p, q, range(a.cols)) for p, q in zip(_product(a, b), _product(b, a)))
+    return RMatrix._of(_merged(rows, a.cols, op, True), a.cols, a.ring)

@@ -49,7 +49,7 @@ def rational(n, d):
     """Fraction(n, d) for ints n and d, made once per (n, d) while the key is
     among the 4,096 most recently used and shared after that: a Fraction is
     immutable.  The exact kernels write few distinct values many times
-    (ringmat._finish)."""
+    (ringmat's cleared kernels)."""
     return Fraction(n, d)
 
 

@@ -271,6 +271,25 @@ def test_spinor_connection_takes_the_bare_phase(real, mode):
             _same_cells(li, w, False)
 
 
+@pytest.mark.parametrize("real", ["I", "II"])
+def test_spinor_connection_checks_its_fiber(real):
+    # the fiber goes through invert's own check: a phase of norm 4, a list of
+    # two phases and a level-2 fiber of three components are refused
+    rng = random.Random(67)
+    pt = sample_base_point(1, real, rng=rng)
+    phase = sample_fiber(1, real, rng)
+    for mode in ("fd", "analytic"):
+        with pytest.raises(hm.NormalizationError):
+            gg.connection_numeric(pt, mode=mode, section="spinor", fiber=2 * phase)
+        with pytest.raises(ValueError, match="one phase"):
+            gg.connection_numeric(pt, mode=mode, section="spinor", fiber=[phase, phase])
+    pt2 = sample_base_point(2, real, rng=rng)
+    fiber = sample_fiber(2, real, rng).comps
+    for mode in ("fd", "analytic"):
+        with pytest.raises(ValueError, match="fiber needs"):
+            gg.connection_numeric(pt2, mode=mode, section="spinor", fiber=fiber + fiber[:1])
+
+
 @pytest.mark.parametrize("lvl,real,patch", PANELS)
 def test_connection_hat_evaluates_the_section_once_per_point(monkeypatch, lvl, real, patch):
     # the derivatives come from the static slopes, so the numerator is
@@ -708,8 +727,9 @@ def _curvature_reference(lvl, real, patch, x):
                                            for real in ("I", "II") for bar in (False, True)])
 def test_rho_is_sigma_over_the_unit(lvl, real, bar):
     # u rho_k = sigma_k in values and types, u (re, im) = (u^2 im, re), and
-    # rho_k is built on sigma_k's grids: at (3, II) it holds sigma_k's
-    # imaginary cells over the reals, sigma_k's real grid being all zero
+    # rho_k is built on sigma_k's cells, sharing their component objects: at
+    # (3, II) it holds sigma_k's imaginary components over the reals,
+    # sigma_k's real grid being all zero
     sigma = gg._gauge_algebra(lvl, real, bar)[0]
     rho = gg._rho(lvl, real, bar)
     assert len(rho) == len(sigma) and rho is gg._rho(lvl, real, bar)
@@ -717,22 +737,24 @@ def test_rho_is_sigma_over_the_unit(lvl, real, bar):
     def typed(grid):
         return [(type(c), c) for row in grid for c in row]
 
+    def shared(grid, other):
+        return all(a is b for x, y in zip(grid, other, strict=True) for a, b in zip(x, y, strict=True))
+
     for r, m in zip(rho, sigma):
         s_re, s_im = m.components()
         if (lvl, real) == (3, "II"):
             assert r.ring == RING_REAL
             (grid,) = r.components()
             assert typed(grid) == typed(s_im) and not any(c for row in s_re for c in row)
-            # the real constructor keeps rows as tuples, so the cells are shared
-            assert all(a is b for x, y in zip(grid, s_im) for a, b in zip(x, y, strict=True))
+            assert shared(grid, s_im)
             continue
         assert r.ring == m.ring
         re, im = r.components()
         u_re = [[-c for c in row] for row in im] if real == "II" else im
         assert typed(u_re) == typed(s_re) and typed(re) == typed(s_im)
         if lvl == 3:
-            assert re is s_im and im is s_re
-        assert r.components()[0] is s_im
+            assert shared(im, s_re)
+        assert shared(re, s_im)
 
 
 def test_equal_curvature_plans_are_one_object():

@@ -557,6 +557,11 @@ def test_grid_built_and_entry_built_are_equal_and_hash_equal(ring, draw):
     assert ints == exact == floats
     assert hash(ints) == hash(exact) == hash(floats)
     assert ints != ints.scale(F(1, 2))
+    # stored zero cells (a written Fraction(0), 0.0 and -0.0) and absent ones
+    stored = RMatrix([[cls(F(0), 0), cls(0.0, -0.0)], [cls(1, 0), cls(-0.0, 0)]], ring)
+    absent = RMatrix([[cls(0, 0), cls(0, 0)], [cls(1, 0), cls(0, 0)]], ring)
+    assert len(stored._stored[0]) == 2 and absent._stored[0] == ()
+    assert stored == absent and absent == stored and hash(stored) == hash(absent)
 
 
 @pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
