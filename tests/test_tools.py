@@ -1,15 +1,24 @@
-"""The mutant finder of tools/mutate.py, pinned on a literal source."""
+"""The tools: the mutant finder of tools/mutate.py, pinned on a literal
+source, and the exit codes of the base-commit comparisons report_diff.py
+and field_diff.py on small literal files."""
 
 import importlib.util
+import json
 import os
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "tools", "mutate.py")
-_spec = importlib.util.spec_from_file_location("mutate", _PATH)
-mutate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mutate)
+_TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(_TOOLS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+mutate, report_diff, field_diff = _load("mutate"), _load("report_diff"), _load("field_diff")
 
 SOURCE = b"""a = -x + (y
      - z)
@@ -52,3 +61,64 @@ def test_mutate_changes_one_operator(line, col, kind, want):
 
 def test_shifts_are_not_comparisons():
     assert mutate.find_signs(b"m = (1 << k) >> j\nm <<= 2\n") == []
+
+
+# ---------------------------------------------------------------------------
+# report_diff.py and field_diff.py
+
+
+def _exit_code(tool, tmp_path, a, b):
+    """The tool's exit code on two files written with texts a and b (None
+    leaves a file unwritten)."""
+    paths = []
+    for name, text in (("a", a), ("b", b)):
+        path = tmp_path / name
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(text)
+        paths.append(str(path))
+    try:
+        return tool.main(paths)
+    except SystemExit as e:
+        return e.code
+
+
+def _report(status="pass", residual=1e-12):
+    check = {"id": "clifford-so32", "status": status, "identity": "{g_a, g_b} = 2 eta",
+             "residual": residual, "tolerance": 1e-9}
+    return json.dumps({"schema": 1, "suites": [{"suite": "gamma", "checks": [check]}]})
+
+
+def test_report_diff_exit_codes(tmp_path):
+    same = _report()
+    assert _exit_code(report_diff, tmp_path, same, same) == 0
+    # a residual that moves keeps the exit code, whatever the drift
+    assert _exit_code(report_diff, tmp_path, same, _report(residual=3e-12)) == 0
+    assert _exit_code(report_diff, tmp_path, same, _report(residual="nan")) == 0
+    assert _exit_code(report_diff, tmp_path, same, _report(status="fail")) == 1
+    assert _exit_code(report_diff, tmp_path, same, None) == 2
+    assert _exit_code(report_diff, tmp_path, same, "{\"suites\": 1}") == 2
+
+
+def _csv(values, skipped=0):
+    rows = "".join(",".join(map(repr, row)) + "\n" for row in values)
+    return "x1,A_1\n" + rows + "# skipped=%d\n" % skipped
+
+
+def test_field_diff_exit_codes(tmp_path):
+    base = [[0.5, 1.0], [-0.5, 250.0]]
+    same = _csv(base)
+    assert _exit_code(field_diff, tmp_path, same, same) == 0
+    # within 1e-12 * max(1, |a|): 1e-12 at |a| <= 1, 2.5e-10 at 250
+    assert _exit_code(field_diff, tmp_path, same, _csv([[0.5, 1.0 + 5e-13],
+                                                         [-0.5, 250.0 + 2e-10]])) == 0
+    json_text = json.dumps({"columns": ["x1", "A_1"], "rows": base, "skipped": 0})
+    assert _exit_code(field_diff, tmp_path, same, json_text) == 0
+    for drifted in ([[0.5, 1.0 + 4e-12], [-0.5, 250.0]], [[0.5, 1.0], [-0.5, 250.0 + 1e-9]],
+                    [[0.5, float("nan")], [-0.5, 250.0]]):
+        assert _exit_code(field_diff, tmp_path, same, _csv(drifted)) == 1
+    assert _exit_code(field_diff, tmp_path, same, _csv(base, skipped=1)) == 1
+    assert _exit_code(field_diff, tmp_path, same, _csv(base[:1])) == 1
+    assert _exit_code(field_diff, tmp_path, same, None) == 2
+    assert _exit_code(field_diff, tmp_path, same, "x1,A_1\n0.5,1.0\n") == 2
