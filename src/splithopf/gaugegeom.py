@@ -53,7 +53,7 @@ The level-2 and level-3 checks read every identity divided by u:
     gluing:      A' / u = g^dag decor (A g / u - dg).
 
 The closed side is contracted over rho_k = sigma_k / u (_rho), made from
-sigma_k's own component grids.  At (3, II) the sections, the transition,
+sigma_k's own cells.  At (3, II) the sections, the transition,
 both weights and every rho_k are real, so those checks run over the reals.
 Only the public connection_numeric multiplies by u, which swaps or
 negates components (_by_unit): exact, so a residual read on the hat
