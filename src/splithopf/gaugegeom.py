@@ -363,17 +363,16 @@ def _value_dev(a, b):
         diffs = []
         for p, q in zip(a._stored, b._stored):
             x, y = [0] * a.cols, [0] * a.cols
-            if a.ring == RING_REAL:
+            if a.ring == RING_REAL:  # y stays zeros
                 for j, v in p:
                     x[j] = v
                 for j, v in q:
                     x[j] = x[j] - v
-                diffs += x
-                continue
-            for j, r, i in p:
-                x[j], y[j] = r, i
-            for j, r, i in q:
-                x[j], y[j] = x[j] - r, y[j] - i
+            else:
+                for j, r, i in p:
+                    x[j], y[j] = r, i
+                for j, r, i in q:
+                    x[j], y[j] = x[j] - r, y[j] - i
             diffs += x + y
         return worst_of(map(abs, map(float, diffs)))
     d = a - b

@@ -399,7 +399,7 @@ class RMatrix:
         ops = (cleared cells, den) from scale: fn runs on those cells and
         each value is divided by den once."""
         cells, den = ops or (_cells(self), None)
-        out = [tuple(starmap(fn, row)) for row in cells]
+        out = [starmap(fn, row) for row in cells]
         if den is not None:
             out = [[(c[0], *[rational(x, den) for x in c[1:]]) for c in row] for row in out]
         return RMatrix._of(_pruned(out), self.cols, self.ring)
@@ -407,8 +407,7 @@ class RMatrix:
     def _recast(self, fn, ring):
         """The matrix over ring whose cells are fn of the stored cells, as
         _cellwise makes them: for lifts and swaps done cell by cell."""
-        return RMatrix._of(_pruned([tuple(starmap(fn, row)) for row in self._stored]),
-                           self.cols, ring)
+        return RMatrix._of(_pruned(starmap(fn, row) for row in self._stored), self.cols, ring)
 
     def _union(self, other, op, comp_op):
         """op of the entries on the union of the operands' truthy cells,
@@ -587,8 +586,9 @@ def _product(a, b):
 
     Row-sparse (Gustavson order): row i accumulates A[i, k] * B[k, :] over
     the nonzero A[i, k] in increasing k, so each cell sums its terms in the
-    order of the dense triple loop.  The sums start at int 0, so over the
-    binarion rings none of them is a negative zero.  When _cleared admits
+    order of the dense triple loop.  The sums start at False, which adds
+    as the int 0 (so over the binarion rings none of them is a negative
+    zero) and marks a cell no term reached.  When _cleared admits
     the operands (_exact), the loop runs on their cleared cells and each
     reached sum is divided once, to a Fraction even where its terms cancel
     (splitnum.rational)."""
@@ -601,32 +601,36 @@ def _product(a, b):
     ea = _exact(a)
     eb = ea and _exact(b)
     if _cleared(ea, eb):
-        a_cells, b_cells, den, start = ea[0], eb[0], ea[1] * eb[1], False
+        a_cells, b_cells, den = ea[0], eb[0], ea[1] * eb[1]
     else:
-        a_cells, b_cells, den, start = _cells(a), _cells(b), None, 0
+        a_cells, b_cells, den = _cells(a), _cells(b), None
     cls = _binarion(ring)
     out = []
     if cls:
         u2 = cls.UNIT_SQ
         for arow in a_cells:
-            re, im = [start] * n, [start] * n
+            re, im = [False] * n, [False] * n
             for k, ar, ai in arow:
                 t = u2 * ai
                 for j, br, bi in b_cells[k]:
                     re[j] = re[j] + (ar * br + t * bi)
                     im[j] = im[j] + (ar * bi + ai * br)
-            out.append(zip(range(n), re, im) if den is None else tuple(
-                [(j, rational(r, den), rational(i, den))
-                 for j, r, i in zip(range(n), re, im) if r is not False]))
-        return _pruned(out) if den is None else tuple(out)
-    for arow in a_cells:
-        line = [start] * n
-        for k, x in arow:
-            for j, y in b_cells[k]:
-                line[j] = line[j] + x * y
-        out.append(enumerate(line) if den is None else tuple(
-            [(j, rational(x, den)) for j, x in enumerate(line) if x is not False]))
-    return _pruned(out) if den is None else tuple(out)
+            # a cell no term reached is still False: left out, and a reached
+            # one kept unless both its sums are the int 0 (_pruned's rule)
+            out.append(tuple([c for c in zip(range(n), re, im) if c[1] is not False and (
+                c[1] or c[2] or type(c[1]) is not int or type(c[2]) is not int)]) if den is None
+                else tuple([(j, rational(r, den), rational(i, den))
+                            for j, r, i in zip(range(n), re, im) if r is not False]))
+    else:
+        for arow in a_cells:
+            line = [False] * n
+            for k, x in arow:
+                for j, y in b_cells[k]:
+                    line[j] = line[j] + x * y
+            out.append(tuple([c for c in enumerate(line) if c[1] is not False and (
+                c[1] or type(c[1]) is not int)]) if den is None
+                else tuple([(j, rational(x, den)) for j, x in enumerate(line) if x is not False]))
+    return tuple(out)
 
 
 def _vector_parts(vec):
