@@ -469,12 +469,17 @@ def _merged(rows, cols, fn, binarion):
     return _pruned(out)
 
 
+def _kept(row):
+    """A row of cells, an iterable of cells in column order, as a tuple
+    without the cells whose components are all the int 0 (c[1] and c[-1]
+    are the components of both layouts)."""
+    return tuple([c for c in row if c[1] or c[-1] or type(c[1]) is not int
+                  or type(c[-1]) is not int])
+
+
 def _pruned(rows):
-    """Rows of cells, each row an iterable of cells in column order, as
-    tuples without the cells whose components are all the int 0 (c[1] and
-    c[-1] are the components of both layouts)."""
-    return tuple([tuple([c for c in row if c[1] or c[-1] or type(c[1]) is not int
-                         or type(c[-1]) is not int]) for row in rows])
+    """_kept of each row, as a tuple."""
+    return tuple(map(_kept, rows))
 
 
 def _binarion(ring):
@@ -800,28 +805,22 @@ def lincomb(coeffs, basis):
     for m in basis[1:]:  # _check rules on all but the same ring object and shape
         if type(m) is not RMatrix or m.ring is not ring or m.rows != rows or m.cols != cols:
             first._check(m)
-    if _binarion(ring):
-        re = [[0] * cols for _ in range(rows)]
-        im = [[0] * cols for _ in range(rows)]
-        for c, m in zip(coeffs, basis):
-            if not c:
-                continue
-            cells = _float_cells(m) if type(c) is float else _cells(m)
-            for r, s, row in zip(re, im, cells):
-                for j, br, bi in row:
-                    r[j] = r[j] + c * br
-                    s[j] = s[j] + c * bi
-        return RMatrix._of(_pruned(map(zip, repeat(range(cols)), re, im)), cols, ring)
-    out = [[0] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, basis):
-        if not c:
-            continue
-        cells = _float_cells(m) if type(c) is float else _cells(m)
-        c = ring.promote(c)
-        for line, row in zip(out, cells):
-            for j, a in row:
-                line[j] = line[j] + c * a
-    return RMatrix._of(_pruned(map(enumerate, out)), cols, ring)
+    cls = _binarion(ring)
+    terms = [(c if cls else ring.promote(c), _float_cells(m) if type(c) is float else _cells(m))
+             for c, m in zip(coeffs, basis) if c]
+    out = []
+    for i in range(rows):  # one row at a time, in a line per component
+        re, im = [0] * cols, [0] * cols
+        for c, cells in terms:
+            if cls:
+                for j, br, bi in cells[i]:
+                    re[j] = re[j] + c * br
+                    im[j] = im[j] + c * bi
+            else:
+                for j, a in cells[i]:
+                    re[j] = re[j] + c * a
+        out.append(_kept(zip(range(cols), re, im) if cls else enumerate(re)))
+    return RMatrix._of(tuple(out), cols, ring)
 
 
 def worst_of(values):
