@@ -793,9 +793,10 @@ def forms(mats, vec):
 def lincomb(coeffs, basis):
     """sum_k coeffs[k] * basis[k] for real coefficients.
 
-    Works over the nonzero cells of each basis matrix (their float copy for
-    a float coefficient) and skips zero coefficients; rational coefficients
-    and entries give an exact result.
+    Works row by row over the nonzero cells of each basis matrix (their
+    float copy for a float coefficient), a line per component for the row,
+    and skips zero coefficients; rational coefficients and entries give an
+    exact result.
     """
     coeffs, basis = tuple(coeffs), tuple(basis)
     if not basis or len(coeffs) != len(basis):
@@ -809,7 +810,7 @@ def lincomb(coeffs, basis):
     terms = [(c if cls else ring.promote(c), _float_cells(m) if type(c) is float else _cells(m))
              for c, m in zip(coeffs, basis) if c]
     out = []
-    for i in range(rows):  # one row at a time, in a line per component
+    for i in range(rows):
         re, im = [0] * cols, [0] * cols
         for c, cells in terms:
             if cls:

@@ -520,7 +520,7 @@ BINARION_IDS = ["%s-%s" % (ring.name, draw.__name__.strip("_")) for ring, draw i
 
 @pytest.mark.parametrize("ring,draw", BINARION_CASES, ids=BINARION_IDS)
 def test_grids_entries_and_components_agree(ring, draw):
-    """Every kernel's result, built on grids, materializes entries equal to
+    """Every kernel's result, built from cells, materializes entries equal to
     its components cell by cell (bits and types), and entry(i, j) (read
     before and after entries) gives the same cell."""
     rng = random.Random(27)
