@@ -402,12 +402,12 @@ class RMatrix:
         out = [starmap(fn, row) for row in cells]
         if den is not None:
             out = [[(c[0], *[rational(x, den) for x in c[1:]]) for c in row] for row in out]
-        return RMatrix._of(_pruned(out), self.cols, self.ring)
+        return RMatrix._of(tuple(map(_kept, out)), self.cols, self.ring)
 
     def _recast(self, fn, ring):
         """The matrix over ring whose cells are fn of the stored cells, as
         _cellwise makes them: for lifts and swaps done cell by cell."""
-        return RMatrix._of(_pruned(starmap(fn, row) for row in self._stored), self.cols, ring)
+        return RMatrix._of(tuple(_kept(starmap(fn, row)) for row in self._stored), self.cols, ring)
 
     def _union(self, other, op, comp_op):
         """op of the entries on the union of the operands' truthy cells,
@@ -446,7 +446,7 @@ def _grid_cells(grids):
     cols = len(first[0]) if len(first) else 0
     if any(len(g) != len(first) or any(len(r) != cols for r in g) for g in grids):
         raise ValueError("ragged rows")
-    return _pruned([zip(range(cols), *lines) for lines in zip(*grids)]), cols
+    return tuple(_kept(zip(range(cols), *lines)) for lines in zip(*grids)), cols
 
 
 def _merged(rows, cols, fn, binarion):
@@ -466,7 +466,7 @@ def _merged(rows, cols, fn, binarion):
         out.append([(j, fn(p[1], q[1]), fn(p[2], q[2])) if binarion else (j, fn(p[1], q[1]))
                     for j, p, q in zip(range(cols), x, y)
                     if (p is not zero or q is not zero) and j in on])
-    return _pruned(out)
+    return tuple(map(_kept, out))
 
 
 def _kept(row):
@@ -475,11 +475,6 @@ def _kept(row):
     are the components of both layouts)."""
     return tuple([c for c in row if c[1] or c[-1] or type(c[1]) is not int
                   or type(c[-1]) is not int])
-
-
-def _pruned(rows):
-    """_kept of each row, as a tuple."""
-    return tuple(map(_kept, rows))
 
 
 def _binarion(ring):
@@ -621,7 +616,7 @@ def _product(a, b):
                     re[j] = re[j] + (ar * br + t * bi)
                     im[j] = im[j] + (ar * bi + ai * br)
             # a cell no term reached is still False: left out, and a reached
-            # one kept unless both its sums are the int 0 (_pruned's rule)
+            # one kept unless both its sums are the int 0 (_kept's rule)
             out.append(tuple([c for c in zip(range(n), re, im) if c[1] is not False and (
                 c[1] or c[2] or type(c[1]) is not int or type(c[2]) is not int)]) if den is None
                 else tuple([(j, rational(r, den), rational(i, den))
