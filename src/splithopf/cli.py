@@ -5,9 +5,10 @@ domain error, 2 usage error.  All structured output is JSON (CSV for grid
 exports); floats round-trip losslessly (JSON writes each float's shortest
 repr, CSV 17 significant digits: one "%.17g" line template per grid, in the
 bytes of csv.writer's default dialect).  A non-finite value fails either
-format, and nothing is written.  A sample-field JSON grid is bulk data: one
-line with the default separators, which CPython's C encoder writes; every
-other document is indented by 2 spaces.  HOPFCTL_SEED provides the seed
+format, and nothing is written; so does an --out file that cannot be
+written (exit 1).  A sample-field JSON grid is bulk data: one line with
+the default separators, which CPython's C encoder writes; every other
+document is indented by 2 spaces.  HOPFCTL_SEED provides the seed
 when --seed is absent; a malformed one is a usage error.
 """
 
@@ -30,6 +31,16 @@ MAX_GRID_NODES = 100_000
 NON_FINITE = "the result holds a non-finite number; nothing written"
 
 
+def _write(lines, out):
+    """Write the lines to the file out, opened with newline="" so that no
+    line ending is translated, or to stdout."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
+
+
 def _emit(data, out, indent=2):
     """Write data as JSON to the file out, or to stdout.  indent=None gives
     one line with the default separators, which CPython's C encoder writes;
@@ -38,11 +49,7 @@ def _emit(data, out, indent=2):
         text = json.dumps(data, indent=indent, default=float, allow_nan=False)
     except ValueError:
         raise ValueError(NON_FINITE)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write([text, "\n"], out)
 
 
 def _seed(args):
@@ -300,12 +307,7 @@ def cmd_sample_field(args):
         body = [template % tuple(row) for row in rows]
         if any("n" in line for line in body):  # %.17g writes an n only in nan and inf
             raise ValueError(NON_FINITE)
-        lines = [",".join(columns) + "\r\n"] + body + ["# skipped=%d\r\n" % skipped]
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.writelines(lines)
-        else:
-            sys.stdout.writelines(lines)
+        _write([",".join(columns) + "\r\n"] + body + ["# skipped=%d\r\n" % skipped], args.out)
     else:
         _emit({"schema": SCHEMA, "level": args.level, "realization": args.realization,
                "patch": args.patch, "columns": columns,
@@ -378,7 +380,7 @@ def main(argv=None):
         sys.stderr.write("usage error: %s\n" % e)
         return 2
     except (hopfmaps.NormalizationError, hopfmaps.PatchError, hopfmaps.ConstraintError,
-            hopfmaps.SamplingError, ValueError, TypeError) as e:
+            hopfmaps.SamplingError, ValueError, TypeError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 1
 

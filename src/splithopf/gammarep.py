@@ -107,9 +107,6 @@ class GammaFamily:
         g = self.gammas[a - 1]
         return g if self.metric.eta(a) == 1 else -g
 
-    def n_gammas(self):
-        return len(self.gammas)
-
     def __repr__(self):
         return "GammaFamily(%s)" % self.name
 
@@ -379,8 +376,8 @@ def clifford_check(name):
     results = []
     one = RMatrix.identity(fam.dim, fam.ring)
     bad = []
-    for a in range(1, fam.n_gammas() + 1):
-        for b in range(a, fam.n_gammas() + 1):
+    for a in range(1, len(fam.gammas) + 1):
+        for b in range(a, len(fam.gammas) + 1):
             want = one.scale(fam.sign * 2 * fam.metric.eta(a, b))
             got = anticommutator(fam.gamma(a), fam.gamma(b))
             if got != want:
@@ -394,7 +391,7 @@ def hermiticity_check(name):
     fam = build_family(name)
     out = []
     if name in ("split_pauli", "so32_I", "so43_I", "so54_I"):
-        ok = all(fam.gamma(a).dagger() == fam.gamma(a) for a in range(1, fam.n_gammas() + 1))
+        ok = all(fam.gamma(a).dagger() == fam.gamma(a) for a in range(1, len(fam.gammas) + 1))
         out.append(("hermitian-%s" % name, ok, "gamma^a dagger-invariant"))
     elif name == "tau":
         ok = all(fam.gamma(a).dagger() == -fam.gamma_lower(a) for a in (1, 2, 3))
@@ -441,7 +438,7 @@ def conjugation_check(name):
     out.append(("conj-%s-inverse" % name, c @ cinv == one, "C C^-1 = 1"))
 
     bad = []
-    for a in range(1, fam.n_gammas() + 1):
+    for a in range(1, len(fam.gammas) + 1):
         g = fam.gamma_lower(a) if cc.lowered else fam.gamma(a)
         if fam.ring != c.ring:
             g = to_complex(g)

@@ -230,10 +230,6 @@ class BasePoint:
     def __setattr__(self, *a):
         raise AttributeError("immutable value")
 
-    @property
-    def metric(self):
-        return case_info(self.level, self.realization).base_metric
-
     def constraint_residual(self):
         case = case_info(self.level, self.realization)
         return case.base_metric.inner(self.coords, self.coords) - case.constraint_target
@@ -342,9 +338,6 @@ def _section_linear_raw(point, patch=None):
     return RMatrix.from_blocks([[top], [bottom]], ring), n
 
 
-_SECTION_TEMPLATES = {}
-
-
 def _whole(c):
     """An integer-valued Fraction as an int (the same bits against a float
     and the same Fraction against a Fraction, but no slow mixed-type path);
@@ -352,8 +345,28 @@ def _whole(c):
     return int(c) if type(c) is Fraction and c.denominator == 1 else c
 
 
+def _section_affine(level, realization, patch):
+    """(C, M_1 ... M_d) of the section numerator, w(x) = C + sum x_a M_a:
+    w at x = 0 and its differences at the unit points, each cell of them
+    recast with _whole, so their values are ints.  Not cached: the template
+    and section_slopes each keep what they read of it, and a run that takes
+    no derivative keeps no slope."""
+    dim = case_info(level, realization).base_dim
+    c_mat, _ = _section_linear_raw(BasePoint(level, realization, (Fraction(0),) * dim, patch),
+                                   patch)
+    out = [c_mat]
+    for a in range(dim):
+        coords = [Fraction(0)] * dim
+        coords[a] = Fraction(1)
+        w_a, _ = _section_linear_raw(BasePoint(level, realization, coords, patch), patch)
+        out.append(w_a - c_mat)
+    return tuple(m._recast(lambda j, *parts: (j, *map(_whole, parts)), m.ring) for m in out)
+
+
+@functools.lru_cache(maxsize=None)
 def _section_template(level, realization, patch):
-    """Sparse affine template of the section numerator: w(x) = C + sum x_a M_a.
+    """Sparse affine template of the section numerator, compiled from
+    _section_affine's (C, M_1 ... M_d).
 
     A tuple of (i, j, parts) over the cells that can be nonzero, in row
     order; parts holds one (const, ((a, coef), ...)) per component of the
@@ -363,20 +376,8 @@ def _section_template(level, realization, patch):
     are integers, so evaluation preserves the backend of x (Fraction stays
     exact, float stays fast).
     """
-    key = (level, realization, patch)
-    if key in _SECTION_TEMPLATES:
-        return _SECTION_TEMPLATES[key]
-    case = case_info(level, realization)
-    dim = case.base_dim
-    zero_pt = BasePoint(level, realization, (Fraction(0),) * dim, patch)
-    c_mat, _ = _section_linear_raw(zero_pt, patch)
-    consts = c_mat.components()
-    slopes = []
-    for a in range(dim):
-        coords = [Fraction(0)] * dim
-        coords[a] = Fraction(1)
-        w_a, _ = _section_linear_raw(BasePoint(level, realization, coords, patch), patch)
-        slopes.append((w_a - c_mat).components())
+    c_mat, *mats = _section_affine(level, realization, patch)
+    consts, slopes = c_mat.components(), [m.components() for m in mats]
 
     def holds(grids, i, j):
         return any(g[i][j] != 0 for g in grids)
@@ -384,17 +385,10 @@ def _section_template(level, realization, patch):
     cells = [(i, j, [a for a, m_a in enumerate(slopes) if holds(m_a, i, j)])
              for i in range(c_mat.rows) for j in range(c_mat.cols)]
     template = tuple(
-        (i, j, tuple((_whole(const[i][j]), tuple((a, _whole(slopes[a][k][i][j])) for a in lin))
+        (i, j, tuple((const[i][j], tuple((a, slopes[a][k][i][j]) for a in lin))
                      for k, const in enumerate(consts)))
         for i, j, lin in cells if lin or holds(consts, i, j))
-    out = (template, c_mat.rows, c_mat.cols, c_mat.ring)
-    _SECTION_TEMPLATES[key] = out
-    return out
-
-
-def section_linear_part(point, patch=None):
-    """section_linear_at of the point's coordinates, on its patch by default."""
-    return section_linear_at(point.level, point.realization, point.coords, patch or point.patch)
+    return template, c_mat.rows, c_mat.cols, c_mat.ring
 
 
 def section_linear_at(level, realization, coords, patch):
@@ -426,16 +420,9 @@ def section_linear_at(level, realization, coords, patch):
 def section_slopes(level, realization, patch):
     """The slopes M_a of the section numerator, w(x) = C + sum x_a M_a, as
     int-valued matrices of the shape and ring of w, one per coordinate:
-    _section_template's coefficients, read once per (level, realization,
-    patch).  A first derivative of w along t is sum t_a M_a, with no
-    evaluation of w at a shifted point."""
-    template, rows, cols, ring = _section_template(level, realization, patch)
-    dim = case_info(level, realization).base_dim
-    slopes = [[[] for _ in range(rows)] for _ in range(dim)]
-    for i, j, parts in template:
-        for t, (a, _) in enumerate(parts[0][1]):
-            slopes[a][i].append((j, *[lin[t][1] for _, lin in parts]))
-    return tuple(RMatrix._of(tuple(map(tuple, m)), cols, ring) for m in slopes)
+    the tail of _section_affine.  A first derivative of w along t is
+    sum t_a M_a, with no evaluation of w at a shifted point."""
+    return _section_affine(level, realization, patch)[1:]
 
 
 class Section:
@@ -445,7 +432,7 @@ class Section:
 
     def __init__(self, point, patch=None):
         patch = patch or point.patch
-        w, n = section_linear_part(point, patch)
+        w, n = section_linear_at(point.level, point.realization, point.coords, patch)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "patch", patch)
         object.__setattr__(self, "w", w)
@@ -528,7 +515,7 @@ def invert(point, fiber=None, patch=None):
         else:
             pole = [case.ring.one, case.ring.zero]
             fiber = Spinor(1, point.realization, pole)
-    w, n = section_linear_part(point, patch)
+    w, n = section_linear_at(point.level, point.realization, point.coords, patch)
     # ring elements, as the section's entries are, so that every fiber takes
     # matvec's component path
     fiber = [case.ring.promote(c) for c in _check_fiber(case, point, fiber)]

@@ -8,28 +8,30 @@ are immutable.  Grassmann values enter only as vector elements: ``matvec``,
 ``form`` and ``forms`` act on a vector of any elements the entries multiply
 (the super spinors of superhopf) through the elements' own arithmetic.
 
-Storage is by cell.  Each row keeps its stored cells in column order,
-(j, value) over the reals and (j, re, im) over the split-complex and
-complex rings: every cell but those whose components are all the int 0,
-so a written Fraction(0), 0.0, -0.0 or NaN is kept.  ``components()``,
-``entries`` and ``entry()`` build dense views from the cells on demand,
-an absent cell reading as the int 0 (over a binarion ring, the element of
-two int 0s); no kernel reads them.  The kernels walk the truthy cells
-(``_cells``: a cell with a truthy component, so NaN is one and -0.0 is
-not), which are the stored cells themselves when none is falsy, and write
-the cells of their results directly: the products (``@``, ``matvec``,
+Storage is by cell.  ``RMatrix(entries, ring)`` and ``from_blocks`` write
+the cells straight from the promoted entries and the blocks' cells, and
+every kernel writes its result's cells itself.  Each row keeps its stored
+cells in column order, (j, value) over the reals and (j, re, im) over the
+split-complex and complex rings: every cell but those whose components are
+all the int 0, so a written Fraction(0), 0.0, -0.0 or NaN is kept.
+``components()``, ``entries`` and ``entry()`` build dense views from the
+cells on demand, an absent cell reading as the int 0 (over a binarion ring,
+the element of two int 0s); no kernel reads them.  The kernels walk the
+truthy cells (``_cells``: a cell with a truthy component, so NaN is one and
+-0.0 is not), which are the stored cells themselves when none is falsy, and
+write the cells of their results directly: the products (``@``, ``matvec``,
 ``commutator``, ``anticommutator``), the Hermitian forms (``forms``),
 linear combinations (``lincomb``), ``+``/``-`` (over the union of the
 operands' truthy cells) and the elementwise ops (``scale``, negation,
 ``conj``).  A cell of a result that no term reaches is absent, and ``==``
-and ``hash`` read the truthy cells, so a stored zero and an absent cell
-are alike.  Over the split-complex and
-complex rings the kernels compute on the components, in the operation
-order of the entries' own arithmetic, so float values are bit-identical to
-it and Fraction entries stay exact; over the reals they use the entries'
-own arithmetic.  ``lincomb`` walks a float copy of the cells (kept on the
-matrix too) for a float coefficient, since a float times a Fraction is the
-float times the Fraction's float.
+reads the truthy cells, so a stored zero and an absent cell are alike;
+matrices are not hashable.  Over the split-complex and complex rings the
+kernels compute on the components, in the operation order of the entries'
+own arithmetic, so float values are bit-identical to it and Fraction
+entries stay exact; over the reals they use the entries' own arithmetic.
+``lincomb`` walks a float copy of the cells (kept on the matrix too) for a
+float coefficient, since a float times a Fraction is the float times the
+Fraction's float.
 
 Exact kernels run on integers.  A matrix whose nonzero cells hold only
 ints and Fractions keeps on first exact use those cells cleared to ints
@@ -141,15 +143,9 @@ class MetricForm:
             return 0
         return self.signature[i - 1]
 
-    def matrix(self, ring=RING_REAL):
-        return RMatrix.diagonal(self.signature, ring)
-
     def inner(self, x, y):
         """sum_i s_i x_i y_i."""
         return sum(s * a * b for s, a, b in zip(self.signature, x, y))
-
-    def __eq__(self, other):
-        return isinstance(other, MetricForm) and self.signature == other.signature
 
     def __repr__(self):
         return "MetricForm(%s)" % (self.signature,)
@@ -158,10 +154,10 @@ class MetricForm:
 class RMatrix:
     """Immutable matrix over the real, complex or split-complex Ring.
 
-    Stored as the cells of each row (see the module docstring):
-    ``components()`` builds the component grids from them and
-    ``from_components`` builds from such grids; ``entries`` and ``entry()``
-    give ring elements.
+    Stored as the cells of each row (see the module docstring), built from
+    rows of entries (promoted to the ring) or from equally sized blocks
+    (``from_blocks``): ``components()`` builds the component grids from
+    them, and ``entries`` and ``entry()`` give ring elements.
 
     dagger() is conjugate-transpose under the ring involution; the rings are
     commutative, so it is an anti-homomorphism, dagger(MN) =
@@ -173,19 +169,12 @@ class RMatrix:
 
     def __init__(self, entries, ring):
         rows = [[ring.promote(x) for x in row] for row in entries]
-        grids = ([[a.re for a in r] for r in rows], [[a.im for a in r] for r in rows]) \
-            if _binarion(ring) else (rows,)
-        self._fill(*_grid_cells(grids), ring)
-
-    @classmethod
-    def from_components(cls, grids, ring):
-        """Build from component grids, whose values are taken as they are:
-        (entries,) over the reals, (re, im) over the split-complex and
-        complex rings."""
-        n = 2 if _binarion(ring) else 1
-        if len(grids) != n:
-            raise ValueError("%s takes %d component grids" % (ring.name, n))
-        return cls._of(*_grid_cells(grids), ring)
+        cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ValueError("ragged rows")
+        binarion = _binarion(ring)
+        self._fill(tuple(_kept((j, a.re, a.im) if binarion else (j, a) for j, a in enumerate(r))
+                         for r in rows), cols, ring)
 
     @classmethod
     def _of(cls, stored, cols, ring):
@@ -222,42 +211,23 @@ class RMatrix:
 
     @classmethod
     def from_blocks(cls, blocks, ring):
-        """Assemble from a 2D grid of equally sized blocks (RMatrix over
-        ring, or 0)."""
-        sizes_r = []
-        sizes_c = None
-        for brow in blocks:
-            h = None
-            widths = []
-            for b in brow:
-                if isinstance(b, RMatrix):
-                    if b.ring != ring:
-                        raise TypeError("ring mismatch: %s block in %s" % (b.ring, ring))
-                    h = b.rows
-                    widths.append(b.cols)
-                else:
-                    widths.append(None)
-            sizes_r.append(h)
-            if sizes_c is None:
-                sizes_c = widths
-            else:
-                sizes_c = [w if w is not None else old for w, old in zip(widths, sizes_c)]
-        if any(h is None for h in sizes_r) or any(w is None for w in sizes_c):
+        """Assemble from a 2D grid of equally sized blocks, each an RMatrix
+        over ring or 0 (a zero block); the first RMatrix block gives the
+        block shape."""
+        first = next((b for brow in blocks for b in brow if isinstance(b, RMatrix)), None)
+        if first is None:
             raise ValueError("cannot infer block sizes")
+        h, w, width = first.rows, first.cols, len(blocks[0])
         stored = []
-        for brow, h in zip(blocks, sizes_r):
-            if len(brow) != len(sizes_c) or any(
-                    getattr(b, "rows", h) != h or getattr(b, "cols", w) != w
-                    for b, w in zip(brow, sizes_c)):
+        for brow in blocks:
+            mats = [(k * w, b) for k, b in enumerate(brow) if isinstance(b, RMatrix)]
+            if any(b.ring != ring for _, b in mats):
+                raise TypeError("ring mismatch: a block over another ring than %s" % ring)
+            if len(brow) != width or any((b.rows, b.cols) != (h, w) for _, b in mats):
                 raise ValueError("ragged rows")
-            for r in range(h):
-                row, off = [], 0
-                for b, w in zip(brow, sizes_c):
-                    if isinstance(b, RMatrix):
-                        row += [(c[0] + off,) + c[1:] for c in b._stored[r]]
-                    off += w
-                stored.append(tuple(row))
-        return cls._of(tuple(stored), sum(sizes_c), ring)
+            stored += [tuple((c[0] + off,) + c[1:] for off, b in mats for c in b._stored[r])
+                       for r in range(h)]
+        return cls._of(tuple(stored), width * w, ring)
 
     # ---- basic algebra ----------------------------------------------------
 
@@ -378,9 +348,6 @@ class RMatrix:
                 and self.cols == other.cols and list(map(len, a)) == list(map(len, b))
                 and all(map(operator.eq, _flat(_flat(a)), _flat(_flat(b)))))
 
-    def __hash__(self):
-        return hash((self.ring.name, self.rows, self.cols, _cells(self)))
-
     def is_zero(self):
         return not any(_cells(self))
 
@@ -437,16 +404,6 @@ class RMatrix:
 _set = object.__setattr__
 _column, _second = operator.itemgetter(0), operator.itemgetter(1)
 _flat = chain.from_iterable
-
-
-def _grid_cells(grids):
-    """(rows of stored cells, cols) of component grids of one rectangular
-    shape; a ValueError for ragged rows."""
-    first = grids[0]
-    cols = len(first[0]) if len(first) else 0
-    if any(len(g) != len(first) or any(len(r) != cols for r in g) for g in grids):
-        raise ValueError("ragged rows")
-    return tuple(_kept(zip(range(cols), *lines)) for lines in zip(*grids)), cols
 
 
 def _merged(rows, cols, fn, binarion):

@@ -127,16 +127,6 @@ class _Binarion:
             return type(self)(other * self.re, other * self.im)
         return NotImplemented
 
-    def __truediv__(self, other):
-        if _is_scalar(other):
-            return type(self)(self.re / other, self.im / other)
-        if type(other) is type(self):
-            q = other.qform()
-            if q == 0:
-                raise ZeroDivisionError("division by a null %s" % type(self).__name__)
-            return self * other.conj() * reciprocal(q)
-        return NotImplemented
-
     def conj(self):
         return type(self)(self.re, -self.im)
 
@@ -340,29 +330,24 @@ class SplitQuaternion(_TableAlgebra):
 _OCT_PRODUCTS = _relabel(_doubled(_doubled(_COMPLEX, -1), 1), (0, 1, 2, 3, 4, -5, -6, -7))
 # Signature of the imaginary units e1..e7: e_I e_I = -eta_I.
 _ETA7 = (None,) + tuple(-_OCT_PRODUCTS[i][i][0] for i in range(1, 8))
-# The structure tensor f(I, J, K), e_I e_J = f(I, J, K) e_K + ..., and its
-# form with the last index lowered by the signature above.
-_F_MIXED = {(i, j, k): sign for i in range(1, 8) for j in range(1, 8)
+# The structure tensor f(I, J, K), e_I e_J = f(I, J, K) e_K + ..., with its
+# last index lowered by the signature above.
+_F_LOWER = {(i, j, k): sign * _ETA7[k] for i in range(1, 8) for j in range(1, 8)
             for sign, k in (_OCT_PRODUCTS[i][j],) if k}
-_F_LOWER = {key: v * _ETA7[key[2]] for key, v in _F_MIXED.items()}
 
 
 class StructureTable:
     """Split-octonion structure constants.
 
-    f(I, J, K) is the coefficient of e_K in the product e_I e_J (the mixed
-    form); f_lower(I, J, K) carries the K index lowered with the split
-    signature and is totally antisymmetric.  basis_product and f_extended
-    read the product table SplitOctonion multiplies with.
+    f_lower(I, J, K) is the coefficient of e_K in the product e_I e_J with
+    the K index lowered with the split signature, and is totally
+    antisymmetric.  basis_product and f_extended read the product table
+    SplitOctonion multiplies with.
     """
 
     def __init__(self):
         self.eta = _ETA7
         self.lower = dict(_F_LOWER)
-        self.mixed = dict(_F_MIXED)
-
-    def f(self, i, j, k):
-        return self.mixed.get((i, j, k), 0)
 
     def f_lower(self, i, j, k):
         return self.lower.get((i, j, k), 0)

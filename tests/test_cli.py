@@ -90,6 +90,19 @@ def test_domain_errors_exit_1(capsys):
     assert "patch" in err
 
 
+@pytest.mark.parametrize("argv,target", [
+    (["tables", "--algebra", "split-complex"], "missing/x.json"),
+    (["sample-field", "--level", "1", "--realization", "I", "--grid", "x1=0:0.1:2"], "."),
+], ids=["tables-missing-dir", "sample-field-directory"])
+def test_unwritable_out_is_an_error(capsys, tmp_path, argv, target):
+    # an --out that cannot be opened exits 1 with one error line, no
+    # traceback and nothing on stdout
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_algebra_pass_and_fault(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "algebra", "--seed", "7",
                        "--no-timestamp")

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
-from splithopf.ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX
+from splithopf.ringmat import RMatrix, RING_REAL, RING_SPLIT, RING_COMPLEX
 from splithopf import gammarep
 from splithopf.gammarep import (
     FAMILY_NAMES, build_family, clifford_check, conjugation_check,
@@ -25,17 +25,17 @@ def test_clifford(name):
 
 
 def test_metrics_and_signs():
-    assert build_family("split_pauli").metric == MetricForm((1, -1, 1))
+    assert build_family("split_pauli").metric.signature == (1, -1, 1)
     assert build_family("split_pauli").sign == 1
-    assert build_family("tau").metric == MetricForm((1, 1, -1))
+    assert build_family("tau").metric.signature == (1, 1, -1)
     assert build_family("tau").sign == -1
-    assert build_family("so32_I").metric == MetricForm((1, -1, 1, -1, -1))
-    assert build_family("so32_II").metric == MetricForm((1, 1, -1, -1, -1))
-    assert build_family("so43_I").metric == MetricForm((-1, 1, 1, -1, -1, 1, 1))
+    assert build_family("so32_I").metric.signature == (1, -1, 1, -1, -1)
+    assert build_family("so32_II").metric.signature == (1, 1, -1, -1, -1)
+    assert build_family("so43_I").metric.signature == (-1, 1, 1, -1, -1, 1, 1)
     f = build_family("so54_I")
-    assert f.metric == MetricForm((1, -1, -1, 1, 1, -1, -1, 1, 1)) and f.sign == 1
-    assert build_family("lambda_so43_II").metric == MetricForm((1, 1, 1, -1, -1, -1, -1))
-    assert build_family("so54_II").metric == MetricForm((-1, -1, -1, -1, 1, 1, 1, 1, 1))
+    assert f.metric.signature == (1, -1, -1, 1, 1, -1, -1, 1, 1) and f.sign == 1
+    assert build_family("lambda_so43_II").metric.signature == (1, 1, 1, -1, -1, -1, -1)
+    assert build_family("so54_II").metric.signature == (-1, -1, -1, -1, 1, 1, 1, 1, 1)
 
 
 def test_tau_third_is_plain_pauli():

@@ -12,7 +12,7 @@ from splithopf.hopfmaps import (
     Spinor, BasePoint, Section, project, invert, sample_normalized,
     sample_base_point, sample_fiber, level0_project, level0_invert, hierarchical_fiber_check,
     NormalizationError, PatchError, ConstraintError, case_info,
-    section_linear_part, section_linear_at, section_slopes,
+    section_linear_at, section_slopes,
 )
 from splithopf import gammarep, hopfmaps as hm
 
@@ -323,14 +323,14 @@ def test_level3_invert_builds_the_section_once(monkeypatch, real, patch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return section_linear_part(*args, **kwargs)
+        return section_linear_at(*args, **kwargs)
 
     pt = sample_base_point(3, real, patch=patch, rng=random.Random(8))
-    monkeypatch.setattr(hm, "section_linear_part", counting)
+    monkeypatch.setattr(hm, "section_linear_at", counting)
     sec = invert(pt)
     assert len(calls) == 1
     monkeypatch.undo()
-    w, n = section_linear_part(pt)
+    w, n = section_linear_at(3, real, pt.coords, patch)
     assert isinstance(sec, Section) and sec.patch == patch
     assert sec.w == w and sec.n == n
 
@@ -338,9 +338,9 @@ def test_level3_invert_builds_the_section_once(monkeypatch, real, patch):
 @pytest.mark.parametrize("lvl,real", ALL_CASES)
 @pytest.mark.parametrize("patch", ["upper", "lower"])
 def test_section_coordinates_entry(lvl, real, patch):
-    # section_linear_at of bare coordinates gives the grids and n of the
-    # BasePoint path bit for bit (repr tells -0.0 from 0.0 and 1 from
-    # Fraction(1)), on float, Fraction and int coordinates
+    # section_linear_at of bare coordinates gives the grids of the point's
+    # coordinates and the point's patch factor bit for bit (repr tells -0.0
+    # from 0.0 and 1 from Fraction(1)), on float, Fraction and int coordinates
     rng = random.Random(19)
     ints = tuple(range(2, case_info(lvl, real).base_dim + 2))  # off the hyperboloid
     for coords in (sample_base_point(lvl, real, patch=patch, rng=rng).coords,
@@ -348,9 +348,9 @@ def test_section_coordinates_entry(lvl, real, patch):
                    ints):
         pt = BasePoint(lvl, real, coords, patch)
         w, n = section_linear_at(lvl, real, coords, patch)
-        w_pt, n_pt = section_linear_part(pt)
+        w_pt, _ = section_linear_at(lvl, real, pt.coords, pt.patch)
         assert repr(w.components()) == repr(w_pt.components())
-        assert repr(n) == repr(n_pt)
+        assert repr(n) == repr(pt.patch_factor())
         if not isinstance(coords[0], float):
             # the values of the gamma-matrix construction the template is read from
             assert w == hm._section_linear_raw(pt)[0]

@@ -7,7 +7,7 @@ import pytest
 
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
-    RMatrix, MetricForm, RING_REAL, RING_SPLIT,
+    RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX,
     commutator, anticommutator,
 )
 from splithopf import gammarep
@@ -111,6 +111,28 @@ def test_kron():
     fam = gammarep.build_family("so32_II")
     for i in (1, 2, 3):
         assert fam.gamma(i) == kron(gammarep.pauli(2), gammarep.tau(i))
+
+
+def test_from_blocks_places_zero_blocks_by_the_first_block():
+    a = RMatrix([[1, 2], [3, 4]], RING_REAL)
+    b = RMatrix([[5, 0], [0, 6]], RING_REAL)
+    got = RMatrix.from_blocks([[0, a], [b, 0]], RING_REAL)
+    assert got == RMatrix([[0, 0, 1, 2], [0, 0, 3, 4], [5, 0, 0, 0], [0, 6, 0, 0]], RING_REAL)
+
+
+_ONE2, _ONE3 = RMatrix.identity(2, RING_SPLIT), RMatrix.identity(3, RING_SPLIT)
+
+
+@pytest.mark.parametrize("blocks,error,match", [
+    ([[_ONE2, 0], [0, _ONE3]], ValueError, "ragged rows"),
+    ([[_ONE2, 0], [_ONE2]], ValueError, "ragged rows"),
+    ([], ValueError, "cannot infer block sizes"),
+    ([[0, 0], [0, 0]], ValueError, "cannot infer block sizes"),
+    ([[_ONE2, 0], [0, RMatrix.identity(2, RING_COMPLEX)]], TypeError, "ring mismatch"),
+], ids=["other-shape", "short-row", "empty", "no-matrix-block", "other-ring"])
+def test_from_blocks_refuses_what_it_cannot_assemble(blocks, error, match):
+    with pytest.raises(error, match=match):
+        RMatrix.from_blocks(blocks, RING_SPLIT)
 
 
 def test_metric_form():

@@ -40,8 +40,8 @@ def test_table_cells():
     assert e(1) * e(3) == -e(2)
     # caption seeds: f_145 = f_167 = f_246 = f_527 = f_347 = f_356 = -1
     for (a, b, c) in ((1, 4, 5), (1, 6, 7), (2, 4, 6), (5, 2, 7), (3, 4, 7), (3, 5, 6)):
-        assert OCTONION_TABLE.f(a, b, c) == -1
-    assert OCTONION_TABLE.f(1, 2, 3) == 1
+        assert OCTONION_TABLE.f_extended(a, b, c) == -1
+    assert OCTONION_TABLE.f_extended(1, 2, 3) == 1
 
 
 def test_quaternion_squares():

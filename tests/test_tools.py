@@ -1,10 +1,13 @@
 """The tools: the mutant finder of tools/mutate.py, pinned on a literal
-source, and the exit codes of the base-commit comparisons report_diff.py
-and field_diff.py on small literal files."""
+source, the exit codes of the base-commit comparisons report_diff.py and
+field_diff.py on small literal files, and the list of unreached functions
+of unreached.py for one command."""
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,3 +125,20 @@ def test_field_diff_exit_codes(tmp_path):
     assert _exit_code(field_diff, tmp_path, same, _csv(base[:1])) == 1
     assert _exit_code(field_diff, tmp_path, same, None) == 2
     assert _exit_code(field_diff, tmp_path, same, "x1,A_1\n0.5,1.0\n") == 2
+
+
+# ---------------------------------------------------------------------------
+# unreached.py
+
+
+def test_unreached_lists_what_a_command_does_not_enter():
+    # in a fresh interpreter, so that the library is imported under the profiler
+    run = subprocess.run([sys.executable, os.path.join(_TOOLS, "unreached.py")],
+                         input="# the tables only\n\ntables --algebra split-complex\n",
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == ""
+    names = run.stdout.splitlines()
+    assert "splitnum.multiplication_table" not in names
+    assert "cli.cmd_tables" not in names and "cli.main" not in names
+    assert "gaugegeom.field_components" in names
+    assert "cli.cmd_sample_field" in names and "hopfmaps.project" in names
