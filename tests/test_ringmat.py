@@ -113,13 +113,6 @@ def test_kron():
         assert fam.gamma(i) == kron(gammarep.pauli(2), gammarep.tau(i))
 
 
-def test_from_blocks_places_zero_blocks_by_the_first_block():
-    a = RMatrix([[1, 2], [3, 4]], RING_REAL)
-    b = RMatrix([[5, 0], [0, 6]], RING_REAL)
-    got = RMatrix.from_blocks([[0, a], [b, 0]], RING_REAL)
-    assert got == RMatrix([[0, 0, 1, 2], [0, 0, 3, 4], [5, 0, 0, 0], [0, 6, 0, 0]], RING_REAL)
-
-
 _ONE2, _ONE3 = RMatrix.identity(2, RING_SPLIT), RMatrix.identity(3, RING_SPLIT)
 
 
