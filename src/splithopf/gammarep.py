@@ -19,7 +19,7 @@ import functools
 from .splitnum import SplitComplex, OrdinaryComplex, OCTONION_TABLE
 from .ringmat import (
     RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX,
-    commutator, anticommutator, lincomb,
+    commutator, anticommutator, lincomb, to_complex,
 )
 
 __all__ = [
@@ -45,10 +45,6 @@ def _sm(rows):
 
 def _cm(rows):
     return RMatrix(rows, RING_COMPLEX)
-
-
-def _rm(rows):
-    return RMatrix(rows, RING_REAL)
 
 
 # 2x2 building blocks ------------------------------------------------------
@@ -168,7 +164,7 @@ def build_family(name):
         gs = []
         for i in range(1, 8):
             rows = [[-tbl.f_extended(i, a, b) for b in range(8)] for a in range(8)]
-            gs.append(_rm(rows))
+            gs.append(RMatrix(rows, RING_REAL))
         return GammaFamily("lambda_so43_II", gs,
                            MetricForm((1, 1, 1, -1, -1, -1, -1)), -1, RING_REAL, 1)
 
@@ -187,17 +183,6 @@ def build_family(name):
 def sigma3_block(n_half, ring=RING_REAL):
     """diag(1_n, -1_n); the pseudo-Hermitian weight used at 16 components."""
     return RMatrix.diagonal([1] * n_half + [-1] * n_half, ring)
-
-
-def to_complex(m):
-    """Lift a real matrix into the complex ring, cell by cell (its entries
-    become the real parts, int 0 the imaginary ones); a complex matrix is
-    returned as it is."""
-    if m.ring == RING_COMPLEX:
-        return m
-    if m.ring != RING_REAL:
-        raise TypeError("cannot lift a %s matrix into the complex ring" % m.ring.name)
-    return m._recast(lambda j, a: (j, a, 0), RING_COMPLEX)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +360,15 @@ def clifford_check(name):
     fam = build_family(name)
     results = []
     one = RMatrix.identity(fam.dim, fam.ring)
-    bad = []
-    for a in range(1, len(fam.gammas) + 1):
-        for b in range(a, len(fam.gammas) + 1):
-            want = one.scale(fam.sign * 2 * fam.metric.eta(a, b))
-            got = anticommutator(fam.gamma(a), fam.gamma(b))
-            if got != want:
-                bad.append("(%d,%d)" % (a, b))
+    bad, n = [], fam.metric.dim * (fam.metric.dim + 1) // 2  # the pairs a <= b of the metric
+    pairs = [(a, b) for a in range(1, len(fam.gammas) + 1) for b in range(a, len(fam.gammas) + 1)]
+    for a, b in pairs:
+        want = one.scale(fam.sign * 2 * fam.metric.eta(a, b))
+        got = anticommutator(fam.gamma(a), fam.gamma(b))
+        if got != want:
+            bad.append("(%d,%d)" % (a, b))
+    if len(pairs) != n:
+        bad.append("%d of %d pairs compared" % (len(pairs), n))
     results.append(("clifford-%s" % name, not bad,
                     "; failing pairs: " + ", ".join(bad) if bad else "all pairs exact"))
     return results
@@ -391,7 +378,7 @@ def hermiticity_check(name):
     fam = build_family(name)
     out = []
     if name in ("split_pauli", "so32_I", "so43_I", "so54_I"):
-        ok = all(fam.gamma(a).dagger() == fam.gamma(a) for a in range(1, len(fam.gammas) + 1))
+        ok = [g.dagger() == g for g in fam.gammas] == [True] * fam.metric.dim
         out.append(("hermitian-%s" % name, ok, "gamma^a dagger-invariant"))
     elif name == "tau":
         ok = all(fam.gamma(a).dagger() == -fam.gamma_lower(a) for a in (1, 2, 3))
@@ -437,13 +424,15 @@ def conjugation_check(name):
     one = RMatrix.identity(fam.dim, c.ring)
     out.append(("conj-%s-inverse" % name, c @ cinv == one, "C C^-1 = 1"))
 
-    bad = []
-    for a in range(1, len(fam.gammas) + 1):
+    bad, gs = [], range(1, len(fam.gammas) + 1)
+    for a in gs:
         g = fam.gamma_lower(a) if cc.lowered else fam.gamma(a)
         if fam.ring != c.ring:
             g = to_complex(g)
         if c @ g @ cinv != g.conj().scale(cc.vector_rule):
             bad.append(str(a))
+    if len(gs) != fam.metric.dim:  # every index of the metric
+        bad.append("%d of %d gammas compared" % (len(gs), fam.metric.dim))
     out.append(("conj-%s-vector" % name, not bad,
                 "C gamma C^-1 = %+d conj(gamma)%s" % (cc.vector_rule,
                                                       ("; fails " + ",".join(bad)) if bad else "")))

@@ -40,7 +40,7 @@ points in algebra coordinates too, but takes the matrix commutator of the
 unshifted contractions, so the two sides of the curvature check share no
 commutator code.  The section numerator and the transition's numerator
 are affine in x, w = C + sum x_a M_a with static slopes M_a
-(hopfmaps.section_slopes, _transition_slopes), so a first derivative
+(hopfmaps.section_slopes, _transition_affine), so a first derivative
 along t is sum t_a M_a: each derivative evaluates its numerator at x
 only, once per point (_connection_hat, _transition_step).  Shifted
 points are bare coordinates, no BasePoint.
@@ -56,7 +56,7 @@ The closed side is contracted over rho_k = sigma_k / u (_rho), made from
 sigma_k's own cells.  At (3, II) the sections, the transition,
 both weights and every rho_k are real, so those checks run over the reals.
 Only the public connection_numeric multiplies by u, which swaps or
-negates components (_by_unit): exact, so a residual read on the hat
+negates components (ringmat.by_unit): exact, so a residual read on the hat
 values has the bits of one read on u times them.
 """
 
@@ -67,10 +67,11 @@ import math
 import random
 
 from .splitnum import reciprocal, root
-from .ringmat import RMatrix, RING_COMPLEX, RING_REAL, commutator, lincomb, worst_of
+from .ringmat import (RMatrix, AffineFamily, RING_REAL, by_unit, commutator, lincomb,
+                      max_abs_diff, worst_of)
 from . import gammarep
 from .hopfmaps import (case_info, section_linear_at, section_slopes, patch_sign, require_patch,
-                       _check_fiber)
+                       _check_fiber, _section_affine)
 
 __all__ = [
     "tangent_basis", "lowered_epsilon", "connection_closed", "connection_contraction",
@@ -98,21 +99,6 @@ def _case_gauge(level, realization):
     return case_info(1, realization).unit, case.weight(), D
 
 
-def _by_unit(m, inverse=False):
-    """u m, or m / u with inverse, by components of the stored cells:
-    u (re, im) = (u^2 im, re) and (re, im) / u = (im, u^2 re).  Over the
-    split-complex ring (u = j, u^2 = 1) both swap the components; over the
-    complex ring (u = i) one of them is negated.  A real m, a hat value at
-    (3, II), is lifted by to_complex first, and u = i."""
-    if m.ring == RING_REAL:
-        m = gammarep.to_complex(m)
-    if m.ring != RING_COMPLEX:
-        return m._recast(lambda j, r, i: (j, i, r), m.ring)
-    if inverse:
-        return m._recast(lambda j, r, i: (j, i, -r), m.ring)
-    return m._recast(lambda j, r, i: (j, -i, r), m.ring)
-
-
 @functools.lru_cache(maxsize=None)
 def _gauge_algebra(level, realization, bar):
     """(basis, T) of the connection at levels 2-3.  The basis is the
@@ -138,14 +124,14 @@ def _gauge_algebra(level, realization, bar):
 @functools.lru_cache(maxsize=None)
 def _rho(level, realization, bar):
     """rho_k = sigma_k / u over the basis sigma_k of _gauge_algebra, on
-    sigma_k's own cells (_by_unit): the generators of the hat values A / u
-    and F / u.  Where the case's ring is the reals, (3, II), every sigma_k
-    is i times a real matrix, so rho_k holds sigma_k's imaginary
-    components over the reals."""
+    sigma_k's own cells (ringmat.by_unit): the generators of the hat values
+    A / u and F / u.  Where the case's ring is the reals, (3, II), every
+    sigma_k is i times a real matrix, so rho_k is the grid of sigma_k's
+    imaginary components over the reals."""
     basis = _gauge_algebra(level, realization, bar)[0]
     if case_info(level, realization).ring == RING_REAL:
-        return tuple(m._recast(lambda j, r, i: (j, i), RING_REAL) for m in basis)
-    return tuple(_by_unit(m, inverse=True) for m in basis)
+        return tuple(RMatrix(m.components()[1], RING_REAL) for m in basis)
+    return tuple(by_unit(m, inverse=True) for m in basis)
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,33 +334,16 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
     Returns a list of values aligned with the tangent directions; entries
     are scalars at level 1 (and for spinor sections), matrices otherwise.
     """
-    out = [_by_unit(m) for m in _connection_hat(point, patch or point.patch, h, mode,
+    out = [by_unit(m) for m in _connection_hat(point, patch or point.patch, h, mode,
                                                  section, fiber, tangents)]
     return [m.entry(0, 0) if m.rows == 1 and m.cols == 1 else m for m in out]
 
 
 def _value_dev(a, b):
-    """max |a - b| over the real components (NaN if any is NaN).  Matrices
-    are read row by row from both operands' cells, with the checks of
-    a - b: a line per component takes a's values, then less b's, the int 0
-    where a row holds no cell."""
+    """max |a - b| over the real components (NaN if any is NaN); matrices
+    through ringmat.max_abs_diff."""
     if isinstance(a, RMatrix):
-        a._check(b)
-        diffs = []
-        for p, q in zip(a._stored, b._stored):
-            x, y = [0] * a.cols, [0] * a.cols
-            if a.ring == RING_REAL:  # y stays zeros
-                for j, v in p:
-                    x[j] = v
-                for j, v in q:
-                    x[j] = x[j] - v
-            else:
-                for j, r, i in p:
-                    x[j], y[j] = r, i
-                for j, r, i in q:
-                    x[j], y[j] = x[j] - r, y[j] - i
-            diffs += x + y
-        return worst_of(map(abs, map(float, diffs)))
+        return max_abs_diff(a, b)
     d = a - b
     comps = (d.re, d.im) if hasattr(d, "re") else (d,)
     return worst_of(abs(float(c)) for c in comps)
@@ -566,24 +535,20 @@ def transition(point):
     return TransitionFn(lvl, real, transition_at(lvl, real, point.coords), weight)
 
 
-def _leading_rows(w, level, realization):
-    """The leading fiber_dim rows of w, which share w's cells."""
-    return RMatrix._of(w._stored[:case_info(level, realization).fiber_dim], w.cols, w.ring)
+@functools.lru_cache(maxsize=None)
+def _transition_affine(level, realization):
+    """(family, slopes) of _transition_top: the leading fiber_dim rows of
+    hopfmaps._section_affine's lower-patch (C, M_1 ... M_d), cut through
+    their entries, as a ringmat.AffineFamily and as the slopes."""
+    k = case_info(level, realization).fiber_dim
+    parts = [RMatrix(m.entries[:k], m.ring) for m in _section_affine(level, realization, "lower")]
+    return AffineFamily(*parts), tuple(parts[1:])
 
 
 def _transition_top(level, realization, coords):
-    """The leading fiber_dim block of the lower-patch section numerator
-    (section_linear_at), affine in the coordinates."""
-    w, _ = section_linear_at(level, realization, coords, "lower")
-    return _leading_rows(w, level, realization)
-
-
-@functools.lru_cache(maxsize=None)
-def _transition_slopes(level, realization):
-    """The slopes of _transition_top: the leading fiber_dim rows of the
-    lower-patch section_slopes."""
-    return tuple(_leading_rows(m, level, realization)
-                 for m in section_slopes(level, realization, "lower"))
+    """The leading fiber_dim rows of the lower-patch section numerator at
+    the coordinates, from their own family (_transition_affine)."""
+    return _transition_affine(level, realization)[0].at(coords)
 
 
 def _inv_rho(x_last):
@@ -610,11 +575,11 @@ def transition_at(level, realization, coords, top=None):
 def _transition_step(level, realization, x, top0, t, h):
     """g(x + h t) - g(x - h t) as a matrix (1 x 1 at level 1), top0 the
     _transition_top at x: top is affine, so top(x +- h t) =
-    top0 +- h sum t_a M_a over its static slopes M_a (_transition_slopes),
+    top0 +- h sum t_a M_a over its static slopes M_a (_transition_affine),
     and the step is one lincomb of top0 and the M_a."""
     a, b = (_inv_rho(x[-1] + e * t[-1]) for e in (h, -h))
-    c1 = h * (a + b)
-    return lincomb([a - b] + [c1 * ta for ta in t], (top0, *_transition_slopes(level, realization)))
+    c1, slopes = h * (a + b), _transition_affine(level, realization)[1]
+    return lincomb([a - b] + [c1 * ta for ta in t], (top0, *slopes))
 
 
 def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
@@ -680,11 +645,11 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
 @functools.lru_cache(maxsize=None)
 def _flat_basis(level, realization, bar):
     """The generator basis of the connection at levels 2-3, each generator
-    read from its cells as the nonzero (index, float value) pairs of its
-    real components, flattened entry by entry in row order (re, im of each
-    over a binarion ring)."""
-    return [[((i * b.cols + cell[0]) * (len(cell) - 1) + p, v) for i, row in enumerate(b._stored)
-             for cell in row for p, v in enumerate(map(float, cell[1:])) if v]
+    read from its components() as the nonzero (index, float value) pairs of
+    its real components, flattened entry by entry in row order (re, im of
+    each over a binarion ring)."""
+    flat = itertools.chain.from_iterable
+    return [[(k, v) for k, v in enumerate(map(float, flat(zip(*map(flat, b.components()))))) if v]
             for b in _gauge_algebra(level, realization, bar)[0]]
 
 

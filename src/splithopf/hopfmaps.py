@@ -11,13 +11,13 @@ is splitnum.root's, exact on a rational square.  The float samplers share
 one gaussian draw and the level-3 (I) samplers one Majorana doubling.
 """
 
-from fractions import Fraction
 import functools
 import math
 import random
 
 from .splitnum import SplitComplex, OrdinaryComplex, rational, reciprocal, root
-from .ringmat import RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb
+from .ringmat import (RMatrix, MetricForm, AffineFamily, RING_REAL, RING_SPLIT, RING_COMPLEX,
+                      forms, lincomb)
 from . import gammarep
 
 __all__ = [
@@ -338,57 +338,22 @@ def _section_linear_raw(point, patch=None):
     return RMatrix.from_blocks([[top], [bottom]], ring), n
 
 
-def _whole(c):
-    """An integer-valued Fraction as an int (the same bits against a float
-    and the same Fraction against a Fraction, but no slow mixed-type path);
-    anything else as it is."""
-    return int(c) if type(c) is Fraction and c.denominator == 1 else c
-
-
 def _section_affine(level, realization, patch):
     """(C, M_1 ... M_d) of the section numerator, w(x) = C + sum x_a M_a:
-    w at x = 0 and its differences at the unit points, each cell of them
-    recast with _whole, so their values are ints.  Not cached: the template
-    and section_slopes each keep what they read of it, and a run that takes
-    no derivative keeps no slope."""
+    w at x = 0 and its differences at the unit points, int points, so their
+    values are ints.  Not cached: the family and section_slopes each keep
+    what they read of it, and a run that takes no derivative keeps no slope."""
     dim = case_info(level, realization).base_dim
-    c_mat, _ = _section_linear_raw(BasePoint(level, realization, (Fraction(0),) * dim, patch),
-                                   patch)
-    out = [c_mat]
-    for a in range(dim):
-        coords = [Fraction(0)] * dim
-        coords[a] = Fraction(1)
-        w_a, _ = _section_linear_raw(BasePoint(level, realization, coords, patch), patch)
-        out.append(w_a - c_mat)
-    return tuple(m._recast(lambda j, *parts: (j, *map(_whole, parts)), m.ring) for m in out)
+    points = [[0] * dim] + [[int(b == a) for b in range(dim)] for a in range(dim)]
+    c_mat, *w = [_section_linear_raw(BasePoint(level, realization, x, patch), patch)[0]
+                 for x in points]
+    return (c_mat, *(w_a - c_mat for w_a in w))
 
 
 @functools.lru_cache(maxsize=None)
-def _section_template(level, realization, patch):
-    """Sparse affine template of the section numerator, compiled from
-    _section_affine's (C, M_1 ... M_d).
-
-    A tuple of (i, j, parts) over the cells that can be nonzero, in row
-    order; parts holds one (const, ((a, coef), ...)) per component of the
-    cell (its entry over the reals, re and im over the binarion rings),
-    where a runs over the coordinates whose M_a holds the cell, the same
-    for every component.  The constants and coefficients
-    are integers, so evaluation preserves the backend of x (Fraction stays
-    exact, float stays fast).
-    """
-    c_mat, *mats = _section_affine(level, realization, patch)
-    consts, slopes = c_mat.components(), [m.components() for m in mats]
-
-    def holds(grids, i, j):
-        return any(g[i][j] != 0 for g in grids)
-
-    cells = [(i, j, [a for a, m_a in enumerate(slopes) if holds(m_a, i, j)])
-             for i in range(c_mat.rows) for j in range(c_mat.cols)]
-    template = tuple(
-        (i, j, tuple((const[i][j], tuple((a, slopes[a][k][i][j]) for a in lin))
-                     for k, const in enumerate(consts)))
-        for i, j, lin in cells if lin or holds(consts, i, j))
-    return template, c_mat.rows, c_mat.cols, c_mat.ring
+def _section_family(level, realization, patch):
+    """The section numerator's ringmat.AffineFamily, from _section_affine."""
+    return AffineFamily(*_section_affine(level, realization, patch))
 
 
 def section_linear_at(level, realization, coords, patch):
@@ -396,24 +361,11 @@ def section_linear_at(level, realization, coords, patch):
 
     w has shape spinor_dim x fiber_dim; n is the patch factor 1 +- x_last.
     Keeping the square root outside w lets derivative formulas stay rational.
-    Each component of w is the sum const + coef * x_a over its template
-    terms in increasing a, as the ring elements' own arithmetic adds them.
-    The coordinates may lie off the hyperboloid (the shifted points of the
-    oracles): no BasePoint is built, so no finiteness scan runs.
+    w is the section's AffineFamily (_section_family) at the coordinates,
+    which may lie off the hyperboloid (the shifted points of the oracles):
+    no BasePoint is built, so no finiteness scan runs.
     """
-    template, rows, cols, ring = _section_template(level, realization, patch)
-    # int coordinates enter as Fractions, so every cell of exact input is a
-    # Fraction even where it meets int coefficients only
-    x = [Fraction(c) if type(c) is int else c for c in coords]
-    stored = [[] for _ in range(rows)]
-    for i, j, parts in template:
-        cell = [j]
-        for acc, lin in parts:
-            for a, coef in lin:
-                acc = acc + coef * x[a]
-            cell.append(acc)
-        stored[i].append(tuple(cell))
-    return RMatrix._of(tuple(map(tuple, stored)), cols, ring), 1 + patch_sign(patch) * coords[-1]
+    return _section_family(level, realization, patch).at(coords), 1 + patch_sign(patch) * coords[-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -426,12 +378,14 @@ def section_slopes(level, realization, patch):
 
 
 class Section:
-    """Matrix-valued inversion section over one patch (identity fiber)."""
+    """Matrix-valued inversion section over one patch (identity fiber); a
+    point degenerate on the patch is refused (require_patch), as in invert."""
 
     __slots__ = ("point", "patch", "w", "n")
 
     def __init__(self, point, patch=None):
         patch = patch or point.patch
+        require_patch(point.coords, patch)
         w, n = section_linear_at(point.level, point.realization, point.coords, patch)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "patch", patch)

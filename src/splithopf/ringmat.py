@@ -8,8 +8,11 @@ are immutable.  Grassmann values enter only as vector elements: ``matvec``,
 ``form`` and ``forms`` act on a vector of any elements the entries multiply
 (the super spinors of superhopf) through the elements' own arithmetic.
 
-Storage is by cell.  ``RMatrix(entries, ring)`` and ``from_blocks`` write
-the cells straight from the promoted entries and the blocks' cells, and
+Storage is by cell, and no other module reads or writes a matrix's cells:
+they use ``components()``, ``entries``, ``entry()``, the kernels and the
+cell functions below (``AffineFamily``, ``max_abs_diff``, ``to_complex``,
+``by_unit``).  ``RMatrix(entries, ring)`` and ``from_blocks`` write the
+cells straight from the promoted entries and the blocks' cells, and
 every kernel writes its result's cells itself.  Each row keeps its stored
 cells in column order, (j, value) over the reals and (j, re, im) over the
 split-complex and complex rings: every cell but those whose components are
@@ -64,8 +67,8 @@ from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints, r
 
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
-    "MetricForm", "RMatrix", "forms", "lincomb", "worst_of",
-    "commutator", "anticommutator",
+    "MetricForm", "RMatrix", "AffineFamily", "forms", "lincomb", "worst_of",
+    "max_abs_diff", "commutator", "anticommutator", "to_complex", "by_unit",
 ]
 
 
@@ -119,13 +122,6 @@ RING_SPLIT = Ring("split-complex", SplitComplex(0, 0), SplitComplex(1, 0),
                   lambda x: x.conj(), _promote_split)
 RING_COMPLEX = Ring("complex", OrdinaryComplex(0, 0), OrdinaryComplex(1, 0),
                     lambda x: x.conj(), _promote_complex)
-
-
-def _is_zero(x):
-    z = getattr(x, "is_zero", None)
-    if z is not None:
-        return z()
-    return x == 0
 
 
 class MetricForm:
@@ -776,6 +772,41 @@ def lincomb(coeffs, basis):
     return RMatrix._of(tuple(out), cols, ring)
 
 
+class AffineFamily:
+    """w(x) = C + sum_a x_a M_a for int-valued C and slopes M_1 ... M_d of
+    one shape and ring (the section and transition numerators), compiled
+    once to a template: per cell that can be nonzero, in row order, and per
+    component, its constant and the (a, coefficient) of each M_a holding
+    the cell.  Int constants and coefficients keep the backend of x."""
+
+    __slots__ = ("template", "rows", "cols", "ring")
+
+    def __init__(self, const, *slopes):
+        consts, grids = const.components(), [m.components() for m in slopes]
+        cells = [(i, j, [a for a, g in enumerate(grids) if any(c[i][j] != 0 for c in g)])
+                 for i in range(const.rows) for j in range(const.cols)]
+        self.template = tuple(
+            (i, j, tuple((c[i][j], tuple((a, grids[a][k][i][j]) for a in lin))
+                         for k, c in enumerate(consts)))
+            for i, j, lin in cells if lin or any(c[i][j] != 0 for c in consts))
+        self.rows, self.cols, self.ring = const.rows, const.cols, const.ring
+
+    def at(self, coords):
+        """w at the coordinates, each component summed from its constant in
+        increasing a, as the ring elements' own arithmetic adds; int
+        coordinates enter as Fractions, so exact input gives Fraction cells."""
+        x = [Fraction(c) if type(c) is int else c for c in coords]
+        stored = [[] for _ in range(self.rows)]
+        for i, j, parts in self.template:
+            cell = [j]
+            for acc, lin in parts:
+                for a, coef in lin:
+                    acc = acc + coef * x[a]
+                cell.append(acc)
+            stored[i].append(tuple(cell))
+        return RMatrix._of(tuple(map(tuple, stored)), self.cols, self.ring)
+
+
 def worst_of(values):
     """The largest of the values (0.0 if there are none), or NaN as soon as
     one of them is NaN; max() would keep whichever operand came first."""
@@ -786,6 +817,55 @@ def worst_of(values):
         if v > worst:
             worst = v
     return worst
+
+
+def max_abs_diff(a, b):
+    """max |a - b| over the real components (NaN if any is NaN), read row by
+    row from both operands' cells, with the checks of a - b: a line per
+    component takes a's values, then less b's, the int 0 where a row holds
+    no cell."""
+    a._check(b)
+    diffs = []
+    for p, q in zip(a._stored, b._stored):
+        x, y = [0] * a.cols, [0] * a.cols
+        if a.ring == RING_REAL:  # y stays zeros
+            for j, v in p:
+                x[j] = v
+            for j, v in q:
+                x[j] = x[j] - v
+        else:
+            for j, r, i in p:
+                x[j], y[j] = r, i
+            for j, r, i in q:
+                x[j], y[j] = x[j] - r, y[j] - i
+        diffs += x + y
+    return worst_of(map(abs, map(float, diffs)))
+
+
+def to_complex(m):
+    """Lift a real matrix into the complex ring, cell by cell (its entries
+    become the real parts, int 0 the imaginary ones); a complex matrix is
+    returned as it is."""
+    if m.ring == RING_COMPLEX:
+        return m
+    if m.ring != RING_REAL:
+        raise TypeError("cannot lift a %s matrix into the complex ring" % m.ring.name)
+    return m._recast(lambda j, a: (j, a, 0), RING_COMPLEX)
+
+
+def by_unit(m, inverse=False):
+    """u m, or m / u with inverse, by components of the stored cells:
+    u (re, im) = (u^2 im, re) and (re, im) / u = (im, u^2 re).  Over the
+    split-complex ring (u = j, u^2 = 1) both swap the components; over the
+    complex ring (u = i) one of them is negated.  A real m is lifted by
+    to_complex first, and u = i."""
+    if m.ring == RING_REAL:
+        m = to_complex(m)
+    if m.ring != RING_COMPLEX:
+        return m._recast(lambda j, r, i: (j, i, r), m.ring)
+    if inverse:
+        return m._recast(lambda j, r, i: (j, i, -r), m.ring)
+    return m._recast(lambda j, r, i: (j, -i, r), m.ring)
 
 
 def commutator(a, b):

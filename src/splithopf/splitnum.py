@@ -145,7 +145,8 @@ class _Binarion:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((type(self).__name__, self.re, self.im))
+        # a value equal to a real scalar hashes as that scalar
+        return hash((type(self).__name__, self.re, self.im) if self.im != 0 else self.re)
 
     def __repr__(self):
         return "%s + %s%s" % (self.re, self.im, self.UNIT)
@@ -297,7 +298,8 @@ class _TableAlgebra:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((type(self).__name__, self.coeffs))
+        # a value equal to a real scalar hashes as that scalar
+        return hash((type(self).__name__, self.coeffs) if any(self.coeffs[1:]) else self.coeffs[0])
 
     def __repr__(self):
         return "%s%r" % (type(self).__name__, self.coeffs)

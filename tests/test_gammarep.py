@@ -55,6 +55,22 @@ def test_conjugation(name):
         assert ok, "%s: %s" % (cid, detail)
 
 
+@pytest.mark.parametrize("name", ["split_pauli", "so32_I", "so43_I", "so54_I"])
+def test_gamma_checks_count_the_gammas_of_the_metric(monkeypatch, name):
+    # a family short of its last gamma passes every comparison it makes, so
+    # each check fails on its count of compared gammas or pairs, which it
+    # takes from the metric; the generators and C are built (and cached)
+    # from the full family first
+    conjugation_check(name)
+    full = build_family(name)
+    short = gammarep.GammaFamily(name, full.gammas[:-1], full.metric, full.sign, full.ring,
+                                 full.unit, weight=full.weight)
+    monkeypatch.setattr(gammarep, "build_family", lambda n: short)
+    results = clifford_check(name) + hermiticity_check(name) + conjugation_check(name)
+    assert {cid for cid, ok, _ in results if not ok} == {
+        "clifford-%s" % name, "hermitian-%s" % name, "conj-%s-vector" % name}
+
+
 def test_printed_conjugation_matrices():
     sp = gammarep.split_pauli
     b = charge_conjugation("so32_I").matrix

@@ -338,8 +338,8 @@ def test_transition_slopes_match_the_top(lvl, real):
     # top(x) = top(0) + sum x_a M_a exactly at seeded rational points, on
     # and off the hyperboloid; the slopes are int matrices, made once
     dim = hm.case_info(lvl, real).base_dim
-    slopes = gg._transition_slopes(lvl, real)
-    assert gg._transition_slopes(lvl, real) is slopes and len(slopes) == dim
+    slopes = gg._transition_affine(lvl, real)[1]
+    assert gg._transition_affine(lvl, real)[1] is slopes and len(slopes) == dim
     assert all(type(c) is int for m in slopes for c in _exact_parts(m))
     const = gg._transition_top(lvl, real, (F(0),) * dim)
     rng = random.Random(47)

@@ -424,6 +424,20 @@ def test_patch_error_advises_other_patch():
     assert "upper" in str(exc.value)
 
 
+@pytest.mark.parametrize("lvl,real", ALL_CASES)
+@pytest.mark.parametrize("one", [1.0, 1, F(1)])
+def test_section_refuses_a_degenerate_patch(lvl, real, one):
+    # at each pole the other patch's factor is 0: Section refuses it as
+    # invert does, with floats and with exact coordinates
+    dim = case_info(lvl, real).base_dim
+    for last, patch in ((one, "lower"), (-one, "upper")):
+        pt = BasePoint(lvl, real, (0 * one,) * (dim - 1) + (last,))
+        with pytest.raises(PatchError):
+            Section(pt, patch).matrix()
+        with pytest.raises(PatchError):
+            invert(pt, patch=patch)
+
+
 def test_off_surface_rejected():
     pt = BasePoint(1, "I", (0.5, 0.0, 1.0))
     with pytest.raises(ConstraintError):

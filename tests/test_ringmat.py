@@ -1,6 +1,8 @@
 """Matrix substrate over involutive rings."""
 
+import ast
 from fractions import Fraction as F
+import os
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from splithopf.ringmat import (
     RMatrix, MetricForm, RING_REAL, RING_SPLIT, RING_COMPLEX,
     commutator, anticommutator,
 )
+import splithopf
 from splithopf import gammarep
 
 j = SplitComplex(0, 1)
@@ -135,3 +138,26 @@ def test_metric_form():
     assert eta.inner((1, 2, 3), (1, 2, 3)) == 1 - 4 + 9
     with pytest.raises(ValueError):
         MetricForm((1, 2))
+
+
+# the names of a matrix's cells, its cell copies and its cell constructors
+_CELL_NAMES = {"_stored", "_cells", "_fcells", "_icells", "_of", "_recast"}
+
+
+def test_only_ringmat_touches_cells():
+    # every other module reaches a matrix through ringmat's public API: no
+    # attribute named for the cells and no private name imported from it
+    pkg = os.path.dirname(splithopf.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "ringmat.py":
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in _CELL_NAMES:
+                found.append("%s:%d .%s" % (name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "ringmat" and node.level:
+                found += ["%s:%d import %s" % (name, node.lineno, a.name)
+                          for a in node.names if a.name.startswith("_")]
+    assert found == []

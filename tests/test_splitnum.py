@@ -13,6 +13,7 @@ from splithopf.splitnum import (
     random_element, _TABLE_CELLS, _parse_cell, _cleared, cleared_sample, _doubled,
     _random_rational, rational, root,
 )
+from splithopf.superhopf import GrassmannElement, PSEUDO
 from splithopf import reporting
 
 e = SplitOctonion.basis
@@ -294,6 +295,22 @@ def test_hash_and_equality():
         assert len({a, b}) == 1
     assert SplitQuaternion(1, 2, 3, 4) != SplitOctonion([1, 2, 3, 4, 0, 0, 0, 0])
     assert SplitQuaternion(1, 0, 0, 0) != SplitOctonion([1] + [0] * 7)
+
+
+@pytest.mark.parametrize("v", [2, F(2), 2.0, F(-3, 4), -0.75, 0, 0.0])
+def test_a_value_equal_to_a_scalar_hashes_as_it(v):
+    # equal to the real scalar v, so one set member with it
+    for x in (SplitComplex(v, 0), OrdinaryComplex(v, -0.0), SplitQuaternion(v),
+              SplitOctonion([v] + [0] * 7), GrassmannElement.scalar(v, PSEUDO),
+              GrassmannElement.scalar(SplitComplex(v, 0), PSEUDO)):
+        assert x == v and hash(x) == hash(v)
+        assert len({x, v}) == 1 and v in {x} and x in {v}
+    # an imaginary part or a soul keeps the value apart from every scalar,
+    # and equal values of it still hash alike
+    for x, y in ((SplitComplex(v, 1), SplitComplex(F(v), 1.0)),
+                 (SplitQuaternion(v, 0, 2, 0), SplitQuaternion(F(v), 0, 2.0, 0)),
+                 (GrassmannElement({0: v, 3: 1}, PSEUDO), GrassmannElement({0: F(v), 3: 1.0}, PSEUDO))):
+        assert x == y and hash(x) == hash(y) and x != v
 
 
 def test_root_is_exact_on_rational_squares_only():
