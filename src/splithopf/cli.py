@@ -166,14 +166,19 @@ def cmd_verify(args):
     # reporting.run_suite passes corrupt to these suites only
     if args.inject_fault and not {"algebra", "gamma"} & set(names):
         raise UsageError("--inject-fault: the %s suite has no fault hook" % args.suite)
-    reports = []
+    reports, matched = [], set()
     for name in names:
         rep = reporting.run_suite(name, seed=seed, corrupt=args.inject_fault)
         for check in rep.checks:
             for prefix, tol in overrides.items():
                 if check.id.startswith(prefix) and check.residual is not None:
                     check.tolerance = tol
+                    matched.add(prefix)
         reports.append(rep)
+    unmatched = [prefix for prefix in overrides if prefix not in matched]
+    if unmatched:  # else a mistyped prefix would change nothing, silently
+        raise UsageError("tolerance: no residual-carrying check starts with %s"
+                         % ", ".join(map(repr, unmatched)))
     payload = {
         "schema": SCHEMA,
         "seed": seed,

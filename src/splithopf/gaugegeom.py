@@ -67,11 +67,11 @@ import math
 import random
 
 from .splitnum import reciprocal, root
-from .ringmat import (RMatrix, AffineFamily, RING_REAL, by_unit, commutator, lincomb,
-                      max_abs_diff, worst_of)
+from .ringmat import (RMatrix, RING_REAL, by_unit, commutator, leading_rows, lincomb,
+                      lincomb_dev, max_abs_diff, worst_of)
 from . import gammarep
 from .hopfmaps import (case_info, section_linear_at, section_slopes, patch_sign, require_patch,
-                       _check_fiber, _section_affine)
+                       _check_fiber, _section_family)
 
 __all__ = [
     "tangent_basis", "lowered_epsilon", "connection_closed", "connection_contraction",
@@ -213,14 +213,14 @@ def _algebra_connection(level, realization, patch, x):
     return s, inv_n, y, basis, _curvature_plan(level, realization, bar), coeffs
 
 
-def _contract(basis, weighted):
-    """sum w cm over (w, {k: coefficient}) pairs, added up in a list with one
-    slot per basis matrix, then one lincomb (which skips the zero slots)."""
+def _contract_pair(basis, weighted):
+    """(coefficients, basis) of sum w cm over (w, {k: coefficient}) pairs,
+    added up in a list with one slot per basis matrix (lincomb skips zeros)."""
     acc = [0] * len(basis)
     for w, cm in weighted:
         for k, c in cm.items():
             acc[k] += w * c
-    return lincomb(acc, basis)
+    return acc, basis
 
 
 def lowered_epsilon(x, i, j):
@@ -255,16 +255,21 @@ def connection_contraction(point, t, patch=None, closed=None):
     comps = closed if closed is not None else connection_closed(point, patch)
     if point.level == 1:
         return sum(v * t[a - 1] for a, v in comps.items())
-    basis, coeffs = comps
-    return _contract(basis, ((t[m - 1], cm) for m, cm in coeffs.items()))
+    return lincomb(*_connection_pair(t, comps))
+
+
+def _connection_pair(t, closed):
+    """The (coefficients, basis) of connection_contraction at levels 2-3."""
+    return _contract_pair(closed[0], ((t[m - 1], cm) for m, cm in closed[1].items()))
 
 
 # ---------------------------------------------------------------------------
 # numeric connection along sections
 
 def _connection_hat(point, patch, h, mode, section, fiber, tangents):
-    """The connection contractions over u, -D s^dag W (d_t s), as matrices
-    aligned with the tangents (1 x 1 for spinor sections and at level 1).
+    """The connection contractions over u, -D s^dag W (d_t s), as lincomb's
+    (coefficients, generators) aligned with the tangents (1 x 1 matrices
+    for spinor sections and at level 1).
 
     The section is w / sqrt(2n), w = C + sum x_a M_a affine in x, so
     w(x + e t) = w0 + e sum t_a M_a for any step e, the slopes M_a static
@@ -272,8 +277,8 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
     -D w0^dag W (D the fiber weight where the case has one; w0 times the
     fiber column for spinor sections, without D) is multiplied into w0 and
     each M_a (each M_a times the column for spinor sections), giving G0
-    and G_a; per tangent the value is one lincomb of G0, G_1 ... G_d with
-    coefficients (c0, c1 t_a).  mode="fd" is the central difference at
+    and G_a; per tangent the value is the combination of G0, G_1 ... G_d
+    with coefficients (c0, c1 t_a).  mode="fd" is the central difference at
     x +- h t (the independent oracle), mode="analytic" the exact
     derivative, rational on rational input; they differ only in c0, c1
     and the fold's scalar.  Everything is in the case's own ring, so the
@@ -317,14 +322,15 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
         else:
             # sqrt(2n) d_t (w / sqrt(2n)) = sum t_a M_a - (sign t_last / 2n) w0
             c0, c1 = -(sign * t[-1] * p2), 1
-        out.append(lincomb([c0] + [c1 * ta for ta in t], gens))
+        out.append(([c0] + [c1 * ta for ta in t], gens))
     return out
 
 
 def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
                        section="matrix", fiber=None, tangents=None):
     """Connection contractions -u D s^dag W (d_t s) along tangent directions:
-    u times _connection_hat, lifted to the complex ring at (3, II).
+    u times the lincomb of each _connection_hat pair, lifted to the complex
+    ring at (3, II).
     section="spinor" contracts the matrix section with a fiber column first,
     the fiber as invert takes it and checked as invert checks it
     (hopfmaps._check_fiber: at level 1 the bare phase, or a list of one, of
@@ -334,8 +340,8 @@ def connection_numeric(point, patch=None, h=DEFAULT_H, mode="fd",
     Returns a list of values aligned with the tangent directions; entries
     are scalars at level 1 (and for spinor sections), matrices otherwise.
     """
-    out = [by_unit(m) for m in _connection_hat(point, patch or point.patch, h, mode,
-                                                 section, fiber, tangents)]
+    out = [by_unit(lincomb(*p)) for p in _connection_hat(point, patch or point.patch, h, mode,
+                                                         section, fiber, tangents)]
     return [m.entry(0, 0) if m.rows == 1 and m.cols == 1 else m for m in out]
 
 
@@ -361,17 +367,17 @@ def _hat_coeffs(point, patch, comps):
 def connection_residual(point, patch=None, h=DEFAULT_H, mode="fd"):
     """Max deviation between the closed form and the section derivative
     (NaN if any deviation is NaN): at levels 2-3 between the hat values,
-    the contraction over rho and _connection_hat; at level 1 between the
-    scalars."""
+    the contraction over rho and _connection_hat, read from the two linear
+    combinations (ringmat.lincomb_dev); at level 1 between the scalars."""
     patch = patch or point.patch
     tangents = tangent_basis(point)
     closed = _hat_coeffs(point, patch, connection_closed(point, patch))
     if point.level == 1:
         numeric = connection_numeric(point, patch, h=h, mode=mode, tangents=tangents)
-    else:
-        numeric = _connection_hat(point, patch, h, mode, "matrix", None, tangents)
-    return worst_of(_value_dev(num, connection_contraction(point, t, patch, closed=closed))
-                    for t, num in zip(tangents, numeric))
+        return worst_of(_value_dev(num, connection_contraction(point, t, patch, closed=closed))
+                        for t, num in zip(tangents, numeric))
+    return worst_of(lincomb_dev(num, _connection_pair(t, closed)) for t, num in zip(
+        tangents, _connection_hat(point, patch, h, mode, "matrix", None, tangents)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,22 +455,26 @@ def curvature_contraction(point, t, v, patch=None, closed=None):
     """F(t, v) = sum_{a<b} F_ab (t^a v^b - t^b v^a), from the closed curvature
     as curvature_closed(point, patch) gives it (computed unless given)."""
     comps = closed if closed is not None else curvature_closed(point, patch)
-    terms = comps if point.level == 1 else comps[1]
-    weights = [t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in terms]
     if point.level == 1:
-        return sum(f * w for w, f in zip(weights, terms.values()))
-    return _contract(comps[0], zip(weights, terms.values()))
+        return sum(f * (t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1]) for (a, b), f in comps.items())
+    return lincomb(*_curvature_pair(t, v, comps))
+
+
+def _curvature_pair(t, v, closed):
+    """The (coefficients, basis) of curvature_contraction at levels 2-3."""
+    weights = (t[a - 1] * v[b - 1] - t[b - 1] * v[a - 1] for a, b in closed[1])
+    return _contract_pair(closed[0], zip(weights, closed[1].values()))
 
 
 def _curvature_hat(point, t, v, patch, h):
-    """F(t, v) / u at levels 2-3, the scalar F(t, v) at level 1: dA(t, v)
-    by central differences of the closed connection, plus the exact
-    commutator term.  The connection maps at x +- h t, read along v, and at
-    x +- h v, along t, are weighted by +-1/(2h) and summed in algebra
-    coordinates, over rho at levels 2-3 (one lincomb).  There F / u =
-    d(A / u) - [A(t) / u, A(v) / u], since F = dA + c [A, A] with c u = -1
-    in both realizations, and the commutator of the unshifted contractions
-    over rho is a matrix commutator."""
+    """F(t, v) / u at levels 2-3 as lincomb's (coefficients, basis), the
+    scalar F(t, v) at level 1: dA(t, v) by central differences of the closed
+    connection, plus the exact commutator term.  The connection maps at
+    x +- h t, read along v, and at x +- h v, along t, are weighted by
+    +-1/(2h) and summed in algebra coordinates, over rho at levels 2-3.
+    There F / u = d(A / u) - [A(t) / u, A(v) / u], since F = dA + c [A, A]
+    with c u = -1 in both realizations; the matrix commutator of the
+    unshifted contractions over rho is a term of coefficient -1."""
     inv = 1.0 / (2 * h)
     weighted = []
     for step, d, along, w in ((h, t, v, inv), (-h, t, v, -inv), (h, v, t, -inv), (-h, v, t, inv)):
@@ -475,13 +485,15 @@ def _curvature_hat(point, t, v, patch, h):
         return sum(w * a for w, a in weighted)
     here = _hat_coeffs(point, patch, connection_closed(point, patch))
     at, av = (connection_contraction(point, d, patch, closed=here) for d in (t, v))
-    return _contract(here[0], weighted) - commutator(at, av)
+    coeffs, basis = _contract_pair(here[0], weighted)
+    return coeffs + [-1], basis + (commutator(at, av),)
 
 
 def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
     """Max deviation closed-vs-numeric over random pairs of distinct
     tangents (NaN if any deviation is NaN): the contraction over rho
-    against _curvature_hat at levels 2-3, the scalars at level 1."""
+    against _curvature_hat at levels 2-3, read from the two linear
+    combinations (ringmat.lincomb_dev), the scalars at level 1."""
     rng = rng or random.Random(0)
     patch = patch or point.patch
     tangents = tangent_basis(point)
@@ -489,9 +501,10 @@ def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
     devs = []
     for _ in range(pairs):
         t, v = rng.sample(tangents, 2)
-        cl = curvature_contraction(point, t, v, patch, closed=closed)
+        cl = (curvature_contraction(point, t, v, patch, closed=closed) if point.level == 1
+              else _curvature_pair(t, v, closed))
         nu = _curvature_hat(point, t, v, patch, h)
-        devs.append(_value_dev(nu, cl))
+        devs.append(_value_dev(nu, cl) if point.level == 1 else lincomb_dev(nu, cl))
     return worst_of(devs)
 
 
@@ -538,11 +551,12 @@ def transition(point):
 @functools.lru_cache(maxsize=None)
 def _transition_affine(level, realization):
     """(family, slopes) of _transition_top: the leading fiber_dim rows of
-    hopfmaps._section_affine's lower-patch (C, M_1 ... M_d), cut through
-    their entries, as a ringmat.AffineFamily and as the slopes."""
-    k = case_info(level, realization).fiber_dim
-    parts = [RMatrix(m.entries[:k], m.ring) for m in _section_affine(level, realization, "lower")]
-    return AffineFamily(*parts), tuple(parts[1:])
+    the lower-patch section's AffineFamily (hopfmaps._section_family) and
+    slopes (section_slopes), cut by ringmat.leading_rows, which shares
+    their cells."""
+    return leading_rows(case_info(level, realization).fiber_dim,
+                        _section_family(level, realization, "lower"),
+                        section_slopes(level, realization, "lower"))
 
 
 def _transition_top(level, realization, coords):

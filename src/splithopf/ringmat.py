@@ -10,10 +10,10 @@ are immutable.  Grassmann values enter only as vector elements: ``matvec``,
 
 Storage is by cell, and no other module reads or writes a matrix's cells:
 they use ``components()``, ``entries``, ``entry()``, the kernels and the
-cell functions below (``AffineFamily``, ``max_abs_diff``, ``to_complex``,
-``by_unit``).  ``RMatrix(entries, ring)`` and ``from_blocks`` write the
-cells straight from the promoted entries and the blocks' cells, and
-every kernel writes its result's cells itself.  Each row keeps its stored
+cell functions below (``AffineFamily``, ``leading_rows``, ``lincomb_dev``,
+``max_abs_diff``, ``to_complex``, ``by_unit``).  ``RMatrix(entries, ring)``
+and ``from_blocks`` write the cells straight from the promoted entries and
+the blocks' cells, and every kernel writes its result's cells itself.  Each row keeps its stored
 cells in column order, (j, value) over the reals and (j, re, im) over the
 split-complex and complex rings: every cell but those whose components are
 all the int 0, so a written Fraction(0), 0.0, -0.0 or NaN is kept.
@@ -32,9 +32,12 @@ matrices are not hashable.  Over the split-complex and complex rings the
 kernels compute on the components, in the operation order of the entries'
 own arithmetic, so float values are bit-identical to it and Fraction
 entries stay exact; over the reals they use the entries' own arithmetic.
-``lincomb`` walks a float copy of the cells (kept on the matrix too) for a
-float coefficient, since a float times a Fraction is the float times the
-Fraction's float.
+``lincomb`` and ``lincomb_dev`` share one accumulator (``_lines``), a flat
+line per component that each term adds to over a flat list of its matrix's
+truthy cells, in float form (kept on the matrix) for a float coefficient,
+since a float times a Fraction is the float times the Fraction's float:
+``lincomb`` writes its cells from the lines, and ``lincomb_dev`` reads
+max |A - B| from two sets of lines, making no matrix.
 
 Exact kernels run on integers.  A matrix whose nonzero cells hold only
 ints and Fractions keeps on first exact use those cells cleared to ints
@@ -67,8 +70,8 @@ from .splitnum import SplitComplex, OrdinaryComplex, REAL_TYPES, cleared_ints, r
 
 __all__ = [
     "Ring", "RING_REAL", "RING_SPLIT", "RING_COMPLEX",
-    "MetricForm", "RMatrix", "AffineFamily", "forms", "lincomb", "worst_of",
-    "max_abs_diff", "commutator", "anticommutator", "to_complex", "by_unit",
+    "MetricForm", "RMatrix", "AffineFamily", "leading_rows", "forms", "lincomb", "lincomb_dev",
+    "worst_of", "max_abs_diff", "commutator", "anticommutator", "to_complex", "by_unit",
 ]
 
 
@@ -460,19 +463,18 @@ def _add_negated(x, y):
     return x + (-y)
 
 
-def _float_cells(m):
-    """_cells(m) with float components (the cells themselves when they
-    hold floats only); found on first use
-    and kept.  A float times a Fraction is the float times float(Fraction),
-    so a float coefficient gives the same bits on either form."""
-    cells = m._fcells
+def _flat_cells(m, floats):
+    """The truthy cells of m (_cells) in one list, i * cols + j in place of
+    j; with floats in float form, kept from the first such use.  A float
+    times a Fraction is the float times float(Fraction), so a float
+    coefficient gives the same bits on either form."""
+    cells = m._fcells if floats else None
     if cells is None:
-        cells = _cells(m)
-        if any(type(cell[1]) is not float or type(cell[-1]) is not float
-               for row in cells for cell in row):
-            cells = tuple(tuple((cell[0],) + tuple(map(float, cell[1:])) for cell in row)
-                          for row in cells)
-        _set(m, "_fcells", cells)
+        cells = [(i * m.cols + c[0],) + c[1:] for i, row in enumerate(_cells(m)) for c in row]
+        if floats:
+            if any(type(c[1]) is not float or type(c[-1]) is not float for c in cells):
+                cells = [(c[0],) + tuple(map(float, c[1:])) for c in cells]
+            _set(m, "_fcells", cells)
     return cells
 
 
@@ -738,14 +740,11 @@ def forms(mats, vec):
     return out
 
 
-def lincomb(coeffs, basis):
-    """sum_k coeffs[k] * basis[k] for real coefficients.
-
-    Works row by row over the nonzero cells of each basis matrix (their
-    float copy for a float coefficient), a line per component for the row,
-    and skips zero coefficients; rational coefficients and entries give an
-    exact result.
-    """
+def _lines(coeffs, basis):
+    """(basis[0], lines) for sum_k coeffs[k] * basis[k], real coefficients:
+    one flat line per component, index i * cols + j, from the int 0.  Each
+    term but those of zero coefficient walks its matrix's _flat_cells (float
+    ones for a float coefficient), so each cell sums its terms in increasing k."""
     coeffs, basis = tuple(coeffs), tuple(basis)
     if not basis or len(coeffs) != len(basis):
         raise ValueError("lincomb needs one coefficient per basis matrix, and a basis")
@@ -755,21 +754,37 @@ def lincomb(coeffs, basis):
         if type(m) is not RMatrix or m.ring is not ring or m.rows != rows or m.cols != cols:
             first._check(m)
     cls = _binarion(ring)
-    terms = [(c if cls else ring.promote(c), _float_cells(m) if type(c) is float else _cells(m))
-             for c, m in zip(coeffs, basis) if c]
-    out = []
-    for i in range(rows):
-        re, im = [0] * cols, [0] * cols
-        for c, cells in terms:
-            if cls:
-                for j, br, bi in cells[i]:
-                    re[j] = re[j] + c * br
-                    im[j] = im[j] + c * bi
-            else:
-                for j, a in cells[i]:
-                    re[j] = re[j] + c * a
-        out.append(_kept(zip(range(cols), re, im) if cls else enumerate(re)))
-    return RMatrix._of(tuple(out), cols, ring)
+    lines = [[0] * (rows * cols) for _ in range(2 if cls else 1)]
+    re, im = lines[0], lines[-1]
+    for c, m in zip(coeffs, basis):
+        if c and cls:
+            for k, br, bi in _flat_cells(m, type(c) is float):
+                re[k] = re[k] + c * br
+                im[k] = im[k] + c * bi
+        elif c:
+            c = ring.promote(c)
+            for k, a in _flat_cells(m, type(c) is float):
+                re[k] = re[k] + c * a
+    return first, lines
+
+
+def lincomb(coeffs, basis):
+    """sum_k coeffs[k] * basis[k] for real coefficients, its cells written
+    from _lines; rational coefficients and entries give an exact result."""
+    first, lines = _lines(coeffs, basis)
+    cols, lines = first.cols, [iter(line) for line in lines]
+    out = (zip(range(cols), *[islice(line, cols) for line in lines]) for _ in range(first.rows))
+    return RMatrix._of(tuple(map(_kept, out)), cols, first.ring)
+
+
+def lincomb_dev(a, b):
+    """max |lincomb(*a) - lincomb(*b)| over the real components (NaN if any
+    is NaN) for two (coeffs, basis) pairs, read from their _lines with the
+    checks of that difference: no matrix is made."""
+    (fa, xs), (fb, ys) = _lines(*a), _lines(*b)
+    fa._check(fb)
+    diffs = _flat(map(operator.sub, x, y) for x, y in zip(xs, ys))
+    return worst_of(map(abs, map(float, diffs)))
 
 
 class AffineFamily:
@@ -805,6 +820,16 @@ class AffineFamily:
                 cell.append(acc)
             stored[i].append(tuple(cell))
         return RMatrix._of(tuple(map(tuple, stored)), self.cols, self.ring)
+
+
+def leading_rows(k, family, slopes):
+    """(family, slopes) cut to their leading k rows: an AffineFamily of the
+    family's template entries of those rows and matrices of the slopes' row
+    tuples, both shared, not copied."""
+    cut = object.__new__(AffineFamily)
+    cut.template = tuple(e for e in family.template if e[0] < k)
+    cut.rows, cut.cols, cut.ring = k, family.cols, family.ring
+    return cut, tuple(RMatrix._of(m._stored[:k], m.cols, m.ring) for m in slopes)
 
 
 def worst_of(values):

@@ -404,6 +404,19 @@ def test_tolerance_override_keeps_exact_conditions(capsys, monkeypatch):
         assert status["super-gluing"] == "pass"
 
 
+def test_tolerance_prefix_matching_nothing_is_a_usage_error(capsys, tmp_path):
+    # a prefix no residual-carrying check starts with, a typo or a check
+    # with no residual (the algebra suite has none), writes nothing
+    path = tmp_path / "report.json"
+    for suite, specs in (("algebra", ["nomatch-=1e-3"]), ("algebra", ["octonion-=1e-3"]),
+                         ("hopf", ["constraint-=1e-3", "nomatch=1"])):
+        argv = [x for spec in specs for x in ("--tolerance", spec)]
+        code, out, err = run(capsys, "verify", "--suite", suite, *argv, "--out", str(path))
+        assert (code, out) == (2, "") and not path.exists()
+        assert err.startswith("usage error:") and repr(specs[-1].split("=")[0]) in err
+        assert "constraint-" not in err
+
+
 def test_non_finite_output_fails(capsys, monkeypatch):
     import splithopf.cli as cli
     monkeypatch.setattr(cli, "multiplication_table", lambda name: {"x": float("nan")})

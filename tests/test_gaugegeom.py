@@ -11,7 +11,7 @@ from splithopf.hopfmaps import BasePoint, sample_base_point, sample_fiber
 from splithopf import gaugegeom as gg
 from splithopf import hopfmaps as hm
 from splithopf import gammarep
-from splithopf.ringmat import (RMatrix, RING_COMPLEX, RING_REAL, RING_SPLIT,
+from splithopf.ringmat import (RMatrix, AffineFamily, RING_COMPLEX, RING_REAL, RING_SPLIT,
                                commutator, lincomb)
 from tests.test_hopfmaps import ALL_CASES
 
@@ -352,6 +352,23 @@ def test_transition_slopes_match_the_top(lvl, real):
         assert top.ring == want.ring and (top.rows, top.cols) == (want.rows, want.cols)
         assert _exact_parts(top) == _exact_parts(want)
         assert all(type(c) in (int, F) for c in _exact_parts(top) + _exact_parts(want))
+
+
+@pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
+def test_transition_rows_are_the_section_rows(lvl, real):
+    # the transition's family and slopes are the leading fiber_dim rows of
+    # the lower-patch section's, cell for cell, and share their cells
+    k = hm.case_info(lvl, real).fiber_dim
+    cut = [RMatrix(m.entries[:k], m.ring) for m in hm._section_affine(lvl, real, "lower")]
+    family, slopes = gg._transition_affine(lvl, real)
+    section = hm._section_family(lvl, real, "lower")
+    assert family.template == AffineFamily(*cut).template
+    assert (family.rows, family.cols, family.ring) == (k, cut[0].cols, cut[0].ring)
+    shared = set(map(id, section.template))
+    assert all(id(e) in shared for e in family.template)
+    for m, want, whole in zip(slopes, cut[1:], hm.section_slopes(lvl, real, "lower"), strict=True):
+        assert m._stored == want._stored and (m.rows, m.cols) == (want.rows, want.cols)
+        assert all(r is w for r, w in zip(m._stored, whole._stored))
 
 
 @pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
@@ -805,6 +822,27 @@ def test_field_rows_build_no_matrix(monkeypatch, lvl, real, patch):
     monkeypatch.setattr(gg, "lincomb", refused)
     names, values = gg.field_components(pt, patch)
     assert len(names) == len(values) and any(values)
+
+
+@pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
+def test_residuals_build_no_matrix_of_either_side(monkeypatch, lvl, real, patch):
+    # both sides of a residual stay linear combinations (ringmat.lincomb_dev):
+    # the one matrices made are the curvature's commutator operands A(t)/u
+    # and A(v)/u, two per pair
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return lincomb(*args)
+
+    monkeypatch.setattr(gg, "lincomb", spy)
+    rng = random.Random(73)
+    pt = sample_base_point(lvl, real, patch=patch, rng=rng)
+    for mode in ("fd", "analytic"):
+        assert gg.connection_residual(pt, patch, mode=mode) < 1e-6
+    assert made == []
+    assert gg.curvature_residual(pt, patch, pairs=3, rng=rng) < 1e-5
+    assert len(made) == 2 * 3
 
 
 @pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)

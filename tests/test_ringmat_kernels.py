@@ -20,8 +20,8 @@ import pytest
 
 from splithopf.splitnum import SplitComplex, OrdinaryComplex
 from splithopf.ringmat import (
-    RMatrix, Ring, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb,
-    commutator, anticommutator,
+    RMatrix, Ring, RING_REAL, RING_SPLIT, RING_COMPLEX, forms, lincomb, lincomb_dev,
+    max_abs_diff, commutator, anticommutator,
 )
 from splithopf.superhopf import PSEUDO, STANDARD, GrassmannElement
 
@@ -486,6 +486,55 @@ def test_lincomb_float_coefficients_over_rational_cells(ring):
     comps = [c for row in got.entries for x in row
              for c in ((x.re, x.im) if ring is not RING_REAL else (x,))]
     assert all(type(c) in (int, F) for c in comps)
+
+
+def _mixed(rng):
+    return _float(rng) if rng.random() < 0.5 else _rational(rng)
+
+
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_lincomb_dev_is_max_abs_diff_of_the_two_lincombs(ring):
+    # float, exact and mixed coefficients (zeros among them) over float,
+    # exact and mixed cells, and a NaN or infinite cell in either basis
+    rng = random.Random(31)
+    coeff_draws = (_float, _rational, _mixed)
+    for cells in DRAWS + (_mixed,):
+        for coeff_a in coeff_draws:
+            for coeff_b in coeff_draws:
+                pairs = [([draw(rng) for _ in range(4)],
+                          [rand_matrix(rng, ring, 3, 4, cells) for _ in range(4)])
+                         for draw in (coeff_a, coeff_b)]
+                want = max_abs_diff(lincomb(*pairs[0]), lincomb(*pairs[1]))
+                got = lincomb_dev(*pairs)
+                assert type(got) is float and got.hex() == want.hex()
+                assert lincomb_dev(pairs[0], pairs[0]) == 0.0
+    for special in (float("nan"), float("inf"), float("-inf")):
+        for side in (0, 1):
+            pairs = [([_mixed(rng) or 0.5 for _ in range(3)],
+                      [rand_matrix(rng, ring, 2, 3, _mixed) for _ in range(3)])
+                     for _ in range(2)]
+            grids = pairs[side][1][1].components()
+            grids[-1][1][2] = special
+            pairs[side][1][1] = RMatrix(grids[0], ring) if ring is RING_REAL else RMatrix(
+                [list(map(type(ring.zero), re, im)) for re, im in zip(*grids)], ring)
+            want = max_abs_diff(lincomb(*pairs[0]), lincomb(*pairs[1]))
+            got = lincomb_dev(*pairs)
+            assert got.hex() == want.hex() and (got != got) == (special != special)
+            assert got != got or got == math.inf
+
+
+@pytest.mark.parametrize("other", [
+    ([1, 2], [RMatrix.identity(2, RING_COMPLEX)] * 2), ([1], [RMatrix.identity(3, RING_SPLIT)]),
+    ([1], [RMatrix.zeros(2, 3, RING_SPLIT)]), ([1, 2], [RMatrix.identity(2, RING_SPLIT)]),
+    ([1], [RMatrix.identity(2, RING_SPLIT), RMatrix.identity(2, RING_REAL)])])
+def test_lincomb_dev_mismatch_raises_as_the_difference(other):
+    one = ([0.5, 2], [RMatrix.identity(2, RING_SPLIT)] * 2)
+    for a, b in ((one, other), (other, one)):
+        with pytest.raises(Exception) as want:
+            lincomb(*a) - lincomb(*b)
+        with pytest.raises(want.type) as got:
+            lincomb_dev(a, b)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("ring,draw", CASES, ids=IDS)
