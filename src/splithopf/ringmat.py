@@ -10,10 +10,10 @@ are immutable.  Grassmann values enter only as vector elements: ``matvec``,
 
 Storage is by cell, and no other module reads or writes a matrix's cells:
 they use ``components()``, ``entries``, ``entry()``, the kernels and the
-cell functions below (``AffineFamily``, ``leading_rows``, ``lincomb_dev``,
-``max_abs_diff``, ``to_complex``, ``by_unit``).  ``RMatrix(entries, ring)``
-and ``from_blocks`` write the cells straight from the promoted entries and
-the blocks' cells, and every kernel writes its result's cells itself.  Each row keeps its stored
+cell functions below (``AffineFamily``, ``leading_rows``, ``max_abs_diff``,
+``to_complex``, ``by_unit``).  ``RMatrix(entries, ring)`` and ``from_blocks``
+write the cells straight from the promoted entries and the blocks' cells,
+and every kernel writes its result's cells itself.  Each row keeps its stored
 cells in column order, (j, value) over the reals and (j, re, im) over the
 split-complex and complex rings: every cell but those whose components are
 all the int 0, so a written Fraction(0), 0.0, -0.0 or NaN is kept.
