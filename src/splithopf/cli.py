@@ -163,8 +163,7 @@ def cmd_verify(args):
     overrides = _parse_tolerances(args.tolerance)
     names = ["algebra", "gamma", "hopf", "gauge", "super"] if args.suite == "all" \
         else [args.suite]
-    # reporting.run_suite passes corrupt to these suites only
-    if args.inject_fault and not {"algebra", "gamma"} & set(names):
+    if args.inject_fault and not reporting.FAULT_SUITES & set(names):
         raise UsageError("--inject-fault: the %s suite has no fault hook" % args.suite)
     reports, matched = [], set()
     for name in names:

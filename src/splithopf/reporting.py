@@ -10,9 +10,9 @@ import random
 import time
 
 from . import splitnum, gammarep, hopfmaps, gaugegeom, superhopf
-from .ringmat import worst_of
+from .ringmat import RING_SPLIT, RMatrix, lincomb, worst_of
 
-__all__ = ["CheckReport", "VerifyReport", "run_suite", "SUITES"]
+__all__ = ["CheckReport", "VerifyReport", "run_suite", "SUITES", "FAULT_SUITES"]
 
 
 class CheckReport:
@@ -95,9 +95,11 @@ def algebra_suite(seed=0, samples=300, corrupt=False):
                 ok = False
     checks.append(CheckReport("conj-anti-automorphism", ok,
                               identity="conj(ab) = conj(b) conj(a)"))
-    sp = gammarep.split_pauli
     j = splitnum.SplitComplex(0, 1)
-    emb = all((sp(i).scale(j) @ sp(k).scale(j)) == _quat_embed(q(i) * q(k))
+    # q_0 -> 1 and q_i -> j sigma^i, extended linearly
+    basis = (RMatrix.identity(2, RING_SPLIT),) + tuple(
+        gammarep.split_pauli(i).scale(j) for i in (1, 2, 3))
+    emb = all(basis[i] @ basis[k] == lincomb((q(i) * q(k)).coeffs, basis)
               for i in (1, 2, 3) for k in (1, 2, 3))
     checks.append(CheckReport("pauli-embedding", emb,
                               identity="q_i -> j sigma^i is a homomorphism"))
@@ -105,15 +107,6 @@ def algebra_suite(seed=0, samples=300, corrupt=False):
         checks.append(CheckReport("octonion-table-64-corrupted", False,
                                   identity="injected fault", description="test hook"))
     return checks
-
-
-def _quat_embed(h):
-    sp = gammarep.split_pauli
-    j = splitnum.SplitComplex(0, 1)
-    acc = gammarep.RMatrix.identity(2, gammarep.RING_SPLIT).scale(h.coeffs[0])
-    for i in (1, 2, 3):
-        acc = acc + sp(i).scale(j).scale(h.coeffs[i])
-    return acc
 
 
 def gamma_suite(seed=0, corrupt=False):
@@ -301,10 +294,14 @@ SUITES = {
 }
 
 
+# the suites that take corrupt, the fault hook of hopfctl verify --inject-fault
+FAULT_SUITES = frozenset({"algebra", "gamma"})
+
+
 def run_suite(name, seed=0, corrupt=False, **kw):
     t0 = time.monotonic()
     fn = SUITES[name]
-    if name in ("algebra", "gamma"):
+    if name in FAULT_SUITES:
         checks = fn(seed=seed, corrupt=corrupt, **kw)
     else:
         checks = fn(seed=seed, **kw)

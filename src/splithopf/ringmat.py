@@ -42,24 +42,26 @@ max |A - B| from two sets of lines, making no matrix.
 Exact kernels run on integers.  A matrix whose nonzero cells hold only
 ints and Fractions keeps on first exact use those cells cleared to ints
 with one common denominator (``_exact``).  One rule, ``_cleared``, picks
-the loop of ``@`` (so ``commutator`` and ``anticommutator``), forms and
-``scale``:
-when both operands are exact and a Fraction is a factor of every term
-written (``_clear``), the loop runs on the cleared ints and divides each
-written value once.  So types are those of the entries' own arithmetic:
-a written value is a Fraction, also where its terms cancel, and a cell
-no term reached is absent.  Each written value comes from
-``splitnum.rational``, a bounded memo of ``Fraction(n, d)``, so a value
-written again is the Fraction already made.  Other operands keep the
-loop above, bit for bit; a float is told by its first component, before
-any scan.
+the loop of ``@`` (so ``commutator`` and ``anticommutator``), ``scale``
+and the forms of unit rows (below): when both operands are exact and a
+Fraction is a factor of every term written (``_clear``), the loop runs on
+the cleared ints and divides each written value once.  So types are
+those of the entries' own arithmetic: a written value is a Fraction, also
+where its terms cancel, and a cell no term reached is absent.  Each
+written value comes from ``splitnum.rational``, a bounded memo of
+``Fraction(n, d)``, so a value written again is the Fraction already
+made.  Other operands keep the loop above, bit for bit; a float is told
+by its first component, before any scan.
 
-``forms(mats, vec)`` gives the Hermitian form of each of several matrices
-over one ring against one vector: it reads (and on exact input clears) the
-vector once, and a row whose one cell is a unit (+-1, +-u) reads its term
-from the product conj(v_i) v_j, made once for every matrix; ``RMatrix.form``
-is ``forms`` of one matrix.  A spinor's norm and all its bilinears
-(hopfmaps.project, superhopf.super_project) are one ``forms`` call.
+``forms(mats, vec)`` gives the Hermitian form of each of several n x n
+matrices over one ring against one vector of length n: it reads (and on
+exact input clears) the vector once.  A matrix all of whose rows are unit
+rows, one cell that is a unit (+-1, +-u), reads each term from the product
+conj(v_i) v_j, made once for every matrix; any other matrix sums its rows
+as ``matvec`` does, in the entries' own arithmetic, and clears nothing.
+``RMatrix.form`` is ``forms`` of one matrix.  A spinor's norm and all its
+bilinears (hopfmaps.project, superhopf.super_project) are one ``forms``
+call.
 """
 
 from fractions import Fraction
@@ -266,7 +268,8 @@ class RMatrix:
         return RMatrix._of(_product(self, other), other.cols, self.ring)
 
     def matvec(self, vec):
-        """Apply to a column vector given as a sequence; returns a list.
+        """Apply to a column vector given as a sequence of one element per
+        column (else ValueError); returns a list.
 
         The vector may hold binarions of the ring or any elements the entries
         multiply (Grassmann elements): those take entry * element and the
@@ -274,15 +277,17 @@ class RMatrix:
         cells gives the ring's zero for a vector of ring elements or reals,
         and the ring's zero times the first element (a zero of the
         elements' own kind) otherwise."""
+        if len(vec) != self.cols:
+            raise ValueError("shape mismatch")
         cls = _binarion(self.ring)
         if cls and all(type(v) is cls for v in vec):
-            parts = [v.re for v in vec], [v.im for v in vec], None
-            return list(map(cls, *_matvec_components(self, parts, cls.UNIT_SQ)))
-        return _matvec_values(self, vec, None)
+            vr, vi = [v.re for v in vec], [v.im for v in vec]
+            return list(map(cls, *_matvec_components(self, vr, vi, cls.UNIT_SQ)))
+        return _matvec_values(self, vec)
 
     def form(self, vec):
-        """sum_i conj(vec_i) (M vec)_i, the ring involution on the left
-        (see forms)."""
+        """sum_i conj(vec_i) (M vec)_i for an n x n matrix and a vector of
+        length n, the ring involution on the left (see forms)."""
         return forms((self,), vec)[0]
 
     # ---- involutions ------------------------------------------------------
@@ -602,22 +607,13 @@ def _vector_parts(vec):
     return vr, vi, cv
 
 
-def _matvec_components(m, parts, u2):
-    """(res, ims) for M vec over a binarion ring, parts = (vr, vi, cv) as
-    _vector_parts gives them: the (re, im) of each row, summed over the
-    row's cells in column order as the entries' product and sum would.
-    When _operands clears m and the vector (cv), the row sums are ints over
-    the den that forms divides by, False for a row without cells."""
-    vr, vi, cv = parts
-    ops = _operands(m, cv)
-    if ops:
-        cells, (vr, vi), _, _ = ops
-        start = False
-    else:
-        cells, start = _cells(m), 0
+def _matvec_components(m, vr, vi, u2):
+    """(res, ims) for M vec over a binarion ring, the vector's components vr
+    and vi: the (re, im) of each row, summed from the int 0 over the row's
+    cells in column order as the entries' product and sum would."""
     res, ims = [], []
-    for row in cells:
-        re = im = start
+    for row in _cells(m):
+        re = im = 0
         for k, ar, ai in row:
             br, bi = vr[k], vi[k]
             re = re + (ar * br + u2 * ai * bi)
@@ -627,26 +623,17 @@ def _matvec_components(m, parts, u2):
     return res, ims
 
 
-def _matvec_values(m, vec, cv):
+def _matvec_values(m, vec):
     """The sum of each row of M vec in the entries' own arithmetic, as
-    matvec describes.  cv is a form's _clear(vec) over the reals, else
-    None.  When _operands clears m and the vector (cv), the row sums are
-    ints over the den that forms divides by, False for a row without
-    cells."""
+    matvec describes."""
     ring = m.ring
     cls = _binarion(ring)
-    ops = _operands(m, cv)
-    if ops:
-        cells, vec, _, _ = ops
-        start = False
-    else:
-        cells, start = _cells(m), ring.zero
-    empty = start
+    empty = ring.zero
     if vec and not isinstance(vec[0], REAL_TYPES + (type(empty),)):
         empty = empty * vec[0]
     out = []
-    for row in cells:
-        acc = start if row else empty
+    for row in _cells(m):
+        acc = ring.zero if row else empty
         for cell in row:
             a = cls(cell[1], cell[2]) if cls else cell[1]
             acc = acc + a * vec[cell[0]]
@@ -655,73 +642,83 @@ def _matvec_values(m, vec, cv):
 
 
 def _units(m):
-    """(places, general) for the rows of m, found on first use and kept;
-    False unless m is square with int cells.  A row i whose one cell (at k)
-    is a unit (+-1, or +-u over a binarion ring) places its term's parts in
-    (p, -p), p = conj(v_lo) v_hi, lo <= hi the row and k: (lo * n + hi, re,
-    im).  A unit swaps and negates, and conj(v_k) v_i = conj(conj(v_i) v_k)
-    sums the same products, so a term keeps its bits but a zero's sign,
-    which no form reads; any other row i is in general, placed at -1 - i."""
+    """The places of the terms of m's rows, found on first use and kept;
+    False unless m is square with int cells and every row is a unit row,
+    whose one cell (at k) is a unit (+-1, or +-u over a binarion ring).  Row
+    i places its term's parts in (p, -p), p = conj(v_lo) v_hi, lo <= hi the
+    row and k: (lo * n + hi, re, im).  A unit swaps and negates, and
+    conj(v_k) v_i = conj(conj(v_i) v_k) sums the same products, so a term
+    keeps its bits but a zero's sign, which no form reads."""
     units = m._units
     if units is None:
         ex = m.rows == m.cols and _exact(m)
+        rows = _cells(m) if ex and not ex[2] else ()
         n, u2, units = m.cols, getattr(_binarion(m.ring), "UNIT_SQ", 1), []
-        for i, row in enumerate(_cells(m) if ex and not ex[2] else ()):
+        for i, row in enumerate(rows):
             k, *a = row[0] if len(row) == 1 else (0, 0)
+            if sum(map(abs, a)) != 1:
+                break
             ar, ai = (a + [0])[:2]
             c = -1 if i > k else 1
             # (sign, component of p) of the term's re and im
             terms = ((ar, 0), (ar * c, 1)) if ar else ((u2 * ai * c, 1), (ai, 0))
-            units.append((min(i, k) * n + max(i, k),) + tuple(j + 1 - s for s, j in terms)
-                         if sum(map(abs, a)) == 1 else (-1 - i, 0, 1))
-        units = bool(units) and (tuple(units), tuple(-1 - u[0] for u in units if u[0] < 0))
+            units.append((min(i, k) * n + max(i, k),) + tuple(j + 1 - s for s, j in terms))
+        units = bool(rows) and len(units) == len(rows) and tuple(units)
         _set(m, "_units", units)
     return units
 
 
 def forms(mats, vec):
-    """[m.form(vec) for m in mats], for matrices over one ring: each form is
-    sum_i conj(vec_i) (M vec)_i, the ring involution on the left, its terms
-    added in increasing i from the ring's zero.
+    """[m.form(vec) for m in mats], for n x n matrices over one ring and a
+    vector of length n: each form is sum_i conj(vec_i) (M vec)_i, the ring
+    involution on the left, its terms added in increasing i from the ring's
+    zero.
 
     The vector is read once: its components, their conjugates and, on
-    exact input, its cleared ints (_clear, one lcm, broad), which a matrix
-    takes when _cleared admits it.  When they are all floats or all exact,
-    a unit row (_units) reads its term from the pair products, made once in
-    a call for all the matrices (of ints, so all see the vector cleared or
-    none does); any other row sums its cells as matvec does, then takes the
-    entries' own product."""
+    exact input, its cleared ints (_clear, one lcm, broad).  A matrix takes
+    one of two paths.  When the vector is all floats or all exact and every
+    row of the matrix is a unit row (_units), the form reads its terms from
+    the pair products, made once in a call for all the matrices; they are
+    of the cleared ints when _cleared admits the vector (the matrices' cells
+    are ints, so all see the vector cleared or none does).  Otherwise it
+    sums each row as matvec does and takes the entries' own products."""
     ring = mats[0].ring
     if any(m.ring is not ring and m.ring != ring for m in mats):
         raise TypeError("forms takes matrices over one ring")
     cls, n = _binarion(ring), len(vec)
+    if any(m.rows != n or m.cols != n for m in mats):
+        raise ValueError("shape mismatch")
     binarions = cls and all(type(v) is cls for v in vec)
     if binarions:
         u2 = cls.UNIT_SQ
-        parts = vr, vi, cv = _vector_parts(vec)
+        vr, vi, cv = _vector_parts(vec)
         kinds = set(map(type, vr + vi))
     else:
         cv, kinds = (None, {None}) if cls else (_clear(vec, True), set(map(type, vec)))
     one = kinds <= _EXACT or kinds == {float}
     if not binarions:  # cleared ints, floats, ints and Fractions are their own conjugates
         vr, vi = vec if one else [c.conj() if hasattr(c, "conj") else c for c in vec], None
-    # the pair products, then at -1 - i the term of a general row i
-    pairs, out = [None] * (n * n + n), []
+    pairs, out = [None] * (n * n), []
     for m in mats:
-        r = min(m.rows, n)
-        units, general = one and m.cols == n and _units(m) or (
-            tuple((-1 - i, 0, 1) for i in range(r)), range(r))
+        units = one and _units(m)
+        if not units:  # each row summed in the entries' own arithmetic
+            if binarions:
+                re = im = 0
+                for cr, ci, mr, mi in zip(vr, vi, *_matvec_components(m, vr, vi, u2)):
+                    ci = -ci
+                    re, im = re + (cr * mr + u2 * ci * mi), im + (cr * mi + ci * mr)
+                out.append(cls(re, im))
+            else:
+                re = ring.zero
+                for cr, mr in zip(vr, _matvec_values(m, vec)):
+                    re = re + cr * mr
+                out.append(re)
+            continue
         ops = _operands(m, cv)
         xr, xi = (ops[1] if binarions else (ops[1], None)) if ops else (vr, vi)
         den = ops and ops[2] * ops[3] * ops[3]
-        sums = general and (_matvec_components(m, parts, u2) if binarions
-                            else (_matvec_values(m, vec, cv),))
-        for i in general:
-            cr, mr = xr[i], sums[0][i]
-            ci, mi = (-xi[i], sums[1][i]) if binarions else (0, 0)
-            pairs[-1 - i] = ((cr * mr + u2 * ci * mi, cr * mi + ci * mr) if binarions
-                             else (cr * mr, 0))
-        re = im = (0 if binarions else ring.zero) if den is None else False
+        # the components of binarions, or reals: either way sums start at the int 0
+        re = im = 0 if den is None else False
         for idx, jr, ji in units:
             p = pairs[idx]
             if p is None:

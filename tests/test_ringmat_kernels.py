@@ -187,6 +187,27 @@ def test_lincomb_matches_dense_reference(ring, draw):
         assert_same(lincomb(coeffs, basis), ref_lincomb(coeffs, basis))
 
 
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_wrong_length_vector_is_a_shape_mismatch(ring):
+    """matvec takes a vector of one entry per column, and a form an n x n
+    matrix and a vector of length n: any other vector raises, where it
+    would drop the entries past the last column or read past the vector."""
+    p = ring.promote
+    square = RMatrix([[p(1), p(2)], [p(3), p(4)]], ring)
+    wide = RMatrix([[p(1), p(2), p(3)], [p(4), p(5), p(6)]], ring)
+    for vec in ([], [p(1)], [p(1), p(1), p(100)]):
+        for call in (square.matvec, square.form, lambda v: forms((square, square), v)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                call(vec)
+    for vec in ([p(1)] * 2, [p(1)] * 3):
+        for call in (wide.form, lambda v: forms((square, wide), v)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                call(vec)
+    assert wide.matvec([p(1)] * 3) == [p(6), p(15)]
+    assert square.matvec([p(1)] * 2) == [p(3), p(7)]
+    assert square.form([p(1)] * 2) == p(10)
+
+
 def test_lincomb_exact_and_linear():
     rng = random.Random(14)
     basis = [rand_matrix(rng, RING_SPLIT, 4, 4, _rational) for _ in range(6)]
@@ -808,27 +829,27 @@ def test_exact_paths_make_no_fraction_product(monkeypatch):
 @pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT), ids=lambda r: r.name)
 def test_mixed_exact_operands_clear(monkeypatch, ring):
     """Ints mixed with Fractions clear beside an operand that puts a
-    Fraction in every written term: the forms of an int matrix on a mixed
-    vector (a form's vector meets every written value), and @ and scale of
-    a mixed-cell matrix beside a Fraction operand multiply no Fraction and
-    give the dense reference's values and types.  The matvec of a Fraction
-    matrix on that vector and lincomb keep the entries' own arithmetic and
-    give the reference's values and types too."""
+    Fraction in every written term: @ and scale of a mixed-cell matrix
+    beside a Fraction operand multiply no Fraction and give the dense
+    reference's values and types.  The forms of an int matrix with a
+    non-unit row and of a Fraction matrix on a mixed vector, the matvec of
+    the Fraction matrix on that vector and lincomb keep the entries' own
+    arithmetic and give the reference's values and types too."""
     rng = random.Random(40)
     ints, fr = (rand_matrix(rng, ring, 6, 6, draw) for draw in (_integer, _fraction))
     mixed = _cell_mixed(rng, ring)
     vec = [ring.promote(x) for x in (F(1, 2), 1, -2, F(-3, 4), 3, 0)]
     coeffs = [F(1, 3), F(-2, 5)]
     counts = _count_fraction_products(monkeypatch)
-    got = [RMatrix([forms((ints, fr), vec)], ring), mixed @ fr, fr @ mixed,
-           mixed.scale(F(2, 3))]
+    got = [mixed @ fr, fr @ mixed, mixed.scale(F(2, 3))]
     assert counts == []
     monkeypatch.undo()
-    got += [RMatrix([fr.matvec(vec)], ring), lincomb(coeffs, [mixed, ints])]
+    got += [RMatrix([forms((ints, fr), vec)], ring), RMatrix([fr.matvec(vec)], ring),
+            lincomb(coeffs, [mixed, ints])]
     p = ring.promote(F(2, 3))
-    want = [[[ref_form(ints, vec), ref_form(fr, vec)]],
-            ref_matmul(mixed, fr), ref_matmul(fr, mixed),
+    want = [ref_matmul(mixed, fr), ref_matmul(fr, mixed),
             ref_cellwise(mixed, lambda x: p * x),
+            [[ref_form(ints, vec), ref_form(fr, vec)]],
             [ref_matvec(fr, vec)], ref_lincomb(coeffs, [mixed, ints])]
     for g, w in zip(got, want):
         assert_same(g, w)
@@ -928,7 +949,7 @@ def test_forms_unit_rows_match_dense_reference():
     sets = [hopfmaps._bilinear_matrices(*case) for case in hopfmaps.CASES]
     sets += [(hopfmaps._fiber_weight(3, real),) for real in ("I", "II")]
     for mats in sets:
-        assert all(_units(m) and not _units(m)[1] and _units(m) is _units(m) for m in mats)
+        assert all(_units(m) and _units(m) is _units(m) for m in mats)
         ring, n = mats[0].ring, mats[0].cols
         for extra in ([], _partial_tables(mats[-1])):
             group = list(mats) + extra
