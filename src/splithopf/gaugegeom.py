@@ -41,16 +41,24 @@ unshifted contractions, so the two sides of the curvature check share no
 commutator code.  The section numerator and the transition's numerator
 are affine in x, w = C + sum x_a M_a with static slopes M_a
 (hopfmaps.section_slopes, _transition_affine), so a first derivative
-along t is sum t_a M_a: each derivative evaluates its numerator at x
-only, once per point (_connection_hat, _transition_step).  Shifted
-points are bare coordinates, no BasePoint.
+along t is sum t_a M_a, and each derivative evaluates its numerator at x
+only, once per point.  The oracles read it along the tangent frame
+(_frame), t_b = (e_b - kappa_b x) / n_b, where sum t_a M_a = (M_b -
+kappa_b sum x_a M_a) / n_b and sum x_a M_a = w(x) - C: every side linear
+in the tangent is a combination of three to five matrices formed once
+per point (_connection_hat, gluing_check), read by ringmat.lincomb_dev
+with no matrix made per tangent.  Shifted points are bare coordinates,
+no BasePoint.
 
 The level-2 and level-3 checks read every identity divided by u:
 
     connection:  A / u = -D s^dag W ds;
     curvature:   F / u = d(A / u) - [A / u, A / u], since c u = -1 in
                  both realizations;
-    gluing:      A' / u = g^dag decor (A g / u - dg).
+    gluing:      decor A'(t) / u = g^dag decor (A(t) g / u - dg(t)), the
+                 left side over decor rho_k, the right side from
+                 g^dag decor (A_m / u) g, their x-sum and g^dag decor
+                 times the transition numerator's pieces.
 
 The closed side is contracted over rho_k = sigma_k / u (_rho), made from
 sigma_k's own cells.  At (3, II) the sections, the transition,
@@ -71,7 +79,7 @@ from .ringmat import (RMatrix, RING_REAL, by_unit, commutator, leading_rows, lin
                       lincomb_dev, max_abs_diff, worst_of)
 from . import gammarep
 from .hopfmaps import (case_info, section_linear_at, section_slopes, patch_sign, require_patch,
-                       _check_fiber, _section_family)
+                       _check_fiber, _section_affine, _section_family)
 
 __all__ = [
     "tangent_basis", "lowered_epsilon", "connection_closed", "connection_contraction",
@@ -167,10 +175,12 @@ def _curvature_plan(level, realization, bar):
 # ---------------------------------------------------------------------------
 # tangent frames
 
-def tangent_basis(point):
-    """Coordinate directions projected onto the tangent space at the point,
-    normalized to unit Euclidean length.  The metric square of the point is
-    +-1, so the projection never degenerates."""
+def _frame(point):
+    """The tangent frame as (b, kappa_b, n_b, t_b), b = 0 .. dim - 1: the
+    coordinate direction e_b projected onto the tangent space at the point,
+    t_b = (e_b - kappa_b x) / n_b with kappa_b = eta_b x_b / q and n_b the
+    Euclidean length of e_b - kappa_b x.  The metric square of the point is
+    q = +-1, so the projection never degenerates."""
     case = case_info(point.level, point.realization)
     eta = case.base_metric
     x = [float(c) for c in point.coords]
@@ -184,8 +194,17 @@ def tangent_basis(point):
         norm = math.sqrt(sum(ti * ti for ti in t))
         if norm < 1e-12:
             continue
-        out.append(tuple(ti / norm for ti in t))
+        out.append((a, coef, norm, tuple(ti / norm for ti in t)))
     return out
+
+
+def tangent_basis(point):
+    """The tangents t_b of the point's frame (_frame): each coordinate
+    direction projected onto the tangent space, normalized to unit
+    Euclidean length.  A side linear in the tangent, L(t_b), is
+    (L(e_b) - kappa_b L(x)) / n_b, which the oracles read from pieces formed
+    once per point."""
+    return [f[3] for f in _frame(point)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +285,38 @@ def _connection_pair(t, closed):
 # ---------------------------------------------------------------------------
 # numeric connection along sections
 
-def _connection_hat(point, patch, h, mode, section, fiber, tangents):
+def _connection_hat(point, patch, h, mode, section, fiber, tangents, frame=None):
     """The connection contractions over u, -D s^dag W (d_t s), as lincomb's
-    (coefficients, generators) aligned with the tangents (1 x 1 matrices
-    for spinor sections and at level 1).
+    (coefficients, generators) aligned with the tangents, or with the
+    point's frame (_frame, computed unless given) when tangents is None
+    (1 x 1 matrices for spinor sections and at level 1).
 
     The section is w / sqrt(2n), w = C + sum x_a M_a affine in x, so
     w(x + e t) = w0 + e sum t_a M_a for any step e, the slopes M_a static
     (section_slopes).  Per point w is evaluated once, at x, and the fold
     -D w0^dag W (D the fiber weight where the case has one; w0 times the
-    fiber column for spinor sections, without D) is multiplied into w0 and
-    each M_a (each M_a times the column for spinor sections), giving G0
-    and G_a; per tangent the value is the combination of G0, G_1 ... G_d
-    with coefficients (c0, c1 t_a).  mode="fd" is the central difference at
-    x +- h t (the independent oracle), mode="analytic" the exact
-    derivative, rational on rational input; they differ only in c0, c1
-    and the fold's scalar.  Everything is in the case's own ring, so the
-    (3, II) values are real.
+    fiber column for spinor sections, without D) is multiplied into w0, each
+    M_a and the constant C (each times the column for spinor sections),
+    giving G0, G_a and G_C.  The value along t is c0 G0 + c1 sum t_a G_a.
+    A frame tangent t_b = (e_b - kappa_b x) / n_b has sum t_a G_a = (G_b -
+    kappa_b G_x) / n_b with G_x = fold (w0 - C) = G0 - G_C, so it takes
+    (c0 - c1 kappa_b / n_b, c1 / n_b, c1 kappa_b / n_b) over (G0, G_b, G_C):
+    two dense terms and the sparse G_C.  Any other tangent takes (c0, c1
+    t_a, 0), the same code with x weight 0, as lincomb skips zero
+    coefficients.  mode="fd" is the central difference at x +- h t (the
+    independent oracle), mode="analytic" the exact derivative, rational on
+    rational input; they differ only in c0, c1 and the fold's scalar.
+    Everything is in the case's own ring, so the (3, II) values are real.
     """
     lvl, real, x = point.level, point.realization, point.coords
     _, W, D = _case_gauge(lvl, real)
-    tangents = tangents if tangents is not None else tangent_basis(point)
+    # each tangent as (t, w, wx): sum t_a M_a = sum w_a M_a + wx (w0 - C)
+    rows = [(t, t, 0) for t in tangents] if tangents is not None else [
+        (t, [(a == b) / nb for a in range(len(x))], -kappa / nb)
+        for b, kappa, nb, t in frame or _frame(point)]
 
     w0, n0 = section_linear_at(lvl, real, x, patch)
-    slopes = section_slopes(lvl, real, patch)
+    slopes = [*section_slopes(lvl, real, patch), _section_const(lvl, real, patch)]
     v0, col = w0, None
     if section == "spinor":
         if fiber is None:
@@ -314,7 +341,7 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
 
     gens = [fold @ v0] + [fold @ m for m in slopes]
     out = []
-    for t in tangents:
+    for t, w, wx in rows:
         if mode == "fd":
             # w(x +- h t) = w0 +- h sum t_a M_a, over sqrt(2 n(x +- h t))
             a, b = (1.0 / math.sqrt(2.0 * (1 + sign * (x[-1] + e * t[-1]))) for e in (h, -h))
@@ -322,7 +349,7 @@ def _connection_hat(point, patch, h, mode, section, fiber, tangents):
         else:
             # sqrt(2n) d_t (w / sqrt(2n)) = sum t_a M_a - (sign t_last / 2n) w0
             c0, c1 = -(sign * t[-1] * p2), 1
-        out.append(([c0] + [c1 * ta for ta in t], gens))
+        out.append(([c0 + c1 * wx] + [c1 * wa for wa in w] + [-c1 * wx], gens))
     return out
 
 
@@ -370,14 +397,16 @@ def connection_residual(point, patch=None, h=DEFAULT_H, mode="fd"):
     the contraction over rho and _connection_hat, read from the two linear
     combinations (ringmat.lincomb_dev); at level 1 between the scalars."""
     patch = patch or point.patch
-    tangents = tangent_basis(point)
+    frame = _frame(point)
+    tangents = [f[3] for f in frame]
     closed = _hat_coeffs(point, patch, connection_closed(point, patch))
-    if point.level == 1:
-        numeric = connection_numeric(point, patch, h=h, mode=mode, tangents=tangents)
-        return worst_of(_value_dev(num, connection_contraction(point, t, patch, closed=closed))
+    numeric = _connection_hat(point, patch, h, mode, "matrix", None, None, frame)
+    if point.level == 1:  # the 1 x 1 values times u, as connection_numeric gives them
+        return worst_of(_value_dev(by_unit(lincomb(*num)).entry(0, 0),
+                                   connection_contraction(point, t, patch, closed=closed))
                         for t, num in zip(tangents, numeric))
-    return worst_of(lincomb_dev(num, _connection_pair(t, closed)) for t, num in zip(
-        tangents, _connection_hat(point, patch, h, mode, "matrix", None, tangents)))
+    return worst_of(lincomb_dev(num, _connection_pair(t, closed))
+                    for t, num in zip(tangents, numeric))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +522,10 @@ def curvature_residual(point, patch=None, h=DEFAULT_H, pairs=6, rng=None):
     """Max deviation closed-vs-numeric over random pairs of distinct
     tangents (NaN if any deviation is NaN): the contraction over rho
     against _curvature_hat at levels 2-3, read from the two linear
-    combinations (ringmat.lincomb_dev), the scalars at level 1."""
+    combinations (ringmat.lincomb_dev), the scalars at level 1.  A
+    ValueError unless pairs >= 1: no pair would check nothing and read 0."""
+    if pairs < 1:
+        raise ValueError("curvature_residual needs pairs >= 1 (got %r)" % (pairs,))
     rng = rng or random.Random(0)
     patch = patch or point.patch
     tangents = tangent_basis(point)
@@ -565,6 +597,31 @@ def _transition_top(level, realization, coords):
     return _transition_affine(level, realization)[0].at(coords)
 
 
+@functools.lru_cache(maxsize=None)
+def _section_const(level, realization, patch):
+    """C of the section numerator w = C + sum x_a M_a, int-valued
+    (hopfmaps._section_affine): sum x_a M_a is w0 - C, with no sum made."""
+    return _section_affine(level, realization, patch)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _transition_const(level, realization):
+    """C_top, the constant of _transition_top: the leading fiber_dim rows of
+    the lower-patch _section_const."""
+    k = case_info(level, realization).fiber_dim
+    return leading_rows(k, _transition_affine(level, realization)[0],
+                        (_section_const(level, realization, "lower"),))[1][0]
+
+
+@functools.lru_cache(maxsize=None)
+def _decor_rho(level, realization):
+    """decor rho_k over the lower patch's rho (_rho, bar), decor the fiber
+    weight D of _case_gauge, or rho itself where the case has none: the
+    basis of gluing_check's decorated lower sides, decor A and decor F."""
+    decor, rho = _case_gauge(level, realization)[2], _rho(level, realization, True)
+    return rho if decor is None else tuple(decor @ r for r in rho)
+
+
 def _inv_rho(x_last):
     """1 / sqrt(1 - x_last^2), exact where 1 - x_last^2 is a rational square
     (splitnum.root); refused within EPS_NULL of |x_last| = 1."""
@@ -586,14 +643,16 @@ def transition_at(level, realization, coords, top=None):
     return top.entry(0, 0) * inv_rho if level == 1 else top.scale(inv_rho)
 
 
-def _transition_step(level, realization, x, top0, t, h):
-    """g(x + h t) - g(x - h t) as a matrix (1 x 1 at level 1), top0 the
-    _transition_top at x: top is affine, so top(x +- h t) =
-    top0 +- h sum t_a M_a over its static slopes M_a (_transition_affine),
-    and the step is one lincomb of top0 and the M_a."""
-    a, b = (_inv_rho(x[-1] + e * t[-1]) for e in (h, -h))
-    c1, slopes = h * (a + b), _transition_affine(level, realization)[1]
-    return lincomb([a - b] + [c1 * ta for ta in t], (top0, *slopes))
+def _gluing_dg(x_last, frame_tangent, h):
+    """dg = (g(x + h t) - g(x - h t)) / 2h along a frame tangent t = (e_b -
+    kappa x) / n (_frame), as its coefficients over (top0, M_b, C_top):
+    top is affine, top(x +- h t) = top0 +- h sum t_a M_a over its static
+    slopes M_a (_transition_affine), and sum t_a M_a = (M_b - kappa sum
+    x_a M_a) / n with sum x_a M_a = top0 - C_top (_transition_const)."""
+    _, kappa, n, t = frame_tangent
+    a, b = (_inv_rho(x_last + e * t[-1]) for e in (h, -h))
+    c1 = (a + b) / (2 * n)
+    return (a - b) / (2 * h) - kappa * c1, c1, kappa * c1
 
 
 def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
@@ -603,40 +662,57 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
     matrix where the realization carries one (sigma3 at (2, II), Sigma3 at
     (3, II); scalar conjugation at level 1).  Curvature: F' = g^dag F g with
     the same decoration; at level 1 the field strength is patch-independent.
-    dg is the central difference of g at x +- h t (_transition_step, from
-    the numerator at x, which g shares, and its static slopes).  At levels
-    2-3 both identities are read divided by u, on the contractions over
-    rho (_hat_coeffs): the connection's right side is
-    g^dag decor (A g / u - dg), and at (3, II) every matrix is real.
+    dg is the central difference of g at x +- h t (_gluing_dg, from the
+    numerator at x, which g shares, and its static slopes).  At levels 2-3
+    both identities are read divided by u, on the contractions over rho
+    (_hat_coeffs), and at (3, II) every matrix is real.  The lower sides
+    are linear combinations over the static basis decor rho_k (_decor_rho).
+    The connection's right side g^dag decor (A g / u - dg) is linear in the
+    tangent, so along t_b = (e_b - kappa_b x) / n_b it combines matrices
+    formed once per point: P_m = g^dag decor (A_m / u) g for the free m,
+    their x-sum P_x = sum x_m P_m (computed, so a radial part of A shows),
+    and g^dag decor times top0, M_b and C_top.  Each side is read by
+    ringmat.lincomb_dev, with no matrix made per tangent.
     Returns {"connection": r1, "curvature": r2}, each the worst residual
-    (NaN if any residual is NaN).
+    (NaN if any residual is NaN).  A ValueError unless pairs >= 1.
     """
+    if pairs < 1:
+        raise ValueError("gluing_check needs pairs >= 1 (got %r)" % (pairs,))
     lvl, real, x = point.level, point.realization, point.coords
-    tangents = tangent_basis(point)
+    frame = _frame(point)
+    tangents = [f[3] for f in frame]
     top0 = _transition_top(lvl, real, x)
     g = transition_at(lvl, real, x, top0)
+    slopes, c_top = _transition_affine(lvl, real)[1], _transition_const(lvl, real)
     upper, lower = (_hat_coeffs(point, patch, connection_closed(point, patch))
                     for patch in ("upper", "lower"))
     u, _, decor = _case_gauge(lvl, real)
 
-    if lvl > 1:
-        gd_decor = g.dagger() if decor is None else g.dagger() @ decor
-        inv_2h = 1.0 / (2 * h)
-
     conn_devs = []
-    for t in tangents:
-        step = _transition_step(lvl, real, x, top0, t, h)
-        a_up = connection_contraction(point, t, "upper", closed=upper)
-        a_lo = connection_contraction(point, t, "lower", closed=lower)
-        if lvl == 1:
-            dg = step.entry(0, 0) * (1.0 / (2 * h))
+    if lvl == 1:
+        for f in frame:
+            t = f[3]
+            a_up = connection_contraction(point, t, "upper", closed=upper)
+            a_lo = connection_contraction(point, t, "lower", closed=lower)
+            dg = lincomb(_gluing_dg(x[-1], f, h), (top0, slopes[f[0]], c_top)).entry(0, 0)
             expr = -(u * (g.conj() * dg))  # real on the constraint surface
-            dev = _value_dev(a_lo - a_up, expr)
-        else:
-            rhs = gd_decor @ (a_up @ g - step.scale(inv_2h))
-            lhs = a_lo if decor is None else decor @ a_lo
-            dev = _value_dev(lhs, rhs)
-        conn_devs.append(dev)
+            conn_devs.append(_value_dev(a_lo - a_up, expr))
+    else:
+        gd_decor = g.dagger() if decor is None else g.dagger() @ decor
+        decor_rho = _decor_rho(lvl, real)
+        ups = [gd_decor @ lincomb(*_contract_pair(upper[0], ((1, cm),))) @ g
+               for cm in upper[1].values()]
+        fixed = (gd_decor @ top0, gd_decor @ c_top, lincomb(x[:len(ups)], ups))
+        for f in frame:
+            b, kappa, n, t = f
+            c0, c_b, c_c = _gluing_dg(x[-1], f, h)
+            coeffs = [-c0, -c_c, -kappa / n, -c_b]
+            basis = [*fixed, gd_decor @ slopes[b]]
+            if b < len(ups):  # the last component of A vanishes
+                coeffs.append(1 / n)
+                basis.append(ups[b])
+            conn_devs.append(lincomb_dev(_connection_pair(t, (decor_rho, lower[1])),
+                                         (coeffs, basis)))
 
     rng = rng or random.Random(1234)
     drawn = [(rng.choice(tangents), rng.choice(tangents)) for _ in range(pairs)]
@@ -645,11 +721,13 @@ def gluing_check(point, h=DEFAULT_H, pairs=4, rng=None):
             for patch in ("upper", "lower")]
     curv_devs = []
     for t, v in drawn:
-        fu, fl = (curvature_contraction(point, t, v, closed=c) for c in curv)
         if lvl == 1:
+            fu, fl = (curvature_contraction(point, t, v, closed=c) for c in curv)
             curv_devs.append(_value_dev(fl, fu))
         else:
-            curv_devs.append(_value_dev(fl if decor is None else decor @ fl, gd_decor @ fu @ g))
+            fu = lincomb(*_curvature_pair(t, v, curv[0]))
+            fl = _curvature_pair(t, v, (decor_rho, curv[1][1]))
+            curv_devs.append(lincomb_dev(fl, ((1,), (gd_decor @ fu @ g,))))
     return {"connection": worst_of(conn_devs), "curvature": worst_of(curv_devs)}
 
 

@@ -681,7 +681,10 @@ def forms(mats, vec):
     the pair products, made once in a call for all the matrices; they are
     of the cleared ints when _cleared admits the vector (the matrices' cells
     are ints, so all see the vector cleared or none does).  Otherwise it
-    sums each row as matvec does and takes the entries' own products."""
+    sums each row as matvec does and takes the entries' own products.  No
+    matrices give no forms: []."""
+    if not mats:
+        return []
     ring = mats[0].ring
     if any(m.ring is not ring and m.ring != ring for m in mats):
         raise TypeError("forms takes matrices over one ring")

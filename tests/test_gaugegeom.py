@@ -12,7 +12,7 @@ from splithopf import gaugegeom as gg
 from splithopf import hopfmaps as hm
 from splithopf import gammarep
 from splithopf.ringmat import (RMatrix, AffineFamily, RING_COMPLEX, RING_REAL, RING_SPLIT,
-                               commutator, lincomb)
+                               by_unit, commutator, lincomb)
 from tests.test_hopfmaps import ALL_CASES
 
 PANELS = [(l, r, p) for (l, r) in ALL_CASES for p in ("upper", "lower")]
@@ -373,17 +373,175 @@ def test_transition_rows_are_the_section_rows(lvl, real):
 
 @pytest.mark.parametrize("lvl,real", OVERLAP_CASES)
 def test_gluing_dg_is_the_central_difference(lvl, real):
-    # gluing's dg against (g(x + h t) - g(x - h t)) / 2h from two
+    # gluing's dg, the combination of top0, M_b and C_top that _gluing_dg
+    # weights, against (g(x + h t) - g(x - h t)) / 2h from two
     # transition_at calls
     h = 1e-5
     pt = sample_base_point(lvl, real, rng=random.Random(35), overlap=True)
     x = pt.coords
     top0 = gg._transition_top(lvl, real, x)
-    for t in gg.tangent_basis(pt):
-        step = gg._transition_step(lvl, real, x, top0, t, h)
+    slopes = gg._transition_affine(lvl, real)[1]
+    c_top = gg._transition_const(lvl, real)
+    frame = gg._frame(pt)
+    assert [f[3] for f in frame] == gg.tangent_basis(pt)
+    for f in frame:
+        t = f[3]
+        dg = lincomb(gg._gluing_dg(x[-1], f, h), (top0, slopes[f[0]], c_top))
         gp, gm = (gg.transition_at(lvl, real, [c + e * ti for c, ti in zip(x, t)]) for e in (h, -h))
-        got = _scaled(step.entry(0, 0) if lvl == 1 else step, 1.0 / (2 * h))
+        got = dg.entry(0, 0) if lvl == 1 else dg
         assert gg._value_dev(got, _scaled(gp - gm, 1.0 / (2 * h))) < 1e-9
+
+
+GAUGE_OVERLAP = [c for c in OVERLAP_CASES if c[0] > 1]
+
+
+def _read_sides(monkeypatch):
+    """The (a, b) pairs that gaugegeom hands lincomb_dev, in call order."""
+    seen, read = [], gg.lincomb_dev
+
+    def spy(a, b):
+        seen.append((a, b))
+        return read(a, b)
+
+    monkeypatch.setattr(gg, "lincomb_dev", spy)
+    return seen
+
+
+def _assert_close(got, want):
+    """got within 1e-12 of want's largest entry (an all-zero want: of 1)."""
+    assert gg._value_dev(got, want) <= 1e-12 * max(want.max_abs(), 1.0)
+
+
+@pytest.mark.parametrize("lvl,real,patch", GAUGE_PANELS)
+def test_connection_frame_sides_match_the_full_sum(monkeypatch, lvl, real, patch):
+    # the frame's three terms against the (d + 1)-term lincomb of G0 and
+    # every G_a (_connection_numeric_reference, written with @ and lincomb),
+    # in both modes; the closed side is the contraction over rho
+    seen = _read_sides(monkeypatch)
+    rng = random.Random(83)
+    for _ in range(2):
+        pt = sample_base_point(lvl, real, patch=patch, rng=rng)
+        tangents = gg.tangent_basis(pt)
+        closed = gg._hat_coeffs(pt, patch, gg.connection_closed(pt, patch))
+        for mode in ("fd", "analytic"):
+            del seen[:]
+            assert gg.connection_residual(pt, patch, mode=mode) < 1e-6
+            want = _connection_numeric_reference(pt, patch, mode, tangents)
+            assert len(seen) == len(tangents) == len(want)
+            for (num, cl), w, t in zip(seen, want, tangents):
+                assert len([c for c in num[0] if c]) <= 3
+                _assert_close(by_unit(lincomb(*num)), w)
+                _assert_close(lincomb(*cl), gg.connection_contraction(pt, t, patch, closed=closed))
+
+
+@pytest.mark.parametrize("lvl,real,patch", PANELS)
+def test_connection_numeric_off_the_frame(lvl, real, patch):
+    # a coordinate direction and a mixed one, neither a frame tangent, take
+    # the same path with x weight 0: the bits of the (d + 1)-term reference
+    dim = hm.case_info(lvl, real).base_dim
+    pt = sample_base_point(lvl, real, patch=patch, rng=random.Random(89))
+    tangents = [tuple(float(b == 2) for b in range(1, dim + 1)),
+                tuple(0.25 * b - 0.5 for b in range(dim))]
+    for mode in ("fd", "analytic"):
+        got = gg.connection_numeric(pt, patch, mode=mode, tangents=tangents)
+        want = _connection_numeric_reference(pt, patch, mode, tangents)
+        for g, w in zip(got, want, strict=True):
+            _same_cells(g, w, False)
+
+
+@pytest.mark.parametrize("radial", [False, True])
+@pytest.mark.parametrize("lvl,real", GAUGE_OVERLAP)
+def test_gluing_sides_match_the_matrix_formulas(monkeypatch, lvl, real, radial):
+    # each side gluing_check compares against the matrices of the formulas:
+    # decor A_lo and g^dag decor (A_up g - step / 2h), step the lincomb of
+    # top0 and every slope M_a; decor F_lo and g^dag decor F_up g.  With a
+    # radial part in the upper connection (_radial_upper_connection) the
+    # sides still follow the formulas: the x-sum P_x is computed, not
+    # taken to be zero
+    seen = _read_sides(monkeypatch)
+    if radial:
+        _radial_upper_connection(monkeypatch)
+    h, decor = gg.DEFAULT_H, gg._case_gauge(lvl, real)[2]
+    slopes = gg._transition_affine(lvl, real)[1]
+    rng = random.Random(79)
+    for _ in range(2):
+        pt = sample_base_point(lvl, real, rng=rng, overlap=True)
+        x, tangents = pt.coords, gg.tangent_basis(pt)
+        top0 = gg._transition_top(lvl, real, x)
+        g = gg.transition_at(lvl, real, x)
+        gd = g.dagger() if decor is None else g.dagger() @ decor
+        dec = (lambda m: m) if decor is None else (lambda m: decor @ m)
+        conn, curv = ([gg._hat_coeffs(pt, p, fn(pt, p)) for p in ("upper", "lower")]
+                      for fn in (gg.connection_closed, gg.curvature_closed))
+        del seen[:]
+        seed = rng.random()
+        res = gg.gluing_check(pt, h=h, rng=random.Random(seed))
+        assert (res["connection"] > 1e-6) is radial and (radial or res["curvature"] < 1e-6)
+        assert len(seen) == len(tangents) + 4
+        for (lhs, rhs), t in zip(seen, tangents):
+            a_up, a_lo = (gg.connection_contraction(pt, t, closed=c) for c in conn)
+            a, b = (gg._inv_rho(x[-1] + e * t[-1]) for e in (h, -h))
+            step = lincomb([a - b] + [h * (a + b) * ta for ta in t], (top0, *slopes))
+            _assert_close(lincomb(*lhs), dec(a_lo))
+            _assert_close(lincomb(*rhs), gd @ (a_up @ g - step.scale(1.0 / (2 * h))))
+        draw = random.Random(seed)
+        for lhs, rhs in seen[len(tangents):]:
+            t, v = draw.choice(tangents), draw.choice(tangents)
+            f_up, f_lo = (gg.curvature_contraction(pt, t, v, closed=c) for c in curv)
+            _assert_close(lincomb(*lhs), dec(f_lo))
+            _assert_close(lincomb(*rhs), gd @ f_up @ g)
+
+
+def _negate_one_decorated_generator(monkeypatch):
+    basis = gg._decor_rho
+
+    def wrong(level, realization):
+        first, *rest = basis(level, realization)
+        return (first.scale(-1), *rest)
+
+    monkeypatch.setattr(gg, "_decor_rho", wrong)
+
+
+def _drop_the_top0_term(monkeypatch):
+    coeffs = gg._gluing_dg
+    monkeypatch.setattr(gg, "_gluing_dg", lambda *args: (0, *coeffs(*args)[1:]))
+
+
+def _radial_upper_connection(monkeypatch):
+    """A_m + x_m rho_0 / 2 on the upper patch: a part along x itself."""
+    closed = gg._algebra_connection
+
+    def wrong(level, realization, patch, x):
+        *head, coeffs = closed(level, realization, patch, x)
+        if patch == "upper":
+            coeffs = {m: {**cm, 0: cm.get(0, 0) + x[m - 1] / 2} for m, cm in coeffs.items()}
+        return (*head, coeffs)
+
+    monkeypatch.setattr(gg, "_algebra_connection", wrong)
+
+
+@pytest.mark.parametrize("fault", [_negate_one_decorated_generator, _drop_the_top0_term,
+                                   _radial_upper_connection])
+@pytest.mark.parametrize("lvl,real", GAUGE_OVERLAP)
+def test_gluing_catches_a_wrong_side(monkeypatch, lvl, real, fault):
+    # each fault fails the gauge suite's gluing-connection tolerance
+    pt = sample_base_point(lvl, real, rng=random.Random(91), overlap=True)
+    assert gg.gluing_check(pt)["connection"] < 1e-6
+    fault(monkeypatch)
+    assert gg.gluing_check(pt)["connection"] > 1e-6
+
+
+@pytest.mark.parametrize("lvl,real", GAUGE_OVERLAP)
+def test_residuals_refuse_fewer_than_one_pair(lvl, real):
+    # no pair would check nothing and read 0.0, which passes
+    pt = sample_base_point(lvl, real, rng=random.Random(97), overlap=True)
+    for pairs in (0, -3):
+        with pytest.raises(ValueError, match="pairs >= 1"):
+            gg.gluing_check(pt, pairs=pairs)
+        with pytest.raises(ValueError, match="pairs >= 1"):
+            gg.curvature_residual(pt, pairs=pairs)
+    assert gg.gluing_check(pt, pairs=1)["curvature"] < 1e-6
+    assert gg.curvature_residual(pt, pairs=1) < 1e-5
 
 
 @pytest.mark.parametrize("lvl,real,patch", PANELS)

@@ -208,6 +208,17 @@ def test_wrong_length_vector_is_a_shape_mismatch(ring):
     assert square.form([p(1)] * 2) == p(10)
 
 
+@pytest.mark.parametrize("ring", (RING_REAL, RING_SPLIT, RING_COMPLEX), ids=lambda r: r.name)
+def test_forms_of_no_matrices_is_empty(ring):
+    """forms of no matrices is no forms, for any vector, as the list of
+    m.form(vec) over no m is; a form of one matrix is unchanged."""
+    p = ring.promote
+    square = RMatrix([[p(1), p(2)], [p(3), p(4)]], ring)
+    for vec in ([], [p(1), p(1)], [p(1), p(2), p(3)]):
+        assert forms([], vec) == [] and forms((), vec) == []
+    assert forms([square], [p(1)] * 2) == [square.form([p(1)] * 2)] == [p(10)]
+
+
 def test_lincomb_exact_and_linear():
     rng = random.Random(14)
     basis = [rand_matrix(rng, RING_SPLIT, 4, 4, _rational) for _ in range(6)]
